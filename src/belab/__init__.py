@@ -19,7 +19,6 @@ from .errors import (
 from .types import (
     BoundComponents,
     BoundValue,
-    DecompositionSample,
     KSResult,
     MomentEstimate,
     NonUniformInputs,
@@ -29,7 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BelabError", "BoundComponents", "BoundValue", "CapacityError",
-    "ConfigError", "DecompositionSample", "DegenerateModelError",
+    "ConfigError", "DegenerateModelError",
     "DomainError", "InvalidModelError", "KSResult", "MomentEstimate",
     "NonUniformInputs", "NumericError", "UnsupportedModelError",
     "__version__", "app_bounds", "bound_core", "cli", "marginals",

@@ -17,13 +17,15 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtr
 
 from . import app_bounds, bound_core
-from .errors import BelabError, CapacityError, ConfigError, DomainError
+from .errors import BelabError, ConfigError, DomainError
 from .mc_engine import (
+    ComponentEstimates,
     SeedSpec,
     certify,
     collect_t_w,
@@ -49,20 +51,6 @@ RESULT_COLUMNS = ("equation_tag", "model", "n", "m", "z", "epsilon", "p",
                   "bound_known", "bound_c_coeff", "empirical", "dkw_radius",
                   "se", "pass")
 
-# tags whose bound is a function of a point z
-Z_TAGS = frozenset({"eq2.6", "eq2.9", "eq3.3", "eq3.4", "eq3.6", "eq3.8",
-                    "eq3.11"})
-_GENERAL_TAGS = ("eq1.3", "eq1.4", "eq2.3", "eq2.4", "eq2.5", "eq2.6", "eq2.9")
-FAMILY_TAGS = {
-    "linear": frozenset(_GENERAL_TAGS),
-    "ustat": frozenset(_GENERAL_TAGS + ("eq3.1", "eq3.2", "eq3.3", "eq3.4",
-                                        "eq3.6")),
-    "multisample": frozenset(_GENERAL_TAGS + ("eq3.7", "eq3.8")),
-    "lstat": frozenset(_GENERAL_TAGS + ("eq3.10", "eq3.11")),
-    # no second moment of the remainder: the tau/L2 forms are unavailable
-    "isqrt": frozenset(_GENERAL_TAGS) - {"eq2.6", "eq2.9"},
-}
-KNOWN_TAGS = frozenset().union(*FAMILY_TAGS.values())
 SWEEP_AXES = ("n", "z", "epsilon", "replicates")
 MIN_VERIFY_REPLICATES = 1000
 
@@ -118,15 +106,28 @@ def _catalog_msg(names) -> str:
     return ", ".join(sorted(names))
 
 
+def _is_number(v) -> bool:
+    return (isinstance(v, int) and not isinstance(v, bool)
+            or isinstance(v, float) and math.isfinite(v))
+
+
+def _number_list(doc, key, errs, path):
+    values = doc.get(key, [])
+    if not isinstance(values, list) or not all(map(_is_number, values)):
+        errs.append(f"{path}: expected a list of finite numbers")
+        return []
+    return values
+
+
 def _as_number(doc, key, errs, path, default=None, integer=False, minimum=None):
     if key not in doc:
         return default
     v = doc[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        errs.append(f"{path}: expected a number, got {v!r}")
+    if not _is_number(v):
+        errs.append(f"{path}: expected a finite number, got {v!r}")
         return default
     if integer:
-        if float(v) != int(v):
+        if isinstance(v, float) and not v.is_integer():
             errs.append(f"{path}: expected an integer, got {v!r}")
             return default
         v = int(v)
@@ -165,6 +166,15 @@ def _check_model(desc: dict, errs: list) -> dict:
         sizes = n.split(";") if isinstance(n, str) else n
         if not isinstance(sizes, (list, tuple)) or len(sizes) != 2:
             errs.append("model.n: expected two sample sizes, e.g. \"1000;1000\"")
+        else:
+            for k, size in enumerate(sizes):
+                if isinstance(size, str):
+                    try:
+                        size = int(size)
+                    except ValueError:
+                        pass
+                _as_number({"n": size}, "n", errs, f"model.n[{k}]",
+                           integer=True, minimum=2)
     elif family == "lstat":
         wt = desc.get("weight")
         if wt not in WEIGHT_CATALOG:
@@ -205,30 +215,23 @@ def parse_config(text: str) -> ExperimentConfig:
     if not isinstance(bounds, list):
         errs.append("bounds: expected a list of equation tags")
         bounds = []
+    specs = {t: TAGS[t] for t in bounds if isinstance(t, str) and t in TAGS}
     for tag in bounds:
-        if tag not in KNOWN_TAGS:
+        if not (isinstance(tag, str) and tag in specs):
             errs.append(f"bounds: unknown tag {tag!r}; "
-                        f"catalog: {_catalog_msg(KNOWN_TAGS)}")
-        elif family in FAMILY_TAGS and tag not in FAMILY_TAGS[family]:
+                        f"catalog: {_catalog_msg(TAGS)}")
+        elif family in FAMILIES and family not in specs[tag].families:
+            valid = (t for t, spec in TAGS.items() if family in spec.families)
             errs.append(f"bounds: {tag} does not apply to a {family} model; "
-                        f"valid: {_catalog_msg(FAMILY_TAGS[family])}")
+                        f"valid: {_catalog_msg(valid)}")
 
-    z_grid = doc.get("z_grid", [])
-    if not isinstance(z_grid, list) or any(
-            isinstance(v, bool) or not isinstance(v, (int, float))
-            for v in z_grid):
-        errs.append("z_grid: expected a list of numbers")
-        z_grid = []
-    if any(t in Z_TAGS for t in bounds) and not z_grid:
+    z_grid = _number_list(doc, "z_grid", errs, "z_grid")
+    point_tags = {t for t, spec in specs.items() if spec.point}
+    if point_tags and not z_grid:
         errs.append("z_grid: required by the selected point bounds "
-                    + _catalog_msg(set(bounds) & Z_TAGS))
+                    + _catalog_msg(point_tags))
 
-    eps_grid = doc.get("epsilon_grid", [])
-    if not isinstance(eps_grid, list) or any(
-            isinstance(v, bool) or not isinstance(v, (int, float))
-            for v in eps_grid):
-        errs.append("epsilon_grid: expected a list of numbers")
-        eps_grid = []
+    eps_grid = _number_list(doc, "epsilon_grid", errs, "epsilon_grid")
 
     p = _as_number(doc, "p", errs, "p", default=3.0)
     if p is not None and not 2.0 < p <= 3.0:
@@ -277,12 +280,7 @@ def parse_config(text: str) -> ExperimentConfig:
         errs.append(f"sweep.axis: expected one of {_catalog_msg(SWEEP_AXES)}, "
                     f"got {axis!r}")
         axis = None
-    grid = sweep.get("grid", [])
-    if not isinstance(grid, list) or any(
-            isinstance(v, bool) or not isinstance(v, (int, float))
-            for v in grid):
-        errs.append("sweep.grid: expected a list of numbers")
-        grid = []
+    grid = _number_list(sweep, "grid", errs, "sweep.grid")
 
     if errs:
         raise ConfigError(errs)
@@ -304,50 +302,61 @@ class _Runner:
         self.seed = SeedSpec(cfg.master_seed)
         self.linear = self.model.linear_part
         self.beta = bound_core.compute_beta(self.linear)
-        self._delta_min = None
         self._components = {}
-        self._tw = None
-        self.capacity_notes = []
+        self._distances = {}
 
     # --- cached ingredients -------------------------------------------------
 
-    @property
+    @cached_property
     def delta_min(self) -> float:
-        if self._delta_min is None:
-            self._delta_min = bound_core.solve_delta_minimal(self.linear)
-        return self._delta_min
-
-    def _tail_thresholds(self):
-        return tuple(sorted({(abs(z) + 1.0) / 3.0 for z in self.cfg.z_grid}))
+        return bound_core.solve_delta_minimal(self.linear)
 
     def components(self, mode: str):
         """Coupling-moment estimates; exact zeros when the remainder vanishes."""
-        thresholds = self._tail_thresholds()
-        key = (mode, thresholds)
-        if key in self._components:
-            return self._components[key]
-        if self.model.delta_is_zero:
-            zero = MomentEstimate(0.0)
-            from .mc_engine import ComponentEstimates
-            est = ComponentEstimates(
-                replicates=0, mode=mode, e_abs_w_delta=zero,
-                sum_g_delta_diff=zero, delta_abs=zero, delta_l2=zero,
-                sum_g_l2_delta_l2=zero,
-                delta_tails={thr: zero for thr in thresholds})
-        else:
-            est = components_via_engine(
-                self.model, self.cfg.replicates, self.seed, mode=mode,
-                threads=self.cfg.threads, delta_thresholds=thresholds)
-        self._components[key] = est
-        return est
+        if mode not in self._components:
+            thresholds = tuple(sorted({(abs(z) + 1.0) / 3.0
+                                       for z in self.cfg.z_grid}))
+            if self.model.delta_is_zero:
+                zero = MomentEstimate(0.0)
+                est = ComponentEstimates(
+                    replicates=0, mode=mode, e_abs_w_delta=zero,
+                    sum_g_delta_diff=zero, delta_abs=zero, delta_l2=zero,
+                    sum_g_l2_delta_l2=zero,
+                    delta_tails={thr: zero for thr in thresholds})
+            else:
+                est = components_via_engine(
+                    self.model, self.cfg.replicates, self.seed, mode=mode,
+                    threads=self.cfg.threads, delta_thresholds=thresholds)
+            self._components[mode] = est
+        return self._components[mode]
 
+    def bound_components(self, comps):
+        return comps.as_bound_components(self.beta, self.delta_min)
+
+    @cached_property
     def t_w(self):
-        if self._tw is None:
-            self._tw = collect_t_w(self.model, self.cfg.replicates, self.seed,
-                                   threads=self.cfg.threads)
-        return self._tw
+        return collect_t_w(self.model, self.cfg.replicates, self.seed,
+                           threads=self.cfg.threads)
 
-    def delta_tail(self, thr: float, comps) -> MomentEstimate:
+    def distance(self, comparator: str, z=None):
+        """Measured distance for a comparator, uniform (z None) or at z;
+        each (comparator, z) is computed once per run."""
+        key = (comparator, z)
+        if key not in self._distances:
+            t, w = self.t_w
+            if comparator == "T~W":
+                ks = (empirical_ks_two_sample(t, w) if z is None
+                      else pointwise_diff_two_sample(t, w, z))
+            else:
+                x = t if comparator == "T~N" else w
+                ks = (empirical_ks_vs_normal(x) if z is None
+                      else pointwise_diff_vs_normal(x, z))
+            self._distances[key] = ks
+        return self._distances[key]
+
+    def delta_tail(self, z: float, comps) -> MomentEstimate:
+        """P(|Delta| > (|z| + 1) / 3), analytic where the model knows it."""
+        thr = (abs(z) + 1.0) / 3.0
         analytic = self.model.delta_tail_analytic(thr)
         if analytic is not None:
             return MomentEstimate(float(analytic))
@@ -361,6 +370,7 @@ class _Runner:
 
     # --- per-model analytic inputs ------------------------------------------
 
+    @cached_property
     def ustat_inputs(self) -> app_bounds.UStatBoundInputs:
         mom = ustat_moments(self.model.spec, self.cfg.p)
         return app_bounds.UStatBoundInputs(
@@ -368,12 +378,14 @@ class _Runner:
             sigma1=mom["sigma1"], e_abs_g_p=mom["e_abs_g_p"], p=self.cfg.p,
             c0_trunc=mom["c0_trunc"], e_abs_h_p=mom["e_abs_h_p"])
 
+    @cached_property
     def multi_inputs(self) -> app_bounds.MultiBoundInputs:
         mom = self.model.moments(self.cfg.p)
         return app_bounds.MultiBoundInputs(
             sigma=mom["sigma"], sn=mom["sn"], m=mom["m"], n=mom["n"],
             e_abs_h_p=mom["e_abs_h_p"], p=self.cfg.p)
 
+    @cached_property
     def lstat_inputs(self) -> app_bounds.LStatBoundInputs:
         model = self.model
         return app_bounds.LStatBoundInputs(
@@ -383,7 +395,7 @@ class _Runner:
             e_abs_g_p=model.influence_abs_moment(self.cfg.p),
             p=self.cfg.p, n=model.n)
 
-    # --- row plumbing ---------------------------------------------------------
+    # --- rows -----------------------------------------------------------------
 
     def _meta(self) -> dict:
         desc = self.cfg.model_desc
@@ -401,143 +413,140 @@ class _Runner:
             meta["epsilon"] = self.model.epsilon
         return meta
 
-    def _row(self, tag, bound, z=None, p=None, ks=None, pass_override=...):
-        kw = dict(self._meta())
-        kw.update(equation_tag=tag, z=z, p=p,
-                  bound_known=bound.known, bound_c_coeff=bound.c_coeff,
-                  se=bound.known_se)
-        if ks is not None:
-            kw.update(empirical=ks.distance, dkw_radius=ks.dkw_radius)
-            flag = certify(ks, bound) if pass_override is ... else pass_override
-            kw.update(pass_flag=flag)
-        return ResultRow(**kw)
-
-    # --- bound evaluation -----------------------------------------------------
-
-    def bound_rows_for(self, tag: str, with_empirical: bool):
-        """Rows for one equation tag; one row per z for the point bounds."""
-        cfg = self.cfg
-        model = self.model
-        t = w = None
-        if with_empirical:
-            t, w = self.t_w()
-        if tag in ("eq2.3", "eq2.4", "eq2.5", "eq1.3", "eq1.4"):
-            comps = self.components("zero_out")
-            if tag == "eq1.4":
-                bound = bound_core.linear_baseline(self.linear)
-                ks = empirical_ks_vs_normal(w) if with_empirical else None
-            elif tag == "eq1.3":
-                bound = bound_core.chebyshev_baseline(
-                    self.linear_ks(), comps.delta_abs.value, 1.0)
-                ks = empirical_ks_vs_normal(t) if with_empirical else None
-            else:
-                bc = comps.as_bound_components(
-                    self.beta, self.delta_min)
-                if tag == "eq2.3":
-                    bound = bound_core.uniform_bound_thm21(bc)
-                elif tag == "eq2.4":
-                    bound = bound_core.uniform_bound_beta(bc)
-                else:
-                    bound = bound_core.uniform_bound_normal(bc)
-                if with_empirical:
-                    ks = (empirical_ks_vs_normal(t) if tag == "eq2.5"
-                          else empirical_ks_two_sample(t, w))
-                else:
-                    ks = None
-            return [self._row(tag, bound, ks=ks)]
-        if tag in ("eq2.6", "eq2.9"):
-            comps = self.components("resample")
-            rows = []
-            for z in cfg.z_grid:
-                thr = (abs(z) + 1.0) / 3.0
-                tail = self.delta_tail(thr, comps)
-                if tag == "eq2.6":
-                    inp = NonUniformInputs(
-                        z=z, p_delta_tail=tail.value,
-                        p_delta_tail_se=tail.std_error,
-                        sum_p_g_tail=self.linear.sum_prob_above(thr),
-                        sum_p_w_minus_g_tail=model.nonuniform_third_term(z))
-                    gamma = bound_core.nonuniform_gamma(inp)
-                    tau = bound_core.nonuniform_tau(
-                        comps.as_bound_components(self.beta, self.delta_min))
-                    bound = bound_core.nonuniform_bound_thm22(gamma, tau, z)
-                    ks = (pointwise_diff_two_sample(t, w, z)
-                          if with_empirical else None)
-                else:
-                    sum_p, _sum_p_se = self.linear.sum_abs_p(cfg.p)
-                    bound = bound_core.nonuniform_moment_bound(
-                        cfg.p, z, tail.value, comps.delta_l2.value,
-                        comps.sum_g_l2_delta_l2.value, sum_p)
-                    ks = (pointwise_diff_vs_normal(t, z)
-                          if with_empirical else None)
-                rows.append(self._row(tag, bound, z=z,
-                                      p=cfg.p if tag == "eq2.9" else None,
-                                      ks=ks))
-            return rows
-        if tag in ("eq3.1", "eq3.2", "eq3.3", "eq3.4", "eq3.6"):
-            inp = self.ustat_inputs()
-            if tag == "eq3.1":
-                bound = app_bounds.ustat_uniform_31(inp)
-                ks = empirical_ks_two_sample(t, w) if with_empirical else None
-                return [self._row(tag, bound, ks=ks)]
-            if tag == "eq3.2":
-                bound = app_bounds.ustat_normal_32(inp)
-                ks = empirical_ks_vs_normal(t) if with_empirical else None
-                return [self._row(tag, bound, ks=ks)]
-            fn = {"eq3.3": app_bounds.ustat_nonuniform_33,
-                  "eq3.4": app_bounds.ustat_nonuniform_34,
-                  "eq3.6": app_bounds.ustat_nonuniform_36}[tag]
-            rows = []
-            for z in cfg.z_grid:
-                if tag == "eq3.6":
-                    limit = math.sqrt((inp.n - inp.m + 1) / inp.m)
-                    if abs(z) > limit:
-                        continue  # only stated inside the moderate-z range
-                bound = fn(inp, z)
-                ks = pointwise_diff_vs_normal(t, z) if with_empirical else None
-                rows.append(self._row(tag, bound, z=z, p=cfg.p, ks=ks))
-            return rows
-        if tag in ("eq3.7", "eq3.8"):
-            inp = self.multi_inputs()
-            if tag == "eq3.7":
-                bound = app_bounds.multisample_37(inp)
-                ks = empirical_ks_vs_normal(t) if with_empirical else None
-                return [self._row(tag, bound, p=cfg.p, ks=ks)]
-            rows = []
-            for z in cfg.z_grid:
-                bound = app_bounds.multisample_38(inp, z)
-                ks = pointwise_diff_vs_normal(t, z) if with_empirical else None
-                rows.append(self._row(tag, bound, z=z, p=cfg.p, ks=ks))
-            return rows
-        if tag in ("eq3.10", "eq3.11"):
-            inp = self.lstat_inputs()
-            if tag == "eq3.10":
-                bound = app_bounds.lstat_310(inp)
-                ks = empirical_ks_vs_normal(t) if with_empirical else None
-                return [self._row(tag, bound, p=cfg.p, ks=ks)]
-            rows = []
-            for z in cfg.z_grid:
-                bound = app_bounds.lstat_311(inp, z)
-                ks = pointwise_diff_vs_normal(t, z) if with_empirical else None
-                rows.append(self._row(tag, bound, z=z, p=cfg.p, ks=ks))
-            return rows
-        raise ConfigError([f"bounds: unknown tag {tag!r}"])
-
     def run(self, with_empirical: bool):
+        """One row per tag, or per tag and z for the point bounds."""
         if not self.cfg.bounds:
             raise ConfigError(["bounds: at least one equation tag is required"])
+        meta = self._meta()
         rows = []
         for tag in self.cfg.bounds:
-            try:
-                rows.extend(self.bound_rows_for(tag, with_empirical))
-            except CapacityError as exc:
-                self.capacity_notes.append(f"{tag}: {exc}")
+            spec = TAGS[tag]
+            comps = self.components(spec.mode) if spec.mode else None
+            for z in self.cfg.z_grid if spec.point else (None,):
+                bound = spec.build(self, comps, z)
+                if bound is None:
+                    continue
+                kw = dict(meta, equation_tag=tag, z=z,
+                          p=self.cfg.p if spec.with_p else None,
+                          bound_known=bound.known,
+                          bound_c_coeff=bound.c_coeff, se=bound.known_se)
+                if with_empirical:
+                    ks = self.distance(spec.comparator, z)
+                    kw.update(empirical=ks.distance, dkw_radius=ks.dkw_radius,
+                              pass_flag=certify(ks, bound))
+                rows.append(ResultRow(**kw))
         return rows
 
 
+# --- equation-tag registry ---------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TagSpec:
+    """How one equation tag is bounded and what its bound is checked against.
+
+    build(runner, comps, z) returns the BoundValue, or None where the paper
+    states no bound at that z; comps are the runner's coupling-moment
+    estimates in `mode` (None when the bound reads no sampled components).
+    The comparator names the measured distance: T or W against the standard
+    normal, or T against W; uniform, or at each z of the grid for point bounds.
+    """
+
+    families: frozenset
+    point: bool
+    mode: str | None
+    comparator: str
+    with_p: bool
+    judged: bool
+    build: object
+
+
+def _nonuniform_22(r: _Runner, comps, z):
+    thr = (abs(z) + 1.0) / 3.0
+    tail = r.delta_tail(z, comps)
+    gamma = bound_core.nonuniform_gamma(NonUniformInputs(
+        z=z, p_delta_tail=tail.value, p_delta_tail_se=tail.std_error,
+        sum_p_g_tail=r.linear.sum_prob_above(thr),
+        sum_p_w_minus_g_tail=r.model.nonuniform_third_term(z)))
+    tau = bound_core.nonuniform_tau(r.bound_components(comps))
+    return bound_core.nonuniform_bound_thm22(gamma, tau, z)
+
+
+def _nonuniform_29(r: _Runner, comps, z):
+    sum_p, _sum_p_se = r.linear.sum_abs_p(r.cfg.p)
+    return bound_core.nonuniform_moment_bound(
+        r.cfg.p, z, r.delta_tail(z, comps).value, comps.delta_l2.value,
+        comps.sum_g_l2_delta_l2.value, sum_p)
+
+
+def _ustat_36(r: _Runner, comps, z):
+    inp = r.ustat_inputs
+    if abs(z) > math.sqrt((inp.n - inp.m + 1) / inp.m):
+        return None  # only stated inside the moderate-z range
+    return app_bounds.ustat_nonuniform_36(inp, z)
+
+
+_ALL = frozenset(FAMILIES)
+# no second moment of the remainder: the tau/L2 forms are unavailable
+_WITH_L2 = _ALL - {"isqrt"}
+_USTAT = frozenset({"ustat"})
+_MULTI = frozenset({"multisample"})
+_LSTAT = frozenset({"lstat"})
+
+TAGS = {
+    "eq1.3": TagSpec(_ALL, False, "zero_out", "T~N", False, True,
+                     lambda r, c, z: bound_core.chebyshev_baseline(
+                         r.linear_ks(), c.delta_abs.value, 1.0)),
+    "eq1.4": TagSpec(_ALL, False, None, "W~N", False, True,
+                     lambda r, c, z: bound_core.linear_baseline(r.linear)),
+    "eq2.3": TagSpec(_ALL, False, "zero_out", "T~W", False, True,
+                     lambda r, c, z: bound_core.uniform_bound_thm21(
+                         r.bound_components(c))),
+    "eq2.4": TagSpec(_ALL, False, "zero_out", "T~W", False, True,
+                     lambda r, c, z: bound_core.uniform_bound_beta(
+                         r.bound_components(c))),
+    "eq2.5": TagSpec(_ALL, False, "zero_out", "T~N", False, True,
+                     lambda r, c, z: bound_core.uniform_bound_normal(
+                         r.bound_components(c))),
+    "eq2.6": TagSpec(_WITH_L2, True, "resample", "T~W", False, True,
+                     _nonuniform_22),
+    "eq2.9": TagSpec(_WITH_L2, True, "resample", "T~N", True, False,
+                     _nonuniform_29),
+    "eq3.1": TagSpec(_USTAT, False, None, "T~W", False, True,
+                     lambda r, c, z: app_bounds.ustat_uniform_31(
+                         r.ustat_inputs)),
+    "eq3.2": TagSpec(_USTAT, False, None, "T~N", False, True,
+                     lambda r, c, z: app_bounds.ustat_normal_32(
+                         r.ustat_inputs)),
+    "eq3.3": TagSpec(_USTAT, True, None, "T~N", True, False,
+                     lambda r, c, z: app_bounds.ustat_nonuniform_33(
+                         r.ustat_inputs, z)),
+    "eq3.4": TagSpec(_USTAT, True, None, "T~N", True, False,
+                     lambda r, c, z: app_bounds.ustat_nonuniform_34(
+                         r.ustat_inputs, z)),
+    "eq3.6": TagSpec(_USTAT, True, None, "T~N", True, False, _ustat_36),
+    "eq3.7": TagSpec(_MULTI, False, None, "T~N", True, True,
+                     lambda r, c, z: app_bounds.multisample_37(
+                         r.multi_inputs)),
+    "eq3.8": TagSpec(_MULTI, True, None, "T~N", True, False,
+                     lambda r, c, z: app_bounds.multisample_38(
+                         r.multi_inputs, z)),
+    "eq3.10": TagSpec(_LSTAT, False, None, "T~N", True, True,
+                      lambda r, c, z: app_bounds.lstat_310(r.lstat_inputs)),
+    "eq3.11": TagSpec(_LSTAT, True, None, "T~N", True, False,
+                      lambda r, c, z: app_bounds.lstat_311(
+                          r.lstat_inputs, z)),
+}
+
+
+# --- commands ----------------------------------------------------------------
+# Each returns (rows, notes). No command produces notes any more, since a
+# capacity limit is raised while the model is built; the pair is kept for
+# callers that unpack it.
+
+
 def cmd_bound(cfg: ExperimentConfig):
-    runner = _Runner(cfg)
-    return runner.run(with_empirical=False), runner.capacity_notes
+    return _Runner(cfg).run(with_empirical=False), []
 
 
 def cmd_verify(cfg: ExperimentConfig):
@@ -545,8 +554,7 @@ def cmd_verify(cfg: ExperimentConfig):
         raise ConfigError([
             f"mc.replicates: verification needs >= {MIN_VERIFY_REPLICATES}, "
             f"got {cfg.replicates}"])
-    runner = _Runner(cfg)
-    return runner.run(with_empirical=True), runner.capacity_notes
+    return _Runner(cfg).run(with_empirical=True), []
 
 
 def cmd_example41(cfg: ExperimentConfig):
@@ -617,7 +625,6 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str | None = None):
     if not cfg.sweep_grid:
         raise ConfigError(["sweep.grid: required"])
     rows = []
-    notes = []
     if axis == "z":
         sub = replace(cfg, z_grid=tuple(float(v) for v in cfg.sweep_grid))
         return cmd_bound(sub)
@@ -627,16 +634,12 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str | None = None):
             nval = int(nval)
             desc["n"] = (f"{nval};{nval}" if desc.get("family") == "multisample"
                          else nval)
-            got, nn = cmd_bound(replace(cfg, model_desc=desc))
-            rows.extend(got)
-            notes.extend(nn)
-        return rows, notes
+            rows.extend(cmd_bound(replace(cfg, model_desc=desc))[0])
+        return rows, []
     if axis == "replicates":
         for rval in cfg.sweep_grid:
-            got, nn = cmd_verify(replace(cfg, replicates=int(rval)))
-            rows.extend(got)
-            notes.extend(nn)
-        return rows, notes
+            rows.extend(cmd_verify(replace(cfg, replicates=int(rval)))[0])
+        return rows, []
     # epsilon axis: closed-form lower-bound curve of the perturbed-normal model
     if cfg.model_desc.get("family") != "isqrt":
         raise ConfigError(["sweep.axis: epsilon sweeps need an isqrt model"])
@@ -648,7 +651,7 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str | None = None):
             equation_tag="eq4.2", model=f"isqrt-eps{eps:g}", epsilon=eps,
             bound_known=floor, empirical=lhs, se=0.0,
             pass_flag=bool(lhs >= floor)))
-    return rows, notes
+    return rows, []
 
 
 # --- emission ----------------------------------------------------------------
@@ -749,13 +752,13 @@ def main(argv=None) -> int:
     try:
         cfg = _apply_overrides(parse_config(text), args)
         if args.command == "bound":
-            rows, notes = cmd_bound(cfg)
+            rows, _notes = cmd_bound(cfg)
         elif args.command == "verify":
-            rows, notes = cmd_verify(cfg)
+            rows, _notes = cmd_verify(cfg)
         elif args.command == "example41":
-            rows, notes = cmd_example41(cfg)
+            rows, _notes = cmd_example41(cfg)
         else:
-            rows, notes = cmd_sweep(cfg)
+            rows, _notes = cmd_sweep(cfg)
         emit_results(rows, cfg.output_format, cfg.output_path)
     except ConfigError as exc:
         for line in exc.violations:
@@ -763,10 +766,6 @@ def main(argv=None) -> int:
         return 2
     except (BelabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    for note in notes:
-        print(f"capacity: {note}", file=sys.stderr)
-    if notes:
         return 3
     if any(row.pass_flag is False for row in rows):
         return 1

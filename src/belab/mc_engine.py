@@ -7,12 +7,6 @@ count or scheduling. Within a chunk, reductions are numpy pairwise sums over
 arrays whose values are fixed by the stream; across chunks, partial sums are
 combined with math.fsum in chunk order. Both give byte-identical results for
 a fixed (seed, replicates) pair however many worker threads run the chunks.
-
-The streaming interface (run_replicates -> estimate_components) re-blocks
-arriving samples at the same 4096 boundary and shares the per-block reduction
-code with the fused engine path, so the two routes agree exactly, and a
-single-replicate run consumes the stream exactly like one call to
-sample_decomposition on substream 0.
 """
 from __future__ import annotations
 
@@ -23,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import ConfigError, UnsupportedModelError
-from .types import BoundComponents, BoundValue, DecompositionSample, KSResult, MomentEstimate
+from .errors import ConfigError
+from .types import BoundComponents, BoundValue, KSResult, MomentEstimate
 
 CHUNK_SIZE = 4096
 DKW_ALPHA = 1e-4
@@ -60,23 +54,6 @@ def chunk_layout(replicates: int):
     return out
 
 
-def run_replicates(model, replicates: int, seed: SeedSpec, mode="zero_out"):
-    """Yield DecompositionSamples in replicate order, computed chunk-wise."""
-    weights = tuple(float(s) for s in model.group_sizes)
-    for c, start, count in chunk_layout(replicates):
-        chunk = model.sample_chunk(seed.substream(c), count, mode=mode)
-        for r in range(count):
-            yield DecompositionSample(
-                w=float(chunk["w"][r]),
-                delta=float(chunk["delta"][r]),
-                g_values=tuple(float(v) for v in chunk["g_rep"][r]),
-                delta_variants=tuple(float(v) for v in chunk["dvar_rep"][r]),
-                variant_weights=weights,
-                rep_index_only=True,
-                variant_mode=mode,
-            )
-
-
 @dataclass
 class ComponentEstimates:
     """Plug-in moment estimates for the remainder-coupling quantities."""
@@ -109,7 +86,7 @@ class ComponentEstimates:
 
 
 def _block_partials(w, delta, g, dvar, weights, thresholds, want_l2):
-    """Per-block sums and sums of squares; shared by both component paths."""
+    """Per-block sums and sums of squares of every component."""
     diff = delta[:, None] - dvar
     wd = np.abs(w * delta)
     gdd = (np.abs(g * diff) * weights[None, :]).sum(axis=1)
@@ -178,53 +155,10 @@ def _combine_partials(blocks, replicates, weights, g_l2, thresholds, want_l2, mo
     )
 
 
-def estimate_components(samples, g_l2=None, delta_thresholds=(),
-                        include_l2=True) -> ComponentEstimates:
-    """Aggregate streamed decomposition samples.
-
-    g_l2 gives the analytic per-group ||g_i||_2 for the coupled L2 term; when
-    omitted and include_l2 is set the term cannot be formed. Arrival order is
-    re-blocked at the chunk size so results match the fused engine path.
-    """
-    if include_l2 and g_l2 is None:
-        raise UnsupportedModelError("need per-group ||g||_2 for the L2 coupling term")
-    blocks = []
-    buf_w, buf_d, buf_g, buf_v = [], [], [], []
-    weights = None
-    mode = None
-    count = 0
-
-    def flush():
-        if not buf_w:
-            return
-        blocks.append(_block_partials(
-            np.array(buf_w), np.array(buf_d), np.array(buf_g), np.array(buf_v),
-            np.array(weights, dtype=float), delta_thresholds, include_l2))
-        buf_w.clear(); buf_d.clear(); buf_g.clear(); buf_v.clear()
-
-    for s in samples:
-        if weights is None:
-            weights = s.variant_weights if s.variant_weights else (1.0,) * len(s.g_values)
-            mode = s.variant_mode
-        buf_w.append(s.w)
-        buf_d.append(s.delta)
-        buf_g.append(s.g_values)
-        buf_v.append(s.delta_variants)
-        count += 1
-        if len(buf_w) == CHUNK_SIZE:
-            flush()
-    flush()
-    if count == 0:
-        raise ConfigError("no samples supplied")
-    return _combine_partials(blocks, count, weights,
-                             g_l2 if g_l2 is not None else (0.0,) * len(weights),
-                             delta_thresholds, include_l2, mode)
-
-
 def components_via_engine(model, replicates: int, seed: SeedSpec, mode="zero_out",
                           threads: int = 1, delta_thresholds=()) -> ComponentEstimates:
-    """Fused chunk-parallel component estimation; byte-identical to feeding
-    run_replicates into estimate_components with the same seed."""
+    """Chunk-parallel component estimation: per-block partial sums, combined
+    in chunk order."""
     include_l2 = getattr(model, "supports_delta_l2", True)
     weights = np.array([float(s) for s in model.group_sizes])
     layout = chunk_layout(replicates)

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from ..errors import InvalidModelError
-from .base import DIST_CATALOG, ENUMERATION_CAP, BaseDist, StatisticModel, sample_decomposition
+from .base import DIST_CATALOG, ENUMERATION_CAP, BaseDist, StatisticModel
 from .isqrt import Example41Spec, IsqrtModel, example41_alpha, example41_transform
 from .kernels import KERNEL_CATALOG, PairKernel
 from .linear import LinearModel, LinearSpec, rademacher_ks_exact
@@ -59,5 +59,5 @@ __all__ = [
     "build_model", "example41_alpha", "example41_transform",
     "hajek_projection", "lstat_projection_sigma", "lstat_value",
     "multisample_sigma", "multisample_value", "rademacher_ks_exact",
-    "sample_decomposition", "ustat_moments", "ustat_value",
+    "ustat_moments", "ustat_value",
 ]

@@ -1,9 +1,10 @@
 """Model plumbing: the distribution catalog and the StatisticModel interface.
 
 A StatisticModel realizes one normalized statistic T = W + Delta with
-W = sum_i g_i(X_i), E g_i = 0, sum_i E g_i^2 = 1. Models expose per-replicate
-evaluation plus optional vectorized chunk paths used by the Monte Carlo
-engine.
+W = sum_i g_i(X_i), E g_i = 0, sum_i E g_i^2 = 1. Each model has one
+sampling path, the vectorized `sample_chunk` that the Monte Carlo engine
+calls; the per-replicate methods are reference evaluations that the chunk
+rows are checked against.
 
 Stream consumption contract (determinism): within a chunk of replicates, a
 model first consumes its data block (replicate-major), then, in resample
@@ -22,7 +23,6 @@ from scipy.special import ndtr
 
 from ..errors import UnsupportedModelError
 from ..marginals import LinearPart
-from ..types import DecompositionSample
 
 ENUMERATION_CAP = 10 ** 6
 
@@ -89,7 +89,6 @@ class StatisticModel(ABC):
     # shortcuts evaluate the first index of each group and weight by the size
     group_sizes: tuple
     delta_is_zero: bool = False
-    variant_modes = ("zero_out", "resample")
 
     @abstractmethod
     def sample_data(self, rng: np.random.Generator):
@@ -103,11 +102,6 @@ class StatisticModel(ABC):
     def linear_terms(self, data) -> np.ndarray:
         """All g_i(X_i), normalized so sum_i E g_i^2 = 1."""
 
-    def delta(self, data) -> float:
-        if self.delta_is_zero:
-            return 0.0
-        return self.statistic(data) - float(np.sum(self.linear_terms(data)))
-
     @abstractmethod
     def delta_variant(self, data, i: int, mode: str, rng) -> float:
         """Delta recomputed with X_i replaced: by 0 (zero_out) or by a fresh
@@ -115,60 +109,18 @@ class StatisticModel(ABC):
         resample additionally makes it a function of the other X_j only in
         the stronger sense needed by the pointwise bounds."""
 
-    # --- engine hooks -----------------------------------------------------
-
-    def rep_indexes(self):
-        """First index of each exchangeable group."""
-        out = []
-        pos = 0
-        for size in self.group_sizes:
-            out.append(pos)
-            pos += size
-        return out
-
+    @abstractmethod
     def sample_chunk(self, rng: np.random.Generator, count: int, mode=None):
-        """Vectorized chunk evaluation; the base version loops replicates.
+        """Vectorized evaluation of `count` replicates.
 
         mode None -> {'t': array, 'w': array}
         mode 'zero_out'/'resample' -> adds 'delta', 'g_rep', 'dvar_rep'
-        (count x n_groups arrays for the representative indexes).
-        """
-        t = np.empty(count)
-        w = np.empty(count)
-        if mode is None:
-            for r in range(count):
-                data = self.sample_data(rng)
-                g = self.linear_terms(data)
-                w[r] = g.sum()
-                t[r] = w[r] + self.delta(data)
-            return {"t": t, "w": w}
-        reps = self.rep_indexes()
-        delta = np.empty(count)
-        g_rep = np.empty((count, len(reps)))
-        dvar_rep = np.empty((count, len(reps)))
-        for r in range(count):
-            data = self.sample_data(rng)
-            g = self.linear_terms(data)
-            w[r] = g.sum()
-            delta[r] = self.delta(data)
-            t[r] = w[r] + delta[r]
-            for j, i in enumerate(reps):
-                g_rep[r, j] = g[i]
-                dvar_rep[r, j] = self.delta_variant(data, i, mode, rng)
-        return {"t": t, "w": w, "delta": delta, "g_rep": g_rep, "dvar_rep": dvar_rep}
+        (count x n_groups arrays, one column per exchangeable group, taken
+        at the group's first index).
 
-    def decompose_one(self, rng: np.random.Generator, mode="zero_out"):
-        """Single-replicate decomposition (chunk of size 1)."""
-        chunk = self.sample_chunk(rng, 1, mode=mode)
-        return DecompositionSample(
-            w=float(chunk["w"][0]),
-            delta=float(chunk["delta"][0]),
-            g_values=tuple(chunk["g_rep"][0]),
-            delta_variants=tuple(chunk["dvar_rep"][0]),
-            variant_weights=tuple(float(s) for s in self.group_sizes),
-            rep_index_only=True,
-            variant_mode=mode,
-        )
+        Draws follow the stream consumption contract in the module
+        docstring, so 't' and 'w' do not depend on the mode.
+        """
 
     # --- analytic hooks (override where the catalog knows the answer) -----
 
@@ -217,8 +169,3 @@ class StatisticModel(ABC):
             total += size * p_w * p_g
         return total
 
-
-def sample_decomposition(model: StatisticModel, rng, variant_mode="zero_out"):
-    """One realization of (W, Delta, g_i, Delta_i). Representative-index
-    shortcut for exchangeable models, full per-index otherwise."""
-    return model.decompose_one(rng, mode=variant_mode)

@@ -120,25 +120,3 @@ class KSResult:
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
 
-
-@dataclass(frozen=True)
-class DecompositionSample:
-    """One realization of T = W + Delta.
-
-    g_values holds every g_i(X_i). delta_variants holds the leave-one-out
-    Delta_i values; when rep_index_only is set the model is exchangeable and
-    only representative indexes were evaluated (one per exchangeable group,
-    recorded with the group size as weight).
-    """
-
-    w: float
-    delta: float
-    g_values: tuple
-    delta_variants: tuple
-    variant_weights: tuple = ()
-    rep_index_only: bool = False
-    variant_mode: str = "zero_out"
-
-    @property
-    def t(self) -> float:
-        return self.w + self.delta

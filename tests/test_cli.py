@@ -2,6 +2,8 @@
 import csv
 import io
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,12 @@ from belab.cli import (
     render_rows,
 )
 from belab.errors import ConfigError
+from belab.models import UStatModel
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN_DIR = ROOT / "tests" / "golden"
+USTAT = {"family": "ustat", "kernel": "variance", "dist": "std_normal",
+         "n": 20}
 
 
 def make_doc(**over):
@@ -374,6 +382,20 @@ class TestMainExitCodes:
         assert main(["example41", "--config", path]) == 2
         assert "epsilon_grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, over", [
+        ("model.n", {"model": {"family": "multisample", "kernel": "wilcoxon",
+                               "dist": "uniform01", "n": "10;x"},
+                     "bounds": ["eq3.7"]}),
+        ("z_grid", {"bounds": ["eq2.6"], "z_grid": [float("nan")]}),
+        ("mc.replicates", {"mc": {"master_seed": 1,
+                                  "replicates": float("nan")}}),
+    ])
+    def test_malformed_numbers_exit_2(self, tmp_path, capsys, field, over):
+        path = write_config(tmp_path, make_doc(**over))
+        assert main(["verify", "--config", path]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert any(line.startswith(f"config: {field}") for line in err), err
+
     def test_capacity_exit(self, tmp_path, capsys):
         doc = make_doc(model={"family": "ustat", "kernel": "variance",
                               "dist": "std_normal", "n": 2000},
@@ -446,3 +468,89 @@ class TestDeterminism:
         a = self._run(tmp_path, "s19.csv", [])
         b = self._run(tmp_path, "s20.csv", ["--seed", "20"])
         assert a != b
+
+
+def readme_tag_table():
+    """{tag: judged cell} from the README equation-tag table."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = {}
+    for line in text.split("### Equation tags", 1)[1].splitlines():
+        if not line.startswith("| `eq"):
+            continue
+        # first word: "no (unknown constant)" reads as "no"
+        judged = line.rstrip().rstrip("|").rsplit("|", 1)[1].split()[0]
+        for tag in re.findall(r"`(eq[0-9.]+)`", line.split("|")[1]):
+            table[tag] = judged
+    return table
+
+
+def golden_records(pattern):
+    for path in sorted(GOLDEN_DIR.glob(pattern)):
+        yield from csv.DictReader(io.StringIO(path.read_text()))
+
+
+class TestTagRegistry:
+    def test_readme_table_matches_registry(self):
+        want = {tag: "yes" if spec.judged else "no"
+                for tag, spec in cli.TAGS.items()}
+        # the counterexample rows come from example41, not the registry
+        for rec in golden_records("example41.csv"):
+            tag = rec["equation_tag"]
+            if rec["pass"] or tag not in want:
+                want[tag] = "yes" if rec["pass"] else "report-only"
+        assert readme_tag_table() == want
+
+    def test_judged_matches_verify_rows(self):
+        seen = set()
+        for rec in golden_records("verify-*.csv"):
+            seen.add(rec["equation_tag"])
+            judged = cli.TAGS[rec["equation_tag"]].judged
+            assert (rec["pass"] != "") == judged, rec
+        assert seen == set(cli.TAGS)
+
+    def test_family_and_point_checks_follow_registry(self):
+        for tag, spec in cli.TAGS.items():
+            for family, model in (("linear", make_doc()["model"]),
+                                  ("ustat", USTAT)):
+                doc = make_doc(model=model, bounds=[tag])
+                if family not in spec.families:
+                    with pytest.raises(ConfigError, match="does not apply"):
+                        parse(doc)
+                    continue
+                if spec.point:
+                    with pytest.raises(ConfigError, match="z_grid"):
+                        parse(doc)
+                    doc["z_grid"] = [1.0]
+                assert parse(doc).bounds == (tag,)
+
+    def test_unhashable_tag_is_a_violation(self):
+        with pytest.raises(ConfigError, match="unknown tag"):
+            parse(make_doc(bounds=[["eq2.5"]]))
+
+    def test_eq14_bound_draws_nothing(self, monkeypatch):
+        calls = []
+        orig = UStatModel.sample_chunk
+
+        def counting(self, rng, count, mode=None):
+            calls.append(mode)
+            return orig(self, rng, count, mode=mode)
+
+        monkeypatch.setattr(UStatModel, "sample_chunk", counting)
+        rows, _ = cmd_bound(parse(make_doc(model=USTAT, bounds=["eq1.4"])))
+        assert len(rows) == 1 and calls == []
+        cmd_bound(parse(make_doc(model=USTAT, bounds=["eq1.3"])))
+        assert calls and set(calls) == {"zero_out"}
+
+    def test_shared_distance_computed_once(self, monkeypatch):
+        calls = []
+        orig = cli.empirical_ks_two_sample
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "empirical_ks_two_sample", counting)
+        doc = make_doc(model=USTAT, bounds=["eq2.3", "eq2.4", "eq3.1"])
+        rows, _ = cmd_verify(parse(doc))
+        assert len(rows) == 3 and len(calls) == 1
+        assert len({row.empirical for row in rows}) == 1

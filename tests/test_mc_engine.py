@@ -17,10 +17,8 @@ from belab.mc_engine import (
     dkw_radius,
     empirical_ks_two_sample,
     empirical_ks_vs_normal,
-    estimate_components,
     pointwise_diff_two_sample,
     pointwise_diff_vs_normal,
-    run_replicates,
 )
 from belab.models import (
     Example41Spec,
@@ -30,7 +28,6 @@ from belab.models import (
     UStatModel,
     UStatSpec,
     build_model,
-    sample_decomposition,
 )
 from belab.types import BoundValue, KSResult
 
@@ -94,17 +91,6 @@ def assert_components_equal(a, b):
 
 
 class TestPathEquivalence:
-    def test_streamed_equals_fused_both_modes(self):
-        model = ustat_model()
-        seed = SeedSpec(7)
-        for mode in ("zero_out", "resample"):
-            fused = components_via_engine(model, 6000, seed, mode=mode,
-                                          delta_thresholds=(0.05, 0.2))
-            streamed = estimate_components(
-                run_replicates(model, 6000, seed, mode=mode),
-                g_l2=model.group_g_l2(), delta_thresholds=(0.05, 0.2))
-            assert_components_equal(fused, streamed)
-
     def test_threads_do_not_change_results(self):
         model = ustat_model()
         seed = SeedSpec(11)
@@ -120,16 +106,6 @@ class TestPathEquivalence:
         np.testing.assert_array_equal(t1, t4)
         np.testing.assert_array_equal(w1, w4)
 
-    def test_single_replicate_matches_decompose_one(self):
-        model = ustat_model()
-        seed = SeedSpec(17)
-        streamed = next(iter(run_replicates(model, 1, seed)))
-        direct = sample_decomposition(model, seed.substream(0))
-        assert streamed.w == direct.w
-        assert streamed.delta == direct.delta
-        assert streamed.g_values == direct.g_values
-        assert streamed.delta_variants == direct.delta_variants
-
     def test_no_l2_path(self):
         model = IsqrtModel(Example41Spec(0.01, 50))
         est = components_via_engine(model, 2000, SeedSpec(19),
@@ -137,44 +113,53 @@ class TestPathEquivalence:
         assert est.delta_l2 is None
         assert est.sum_g_l2_delta_l2 is None
 
-    def test_empty_stream_rejected(self):
-        with pytest.raises(ConfigError):
-            estimate_components(iter(()), g_l2=(1.0,))
-
 
 class TestAggregationConventions:
+    REPLICATES = 5000
+    SEED = SeedSpec(23)
+
     def _samples(self):
+        """The engine's draws, rebuilt from sample_chunk on the same
+        substreams as numpy reference arrays."""
         model = ustat_model()
-        return list(run_replicates(model, 5000, SeedSpec(23),
-                                   mode="zero_out")), model
+        chunks = [model.sample_chunk(self.SEED.substream(c), count,
+                                     mode="zero_out")
+                  for c, _start, count in chunk_layout(self.REPLICATES)]
+        samples = {key: np.concatenate([ch[key] for ch in chunks])
+                   for key in ("w", "delta", "g_rep", "dvar_rep")}
+        return samples, model
+
+    def _estimate(self, model, thresholds=()):
+        return components_via_engine(model, self.REPLICATES, self.SEED,
+                                     mode="zero_out",
+                                     delta_thresholds=thresholds)
 
     def test_mean_and_se_match_numpy(self):
         samples, model = self._samples()
-        est = estimate_components(iter(samples), g_l2=model.group_g_l2(),
-                                  delta_thresholds=(0.1,))
-        dabs = np.abs(np.array([s.delta for s in samples]))
+        est = self._estimate(model, (0.1,))
+        dabs = np.abs(samples["delta"])
         np.testing.assert_allclose(est.delta_abs.value, dabs.mean(),
                                    rtol=1e-12)
         np.testing.assert_allclose(est.delta_abs.std_error,
                                    dabs.std(ddof=1) / math.sqrt(dabs.size),
                                    rtol=1e-9)
-        wd = np.abs(np.array([s.w * s.delta for s in samples]))
+        wd = np.abs(samples["w"] * samples["delta"])
         np.testing.assert_allclose(est.e_abs_w_delta.value, wd.mean(),
                                    rtol=1e-12)
 
     def test_weighted_coupling_term(self):
         samples, model = self._samples()
-        est = estimate_components(iter(samples), g_l2=model.group_g_l2())
+        est = self._estimate(model)
         # one exchangeable group of size n: n * E|g_1 (Delta - Delta_1)|
-        gdd = np.array([12.0 * abs(s.g_values[0] * (s.delta - s.delta_variants[0]))
-                        for s in samples])
+        gdd = 12.0 * np.abs(samples["g_rep"][:, 0]
+                            * (samples["delta"] - samples["dvar_rep"][:, 0]))
         np.testing.assert_allclose(est.sum_g_delta_diff.value, gdd.mean(),
                                    rtol=1e-12)
 
     def test_root_moment_delta_method(self):
         samples, model = self._samples()
-        est = estimate_components(iter(samples), g_l2=model.group_g_l2())
-        d2 = np.array([s.delta ** 2 for s in samples])
+        est = self._estimate(model)
+        d2 = samples["delta"] ** 2
         np.testing.assert_allclose(est.delta_l2.value,
                                    math.sqrt(d2.mean()), rtol=1e-12)
         se_m2 = d2.std(ddof=1) / math.sqrt(d2.size)
@@ -184,9 +169,8 @@ class TestAggregationConventions:
 
     def test_tail_estimates(self):
         samples, model = self._samples()
-        est = estimate_components(iter(samples), g_l2=model.group_g_l2(),
-                                  delta_thresholds=(0.05, 0.2))
-        dabs = np.abs(np.array([s.delta for s in samples]))
+        est = self._estimate(model, (0.05, 0.2))
+        dabs = np.abs(samples["delta"])
         for thr in (0.05, 0.2):
             np.testing.assert_allclose(est.delta_tails[thr].value,
                                        float(np.mean(dabs > thr)),
