@@ -10,8 +10,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
-from scipy.stats import binom, gamma
+from scipy.special import betainc, gammainc, gammaincc, ndtr
 
 from ..errors import UnsupportedModelError
 from ..marginals import (
@@ -51,6 +50,14 @@ def _unit_marginal(dist_name: str):
     raise UnsupportedModelError(dist_name)
 
 
+def half_binom_cdf(k, m: int):
+    """P(Bin(m, 1/2) <= k) for integer k: 0 below the support, 1 above."""
+    k = np.asarray(k)
+    inside = np.clip(k, 0, m - 1)
+    return np.where(k < 0, 0.0, np.where(
+        k >= m, 1.0, betainc(m - inside, inside + 1, 0.5)))
+
+
 def rademacher_ks_exact(n: int) -> float:
     """Exact sup |P(W <= w) - Phi(w)| for W a standardized coin-flip sum.
 
@@ -59,7 +66,7 @@ def rademacher_ks_exact(n: int) -> float:
     """
     k = np.arange(n + 1)
     w = (2.0 * k - n) / math.sqrt(n)
-    cdf_at = binom.cdf(k, n, 0.5)
+    cdf_at = half_binom_cdf(k, n)
     cdf_before = np.concatenate([[0.0], cdf_at[:-1]])
     phi = ndtr(w)
     return float(np.maximum(np.abs(cdf_at - phi), np.abs(cdf_before - phi)).max())
@@ -122,10 +129,11 @@ class LinearModel(StatisticModel):
             shift = t * math.sqrt(n)
             hi = (n - 1 + shift) / 2.0
             lo = (n - 1 - shift) / 2.0
-            return float(binom.sf(math.floor(hi), n - 1, 0.5)
-                         + binom.cdf(math.ceil(lo) - 1, n - 1, 0.5))
+            # P(S > hi) = P(S <= n - 2 - floor(hi)) by symmetry
+            return float(half_binom_cdf(n - 2 - math.floor(hi), n - 1)
+                         + half_binom_cdf(math.ceil(lo) - 1, n - 1))
         if self.spec.dist == "exponential1":
             shift = t * math.sqrt(n)
-            return float(gamma.sf(n - 1 + shift, n - 1)
-                         + gamma.cdf(n - 1 - shift, n - 1))
+            return float(gammaincc(n - 1, max(n - 1 + shift, 0.0))
+                         + gammainc(n - 1, max(n - 1 - shift, 0.0)))
         return None

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2, gamma
+from scipy.special import chdtr, chdtrc, gammainc, gammaincc
 
 from ..bound_core import delta_from_truncation
 from ..errors import CapacityError, DegenerateModelError, UnsupportedModelError
@@ -176,7 +176,8 @@ class UStatModel(StatisticModel):
         if self.spec.kernel == "variance" and self.spec.dist == "std_normal":
             # W - g_1 = (chisq_{n-1} - (n-1)) / sqrt(2 n)
             shift = t * math.sqrt(2.0 * n)
-            return float(chi2.sf(n - 1 + shift, n - 1) + chi2.cdf(n - 1 - shift, n - 1))
+            return float(chdtrc(n - 1, max(n - 1 + shift, 0.0))
+                         + chdtr(n - 1, max(n - 1 - shift, 0.0)))
         if self.spec.kernel == "sum":
             if self.spec.dist == "std_normal":
                 from scipy.special import ndtr
@@ -184,6 +185,6 @@ class UStatModel(StatisticModel):
                 return float(2.0 * ndtr(-t / sd))
             if self.spec.dist == "exponential1":
                 shift = t * math.sqrt(n)
-                return float(gamma.sf(n - 1 + shift, n - 1)
-                             + gamma.cdf(n - 1 - shift, n - 1))
+                return float(gammaincc(n - 1, max(n - 1 + shift, 0.0))
+                             + gammainc(n - 1, max(n - 1 - shift, 0.0)))
         return None

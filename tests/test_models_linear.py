@@ -1,14 +1,20 @@
 """Standardized i.i.d. sums and the exact coin-flip distance."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 from scipy.stats import binom
 
+import belab
 from belab.bound_core import check_normalization
 from belab.errors import UnsupportedModelError
 from belab.models import LinearModel, LinearSpec, rademacher_ks_exact
+from belab.models.linear import half_binom_cdf
 
 
 class TestExactCoinFlipDistance:
@@ -94,3 +100,31 @@ class TestLinearModel:
             LinearSpec("cauchy", 10)
         with pytest.raises(UnsupportedModelError):
             LinearSpec("std_normal", 0)
+
+
+class TestHalfBinomial:
+    def test_matches_binom_cdf_and_sf(self):
+        for m in (1, 2, 7, 100, 999):
+            k = np.arange(-3, m + 3)
+            np.testing.assert_allclose(half_binom_cdf(k, m),
+                                       binom.cdf(k, m, 0.5),
+                                       rtol=1e-13, atol=1e-15)
+            # the upper tail through symmetry is the same betainc call
+            np.testing.assert_array_equal(half_binom_cdf(m - 1 - k, m),
+                                          binom.sf(k, m, 0.5))
+
+    def test_support_edges_exact(self):
+        assert half_binom_cdf(-1, 5) == 0.0
+        assert half_binom_cdf(5, 5) == 1.0
+        assert half_binom_cdf(40, 5) == 1.0
+
+
+def test_import_skips_scipy_stats():
+    src = str(Path(belab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, belab; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
