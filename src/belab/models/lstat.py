@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import integrate
@@ -152,6 +153,16 @@ def lstat_projection_sigma(weight: WeightFn, dist: BaseDist):
     return infl, math.sqrt(s_sq)
 
 
+@lru_cache(maxsize=16)
+def catalog_scale(weight_name: str, dist_name: str):
+    """(influence, sigma, T(F)) of a catalog pair; none of them depends on n,
+    so an n-sweep computes the double integral once."""
+    weight = WEIGHT_CATALOG[weight_name]
+    dist = DIST_CATALOG[dist_name]
+    infl, sigma = lstat_projection_sigma(weight, dist)
+    return infl, sigma, t_center(weight, dist)
+
+
 class LStatModel(StatisticModel):
     """Catalog L-statistic over i.i.d. continuous observations."""
 
@@ -163,8 +174,8 @@ class LStatModel(StatisticModel):
         check_lipschitz(self.weight)
         self.name = f"lstat-{spec.weight}-{spec.dist}-n{spec.n}"
         self.group_sizes = (self.n,)
-        self._infl, self.sigma = lstat_projection_sigma(self.weight, self.dist)
-        self._center = t_center(self.weight, self.dist)
+        self._infl, self.sigma, self._center = catalog_scale(spec.weight,
+                                                             spec.dist)
         self._jvec = np.asarray(
             self.weight.fn(np.arange(1, self.n + 1) / self.n), dtype=float) / self.n
         self._scale = 1.0 / (math.sqrt(self.n) * self.sigma)

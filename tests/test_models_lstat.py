@@ -8,9 +8,11 @@ from belab.bound_core import check_normalization
 from belab.errors import UnsupportedModelError
 from belab.models import LStatModel, LStatSpec, lstat_projection_sigma, lstat_value
 from belab.models.base import DIST_CATALOG
+from belab.models import lstat as lstat_module
 from belab.models.lstat import (
     WEIGHT_CATALOG,
     WeightFn,
+    catalog_scale,
     check_lipschitz,
     influence_closed,
     influence_quadrature,
@@ -148,6 +150,21 @@ class TestLipschitz:
 
 
 class TestModel:
+    def test_scale_shared_across_n(self, monkeypatch):
+        calls = []
+        orig = lstat_module.sigma_double_integral
+
+        def counting(weight, dist):
+            calls.append((weight.name, dist.name))
+            return orig(weight, dist)
+
+        monkeypatch.setattr(lstat_module, "sigma_double_integral", counting)
+        catalog_scale.cache_clear()
+        small = LStatModel(LStatSpec("identity", "exponential1", 20))
+        large = LStatModel(LStatSpec("identity", "exponential1", 200))
+        assert calls == [("identity", "exponential1")]
+        assert small.sigma == large.sigma
+
     def test_spec_validation(self):
         with pytest.raises(UnsupportedModelError):
             LStatSpec("trimmed", "uniform01", 10)
