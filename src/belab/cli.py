@@ -25,7 +25,6 @@ from scipy.special import ndtr
 from . import app_bounds, bound_core
 from .errors import BelabError, ConfigError, DomainError
 from .mc_engine import (
-    ComponentEstimates,
     SeedSpec,
     certify,
     collect_t_w,
@@ -137,6 +136,13 @@ def _as_number(doc, key, errs, path, default=None, integer=False, minimum=None):
     return v
 
 
+def _check_name(desc, key, catalog, errs, default=None):
+    value = desc.get(key, default)
+    if not isinstance(value, str) or value not in catalog:
+        errs.append(f"model.{key}: unknown {value!r}; "
+                    f"catalog: {_catalog_msg(catalog)}")
+
+
 def _check_model(desc: dict, errs: list) -> dict:
     desc = dict(desc)
     if "kind" in desc and "family" not in desc:
@@ -146,22 +152,14 @@ def _check_model(desc: dict, errs: list) -> dict:
         errs.append(f"model.family: unknown {family!r}; "
                     f"catalog: {_catalog_msg(FAMILIES)}")
         return desc
-    if family in ("linear", "ustat", "multisample", "lstat", "isqrt"):
-        dist = desc.get("dist")
-        if family != "isqrt" and dist not in DIST_CATALOG:
-            errs.append(f"model.dist: unknown {dist!r}; "
-                        f"catalog: {_catalog_msg(DIST_CATALOG)}")
+    if family != "isqrt":
+        _check_name(desc, "dist", DIST_CATALOG, errs)
     if family == "ustat":
-        kern = desc.get("kernel")
-        if kern not in KERNEL_CATALOG:
-            errs.append(f"model.kernel: unknown {kern!r}; "
-                        f"catalog: {_catalog_msg(KERNEL_CATALOG)}")
+        _check_name(desc, "kernel", KERNEL_CATALOG, errs)
         _as_number(desc, "n", errs, "model.n", integer=True, minimum=3)
         _as_number(desc, "m", errs, "model.m", integer=True, minimum=2)
     elif family == "multisample":
-        kern = desc.get("kernel", "wilcoxon")
-        if kern != "wilcoxon":
-            errs.append(f"model.kernel: unknown {kern!r}; catalog: wilcoxon")
+        _check_name(desc, "kernel", ("wilcoxon",), errs, default="wilcoxon")
         n = desc.get("n")
         sizes = n.split(";") if isinstance(n, str) else n
         if not isinstance(sizes, (list, tuple)) or len(sizes) != 2:
@@ -176,10 +174,7 @@ def _check_model(desc: dict, errs: list) -> dict:
                 _as_number({"n": size}, "n", errs, f"model.n[{k}]",
                            integer=True, minimum=2)
     elif family == "lstat":
-        wt = desc.get("weight")
-        if wt not in WEIGHT_CATALOG:
-            errs.append(f"model.weight: unknown {wt!r}; "
-                        f"catalog: {_catalog_msg(WEIGHT_CATALOG)}")
+        _check_name(desc, "weight", WEIGHT_CATALOG, errs)
         _as_number(desc, "n", errs, "model.n", integer=True, minimum=4)
     elif family == "linear":
         _as_number(desc, "n", errs, "model.n", integer=True, minimum=1)
@@ -312,22 +307,13 @@ class _Runner:
         return bound_core.solve_delta_minimal(self.linear)
 
     def components(self, mode: str):
-        """Coupling-moment estimates; exact zeros when the remainder vanishes."""
+        """Coupling-moment estimates in one variant mode, sampled once."""
         if mode not in self._components:
             thresholds = tuple(sorted({(abs(z) + 1.0) / 3.0
                                        for z in self.cfg.z_grid}))
-            if self.model.delta_is_zero:
-                zero = MomentEstimate(0.0)
-                est = ComponentEstimates(
-                    replicates=0, mode=mode, e_abs_w_delta=zero,
-                    sum_g_delta_diff=zero, delta_abs=zero, delta_l2=zero,
-                    sum_g_l2_delta_l2=zero,
-                    delta_tails={thr: zero for thr in thresholds})
-            else:
-                est = components_via_engine(
-                    self.model, self.cfg.replicates, self.seed, mode=mode,
-                    threads=self.cfg.threads, delta_thresholds=thresholds)
-            self._components[mode] = est
+            self._components[mode] = components_via_engine(
+                self.model, self.cfg.replicates, self.seed, mode=mode,
+                threads=self.cfg.threads, delta_thresholds=thresholds)
         return self._components[mode]
 
     def bound_components(self, comps):
@@ -540,9 +526,8 @@ TAGS = {
 
 
 # --- commands ----------------------------------------------------------------
-# Each returns (rows, notes). No command produces notes any more, since a
-# capacity limit is raised while the model is built; the pair is kept for
-# callers that unpack it.
+# Each returns (rows, notes); notes stay empty, since a capacity limit is
+# raised while the model is built.
 
 
 def cmd_bound(cfg: ExperimentConfig):

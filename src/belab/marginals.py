@@ -468,10 +468,6 @@ class LinearPart:
         if any(k < 1 for _, k in self.groups):
             raise ValueError("group counts must be >= 1")
 
-    @property
-    def n_indexes(self):
-        return sum(k for _, k in self.groups)
-
     def sum_e2(self):
         return sum(k * m.e2() for m, k in self.groups)
 
@@ -505,7 +501,3 @@ class LinearPart:
 
     def sum_l2(self):
         return sum(k * m.l2() for m, k in self.groups)
-
-    def all_bounded_by_one(self):
-        bounds = [m.abs_bounded_by() for m, _ in self.groups]
-        return all(b is not None and b <= 1.0 for b in bounds)

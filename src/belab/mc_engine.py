@@ -54,12 +54,19 @@ def chunk_layout(replicates: int):
     return out
 
 
+def _map_chunks(fn, replicates: int, threads: int) -> list:
+    """fn over the chunk layout on up to `threads` threads, in chunk order."""
+    layout = chunk_layout(replicates)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            return list(ex.map(fn, layout))
+    return [fn(args) for args in layout]
+
+
 @dataclass
 class ComponentEstimates:
     """Plug-in moment estimates for the remainder-coupling quantities."""
 
-    replicates: int
-    mode: str
     e_abs_w_delta: MomentEstimate
     sum_g_delta_diff: MomentEstimate
     delta_abs: MomentEstimate
@@ -67,11 +74,10 @@ class ComponentEstimates:
     sum_g_l2_delta_l2: MomentEstimate | None
     delta_tails: dict = field(default_factory=dict)
 
-    def as_bound_components(self, beta: MomentEstimate, delta: float,
-                            delta_se: float = 0.0) -> BoundComponents:
+    def as_bound_components(self, beta: MomentEstimate,
+                            delta: float) -> BoundComponents:
         kw = dict(
-            beta=beta.value, beta_se=beta.std_error,
-            delta=delta, delta_se=delta_se,
+            beta=beta.value, beta_se=beta.std_error, delta=delta,
             e_abs_w_delta=self.e_abs_w_delta.value,
             e_abs_w_delta_se=self.e_abs_w_delta.std_error,
             sum_g_delta_diff=self.sum_g_delta_diff.value,
@@ -108,7 +114,7 @@ def _block_partials(w, delta, g, dvar, weights, thresholds, want_l2):
     return out
 
 
-def _combine_partials(blocks, replicates, weights, g_l2, thresholds, want_l2, mode):
+def _combine_partials(blocks, replicates, weights, g_l2, thresholds, want_l2):
     def mean_se(key):
         s = math.fsum(b[key][0] for b in blocks)
         s2 = math.fsum(b[key][1] for b in blocks)
@@ -145,7 +151,6 @@ def _combine_partials(blocks, replicates, weights, g_l2, thresholds, want_l2, mo
     for k, thr in enumerate(thresholds):
         tails[thr] = moment(f"tail_{k}")
     return ComponentEstimates(
-        replicates=replicates, mode=mode,
         e_abs_w_delta=moment("wd"),
         sum_g_delta_diff=moment("gdd"),
         delta_abs=moment("dabs"),
@@ -158,10 +163,14 @@ def _combine_partials(blocks, replicates, weights, g_l2, thresholds, want_l2, mo
 def components_via_engine(model, replicates: int, seed: SeedSpec, mode="zero_out",
                           threads: int = 1, delta_thresholds=()) -> ComponentEstimates:
     """Chunk-parallel component estimation: per-block partial sums, combined
-    in chunk order."""
+    in chunk order. A structurally zero remainder gives exact zeros without
+    sampling."""
+    if model.delta_is_zero:
+        zero = MomentEstimate(0.0)
+        return ComponentEstimates(zero, zero, zero, zero, zero,
+                                  {thr: zero for thr in delta_thresholds})
     include_l2 = getattr(model, "supports_delta_l2", True)
     weights = np.array([float(s) for s in model.group_sizes])
-    layout = chunk_layout(replicates)
 
     def one_chunk(args):
         c, start, count = args
@@ -173,21 +182,16 @@ def components_via_engine(model, replicates: int, seed: SeedSpec, mode="zero_out
             np.asarray(chunk["dvar_rep"], dtype=float),
             weights, delta_thresholds, include_l2)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            blocks = list(ex.map(one_chunk, layout))
-    else:
-        blocks = [one_chunk(args) for args in layout]
+    blocks = _map_chunks(one_chunk, replicates, threads)
     g_l2 = model.group_g_l2() if include_l2 else (0.0,) * len(weights)
     return _combine_partials(blocks, replicates, tuple(weights), g_l2,
-                             delta_thresholds, include_l2, mode)
+                             delta_thresholds, include_l2)
 
 
 def collect_t_w(model, replicates: int, seed: SeedSpec, threads: int = 1):
     """Draw (T, W) arrays chunk-parallel into disjoint preallocated slices."""
     t = np.empty(replicates)
     w = np.empty(replicates)
-    layout = chunk_layout(replicates)
 
     def one_chunk(args):
         c, start, count = args
@@ -195,12 +199,7 @@ def collect_t_w(model, replicates: int, seed: SeedSpec, threads: int = 1):
         t[start:start + count] = chunk["t"]
         w[start:start + count] = chunk["w"]
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            list(ex.map(one_chunk, layout))
-    else:
-        for args in layout:
-            one_chunk(args)
+    _map_chunks(one_chunk, replicates, threads)
     return t, w
 
 

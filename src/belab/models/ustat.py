@@ -168,9 +168,6 @@ class UStatModel(StatisticModel):
         return {"t": t, "w": w, "delta": delta,
                 "g_rep": g[:, :1], "dvar_rep": dvar}
 
-    def linear_ks_exact(self):
-        return None
-
     def prob_abs_w_minus_g_above(self, group, t):
         n = self.n
         if self.spec.kernel == "variance" and self.spec.dist == "std_normal":

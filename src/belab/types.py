@@ -6,7 +6,7 @@ threads; all computation happens in the modules that produce them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
