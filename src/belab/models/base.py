@@ -168,4 +168,3 @@ class StatisticModel(ABC):
                         f"{self.name}: no oracle for the W - g_i tail")
             total += size * p_w * p_g
         return total
-

@@ -119,4 +119,3 @@ class KSResult:
             raise ValueError("distance must lie in [0, 1]")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
-

@@ -389,8 +389,11 @@ class TestMainExitCodes:
         ("z_grid", {"bounds": ["eq2.6"], "z_grid": [float("nan")]}),
         ("mc.replicates", {"mc": {"master_seed": 1,
                                   "replicates": float("nan")}}),
+        ("mc.master_seed", {"mc": {"master_seed": 10 ** 400}}),
+        ("model.dist", {"model": {"family": "linear", "dist": ["rademacher"],
+                                  "n": 10}}),
     ])
-    def test_malformed_numbers_exit_2(self, tmp_path, capsys, field, over):
+    def test_malformed_inputs_exit_2(self, tmp_path, capsys, field, over):
         path = write_config(tmp_path, make_doc(**over))
         assert main(["verify", "--config", path]) == 2
         err = capsys.readouterr().err.splitlines()
