@@ -296,11 +296,14 @@ class _Runner:
         self.model = build_model(cfg.model_desc)
         self.seed = SeedSpec(cfg.master_seed)
         self.linear = self.model.linear_part
-        self.beta = bound_core.compute_beta(self.linear)
         self._components = {}
         self._distances = {}
 
     # --- cached ingredients -------------------------------------------------
+
+    @cached_property
+    def beta(self) -> MomentEstimate:
+        return bound_core.compute_beta(self.linear)
 
     @cached_property
     def delta_min(self) -> float:
@@ -315,9 +318,6 @@ class _Runner:
                 self.model, self.cfg.replicates, self.seed, mode=mode,
                 threads=self.cfg.threads, delta_thresholds=thresholds)
         return self._components[mode]
-
-    def bound_components(self, comps):
-        return comps.as_bound_components(self.beta, self.delta_min)
 
     @cached_property
     def t_w(self):
@@ -381,7 +381,7 @@ class _Runner:
             e_abs_g_p=model.influence_abs_moment(self.cfg.p),
             p=self.cfg.p, n=model.n)
 
-    # --- rows -----------------------------------------------------------------
+    # --- rows ---------------------------------------------------------------
 
     def _meta(self) -> dict:
         desc = self.cfg.model_desc
@@ -454,7 +454,8 @@ def _nonuniform_22(r: _Runner, comps, z):
         z=z, p_delta_tail=tail.value, p_delta_tail_se=tail.std_error,
         sum_p_g_tail=r.linear.sum_prob_above(thr),
         sum_p_w_minus_g_tail=r.model.nonuniform_third_term(z)))
-    tau = bound_core.nonuniform_tau(r.bound_components(comps))
+    tau = bound_core.nonuniform_tau(
+        comps.as_bound_components(r.beta, r.delta_min))
     return bound_core.nonuniform_bound_thm22(gamma, tau, z)
 
 
@@ -487,13 +488,13 @@ TAGS = {
                      lambda r, c, z: bound_core.linear_baseline(r.linear)),
     "eq2.3": TagSpec(_ALL, False, "zero_out", "T~W", False, True,
                      lambda r, c, z: bound_core.uniform_bound_thm21(
-                         r.bound_components(c))),
+                         c.as_bound_components(r.beta, r.delta_min))),
     "eq2.4": TagSpec(_ALL, False, "zero_out", "T~W", False, True,
                      lambda r, c, z: bound_core.uniform_bound_beta(
-                         r.bound_components(c))),
+                         c.as_bound_components(r.beta, r.delta_min))),
     "eq2.5": TagSpec(_ALL, False, "zero_out", "T~N", False, True,
                      lambda r, c, z: bound_core.uniform_bound_normal(
-                         r.bound_components(c))),
+                         c.as_bound_components(r.beta, r.delta_min))),
     "eq2.6": TagSpec(_WITH_L2, True, "resample", "T~W", False, True,
                      _nonuniform_22),
     "eq2.9": TagSpec(_WITH_L2, True, "resample", "T~N", True, False,

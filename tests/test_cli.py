@@ -544,6 +544,13 @@ class TestTagRegistry:
         cmd_bound(parse(make_doc(model=USTAT, bounds=["eq1.3"])))
         assert calls and set(calls) == {"zero_out"}
 
+    def test_app_bounds_skip_beta(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli.bound_core, "compute_beta", calls.append)
+        doc = make_doc(model=USTAT, bounds=["eq3.1", "eq3.2"])
+        rows, _ = cmd_bound(parse(doc))
+        assert len(rows) == 2 and calls == []
+
     def test_shared_distance_computed_once(self, monkeypatch):
         calls = []
         orig = cli.empirical_ks_two_sample
