@@ -431,11 +431,11 @@ class _Runner:
 class TagSpec:
     """How one equation tag is bounded and what its bound is checked against.
 
-    build(runner, comps, z) returns the BoundValue, or None where the paper
-    states no bound at that z; comps are the runner's coupling-moment
-    estimates in `mode` (None when the bound reads no sampled components).
-    The comparator names the measured distance: T or W against the standard
-    normal, or T against W; uniform, or at each z of the grid for point bounds.
+    build(runner, comps, z) returns the BoundValue, or None where no bound is
+    stated at z; comps are the coupling-moment estimates in `mode` (None: the
+    bound reads no sampled components). comparator names the measured
+    distance: T or W against the normal, or T against W, uniformly or at each
+    z for point bounds. with_p rows carry p; judged rows carry a pass flag.
     """
 
     families: frozenset
