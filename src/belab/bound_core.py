@@ -22,8 +22,7 @@ def compute_beta(g_dist: LinearPart) -> MomentEstimate:
     When every |g_i| <= 1 a.s. this reduces to the classical sum of third
     absolute moments.
     """
-    val, se = g_dist.beta_terms()
-    return MomentEstimate(val, se, replicates=0 if se == 0.0 else 1)
+    return MomentEstimate(g_dist.beta_terms())
 
 
 def check_normalization(g_dist: LinearPart, rtol=NORMALIZATION_RTOL):

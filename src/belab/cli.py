@@ -23,7 +23,14 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import app_bounds, bound_core
-from .errors import BelabError, ConfigError, DomainError
+from .errors import (
+    BelabError,
+    ConfigError,
+    DegenerateModelError,
+    DomainError,
+    InvalidModelError,
+    UnsupportedModelError,
+)
 from .mc_engine import (
     SeedSpec,
     certify,
@@ -41,6 +48,7 @@ from .models import (
     KERNEL_CATALOG,
     WEIGHT_CATALOG,
     build_model,
+    build_spec,
     ustat_moments,
 )
 from .models.isqrt import ISQRT_MEAN, delta_abs_moment, w_delta_abs_moment
@@ -144,6 +152,7 @@ def _check_name(desc, key, catalog, errs, default=None):
 
 
 def _check_model(desc: dict, errs: list) -> dict:
+    """Check the fields of a model block, then the domain of its spec."""
     desc = dict(desc)
     if "kind" in desc and "family" not in desc:
         desc["family"] = desc.pop("kind")
@@ -152,6 +161,7 @@ def _check_model(desc: dict, errs: list) -> dict:
         errs.append(f"model.family: unknown {family!r}; "
                     f"catalog: {_catalog_msg(FAMILIES)}")
         return desc
+    field_errs = len(errs)
     if family != "isqrt":
         _check_name(desc, "dist", DIST_CATALOG, errs)
     if family == "ustat":
@@ -173,6 +183,13 @@ def _check_model(desc: dict, errs: list) -> dict:
                         pass
                 _as_number({"n": size}, "n", errs, f"model.n[{k}]",
                            integer=True, minimum=2)
+        degrees = desc.get("m", [1, 1])
+        if not isinstance(degrees, (list, tuple)) or len(degrees) != 2:
+            errs.append("model.m: expected two kernel degrees, e.g. [1, 1]")
+        else:
+            for k, degree in enumerate(degrees):
+                _as_number({"m": degree}, "m", errs, f"model.m[{k}]",
+                           integer=True, minimum=1)
     elif family == "lstat":
         _check_name(desc, "weight", WEIGHT_CATALOG, errs)
         _as_number(desc, "n", errs, "model.n", integer=True, minimum=4)
@@ -184,6 +201,12 @@ def _check_model(desc: dict, errs: list) -> dict:
         else:
             _as_number(desc, "epsilon", errs, "model.epsilon")
         _as_number(desc, "n", errs, "model.n", integer=True, minimum=2)
+    if len(errs) == field_errs:
+        try:
+            build_spec(desc)
+        except (InvalidModelError, UnsupportedModelError, DomainError,
+                DegenerateModelError) as exc:
+            errs.append(f"model: {exc}")
     return desc
 
 

@@ -2,10 +2,10 @@
 
 A Marginal answers moment queries about one g_i(X_i): full and truncated
 absolute moments, tail probabilities, and the capped first moment
-E|g| min(d, |g|). Answers come from a three-tier chain: closed forms where
-the catalog has them, adaptive quadrature otherwise, and plain sample means
-as a last resort for user-supplied models (SampleMarginal, the only tier
-with a nonzero standard error).
+E|g| min(d, |g|). Answers come from two tiers: closed forms where the
+catalog has them, adaptive quadrature otherwise. Both are exact up to the
+quadrature tolerance; the sampled ingredients of a bound (the coupling
+moments of the remainder) come from mc_engine, not from here.
 
 A LinearPart groups identical marginals with counts and exposes the sums
 that the bound formulas need.
@@ -63,10 +63,6 @@ class Marginal(ABC):
     def prob_abs_above(self, t: float) -> float:
         """P(|g| > t), strict inequality (matters at atoms)."""
 
-    @abstractmethod
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draws of g itself (signed)."""
-
     def e2(self) -> float:
         return self.e_abs_p(2.0)
 
@@ -86,14 +82,6 @@ class Marginal(ABC):
 
     def l2(self) -> float:
         return math.sqrt(self.e2())
-
-    def abs_bounded_by(self):
-        """Essential sup of |g| where known, else None."""
-        return None
-
-    def oracle_se(self, kind: str, *args) -> float:
-        """Standard error of the named oracle; 0 except for the sampling tier."""
-        return 0.0
 
     def scale_by(self, factor: float) -> "Marginal":
         """Marginal of factor * g, factor > 0."""
@@ -133,9 +121,6 @@ class NormalMarginal(Marginal):
     def e2(self):
         return self.scale ** 2
 
-    def sample(self, rng, size):
-        return rng.standard_normal(size) * self.scale
-
     def scale_by(self, factor):
         return NormalMarginal(self.scale * factor)
 
@@ -165,12 +150,6 @@ class UniformMarginal(Marginal):
     def e2(self):
         return self.halfwidth ** 2 / 3.0
 
-    def abs_bounded_by(self):
-        return self.halfwidth
-
-    def sample(self, rng, size):
-        return rng.uniform(-self.halfwidth, self.halfwidth, size)
-
     def scale_by(self, factor):
         return UniformMarginal(self.halfwidth * factor)
 
@@ -199,12 +178,6 @@ class AtomMarginal(Marginal):
 
     def prob_abs_above(self, t):
         return float(self.probs[np.abs(self.values) > t].sum())
-
-    def abs_bounded_by(self):
-        return float(np.abs(self.values).max())
-
-    def sample(self, rng, size):
-        return rng.choice(self.values, size=size, p=self.probs)
 
     def scale_by(self, factor):
         return AtomMarginal(self.values * factor, self.probs)
@@ -252,9 +225,6 @@ class ExpCenteredMarginal(Marginal):
     def e2(self):
         return self.scale ** 2  # Var(Exp(1)) = 1
 
-    def sample(self, rng, size):
-        return (rng.standard_exponential(size) - 1.0) * self.scale
-
     def scale_by(self, factor):
         return ExpCenteredMarginal(self.scale * factor)
 
@@ -266,13 +236,12 @@ class QuadraticMarginal(Marginal):
     |X - b| in [sqrt(max(0, c - t/a)), sqrt(c + t/a)].
     """
 
-    def __init__(self, a, b, c, density, support, sampler, cdf=None):
+    def __init__(self, a, b, c, density, support, cdf=None):
         if a <= 0 or c <= 0:
             raise ValueError("a and c must be > 0")
         self.a, self.b, self.c = float(a), float(b), float(c)
         self.density = density
         self.x_lo, self.x_hi = support
-        self.sampler = sampler
         self.cdf = cdf
 
     def _clip(self, x):
@@ -333,13 +302,9 @@ class QuadraticMarginal(Marginal):
         edges = self._base_edges(extra=(self.b - hi, self.b - lo, self.b + lo, self.b + hi))
         return quad_segments(fn, edges, epsabs=1e-11)
 
-    def sample(self, rng, size):
-        x = self.sampler(rng, size)
-        return self.a * ((x - self.b) ** 2 - self.c)
-
     def scale_by(self, factor):
         return QuadraticMarginal(self.a * factor, self.b, self.c, self.density,
-                                 (self.x_lo, self.x_hi), self.sampler, self.cdf)
+                                 (self.x_lo, self.x_hi), self.cdf)
 
 
 class MonotoneMarginal(Marginal):
@@ -349,11 +314,10 @@ class MonotoneMarginal(Marginal):
     where fn is itself quadrature-backed.
     """
 
-    def __init__(self, fn, x_lo, x_hi, density, sampler, cdf, decreasing=True):
+    def __init__(self, fn, x_lo, x_hi, density, cdf, decreasing=True):
         self.fn = fn
         self.x_lo, self.x_hi = float(x_lo), float(x_hi)
         self.density = density
-        self.sampler = sampler
         self.cdf = cdf
         self.decreasing = decreasing
         self._f_lo = fn(self.x_lo)
@@ -395,66 +359,12 @@ class MonotoneMarginal(Marginal):
         inside = max(0.0, self.cdf(b) - self.cdf(a))
         return max(0.0, 1.0 - inside)
 
-    def abs_bounded_by(self):
-        return max(abs(self._f_lo), abs(self._f_hi))
-
-    def sample(self, rng, size):
-        x = self.sampler(rng, size)
-        return np.array([self.fn(v) for v in np.atleast_1d(x)])
-
     def scale_by(self, factor):
         if factor <= 0:
             raise ValueError("factor must be > 0")
         return MonotoneMarginal(lambda x: factor * self.fn(x), self.x_lo,
-                                self.x_hi, self.density, self.sampler,
-                                self.cdf, decreasing=self.decreasing)
-
-
-class SampleMarginal(Marginal):
-    """Monte Carlo tier: plug-in oracles from a frozen draw of g values.
-
-    Last resort for user-supplied models without analytic or quadrature
-    oracles; the only marginal whose answers carry standard errors.
-    """
-
-    def __init__(self, draws):
-        self.draws = np.asarray(draws, dtype=float)
-        if self.draws.size < 2:
-            raise ValueError("need at least 2 draws")
-        self._absd = np.abs(self.draws)
-
-    def _mean_se(self, vals):
-        m = float(vals.mean())
-        se = float(vals.std(ddof=1) / math.sqrt(vals.size))
-        return m, se
-
-    def e_abs_p(self, p):
-        return self._mean_se(self._absd ** p)[0]
-
-    def e_abs_p_below(self, p, t):
-        return self._mean_se(np.where(self._absd <= t, self._absd ** p, 0.0))[0]
-
-    def prob_abs_above(self, t):
-        return self._mean_se((self._absd > t).astype(float))[0]
-
-    def oracle_se(self, kind, *args):
-        if kind == "e_abs_p":
-            return self._mean_se(self._absd ** args[0])[1]
-        if kind == "e_abs_p_below":
-            p, t = args
-            return self._mean_se(np.where(self._absd <= t, self._absd ** p, 0.0))[1]
-        if kind == "prob_abs_above":
-            return self._mean_se((self._absd > args[0]).astype(float))[1]
-        if kind == "e_abs_min":
-            d = args[0]
-            return self._mean_se(self._absd * np.minimum(d, self._absd))[1]
-        raise ValueError(f"unknown oracle {kind}")
-
-    def sample(self, rng, size):
-        return rng.choice(self.draws, size=size, replace=True)
-
-    def scale_by(self, factor):
-        return SampleMarginal(self.draws * factor)
+                                self.x_hi, self.density, self.cdf,
+                                decreasing=self.decreasing)
 
 
 class LinearPart:
@@ -471,19 +381,10 @@ class LinearPart:
     def sum_e2(self):
         return sum(k * m.e2() for m, k in self.groups)
 
-    def _sum_with_se(self, fn, se_kind, *args):
-        val = sum(k * fn(m) for m, k in self.groups)
-        se = sum(k * m.oracle_se(se_kind, *args) for m, k in self.groups)
-        return val, se
-
     def beta_terms(self):
-        """(value, se) of sum_i [E g_i^2 I(|g_i|>1) + E|g_i|^3 I(|g_i|<=1)]."""
-        val = 0.0
-        se = 0.0
-        for m, k in self.groups:
-            val += k * (m.e2_above(1.0) + m.e_abs_p_below(3.0, 1.0))
-            se += k * (m.oracle_se("e_abs_p", 2.0) + m.oracle_se("e_abs_p_below", 3.0, 1.0))
-        return val, se
+        """sum_i [E g_i^2 I(|g_i|>1) + E|g_i|^3 I(|g_i|<=1)]."""
+        return sum(k * (m.e2_above(1.0) + m.e_abs_p_below(3.0, 1.0))
+                   for m, k in self.groups)
 
     def l_of(self, d):
         """L(d) = sum_i E|g_i| min(d, |g_i|); nondecreasing, L(inf) = sum E g^2."""
@@ -494,10 +395,8 @@ class LinearPart:
         return sum(k * m.e2_above(d) for m, k in self.groups)
 
     def sum_abs_p(self, p):
-        return self._sum_with_se(lambda m: m.e_abs_p(p), "e_abs_p", p)
+        """(value, se) of sum_i E|g_i|^p; se is 0, every tier being exact."""
+        return sum(k * m.e_abs_p(p) for m, k in self.groups), 0.0
 
     def sum_prob_above(self, t):
         return sum(k * m.prob_abs_above(t) for m, k in self.groups)
-
-    def sum_l2(self):
-        return sum(k * m.l2() for m, k in self.groups)

@@ -114,17 +114,23 @@ def _block_partials(w, delta, g, dvar, weights, thresholds, want_l2):
     return out
 
 
+def _mean_se(partials, replicates: int):
+    """Mean and standard error from per-block (sum, sum of squares) pairs,
+    each combined with math.fsum in block order."""
+    s = math.fsum(b[0] for b in partials)
+    s2 = math.fsum(b[1] for b in partials)
+    m = s / replicates
+    if replicates > 1:
+        var = max(0.0, (s2 - replicates * m * m) / (replicates - 1))
+        se = math.sqrt(var / replicates)
+    else:
+        se = 0.0
+    return m, se
+
+
 def _combine_partials(blocks, replicates, weights, g_l2, thresholds, want_l2):
     def mean_se(key):
-        s = math.fsum(b[key][0] for b in blocks)
-        s2 = math.fsum(b[key][1] for b in blocks)
-        m = s / replicates
-        if replicates > 1:
-            var = max(0.0, (s2 - replicates * m * m) / (replicates - 1))
-            se = math.sqrt(var / replicates)
-        else:
-            se = 0.0
-        return m, se
+        return _mean_se([b[key] for b in blocks], replicates)
 
     def moment(key):
         m, se = mean_se(key)
@@ -169,7 +175,7 @@ def components_via_engine(model, replicates: int, seed: SeedSpec, mode="zero_out
         zero = MomentEstimate(0.0)
         return ComponentEstimates(zero, zero, zero, zero, zero,
                                   {thr: zero for thr in delta_thresholds})
-    include_l2 = getattr(model, "supports_delta_l2", True)
+    include_l2 = model.supports_delta_l2
     weights = np.array([float(s) for s in model.group_sizes])
 
     def one_chunk(args):

@@ -3,14 +3,12 @@
 A StatisticModel realizes one normalized statistic T = W + Delta with
 W = sum_i g_i(X_i), E g_i = 0, sum_i E g_i^2 = 1. Each model has one
 sampling path, the vectorized `sample_chunk` that the Monte Carlo engine
-calls; the per-replicate methods are reference evaluations that the chunk
-rows are checked against.
+calls; tests check its rows against the enumeration oracles of each family.
 
 Stream consumption contract (determinism): within a chunk of replicates, a
 model first consumes its data block (replicate-major), then, in resample
-mode, one fresh draw per representative index, again replicate-major. A
-chunk of size 1 therefore consumes exactly what single-replicate evaluation
-does.
+mode, one fresh draw per representative index, again replicate-major. The
+rows of a chunk therefore depend only on its stream and its size.
 """
 from __future__ import annotations
 
@@ -89,25 +87,8 @@ class StatisticModel(ABC):
     # shortcuts evaluate the first index of each group and weight by the size
     group_sizes: tuple
     delta_is_zero: bool = False
-
-    @abstractmethod
-    def sample_data(self, rng: np.random.Generator):
-        """One replicate's raw observations."""
-
-    @abstractmethod
-    def statistic(self, data) -> float:
-        """The normalized statistic T."""
-
-    @abstractmethod
-    def linear_terms(self, data) -> np.ndarray:
-        """All g_i(X_i), normalized so sum_i E g_i^2 = 1."""
-
-    @abstractmethod
-    def delta_variant(self, data, i: int, mode: str, rng) -> float:
-        """Delta recomputed with X_i replaced: by 0 (zero_out) or by a fresh
-        independent draw (resample). Both leave Delta_i independent of X_i;
-        resample additionally makes it a function of the other X_j only in
-        the stronger sense needed by the pointwise bounds."""
+    # False where Delta has no second moment: the L2 components are skipped
+    supports_delta_l2: bool = True
 
     @abstractmethod
     def sample_chunk(self, rng: np.random.Generator, count: int, mode=None):
@@ -116,7 +97,9 @@ class StatisticModel(ABC):
         mode None -> {'t': array, 'w': array}
         mode 'zero_out'/'resample' -> adds 'delta', 'g_rep', 'dvar_rep'
         (count x n_groups arrays, one column per exchangeable group, taken
-        at the group's first index).
+        at the group's first index). 'dvar_rep' is Delta recomputed with that
+        index replaced by 0 (zero_out) or by a fresh independent draw
+        (resample); both leave it independent of the replaced observation.
 
         Draws follow the stream consumption contract in the module
         docstring, so 't' and 'w' do not depend on the mode.

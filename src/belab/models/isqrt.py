@@ -21,8 +21,10 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import ndtr
 
-from ..errors import DomainError, UnsupportedModelError
+from ..errors import DomainError
 from ..marginals import NORMAL_CUT, LinearPart, NormalMarginal, quad_segments
+from ..mc_engine import SeedSpec, _map_chunks, _mean_se
+from ..types import MomentEstimate
 from .base import StatisticModel
 
 # E|Z|^(-1/2) for standard normal Z
@@ -110,6 +112,8 @@ def ks_lower_bound(epsilon: float) -> float:
 class IsqrtModel(StatisticModel):
     """Perturbed-normal counterexample with W = R + X_1 split."""
 
+    supports_delta_l2 = False
+
     def __init__(self, spec: Example41Spec):
         self.spec = spec
         self.epsilon = float(spec.epsilon)
@@ -119,30 +123,6 @@ class IsqrtModel(StatisticModel):
         self._x_sd = 1.0 / math.sqrt(self.n)
         self._r_sd = math.sqrt((self.n - 1) / self.n)
         self.linear_part = LinearPart([(NormalMarginal(self._x_sd), self.n)])
-        self.supports_delta_l2 = False
-
-    # data is the pair (r, x1); the other summands are never materialized
-    def sample_data(self, rng):
-        r = float(rng.standard_normal()) * self._r_sd
-        x1 = float(rng.standard_normal()) * self._x_sd
-        return (r, x1)
-
-    def statistic(self, data):
-        r, x1 = data
-        return float(example41_transform(r + x1, self.epsilon))
-
-    def linear_terms(self, data):
-        raise UnsupportedModelError(
-            "per-index terms are not materialized; use the chunk interface")
-
-    def delta(self, data):
-        r, x1 = data
-        return float(isqrt_delta(r + x1, self.epsilon))
-
-    def delta_variant(self, data, i, mode, rng):
-        r, _ = data
-        v = 0.0 if mode == "zero_out" else float(rng.standard_normal()) * self._x_sd
-        return float(isqrt_delta(r + v, self.epsilon))
 
     def sample_chunk(self, rng, count, mode=None):
         r = rng.standard_normal(count) * self._r_sd
@@ -171,12 +151,6 @@ class IsqrtModel(StatisticModel):
             return 1.0
         return float(2.0 * ndtr(-t / self._r_sd))
 
-    def e_abs_delta(self) -> float:
-        return self.epsilon * delta_abs_moment(1.0)
-
-    def e_abs_w_delta(self) -> float:
-        return self.epsilon * w_delta_abs_moment()
-
 
 def example41_alpha(spec: Example41Spec, replicates: int, seed):
     """Monte Carlo estimate of the averaged resample-coupling moment
@@ -187,22 +161,15 @@ def example41_alpha(spec: Example41Spec, replicates: int, seed):
     whatever n is. Chunking and stream keying follow the engine conventions,
     so results are reproducible from (spec, replicates, master seed) alone.
     """
-    from ..mc_engine import SeedSpec, chunk_layout
-    from ..types import MomentEstimate
     if not isinstance(seed, SeedSpec):
         seed = SeedSpec(int(seed))
     model = IsqrtModel(spec)
-    parts = []
-    for c, _start, count in chunk_layout(replicates):
+
+    def one_chunk(args):
+        c, _start, count = args
         chunk = model.sample_chunk(seed.substream(c), count, mode="resample")
         v = np.abs(chunk["delta"] - chunk["dvar_rep"][:, 0])
-        parts.append((float(np.sum(v)), float(np.dot(v, v))))
-    total = math.fsum(p[0] for p in parts)
-    total_sq = math.fsum(p[1] for p in parts)
-    mean = total / replicates
-    if replicates > 1:
-        var = max(0.0, (total_sq - replicates * mean * mean) / (replicates - 1))
-        se = math.sqrt(var / replicates)
-    else:
-        se = 0.0
+        return float(np.sum(v)), float(np.dot(v, v))
+
+    mean, se = _mean_se(_map_chunks(one_chunk, replicates, 1), replicates)
     return MomentEstimate(mean, se, replicates)

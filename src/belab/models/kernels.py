@@ -98,18 +98,13 @@ class VarianceKernel(PairKernel):
         normal = DIST_CATALOG["std_normal"]
         if dist.name == "std_normal":
             return QuadraticMarginal(
-                a, 0.0, 1.0, normal.pdf, dist.support,
-                sampler=lambda rng, size: rng.standard_normal(size),
-                cdf=dist.cdf)
+                a, 0.0, 1.0, normal.pdf, dist.support, cdf=dist.cdf)
         if dist.name == "uniform01":
             return QuadraticMarginal(
-                a, dist.mean, dist.var, dist.pdf, (0.0, 1.0),
-                sampler=lambda rng, size: rng.random(size), cdf=dist.cdf)
+                a, dist.mean, dist.var, dist.pdf, (0.0, 1.0), cdf=dist.cdf)
         if dist.name == "exponential1":
             return QuadraticMarginal(
-                a, dist.mean, dist.var, dist.pdf, dist.support,
-                sampler=lambda rng, size: rng.standard_exponential(size),
-                cdf=dist.cdf)
+                a, dist.mean, dist.var, dist.pdf, dist.support, cdf=dist.cdf)
         raise UnsupportedModelError(
             f"{self.name}: no projection marginal for {dist.name}")
 
@@ -118,9 +113,7 @@ class VarianceKernel(PairKernel):
             # (X - Y)/sqrt(2) is standard normal, so h = Z^2 - 1
             normal = DIST_CATALOG["std_normal"]
             marg = QuadraticMarginal(
-                1.0, 0.0, 1.0, normal.pdf, normal.support,
-                sampler=lambda rng, size: rng.standard_normal(size),
-                cdf=normal.cdf)
+                1.0, 0.0, 1.0, normal.pdf, normal.support, cdf=normal.cdf)
             return marg.e_abs_p(p)
         return super().h_abs_p(dist, p)
 

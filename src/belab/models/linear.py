@@ -88,18 +88,6 @@ class LinearModel(StatisticModel):
         self.linear_part = LinearPart([
             (_unit_marginal(spec.dist).scale_by(1.0 / math.sqrt(self.n)), self.n)])
 
-    def sample_data(self, rng):
-        return self.dist.sample(rng, self.n)
-
-    def linear_terms(self, data):
-        return (np.asarray(data, dtype=float) - self.dist.mean) * self._scale
-
-    def statistic(self, data):
-        return float(np.sum(self.linear_terms(data)))
-
-    def delta_variant(self, data, i, mode, rng):
-        return 0.0
-
     def sample_chunk(self, rng, count, mode=None):
         x = self.dist.sample(rng, (count, self.n))
         g = (x - self.dist.mean) * self._scale

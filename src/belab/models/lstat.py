@@ -184,29 +184,9 @@ class LStatModel(StatisticModel):
         # sign-invariant, which is all the bounds consume
         self.linear_part = LinearPart([(MonotoneMarginal(
             lambda x: float(self._infl(np.array([x]))[0]) * self._scale,
-            lo, hi, self.dist.pdf,
-            sampler=lambda rng, size: self.dist.sample(rng, size),
-            cdf=self.dist.cdf, decreasing=True), self.n)])
+            lo, hi, self.dist.pdf, cdf=self.dist.cdf, decreasing=True),
+            self.n)])
         self.x2_moment = self.dist.var + self.dist.mean ** 2
-
-    def sample_data(self, rng):
-        return self.dist.sample(rng, self.n)
-
-    def statistic(self, data):
-        x = np.sort(np.asarray(data, dtype=float))
-        return (float(x @ self._jvec) - self._center) * math.sqrt(self.n) / self.sigma
-
-    def linear_terms(self, data):
-        return -np.asarray(self._infl(data)) * self._scale
-
-    def delta_variant(self, data, i, mode, rng):
-        x = np.asarray(data, dtype=float).copy()
-        v = 0.0 if mode == "zero_out" else float(self.dist.sample(rng, 1)[0])
-        g = self.linear_terms(x)
-        w_new = float(np.sum(g)) - float(g[i]) + float(
-            -self._infl(np.array([v]))[0] * self._scale)
-        x[i] = v
-        return self.statistic(x) - w_new
 
     def sample_chunk(self, rng, count, mode=None):
         x = self.dist.sample(rng, (count, self.n))

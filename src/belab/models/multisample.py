@@ -91,55 +91,6 @@ class WilcoxonModel(StatisticModel):
             (UniformMarginal(0.5 / (self.n2 * self.sn)), self.n2),
         ])
 
-    # data is a tuple (x, y) of the two samples
-    def sample_data(self, rng):
-        return (self.dist.sample(rng, self.n1), self.dist.sample(rng, self.n2))
-
-    def _pair_count(self, x, y):
-        """#{(i, j): x_i <= y_j} via one sort of x."""
-        xs = np.sort(np.asarray(x))
-        return float(np.searchsorted(xs, np.asarray(y), side="right").sum())
-
-    def _u_from_count(self, count):
-        return count / (self.n1 * self.n2) - 0.5
-
-    def statistic(self, data):
-        x, y = data
-        return self._u_from_count(self._pair_count(x, y)) / self.sn
-
-    def linear_terms(self, data):
-        x, y = data
-        fx = np.array([self.dist.cdf(v) for v in np.asarray(x)])
-        fy = np.array([self.dist.cdf(v) for v in np.asarray(y)])
-        g1 = (0.5 - fx) / (self.n1 * self.sn)
-        g2 = (fy - 0.5) / (self.n2 * self.sn)
-        return np.concatenate([g1, g2])
-
-    def delta_variant(self, data, i, mode, rng):
-        x, y = data
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        count = self._pair_count(x, y)
-        g = self.linear_terms(data)
-        w = float(np.sum(g))
-        if i < self.n1:
-            old = x[i]
-            v = 0.0 if mode == "zero_out" else float(self.dist.sample(rng, 1)[0])
-            ys = np.sort(y)
-            d_count = ((self.n2 - np.searchsorted(ys, v, side="left"))
-                       - (self.n2 - np.searchsorted(ys, old, side="left")))
-            g_new = (0.5 - self.dist.cdf(v)) / (self.n1 * self.sn)
-        else:
-            old = y[i - self.n1]
-            v = 0.0 if mode == "zero_out" else float(self.dist.sample(rng, 1)[0])
-            xs = np.sort(x)
-            d_count = (np.searchsorted(xs, v, side="right")
-                       - np.searchsorted(xs, old, side="right"))
-            g_new = (self.dist.cdf(v) - 0.5) / (self.n2 * self.sn)
-        t_new = self._u_from_count(count + d_count) / self.sn
-        w_new = w - float(g[i]) + g_new
-        return t_new - w_new
-
     def sample_chunk(self, rng, count, mode=None):
         x = self.dist.sample(rng, (count, self.n1))
         y = self.dist.sample(rng, (count, self.n2))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import chdtr, chdtrc, gammainc, gammaincc
@@ -40,6 +41,9 @@ class UStatSpec:
             raise UnsupportedModelError("catalog kernels have degree 2")
         if self.n < self.m + 1:
             raise UnsupportedModelError("need n >= m + 1")
+        if KERNEL_CATALOG[self.kernel].sigma1_sq(DIST_CATALOG[self.dist]) <= 0:
+            raise DegenerateModelError(
+                f"{self.kernel} projection variance is zero under {self.dist}")
 
 
 def check_capacity(count: int):
@@ -67,19 +71,22 @@ def hajek_projection(kernel: PairKernel, dist: BaseDist):
 
 def ustat_moments(spec: UStatSpec, p: float = 3.0) -> dict:
     """Analytic ingredients for the degree-2 bounds, in raw kernel units."""
-    kernel = KERNEL_CATALOG[spec.kernel]
-    dist = DIST_CATALOG[spec.dist]
-    s1_sq = kernel.sigma1_sq(dist)
-    if s1_sq <= 0:
-        raise DegenerateModelError(
-            f"{spec.kernel} projection variance is zero under {spec.dist}")
-    s1 = math.sqrt(s1_sq)
+    return dict(_catalog_moments(spec.kernel, spec.dist, p))
+
+
+@lru_cache(maxsize=64)
+def _catalog_moments(kernel_name: str, dist_name: str, p: float) -> dict:
+    """ustat_moments of a catalog pair; none of them depends on n, so an
+    n-sweep computes them once."""
+    kernel = KERNEL_CATALOG[kernel_name]
+    dist = DIST_CATALOG[dist_name]
+    s1 = math.sqrt(kernel.sigma1_sq(dist))
     marg = kernel.g_std_marginal(dist)
     return {
         "sigma": math.sqrt(kernel.sigma_sq(dist)),
         "sigma1": s1,
         "e_abs_g_p": s1 ** p * marg.e_abs_p(p),
-        "e_abs_h_p": kernel_abs_p(spec.kernel, spec.dist, p),
+        "e_abs_h_p": kernel_abs_p(kernel_name, dist_name, p),
         "c0_trunc": delta_from_truncation(LinearPart([(marg, 1)])),
     }
 
@@ -94,11 +101,7 @@ class UStatModel(StatisticModel):
         self.n = spec.n
         self.m = spec.m
         check_capacity(math.comb(self.n, self.m))
-        s1_sq = self.kernel.sigma1_sq(self.dist)
-        if s1_sq <= 0:
-            raise DegenerateModelError(
-                f"{spec.kernel} projection variance is zero under {spec.dist}")
-        self.sigma1 = math.sqrt(s1_sq)
+        self.sigma1 = math.sqrt(self.kernel.sigma1_sq(self.dist))
         self.delta_is_zero = getattr(self.kernel, "delta_is_zero", False)
         self.name = f"ustat-{spec.kernel}-{spec.dist}-n{spec.n}-m{spec.m}"
         self.group_sizes = (self.n,)
@@ -109,38 +112,13 @@ class UStatModel(StatisticModel):
             self.m * self.sigma1 * math.comb(self.n, self.m))
         self._g_scale = 1.0 / (math.sqrt(self.n) * self.sigma1)
 
-    def sample_data(self, rng):
-        return self.dist.sample(rng, self.n)
-
     def _t_from_power_sums(self, s1, s2):
         return self.kernel.pair_sum_from_power_sums(
             s1, s2, self.n, self.dist) * self._t_scale
 
-    def linear_terms(self, data):
-        return np.asarray(self.kernel.g_raw(data, self.dist)) * self._g_scale
-
-    def statistic(self, data):
-        if self.delta_is_zero:
-            return float(np.sum(self.linear_terms(data)))
-        x = np.asarray(data, dtype=float)
-        return float(self._t_from_power_sums(x.sum(), (x * x).sum()))
-
-    def delta_variant(self, data, i, mode, rng):
-        if self.delta_is_zero:
-            return 0.0
-        x = np.asarray(data, dtype=float)
-        v = 0.0 if mode == "zero_out" else float(self.dist.sample(rng, 1)[0])
-        s1 = x.sum() - x[i] + v
-        s2 = (x * x).sum() - x[i] ** 2 + v * v
-        t_new = self._t_from_power_sums(s1, s2)
-        g = self.linear_terms(x)
-        w_new = float(np.sum(g)) - float(g[i]) + float(
-            self.kernel.g_raw(v, self.dist)) * self._g_scale
-        return float(t_new - w_new)
-
     def sample_chunk(self, rng, count, mode=None):
         x = self.dist.sample(rng, (count, self.n))
-        g = self.linear_terms(x)
+        g = np.asarray(self.kernel.g_raw(x, self.dist)) * self._g_scale
         w = g.sum(axis=1)
         if self.delta_is_zero:
             t = w.copy()

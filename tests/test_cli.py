@@ -392,6 +392,28 @@ class TestMainExitCodes:
         ("mc.master_seed", {"mc": {"master_seed": 10 ** 400}}),
         ("model.dist", {"model": {"family": "linear", "dist": ["rademacher"],
                                   "n": 10}}),
+        ("model.m", {"model": {"family": "multisample", "kernel": "wilcoxon",
+                               "dist": "uniform01", "n": [10, 10],
+                               "m": ["a", 1]},
+                     "bounds": ["eq3.7"]}),
+        # spec-level domain errors
+        ("model", {"model": {"family": "isqrt", "epsilon": 1.5}}),
+        ("model", {"model": {"family": "ustat", "kernel": "product",
+                             "dist": "std_normal", "n": 20}}),
+        ("model", {"model": {"family": "ustat", "kernel": "variance",
+                             "dist": "rademacher", "n": 20}}),
+        ("model", {"model": {"family": "multisample", "kernel": "wilcoxon",
+                             "dist": "rademacher", "n": "10;10"},
+                   "bounds": ["eq3.7"]}),
+        ("model", {"model": {"family": "multisample", "kernel": "wilcoxon",
+                             "dist": "uniform01", "n": "10;10", "m": [2, 1]},
+                   "bounds": ["eq3.7"]}),
+        ("model", {"model": {"family": "lstat", "weight": "identity",
+                             "dist": "rademacher", "n": 10},
+                   "bounds": ["eq3.10"]}),
+        ("model", {"model": {"family": "lstat", "weight": "identity",
+                             "dist": "uniform01"},
+                   "bounds": ["eq3.10"]}),
     ])
     def test_malformed_inputs_exit_2(self, tmp_path, capsys, field, over):
         path = write_config(tmp_path, make_doc(**over))

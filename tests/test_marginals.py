@@ -13,7 +13,6 @@ from belab.marginals import (
     MonotoneMarginal,
     NormalMarginal,
     QuadraticMarginal,
-    SampleMarginal,
     UniformMarginal,
     normal_abs_moment,
 )
@@ -65,7 +64,6 @@ class TestUniformMarginal:
         m = UniformMarginal(0.5)
         np.testing.assert_allclose(m.e2(), 1.0 / 12.0, rtol=1e-12)
         np.testing.assert_allclose(m.e_abs_p(3.0), 1.0 / 32.0, rtol=1e-12)
-        assert m.abs_bounded_by() == 0.5
         assert m.prob_abs_above(0.5) == 0.0
         np.testing.assert_allclose(m.prob_abs_above(0.25), 0.5, rtol=1e-12)
 
@@ -130,13 +128,6 @@ class TestQuadraticVarianceProjection:
             want = chi2.sf(1 + u, 1) + (chi2.cdf(1 - u, 1) if u < 1 else 0.0)
             np.testing.assert_allclose(m.prob_abs_above(t), want, rtol=1e-9)
 
-    def test_sampler_matches_density(self):
-        rng = np.random.default_rng(7)
-        m = self._marg()
-        x = m.sample(rng, 40000)
-        np.testing.assert_allclose(x.mean(), 0.0, atol=4 * 2.0 / 200.0)
-        np.testing.assert_allclose((x * x).mean(), 1.0, atol=4 * 4.0 / 200.0)
-
 
 class TestMonotoneMarginal:
     """Marginal of the uniform order-statistic influence 1/6 - x^2/2."""
@@ -163,22 +154,11 @@ class TestMonotoneMarginal:
             np.testing.assert_allclose(m.prob_abs_above(t), want, atol=2e-5)
 
 
-class TestSampleMarginal:
-    def test_plugin_consistency(self):
-        rng = np.random.default_rng(31)
-        m = SampleMarginal(rng.standard_normal(50000))
-        se = m.oracle_se("e_abs_p", 2.0)
-        assert se > 0
-        np.testing.assert_allclose(m.e2(), 1.0, atol=4 * 2.0 / math.sqrt(50000))
-        np.testing.assert_allclose(m.e_abs_p(3.0), E_ABS_Z3, atol=0.1)
-
-
 class TestLinearPart:
     def test_beta_normal_oracle(self):
         lp = LinearPart([(NormalMarginal(0.1), 100)])
-        val, se = lp.beta_terms()
-        np.testing.assert_allclose(val, 0.15957691216057304, rtol=1e-10)
-        assert se == 0.0
+        np.testing.assert_allclose(lp.beta_terms(), 0.15957691216057304,
+                                   rtol=1e-10)
 
     def test_l_of_monotone_and_limit(self):
         lp = LinearPart([(NormalMarginal(0.2), 25)])
@@ -198,7 +178,3 @@ class TestLinearPart:
         val, _se = lp.sum_abs_p(3.0)
         want = 50 * 0.1 ** 3 * E_ABS_Z3 + 50 * (math.sqrt(3) * 0.1) ** 3 / 4.0
         np.testing.assert_allclose(val, want, rtol=1e-10)
-
-    def test_sum_l2(self):
-        lp = LinearPart([(NormalMarginal(0.25), 16)])
-        np.testing.assert_allclose(lp.sum_l2(), 16 * 0.25, rtol=1e-12)

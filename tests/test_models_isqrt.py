@@ -7,7 +7,8 @@ from scipy import integrate
 from scipy.special import ndtr
 
 from belab.app_bounds import alpha_quadrature
-from belab.errors import DomainError, UnsupportedModelError
+from belab.errors import DomainError
+from belab.mc_engine import SeedSpec
 from belab.models import Example41Spec, IsqrtModel, example41_alpha, example41_transform
 from belab.models.isqrt import (
     ISQRT_MEAN,
@@ -17,6 +18,24 @@ from belab.models.isqrt import (
     ks_lower_bound,
     w_delta_abs_moment,
 )
+
+
+MODES = ("zero_out", "resample")
+
+
+def chunk_and_draws(model, seed, count, mode):
+    """A chunk and what it consumed, redrawn from a second copy of the same
+    substream: the rest-of-sum block r, the X_1 block, then the replacement
+    X_1 (zeros in zero_out mode). Both streams must end in the same state."""
+    rng_a, rng_b = SeedSpec(seed).substream(0), SeedSpec(seed).substream(0)
+    chunk = model.sample_chunk(rng_a, count, mode=mode)
+    n = model.n
+    r = rng_b.standard_normal(count) * math.sqrt((n - 1) / n)
+    x1 = rng_b.standard_normal(count) / math.sqrt(n)
+    v = (np.zeros(count) if mode == "zero_out"
+         else rng_b.standard_normal(count) / math.sqrt(n))
+    assert rng_a.random() == rng_b.random()
+    return chunk, r, x1, v
 
 
 class TestConstants:
@@ -145,12 +164,13 @@ class TestSpec:
 class TestModel:
     def test_statistic_and_split(self):
         model = IsqrtModel(Example41Spec(0.01, 100))
-        data = (0.7, 0.05)
-        np.testing.assert_allclose(model.statistic(data),
-                                   float(example41_transform(0.75, 0.01)),
-                                   rtol=1e-14)
-        np.testing.assert_allclose(model.delta(data),
-                                   float(isqrt_delta(0.75, 0.01)), rtol=1e-14)
+        for mode in MODES:
+            chunk, r, x1, _v = chunk_and_draws(model, 99, 6, mode)
+            np.testing.assert_allclose(chunk["t"],
+                                       example41_transform(r + x1, 0.01),
+                                       rtol=1e-14)
+            np.testing.assert_allclose(chunk["delta"],
+                                       isqrt_delta(r + x1, 0.01), rtol=1e-14)
 
     def test_w_is_exactly_standard_normal(self):
         model = IsqrtModel(Example41Spec(0.01, 100))
@@ -160,17 +180,21 @@ class TestModel:
         np.testing.assert_allclose(chunk["w"].var(ddof=1), 1.0, atol=0.02)
 
     def test_leave_one_out_independence(self):
-        # zero_out variant depends only on the retained part r
-        rng = np.random.default_rng(96)
+        # the variant depends only on the retained part r and the
+        # replacement, never on the replaced X_1
         model = IsqrtModel(Example41Spec(0.02, 50))
-        got = model.delta_variant((0.4, 0.1), 0, "zero_out", rng)
-        np.testing.assert_allclose(got, float(isqrt_delta(0.4, 0.02)),
-                                   rtol=1e-14)
+        for mode in MODES:
+            chunk, r, _x1, v = chunk_and_draws(model, 96, 6, mode)
+            np.testing.assert_allclose(chunk["dvar_rep"][:, 0],
+                                       isqrt_delta(r + v, 0.02), rtol=1e-14)
 
     def test_per_index_terms_not_materialized(self):
+        # X_1 is the only summand drawn; the other n - 1 enter through r
         model = IsqrtModel(Example41Spec(0.01, 100))
-        with pytest.raises(UnsupportedModelError):
-            model.linear_terms(np.zeros(100))
+        for mode in MODES:
+            chunk, _r, x1, _v = chunk_and_draws(model, 100, 6, mode)
+            assert chunk["g_rep"].shape == (6, 1)
+            np.testing.assert_allclose(chunk["g_rep"][:, 0], x1, rtol=1e-14)
         assert model.supports_delta_l2 is False
 
     def test_retained_part_tail(self):
@@ -180,11 +204,23 @@ class TestModel:
                                    2 * ndtr(-1.3 / sd), rtol=1e-12)
 
     def test_closed_form_component_means(self):
-        model = IsqrtModel(Example41Spec(0.003, 100))
-        np.testing.assert_allclose(model.e_abs_delta(),
-                                   0.003 * 0.9242302342362695, rtol=1e-10)
-        np.testing.assert_allclose(model.e_abs_w_delta(),
-                                   0.003 * 0.6018747362772532, rtol=1e-10)
+        # E|Delta| = eps delta_abs_moment(1), E|W Delta| = eps
+        # w_delta_abs_moment(), checked against the chunk rows as well
+        eps = 0.003
+        e_abs_delta = eps * delta_abs_moment(1.0)
+        e_abs_w_delta = eps * w_delta_abs_moment()
+        np.testing.assert_allclose(e_abs_delta, 0.003 * 0.9242302342362695,
+                                   rtol=1e-10)
+        np.testing.assert_allclose(e_abs_w_delta, 0.003 * 0.6018747362772532,
+                                   rtol=1e-10)
+        model = IsqrtModel(Example41Spec(eps, 100))
+        for mode in MODES:
+            chunk, _r, _x1, _v = chunk_and_draws(model, 101, 40000, mode)
+            for vals, want in ((np.abs(chunk["delta"]), e_abs_delta),
+                               (np.abs(chunk["w"] * chunk["delta"]),
+                                e_abs_w_delta)):
+                se = vals.std(ddof=1) / math.sqrt(vals.size)
+                np.testing.assert_allclose(vals.mean(), want, atol=4 * se)
 
     def test_chunk_draw_order(self):
         rng_a = np.random.default_rng(97)

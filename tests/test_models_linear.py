@@ -13,6 +13,7 @@ from scipy.stats import binom
 import belab
 from belab.bound_core import check_normalization
 from belab.errors import UnsupportedModelError
+from belab.mc_engine import SeedSpec
 from belab.models import LinearModel, LinearSpec, rademacher_ks_exact
 from belab.models.linear import half_binom_cdf
 
@@ -47,23 +48,39 @@ class TestExactCoinFlipDistance:
         assert abs(ks - rademacher_ks_exact(n)) < 0.006
 
 
+MODES = ("zero_out", "resample")
+
+
+def chunk_and_draws(model, seed, count, mode):
+    """A chunk and the data block it consumed, redrawn from a second copy of
+    the same substream; both streams must end in the same state."""
+    rng_a, rng_b = SeedSpec(seed).substream(0), SeedSpec(seed).substream(0)
+    chunk = model.sample_chunk(rng_a, count, mode=mode)
+    x = model.dist.sample(rng_b, (count, model.n))
+    assert rng_a.random() == rng_b.random()
+    return chunk, x
+
+
 class TestLinearModel:
     def test_delta_is_structurally_zero(self):
-        rng = np.random.default_rng(102)
         model = LinearModel(LinearSpec("uniform01", 30))
         assert model.delta_is_zero
-        chunk = model.sample_chunk(rng, 16, mode="zero_out")
-        assert np.all(chunk["delta"] == 0.0)
-        assert np.all(chunk["t"] == chunk["w"])
-        assert model.delta_variant(model.sample_data(rng), 3,
-                                   "resample", rng) == 0.0
+        for mode in MODES:
+            chunk, _x = chunk_and_draws(model, 102, 16, mode)
+            assert np.all(chunk["delta"] == 0.0)
+            assert np.all(chunk["dvar_rep"] == 0.0)
+            assert np.all(chunk["t"] == chunk["w"])
 
     def test_statistic_is_standardized_sum(self):
-        rng = np.random.default_rng(103)
         model = LinearModel(LinearSpec("exponential1", 20))
-        data = model.sample_data(rng)
-        want = (np.sum(data) - 20.0) / math.sqrt(20.0)
-        np.testing.assert_allclose(model.statistic(data), want, rtol=1e-12)
+        for mode in MODES:
+            chunk, x = chunk_and_draws(model, 103, 5, mode)
+            want = (np.sum(x, axis=1) - 20.0) / math.sqrt(20.0)
+            np.testing.assert_allclose(chunk["t"], want, rtol=1e-12)
+            np.testing.assert_allclose(chunk["w"], want, rtol=1e-12)
+            np.testing.assert_allclose(chunk["g_rep"][:, 0],
+                                       (x[:, 0] - 1.0) / math.sqrt(20.0),
+                                       rtol=1e-12)
 
     def test_normalization_all_dists(self):
         for dist in ("std_normal", "uniform01", "rademacher",

@@ -6,6 +6,7 @@ import pytest
 
 from belab.bound_core import check_normalization
 from belab.errors import UnsupportedModelError
+from belab.mc_engine import SeedSpec
 from belab.models import LStatModel, LStatSpec, lstat_projection_sigma, lstat_value
 from belab.models.base import DIST_CATALOG
 from belab.models import lstat as lstat_module
@@ -19,6 +20,40 @@ from belab.models.lstat import (
     sigma_double_integral,
     t_center,
 )
+
+
+MODES = ("zero_out", "resample")
+
+
+def chunk_and_draws(model, seed, count, mode):
+    """A chunk and what it consumed, redrawn from a second copy of the same
+    substream: the data block, then the replacement values (zeros in
+    zero_out mode). Both streams must end in the same state."""
+    rng_a, rng_b = SeedSpec(seed).substream(0), SeedSpec(seed).substream(0)
+    chunk = model.sample_chunk(rng_a, count, mode=mode)
+    x = model.dist.sample(rng_b, (count, model.n))
+    v = (np.zeros(count) if mode == "zero_out"
+         else model.dist.sample(rng_b, (count, 1))[:, 0])
+    assert rng_a.random() == rng_b.random()
+    return chunk, x, v
+
+
+def oracle_t_w(model, x):
+    """(T, W) of one replicate from the raw value T(F_n) and the closed-form
+    influence function."""
+    n = x.size
+    _infl, sigma, center = catalog_scale(model.spec.weight, model.spec.dist)
+    infl = influence_closed(model.weight, model.dist)
+    t = (lstat_value(x, model.weight) - center) * math.sqrt(n) / sigma
+    return t, -float(np.sum(infl(x))) / (math.sqrt(n) * sigma)
+
+
+def oracle_dvar(model, x, v):
+    """Delta of one replicate with its first observation replaced by v."""
+    xm = x.copy()
+    xm[0] = v
+    t, w = oracle_t_w(model, xm)
+    return t - w
 
 
 class TestValue:
@@ -174,12 +209,13 @@ class TestModel:
             LStatSpec("identity", "uniform01", 3)
 
     def test_statistic_matches_raw_value(self):
-        rng = np.random.default_rng(83)
         model = LStatModel(LStatSpec("identity", "std_normal", 12))
-        data = model.sample_data(rng)
-        raw = lstat_value(data, model.weight)
-        want = (raw - model._center) * math.sqrt(12) / model.sigma
-        np.testing.assert_allclose(model.statistic(data), want, rtol=1e-12)
+        for mode in MODES:
+            chunk, x, _v = chunk_and_draws(model, 83, 3, mode)
+            for r in range(3):
+                t, w = oracle_t_w(model, x[r])
+                np.testing.assert_allclose(chunk["t"][r], t, rtol=1e-12)
+                np.testing.assert_allclose(chunk["w"][r], w, rtol=1e-12)
 
     def test_normalized_linear_part(self):
         for wname, dname in [("identity", "uniform01"),
@@ -196,39 +232,37 @@ class TestModel:
         np.testing.assert_allclose(chunk["dvar_rep"], 0.0, atol=1e-12)
 
     def test_delta_variant_brute(self):
-        rng = np.random.default_rng(85)
         model = LStatModel(LStatSpec("identity", "uniform01", 6))
-        data = model.sample_data(rng)
-        for i in (0, 2, 5):
-            got = model.delta_variant(data, i, "zero_out", rng)
-            xm = data.copy()
-            xm[i] = 0.0
-            want = model.statistic(xm) - float(np.sum(model.linear_terms(xm)))
-            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-13)
+        for mode in MODES:
+            chunk, x, v = chunk_and_draws(model, 85, 3, mode)
+            for r in range(3):
+                np.testing.assert_allclose(
+                    chunk["dvar_rep"][r, 0], oracle_dvar(model, x[r], v[r]),
+                    rtol=1e-9, atol=1e-13)
 
     def test_resample_variant_draw_order(self):
-        rng_a = np.random.default_rng(86)
-        rng_b = np.random.default_rng(86)
+        # the data block first, then one fresh draw per replicate; t and w
+        # are the same rows in either mode
         model = LStatModel(LStatSpec("identity", "exponential1", 7))
-        data = model.sample_data(rng_a)
-        model.sample_data(rng_b)
-        got = model.delta_variant(data, 4, "resample", rng_a)
-        v = float(model.dist.sample(rng_b, 1)[0])
-        xm = data.copy()
-        xm[4] = v
-        want = model.statistic(xm) - float(np.sum(model.linear_terms(xm)))
-        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-13)
+        chunks = {}
+        for mode in MODES:
+            chunk, x, v = chunk_and_draws(model, 86, 3, mode)
+            chunks[mode] = chunk
+            for r in range(3):
+                np.testing.assert_allclose(
+                    chunk["dvar_rep"][r, 0], oracle_dvar(model, x[r], v[r]),
+                    rtol=1e-9, atol=1e-13)
+        for key in ("t", "w", "delta", "g_rep"):
+            np.testing.assert_array_equal(chunks["zero_out"][key],
+                                          chunks["resample"][key])
 
     def test_chunk_matches_per_replicate(self):
-        rng_a = np.random.default_rng(87)
-        rng_b = np.random.default_rng(87)
         model = LStatModel(LStatSpec("identity", "std_normal", 9))
-        chunk = model.sample_chunk(rng_a, 3, mode="zero_out")
-        x = model.dist.sample(rng_b, (3, 9))
-        for r in range(3):
-            np.testing.assert_allclose(chunk["t"][r], model.statistic(x[r]),
-                                       rtol=1e-12)
-            np.testing.assert_allclose(
-                chunk["dvar_rep"][r, 0],
-                model.delta_variant(x[r], 0, "zero_out", rng_b),
-                rtol=1e-9, atol=1e-13)
+        for mode in MODES:
+            chunk, x, v = chunk_and_draws(model, 87, 3, mode)
+            for r in range(3):
+                t, _w = oracle_t_w(model, x[r])
+                np.testing.assert_allclose(chunk["t"][r], t, rtol=1e-12)
+                np.testing.assert_allclose(
+                    chunk["dvar_rep"][r, 0], oracle_dvar(model, x[r], v[r]),
+                    rtol=1e-9, atol=1e-13)

@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from belab.bound_core import check_normalization
 from belab.errors import CapacityError, UnsupportedModelError
+from belab.mc_engine import SeedSpec
 from belab.models import (
     MultiUStatSpec,
     WilcoxonModel,
@@ -20,6 +22,52 @@ def rank_kernel(xt, yt):
 
 def small_model(n1=5, n2=4, dist="uniform01"):
     return WilcoxonModel(MultiUStatSpec("wilcoxon", dist, (n1, n2)))
+
+
+MODES = ("zero_out", "resample")
+CDF = {"uniform01": stats.uniform.cdf, "std_normal": stats.norm.cdf,
+       "exponential1": stats.expon.cdf}
+
+
+def chunk_and_draws(model, seed, count, mode):
+    """A chunk and what it consumed, redrawn from a second copy of the same
+    substream: both data blocks, then one replacement value per group (zeros
+    in zero_out mode). Both streams must end in the same state."""
+    rng_a, rng_b = SeedSpec(seed).substream(0), SeedSpec(seed).substream(0)
+    chunk = model.sample_chunk(rng_a, count, mode=mode)
+    x = model.dist.sample(rng_b, (count, model.n1))
+    y = model.dist.sample(rng_b, (count, model.n2))
+    if mode == "zero_out":
+        v = np.zeros((count, 2))
+    else:
+        v = np.stack([model.dist.sample(rng_b, (count, 1))[:, 0]
+                      for _group in range(2)], axis=1)
+    assert rng_a.random() == rng_b.random()
+    return chunk, x, y, v
+
+
+def oracle_t(model, x, y):
+    sn = multisample_sigma(model.spec)
+    return multisample_value(rank_kernel, (x, y), (1, 1)) / sn
+
+
+def oracle_w(model, x, y):
+    """W from the projections 1/2 - F(x) and F(y) - 1/2."""
+    sn = multisample_sigma(model.spec)
+    cdf = CDF[model.spec.dist]
+    return (np.sum(0.5 - cdf(x), axis=-1) / (model.n1 * sn)
+            + np.sum(cdf(y) - 0.5, axis=-1) / (model.n2 * sn))
+
+
+def oracle_dvar(model, x, y, v):
+    """Delta with the first observation of each group replaced, in turn, by
+    that group's value in v."""
+    out = []
+    for group in range(2):
+        xm, ym = x.copy(), y.copy()
+        (xm if group == 0 else ym)[0] = v[group]
+        out.append(oracle_t(model, xm, ym) - float(oracle_w(model, xm, ym)))
+    return out
 
 
 class TestScale:
@@ -50,13 +98,14 @@ class TestScale:
 
 class TestEnumerationOracles:
     def test_statistic_matches_enumeration(self):
-        rng = np.random.default_rng(71)
         for dist in ("uniform01", "std_normal", "exponential1"):
             model = small_model(5, 4, dist)
-            data = model.sample_data(rng)
-            u = multisample_value(rank_kernel, data, (1, 1))
-            np.testing.assert_allclose(model.statistic(data), u / model.sn,
-                                       rtol=1e-12, atol=1e-15)
+            for mode in MODES:
+                chunk, x, y, _v = chunk_and_draws(model, 71, 2, mode)
+                for r in range(2):
+                    np.testing.assert_allclose(
+                        chunk["t"][r], oracle_t(model, x[r], y[r]),
+                        rtol=1e-12, atol=1e-15)
 
     def test_enumeration_cap_strictness(self):
         # cap is non-strict: exactly 10^6 pairs pass, one more fails
@@ -80,56 +129,46 @@ class TestEnumerationOracles:
 
 
 class TestLeaveOneOut:
-    def _brute(self, model, data, i, v):
-        x, y = (np.asarray(a, dtype=float).copy() for a in data)
-        if i < model.n1:
-            x[i] = v
-        else:
-            y[i - model.n1] = v
-        t = model.statistic((x, y))
-        w = float(np.sum(model.linear_terms((x, y))))
-        return t - w
-
     def test_zero_out_both_groups(self):
-        rng = np.random.default_rng(72)
         model = small_model(6, 5, "std_normal")
-        data = model.sample_data(rng)
-        for i in (0, 3, 6, 10):
-            got = model.delta_variant(data, i, "zero_out", rng)
-            np.testing.assert_allclose(got, self._brute(model, data, i, 0.0),
-                                       rtol=1e-10, atol=1e-15)
+        for mode in MODES:
+            chunk, x, y, v = chunk_and_draws(model, 72, 3, mode)
+            for r in range(3):
+                np.testing.assert_allclose(
+                    chunk["dvar_rep"][r], oracle_dvar(model, x[r], y[r], v[r]),
+                    rtol=1e-10, atol=1e-15)
 
     def test_resample_both_groups(self):
-        rng_a = np.random.default_rng(73)
-        rng_b = np.random.default_rng(73)
+        # t, w and the data-side columns are the same rows in either mode
         model = small_model(6, 5, "exponential1")
-        data = model.sample_data(rng_a)
-        model.sample_data(rng_b)
-        for i in (2, 8):
-            got = model.delta_variant(data, i, "resample", rng_a)
-            v = float(model.dist.sample(rng_b, 1)[0])
-            np.testing.assert_allclose(got, self._brute(model, data, i, v),
-                                       rtol=1e-10, atol=1e-15)
+        chunks = {}
+        for mode in MODES:
+            chunk, x, y, v = chunk_and_draws(model, 73, 3, mode)
+            chunks[mode] = chunk
+            for r in range(3):
+                np.testing.assert_allclose(
+                    chunk["dvar_rep"][r], oracle_dvar(model, x[r], y[r], v[r]),
+                    rtol=1e-10, atol=1e-15)
+        for key in ("t", "w", "delta", "g_rep"):
+            np.testing.assert_array_equal(chunks["zero_out"][key],
+                                          chunks["resample"][key])
 
     def test_chunk_matches_direct_variant(self):
-        rng_a = np.random.default_rng(74)
-        rng_b = np.random.default_rng(74)
         model = small_model(7, 6, "uniform01")
-        chunk = model.sample_chunk(rng_a, 4, mode="zero_out")
-        x = model.dist.sample(rng_b, (4, 7))
-        y = model.dist.sample(rng_b, (4, 6))
-        for r in range(4):
-            data = (x[r], y[r])
+        sn = multisample_sigma(model.spec)
+        for mode in MODES:
+            chunk, x, y, v = chunk_and_draws(model, 74, 4, mode)
             np.testing.assert_allclose(
-                chunk["dvar_rep"][r, 0],
-                model.delta_variant(data, 0, "zero_out", rng_b),
-                rtol=1e-10, atol=1e-15)
-            np.testing.assert_allclose(
-                chunk["dvar_rep"][r, 1],
-                model.delta_variant(data, 7, "zero_out", rng_b),
-                rtol=1e-10, atol=1e-15)
-            np.testing.assert_allclose(chunk["t"][r] - chunk["w"][r],
-                                       chunk["delta"][r], atol=1e-15)
+                chunk["g_rep"],
+                np.stack([(0.5 - x[:, 0]) / (7 * sn),
+                          (y[:, 0] - 0.5) / (6 * sn)], axis=1),
+                rtol=1e-12, atol=1e-15)
+            for r in range(4):
+                np.testing.assert_allclose(
+                    chunk["dvar_rep"][r], oracle_dvar(model, x[r], y[r], v[r]),
+                    rtol=1e-10, atol=1e-15)
+                np.testing.assert_allclose(chunk["t"][r] - chunk["w"][r],
+                                           chunk["delta"][r], atol=1e-15)
 
 
 class TestDistributionalOracles:
@@ -144,10 +183,10 @@ class TestDistributionalOracles:
         np.testing.assert_allclose(chunk["t"].mean(), 0.0, atol=0.02)
 
     def test_linear_terms_centered(self):
-        rng = np.random.default_rng(76)
         model = small_model(20, 30, "std_normal")
-        sums = [float(np.sum(model.linear_terms(model.sample_data(rng))))
-                for _ in range(4000)]
-        arr = np.asarray(sums)
-        se = arr.std(ddof=1) / math.sqrt(arr.size)
-        np.testing.assert_allclose(arr.mean(), 0.0, atol=4 * se)
+        for mode in MODES:
+            chunk, x, y, _v = chunk_and_draws(model, 76, 4000, mode)
+            np.testing.assert_allclose(chunk["w"], oracle_w(model, x, y),
+                                       rtol=1e-10, atol=1e-14)
+            se = chunk["w"].std(ddof=1) / math.sqrt(chunk["w"].size)
+            np.testing.assert_allclose(chunk["w"].mean(), 0.0, atol=4 * se)

@@ -7,6 +7,7 @@ import pytest
 
 from belab.bound_core import check_normalization
 from belab.errors import CapacityError, DegenerateModelError, UnsupportedModelError
+from belab.mc_engine import SeedSpec
 from belab.models import (
     DIST_CATALOG,
     KERNEL_CATALOG,
@@ -17,9 +18,42 @@ from belab.models import (
     ustat_moments,
     ustat_value,
 )
+from belab.models import ustat as ustat_module
 from belab.models.kernels import kernel_abs_p
 
 E_ABS_CHI_CENTERED_3 = 8.691562902725508  # E|Z^2 - 1|^3
+MODES = ("zero_out", "resample")
+
+
+def chunk_and_draws(model, seed, count, mode):
+    """A chunk and what it consumed, redrawn from a second copy of the same
+    substream: the data block, then the replacement values (zeros in
+    zero_out mode, and for a structurally zero remainder, which draws none).
+    Both streams must end in the same state."""
+    rng_a, rng_b = SeedSpec(seed).substream(0), SeedSpec(seed).substream(0)
+    chunk = model.sample_chunk(rng_a, count, mode=mode)
+    x = model.dist.sample(rng_b, (count, model.n))
+    v = (model.dist.sample(rng_b, (count, 1))[:, 0]
+         if mode == "resample" and not model.delta_is_zero
+         else np.zeros(count))
+    assert rng_a.random() == rng_b.random()
+    return chunk, x, v
+
+
+def oracle_t_w(model, x):
+    """(T, W) of one replicate by pair enumeration and the Hajek projection."""
+    n = x.size
+    g, s1 = hajek_projection(model.kernel, model.dist)
+    t = math.sqrt(n) * ustat_value(model.kernel, x, model.dist) / (2 * s1)
+    return t, float(np.sum(g(x))) / (math.sqrt(n) * s1)
+
+
+def oracle_dvar(model, x, v):
+    """Delta of one replicate with its first observation replaced by v."""
+    xm = x.copy()
+    xm[0] = v
+    t, w = oracle_t_w(model, xm)
+    return t - w
 
 
 class TestKernelSecondMoments:
@@ -130,24 +164,26 @@ class TestValueOracles:
                                            atol=1e-12)
 
     def test_statistic_matches_enumerated_u(self):
-        rng = np.random.default_rng(42)
         for kname, dname in [("variance", "std_normal"),
                              ("variance", "uniform01"),
                              ("sum", "exponential1")]:
             model = UStatModel(UStatSpec(kname, dname, 8))
-            data = model.sample_data(rng)
-            u = ustat_value(model.kernel, data, model.dist)
-            want = math.sqrt(8) * u / (2 * model.sigma1)
-            np.testing.assert_allclose(model.statistic(data), want,
-                                       rtol=1e-9, atol=1e-12)
+            for mode in MODES:
+                chunk, x, _v = chunk_and_draws(model, 42, 3, mode)
+                for r in range(3):
+                    t, w = oracle_t_w(model, x[r])
+                    np.testing.assert_allclose(chunk["t"][r], t,
+                                               rtol=1e-9, atol=1e-12)
+                    np.testing.assert_allclose(chunk["w"][r], w,
+                                               rtol=1e-9, atol=1e-12)
 
     def test_permutation_invariance(self):
-        rng = np.random.default_rng(43)
         model = UStatModel(UStatSpec("variance", "exponential1", 12))
-        data = model.sample_data(rng)
-        s0 = model.statistic(data)
-        s1 = model.statistic(data[::-1].copy())
-        np.testing.assert_allclose(s1, s0, rtol=1e-12)
+        for mode in MODES:
+            chunk, x, _v = chunk_and_draws(model, 43, 3, mode)
+            for r in range(3):
+                t, _w = oracle_t_w(model, x[r][::-1].copy())
+                np.testing.assert_allclose(chunk["t"][r], t, rtol=1e-12)
 
     def test_enumeration_cap(self):
         with pytest.raises(CapacityError):
@@ -165,56 +201,50 @@ class TestValueOracles:
 
 class TestLeaveOneOut:
     def test_zero_out_matches_enumeration(self):
-        rng = np.random.default_rng(44)
         model = UStatModel(UStatSpec("variance", "std_normal", 8))
-        data = model.sample_data(rng)
-        for i in (0, 3, 7):
-            got = model.delta_variant(data, i, "zero_out", rng)
-            xm = data.copy()
-            xm[i] = 0.0
-            t = math.sqrt(8) * ustat_value(model.kernel, xm, model.dist) / (
-                2 * model.sigma1)
-            w = float(np.sum(model.linear_terms(xm)))
-            np.testing.assert_allclose(got, t - w, rtol=1e-9, atol=1e-12)
+        for mode in MODES:
+            chunk, x, v = chunk_and_draws(model, 44, 3, mode)
+            for r in range(3):
+                np.testing.assert_allclose(
+                    chunk["dvar_rep"][r, 0], oracle_dvar(model, x[r], v[r]),
+                    rtol=1e-9, atol=1e-12)
 
     def test_resample_draw_order(self):
-        rng_a = np.random.default_rng(45)
-        rng_b = np.random.default_rng(45)
+        # the data block first, then one fresh draw per replicate; t and w
+        # are the same rows in either mode
         model = UStatModel(UStatSpec("variance", "uniform01", 9))
-        data = model.sample_data(rng_a)
-        model.sample_data(rng_b)  # advance to the same state
-        got = model.delta_variant(data, 2, "resample", rng_a)
-        v = float(model.dist.sample(rng_b, 1)[0])
-        xm = data.copy()
-        xm[2] = v
-        t = math.sqrt(9) * ustat_value(model.kernel, xm, model.dist) / (
-            2 * model.sigma1)
-        w = float(np.sum(model.linear_terms(xm)))
-        np.testing.assert_allclose(got, t - w, rtol=1e-9, atol=1e-12)
+        chunks = {}
+        for mode in MODES:
+            chunk, x, v = chunk_and_draws(model, 45, 4, mode)
+            chunks[mode] = chunk
+            for r in range(4):
+                np.testing.assert_allclose(
+                    chunk["dvar_rep"][r, 0], oracle_dvar(model, x[r], v[r]),
+                    rtol=1e-9, atol=1e-12)
+        for key in ("t", "w", "delta", "g_rep"):
+            np.testing.assert_array_equal(chunks["zero_out"][key],
+                                          chunks["resample"][key])
 
     def test_chunk_representative_index(self):
-        # chunked leave-one-out replaces index 0
-        rng_a = np.random.default_rng(46)
-        rng_b = np.random.default_rng(46)
+        # the leave-one-out columns are taken at index 0
         model = UStatModel(UStatSpec("variance", "std_normal", 10))
-        chunk = model.sample_chunk(rng_a, 3, mode="zero_out")
-        x = model.dist.sample(rng_b, (3, 10))
-        for r in range(3):
+        g, s1 = hajek_projection(model.kernel, model.dist)
+        for mode in MODES:
+            chunk, x, _v = chunk_and_draws(model, 46, 3, mode)
             np.testing.assert_allclose(
-                chunk["dvar_rep"][r, 0],
-                model.delta_variant(x[r], 0, "zero_out", rng_b),
-                rtol=1e-9, atol=1e-12)
+                chunk["g_rep"][:, 0], g(x[:, 0]) / (math.sqrt(10) * s1),
+                rtol=1e-12)
             np.testing.assert_allclose(
-                chunk["t"][r] - chunk["w"][r], chunk["delta"][r],
+                chunk["t"] - chunk["w"], chunk["delta"],
                 rtol=1e-9, atol=1e-12)
 
     def test_sum_kernel_delta_is_exactly_zero(self):
-        rng = np.random.default_rng(47)
         model = UStatModel(UStatSpec("sum", "rademacher", 20))
         assert model.delta_is_zero
-        chunk = model.sample_chunk(rng, 5, mode="zero_out")
-        assert np.all(chunk["delta"] == 0.0)
-        assert np.all(chunk["dvar_rep"] == 0.0)
+        for mode in MODES:
+            chunk = model.sample_chunk(SeedSpec(47).substream(0), 5, mode=mode)
+            assert np.all(chunk["delta"] == 0.0)
+            assert np.all(chunk["dvar_rep"] == 0.0)
 
 
 class TestMomentsBundle:
@@ -232,6 +262,21 @@ class TestMomentsBundle:
         mom = ustat_moments(UStatSpec("sum", "std_normal", 50))
         np.testing.assert_allclose(mom["c0_trunc"], 1.5381722544550522,
                                    atol=4e-9)
+
+    def test_moments_shared_across_n(self, monkeypatch):
+        calls = []
+        orig = ustat_module.delta_from_truncation
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(ustat_module, "delta_from_truncation", counting)
+        ustat_module._catalog_moments.cache_clear()
+        small = ustat_moments(UStatSpec("variance", "exponential1", 20))
+        large = ustat_moments(UStatSpec("variance", "exponential1", 200))
+        assert len(calls) == 1
+        assert small == large
 
     def test_truncation_root_property(self):
         # sum over one standardized summand of E g^2 I(|g| > c0) = 1/2
