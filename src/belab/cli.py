@@ -210,6 +210,36 @@ def _check_model(desc: dict, errs: list) -> dict:
     return desc
 
 
+def _with_n(desc: dict, n: int) -> dict:
+    """The model block with its size set to n (both samples of a
+    multisample model)."""
+    return {**desc, "n": f"{n};{n}" if desc.get("family") == "multisample"
+            else n}
+
+
+def _check_sweep_grid(axis, grid, desc, errs):
+    """Check each grid value against the axis it sets: integer sizes and
+    replicate counts, a buildable model at each n, and epsilons inside the
+    domain of the closed-form lower bound. An empty desc skips the model
+    check."""
+    for k, value in enumerate(grid):
+        path = f"sweep.grid[{k}]"
+        if axis in ("n", "replicates"):
+            value = _as_number({"v": value}, "v", errs, path, integer=True,
+                               minimum=1 if axis == "replicates" else None)
+        if value is None:
+            continue
+        if axis == "n" and desc:
+            sub = []
+            _check_model(_with_n(desc, value), sub)
+            errs.extend(f"{path}: {e}" for e in sub)
+        elif axis == "epsilon":
+            try:
+                app_bounds.ks_lower_bound(float(value))
+            except DomainError as exc:
+                errs.append(f"{path}: {exc}")
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Validate the JSON config, collecting every violation before failing."""
     errs = []
@@ -227,6 +257,7 @@ def parse_config(text: str) -> ExperimentConfig:
         errs.append("model: expected an object")
         model = {}
     desc = _check_model(model, errs) if model else {}
+    model_ok = not errs
     family = desc.get("family")
 
     bounds = doc.get("bounds", [])
@@ -299,6 +330,7 @@ def parse_config(text: str) -> ExperimentConfig:
                     f"got {axis!r}")
         axis = None
     grid = _number_list(sweep, "grid", errs, "sweep.grid")
+    _check_sweep_grid(axis, grid, desc if model_ok else {}, errs)
 
     if errs:
         raise ConfigError(errs)
@@ -626,8 +658,8 @@ def cmd_example41(cfg: ExperimentConfig):
     return rows, []
 
 
-def cmd_sweep(cfg: ExperimentConfig, axis: str | None = None):
-    axis = axis or cfg.sweep_axis
+def cmd_sweep(cfg: ExperimentConfig):
+    axis = cfg.sweep_axis
     if axis not in SWEEP_AXES:
         raise ConfigError([f"sweep.axis: expected one of "
                            f"{_catalog_msg(SWEEP_AXES)}, got {axis!r}"])
@@ -639,10 +671,7 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str | None = None):
         return cmd_bound(sub)
     if axis == "n":
         for nval in cfg.sweep_grid:
-            desc = dict(cfg.model_desc)
-            nval = int(nval)
-            desc["n"] = (f"{nval};{nval}" if desc.get("family") == "multisample"
-                         else nval)
+            desc = _with_n(cfg.model_desc, int(nval))
             rows.extend(cmd_bound(replace(cfg, model_desc=desc))[0])
         return rows, []
     if axis == "replicates":

@@ -191,15 +191,10 @@ class ExpCenteredMarginal(Marginal):
             raise ValueError("scale must be > 0")
         self.scale = float(scale)
 
-    def _edges(self, extra=()):
-        edges = [0.0, 1.0, EXP_CUT]
-        edges.extend(e for e in extra if 0.0 < e < EXP_CUT)
-        return sorted(set(edges))
-
     def e_abs_p(self, p):
         s = self.scale
         fn = lambda x: abs(s * (x - 1.0)) ** p * math.exp(-x)
-        return quad_segments(fn, self._edges())
+        return quad_segments(fn, [0.0, 1.0, EXP_CUT])
 
     def e_abs_p_below(self, p, t):
         if t <= 0:
@@ -236,7 +231,7 @@ class QuadraticMarginal(Marginal):
     |X - b| in [sqrt(max(0, c - t/a)), sqrt(c + t/a)].
     """
 
-    def __init__(self, a, b, c, density, support, cdf=None):
+    def __init__(self, a, b, c, density, support, cdf):
         if a <= 0 or c <= 0:
             raise ValueError("a and c must be > 0")
         self.a, self.b, self.c = float(a), float(b), float(c)
@@ -254,16 +249,11 @@ class QuadraticMarginal(Marginal):
         fn = lambda x: abs(self._g(x)) ** p * self.density(x)
         return quad_segments(fn, edges)
 
-    def _base_edges(self, extra=()):
+    def e_abs_p(self, p):
         root = math.sqrt(self.c)
         edges = {self.x_lo, self.x_hi, self._clip(self.b - root),
                  self._clip(self.b + root), self._clip(self.b)}
-        for e in extra:
-            edges.add(self._clip(e))
-        return sorted(edges)
-
-    def e_abs_p(self, p):
-        return self._quad_abs_p(p, self._base_edges())
+        return self._quad_abs_p(p, sorted(edges))
 
     def _region_points(self, t):
         lo = math.sqrt(max(0.0, self.c - t / self.a))
@@ -290,17 +280,12 @@ class QuadraticMarginal(Marginal):
     def prob_abs_above(self, t):
         if t < 0:
             return 1.0
-        if self.cdf is not None:
-            lo, hi = self._region_points(t)
-            inside = (self.cdf(self._clip(self.b + lo)) - self.cdf(self._clip(self.b - lo))
-                      if lo > 0 else 0.0)
-            outside_hi = 1.0 - self.cdf(self._clip(self.b + hi)) if self.b + hi < self.x_hi else 0.0
-            outside_lo = self.cdf(self._clip(self.b - hi)) if self.b - hi > self.x_lo else 0.0
-            return max(0.0, outside_hi + outside_lo + inside)
-        fn = lambda x: self.density(x) if abs(self._g(x)) > t else 0.0
         lo, hi = self._region_points(t)
-        edges = self._base_edges(extra=(self.b - hi, self.b - lo, self.b + lo, self.b + hi))
-        return quad_segments(fn, edges, epsabs=1e-11)
+        inside = (self.cdf(self._clip(self.b + lo)) - self.cdf(self._clip(self.b - lo))
+                  if lo > 0 else 0.0)
+        outside_hi = 1.0 - self.cdf(self._clip(self.b + hi)) if self.b + hi < self.x_hi else 0.0
+        outside_lo = self.cdf(self._clip(self.b - hi)) if self.b - hi > self.x_lo else 0.0
+        return max(0.0, outside_hi + outside_lo + inside)
 
     def scale_by(self, factor):
         return QuadraticMarginal(self.a * factor, self.b, self.c, self.density,
@@ -308,25 +293,24 @@ class QuadraticMarginal(Marginal):
 
 
 class MonotoneMarginal(Marginal):
-    """g = fn(X) with fn continuous and strictly monotone on [x_lo, x_hi].
+    """g = fn(X) with fn continuous and strictly decreasing on [x_lo, x_hi].
 
     Preimages found by bisection against fn; used for L-statistic projections
     where fn is itself quadrature-backed.
     """
 
-    def __init__(self, fn, x_lo, x_hi, density, cdf, decreasing=True):
+    def __init__(self, fn, x_lo, x_hi, density, cdf):
         self.fn = fn
         self.x_lo, self.x_hi = float(x_lo), float(x_hi)
         self.density = density
         self.cdf = cdf
-        self.decreasing = decreasing
         self._f_lo = fn(self.x_lo)
         self._f_hi = fn(self.x_hi)
-        if decreasing and self._f_lo < self._f_hi:
+        if self._f_lo < self._f_hi:
             raise ValueError("fn is not decreasing on the support")
 
     def _preimage(self, y):
-        """x with fn(x) = y, clipped to the support (decreasing fn)."""
+        """x with fn(x) = y, clipped to the support."""
         from scipy.optimize import brentq
         if y >= self._f_lo:
             return self.x_lo
@@ -363,8 +347,7 @@ class MonotoneMarginal(Marginal):
         if factor <= 0:
             raise ValueError("factor must be > 0")
         return MonotoneMarginal(lambda x: factor * self.fn(x), self.x_lo,
-                                self.x_hi, self.density, self.cdf,
-                                decreasing=self.decreasing)
+                                self.x_hi, self.density, self.cdf)
 
 
 class LinearPart:

@@ -19,10 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from ..errors import UnsupportedModelError
+from ..errors import CapacityError, UnsupportedModelError
 from ..marginals import LinearPart
 
 ENUMERATION_CAP = 10 ** 6
+
+
+def check_capacity(count: int, what: str):
+    if count > ENUMERATION_CAP:
+        raise CapacityError(
+            f"{count} {what} exceed the enumeration cap {ENUMERATION_CAP}")
 
 
 @dataclass(frozen=True)
@@ -83,9 +89,6 @@ class StatisticModel(ABC):
 
     name: str
     linear_part: LinearPart
-    # sizes of exchangeable index groups, in index order; representative-index
-    # shortcuts evaluate the first index of each group and weight by the size
-    group_sizes: tuple
     delta_is_zero: bool = False
     # False where Delta has no second moment: the L2 components are skipped
     supports_delta_l2: bool = True
@@ -105,6 +108,13 @@ class StatisticModel(ABC):
         docstring, so 't' and 'w' do not depend on the mode.
         """
 
+    @property
+    def group_sizes(self) -> tuple:
+        """Sizes of the exchangeable index groups, in index order;
+        representative-index shortcuts evaluate the first index of each
+        group and weight by the size."""
+        return tuple(cnt for _marg, cnt in self.linear_part.groups)
+
     # --- analytic hooks (override where the catalog knows the answer) -----
 
     def linear_ks_exact(self):
@@ -122,11 +132,7 @@ class StatisticModel(ABC):
 
     def group_g_l2(self):
         """Per-group ||g_i||_2, analytic from the linear part."""
-        out = []
-        for (marg, cnt), size in zip(self.linear_part.groups, self.group_sizes):
-            assert cnt == size
-            out.append(marg.l2())
-        return tuple(out)
+        return tuple(marg.l2() for marg, _cnt in self.linear_part.groups)
 
     def nonuniform_third_term(self, z: float) -> float:
         """sum_i P(|W - g_i| > (|z|-2)/3) P(|g_i| > 1).
@@ -137,8 +143,7 @@ class StatisticModel(ABC):
         """
         thr = (abs(z) - 2.0) / 3.0
         total = 0.0
-        for group, ((marg, cnt), size) in enumerate(
-                zip(self.linear_part.groups, self.group_sizes)):
+        for group, (marg, size) in enumerate(self.linear_part.groups):
             p_g = marg.prob_abs_above(1.0)
             if p_g == 0.0:
                 continue

@@ -25,13 +25,15 @@ from ..errors import DomainError
 from ..marginals import NORMAL_CUT, LinearPart, NormalMarginal, quad_segments
 from ..mc_engine import SeedSpec, _map_chunks, _mean_se
 from ..types import MomentEstimate
-from .base import StatisticModel
+from .base import DIST_CATALOG, StatisticModel
 
 # E|Z|^(-1/2) for standard normal Z
 ISQRT_MEAN = 2.0 ** (-0.25) * math.gamma(0.25) / math.sqrt(math.pi)
 
 # |z| below which the kept part of the remainder changes sign
 _Z_KINK = ISQRT_MEAN ** -2
+
+_PHI = DIST_CATALOG["std_normal"].pdf
 
 
 @dataclass(frozen=True)
@@ -69,16 +71,14 @@ def delta_abs_moment(q: float = 1.0) -> float:
     """E|ISQRT_MEAN - |Z|^(-1/2)|^q, finite for q < 2."""
     if not 0.0 < q < 2.0:
         raise DomainError("the remainder has absolute moments only for q in (0, 2)")
-    phi = lambda z: math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
-    fn = lambda z: abs(ISQRT_MEAN - z ** -0.5) ** q * phi(z)
+    fn = lambda z: abs(ISQRT_MEAN - z ** -0.5) ** q * _PHI(z)
     return 2.0 * quad_segments(fn, [0.0, _Z_KINK, NORMAL_CUT])
 
 
 @lru_cache(maxsize=1)
 def w_delta_abs_moment() -> float:
     """E|Z (ISQRT_MEAN - |Z|^(-1/2))|."""
-    phi = lambda z: math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
-    fn = lambda z: z * abs(ISQRT_MEAN - z ** -0.5) * phi(z)
+    fn = lambda z: z * abs(ISQRT_MEAN - z ** -0.5) * _PHI(z)
     return 2.0 * quad_segments(fn, [0.0, _Z_KINK, NORMAL_CUT])
 
 
@@ -119,7 +119,6 @@ class IsqrtModel(StatisticModel):
         self.epsilon = float(spec.epsilon)
         self.n = int(spec.n)
         self.name = f"isqrt-eps{self.epsilon:g}-n{self.n}"
-        self.group_sizes = (self.n,)
         self._x_sd = 1.0 / math.sqrt(self.n)
         self._r_sd = math.sqrt((self.n - 1) / self.n)
         self.linear_part = LinearPart([(NormalMarginal(self._x_sd), self.n)])

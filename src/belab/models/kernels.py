@@ -94,27 +94,14 @@ class VarianceKernel(PairKernel):
         if s1 == 0.0:
             raise UnsupportedModelError(
                 f"{self.name}: projection is degenerate for {dist.name}")
-        a = 1.0 / (2.0 * s1)
-        normal = DIST_CATALOG["std_normal"]
-        if dist.name == "std_normal":
-            return QuadraticMarginal(
-                a, 0.0, 1.0, normal.pdf, dist.support, cdf=dist.cdf)
-        if dist.name == "uniform01":
-            return QuadraticMarginal(
-                a, dist.mean, dist.var, dist.pdf, (0.0, 1.0), cdf=dist.cdf)
-        if dist.name == "exponential1":
-            return QuadraticMarginal(
-                a, dist.mean, dist.var, dist.pdf, dist.support, cdf=dist.cdf)
-        raise UnsupportedModelError(
-            f"{self.name}: no projection marginal for {dist.name}")
+        return QuadraticMarginal(1.0 / (2.0 * s1), dist.mean, dist.var,
+                                 dist.pdf, dist.support, cdf=dist.cdf)
 
     def h_abs_p(self, dist, p):
         if dist.name == "std_normal":
             # (X - Y)/sqrt(2) is standard normal, so h = Z^2 - 1
-            normal = DIST_CATALOG["std_normal"]
-            marg = QuadraticMarginal(
-                1.0, 0.0, 1.0, normal.pdf, normal.support, cdf=normal.cdf)
-            return marg.e_abs_p(p)
+            return QuadraticMarginal(1.0, dist.mean, dist.var, dist.pdf,
+                                     dist.support, cdf=dist.cdf).e_abs_p(p)
         return super().h_abs_p(dist, p)
 
 

@@ -72,6 +72,29 @@ def rademacher_ks_exact(n: int) -> float:
     return float(np.maximum(np.abs(cdf_at - phi), np.abs(cdf_before - phi)).max())
 
 
+def sum_leave_one_out_tail(dist_name: str, n: int, t: float):
+    """P(|W - g_1| > t) for W the standardized sum of n draws of a catalog
+    law; None where no closed form is known."""
+    if n == 1:
+        return 0.0 if t >= 0 else 1.0
+    if dist_name == "std_normal":
+        sd = math.sqrt((n - 1) / n)
+        return float(2.0 * ndtr(-t / sd))
+    if dist_name == "rademacher":
+        # sum of n-1 signs, scaled by 1/sqrt(n)
+        shift = t * math.sqrt(n)
+        hi = (n - 1 + shift) / 2.0
+        lo = (n - 1 - shift) / 2.0
+        # P(S > hi) = P(S <= n - 2 - floor(hi)) by symmetry
+        return float(half_binom_cdf(n - 2 - math.floor(hi), n - 1)
+                     + half_binom_cdf(math.ceil(lo) - 1, n - 1))
+    if dist_name == "exponential1":
+        shift = t * math.sqrt(n)
+        return float(gammaincc(n - 1, max(n - 1 + shift, 0.0))
+                     + gammainc(n - 1, max(n - 1 - shift, 0.0)))
+    return None
+
+
 class LinearModel(StatisticModel):
     """Standardized i.i.d. sum; the remainder is structurally zero."""
 
@@ -82,7 +105,6 @@ class LinearModel(StatisticModel):
         self.dist = DIST_CATALOG[spec.dist]
         self.n = spec.n
         self.name = f"linear-{spec.dist}-n{spec.n}"
-        self.group_sizes = (self.n,)
         self._sd = math.sqrt(self.dist.var)
         self._scale = 1.0 / (math.sqrt(self.n) * self._sd)
         self.linear_part = LinearPart([
@@ -106,22 +128,4 @@ class LinearModel(StatisticModel):
         return None
 
     def prob_abs_w_minus_g_above(self, group, t):
-        n = self.n
-        if n == 1:
-            return 0.0 if t >= 0 else 1.0
-        if self.spec.dist == "std_normal":
-            sd = math.sqrt((n - 1) / n)
-            return float(2.0 * ndtr(-t / sd))
-        if self.spec.dist == "rademacher":
-            # sum of n-1 signs, scaled by 1/sqrt(n)
-            shift = t * math.sqrt(n)
-            hi = (n - 1 + shift) / 2.0
-            lo = (n - 1 - shift) / 2.0
-            # P(S > hi) = P(S <= n - 2 - floor(hi)) by symmetry
-            return float(half_binom_cdf(n - 2 - math.floor(hi), n - 1)
-                         + half_binom_cdf(math.ceil(lo) - 1, n - 1))
-        if self.spec.dist == "exponential1":
-            shift = t * math.sqrt(n)
-            return float(gammaincc(n - 1, max(n - 1 + shift, 0.0))
-                         + gammainc(n - 1, max(n - 1 - shift, 0.0)))
-        return None
+        return sum_leave_one_out_tail(self.spec.dist, self.n, t)

@@ -96,11 +96,13 @@ def influence_closed(weight: WeightFn, dist: BaseDist):
         if dist.name == "exponential1":
             return lambda x: 1.5 - np.asarray(x, dtype=float) - np.exp(
                 -np.asarray(x, dtype=float))
-    return None
+    raise UnsupportedModelError(
+        f"no closed-form influence for {weight.name} under {dist.name}")
 
 
 def influence_quadrature(weight: WeightFn, dist: BaseDist):
-    """Influence function by quadrature; the generic (slow) path."""
+    """Influence function by quadrature; the slow reference for the closed
+    forms."""
     lo, hi = dist.support
 
     def infl(x):
@@ -139,9 +141,6 @@ def sigma_double_integral(weight: WeightFn, dist: BaseDist) -> float:
 def lstat_projection_sigma(weight: WeightFn, dist: BaseDist):
     """(influence, sigma) with the two scale computations reconciled."""
     infl = influence_closed(weight, dist)
-    if infl is None:
-        scalar = influence_quadrature(weight, dist)
-        infl = lambda x: np.array([scalar(v) for v in np.atleast_1d(x)])
     s_sq = sigma_double_integral(weight, dist)
     lo, hi = dist.support
     e_g2 = quad_segments(
@@ -173,7 +172,6 @@ class LStatModel(StatisticModel):
         self.n = spec.n
         check_lipschitz(self.weight)
         self.name = f"lstat-{spec.weight}-{spec.dist}-n{spec.n}"
-        self.group_sizes = (self.n,)
         self._infl, self.sigma, self._center = catalog_scale(spec.weight,
                                                              spec.dist)
         self._jvec = np.asarray(
@@ -184,7 +182,7 @@ class LStatModel(StatisticModel):
         # sign-invariant, which is all the bounds consume
         self.linear_part = LinearPart([(MonotoneMarginal(
             lambda x: float(self._infl(np.array([x]))[0]) * self._scale,
-            lo, hi, self.dist.pdf, cdf=self.dist.cdf, decreasing=True),
+            lo, hi, self.dist.pdf, cdf=self.dist.cdf),
             self.n)])
         self.x2_moment = self.dist.var + self.dist.mean ** 2
 

@@ -14,10 +14,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
-from ..errors import CapacityError, UnsupportedModelError
+from ..errors import UnsupportedModelError
 from ..marginals import LinearPart, UniformMarginal
-from .base import DIST_CATALOG, ENUMERATION_CAP, StatisticModel
+from .base import DIST_CATALOG, StatisticModel, check_capacity
 
 
 @dataclass(frozen=True)
@@ -51,13 +52,20 @@ def multisample_value(kernel_fn, samples, degrees) -> float:
     count = 1
     for n_j, m_j in zip(sizes, degrees):
         count *= math.comb(n_j, m_j)
-    if count > ENUMERATION_CAP:
-        raise CapacityError(
-            f"{count} index choices exceed the enumeration cap {ENUMERATION_CAP}")
+    check_capacity(count, "index choices")
     pools = [list(itertools.combinations(np.asarray(s, dtype=float), m_j))
              for s, m_j in zip(samples, degrees)]
     total = math.fsum(kernel_fn(*choice) for choice in itertools.product(*pools))
     return total / count
+
+
+def _pair_counts(x, y):
+    """Per-row count of the pairs (i, j) with x_i <= y_j; sorted needles
+    keep each row's searchsorted cache-local."""
+    xs = np.sort(x, axis=1)
+    ys = np.sort(y, axis=1)
+    return np.array([np.searchsorted(a, b, side="right").sum()
+                     for a, b in zip(xs, ys)], dtype=float)
 
 
 def multisample_sigma(spec: MultiUStatSpec) -> float:
@@ -69,23 +77,22 @@ def multisample_sigma(spec: MultiUStatSpec) -> float:
 class WilcoxonModel(StatisticModel):
     """Two-sample rank-score statistic under a continuous catalog law.
 
-    Pair counting runs through sort + searchsorted per replicate; ties have
-    probability zero. The projections h_1 = 1/2 - F(x), h_2 = F(y) - 1/2 are
-    Uniform(-1/2, 1/2) whatever the continuous F, so every moment oracle here
-    is distribution-free.
+    The pair count takes one sorted searchsorted per replicate row. Swapping
+    one observation moves that count by a row-wise comparison against the
+    other sample, so the leave-one-out remainders are whole-chunk array
+    arithmetic. Ties have probability zero. The projections
+    h_1 = 1/2 - F(x), h_2 = F(y) - 1/2 are Uniform(-1/2, 1/2) whatever the
+    continuous F, so every moment oracle here is distribution-free.
     """
 
     def __init__(self, spec: MultiUStatSpec):
         self.spec = spec
         self.dist = DIST_CATALOG[spec.dist]
         self.n1, self.n2 = int(spec.n[0]), int(spec.n[1])
-        if self.n1 * self.n2 > ENUMERATION_CAP:
-            raise CapacityError(
-                f"{self.n1 * self.n2} pairs exceed the enumeration cap {ENUMERATION_CAP}")
+        check_capacity(self.n1 * self.n2, "pairs")
         self.sn = multisample_sigma(spec)
         self.name = (f"multisample-{spec.kernel}-{spec.dist}"
                      f"-n{self.n1};{self.n2}-m1;1")
-        self.group_sizes = (self.n1, self.n2)
         self.linear_part = LinearPart([
             (UniformMarginal(0.5 / (self.n1 * self.sn)), self.n1),
             (UniformMarginal(0.5 / (self.n2 * self.sn)), self.n2),
@@ -94,15 +101,15 @@ class WilcoxonModel(StatisticModel):
     def sample_chunk(self, rng, count, mode=None):
         x = self.dist.sample(rng, (count, self.n1))
         y = self.dist.sample(rng, (count, self.n2))
-        xs = np.sort(x, axis=1)
-        pair = np.empty(count)
-        for r in range(count):
-            pair[r] = np.searchsorted(xs[r], y[r], side="right").sum()
+        pair = _pair_counts(x, y)
         t = (pair / (self.n1 * self.n2) - 0.5) / self.sn
-        fx = self._cdf_rows(x)
-        fy = self._cdf_rows(y)
-        g1 = (0.5 - fx) / (self.n1 * self.sn)
-        g2 = (fy - 0.5) / (self.n2 * self.sn)
+        # in place, so a chunk holds no more than x, y, g1 and g2 at once
+        g1 = self._cdf_rows(x)
+        np.subtract(0.5, g1, out=g1)
+        g1 /= self.n1 * self.sn
+        g2 = self._cdf_rows(y)
+        g2 -= 0.5
+        g2 /= self.n2 * self.sn
         w = g1.sum(axis=1) + g2.sum(axis=1)
         if mode is None:
             return {"t": t, "w": w}
@@ -113,23 +120,15 @@ class WilcoxonModel(StatisticModel):
         else:
             v1 = self.dist.sample(rng, (count, 1))[:, 0]
             v2 = self.dist.sample(rng, (count, 1))[:, 0]
-        ys = np.sort(y, axis=1)
-        dvar = np.empty((count, 2))
-        fv1 = self._cdf_rows(v1)
-        fv2 = self._cdf_rows(v2)
-        for r in range(count):
-            # group 1 representative: x[r, 0] -> v1[r]
-            dc1 = (np.searchsorted(ys[r], x[r, 0], side="left")
-                   - np.searchsorted(ys[r], v1[r], side="left"))
-            t1 = ((pair[r] + dc1) / (self.n1 * self.n2) - 0.5) / self.sn
-            w1 = w[r] - g1[r, 0] + (0.5 - fv1[r]) / (self.n1 * self.sn)
-            dvar[r, 0] = t1 - w1
-            # group 2 representative: y[r, 0] -> v2[r]
-            dc2 = (np.searchsorted(xs[r], v2[r], side="right")
-                   - np.searchsorted(xs[r], y[r, 0], side="right"))
-            t2 = ((pair[r] + dc2) / (self.n1 * self.n2) - 0.5) / self.sn
-            w2 = w[r] - g2[r, 0] + (fv2[r] - 0.5) / (self.n2 * self.sn)
-            dvar[r, 1] = t2 - w2
+        # group 1 representative x_1 -> v1: its pairs are the y_j >= x_1
+        dc1 = (y < x[:, :1]).sum(axis=1) - (y < v1[:, None]).sum(axis=1)
+        t1 = ((pair + dc1) / (self.n1 * self.n2) - 0.5) / self.sn
+        w1 = w - g1[:, 0] + (0.5 - self._cdf_rows(v1)) / (self.n1 * self.sn)
+        # group 2 representative y_1 -> v2: its pairs are the x_i <= y_1
+        dc2 = (x <= v2[:, None]).sum(axis=1) - (x <= y[:, :1]).sum(axis=1)
+        t2 = ((pair + dc2) / (self.n1 * self.n2) - 0.5) / self.sn
+        w2 = w - g2[:, 0] + (self._cdf_rows(v2) - 0.5) / (self.n2 * self.sn)
+        dvar = np.stack([t1 - w1, t2 - w2], axis=1)
         g_rep = np.stack([g1[:, 0], g2[:, 0]], axis=1)
         return {"t": t, "w": w, "delta": delta, "g_rep": g_rep, "dvar_rep": dvar}
 
@@ -138,7 +137,6 @@ class WilcoxonModel(StatisticModel):
         if self.spec.dist == "uniform01":
             return np.clip(a, 0.0, 1.0)
         if self.spec.dist == "std_normal":
-            from scipy.special import ndtr
             return ndtr(a)
         if self.spec.dist == "exponential1":
             return -np.expm1(-np.maximum(a, 0.0))

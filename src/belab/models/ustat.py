@@ -14,13 +14,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import chdtr, chdtrc, gammainc, gammaincc
+from scipy.special import chdtr, chdtrc
 
 from ..bound_core import delta_from_truncation
-from ..errors import CapacityError, DegenerateModelError, UnsupportedModelError
+from ..errors import DegenerateModelError, UnsupportedModelError
 from ..marginals import LinearPart
-from .base import DIST_CATALOG, ENUMERATION_CAP, BaseDist, StatisticModel
+from .base import DIST_CATALOG, BaseDist, StatisticModel, check_capacity
 from .kernels import KERNEL_CATALOG, PairKernel, kernel_abs_p
+from .linear import sum_leave_one_out_tail
 
 
 @dataclass(frozen=True)
@@ -46,18 +47,12 @@ class UStatSpec:
                 f"{self.kernel} projection variance is zero under {self.dist}")
 
 
-def check_capacity(count: int):
-    if count > ENUMERATION_CAP:
-        raise CapacityError(
-            f"{count} index subsets exceed the enumeration cap {ENUMERATION_CAP}")
-
-
 def ustat_value(kernel: PairKernel, data, dist: BaseDist) -> float:
     """U_n by exact enumeration over pairs. Oracle path; errors past the cap
     rather than subsampling."""
     x = np.asarray(data, dtype=float)
     n = x.size
-    check_capacity(math.comb(n, 2))
+    check_capacity(math.comb(n, 2), "index subsets")
     total = math.fsum(
         float(kernel.h(x[i], x[j], dist)) for i, j in itertools.combinations(range(n), 2))
     return total / math.comb(n, 2)
@@ -100,11 +95,10 @@ class UStatModel(StatisticModel):
         self.dist = DIST_CATALOG[spec.dist]
         self.n = spec.n
         self.m = spec.m
-        check_capacity(math.comb(self.n, self.m))
+        check_capacity(math.comb(self.n, self.m), "index subsets")
         self.sigma1 = math.sqrt(self.kernel.sigma1_sq(self.dist))
         self.delta_is_zero = getattr(self.kernel, "delta_is_zero", False)
         self.name = f"ustat-{spec.kernel}-{spec.dist}-n{spec.n}-m{spec.m}"
-        self.group_sizes = (self.n,)
         g_std = self.kernel.g_std_marginal(self.dist)
         self.linear_part = LinearPart([(g_std.scale_by(1.0 / math.sqrt(self.n)), self.n)])
         # T = sqrt(n) U / (m sigma_1) = pair_sum * _t_scale
@@ -148,18 +142,12 @@ class UStatModel(StatisticModel):
 
     def prob_abs_w_minus_g_above(self, group, t):
         n = self.n
+        if self.spec.kernel == "sum":
+            # the sum kernel's W is the standardized sum of the observations
+            return sum_leave_one_out_tail(self.spec.dist, n, t)
         if self.spec.kernel == "variance" and self.spec.dist == "std_normal":
             # W - g_1 = (chisq_{n-1} - (n-1)) / sqrt(2 n)
             shift = t * math.sqrt(2.0 * n)
             return float(chdtrc(n - 1, max(n - 1 + shift, 0.0))
                          + chdtr(n - 1, max(n - 1 - shift, 0.0)))
-        if self.spec.kernel == "sum":
-            if self.spec.dist == "std_normal":
-                from scipy.special import ndtr
-                sd = math.sqrt((n - 1) / n)
-                return float(2.0 * ndtr(-t / sd))
-            if self.spec.dist == "exponential1":
-                shift = t * math.sqrt(n)
-                return float(gammaincc(n - 1, max(n - 1 + shift, 0.0))
-                             + gammainc(n - 1, max(n - 1 - shift, 0.0)))
         return None

@@ -414,6 +414,15 @@ class TestMainExitCodes:
         ("model", {"model": {"family": "lstat", "weight": "identity",
                              "dist": "uniform01"},
                    "bounds": ["eq3.10"]}),
+        # sweep values checked against the axis they set
+        ("sweep.grid[0]: model.n", {"model": USTAT, "bounds": ["eq3.1"],
+                                    "sweep": {"axis": "n", "grid": [2, 50]}}),
+        ("sweep.grid[0]", {"sweep": {"axis": "n", "grid": [20.7]}}),
+        ("sweep.grid[0]", {"sweep": {"axis": "replicates",
+                                     "grid": [1500.5]}}),
+        ("sweep.grid[0]", {"model": {"family": "isqrt", "epsilon": 0.01},
+                           "bounds": [],
+                           "sweep": {"axis": "epsilon", "grid": [0.5]}}),
     ])
     def test_malformed_inputs_exit_2(self, tmp_path, capsys, field, over):
         path = write_config(tmp_path, make_doc(**over))

@@ -114,6 +114,61 @@ class TestPathEquivalence:
         assert est.sum_g_l2_delta_l2 is None
 
 
+CHUNK_MODELS = {
+    "linear": {"family": "linear", "dist": "exponential1", "n": 7},
+    "ustat": {"family": "ustat", "kernel": "variance", "dist": "std_normal",
+              "n": 12},
+    "multisample": {"family": "multisample", "dist": "exponential1",
+                    "n": "5;4"},
+    "lstat": {"family": "lstat", "weight": "identity", "dist": "uniform01",
+              "n": 8},
+    "isqrt": {"family": "isqrt", "epsilon": 0.01, "n": 50},
+}
+
+
+class TestChunkBoundaries:
+    """Replicate counts that fill no chunk exactly, on one thread and on
+    more threads than chunks: the engine sees exactly the rows that
+    sample_chunk gives on each SeedSpec substream, in chunk order."""
+
+    SEED = SeedSpec(31)
+
+    @pytest.mark.parametrize("replicates", [1, 4095, 4097, 8193])
+    @pytest.mark.parametrize("family", sorted(CHUNK_MODELS))
+    def test_engine_sees_concatenated_chunk_rows(self, family, replicates):
+        model = build_model(CHUNK_MODELS[family])
+        layout = chunk_layout(replicates)
+        many = len(layout) + 1
+        t, w = collect_t_w(model, replicates, self.SEED, threads=1)
+        t_par, w_par = collect_t_w(model, replicates, self.SEED, threads=many)
+        np.testing.assert_array_equal(t, t_par)
+        np.testing.assert_array_equal(w, w_par)
+        sizes = np.array(model.group_sizes, dtype=float)
+        for mode in ("zero_out", "resample"):
+            chunks = [model.sample_chunk(self.SEED.substream(c), count,
+                                         mode=mode)
+                      for c, _start, count in layout]
+            rows = {key: np.concatenate([ch[key] for ch in chunks])
+                    for key in chunks[0]}
+            np.testing.assert_array_equal(rows["t"], t)
+            np.testing.assert_array_equal(rows["w"], w)
+            assert rows["dvar_rep"].shape == (replicates, sizes.size)
+            one = components_via_engine(model, replicates, self.SEED,
+                                        mode=mode, threads=1)
+            par = components_via_engine(model, replicates, self.SEED,
+                                        mode=mode, threads=many)
+            assert_components_equal(one, par)
+            if model.delta_is_zero:
+                continue
+            np.testing.assert_allclose(one.delta_abs.value,
+                                       np.abs(rows["delta"]).mean(),
+                                       rtol=1e-12)
+            diff = rows["delta"][:, None] - rows["dvar_rep"]
+            gdd = (np.abs(rows["g_rep"] * diff) * sizes).sum(axis=1)
+            np.testing.assert_allclose(one.sum_g_delta_diff.value,
+                                       gdd.mean(), rtol=1e-12)
+
+
 class TestAggregationConventions:
     REPLICATES = 5000
     SEED = SeedSpec(23)
