@@ -395,14 +395,6 @@ class _Runner:
             self._distances[key] = ks
         return self._distances[key]
 
-    def delta_tail(self, z: float, comps) -> MomentEstimate:
-        """P(|Delta| > (|z| + 1) / 3), analytic where the model knows it."""
-        thr = (abs(z) + 1.0) / 3.0
-        analytic = self.model.delta_tail_analytic(thr)
-        if analytic is not None:
-            return MomentEstimate(float(analytic))
-        return comps.delta_tails[thr]
-
     def linear_ks(self) -> float:
         exact = self.model.linear_ks_exact()
         if exact is not None:
@@ -504,7 +496,7 @@ class TagSpec:
 
 def _nonuniform_22(r: _Runner, comps, z):
     thr = (abs(z) + 1.0) / 3.0
-    tail = r.delta_tail(z, comps)
+    tail = comps.delta_tails[thr]
     gamma = bound_core.nonuniform_gamma(NonUniformInputs(
         z=z, p_delta_tail=tail.value, p_delta_tail_se=tail.std_error,
         sum_p_g_tail=r.linear.sum_prob_above(thr),
@@ -516,8 +508,9 @@ def _nonuniform_22(r: _Runner, comps, z):
 
 def _nonuniform_29(r: _Runner, comps, z):
     sum_p, _sum_p_se = r.linear.sum_abs_p(r.cfg.p)
+    tail = comps.delta_tails[(abs(z) + 1.0) / 3.0]
     return bound_core.nonuniform_moment_bound(
-        r.cfg.p, z, r.delta_tail(z, comps).value, comps.delta_l2.value,
+        r.cfg.p, z, tail.value, comps.delta_l2.value,
         comps.sum_g_l2_delta_l2.value, sum_p)
 
 

@@ -3,9 +3,14 @@
 Replicates are processed in fixed chunks of 4096. Chunk c of a run draws
 from its own counter-based stream, Philox keyed by (master_seed, c), so
 replicate i depends only on the master seed and i's chunk, never on thread
-count or scheduling. Within a chunk, reductions are numpy pairwise sums over
-arrays whose values are fixed by the stream; across chunks, partial sums are
-combined with math.fsum in chunk order. Both give byte-identical results for
+count or scheduling.
+
+A sampled moment is the mean of one row of per-replicate values. Each chunk
+stacks its rows in one C-contiguous (K, count) float64 array in a fixed
+order (see components_via_engine) and reduces them along the contiguous
+axis with numpy's pairwise sum; across chunks, the per-row sums are combined
+with math.fsum in chunk order by `_mean_se`, the one place that turns block
+sums into a mean and a standard error. Both give byte-identical results for
 a fixed (seed, replicates) pair however many worker threads run the chunks.
 """
 from __future__ import annotations
@@ -91,85 +96,36 @@ class ComponentEstimates:
         return BoundComponents(**kw)
 
 
-def _block_partials(w, delta, g, dvar, weights, thresholds, want_l2):
-    """Per-block sums and sums of squares of every component."""
-    diff = delta[:, None] - dvar
-    wd = np.abs(w * delta)
-    gdd = (np.abs(g * diff) * weights[None, :]).sum(axis=1)
-    dabs = np.abs(delta)
-    out = {
-        "wd": (float(np.sum(wd)), float(np.sum(wd * wd))),
-        "gdd": (float(np.sum(gdd)), float(np.sum(gdd * gdd))),
-        "dabs": (float(np.sum(dabs)), float(np.sum(dabs * dabs))),
-    }
-    if want_l2:
-        d2 = delta * delta
-        out["d2"] = (float(np.sum(d2)), float(np.sum(d2 * d2)))
-        for j in range(dvar.shape[1]):
-            dj2 = diff[:, j] * diff[:, j]
-            out[f"ddiff2_{j}"] = (float(np.sum(dj2)), float(np.sum(dj2 * dj2)))
-    for k, thr in enumerate(thresholds):
-        ind = (dabs > thr).astype(np.float64)
-        out[f"tail_{k}"] = (float(np.sum(ind)), float(np.sum(ind)))
+def _row_sums(rows):
+    """Per-row sums and sums of squares of one block of stacked rows."""
+    return rows.sum(axis=1), (rows * rows).sum(axis=1)
+
+
+def _mean_se(blocks, replicates: int):
+    """(mean, se) of each row from per-block (sums, sums of squares), each
+    row combined with math.fsum in block order."""
+    sums = np.array([b[0] for b in blocks])
+    sqs = np.array([b[1] for b in blocks])
+    out = []
+    for s, s2 in zip(sums.T, sqs.T):
+        m = math.fsum(s) / replicates
+        if replicates > 1:
+            var = max(0.0, (math.fsum(s2) - replicates * m * m)
+                      / (replicates - 1))
+            se = math.sqrt(var / replicates)
+        else:
+            se = 0.0
+        out.append((m, se))
     return out
-
-
-def _mean_se(partials, replicates: int):
-    """Mean and standard error from per-block (sum, sum of squares) pairs,
-    each combined with math.fsum in block order."""
-    s = math.fsum(b[0] for b in partials)
-    s2 = math.fsum(b[1] for b in partials)
-    m = s / replicates
-    if replicates > 1:
-        var = max(0.0, (s2 - replicates * m * m) / (replicates - 1))
-        se = math.sqrt(var / replicates)
-    else:
-        se = 0.0
-    return m, se
-
-
-def _combine_partials(blocks, replicates, weights, g_l2, thresholds, want_l2):
-    def mean_se(key):
-        return _mean_se([b[key] for b in blocks], replicates)
-
-    def moment(key):
-        m, se = mean_se(key)
-        return MomentEstimate(m, se, replicates)
-
-    def root_moment(key):
-        m, se = mean_se(key)
-        r = math.sqrt(m)
-        return MomentEstimate(r, se / (2.0 * r) if r > 0 else 0.0, replicates)
-
-    delta_l2 = None
-    sum_gl2 = None
-    if want_l2:
-        delta_l2 = root_moment("d2")
-        total = 0.0
-        total_se = 0.0
-        for j, (wt, gl2) in enumerate(zip(weights, g_l2)):
-            m, se = mean_se(f"ddiff2_{j}")
-            r = math.sqrt(m)
-            total += wt * gl2 * r
-            total_se += wt * gl2 * (se / (2.0 * r) if r > 0 else 0.0)
-        sum_gl2 = MomentEstimate(total, total_se, replicates)
-    tails = {}
-    for k, thr in enumerate(thresholds):
-        tails[thr] = moment(f"tail_{k}")
-    return ComponentEstimates(
-        e_abs_w_delta=moment("wd"),
-        sum_g_delta_diff=moment("gdd"),
-        delta_abs=moment("dabs"),
-        delta_l2=delta_l2,
-        sum_g_l2_delta_l2=sum_gl2,
-        delta_tails=tails,
-    )
 
 
 def components_via_engine(model, replicates: int, seed: SeedSpec, mode="zero_out",
                           threads: int = 1, delta_thresholds=()) -> ComponentEstimates:
-    """Chunk-parallel component estimation: per-block partial sums, combined
-    in chunk order. A structurally zero remainder gives exact zeros without
+    """Chunk-parallel component estimation. Each chunk stacks its
+    per-replicate quantities as the rows of one (K, count) array:
+    |W D|, sum_j n_j |g_j (D - D_j)|, |D|, then, where the model has an L2
+    remainder, D^2 and (D - D_j)^2 for each group, then 1{|D| > thr} for
+    each threshold. A structurally zero remainder gives exact zeros without
     sampling."""
     if model.delta_is_zero:
         zero = MomentEstimate(0.0)
@@ -177,21 +133,40 @@ def components_via_engine(model, replicates: int, seed: SeedSpec, mode="zero_out
                                   {thr: zero for thr in delta_thresholds})
     include_l2 = model.supports_delta_l2
     weights = np.array([float(s) for s in model.group_sizes])
+    n_l2 = 1 + weights.size if include_l2 else 0
+    thresholds = np.array(delta_thresholds, dtype=float)[:, None]
 
     def one_chunk(args):
-        c, start, count = args
+        c, _start, count = args
         chunk = model.sample_chunk(seed.substream(c), count, mode=mode)
-        return _block_partials(
-            np.asarray(chunk["w"], dtype=float),
-            np.asarray(chunk["delta"], dtype=float),
-            np.asarray(chunk["g_rep"], dtype=float),
-            np.asarray(chunk["dvar_rep"], dtype=float),
-            weights, delta_thresholds, include_l2)
+        delta = chunk["delta"]
+        diff = delta[:, None] - chunk["dvar_rep"]
+        rows = np.empty((3 + n_l2 + len(thresholds), count))
+        np.abs(chunk["w"] * delta, out=rows[0])
+        rows[1] = (np.abs(chunk["g_rep"] * diff) * weights).sum(axis=1)
+        np.abs(delta, out=rows[2])
+        if include_l2:
+            np.multiply(delta, delta, out=rows[3])
+            rows[4:3 + n_l2] = (diff * diff).T
+        rows[3 + n_l2:] = rows[2] > thresholds
+        return _row_sums(rows)
 
-    blocks = _map_chunks(one_chunk, replicates, threads)
-    g_l2 = model.group_g_l2() if include_l2 else (0.0,) * len(weights)
-    return _combine_partials(blocks, replicates, tuple(weights), g_l2,
-                             delta_thresholds, include_l2)
+    stats = _mean_se(_map_chunks(one_chunk, replicates, threads), replicates)
+    est = [MomentEstimate(m, se, replicates) for m, se in stats]
+    delta_l2 = sum_gl2 = None
+    if include_l2:
+        roots = [(math.sqrt(m), se / (2.0 * math.sqrt(m)) if m > 0 else 0.0)
+                 for m, se in stats[3:3 + n_l2]]
+        delta_l2 = MomentEstimate(*roots[0], replicates)
+        total = total_se = 0.0
+        for wt, gl2, (r, r_se) in zip(weights, model.group_g_l2(), roots[1:]):
+            total += wt * gl2 * r
+            total_se += wt * gl2 * r_se
+        sum_gl2 = MomentEstimate(total, total_se, replicates)
+    return ComponentEstimates(
+        e_abs_w_delta=est[0], sum_g_delta_diff=est[1], delta_abs=est[2],
+        delta_l2=delta_l2, sum_g_l2_delta_l2=sum_gl2,
+        delta_tails=dict(zip(delta_thresholds, est[3 + n_l2:])))
 
 
 def collect_t_w(model, replicates: int, seed: SeedSpec, threads: int = 1):

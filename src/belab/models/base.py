@@ -126,10 +126,6 @@ class StatisticModel(ABC):
         """P(|W - g_i| > t) for an index in the given group, when analytic."""
         return None
 
-    def delta_tail_analytic(self, t: float):
-        """P(|Delta| > t) when analytic; None to fall back to Monte Carlo."""
-        return None
-
     def group_g_l2(self):
         """Per-group ||g_i||_2, analytic from the linear part."""
         return tuple(marg.l2() for marg, _cnt in self.linear_part.groups)

@@ -23,7 +23,7 @@ from scipy.special import ndtr
 
 from ..errors import DomainError
 from ..marginals import NORMAL_CUT, LinearPart, NormalMarginal, quad_segments
-from ..mc_engine import SeedSpec, _map_chunks, _mean_se
+from ..mc_engine import SeedSpec, _map_chunks, _mean_se, _row_sums
 from ..types import MomentEstimate
 from .base import DIST_CATALOG, StatisticModel
 
@@ -82,22 +82,6 @@ def w_delta_abs_moment() -> float:
     return 2.0 * quad_segments(fn, [0.0, _Z_KINK, NORMAL_CUT])
 
 
-def delta_tail_prob(t: float, epsilon: float) -> float:
-    """P(|Delta| > t), in closed form through the normal cdf."""
-    if t < 0:
-        return 1.0
-    if t == 0.0:
-        return 1.0  # Delta = 0 only on a null set
-    u = t / epsilon
-    # |W|^(-1/2) > ISQRT_MEAN + u
-    small = 1.0 - 2.0 * ndtr(-((ISQRT_MEAN + u) ** -2))
-    large = 0.0
-    if u < ISQRT_MEAN:
-        # |W|^(-1/2) < ISQRT_MEAN - u
-        large = 2.0 * ndtr(-((ISQRT_MEAN - u) ** -2))
-    return small + large
-
-
 def ks_lower_bound(epsilon: float) -> float:
     """Closed-form sup-distance lower bound between the laws of T and W.
 
@@ -142,14 +126,6 @@ class IsqrtModel(StatisticModel):
     def linear_ks_exact(self):
         return 0.0  # W is exactly standard normal
 
-    def delta_tail_analytic(self, t):
-        return delta_tail_prob(t, self.epsilon)
-
-    def prob_abs_w_minus_g_above(self, group, t):
-        if t < 0:
-            return 1.0
-        return float(2.0 * ndtr(-t / self._r_sd))
-
 
 def example41_alpha(spec: Example41Spec, replicates: int, seed):
     """Monte Carlo estimate of the averaged resample-coupling moment
@@ -167,8 +143,7 @@ def example41_alpha(spec: Example41Spec, replicates: int, seed):
     def one_chunk(args):
         c, _start, count = args
         chunk = model.sample_chunk(seed.substream(c), count, mode="resample")
-        v = np.abs(chunk["delta"] - chunk["dvar_rep"][:, 0])
-        return float(np.sum(v)), float(np.dot(v, v))
+        return _row_sums(np.abs(chunk["delta"] - chunk["dvar_rep"].T))
 
-    mean, se = _mean_se(_map_chunks(one_chunk, replicates, 1), replicates)
+    [(mean, se)] = _mean_se(_map_chunks(one_chunk, replicates, 1), replicates)
     return MomentEstimate(mean, se, replicates)

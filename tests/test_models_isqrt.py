@@ -13,7 +13,6 @@ from belab.models import Example41Spec, IsqrtModel, example41_alpha, example41_t
 from belab.models.isqrt import (
     ISQRT_MEAN,
     delta_abs_moment,
-    delta_tail_prob,
     isqrt_delta,
     ks_lower_bound,
     w_delta_abs_moment,
@@ -98,29 +97,6 @@ class TestTransform:
         np.testing.assert_allclose(d.mean(), 0.0, atol=4 * se)
 
 
-class TestTailProbability:
-    def test_edge_cases(self):
-        assert delta_tail_prob(-0.5, 0.01) == 1.0
-        assert delta_tail_prob(0.0, 0.01) == 1.0
-
-    def test_both_branches_vs_mc(self):
-        rng = np.random.default_rng(93)
-        eps = 0.1
-        w = rng.standard_normal(400000)
-        d = np.abs(isqrt_delta(w, eps))
-        # u < ISQRT_MEAN exercises both tail pieces, u > only the small one
-        for t in (0.05, 0.3):
-            p_hat = float(np.mean(d > t))
-            se = math.sqrt(p_hat * (1 - p_hat) / d.size)
-            np.testing.assert_allclose(delta_tail_prob(t, eps), p_hat,
-                                       atol=4 * se + 1e-12)
-
-    def test_monotone_in_threshold(self):
-        ts = np.linspace(0.001, 2.0, 50)
-        vals = [delta_tail_prob(t, 0.05) for t in ts]
-        assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
-
-
 class TestKSLowerBound:
     def test_frozen_value(self):
         np.testing.assert_allclose(ks_lower_bound(1e-3),
@@ -196,12 +172,6 @@ class TestModel:
             assert chunk["g_rep"].shape == (6, 1)
             np.testing.assert_allclose(chunk["g_rep"][:, 0], x1, rtol=1e-14)
         assert model.supports_delta_l2 is False
-
-    def test_retained_part_tail(self):
-        model = IsqrtModel(Example41Spec(0.01, 100))
-        sd = math.sqrt(99.0 / 100.0)
-        np.testing.assert_allclose(model.prob_abs_w_minus_g_above(0, 1.3),
-                                   2 * ndtr(-1.3 / sd), rtol=1e-12)
 
     def test_closed_form_component_means(self):
         # E|Delta| = eps delta_abs_moment(1), E|W Delta| = eps
