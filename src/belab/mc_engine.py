@@ -8,9 +8,12 @@ count or scheduling.
 A sampled moment is the mean of one row of per-replicate values. Each chunk
 stacks its rows in one C-contiguous (K, count) float64 array in a fixed
 order (see components_via_engine) and reduces them along the contiguous
-axis with numpy's pairwise sum; across chunks, the per-row sums are combined
-with math.fsum in chunk order by `_mean_se`, the one place that turns block
-sums into a mean and a standard error. Both give byte-identical results for
+axis: numpy's pairwise sum, and the sum of squared deviations from the
+chunk's row mean (M2). `_mean_se`, the one place that turns blocks into a
+mean and a standard error, combines the per-row sums with math.fsum and
+merges the M2 values pairwise (Chan, Golub & LeVeque), both in chunk order.
+So a mean never depends on the variance arithmetic, the variance does not
+cancel when a mean dwarfs its spread, and the results are byte-identical for
 a fixed (seed, replicates) pair however many worker threads run the chunks.
 """
 from __future__ import annotations
@@ -96,27 +99,37 @@ class ComponentEstimates:
         return BoundComponents(**kw)
 
 
-def _row_sums(rows):
-    """Per-row sums and sums of squares of one block of stacked rows."""
-    return rows.sum(axis=1), (rows * rows).sum(axis=1)
+def _row_moments(rows):
+    """Count, per-row sums and per-row M2 (sum of squared deviations from
+    the row mean) of one block of stacked rows."""
+    count = rows.shape[1]
+    sums = rows.sum(axis=1)
+    dev = rows - (sums / count)[:, None]
+    return count, sums, (dev * dev).sum(axis=1)
 
 
 def _mean_se(blocks, replicates: int):
-    """(mean, se) of each row from per-block (sums, sums of squares), each
-    row combined with math.fsum in block order."""
-    sums = np.array([b[0] for b in blocks])
-    sqs = np.array([b[1] for b in blocks])
-    out = []
-    for s, s2 in zip(sums.T, sqs.T):
-        m = math.fsum(s) / replicates
-        if replicates > 1:
-            var = max(0.0, (math.fsum(s2) - replicates * m * m)
-                      / (replicates - 1))
-            se = math.sqrt(var / replicates)
+    """(mean, se) of each row from per-block (count, sums, M2).
+
+    A mean is math.fsum of the block sums over `replicates`. The M2 values
+    are merged pairwise in block order (Chan, Golub & LeVeque 1983), which
+    keeps the variance accurate when a row's mean dwarfs its spread."""
+    n = 0
+    for count, sums, m2_block in blocks:
+        mean_block = sums / count
+        if n == 0:
+            mean, m2 = mean_block, m2_block
         else:
-            se = 0.0
-        out.append((m, se))
-    return out
+            d = mean_block - mean
+            total = n + count
+            m2 = m2 + m2_block + d * d * (n * count / total)
+            mean = mean + d * (count / total)
+        n += count
+    means = [math.fsum(col) / replicates for col in zip(*(b[1] for b in blocks))]
+    if replicates == 1:
+        return [(m, 0.0) for m in means]
+    return [(m, math.sqrt(float(v) / (replicates - 1) / replicates))
+            for m, v in zip(means, m2)]
 
 
 def components_via_engine(model, replicates: int, seed: SeedSpec, mode="zero_out",
@@ -149,7 +162,7 @@ def components_via_engine(model, replicates: int, seed: SeedSpec, mode="zero_out
             np.multiply(delta, delta, out=rows[3])
             rows[4:3 + n_l2] = (diff * diff).T
         rows[3 + n_l2:] = rows[2] > thresholds
-        return _row_sums(rows)
+        return _row_moments(rows)
 
     stats = _mean_se(_map_chunks(one_chunk, replicates, threads), replicates)
     est = [MomentEstimate(m, se, replicates) for m, se in stats]

@@ -23,7 +23,7 @@ from scipy.special import ndtr
 
 from ..errors import DomainError
 from ..marginals import NORMAL_CUT, LinearPart, NormalMarginal, quad_segments
-from ..mc_engine import SeedSpec, _map_chunks, _mean_se, _row_sums
+from ..mc_engine import SeedSpec, _map_chunks, _mean_se, _row_moments
 from ..types import MomentEstimate
 from .base import DIST_CATALOG, StatisticModel
 
@@ -143,7 +143,7 @@ def example41_alpha(spec: Example41Spec, replicates: int, seed):
     def one_chunk(args):
         c, _start, count = args
         chunk = model.sample_chunk(seed.substream(c), count, mode="resample")
-        return _row_sums(np.abs(chunk["delta"] - chunk["dvar_rep"].T))
+        return _row_moments(np.abs(chunk["delta"] - chunk["dvar_rep"].T))
 
     [(mean, se)] = _mean_se(_map_chunks(one_chunk, replicates, 1), replicates)
     return MomentEstimate(mean, se, replicates)

@@ -10,6 +10,8 @@ from belab.mc_engine import (
     CHUNK_SIZE,
     DKW_ALPHA,
     SeedSpec,
+    _mean_se,
+    _row_moments,
     certify,
     chunk_layout,
     collect_t_w,
@@ -239,6 +241,30 @@ class TestAggregationConventions:
         assert est.e_abs_w_delta.value == 0.0
         assert est.sum_g_delta_diff.value == 0.0
         assert est.delta_l2.value == 0.0
+
+
+class TestStableVariance:
+    def test_offset_mean_keeps_its_spread(self):
+        # a mean 1e8 times the spread: s2 - n m^2 cancels to 0 here, the
+        # merged M2 keeps the sample standard error
+        x = 1e8 + np.random.default_rng(0).standard_normal(100000)
+        blocks = [_row_moments(b[None, :]) for b in x.reshape(25, -1)]
+        [(mean, se)] = _mean_se(blocks, x.size)
+        np.testing.assert_allclose(mean, x.mean(), rtol=1e-15)
+        np.testing.assert_allclose(se, x.std(ddof=1) / math.sqrt(x.size),
+                                   rtol=1e-6)
+        np.testing.assert_allclose(se, 0.0031627, rtol=1e-4)
+
+    def test_uneven_blocks_match_one_block(self):
+        rows = np.random.default_rng(1).exponential(size=(3, 1000)) ** 3
+        one = _mean_se([_row_moments(rows)], 1000)
+        split = _mean_se([_row_moments(rows[:, a:b])
+                          for a, b in ((0, 1), (1, 400), (400, 1000))], 1000)
+        np.testing.assert_allclose(split, one, rtol=1e-12)
+
+    def test_single_replicate_has_zero_se(self):
+        assert _mean_se([_row_moments(np.array([[2.5], [7.0]]))], 1) == [
+            (2.5, 0.0), (7.0, 0.0)]
 
 
 class TestDistances:
