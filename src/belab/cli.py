@@ -60,6 +60,8 @@ RESULT_COLUMNS = ("equation_tag", "model", "n", "m", "z", "epsilon", "p",
 
 SWEEP_AXES = ("n", "z", "epsilon", "replicates")
 MIN_VERIFY_REPLICATES = 1000
+# t and w of 1e8 replicates take 1.6 GB
+MAX_REPLICATES = 10 ** 8
 
 
 @dataclass(frozen=True)
@@ -126,7 +128,8 @@ def _number_list(doc, key, errs, path):
     return values
 
 
-def _as_number(doc, key, errs, path, default=None, integer=False, minimum=None):
+def _as_number(doc, key, errs, path, default=None, integer=False, minimum=None,
+               maximum=None):
     if key not in doc:
         return default
     v = doc[key]
@@ -141,7 +144,19 @@ def _as_number(doc, key, errs, path, default=None, integer=False, minimum=None):
     if minimum is not None and v < minimum:
         errs.append(f"{path}: must be >= {minimum}, got {v!r}")
         return default
+    if maximum is not None and v > maximum:
+        errs.append(f"{path}: must be <= {maximum}, got {v!r}")
+        return default
     return v
+
+
+def _check_z(z, errs, path):
+    """(1 + |z|)^3, the largest power a pointwise bound takes, must be a
+    finite float."""
+    try:
+        (1.0 + abs(z)) ** 3
+    except OverflowError:
+        errs.append(f"{path}: (1 + |z|)^3 overflows, got {z!r}")
 
 
 def _check_name(desc, key, catalog, errs, default=None):
@@ -224,12 +239,16 @@ def _check_sweep_grid(axis, grid, desc, errs):
     check."""
     for k, value in enumerate(grid):
         path = f"sweep.grid[{k}]"
-        if axis in ("n", "replicates"):
+        if axis == "n":
+            value = _as_number({"v": value}, "v", errs, path, integer=True)
+        elif axis == "replicates":
             value = _as_number({"v": value}, "v", errs, path, integer=True,
-                               minimum=1 if axis == "replicates" else None)
+                               minimum=1, maximum=MAX_REPLICATES)
         if value is None:
             continue
-        if axis == "n" and desc:
+        if axis == "z":
+            _check_z(value, errs, path)
+        elif axis == "n" and desc:
             sub = []
             _check_model(_with_n(desc, value), sub)
             errs.extend(f"{path}: {e}" for e in sub)
@@ -275,6 +294,8 @@ def parse_config(text: str) -> ExperimentConfig:
                         f"valid: {_catalog_msg(valid)}")
 
     z_grid = _number_list(doc, "z_grid", errs, "z_grid")
+    for k, z in enumerate(z_grid):
+        _check_z(z, errs, f"z_grid[{k}]")
     point_tags = {t for t, spec in specs.items() if spec.point}
     if point_tags and not z_grid:
         errs.append("z_grid: required by the selected point bounds "
@@ -293,7 +314,8 @@ def parse_config(text: str) -> ExperimentConfig:
                     "no wall-clock default)")
         mc = {}
     replicates = _as_number(mc, "replicates", errs, "mc.replicates",
-                            default=10000, integer=True, minimum=1)
+                            default=10000, integer=True, minimum=1,
+                            maximum=MAX_REPLICATES)
     threads = _as_number(mc, "threads", errs, "mc.threads", default=1,
                          integer=True, minimum=1)
     if "master_seed" not in mc:
@@ -593,8 +615,9 @@ def cmd_verify(cfg: ExperimentConfig):
 
 def cmd_example41(cfg: ExperimentConfig):
     """Counterexample table plus MC cross-checks at the coarse epsilons."""
-    eps_grid = cfg.epsilon_grid or ((cfg.model_desc.get("epsilon"),)
-                                    if cfg.model_desc.get("epsilon") else ())
+    eps_grid = cfg.epsilon_grid
+    if not eps_grid and cfg.model_desc.get("family") == "isqrt":
+        eps_grid = (cfg.model_desc["epsilon"],)
     if not eps_grid:
         raise ConfigError(["epsilon_grid: required for example41"])
     try:
@@ -758,8 +781,9 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
             raise ConfigError(["--seed: must lie in [0, 2^63)"])
         kw["master_seed"] = args.seed
     if args.replicates is not None:
-        if args.replicates < 1:
-            raise ConfigError(["--replicates: must be >= 1"])
+        if not 1 <= args.replicates <= MAX_REPLICATES:
+            raise ConfigError([
+                f"--replicates: must lie in [1, {MAX_REPLICATES}]"])
         kw["replicates"] = args.replicates
     if args.threads is not None:
         if args.threads < 1:

@@ -10,6 +10,7 @@ import pytest
 
 from belab import cli
 from belab.cli import (
+    MAX_REPLICATES,
     RESULT_COLUMNS,
     ResultRow,
     cmd_bound,
@@ -429,6 +430,48 @@ class TestMainExitCodes:
         assert main(["verify", "--config", path]) == 2
         err = capsys.readouterr().err.splitlines()
         assert any(line.startswith(f"config: {field}") for line in err), err
+
+    USTAT = {"family": "ustat", "kernel": "variance", "dist": "std_normal",
+             "n": 30}
+    LSTAT = {"family": "lstat", "weight": "identity", "dist": "uniform01",
+             "n": 40}
+
+    @pytest.mark.parametrize("command,field,doc,extra", [
+        # (1 + |z|)^3 overflowed in the pointwise bounds
+        ("bound", "z_grid[1]",
+         make_doc(model=USTAT, bounds=["eq3.3", "eq3.4"], z_grid=[0.0, 1e200]),
+         []),
+        ("verify", "z_grid[0]",
+         make_doc(model=LSTAT, bounds=["eq3.11"], z_grid=[-1e200]), []),
+        ("sweep", "sweep.grid[0]",
+         make_doc(model=USTAT, bounds=["eq3.3"],
+                  sweep={"axis": "z", "grid": [1e200]}), []),
+        # a non-isqrt model's unvalidated epsilon reached the report
+        ("example41", "epsilon_grid",
+         make_doc(model={"family": "linear", "dist": "uniform01", "n": 10,
+                         "epsilon": "x"}), []),
+        # replicate counts beyond MAX_REPLICATES failed in np.empty
+        ("verify", "mc.replicates",
+         make_doc(mc={"master_seed": 1, "replicates": 1e103}), []),
+        ("verify", "mc.replicates",
+         make_doc(mc={"master_seed": 1, "replicates": MAX_REPLICATES + 1}),
+         []),
+        ("bound", "--replicates", make_doc(),
+         ["--replicates", str(MAX_REPLICATES + 1)]),
+        ("sweep", "sweep.grid[1]",
+         make_doc(sweep={"axis": "replicates", "grid": [1000, 1e103]}), []),
+    ])
+    def test_out_of_range_inputs_exit_2(self, tmp_path, capsys, command,
+                                        field, doc, extra):
+        path = write_config(tmp_path, doc)
+        assert main([command, "--config", path] + extra) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert any(line.startswith(f"config: {field}") for line in err), err
+
+    def test_replicate_limit_is_inclusive(self):
+        cfg = parse(make_doc(mc={"master_seed": 1,
+                                 "replicates": MAX_REPLICATES}))
+        assert cfg.replicates == MAX_REPLICATES
 
     def test_capacity_exit(self, tmp_path, capsys):
         doc = make_doc(model={"family": "ustat", "kernel": "variance",
