@@ -686,6 +686,8 @@ def cmd_sweep(cfg: ExperimentConfig):
         sub = replace(cfg, z_grid=tuple(float(v) for v in cfg.sweep_grid))
         return cmd_bound(sub)
     if axis == "n":
+        if not cfg.model_desc:
+            raise ConfigError(["model: required object"])
         for nval in cfg.sweep_grid:
             desc = _with_n(cfg.model_desc, int(nval))
             rows.extend(cmd_bound(replace(cfg, model_desc=desc))[0])

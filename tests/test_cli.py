@@ -460,6 +460,9 @@ class TestMainExitCodes:
          ["--replicates", str(MAX_REPLICATES + 1)]),
         ("sweep", "sweep.grid[1]",
          make_doc(sweep={"axis": "replicates", "grid": [1000, 1e103]}), []),
+        # an n sweep without a model block ended as a runtime error
+        ("sweep", "model", make_doc(model=None,
+                                    sweep={"axis": "n", "grid": [10]}), []),
     ])
     def test_out_of_range_inputs_exit_2(self, tmp_path, capsys, command,
                                         field, doc, extra):
