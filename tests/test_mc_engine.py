@@ -262,10 +262,6 @@ class TestStableVariance:
                           for a, b in ((0, 1), (1, 400), (400, 1000))], 1000)
         np.testing.assert_allclose(split, one, rtol=1e-12)
 
-    def test_single_replicate_has_zero_se(self):
-        assert _mean_se([_row_moments(np.array([[2.5], [7.0]]))], 1) == [
-            (2.5, 0.0), (7.0, 0.0)]
-
 
 class TestDistances:
     def test_dkw_formula(self):
