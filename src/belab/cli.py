@@ -15,6 +15,7 @@ import io
 import json
 import math
 import os
+import secrets
 import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -34,18 +35,18 @@ from .errors import (
 from .mc_engine import (
     SeedSpec,
     certify,
-    collect_t_w,
-    components_via_engine,
     dkw_radius,
     empirical_ks_two_sample,
     empirical_ks_vs_normal,
     pointwise_diff_two_sample,
     pointwise_diff_vs_normal,
+    sample_pass,
 )
 from .models import (
     DIST_CATALOG,
     FAMILIES,
     KERNEL_CATALOG,
+    VARIANT_MODES,
     WEIGHT_CATALOG,
     build_model,
     build_spec,
@@ -364,17 +365,35 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 class _Runner:
-    """Shared bound/verify machinery for one config."""
+    """Shared bound/verify machinery for one config; `verify` runs also
+    measure distances, so their sampling pass keeps T and W."""
 
-    def __init__(self, cfg: ExperimentConfig):
+    def __init__(self, cfg: ExperimentConfig, verify: bool):
         if not cfg.model_desc:
             raise ConfigError(["model: required object"])
         self.cfg = cfg
+        self.verify = verify
         self.model = build_model(cfg.model_desc)
         self.seed = SeedSpec(cfg.master_seed)
         self.linear = self.model.linear_part
-        self._components = {}
+        self.third_terms = self._third_terms()
         self._distances = {}
+
+    def _third_terms(self) -> dict:
+        """sum_i P(|W - g_i| > (|z|-2)/3) P(|g_i| > 1) at each z of eq2.6,
+        evaluated before anything is sampled, so a model without the
+        W - g_i tail oracle that a z needs fails as a config error."""
+        if "eq2.6" not in self.cfg.bounds:
+            return {}
+        terms, errs = {}, []
+        for k, z in enumerate(self.cfg.z_grid):
+            try:
+                terms[z] = self.model.nonuniform_third_term(z)
+            except UnsupportedModelError as exc:
+                errs.append(f"z_grid[{k}]: eq2.6 at z = {z!r}: {exc}")
+        if errs:
+            raise ConfigError(errs)
+        return terms
 
     # --- cached ingredients -------------------------------------------------
 
@@ -386,27 +405,26 @@ class _Runner:
     def delta_min(self) -> float:
         return bound_core.solve_delta_minimal(self.linear)
 
-    def components(self, mode: str):
-        """Coupling-moment estimates in one variant mode, sampled once."""
-        if mode not in self._components:
-            thresholds = tuple(sorted({(abs(z) + 1.0) / 3.0
-                                       for z in self.cfg.z_grid}))
-            self._components[mode] = components_via_engine(
-                self.model, self.cfg.replicates, self.seed, mode=mode,
-                threads=self.cfg.threads, delta_thresholds=thresholds)
-        return self._components[mode]
-
     @cached_property
-    def t_w(self):
-        return collect_t_w(self.model, self.cfg.replicates, self.seed,
-                           threads=self.cfg.threads)
+    def sampled(self):
+        """The run's one sampling pass: (t, w, {mode: ComponentEstimates})
+        with every variant mode the tags read, and with T and W only on a
+        verify run."""
+        wanted = {TAGS[tag].mode for tag in self.cfg.bounds}
+        thresholds = tuple(sorted({(abs(z) + 1.0) / 3.0
+                                   for z in self.cfg.z_grid}))
+        return sample_pass(
+            self.model, self.cfg.replicates, self.seed,
+            modes=tuple(m for m in VARIANT_MODES if m in wanted),
+            threads=self.cfg.threads, delta_thresholds=thresholds,
+            keep_tw=self.verify)
 
     def distance(self, comparator: str, z=None):
         """Measured distance for a comparator, uniform (z None) or at z;
         each (comparator, z) is computed once per run."""
         key = (comparator, z)
         if key not in self._distances:
-            t, w = self.t_w
+            t, w, _comps = self.sampled
             if comparator == "T~W":
                 ks = (empirical_ks_two_sample(t, w) if z is None
                       else pointwise_diff_two_sample(t, w, z))
@@ -468,7 +486,7 @@ class _Runner:
             meta["epsilon"] = self.model.epsilon
         return meta
 
-    def run(self, with_empirical: bool):
+    def run(self):
         """One row per tag, or per tag and z for the point bounds."""
         if not self.cfg.bounds:
             raise ConfigError(["bounds: at least one equation tag is required"])
@@ -476,7 +494,7 @@ class _Runner:
         rows = []
         for tag in self.cfg.bounds:
             spec = TAGS[tag]
-            comps = self.components(spec.mode) if spec.mode else None
+            comps = self.sampled[2][spec.mode] if spec.mode else None
             for z in self.cfg.z_grid if spec.point else (None,):
                 bound = spec.build(self, comps, z)
                 if bound is None:
@@ -485,7 +503,7 @@ class _Runner:
                           p=self.cfg.p if spec.with_p else None,
                           bound_known=bound.known,
                           bound_c_coeff=bound.c_coeff, se=bound.known_se)
-                if with_empirical:
+                if self.verify:
                     ks = self.distance(spec.comparator, z)
                     kw.update(empirical=ks.distance, dkw_radius=ks.dkw_radius,
                               pass_flag=certify(ks, bound))
@@ -522,7 +540,7 @@ def _nonuniform_22(r: _Runner, comps, z):
     gamma = bound_core.nonuniform_gamma(NonUniformInputs(
         z=z, p_delta_tail=tail.value, p_delta_tail_se=tail.std_error,
         sum_p_g_tail=r.linear.sum_prob_above(thr),
-        sum_p_w_minus_g_tail=r.model.nonuniform_third_term(z)))
+        sum_p_w_minus_g_tail=r.third_terms[z]))
     tau = bound_core.nonuniform_tau(
         comps.as_bound_components(r.beta, r.delta_min))
     return bound_core.nonuniform_bound_thm22(gamma, tau, z)
@@ -602,7 +620,7 @@ TAGS = {
 
 
 def cmd_bound(cfg: ExperimentConfig):
-    return _Runner(cfg).run(with_empirical=False), []
+    return _Runner(cfg, verify=False).run(), []
 
 
 def cmd_verify(cfg: ExperimentConfig):
@@ -610,7 +628,7 @@ def cmd_verify(cfg: ExperimentConfig):
         raise ConfigError([
             f"mc.replicates: verification needs >= {MIN_VERIFY_REPLICATES}, "
             f"got {cfg.replicates}"])
-    return _Runner(cfg).run(with_empirical=True), []
+    return _Runner(cfg, verify=True).run(), []
 
 
 def cmd_example41(cfg: ExperimentConfig):
@@ -643,8 +661,9 @@ def cmd_example41(cfg: ExperimentConfig):
         if eps >= 1e-2:
             model = build_model({"family": "isqrt", "epsilon": eps, "n": n})
             seed = SeedSpec(cfg.master_seed)
-            t, _w = collect_t_w(model, cfg.replicates, seed,
-                                threads=cfg.threads)
+            t, _w, comps = sample_pass(model, cfg.replicates, seed,
+                                       modes=("zero_out",),
+                                       threads=cfg.threads)
             p_hat = float(np.count_nonzero(t <= eps * ISQRT_MEAN)) / t.size
             mc_lhs = p_hat - float(ndtr(eps * ISQRT_MEAN))
             se = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / t.size)
@@ -653,11 +672,10 @@ def cmd_example41(cfg: ExperimentConfig):
                 bound_known=rep.lhs_exact, empirical=mc_lhs,
                 dkw_radius=dkw_radius(t.size), se=se,
                 pass_flag=bool(abs(mc_lhs - rep.lhs_exact) <= 4.0 * se)))
-            comps = components_via_engine(model, cfg.replicates, seed,
-                                          mode="zero_out",
-                                          threads=cfg.threads)
-            mc43 = comps.e_abs_w_delta.value + comps.delta_abs.value
-            se43 = comps.e_abs_w_delta.std_error + comps.delta_abs.std_error
+            zero_out = comps["zero_out"]
+            mc43 = zero_out.e_abs_w_delta.value + zero_out.delta_abs.value
+            se43 = (zero_out.e_abs_w_delta.std_error
+                    + zero_out.delta_abs.std_error)
             ok = mc43 <= 7.0 * eps and abs(mc43 - quad43) <= 4.0 * se43
             rows.append(ResultRow(
                 equation_tag="eq4.3", model=label, n=n, epsilon=eps,
@@ -684,7 +702,12 @@ def cmd_sweep(cfg: ExperimentConfig):
     rows = []
     if axis == "z":
         sub = replace(cfg, z_grid=tuple(float(v) for v in cfg.sweep_grid))
-        return cmd_bound(sub)
+        try:
+            return cmd_bound(sub)
+        except ConfigError as exc:
+            # the z values, and so the indexes, are the sweep grid's
+            raise ConfigError([v.replace("z_grid[", "sweep.grid[", 1)
+                               for v in exc.violations]) from exc
     if axis == "n":
         if not cfg.model_desc:
             raise ConfigError(["model: required object"])
@@ -739,14 +762,26 @@ def render_rows(rows, fmt: str) -> str:
 
 
 def emit_results(rows, fmt: str, path: str | None) -> str:
-    """Render and write rows; returns the rendered text."""
+    """Render and write rows; returns the rendered text.
+
+    A file is written whole or not at all: the text goes to a temporary
+    file beside the target, which then replaces it. On failure the
+    temporary file is removed and a previous file stays as it was."""
     text = render_rows(rows, fmt)
     if path:
         out_dir = os.environ.get("BELAB_OUTPUT_DIR")
         if out_dir and not os.path.isabs(path):
             path = os.path.join(out_dir, path)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        head, tail = os.path.split(path)
+        tmp = os.path.join(head, f".{tail}.{secrets.token_hex(8)}.tmp")
+        fh = open(tmp, "x", encoding="utf-8", newline="")
+        try:
+            with fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     else:
         sys.stdout.write(text)
     return text

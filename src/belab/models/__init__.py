@@ -2,7 +2,13 @@
 from __future__ import annotations
 
 from ..errors import InvalidModelError
-from .base import DIST_CATALOG, ENUMERATION_CAP, BaseDist, StatisticModel
+from .base import (
+    DIST_CATALOG,
+    ENUMERATION_CAP,
+    VARIANT_MODES,
+    BaseDist,
+    StatisticModel,
+)
 from .isqrt import Example41Spec, IsqrtModel, example41_alpha, example41_transform
 from .kernels import KERNEL_CATALOG, PairKernel
 from .linear import LinearModel, LinearSpec, rademacher_ks_exact
@@ -70,7 +76,8 @@ __all__ = [
     "BaseDist", "DIST_CATALOG", "ENUMERATION_CAP", "Example41Spec", "FAMILIES",
     "IsqrtModel", "KERNEL_CATALOG", "LStatModel", "LStatSpec", "LinearModel",
     "LinearSpec", "MultiUStatSpec", "PairKernel", "StatisticModel",
-    "UStatModel", "UStatSpec", "WEIGHT_CATALOG", "WilcoxonModel",
+    "UStatModel", "UStatSpec", "VARIANT_MODES", "WEIGHT_CATALOG",
+    "WilcoxonModel",
     "build_model", "build_spec", "example41_alpha", "example41_transform",
     "hajek_projection", "lstat_projection_sigma", "lstat_value",
     "multisample_sigma", "multisample_value", "rademacher_ks_exact",

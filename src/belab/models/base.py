@@ -6,9 +6,11 @@ sampling path, the vectorized `sample_chunk` that the Monte Carlo engine
 calls; tests check its rows against the enumeration oracles of each family.
 
 Stream consumption contract (determinism): within a chunk of replicates, a
-model first consumes its data block (replicate-major), then, in resample
-mode, one fresh draw per representative index, again replicate-major. The
-rows of a chunk therefore depend only on its stream and its size.
+model first consumes its data block (replicate-major), then, where resample
+is among the requested variant modes, one fresh draw per representative
+index, again replicate-major. zero_out draws nothing, so one chunk call
+serves T, W and every variant mode, and its rows depend only on its stream
+and its size, never on which modes were asked for.
 """
 from __future__ import annotations
 
@@ -29,6 +31,20 @@ def check_capacity(count: int, what: str):
     if count > ENUMERATION_CAP:
         raise CapacityError(
             f"{count} {what} exceed the enumeration cap {ENUMERATION_CAP}")
+
+
+VARIANT_MODES = ("zero_out", "resample")
+
+
+def variant_modes(mode) -> tuple:
+    """The `mode` argument of sample_chunk as a tuple of distinct variant
+    modes in the order given."""
+    modes = () if mode is None else (mode,) if isinstance(mode, str) else mode
+    modes = tuple(dict.fromkeys(modes))
+    for m in modes:
+        if m not in VARIANT_MODES:
+            raise ValueError(f"unknown variant mode {m!r}")
+    return modes
 
 
 @dataclass(frozen=True)
@@ -97,15 +113,20 @@ class StatisticModel(ABC):
     def sample_chunk(self, rng: np.random.Generator, count: int, mode=None):
         """Vectorized evaluation of `count` replicates.
 
-        mode None -> {'t': array, 'w': array}
-        mode 'zero_out'/'resample' -> adds 'delta', 'g_rep', 'dvar_rep'
-        (count x n_groups arrays, one column per exchangeable group, taken
-        at the group's first index). 'dvar_rep' is Delta recomputed with that
-        index replaced by 0 (zero_out) or by a fresh independent draw
-        (resample); both leave it independent of the replaced observation.
+        `mode` is a tuple of variant modes ('zero_out', 'resample'); a bare
+        mode name is the one-element tuple and None the empty one.
+        No modes -> {'t': array, 'w': array}
+        Some modes -> also 'delta', 'g_rep' and 'dvar_rep', where 'g_rep'
+        is a count x n_groups array (one column per exchangeable group,
+        taken at the group's first index) and 'dvar_rep' maps each mode to
+        such an array: Delta recomputed with that index replaced by 0
+        (zero_out) or by a fresh independent draw (resample); both leave it
+        independent of the replaced observation.
 
-        Draws follow the stream consumption contract in the module
-        docstring, so 't' and 'w' do not depend on the mode.
+        The data block is drawn once per call, whatever the modes, and
+        draws follow the stream consumption contract in the module
+        docstring, so every row equals the row of a one-mode call on the
+        same stream.
         """
 
     @property

@@ -25,7 +25,7 @@ from ..errors import DomainError
 from ..marginals import NORMAL_CUT, LinearPart, NormalMarginal, quad_segments
 from ..mc_engine import SeedSpec, _map_chunks, _mean_se, _row_moments
 from ..types import MomentEstimate
-from .base import DIST_CATALOG, StatisticModel
+from .base import DIST_CATALOG, StatisticModel, variant_modes
 
 # E|Z|^(-1/2) for standard normal Z
 ISQRT_MEAN = 2.0 ** (-0.25) * math.gamma(0.25) / math.sqrt(math.pi)
@@ -112,16 +112,18 @@ class IsqrtModel(StatisticModel):
         x1 = rng.standard_normal(count) * self._x_sd
         w = r + x1
         t = example41_transform(w, self.epsilon)
-        if mode is None:
+        modes = variant_modes(mode)
+        if not modes:
             return {"t": t, "w": w}
-        delta = isqrt_delta(w, self.epsilon)
-        if mode == "zero_out":
-            v = np.zeros(count)
-        else:
-            v = rng.standard_normal(count) * self._x_sd
-        dvar = isqrt_delta(r + v, self.epsilon)
-        return {"t": t, "w": w, "delta": delta,
-                "g_rep": x1[:, None], "dvar_rep": dvar[:, None]}
+        dvar = {}
+        for m in modes:
+            if m == "zero_out":
+                v = np.zeros(count)
+            else:
+                v = rng.standard_normal(count) * self._x_sd
+            dvar[m] = isqrt_delta(r + v, self.epsilon)[:, None]
+        return {"t": t, "w": w, "delta": isqrt_delta(w, self.epsilon),
+                "g_rep": x1[:, None], "dvar_rep": dvar}
 
     def linear_ks_exact(self):
         return 0.0  # W is exactly standard normal
@@ -143,7 +145,8 @@ def example41_alpha(spec: Example41Spec, replicates: int, seed):
     def one_chunk(args):
         c, _start, count = args
         chunk = model.sample_chunk(seed.substream(c), count, mode="resample")
-        return _row_moments(np.abs(chunk["delta"] - chunk["dvar_rep"].T))
+        return _row_moments(
+            np.abs(chunk["delta"] - chunk["dvar_rep"]["resample"].T))
 
     [(mean, se)] = _mean_se(_map_chunks(one_chunk, replicates, 1), replicates)
     return MomentEstimate(mean, se, replicates)

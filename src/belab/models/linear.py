@@ -20,7 +20,7 @@ from ..marginals import (
     NormalMarginal,
     UniformMarginal,
 )
-from .base import DIST_CATALOG, StatisticModel
+from .base import DIST_CATALOG, StatisticModel, variant_modes
 
 
 @dataclass(frozen=True)
@@ -115,10 +115,11 @@ class LinearModel(StatisticModel):
         g = (x - self.dist.mean) * self._scale
         w = g.sum(axis=1)
         t = w.copy()
-        if mode is None:
+        modes = variant_modes(mode)
+        if not modes:
             return {"t": t, "w": w}
-        return {"t": t, "w": w, "delta": np.zeros(count),
-                "g_rep": g[:, :1], "dvar_rep": np.zeros((count, 1))}
+        return {"t": t, "w": w, "delta": np.zeros(count), "g_rep": g[:, :1],
+                "dvar_rep": {m: np.zeros((count, 1)) for m in modes}}
 
     def linear_ks_exact(self):
         if self.spec.dist == "std_normal":

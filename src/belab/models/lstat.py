@@ -23,7 +23,7 @@ from scipy.special import ndtr
 
 from ..errors import NumericError, UnsupportedModelError
 from ..marginals import LinearPart, MonotoneMarginal, quad_segments
-from .base import DIST_CATALOG, BaseDist, StatisticModel
+from .base import DIST_CATALOG, BaseDist, StatisticModel, variant_modes
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -192,21 +192,23 @@ class LStatModel(StatisticModel):
         t = (xs @ self._jvec - self._center) * (math.sqrt(self.n) / self.sigma)
         g = -self._infl(x) * self._scale
         w = g.sum(axis=1)
-        if mode is None:
+        modes = variant_modes(mode)
+        if not modes:
             return {"t": t, "w": w}
-        delta = t - w
-        if mode == "zero_out":
-            v = np.zeros(count)
-        else:
-            v = self.dist.sample(rng, (count, 1))[:, 0]
-        xv = x.copy()
-        xv[:, 0] = v
-        tv = (np.sort(xv, axis=1) @ self._jvec - self._center) * (
-            math.sqrt(self.n) / self.sigma)
-        gv = -self._infl(v) * self._scale
-        wv = w - g[:, 0] + gv
-        return {"t": t, "w": w, "delta": delta,
-                "g_rep": g[:, :1], "dvar_rep": (tv - wv)[:, None]}
+        dvar = {}
+        for m in modes:
+            if m == "zero_out":
+                v = np.zeros(count)
+            else:
+                v = self.dist.sample(rng, (count, 1))[:, 0]
+            xv = x.copy()
+            xv[:, 0] = v
+            tv = (np.sort(xv, axis=1) @ self._jvec - self._center) * (
+                math.sqrt(self.n) / self.sigma)
+            gv = -self._infl(v) * self._scale
+            dvar[m] = (tv - (w - g[:, 0] + gv))[:, None]
+        return {"t": t, "w": w, "delta": t - w,
+                "g_rep": g[:, :1], "dvar_rep": dvar}
 
     def lipschitz_constant(self):
         return self.weight.c_lip

@@ -18,7 +18,7 @@ from scipy.special import ndtr
 
 from ..errors import UnsupportedModelError
 from ..marginals import LinearPart, UniformMarginal
-from .base import DIST_CATALOG, StatisticModel, check_capacity
+from .base import DIST_CATALOG, StatisticModel, check_capacity, variant_modes
 
 
 @dataclass(frozen=True)
@@ -111,26 +111,31 @@ class WilcoxonModel(StatisticModel):
         g2 -= 0.5
         g2 /= self.n2 * self.sn
         w = g1.sum(axis=1) + g2.sum(axis=1)
-        if mode is None:
+        modes = variant_modes(mode)
+        if not modes:
             return {"t": t, "w": w}
-        delta = t - w
-        if mode == "zero_out":
-            v1 = np.zeros(count)
-            v2 = np.zeros(count)
-        else:
-            v1 = self.dist.sample(rng, (count, 1))[:, 0]
-            v2 = self.dist.sample(rng, (count, 1))[:, 0]
-        # group 1 representative x_1 -> v1: its pairs are the y_j >= x_1
-        dc1 = (y < x[:, :1]).sum(axis=1) - (y < v1[:, None]).sum(axis=1)
-        t1 = ((pair + dc1) / (self.n1 * self.n2) - 0.5) / self.sn
-        w1 = w - g1[:, 0] + (0.5 - self._cdf_rows(v1)) / (self.n1 * self.sn)
-        # group 2 representative y_1 -> v2: its pairs are the x_i <= y_1
-        dc2 = (x <= v2[:, None]).sum(axis=1) - (x <= y[:, :1]).sum(axis=1)
-        t2 = ((pair + dc2) / (self.n1 * self.n2) - 0.5) / self.sn
-        w2 = w - g2[:, 0] + (self._cdf_rows(v2) - 0.5) / (self.n2 * self.sn)
-        dvar = np.stack([t1 - w1, t2 - w2], axis=1)
+        # the pairs each representative takes part in before its swap
+        above_x1 = (y < x[:, :1]).sum(axis=1)
+        below_y1 = (x <= y[:, :1]).sum(axis=1)
+        dvar = {}
+        for m in modes:
+            if m == "zero_out":
+                v1 = np.zeros(count)
+                v2 = np.zeros(count)
+            else:
+                v1 = self.dist.sample(rng, (count, 1))[:, 0]
+                v2 = self.dist.sample(rng, (count, 1))[:, 0]
+            # group 1 representative x_1 -> v1: its pairs are the y_j >= x_1
+            dc1 = above_x1 - (y < v1[:, None]).sum(axis=1)
+            t1 = ((pair + dc1) / (self.n1 * self.n2) - 0.5) / self.sn
+            w1 = w - g1[:, 0] + (0.5 - self._cdf_rows(v1)) / (self.n1 * self.sn)
+            # group 2 representative y_1 -> v2: its pairs are the x_i <= y_1
+            dc2 = (x <= v2[:, None]).sum(axis=1) - below_y1
+            t2 = ((pair + dc2) / (self.n1 * self.n2) - 0.5) / self.sn
+            w2 = w - g2[:, 0] + (self._cdf_rows(v2) - 0.5) / (self.n2 * self.sn)
+            dvar[m] = np.stack([t1 - w1, t2 - w2], axis=1)
         g_rep = np.stack([g1[:, 0], g2[:, 0]], axis=1)
-        return {"t": t, "w": w, "delta": delta, "g_rep": g_rep, "dvar_rep": dvar}
+        return {"t": t, "w": w, "delta": t - w, "g_rep": g_rep, "dvar_rep": dvar}
 
     def _cdf_rows(self, arr):
         a = np.asarray(arr, dtype=float)

@@ -19,7 +19,13 @@ from scipy.special import chdtr, chdtrc
 from ..bound_core import delta_from_truncation
 from ..errors import DegenerateModelError, UnsupportedModelError
 from ..marginals import LinearPart
-from .base import DIST_CATALOG, BaseDist, StatisticModel, check_capacity
+from .base import (
+    DIST_CATALOG,
+    BaseDist,
+    StatisticModel,
+    check_capacity,
+    variant_modes,
+)
 from .kernels import KERNEL_CATALOG, PairKernel, kernel_abs_p
 from .linear import sum_leave_one_out_tail
 
@@ -122,12 +128,15 @@ class UStatModel(StatisticModel):
             s2 = (x * x).sum(axis=1)
             t = self._t_from_power_sums(s1, s2)
             delta = t - w
-        if mode is None:
+        modes = variant_modes(mode)
+        if not modes:
             return {"t": t, "w": w}
-        if self.delta_is_zero:
-            dvar = np.zeros((count, 1))
-        else:
-            if mode == "zero_out":
+        dvar = {}
+        for m in modes:
+            if self.delta_is_zero:
+                dvar[m] = np.zeros((count, 1))
+                continue
+            if m == "zero_out":
                 v = np.zeros(count)
             else:
                 v = self.dist.sample(rng, (count, 1))[:, 0]
@@ -136,7 +145,7 @@ class UStatModel(StatisticModel):
             t_new = self._t_from_power_sums(s1n, s2n)
             w_new = w - g[:, 0] + np.asarray(
                 self.kernel.g_raw(v, self.dist)) * self._g_scale
-            dvar = (t_new - w_new)[:, None]
+            dvar[m] = (t_new - w_new)[:, None]
         return {"t": t, "w": w, "delta": delta,
                 "g_rep": g[:, :1], "dvar_rep": dvar}
 

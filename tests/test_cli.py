@@ -511,6 +511,67 @@ class TestMainExitCodes:
         assert main(["bound", "--config", path, "--output", "rel.csv"]) == 0
         assert (tmp_path / "rel.csv").exists()
 
+    @pytest.mark.parametrize("model", [
+        {"family": "lstat", "weight": "identity", "dist": "std_normal",
+         "n": 8},
+        {"family": "linear", "dist": "uniform01", "n": 2},
+    ])
+    def test_eq26_without_tail_oracle_exits_2_unsampled(
+            self, tmp_path, capsys, monkeypatch, model):
+        # g_i can exceed 1 and there is no W - g_i tail oracle: every z with
+        # (|z| - 2) / 3 >= 0 is named, and nothing is sampled first
+        calls = []
+        monkeypatch.setattr(cli, "sample_pass",
+                            lambda *a, **kw: calls.append(1))
+        doc = make_doc(model=model, bounds=["eq2.6"], z_grid=[0.0, 3.0, 2.5])
+        path = write_config(tmp_path, doc)
+        assert main(["verify", "--config", path]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[1] for line in err] == [" z_grid[1]",
+                                                        " z_grid[2]"], err
+        assert calls == []
+        doc["sweep"] = {"axis": "z", "grid": [3.0]}
+        path = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", path]) == 2
+        assert capsys.readouterr().err.startswith("config: sweep.grid[0]: ")
+        monkeypatch.undo()
+        path = write_config(tmp_path, make_doc(model=model, bounds=["eq2.6"],
+                                               z_grid=[0.0]))
+        assert main(["bound", "--config", path]) == 0
+
+    def test_output_replaces_previous_file(self, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        out.write_text("previous")
+        path = write_config(tmp_path, make_doc())
+        assert main(["bound", "--config", path, "--output", str(out)]) == 0
+        assert out.read_text().startswith("equation_tag,")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json",
+                                                               "rows.csv"]
+
+    @pytest.mark.parametrize("failure", ["render", "write", "rename"])
+    def test_failed_output_keeps_previous_file(self, tmp_path, monkeypatch,
+                                               failure):
+        out = tmp_path / "rows.out"
+        out.write_bytes(b"previous")
+        row = ResultRow(equation_tag="eq2.5", model="m", bound_known=0.1)
+        fmt = "csv"
+        if failure == "render":
+            # JSON output refuses a NaN cell
+            row = ResultRow(equation_tag="eq2.5", model="m",
+                            bound_known=float("nan"))
+            fmt = "json"
+        elif failure == "write":
+            # a lone surrogate renders but has no UTF-8 encoding
+            row = ResultRow(equation_tag="eq2.5", model="m\ud800")
+        else:
+            def fail(*_args):
+                raise OSError("rename failed")
+            monkeypatch.setattr(cli.os, "replace", fail)
+        with pytest.raises((ValueError, OSError)):
+            cli.emit_results([row], fmt, str(out))
+        assert out.read_bytes() == b"previous"
+        assert [p.name for p in tmp_path.iterdir()] == ["rows.out"]
+
     def test_example41_end_to_end(self, tmp_path, capsys):
         out = tmp_path / "e41.csv"
         doc = {"epsilon_grid": [1e-2, 1e-3],
@@ -619,7 +680,7 @@ class TestTagRegistry:
         rows, _ = cmd_bound(parse(make_doc(model=USTAT, bounds=["eq1.4"])))
         assert len(rows) == 1 and calls == []
         cmd_bound(parse(make_doc(model=USTAT, bounds=["eq1.3"])))
-        assert calls and set(calls) == {"zero_out"}
+        assert calls and set(calls) == {("zero_out",)}
 
     def test_app_bounds_skip_beta(self, monkeypatch):
         calls = []

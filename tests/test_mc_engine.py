@@ -1,10 +1,13 @@
 """Seeded chunked sampling engine: determinism, aggregation, distances."""
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from belab import cli
 from belab.errors import ConfigError
 from belab.mc_engine import (
     CHUNK_SIZE,
@@ -151,7 +154,9 @@ class TestChunkBoundaries:
                                          mode=mode)
                       for c, _start, count in layout]
             rows = {key: np.concatenate([ch[key] for ch in chunks])
-                    for key in chunks[0]}
+                    for key in ("t", "w", "delta", "g_rep")}
+            rows["dvar_rep"] = np.concatenate([ch["dvar_rep"][mode]
+                                               for ch in chunks])
             np.testing.assert_array_equal(rows["t"], t)
             np.testing.assert_array_equal(rows["w"], w)
             assert rows["dvar_rep"].shape == (replicates, sizes.size)
@@ -171,6 +176,80 @@ class TestChunkBoundaries:
                                        gdd.mean(), rtol=1e-12)
 
 
+class TestSinglePass:
+    """One sample_chunk call per chunk serves T, W and every variant mode."""
+
+    SEED = SeedSpec(37)
+
+    @pytest.mark.parametrize("family", sorted(CHUNK_MODELS))
+    def test_tuple_modes_equal_single_mode_calls(self, family):
+        model = build_model(CHUNK_MODELS[family])
+        both = ("zero_out", "resample")
+        rng = self.SEED.substream(3)
+        fused = model.sample_chunk(rng, 777, mode=both)
+        plain = model.sample_chunk(self.SEED.substream(3), 777)
+        for key in ("t", "w"):
+            np.testing.assert_array_equal(fused[key], plain[key])
+        assert set(fused["dvar_rep"]) == set(both)
+        for mode in both:
+            single_rng = self.SEED.substream(3)
+            single = model.sample_chunk(single_rng, 777, mode=mode)
+            for key in ("t", "w", "delta", "g_rep"):
+                np.testing.assert_array_equal(fused[key], single[key])
+            np.testing.assert_array_equal(fused["dvar_rep"][mode],
+                                          single["dvar_rep"][mode])
+        # the fused call consumed exactly what the resample call did
+        assert rng.random() == single_rng.random()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("replicates", [1, 4097, 9000])
+    @pytest.mark.parametrize("family", sorted(CHUNK_MODELS))
+    def test_verify_calls_sample_chunk_once_per_chunk(
+            self, monkeypatch, family, replicates, threads):
+        desc = CHUNK_MODELS[family]
+        bounds = (["eq2.3"] if family == "isqrt"
+                  else ["eq1.4", "eq2.3", "eq2.6"])
+        cfg = cli.parse_config(json.dumps({
+            "model": desc, "bounds": bounds, "z_grid": [0.5],
+            "mc": {"master_seed": 5, "replicates": replicates,
+                   "threads": threads}}))
+        runner = cli._Runner(cfg, verify=True)
+        cls = type(runner.model)
+        orig = cls.sample_chunk
+        calls = []
+
+        def counting(model, rng, count, mode=None):
+            calls.append((count, mode))
+            return orig(model, rng, count, mode=mode)
+
+        monkeypatch.setattr(cls, "sample_chunk", counting)
+        rows = runner.run()
+        assert len(rows) == len(bounds) and all(r.empirical is not None
+                                                for r in rows)
+        layout = chunk_layout(replicates)
+        assert sorted(c for c, _m in calls) == sorted(c for _i, _s, c in layout)
+        modes = (() if runner.model.delta_is_zero
+                 else ("zero_out",) if family == "isqrt"
+                 else ("zero_out", "resample"))
+        assert {m for _c, m in calls} == {modes}
+
+    def test_fused_rank_chunk_peak(self):
+        model = build_model({"family": "multisample", "dist": "uniform01",
+                             "n": "1000;1000"})
+
+        def peak(mode):
+            tracemalloc.start()
+            try:
+                model.sample_chunk(self.SEED.substream(0), CHUNK_SIZE,
+                                   mode=mode)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        single = peak("resample")
+        assert peak(("zero_out", "resample")) <= single + 2 ** 20
+
+
 class TestAggregationConventions:
     REPLICATES = 5000
     SEED = SeedSpec(23)
@@ -183,7 +262,9 @@ class TestAggregationConventions:
                                      mode="zero_out")
                   for c, _start, count in chunk_layout(self.REPLICATES)]
         samples = {key: np.concatenate([ch[key] for ch in chunks])
-                   for key in ("w", "delta", "g_rep", "dvar_rep")}
+                   for key in ("w", "delta", "g_rep")}
+        samples["dvar_rep"] = np.concatenate([ch["dvar_rep"]["zero_out"]
+                                              for ch in chunks])
         return samples, model
 
     def _estimate(self, model, thresholds=()):

@@ -161,7 +161,7 @@ class TestModel:
         model = IsqrtModel(Example41Spec(0.02, 50))
         for mode in MODES:
             chunk, r, _x1, v = chunk_and_draws(model, 96, 6, mode)
-            np.testing.assert_allclose(chunk["dvar_rep"][:, 0],
+            np.testing.assert_allclose(chunk["dvar_rep"][mode][:, 0],
                                        isqrt_delta(r + v, 0.02), rtol=1e-14)
 
     def test_per_index_terms_not_materialized(self):
@@ -201,7 +201,7 @@ class TestModel:
         x1 = rng_b.standard_normal(6) / 5.0
         v = rng_b.standard_normal(6) / 5.0
         np.testing.assert_allclose(chunk["w"], r + x1, rtol=1e-14)
-        np.testing.assert_allclose(chunk["dvar_rep"][:, 0],
+        np.testing.assert_allclose(chunk["dvar_rep"]["resample"][:, 0],
                                    isqrt_delta(r + v, 0.05), rtol=1e-12)
 
 
@@ -222,5 +222,5 @@ class TestResampleCouplingAlpha:
         rng = np.random.default_rng(98)
         chunk = model.sample_chunk(rng, 4, mode="zero_out")
         r = chunk["w"] - chunk["g_rep"][:, 0]
-        np.testing.assert_allclose(chunk["dvar_rep"][:, 0],
+        np.testing.assert_allclose(chunk["dvar_rep"]["zero_out"][:, 0],
                                    isqrt_delta(r, 0.05), rtol=1e-12)

@@ -68,7 +68,7 @@ class TestLinearModel:
         for mode in MODES:
             chunk, _x = chunk_and_draws(model, 102, 16, mode)
             assert np.all(chunk["delta"] == 0.0)
-            assert np.all(chunk["dvar_rep"] == 0.0)
+            assert np.all(chunk["dvar_rep"][mode] == 0.0)
             assert np.all(chunk["t"] == chunk["w"])
 
     def test_statistic_is_standardized_sum(self):

@@ -229,7 +229,8 @@ class TestModel:
         model = LStatModel(LStatSpec("const1", "exponential1", 10))
         chunk = model.sample_chunk(rng, 8, mode="zero_out")
         np.testing.assert_allclose(chunk["delta"], 0.0, atol=1e-12)
-        np.testing.assert_allclose(chunk["dvar_rep"], 0.0, atol=1e-12)
+        np.testing.assert_allclose(chunk["dvar_rep"]["zero_out"], 0.0,
+                                   atol=1e-12)
 
     def test_delta_variant_brute(self):
         model = LStatModel(LStatSpec("identity", "uniform01", 6))
@@ -237,7 +238,7 @@ class TestModel:
             chunk, x, v = chunk_and_draws(model, 85, 3, mode)
             for r in range(3):
                 np.testing.assert_allclose(
-                    chunk["dvar_rep"][r, 0], oracle_dvar(model, x[r], v[r]),
+                    chunk["dvar_rep"][mode][r, 0], oracle_dvar(model, x[r], v[r]),
                     rtol=1e-9, atol=1e-13)
 
     def test_resample_variant_draw_order(self):
@@ -250,7 +251,7 @@ class TestModel:
             chunks[mode] = chunk
             for r in range(3):
                 np.testing.assert_allclose(
-                    chunk["dvar_rep"][r, 0], oracle_dvar(model, x[r], v[r]),
+                    chunk["dvar_rep"][mode][r, 0], oracle_dvar(model, x[r], v[r]),
                     rtol=1e-9, atol=1e-13)
         for key in ("t", "w", "delta", "g_rep"):
             np.testing.assert_array_equal(chunks["zero_out"][key],
@@ -264,5 +265,5 @@ class TestModel:
                 t, _w = oracle_t_w(model, x[r])
                 np.testing.assert_allclose(chunk["t"][r], t, rtol=1e-12)
                 np.testing.assert_allclose(
-                    chunk["dvar_rep"][r, 0], oracle_dvar(model, x[r], v[r]),
+                    chunk["dvar_rep"][mode][r, 0], oracle_dvar(model, x[r], v[r]),
                     rtol=1e-9, atol=1e-13)

@@ -135,7 +135,7 @@ class TestLeaveOneOut:
             chunk, x, y, v = chunk_and_draws(model, 72, 3, mode)
             for r in range(3):
                 np.testing.assert_allclose(
-                    chunk["dvar_rep"][r], oracle_dvar(model, x[r], y[r], v[r]),
+                    chunk["dvar_rep"][mode][r], oracle_dvar(model, x[r], y[r], v[r]),
                     rtol=1e-10, atol=1e-15)
 
     def test_resample_both_groups(self):
@@ -147,7 +147,7 @@ class TestLeaveOneOut:
             chunks[mode] = chunk
             for r in range(3):
                 np.testing.assert_allclose(
-                    chunk["dvar_rep"][r], oracle_dvar(model, x[r], y[r], v[r]),
+                    chunk["dvar_rep"][mode][r], oracle_dvar(model, x[r], y[r], v[r]),
                     rtol=1e-10, atol=1e-15)
         for key in ("t", "w", "delta", "g_rep"):
             np.testing.assert_array_equal(chunks["zero_out"][key],
@@ -165,7 +165,7 @@ class TestLeaveOneOut:
                 rtol=1e-12, atol=1e-15)
             for r in range(4):
                 np.testing.assert_allclose(
-                    chunk["dvar_rep"][r], oracle_dvar(model, x[r], y[r], v[r]),
+                    chunk["dvar_rep"][mode][r], oracle_dvar(model, x[r], y[r], v[r]),
                     rtol=1e-10, atol=1e-15)
                 np.testing.assert_allclose(chunk["t"][r] - chunk["w"][r],
                                            chunk["delta"][r], atol=1e-15)

@@ -206,7 +206,7 @@ class TestLeaveOneOut:
             chunk, x, v = chunk_and_draws(model, 44, 3, mode)
             for r in range(3):
                 np.testing.assert_allclose(
-                    chunk["dvar_rep"][r, 0], oracle_dvar(model, x[r], v[r]),
+                    chunk["dvar_rep"][mode][r, 0], oracle_dvar(model, x[r], v[r]),
                     rtol=1e-9, atol=1e-12)
 
     def test_resample_draw_order(self):
@@ -219,7 +219,7 @@ class TestLeaveOneOut:
             chunks[mode] = chunk
             for r in range(4):
                 np.testing.assert_allclose(
-                    chunk["dvar_rep"][r, 0], oracle_dvar(model, x[r], v[r]),
+                    chunk["dvar_rep"][mode][r, 0], oracle_dvar(model, x[r], v[r]),
                     rtol=1e-9, atol=1e-12)
         for key in ("t", "w", "delta", "g_rep"):
             np.testing.assert_array_equal(chunks["zero_out"][key],
@@ -244,7 +244,7 @@ class TestLeaveOneOut:
         for mode in MODES:
             chunk = model.sample_chunk(SeedSpec(47).substream(0), 5, mode=mode)
             assert np.all(chunk["delta"] == 0.0)
-            assert np.all(chunk["dvar_rep"] == 0.0)
+            assert np.all(chunk["dvar_rep"][mode] == 0.0)
 
 
 class TestMomentsBundle:
