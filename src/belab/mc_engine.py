@@ -12,7 +12,7 @@ leave-one-out rows of every requested variant mode. `collect_t_w` and
 
 A sampled moment is the mean of one row of per-replicate values. Each chunk
 stacks its rows for each mode in one C-contiguous (K, count) float64 array
-in a fixed order (see _component_rows) and reduces them along the contiguous
+in a fixed order (see sample_pass) and reduces them along the contiguous
 axis: numpy's pairwise sum, and the sum of squared deviations from the
 chunk's row mean (M2). `_mean_se`, the one place that turns blocks into a
 mean and a standard error, combines the per-row sums with math.fsum and
@@ -137,32 +137,11 @@ def _mean_se(blocks, replicates: int):
             for m, v in zip(means, m2)]
 
 
-def _component_rows(chunk, mode, weights, include_l2, thresholds):
-    """One chunk's moment rows in one variant mode, stacked as a (K, count)
-    array: |W D|, sum_j n_j |g_j (D - D_j)|, |D|, then, where the model has
-    an L2 remainder, D^2 and (D - D_j)^2 for each group, then 1{|D| > thr}
-    for each threshold."""
-    delta = chunk["delta"]
-    diff = delta[:, None] - chunk["dvar_rep"][mode]
-    n_l2 = 1 + weights.size if include_l2 else 0
-    rows = np.empty((3 + n_l2 + len(thresholds), delta.size))
-    np.abs(chunk["w"] * delta, out=rows[0])
-    rows[1] = (np.abs(chunk["g_rep"] * diff) * weights).sum(axis=1)
-    np.abs(delta, out=rows[2])
-    if include_l2:
-        np.multiply(delta, delta, out=rows[3])
-        rows[4:3 + n_l2] = (diff * diff).T
-    rows[3 + n_l2:] = rows[2] > thresholds
-    return rows
-
-
-def _estimates(model, stats, replicates, weights, include_l2,
-               delta_thresholds):
+def _estimates(model, stats, replicates, weights, n_l2, delta_thresholds):
     """ComponentEstimates from the (mean, se) of each stacked row."""
     est = [MomentEstimate(m, se, replicates) for m, se in stats]
-    n_l2 = 1 + weights.size if include_l2 else 0
     delta_l2 = sum_gl2 = None
-    if include_l2:
+    if n_l2:
         roots = [(math.sqrt(m), se / (2.0 * math.sqrt(m)) if m > 0 else 0.0)
                  for m, se in stats[3:3 + n_l2]]
         delta_l2 = MomentEstimate(*roots[0], replicates)
@@ -182,17 +161,32 @@ def sample_pass(model, replicates: int, seed: SeedSpec, modes=(),
     """One sampling pass: (t, w, {mode: ComponentEstimates}).
 
     Each chunk calls sample_chunk once with all the variant modes, so one
-    draw of its data block gives the T and W slices (written into
-    preallocated arrays when keep_tw is set; None otherwise) and the moment
-    rows of every mode, reduced inside the chunk. A structurally zero
-    remainder gives exact zero components without sampling its modes;
-    with nothing to sample, nothing is drawn."""
+    draw of its data block gives its T and W slices (written into
+    preallocated arrays when keep_tw is set; None otherwise) and, for each
+    mode, the rows of one (K, count) array: |W D|, sum_j n_j |g_j (D - D_j)|,
+    |D|, then, where the model has an L2 remainder, D^2 and (D - D_j)^2 for
+    each group, then 1{|D| > thr} for each threshold. A structurally zero
+    remainder gives exact zero components without sampling its modes; with
+    nothing to sample, nothing is drawn."""
     t = np.empty(replicates) if keep_tw else None
     w = np.empty(replicates) if keep_tw else None
-    sampled = () if model.delta_is_zero else modes
-    include_l2 = model.supports_delta_l2
+    sampled = () if model.delta_is_zero else tuple(modes)
     weights = np.array([float(s) for s in model.group_sizes])
+    n_l2 = 1 + weights.size if model.supports_delta_l2 else 0
     thresholds = np.array(delta_thresholds, dtype=float)[:, None]
+
+    def mode_rows(chunk, mode):
+        delta = chunk["delta"]
+        diff = delta[:, None] - chunk["dvar_rep"][mode]
+        rows = np.empty((3 + n_l2 + len(thresholds), delta.size))
+        np.abs(chunk["w"] * delta, out=rows[0])
+        rows[1] = (np.abs(chunk["g_rep"] * diff) * weights).sum(axis=1)
+        np.abs(delta, out=rows[2])
+        if n_l2:
+            np.multiply(delta, delta, out=rows[3])
+            rows[4:3 + n_l2] = (diff * diff).T
+        rows[3 + n_l2:] = rows[2] > thresholds
+        return rows
 
     def one_chunk(args):
         c, start, count = args
@@ -200,24 +194,18 @@ def sample_pass(model, replicates: int, seed: SeedSpec, modes=(),
         if keep_tw:
             t[start:start + count] = chunk["t"]
             w[start:start + count] = chunk["w"]
-        return [_row_moments(_component_rows(chunk, m, weights, include_l2,
-                                             thresholds))
-                for m in sampled]
+        return [_row_moments(mode_rows(chunk, m)) for m in sampled]
 
     blocks = (_map_chunks(one_chunk, replicates, threads)
               if keep_tw or sampled else [])
-    zero = MomentEstimate(0.0)
-    comps = {}
-    for k, mode in enumerate(modes):
-        if model.delta_is_zero:
-            comps[mode] = ComponentEstimates(
-                zero, zero, zero, zero, zero,
-                {thr: zero for thr in delta_thresholds})
-        else:
-            stats = _mean_se([b[k] for b in blocks], replicates)
-            comps[mode] = _estimates(model, stats, replicates, weights,
-                                     include_l2, delta_thresholds)
-    return t, w, comps
+    if model.delta_is_zero:
+        zero = MomentEstimate(0.0)
+        return t, w, {mode: ComponentEstimates(
+            zero, zero, zero, zero, zero,
+            {thr: zero for thr in delta_thresholds}) for mode in modes}
+    return t, w, {mode: _estimates(
+        model, _mean_se([b[k] for b in blocks], replicates), replicates,
+        weights, n_l2, delta_thresholds) for k, mode in enumerate(sampled)}
 
 
 def components_via_engine(model, replicates: int, seed: SeedSpec, mode="zero_out",
