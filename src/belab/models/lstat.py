@@ -188,8 +188,8 @@ class LStatModel(StatisticModel):
 
     def sample_chunk(self, rng, count, mode=None):
         x = self.dist.sample(rng, (count, self.n))
-        xs = np.sort(x, axis=1)
-        t = (xs @ self._jvec - self._center) * (math.sqrt(self.n) / self.sigma)
+        t = (np.sort(x, axis=1) @ self._jvec - self._center) * (
+            math.sqrt(self.n) / self.sigma)
         g = -self._infl(x) * self._scale
         w = g.sum(axis=1)
         modes = variant_modes(mode)
@@ -201,9 +201,10 @@ class LStatModel(StatisticModel):
                 v = np.zeros(count)
             else:
                 v = self.dist.sample(rng, (count, 1))[:, 0]
-            xv = x.copy()
-            xv[:, 0] = v
-            tv = (np.sort(xv, axis=1) @ self._jvec - self._center) * (
+            # x is not read again, so each mode swaps its replacement into
+            # the first column in place instead of copying the block
+            x[:, 0] = v
+            tv = (np.sort(x, axis=1) @ self._jvec - self._center) * (
                 math.sqrt(self.n) / self.sigma)
             gv = -self._infl(v) * self._scale
             dvar[m] = (tv - (w - g[:, 0] + gv))[:, None]
