@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 from scipy.special import ndtr
 
 from .errors import DegenerateModelError, DomainError
@@ -224,6 +223,7 @@ def coupling_gini(r: float) -> float:
     adaptive quadrature honest at large r where the direct form concentrates
     all mass in a spike of relative width r^(-3/2).
     """
+    from scipy import integrate
     r = abs(r)
 
     def q(x):
@@ -261,6 +261,7 @@ def alpha_scale(nu: float) -> float:
         raise DomainError("nu must lie in (0, 1)")
     if nu < _ALPHA_SERIES_CUT:
         return ALPHA_SERIES_A - ALPHA_SERIES_B * math.sqrt(nu)
+    from scipy import integrate
     sig_r = math.sqrt(1.0 - nu * nu)
     weight = lambda r: math.exp(-0.5 * (nu * r / sig_r) ** 2) * _PHI0 / sig_r
     fn = lambda r: weight(r) * coupling_gini(r)

@@ -859,6 +859,9 @@ def main(argv=None) -> int:
     except (BelabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 3
     if any(row.pass_flag is False for row in rows):
         return 1
     return 0

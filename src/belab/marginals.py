@@ -16,7 +16,6 @@ import math
 from abc import ABC, abstractmethod
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gammainc, gammaln, ndtr
 
 from .errors import NumericError
@@ -34,6 +33,7 @@ def quad_segments(fn, edges, epsabs=QUAD_EPSABS):
     Splitting at known kinks/transitions keeps the adaptive rule honest;
     a naive single call can miss narrow features entirely.
     """
+    from scipy import integrate
     total = 0.0
     err = 0.0
     for a, b in zip(edges[:-1], edges[1:]):

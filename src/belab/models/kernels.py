@@ -13,7 +13,6 @@ from abc import ABC, abstractmethod
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 from ..errors import UnsupportedModelError
 from ..marginals import (
@@ -59,6 +58,7 @@ class PairKernel(ABC):
 
     def h_abs_p(self, dist: BaseDist, p: float) -> float:
         """E|h(X, Y)|^p by double quadrature over the base density."""
+        from scipy import integrate
         if not dist.continuous:
             raise UnsupportedModelError(
                 f"{self.name}: no kernel moment oracle for {dist.name}")

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 from scipy.special import ndtr
 
 from ..errors import NumericError, UnsupportedModelError
@@ -125,6 +124,7 @@ def t_center(weight: WeightFn, dist: BaseDist) -> float:
 
 def sigma_double_integral(weight: WeightFn, dist: BaseDist) -> float:
     """sigma^2 = 2 * iint_{s<t} J(F(s)) J(F(t)) F(s)(1 - F(t)) dt ds."""
+    from scipy import integrate
     lo, hi = dist.support
 
     def inner(t, s):
@@ -188,28 +188,36 @@ class LStatModel(StatisticModel):
 
     def sample_chunk(self, rng, count, mode=None):
         x = self.dist.sample(rng, (count, self.n))
-        t = (np.sort(x, axis=1) @ self._jvec - self._center) * (
-            math.sqrt(self.n) / self.sigma)
         g = -self._infl(x) * self._scale
         w = g.sum(axis=1)
+        g_rep = g[:, :1].copy()
+        del g
+        cur = x[:, 0].copy()
+        # T reads only the order statistics, so x is sorted in place
+        x.sort(axis=1)
+        t = (x @ self._jvec - self._center) * (math.sqrt(self.n) / self.sigma)
         modes = variant_modes(mode)
         if not modes:
             return {"t": t, "w": w}
+        rows = np.arange(count)
         dvar = {}
         for m in modes:
             if m == "zero_out":
                 v = np.zeros(count)
             else:
                 v = self.dist.sample(rng, (count, 1))[:, 0]
-            # x is not read again, so each mode swaps its replacement into
-            # the first column in place instead of copying the block
-            x[:, 0] = v
-            tv = (np.sort(x, axis=1) @ self._jvec - self._center) * (
+            # swap the representative's current value for v where it sits
+            # in the sorted row; a stable sort then moves the one element
+            # that is out of place
+            x[rows, (x < cur[:, None]).sum(axis=1)] = v
+            x.sort(axis=1, kind="stable")
+            cur = v
+            tv = (x @ self._jvec - self._center) * (
                 math.sqrt(self.n) / self.sigma)
             gv = -self._infl(v) * self._scale
-            dvar[m] = (tv - (w - g[:, 0] + gv))[:, None]
+            dvar[m] = (tv - (w - g_rep[:, 0] + gv))[:, None]
         return {"t": t, "w": w, "delta": t - w,
-                "g_rep": g[:, :1], "dvar_rep": dvar}
+                "g_rep": g_rep, "dvar_rep": dvar}
 
     def lipschitz_constant(self):
         return self.weight.c_lip

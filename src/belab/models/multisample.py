@@ -59,11 +59,9 @@ def multisample_value(kernel_fn, samples, degrees) -> float:
     return total / count
 
 
-def _pair_counts(x, y):
-    """Per-row count of the pairs (i, j) with x_i <= y_j; sorted needles
-    keep each row's searchsorted cache-local."""
-    xs = np.sort(x, axis=1)
-    ys = np.sort(y, axis=1)
+def _pair_counts(xs, ys):
+    """Per-row count of the pairs (i, j) with x_i <= y_j from row-sorted
+    blocks; sorted needles keep each row's searchsorted cache-local."""
     return np.array([np.searchsorted(a, b, side="right").sum()
                      for a, b in zip(xs, ys)], dtype=float)
 
@@ -77,10 +75,14 @@ def multisample_sigma(spec: MultiUStatSpec) -> float:
 class WilcoxonModel(StatisticModel):
     """Two-sample rank-score statistic under a continuous catalog law.
 
-    The pair count takes one sorted searchsorted per replicate row. Swapping
-    one observation moves that count by a row-wise comparison against the
-    other sample, so the leave-one-out remainders are whole-chunk array
-    arithmetic. Ties have probability zero. The projections
+    A chunk builds the projection blocks one at a time and keeps only their
+    row sums and representative columns. It then sorts x and y in place,
+    and the pair count takes one searchsorted per sorted replicate row.
+    Swapping one observation moves that count by a row-wise comparison
+    against the other sample, which does not depend on the row order, so
+    the leave-one-out remainders are whole-chunk array arithmetic and a
+    chunk holds at most x, y and one projection block. Ties have
+    probability zero. The projections
     h_1 = 1/2 - F(x), h_2 = F(y) - 1/2 are Uniform(-1/2, 1/2) whatever the
     continuous F, so every moment oracle here is distribution-free.
     """
@@ -101,22 +103,34 @@ class WilcoxonModel(StatisticModel):
     def sample_chunk(self, rng, count, mode=None):
         x = self.dist.sample(rng, (count, self.n1))
         y = self.dist.sample(rng, (count, self.n2))
-        pair = _pair_counts(x, y)
-        t = (pair / (self.n1 * self.n2) - 0.5) / self.sn
-        # in place, so a chunk holds no more than x, y, g1 and g2 at once
+        modes = variant_modes(mode)
+        # each projection block is built in place and dropped once its row
+        # sums and representative column are taken, so a chunk holds no
+        # more than x, y and one projection block at once
         g1 = self._cdf_rows(x)
         np.subtract(0.5, g1, out=g1)
         g1 /= self.n1 * self.sn
+        g_rep = np.empty((count, 2))
+        g_rep[:, 0] = g1[:, 0]
+        w1_sum = g1.sum(axis=1)
+        del g1
         g2 = self._cdf_rows(y)
         g2 -= 0.5
         g2 /= self.n2 * self.sn
-        w = g1.sum(axis=1) + g2.sum(axis=1)
-        modes = variant_modes(mode)
+        g_rep[:, 1] = g2[:, 0]
+        w = w1_sum + g2.sum(axis=1)
+        del g2
+        if modes:
+            # the pairs each representative takes part in before its swap
+            above_x1 = (y < x[:, :1]).sum(axis=1)
+            below_y1 = (x <= y[:, :1]).sum(axis=1)
+        # every later read of x and y is order-free
+        x.sort(axis=1)
+        y.sort(axis=1)
+        pair = _pair_counts(x, y)
+        t = (pair / (self.n1 * self.n2) - 0.5) / self.sn
         if not modes:
             return {"t": t, "w": w}
-        # the pairs each representative takes part in before its swap
-        above_x1 = (y < x[:, :1]).sum(axis=1)
-        below_y1 = (x <= y[:, :1]).sum(axis=1)
         dvar = {}
         for m in modes:
             if m == "zero_out":
@@ -128,13 +142,12 @@ class WilcoxonModel(StatisticModel):
             # group 1 representative x_1 -> v1: its pairs are the y_j >= x_1
             dc1 = above_x1 - (y < v1[:, None]).sum(axis=1)
             t1 = ((pair + dc1) / (self.n1 * self.n2) - 0.5) / self.sn
-            w1 = w - g1[:, 0] + (0.5 - self._cdf_rows(v1)) / (self.n1 * self.sn)
+            w1 = w - g_rep[:, 0] + (0.5 - self._cdf_rows(v1)) / (self.n1 * self.sn)
             # group 2 representative y_1 -> v2: its pairs are the x_i <= y_1
             dc2 = (x <= v2[:, None]).sum(axis=1) - below_y1
             t2 = ((pair + dc2) / (self.n1 * self.n2) - 0.5) / self.sn
-            w2 = w - g2[:, 0] + (self._cdf_rows(v2) - 0.5) / (self.n2 * self.sn)
+            w2 = w - g_rep[:, 1] + (self._cdf_rows(v2) - 0.5) / (self.n2 * self.sn)
             dvar[m] = np.stack([t1 - w1, t2 - w2], axis=1)
-        g_rep = np.stack([g1[:, 0], g2[:, 0]], axis=1)
         return {"t": t, "w": w, "delta": t - w, "g_rep": g_rep, "dvar_rep": dvar}
 
     def _cdf_rows(self, arr):
@@ -144,7 +157,11 @@ class WilcoxonModel(StatisticModel):
         if self.spec.dist == "std_normal":
             return ndtr(a)
         if self.spec.dist == "exponential1":
-            return -np.expm1(-np.maximum(a, 0.0))
+            # -expm1(-max(a, 0)), in one new array
+            out = np.maximum(a, 0.0)
+            np.negative(out, out=out)
+            np.expm1(out, out=out)
+            return np.negative(out, out=out)
         raise UnsupportedModelError(self.spec.dist)
 
     def moments(self, p: float = 3.0) -> dict:

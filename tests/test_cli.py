@@ -484,6 +484,22 @@ class TestMainExitCodes:
         assert main(["bound", "--config", path]) == 3
         assert "error:" in capsys.readouterr().err
 
+    # both sizes need more bytes than any 64-bit address space holds, so
+    # numpy refuses the allocation up front whatever the overcommit policy
+    @pytest.mark.parametrize("command,doc", [
+        ("bound", make_doc(model={"family": "lstat", "weight": "identity",
+                                  "dist": "uniform01", "n": 10 ** 17},
+                           bounds=["eq2.3"])),
+        ("verify", make_doc(model={"family": "linear", "dist": "rademacher",
+                                   "n": 10 ** 14},
+                            mc={"master_seed": 1, "replicates": 1000})),
+    ])
+    def test_out_of_memory_exits_3(self, tmp_path, capsys, command, doc):
+        path = write_config(tmp_path, doc)
+        assert main([command, "--config", path]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: out of memory: "), err
+
     def test_failed_certification_exit(self, tmp_path, capsys, monkeypatch):
         row = ResultRow(equation_tag="eq2.5", model="m", bound_known=0.1,
                         bound_c_coeff=0.0, empirical=0.5, dkw_radius=0.01,

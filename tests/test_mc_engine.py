@@ -249,6 +249,25 @@ class TestSinglePass:
         single = peak("resample")
         assert peak(("zero_out", "resample")) <= single + 2 ** 20
 
+    @pytest.mark.parametrize("desc,width", [
+        # x, y and one projection block
+        ({"family": "multisample", "dist": "uniform01", "n": "1000;1000"},
+         1000),
+        # x, one projection block and one temporary of the influence
+        ({"family": "lstat", "weight": "identity", "dist": "uniform01",
+          "n": 400}, 400),
+    ])
+    def test_fused_chunk_peak_in_data_blocks(self, desc, width):
+        model = build_model(desc)
+        tracemalloc.start()
+        try:
+            model.sample_chunk(self.SEED.substream(0), CHUNK_SIZE,
+                               mode=("zero_out", "resample"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * CHUNK_SIZE * width * 8 + 2 ** 20
+
 
 class TestAggregationConventions:
     REPLICATES = 5000

@@ -1,4 +1,5 @@
 """Standardized i.i.d. sums and the exact coin-flip distance."""
+import json
 import math
 import os
 import subprocess
@@ -136,12 +137,66 @@ class TestHalfBinomial:
         assert half_binom_cdf(40, 5) == 1.0
 
 
-def test_import_skips_scipy_stats():
+def _run_fresh(code, *args):
+    """Run code in a new interpreter that imports belab from this tree."""
     src = str(Path(belab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, belab; print('scipy.stats' in sys.modules)"],
-        capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", code, *args],
+                         capture_output=True, text=True, env=env, check=True)
+    return out.stdout.strip()
+
+
+def test_import_skips_scipy_stats():
+    assert _run_fresh(
+        "import sys, belab; print('scipy.stats' in sys.modules)") == "False"
+
+
+# runs each (command, config) through cli.main, then names the lazily
+# imported scipy modules that the runs loaded
+_QUADRATURE_PROBE = """
+import json, os, sys
+import belab
+from belab.cli import main
+out_dir = sys.argv[1]
+for k, (command, doc) in enumerate(json.loads(sys.argv[2])):
+    path = os.path.join(out_dir, f"cfg{k}.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    assert main([command, "--config", path,
+                 "--output", os.path.join(out_dir, f"rows{k}.csv")]) == 0
+print(" ".join(m for m in ("scipy.integrate", "scipy.optimize")
+               if m in sys.modules))
+"""
+_GENERAL = ["eq1.3", "eq1.4", "eq2.3", "eq2.4", "eq2.5", "eq2.6", "eq2.9"]
+
+
+def _quadrature_modules(tmp_path, runs):
+    return _run_fresh(_QUADRATURE_PROBE, str(tmp_path), json.dumps(runs))
+
+
+def test_runs_without_quadrature_skip_scipy_integrate(tmp_path):
+    mc = {"master_seed": 3, "replicates": 1000}
+    runs = [
+        ("verify", {"model": {"family": "multisample", "kernel": "wilcoxon",
+                              "dist": "uniform01", "n": "40;30"},
+                    "bounds": _GENERAL + ["eq3.7", "eq3.8"],
+                    "z_grid": [0.0, 1.0], "mc": mc}),
+        ("bound", {"model": {"family": "linear", "dist": "rademacher",
+                             "n": 100},
+                   "bounds": _GENERAL, "z_grid": [0.0, 1.0], "mc": mc}),
+        ("bound", {"model": {"family": "isqrt", "epsilon": 0.05, "n": 100},
+                   "bounds": ["eq1.3", "eq1.4", "eq2.3", "eq2.4", "eq2.5"],
+                   "mc": mc}),
+    ]
+    assert _quadrature_modules(tmp_path, runs) == ""
+
+
+def test_quadrature_loads_scipy_integrate(tmp_path):
+    # the variance kernel's moments are double integrals, so the probe
+    # above can see a module load
+    runs = [("bound", {"model": {"family": "ustat", "kernel": "variance",
+                                 "dist": "std_normal", "n": 20},
+                       "bounds": ["eq3.1"],
+                       "mc": {"master_seed": 3, "replicates": 1000}})]
+    assert "scipy.integrate" in _quadrature_modules(tmp_path, runs).split()
