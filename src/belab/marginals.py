@@ -9,6 +9,11 @@ moments of the remainder) come from mc_engine, not from here.
 
 A LinearPart groups identical marginals with counts and exposes the sums
 that the bound formulas need.
+
+scipy.integrate (which pulls in scipy.optimize and scipy.linalg) is imported
+at the first quadrature, not with the package: bound and verify runs on
+linear sums of rademacher, uniform or normal terms, on the rank statistic
+and on the isqrt model never reach one.
 """
 from __future__ import annotations
 

@@ -104,9 +104,8 @@ class WilcoxonModel(StatisticModel):
         x = self.dist.sample(rng, (count, self.n1))
         y = self.dist.sample(rng, (count, self.n2))
         modes = variant_modes(mode)
-        # each projection block is built in place and dropped once its row
-        # sums and representative column are taken, so a chunk holds no
-        # more than x, y and one projection block at once
+        # each projection block is dropped once its row sums and
+        # representative column are taken
         g1 = self._cdf_rows(x)
         np.subtract(0.5, g1, out=g1)
         g1 /= self.n1 * self.sn
