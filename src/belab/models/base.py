@@ -11,6 +11,11 @@ is among the requested variant modes, one fresh draw per representative
 index, again replicate-major. zero_out draws nothing, so one chunk call
 serves T, W and every variant mode, and its rows depend only on its stream
 and its size, never on which modes were asked for.
+
+Working set: a chunk holds its whole data block, but the transforms of it
+that no result needs whole (projections, comparison masks) are computed
+ROW_TILE rows at a time (`row_tiles`). Each tiled step is row by row or
+elementwise, so its rows are bit-identical to the whole-block step.
 """
 from __future__ import annotations
 
@@ -31,6 +36,39 @@ def check_capacity(count: int, what: str):
     if count > ENUMERATION_CAP:
         raise CapacityError(
             f"{count} {what} exceed the enumeration cap {ENUMERATION_CAP}")
+
+
+# rows per tile of a block-sized transform: a 1000-wide float64 tile is
+# about 1 MB, whatever the chunk size
+ROW_TILE = 128
+
+
+def row_tiles(count: int):
+    """Slices of at most ROW_TILE consecutive rows that cover range(count)."""
+    for start in range(0, count, ROW_TILE):
+        yield slice(start, min(start + ROW_TILE, count))
+
+
+def projection_sums(block, transform):
+    """(row sums, first column) of transform(block), computed tile by tile;
+    `transform` must act on each row alone."""
+    sums = np.empty(len(block))
+    first = np.empty(len(block))
+    for rows in row_tiles(len(block)):
+        g = transform(block[rows])
+        sums[rows] = g.sum(axis=1)
+        first[rows] = g[:, 0]
+        del g  # else it is held while the next tile is made
+    return sums, first
+
+
+def row_counts(compare, block, values):
+    """Per-row count of the j with compare(block[r, j], values[r]), e.g.
+    compare=np.less, computed tile by tile."""
+    out = np.empty(len(block), dtype=np.intp)
+    for rows in row_tiles(len(block)):
+        out[rows] = compare(block[rows], values[rows, None]).sum(axis=1)
+    return out
 
 
 VARIANT_MODES = ("zero_out", "resample")
@@ -81,6 +119,11 @@ class BaseDist:
         raise UnsupportedModelError(f"no cdf for {self.name}")
 
     def sample(self, rng: np.random.Generator, size):
+        cells = math.prod(size) if isinstance(size, tuple) else int(size)
+        if cells * 8 > np.iinfo(np.intp).max:
+            # numpy would raise ValueError("array is too big") instead
+            raise MemoryError(f"a block of {cells} draws needs {cells * 8} "
+                              f"bytes, more than numpy can index")
         if self.name == "std_normal":
             return rng.standard_normal(size)
         if self.name == "uniform01":

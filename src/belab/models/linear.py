@@ -20,7 +20,7 @@ from ..marginals import (
     NormalMarginal,
     UniformMarginal,
 )
-from .base import DIST_CATALOG, StatisticModel, variant_modes
+from .base import DIST_CATALOG, StatisticModel, projection_sums, variant_modes
 
 
 @dataclass(frozen=True)
@@ -112,13 +112,13 @@ class LinearModel(StatisticModel):
 
     def sample_chunk(self, rng, count, mode=None):
         x = self.dist.sample(rng, (count, self.n))
-        g = (x - self.dist.mean) * self._scale
-        w = g.sum(axis=1)
+        w, rep = projection_sums(
+            x, lambda b: (b - self.dist.mean) * self._scale)
         t = w.copy()
         modes = variant_modes(mode)
         if not modes:
             return {"t": t, "w": w}
-        return {"t": t, "w": w, "delta": np.zeros(count), "g_rep": g[:, :1],
+        return {"t": t, "w": w, "delta": np.zeros(count), "g_rep": rep[:, None],
                 "dvar_rep": {m: np.zeros((count, 1)) for m in modes}}
 
     def linear_ks_exact(self):

@@ -22,7 +22,14 @@ from scipy.special import ndtr
 
 from ..errors import NumericError, UnsupportedModelError
 from ..marginals import LinearPart, MonotoneMarginal, quad_segments
-from .base import DIST_CATALOG, BaseDist, StatisticModel, variant_modes
+from .base import (
+    DIST_CATALOG,
+    BaseDist,
+    StatisticModel,
+    projection_sums,
+    row_counts,
+    variant_modes,
+)
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -188,10 +195,8 @@ class LStatModel(StatisticModel):
 
     def sample_chunk(self, rng, count, mode=None):
         x = self.dist.sample(rng, (count, self.n))
-        g = -self._infl(x) * self._scale
-        w = g.sum(axis=1)
-        g_rep = g[:, :1].copy()
-        del g
+        w, rep = projection_sums(x, lambda b: -self._infl(b) * self._scale)
+        g_rep = rep[:, None]
         cur = x[:, 0].copy()
         # T reads only the order statistics, so x is sorted in place
         x.sort(axis=1)
@@ -209,7 +214,7 @@ class LStatModel(StatisticModel):
             # swap the representative's current value for v where it sits
             # in the sorted row; a stable sort then moves the one element
             # that is out of place
-            x[rows, (x < cur[:, None]).sum(axis=1)] = v
+            x[rows, row_counts(np.less, x, cur)] = v
             x.sort(axis=1, kind="stable")
             cur = v
             tv = (x @ self._jvec - self._center) * (

@@ -18,7 +18,14 @@ from scipy.special import ndtr
 
 from ..errors import UnsupportedModelError
 from ..marginals import LinearPart, UniformMarginal
-from .base import DIST_CATALOG, StatisticModel, check_capacity, variant_modes
+from .base import (
+    DIST_CATALOG,
+    StatisticModel,
+    check_capacity,
+    projection_sums,
+    row_counts,
+    variant_modes,
+)
 
 
 @dataclass(frozen=True)
@@ -75,14 +82,14 @@ def multisample_sigma(spec: MultiUStatSpec) -> float:
 class WilcoxonModel(StatisticModel):
     """Two-sample rank-score statistic under a continuous catalog law.
 
-    A chunk builds the projection blocks one at a time and keeps only their
-    row sums and representative columns. It then sorts x and y in place,
-    and the pair count takes one searchsorted per sorted replicate row.
-    Swapping one observation moves that count by a row-wise comparison
-    against the other sample, which does not depend on the row order, so
-    the leave-one-out remainders are whole-chunk array arithmetic and a
-    chunk holds at most x, y and one projection block. Ties have
-    probability zero. The projections
+    A chunk takes the row sums and representative columns of the
+    projections, and the representatives' own pair counts, a row tile at a
+    time. It then sorts x and y in place, and the pair count takes one
+    searchsorted per sorted replicate row. Swapping one observation moves
+    that count by a row-wise comparison against the other sample, which
+    does not depend on the row order and is counted a tile at a time too,
+    so a chunk holds x, y and at most one projection tile besides
+    count-length arrays. Ties have probability zero. The projections
     h_1 = 1/2 - F(x), h_2 = F(y) - 1/2 are Uniform(-1/2, 1/2) whatever the
     continuous F, so every moment oracle here is distribution-free.
     """
@@ -104,25 +111,14 @@ class WilcoxonModel(StatisticModel):
         x = self.dist.sample(rng, (count, self.n1))
         y = self.dist.sample(rng, (count, self.n2))
         modes = variant_modes(mode)
-        # each projection block is dropped once its row sums and
-        # representative column are taken
-        g1 = self._cdf_rows(x)
-        np.subtract(0.5, g1, out=g1)
-        g1 /= self.n1 * self.sn
-        g_rep = np.empty((count, 2))
-        g_rep[:, 0] = g1[:, 0]
-        w1_sum = g1.sum(axis=1)
-        del g1
-        g2 = self._cdf_rows(y)
-        g2 -= 0.5
-        g2 /= self.n2 * self.sn
-        g_rep[:, 1] = g2[:, 0]
-        w = w1_sum + g2.sum(axis=1)
-        del g2
+        sum1, rep1 = projection_sums(x, self._g1_rows)
+        sum2, rep2 = projection_sums(y, self._g2_rows)
+        w = sum1 + sum2
+        g_rep = np.stack([rep1, rep2], axis=1)
         if modes:
             # the pairs each representative takes part in before its swap
-            above_x1 = (y < x[:, :1]).sum(axis=1)
-            below_y1 = (x <= y[:, :1]).sum(axis=1)
+            above_x1 = row_counts(np.less, y, x[:, 0])
+            below_y1 = row_counts(np.less_equal, x, y[:, 0])
         # every later read of x and y is order-free
         x.sort(axis=1)
         y.sort(axis=1)
@@ -139,15 +135,29 @@ class WilcoxonModel(StatisticModel):
                 v1 = self.dist.sample(rng, (count, 1))[:, 0]
                 v2 = self.dist.sample(rng, (count, 1))[:, 0]
             # group 1 representative x_1 -> v1: its pairs are the y_j >= x_1
-            dc1 = above_x1 - (y < v1[:, None]).sum(axis=1)
+            dc1 = above_x1 - row_counts(np.less, y, v1)
             t1 = ((pair + dc1) / (self.n1 * self.n2) - 0.5) / self.sn
             w1 = w - g_rep[:, 0] + (0.5 - self._cdf_rows(v1)) / (self.n1 * self.sn)
             # group 2 representative y_1 -> v2: its pairs are the x_i <= y_1
-            dc2 = (x <= v2[:, None]).sum(axis=1) - below_y1
+            dc2 = row_counts(np.less_equal, x, v2) - below_y1
             t2 = ((pair + dc2) / (self.n1 * self.n2) - 0.5) / self.sn
             w2 = w - g_rep[:, 1] + (self._cdf_rows(v2) - 0.5) / (self.n2 * self.sn)
             dvar[m] = np.stack([t1 - w1, t2 - w2], axis=1)
         return {"t": t, "w": w, "delta": t - w, "g_rep": g_rep, "dvar_rep": dvar}
+
+    def _g1_rows(self, x):
+        """g_1 = (1/2 - F(x)) / (n1 sn), in one new array."""
+        g = self._cdf_rows(x)
+        np.subtract(0.5, g, out=g)
+        g /= self.n1 * self.sn
+        return g
+
+    def _g2_rows(self, y):
+        """g_2 = (F(y) - 1/2) / (n2 sn), in one new array."""
+        g = self._cdf_rows(y)
+        g -= 0.5
+        g /= self.n2 * self.sn
+        return g
 
     def _cdf_rows(self, arr):
         a = np.asarray(arr, dtype=float)

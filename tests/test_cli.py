@@ -40,6 +40,10 @@ def make_doc(**over):
     return doc
 
 
+# a chunk of this model needs more bytes than numpy can index
+HUGE_LINEAR = {"family": "linear", "dist": "rademacher", "n": 10 ** 17}
+
+
 def write_config(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -484,8 +488,9 @@ class TestMainExitCodes:
         assert main(["bound", "--config", path]) == 3
         assert "error:" in capsys.readouterr().err
 
-    # both sizes need more bytes than any 64-bit address space holds, so
-    # numpy refuses the allocation up front whatever the overcommit policy
+    # every size needs more bytes than any 64-bit address space holds, so
+    # numpy refuses the allocation up front whatever the overcommit policy;
+    # the last one needs more bytes than numpy's index type can count
     @pytest.mark.parametrize("command,doc", [
         ("bound", make_doc(model={"family": "lstat", "weight": "identity",
                                   "dist": "uniform01", "n": 10 ** 17},
@@ -493,12 +498,23 @@ class TestMainExitCodes:
         ("verify", make_doc(model={"family": "linear", "dist": "rademacher",
                                    "n": 10 ** 14},
                             mc={"master_seed": 1, "replicates": 1000})),
+        ("verify", make_doc(model=HUGE_LINEAR,
+                            mc={"master_seed": 1, "replicates": 1000})),
     ])
     def test_out_of_memory_exits_3(self, tmp_path, capsys, command, doc):
         path = write_config(tmp_path, doc)
         assert main([command, "--config", path]) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: out of memory: "), err
+
+    def test_oversized_model_still_bounds(self, tmp_path, capsys):
+        # bound samples nothing, so a model too large to sample still gets
+        # its row
+        out = tmp_path / "rows.csv"
+        path = write_config(tmp_path, make_doc(model=HUGE_LINEAR))
+        assert main(["bound", "--config", path, "--output", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert "linear-rademacher-n100000000000000000" in out.read_text()
 
     def test_failed_certification_exit(self, tmp_path, capsys, monkeypatch):
         row = ResultRow(equation_tag="eq2.5", model="m", bound_known=0.1,

@@ -6,11 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import ndtr
 
 from belab import cli
 from belab.errors import ConfigError
 from belab.mc_engine import (
     CHUNK_SIZE,
+    DISTANCE_BLOCK,
     DKW_ALPHA,
     SeedSpec,
     _mean_se,
@@ -34,7 +36,22 @@ from belab.models import (
     UStatSpec,
     build_model,
 )
+from belab.models.base import ROW_TILE, projection_sums, row_counts
 from belab.types import BoundValue, KSResult
+
+MiB = 2 ** 20
+# chunk sizes on both sides of a row tile's edge
+TILE_COUNTS = [1, ROW_TILE - 1, ROW_TILE, ROW_TILE + 1, CHUNK_SIZE]
+
+
+def traced_peak(fn):
+    """Peak traced bytes of one call of fn."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def ustat_model(n=12):
@@ -268,6 +285,45 @@ class TestSinglePass:
             tracemalloc.stop()
         assert peak <= 3 * CHUNK_SIZE * width * 8 + 2 ** 20
 
+    @pytest.mark.parametrize("desc,blocks,width", [
+        # x and y; projections and comparison masks are row tiles
+        *[({"family": "multisample", "dist": dist, "n": "1000;1000"}, 2, 1000)
+          for dist in ("uniform01", "exponential1")],
+        *[({"family": "lstat", "weight": "identity", "dist": dist, "n": 400},
+           1, 400) for dist in ("uniform01", "std_normal", "exponential1")],
+        ({"family": "linear", "dist": "uniform01", "n": 400}, 1, 400),
+    ])
+    def test_tiled_chunk_peak_in_data_blocks(self, desc, blocks, width):
+        model = build_model(desc)
+        peak = traced_peak(lambda: model.sample_chunk(
+            self.SEED.substream(0), CHUNK_SIZE, mode=("zero_out", "resample")))
+        assert peak <= blocks * CHUNK_SIZE * width * 8 + 2 * MiB
+
+
+class TestRowTiles:
+    """The tiled helpers equal their whole-block numpy forms exactly."""
+
+    @pytest.mark.parametrize("count", TILE_COUNTS)
+    def test_projection_sums_equal_whole_block(self, count):
+        block = np.random.default_rng(count).standard_normal((count, 37))
+        transform = lambda b: np.expm1(b) * 0.3
+        sums, first = projection_sums(block, transform)
+        whole = transform(block)
+        np.testing.assert_array_equal(sums, whole.sum(axis=1))
+        np.testing.assert_array_equal(first, whole[:, 0])
+
+    @pytest.mark.parametrize("count", TILE_COUNTS)
+    @pytest.mark.parametrize("compare", [np.less, np.less_equal])
+    def test_row_counts_equal_whole_block(self, count, compare):
+        rng = np.random.default_rng(count)
+        # integer-valued draws, so ties between block and values occur
+        block = rng.integers(0, 9, (count, 23)).astype(float)
+        values = rng.integers(0, 9, count).astype(float)
+        got = row_counts(compare, block, values)
+        np.testing.assert_array_equal(
+            got, compare(block, values[:, None]).sum(axis=1))
+        assert got.dtype == np.intp
+
 
 class TestAggregationConventions:
     REPLICATES = 5000
@@ -361,6 +417,63 @@ class TestStableVariance:
         split = _mean_se([_row_moments(rows[:, a:b])
                           for a, b in ((0, 1), (1, 400), (400, 1000))], 1000)
         np.testing.assert_allclose(split, one, rtol=1e-12)
+
+
+def pooled_grid_ks(a, b):
+    """Two-sample distance from the whole pooled grid at once: the
+    reference for the blocked kernel."""
+    a, b = np.sort(a), np.sort(b)
+    grid = np.concatenate([a, b])
+    fa = np.searchsorted(a, grid, side="right") / a.size
+    fb = np.searchsorted(b, grid, side="right") / b.size
+    return float(np.abs(fa - fb).max())
+
+
+def whole_array_ks_normal(t):
+    """One-sample distance from whole-array gaps: the reference for the
+    blocked kernel."""
+    t = np.sort(t)
+    n = t.size
+    cdf = ndtr(t)
+    i = np.arange(1, n + 1)
+    return float(max((i / n - cdf).max(), (cdf - (i - 1) / n).max(), 0.0))
+
+
+class TestStreamedDistances:
+    """The blocked distance kernels return the whole-array distance, bit
+    for bit, and hold no more than their sorted copies and a block."""
+
+    SIZES = [DISTANCE_BLOCK - 1, DISTANCE_BLOCK, DISTANCE_BLOCK + 1,
+             2 * DISTANCE_BLOCK + 1]
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_equal_to_whole_array(self, size):
+        rng = np.random.default_rng(size)
+        a = rng.standard_normal(size) * 1.05
+        for b in (rng.standard_normal(size) + 0.01,
+                  rng.standard_normal(size // 3 + 5),
+                  rng.standard_normal(2 * size + 3) - 0.02):
+            assert empirical_ks_two_sample(a, b).distance == pooled_grid_ks(a, b)
+            assert empirical_ks_two_sample(b, a).distance == pooled_grid_ks(b, a)
+        assert empirical_ks_vs_normal(a).distance == whole_array_ks_normal(a)
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_equal_to_whole_array_on_ties(self, size):
+        rng = np.random.default_rng(size + 1)
+        a = rng.integers(-3, 4, size).astype(float)
+        b = rng.integers(-2, 4, size // 2 + 7).astype(float)
+        assert empirical_ks_two_sample(a, b).distance == pooled_grid_ks(a, b)
+        assert empirical_ks_two_sample(b, a).distance == pooled_grid_ks(b, a)
+        assert empirical_ks_vs_normal(a).distance == whole_array_ks_normal(a)
+
+    def test_peak_in_sorted_copies(self):
+        rng = np.random.default_rng(41)
+        a = rng.standard_normal(500000)
+        b = rng.standard_normal(500000)
+        assert traced_peak(lambda: empirical_ks_two_sample(a, b)) <= (
+            a.nbytes + b.nbytes + 2 * MiB)
+        assert traced_peak(lambda: empirical_ks_vs_normal(a)) <= (
+            a.nbytes + 2 * MiB)
 
 
 class TestDistances:

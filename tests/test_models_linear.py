@@ -14,8 +14,9 @@ from scipy.stats import binom
 import belab
 from belab.bound_core import check_normalization
 from belab.errors import UnsupportedModelError
-from belab.mc_engine import SeedSpec
+from belab.mc_engine import CHUNK_SIZE, SeedSpec
 from belab.models import LinearModel, LinearSpec, rademacher_ks_exact
+from belab.models.base import ROW_TILE
 from belab.models.linear import half_binom_cdf
 
 
@@ -82,6 +83,23 @@ class TestLinearModel:
             np.testing.assert_allclose(chunk["g_rep"][:, 0],
                                        (x[:, 0] - 1.0) / math.sqrt(20.0),
                                        rtol=1e-12)
+
+    @pytest.mark.parametrize("count", [1, ROW_TILE - 1, ROW_TILE,
+                                       ROW_TILE + 1, CHUNK_SIZE])
+    def test_rows_across_row_tiles(self, count):
+        model = LinearModel(LinearSpec("uniform01", 13))
+        scale = 1.0 / math.sqrt(13.0 / 12.0)
+        for mode in MODES:
+            chunk, x = chunk_and_draws(model, 104, count, mode)
+            want = (np.sum(x, axis=1) - 6.5) * scale
+            np.testing.assert_allclose(chunk["t"], want, rtol=1e-12,
+                                       atol=1e-13)
+            np.testing.assert_allclose(chunk["w"], want, rtol=1e-12,
+                                       atol=1e-13)
+            np.testing.assert_allclose(chunk["g_rep"][:, 0],
+                                       (x[:, 0] - 0.5) * scale, rtol=1e-12)
+            assert chunk["g_rep"].shape == (count, 1)
+            assert np.all(chunk["dvar_rep"][mode] == 0.0)
 
     def test_normalization_all_dists(self):
         for dist in ("std_normal", "uniform01", "rademacher",

@@ -6,9 +6,9 @@ import pytest
 
 from belab.bound_core import check_normalization
 from belab.errors import UnsupportedModelError
-from belab.mc_engine import SeedSpec
+from belab.mc_engine import CHUNK_SIZE, SeedSpec
 from belab.models import LStatModel, LStatSpec, lstat_projection_sigma, lstat_value
-from belab.models.base import DIST_CATALOG
+from belab.models.base import DIST_CATALOG, ROW_TILE
 from belab.models import lstat as lstat_module
 from belab.models.lstat import (
     WEIGHT_CATALOG,
@@ -267,3 +267,38 @@ class TestModel:
                 np.testing.assert_allclose(
                     chunk["dvar_rep"][mode][r, 0], oracle_dvar(model, x[r], v[r]),
                     rtol=1e-9, atol=1e-13)
+
+
+def tile_edge_rows(count):
+    """Every row of a chunk up to two row tiles long; the first and last row
+    of each row tile of a longer one."""
+    if count <= 2 * ROW_TILE:
+        return range(count)
+    return sorted({r for start in range(0, count, ROW_TILE)
+                   for r in (start, min(start + ROW_TILE, count) - 1)})
+
+
+class TestRowTiles:
+    """Chunk sizes on both sides of a row tile's edge: the tiled influence
+    transform and position counts give the oracles' rows in both modes."""
+
+    @pytest.mark.parametrize("weight", ["const1", "identity"])
+    @pytest.mark.parametrize("count", [1, ROW_TILE - 1, ROW_TILE,
+                                       ROW_TILE + 1, CHUNK_SIZE])
+    def test_rows_match_oracles(self, count, weight):
+        model = LStatModel(LStatSpec(weight, "std_normal", 9))
+        infl = influence_closed(model.weight, model.dist)
+        scale = 1.0 / (math.sqrt(9) * model.sigma)
+        for mode in MODES:
+            chunk, x, v = chunk_and_draws(model, 88, count, mode)
+            np.testing.assert_allclose(chunk["w"], -infl(x).sum(axis=1) * scale,
+                                       rtol=1e-10, atol=1e-14)
+            np.testing.assert_allclose(chunk["g_rep"][:, 0],
+                                       -infl(x[:, 0]) * scale, rtol=1e-12)
+            for r in tile_edge_rows(count):
+                t, _w = oracle_t_w(model, x[r])
+                np.testing.assert_allclose(chunk["t"][r], t, rtol=1e-12,
+                                           atol=1e-13)
+                np.testing.assert_allclose(
+                    chunk["dvar_rep"][mode][r, 0],
+                    oracle_dvar(model, x[r], v[r]), rtol=1e-9, atol=1e-13)

@@ -7,13 +7,14 @@ from scipy import stats
 
 from belab.bound_core import check_normalization
 from belab.errors import CapacityError, UnsupportedModelError
-from belab.mc_engine import SeedSpec
+from belab.mc_engine import CHUNK_SIZE, SeedSpec
 from belab.models import (
     MultiUStatSpec,
     WilcoxonModel,
     multisample_sigma,
     multisample_value,
 )
+from belab.models.base import ROW_TILE
 
 
 def rank_kernel(xt, yt):
@@ -169,6 +170,44 @@ class TestLeaveOneOut:
                     rtol=1e-10, atol=1e-15)
                 np.testing.assert_allclose(chunk["t"][r] - chunk["w"][r],
                                            chunk["delta"][r], atol=1e-15)
+
+
+def tile_edge_rows(count):
+    """Every row of a chunk up to two row tiles long; the first and last row
+    of each row tile of a longer one."""
+    if count <= 2 * ROW_TILE:
+        return range(count)
+    return sorted({r for start in range(0, count, ROW_TILE)
+                   for r in (start, min(start + ROW_TILE, count) - 1)})
+
+
+class TestRowTiles:
+    """Chunk sizes on both sides of a row tile's edge: the tiled projections
+    and pair counts give the oracles' rows in both modes."""
+
+    @pytest.mark.parametrize("count", [1, ROW_TILE - 1, ROW_TILE,
+                                       ROW_TILE + 1, CHUNK_SIZE])
+    def test_rows_match_oracles(self, count):
+        model = small_model(5, 4, "exponential1")
+        sn = multisample_sigma(model.spec)
+        cdf = CDF["exponential1"]
+        for mode in MODES:
+            chunk, x, y, v = chunk_and_draws(model, 77, count, mode)
+            np.testing.assert_allclose(chunk["w"], oracle_w(model, x, y),
+                                       rtol=1e-10, atol=1e-14)
+            np.testing.assert_allclose(
+                chunk["g_rep"],
+                np.stack([(0.5 - cdf(x[:, 0])) / (5 * sn),
+                          (cdf(y[:, 0]) - 0.5) / (4 * sn)], axis=1),
+                rtol=1e-12, atol=1e-15)
+            for r in tile_edge_rows(count):
+                np.testing.assert_allclose(
+                    chunk["t"][r], oracle_t(model, x[r], y[r]),
+                    rtol=1e-12, atol=1e-15)
+                np.testing.assert_allclose(
+                    chunk["dvar_rep"][mode][r],
+                    oracle_dvar(model, x[r], y[r], v[r]),
+                    rtol=1e-10, atol=1e-15)
 
 
 class TestDistributionalOracles:
