@@ -43,10 +43,10 @@ def check_capacity(count: int, what: str):
 ROW_TILE = 128
 
 
-def row_tiles(count: int):
-    """Slices of at most ROW_TILE consecutive rows that cover range(count)."""
-    for start in range(0, count, ROW_TILE):
-        yield slice(start, min(start + ROW_TILE, count))
+def row_tiles(count: int, tile: int = ROW_TILE):
+    """Slices of at most `tile` consecutive rows that cover range(count)."""
+    for start in range(0, count, tile):
+        yield slice(start, min(start + tile, count))
 
 
 def projection_sums(block, transform):
@@ -131,7 +131,13 @@ class BaseDist:
         if self.name == "exponential1":
             return rng.standard_exponential(size)
         if self.name == "rademacher":
-            return rng.integers(0, 2, size).astype(np.float64) * 2.0 - 1.0
+            # the int64 draws become +-1.0 in their own buffer, a row tile
+            # at a time, so no block-sized float temporary is made
+            draws = rng.integers(0, 2, size)
+            signs = draws.view(np.float64)
+            for rows in row_tiles(len(draws)):
+                signs[rows] = draws[rows] * 2.0 - 1.0
+            return signs
         raise UnsupportedModelError(f"no sampler for {self.name}")
 
 

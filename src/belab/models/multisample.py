@@ -24,6 +24,7 @@ from .base import (
     check_capacity,
     projection_sums,
     row_counts,
+    row_tiles,
     variant_modes,
 )
 
@@ -68,9 +69,58 @@ def multisample_value(kernel_fn, samples, degrees) -> float:
 
 def _pair_counts(xs, ys):
     """Per-row count of the pairs (i, j) with x_i <= y_j from row-sorted
-    blocks; sorted needles keep each row's searchsorted cache-local."""
+    blocks, one searchsorted per row; sorted needles keep each row's search
+    cache-local. `_tagged_pair_counts` falls back to it on the rows its
+    pooled sort cannot count, and the tests take it as the reference."""
     return np.array([np.searchsorted(a, b, side="right").sum()
                      for a, b in zip(xs, ys)], dtype=float)
+
+
+# rows per tile of the pooled, sample-tagged sort: a 32 x 2000 float64 key
+# tile and its int64 scratch hold about 1 MB together
+PAIR_TILE = 32
+
+
+def _tagged_pair_counts(x, y):
+    """Per-row count of the pairs (i, j) with x_i <= y_j of finite blocks x
+    and y, from one sort of each pooled row; x and y are not changed.
+
+    A tile of rows is copied side by side into one float64 key block, -0.0
+    mapped to +0.0, and the last mantissa bit of each key is overwritten
+    with its sample: 0 for x, 1 for y. That moves a double only within the
+    two bit patterns that agree above the last bit, so two keys from
+    different such pairs keep their order, and once a row is sorted the
+    count is the sum of the y positions minus n2 (n2 - 1) / 2. Ties,
+    adjacent doubles and a meeting of -0.0 and +0.0 can put keys out of
+    order; each of them leaves two sorted neighbours that are equal as
+    doubles or agree above the last bit, and such a row is recounted by
+    `_pair_counts` on sorted copies of its x and y rows.
+    """
+    count, n1 = x.shape
+    n2 = y.shape[1]
+    out = np.empty(count)
+    keys = np.empty((min(PAIR_TILE, count), n1 + n2))
+    bits = keys.view(np.int64)
+    scratch = np.empty_like(bits)
+    positions = np.arange(n1 + n2, dtype=np.int64)
+    for rows in row_tiles(count, PAIR_TILE):
+        used = rows.stop - rows.start
+        key, key_bits, aux = keys[:used], bits[:used], scratch[:used]
+        np.add(x[rows], 0.0, out=key[:, :n1])
+        np.add(y[rows], 0.0, out=key[:, n1:])
+        key_bits[:, :n1] &= -2
+        key_bits[:, n1:] |= 1
+        key.sort(axis=1)
+        np.right_shift(key_bits, 1, out=aux)
+        recount = (aux[:, 1:] == aux[:, :-1]).any(axis=1)
+        recount |= (key[:, 1:] == key[:, :-1]).any(axis=1)
+        np.bitwise_and(key_bits, 1, out=aux)
+        out[rows] = aux @ positions - n2 * (n2 - 1) // 2
+        bad = np.flatnonzero(recount) + rows.start
+        if bad.size:
+            out[bad] = _pair_counts(np.sort(x[bad], axis=1),
+                                    np.sort(y[bad], axis=1))
+    return out
 
 
 def multisample_sigma(spec: MultiUStatSpec) -> float:
@@ -84,12 +134,14 @@ class WilcoxonModel(StatisticModel):
 
     A chunk takes the row sums and representative columns of the
     projections, and the representatives' own pair counts, a row tile at a
-    time. It then sorts x and y in place, and the pair count takes one
-    searchsorted per sorted replicate row. Swapping one observation moves
-    that count by a row-wise comparison against the other sample, which
-    does not depend on the row order and is counted a tile at a time too,
-    so a chunk holds x, y and at most one projection tile besides
-    count-length arrays. Ties have probability zero. The projections
+    time. The pair count of each replicate row comes from one sort of its
+    pooled, sample-tagged keys, PAIR_TILE rows at a time
+    (`_tagged_pair_counts`); the rare row whose sorted keys tie or agree
+    above the last bit is recounted by `_pair_counts`. x and y themselves
+    are never sorted. Swapping one observation moves that count by a row-wise
+    comparison against the other sample, counted a tile at a time too, so
+    a chunk holds x, y and one projection or key tile besides count-length
+    arrays. Ties have probability zero. The projections
     h_1 = 1/2 - F(x), h_2 = F(y) - 1/2 are Uniform(-1/2, 1/2) whatever the
     continuous F, so every moment oracle here is distribution-free.
     """
@@ -119,10 +171,7 @@ class WilcoxonModel(StatisticModel):
             # the pairs each representative takes part in before its swap
             above_x1 = row_counts(np.less, y, x[:, 0])
             below_y1 = row_counts(np.less_equal, x, y[:, 0])
-        # every later read of x and y is order-free
-        x.sort(axis=1)
-        y.sort(axis=1)
-        pair = _pair_counts(x, y)
+        pair = _tagged_pair_counts(x, y)
         t = (pair / (self.n1 * self.n2) - 0.5) / self.sn
         if not modes:
             return {"t": t, "w": w}

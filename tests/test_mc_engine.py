@@ -291,7 +291,8 @@ class TestSinglePass:
           for dist in ("uniform01", "exponential1")],
         *[({"family": "lstat", "weight": "identity", "dist": dist, "n": 400},
            1, 400) for dist in ("uniform01", "std_normal", "exponential1")],
-        ({"family": "linear", "dist": "uniform01", "n": 400}, 1, 400),
+        *[({"family": "linear", "dist": dist, "n": 400}, 1, 400)
+          for dist in ("uniform01", "rademacher")],
     ])
     def test_tiled_chunk_peak_in_data_blocks(self, desc, blocks, width):
         model = build_model(desc)

@@ -1,4 +1,5 @@
 """Two-sample rank-score model: enumeration oracles and scale conventions."""
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +15,13 @@ from belab.models import (
     multisample_sigma,
     multisample_value,
 )
+from belab.models import multisample
 from belab.models.base import ROW_TILE
+from belab.models.multisample import (
+    PAIR_TILE,
+    _pair_counts,
+    _tagged_pair_counts,
+)
 
 
 def rank_kernel(xt, yt):
@@ -229,3 +236,76 @@ class TestDistributionalOracles:
                                        rtol=1e-10, atol=1e-14)
             se = chunk["w"].std(ddof=1) / math.sqrt(chunk["w"].size)
             np.testing.assert_allclose(chunk["w"].mean(), 0.0, atol=4 * se)
+
+
+def assert_counts_exact(x, y):
+    """The tagged count equals `_pair_counts` of row-sorted copies."""
+    x_before, y_before = x.copy(), y.copy()
+    got = _tagged_pair_counts(x, y)
+    assert (got == _pair_counts(np.sort(x, axis=1), np.sort(y, axis=1))).all()
+    # the blocks are read, never sorted or tagged in place
+    assert (x.view(np.int64) == x_before.view(np.int64)).all()
+    assert (y.view(np.int64) == y_before.view(np.int64)).all()
+
+
+class TestTaggedPairCounts:
+    """The pooled, sample-tagged count equals `_pair_counts` with ==, on the
+    rows that can defeat the tag (signed zeros, subnormals, ties, doubles
+    one ulp apart) and on every tile edge."""
+
+    EDGE_VALUES = (5e-324, -5e-324, 0.0, -0.0, 1e-320, -1e-320, 1.0, -1.0,
+                   np.nextafter(1.0, 2.0))
+
+    @pytest.mark.parametrize("n1", [1, 2, 3])
+    @pytest.mark.parametrize("n2", [1, 2])
+    def test_every_edge_row(self, n1, n2):
+        # the product lists the x values of a row in every order
+        xs = list(itertools.product(self.EDGE_VALUES, repeat=n1))
+        ys = list(itertools.product(self.EDGE_VALUES, repeat=n2))
+        x = np.array([row for row in xs for _ in ys])
+        y = np.array([row for _ in xs for row in ys])
+        assert_counts_exact(x, y)
+
+    def test_tied_integer_rows_with_negative_zero(self):
+        rng = np.random.default_rng(78)
+        x = rng.integers(-2, 3, (500, 9)).astype(float)
+        y = rng.integers(-2, 3, (500, 6)).astype(float)
+        x[rng.random(x.shape) < 0.5] *= -1.0  # turns some 0.0 into -0.0
+        y[rng.random(y.shape) < 0.5] *= -1.0
+        assert np.signbit(x[x == 0]).any() and np.signbit(y[y == 0]).any()
+        assert_counts_exact(x, y)
+
+    @pytest.mark.parametrize("base", [0.7, -0.7, 3.0, -3.0, 1e-310, -1e-310])
+    def test_adjacent_doubles(self, base):
+        near = np.array([np.nextafter(base, -np.inf), base,
+                         np.nextafter(base, np.inf)])
+        rng = np.random.default_rng(79)
+        x = rng.choice(near, (400, 7))
+        y = rng.choice(near, (400, 5))
+        assert_counts_exact(x, y)
+
+    @pytest.mark.parametrize("count", [1, PAIR_TILE - 1, PAIR_TILE,
+                                       PAIR_TILE + 1, CHUNK_SIZE])
+    @pytest.mark.parametrize("n1,n2", [(1000, 1000), (57, 13), (5, 4)])
+    def test_tile_edges(self, count, n1, n2):
+        rng = np.random.default_rng(count)
+        assert_counts_exact(rng.standard_normal((count, n1)),
+                            rng.standard_normal((count, n2)))
+
+    def test_fallback_recounts_signed_zero_row(self, monkeypatch):
+        # tagged, the middle row's keys are +0.0, -0.0 and 5e-324, so y
+        # sorts after both x keys, a count of 2; but 5e-324 <= 0.0 is
+        # false, so the true count is 1
+        recounted = []
+
+        def spy(xs, ys):
+            recounted.append((xs.copy(), ys.copy()))
+            return _pair_counts(xs, ys)
+
+        monkeypatch.setattr(multisample, "_pair_counts", spy)
+        x = np.array([[1.0, 2.0], [5e-324, -5e-324], [3.0, -1.0]])
+        y = np.array([[1.5], [0.0], [0.5]])
+        np.testing.assert_array_equal(_tagged_pair_counts(x, y), [1, 1, 1])
+        assert len(recounted) == 1
+        np.testing.assert_array_equal(recounted[0][0], [[-5e-324, 5e-324]])
+        np.testing.assert_array_equal(recounted[0][1], [[0.0]])
