@@ -2,9 +2,9 @@
 the comparison right-hand sides and the counterexample report.
 
 Everything here is a pure function of analytic moments; the only numerics
-are one-dimensional quadratures. Bounds whose constant is unspecified are
-returned with known = 0 and the constant-multiplier part in c_coeff; they
-are never pass/fail certified, only shape-checked.
+are one-dimensional quadratures (`belab.quadrature`). Bounds whose constant
+is unspecified are returned with known = 0 and the constant-multiplier part
+in c_coeff; they are never pass/fail certified, only shape-checked.
 """
 from __future__ import annotations
 
@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import erf, ndtr
 
 from .errors import DegenerateModelError, DomainError
 from .marginals import normal_abs_moment
+from .quadrature import check_error, pointwise, quad
 from .models.isqrt import (
     ISQRT_MEAN,
     delta_abs_moment,
@@ -221,25 +222,29 @@ def coupling_gini(r: float) -> float:
     Written as a single absolutely convergent integral via t = (r+x)^(-1/2):
     the integrand is an O(1)-scaled Gaussian in x uniformly in r, which keeps
     adaptive quadrature honest at large r where the direct form concentrates
-    all mass in a spike of relative width r^(-3/2).
+    all mass in a spike of relative width r^(-3/2). That integrand grows like
+    (r+x)^(-1/2) at x = -r, so it is integrated in u = (r+x)^(1/2), where it
+    is smooth and r + x = u^2 carries no cancellation. The factor
+    Phi(x) - Phi(-2r-x) is taken through erf, which keeps its relative
+    accuracy as x -> -r for small r.
     """
-    from scipy import integrate
     r = abs(r)
 
-    def q(x):
-        lo = ndtr(-2.0 * r - x)
-        f_both = ndtr(-x) + lo
-        return f_both * (ndtr(x) - lo) * (r + x) ** -1.5
+    def q(u):
+        d = u * u
+        lo = ndtr(-r - d)
+        gap = 0.5 * (erf((d + r) / _ROOT2) + erf((d - r) / _ROOT2))
+        return 2.0 * (ndtr(r - d) + lo) * gap / d
 
-    edges = sorted({-r, -r * 0.5, max(-10.0, -r), 10.0})
-    total = 0.0
+    # the x edges -r, -r/2, max(-10, -r) and 10, as u = sqrt(r + x)
+    edges = sorted({0.0, math.sqrt(0.5 * r), math.sqrt(max(r - 10.0, 0.0)),
+                    math.sqrt(r + 10.0)}) + [math.inf]
+    total = err = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
-        if b <= a:
-            continue
-        v, _ = integrate.quad(q, a, b, limit=300)
+        v, e = quad(q, a, b, epsabs=1e-10)
         total += v
-    v, _ = integrate.quad(q, edges[-1], np.inf, limit=300)
-    return total + v
+        err += e
+    return check_error(total, err, "coupling_gini quadrature")
 
 
 # two-term small-scale expansion constants of alpha_scale below:
@@ -261,27 +266,27 @@ def alpha_scale(nu: float) -> float:
         raise DomainError("nu must lie in (0, 1)")
     if nu < _ALPHA_SERIES_CUT:
         return ALPHA_SERIES_A - ALPHA_SERIES_B * math.sqrt(nu)
-    from scipy import integrate
     sig_r = math.sqrt(1.0 - nu * nu)
-    weight = lambda r: math.exp(-0.5 * (nu * r / sig_r) ** 2) * _PHI0 / sig_r
-    fn = lambda r: weight(r) * coupling_gini(r)
+    weight = lambda r: np.exp(-0.5 * (nu * r / sig_r) ** 2) * _PHI0 / sig_r
+    gini = pointwise(coupling_gini)
+    fn = lambda r: weight(r) * gini(r)
     top = 10.0 / nu
     edges = [e for e in (0.0, 1.0, 4.0, 16.0, 64.0) if e < top]
     e = edges[-1]
     while e < top:
         e *= 4.0
         edges.append(min(e, top))
-    total = 0.0
+    total = err = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         if b <= a:
             continue
-        v, _ = integrate.quad(fn, a, b, limit=300)
+        v, dv = quad(fn, a, b)
         total += v
+        err += dv
     # analytic large-r tail: coupling_gini(r) ~ r^(-3/2)/sqrt(pi)
-    v, _ = integrate.quad(
-        lambda r: weight(r) / math.sqrt(math.pi) / r ** 1.5, top, np.inf,
-        limit=200)
-    return 2.0 * (total + v)
+    v, dv = quad(lambda r: weight(r) / math.sqrt(math.pi) / r ** 1.5, top,
+                 math.inf)
+    return 2.0 * check_error(total + v, err + dv, "alpha_scale quadrature")
 
 
 def alpha_quadrature(epsilon: float, n: float) -> float:

@@ -3,54 +3,63 @@
 A Marginal answers moment queries about one g_i(X_i): full and truncated
 absolute moments, tail probabilities, and the capped first moment
 E|g| min(d, |g|). Answers come from two tiers: closed forms where the
-catalog has them, adaptive quadrature otherwise. Both are exact up to the
-quadrature tolerance; the sampled ingredients of a bound (the coupling
-moments of the remainder) come from mc_engine, not from here.
+catalog has them, and otherwise adaptive quadrature (`belab.quadrature`)
+over segments split at the kinks of |g|^p, each result checked against its
+error estimate. Both tiers are exact up to the quadrature tolerance; the
+sampled ingredients of a bound (the coupling moments of the remainder)
+come from mc_engine, not from here.
 
 A LinearPart groups identical marginals with counts and exposes the sums
 that the bound formulas need.
-
-scipy.integrate (which pulls in scipy.optimize and scipy.linalg) is imported
-at the first quadrature, not with the package: bound and verify runs on
-linear sums of rademacher, uniform or normal terms, on the rank statistic
-and on the isqrt model never reach one.
 """
 from __future__ import annotations
 
+import functools
 import math
 from abc import ABC, abstractmethod
 
 import numpy as np
 from scipy.special import gammainc, gammaln, ndtr
 
-from .errors import NumericError
+from .quadrature import brentq, check_error, quad
 
 QUAD_EPSABS = 1e-12
-QUAD_LIMIT = 200
 # quadrature windows, in standardized units; mass beyond is < 1e-30
 NORMAL_CUT = 12.0
 EXP_CUT = 60.0
 
 
-def quad_segments(fn, edges, epsabs=QUAD_EPSABS):
+def quad_segments(fn, edges, epsabs=QUAD_EPSABS, singular=()):
     """Integrate fn over consecutive [edges[k], edges[k+1]] segments.
 
-    Splitting at known kinks/transitions keeps the adaptive rule honest;
-    a naive single call can miss narrow features entirely.
+    fn maps an array of abscissae to an array of values. Splitting at known
+    kinks/transitions keeps the adaptive rule honest; a naive single call
+    can miss narrow features entirely. An edge in `singular` is one where
+    fn may grow like |x - edge|^(-1/2). Raises NumericError when the summed
+    error estimate is too large for the value.
     """
-    from scipy import integrate
     total = 0.0
     err = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         if b <= a:
             continue
-        v, e = integrate.quad(fn, a, b, epsabs=epsabs, limit=QUAD_LIMIT)
+        end = a if a in singular else (b if b in singular else None)
+        v, e = quad(fn, a, b, epsabs=epsabs, singular_at=end)
         total += v
         err += e
-    if err > max(1e-9, 1e-6 * abs(total)):
-        raise NumericError(
-            f"quadrature error estimate {err:.3e} too large for value {total:.6e}")
-    return total
+    return check_error(total, err, "quadrature")
+
+
+def _memoized(e_abs_p):
+    """Per-instance cache of a quadrature-backed full moment E|g|^p, which
+    the capped and tail moments re-read at every threshold a solver tries."""
+    @functools.wraps(e_abs_p)
+    def cached(self, p):
+        cache = self.__dict__.setdefault("_e_abs_p", {})
+        if p not in cache:
+            cache[p] = e_abs_p(self, p)
+        return cache[p]
+    return cached
 
 
 class Marginal(ABC):
@@ -196,9 +205,10 @@ class ExpCenteredMarginal(Marginal):
             raise ValueError("scale must be > 0")
         self.scale = float(scale)
 
+    @_memoized
     def e_abs_p(self, p):
         s = self.scale
-        fn = lambda x: abs(s * (x - 1.0)) ** p * math.exp(-x)
+        fn = lambda x: np.abs(s * (x - 1.0)) ** p * np.exp(-x)
         return quad_segments(fn, [0.0, 1.0, EXP_CUT])
 
     def e_abs_p_below(self, p, t):
@@ -210,7 +220,7 @@ class ExpCenteredMarginal(Marginal):
         if hi <= lo:
             return 0.0
         s = self.scale
-        fn = lambda x: abs(s * (x - 1.0)) ** p * math.exp(-x)
+        fn = lambda x: np.abs(s * (x - 1.0)) ** p * np.exp(-x)
         edges = sorted({lo, hi} | ({1.0} if lo < 1.0 < hi else set()))
         return quad_segments(fn, edges)
 
@@ -251,9 +261,10 @@ class QuadraticMarginal(Marginal):
         return self.a * ((x - self.b) ** 2 - self.c)
 
     def _quad_abs_p(self, p, edges):
-        fn = lambda x: abs(self._g(x)) ** p * self.density(x)
+        fn = lambda x: np.abs(self._g(x)) ** p * self.density(x)
         return quad_segments(fn, edges)
 
+    @_memoized
     def e_abs_p(self, p):
         root = math.sqrt(self.c)
         edges = {self.x_lo, self.x_hi, self._clip(self.b - root),
@@ -300,8 +311,8 @@ class QuadraticMarginal(Marginal):
 class MonotoneMarginal(Marginal):
     """g = fn(X) with fn continuous and strictly decreasing on [x_lo, x_hi].
 
-    Preimages found by bisection against fn; used for L-statistic projections
-    where fn is itself quadrature-backed.
+    fn and density map arrays elementwise. Preimages come from Brent's root
+    finder against fn; used for L-statistic projections.
     """
 
     def __init__(self, fn, x_lo, x_hi, density, cdf):
@@ -309,25 +320,26 @@ class MonotoneMarginal(Marginal):
         self.x_lo, self.x_hi = float(x_lo), float(x_hi)
         self.density = density
         self.cdf = cdf
-        self._f_lo = fn(self.x_lo)
-        self._f_hi = fn(self.x_hi)
+        self._f_lo = float(fn(self.x_lo))
+        self._f_hi = float(fn(self.x_hi))
         if self._f_lo < self._f_hi:
             raise ValueError("fn is not decreasing on the support")
 
     def _preimage(self, y):
         """x with fn(x) = y, clipped to the support."""
-        from scipy.optimize import brentq
         if y >= self._f_lo:
             return self.x_lo
         if y <= self._f_hi:
             return self.x_hi
-        return brentq(lambda x: self.fn(x) - y, self.x_lo, self.x_hi, xtol=1e-14)
+        return brentq(lambda x: float(self.fn(x)) - y, self.x_lo, self.x_hi,
+                      xtol=1e-14)
 
     def _zero(self):
         return self._preimage(0.0)
 
+    @_memoized
     def e_abs_p(self, p):
-        fn = lambda x: abs(self.fn(x)) ** p * self.density(x)
+        fn = lambda x: np.abs(self.fn(x)) ** p * self.density(x)
         return quad_segments(fn, sorted({self.x_lo, self._zero(), self.x_hi}))
 
     def e_abs_p_below(self, p, t):
@@ -337,7 +349,7 @@ class MonotoneMarginal(Marginal):
         a, b = self._preimage(t), self._preimage(-t)
         if b <= a:
             return 0.0
-        fn = lambda x: abs(self.fn(x)) ** p * self.density(x)
+        fn = lambda x: np.abs(self.fn(x)) ** p * self.density(x)
         edges = sorted({a, b} | ({self._zero()} if a < self._zero() < b else set()))
         return quad_segments(fn, edges)
 

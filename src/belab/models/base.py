@@ -97,12 +97,14 @@ class BaseDist:
     continuous: bool = True
 
     def pdf(self, x):
+        """Density at each x; the quadrature integrands call it on arrays."""
+        x = np.asarray(x, dtype=float)
         if self.name == "std_normal":
-            return math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
+            return np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
         if self.name == "uniform01":
-            return 1.0 if 0.0 <= x <= 1.0 else 0.0
+            return ((0.0 <= x) & (x <= 1.0)).astype(float)
         if self.name == "exponential1":
-            return math.exp(-x) if x >= 0 else 0.0
+            return np.where(x >= 0.0, np.exp(-np.abs(x)), 0.0)
         raise UnsupportedModelError(f"no density for {self.name}")
 
     def cdf(self, x):

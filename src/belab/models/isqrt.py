@@ -71,15 +71,15 @@ def delta_abs_moment(q: float = 1.0) -> float:
     """E|ISQRT_MEAN - |Z|^(-1/2)|^q, finite for q < 2."""
     if not 0.0 < q < 2.0:
         raise DomainError("the remainder has absolute moments only for q in (0, 2)")
-    fn = lambda z: abs(ISQRT_MEAN - z ** -0.5) ** q * _PHI(z)
-    return 2.0 * quad_segments(fn, [0.0, _Z_KINK, NORMAL_CUT])
+    fn = lambda z: np.abs(ISQRT_MEAN - z ** -0.5) ** q * _PHI(z)
+    return 2.0 * quad_segments(fn, [0.0, _Z_KINK, NORMAL_CUT], singular=(0.0,))
 
 
 @lru_cache(maxsize=1)
 def w_delta_abs_moment() -> float:
     """E|Z (ISQRT_MEAN - |Z|^(-1/2))|."""
-    fn = lambda z: z * abs(ISQRT_MEAN - z ** -0.5) * _PHI(z)
-    return 2.0 * quad_segments(fn, [0.0, _Z_KINK, NORMAL_CUT])
+    fn = lambda z: z * np.abs(ISQRT_MEAN - z ** -0.5) * _PHI(z)
+    return 2.0 * quad_segments(fn, [0.0, _Z_KINK, NORMAL_CUT], singular=(0.0,))
 
 
 def ks_lower_bound(epsilon: float) -> float:

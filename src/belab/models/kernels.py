@@ -23,6 +23,7 @@ from ..marginals import (
     UniformMarginal,
     normal_abs_moment,
 )
+from ..quadrature import check_error, dblquad
 from .base import DIST_CATALOG, BaseDist
 
 _DBLQUAD_EPS = 1e-10
@@ -58,15 +59,15 @@ class PairKernel(ABC):
 
     def h_abs_p(self, dist: BaseDist, p: float) -> float:
         """E|h(X, Y)|^p by double quadrature over the base density."""
-        from scipy import integrate
         if not dist.continuous:
             raise UnsupportedModelError(
                 f"{self.name}: no kernel moment oracle for {dist.name}")
         lo, hi = dist.support
-        val, err = integrate.dblquad(
-            lambda y, x: abs(self.h(x, y, dist)) ** p * dist.pdf(x) * dist.pdf(y),
-            lo, hi, lo, hi, epsabs=_DBLQUAD_EPS, epsrel=1e-10)
-        return val
+        fn = lambda y, x: (np.abs(self.h(x, y, dist)) ** p * dist.pdf(x)
+                           * dist.pdf(y))
+        val, err = dblquad(fn, lo, hi, lambda x: lo, lambda x: hi,
+                           epsabs=_DBLQUAD_EPS, epsrel=1e-10)
+        return check_error(val, err, f"{self.name} kernel moment quadrature")
 
 
 class VarianceKernel(PairKernel):

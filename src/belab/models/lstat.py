@@ -22,6 +22,7 @@ from scipy.special import ndtr
 
 from ..errors import NumericError, UnsupportedModelError
 from ..marginals import LinearPart, MonotoneMarginal, quad_segments
+from ..quadrature import check_error, dblquad, pointwise
 from .base import (
     DIST_CATALOG,
     BaseDist,
@@ -116,7 +117,7 @@ def influence_quadrature(weight: WeightFn, dist: BaseDist):
             fs = dist.cdf(s)
             return ((1.0 if x <= s else 0.0) - fs) * float(weight.fn(fs))
         edges = sorted({lo, hi, min(max(x, lo), hi)})
-        return quad_segments(integrand, edges)
+        return quad_segments(pointwise(integrand), edges)
 
     return infl
 
@@ -124,25 +125,25 @@ def influence_quadrature(weight: WeightFn, dist: BaseDist):
 def t_center(weight: WeightFn, dist: BaseDist) -> float:
     """T(F) = E[X J(F(X))]."""
     lo, hi = dist.support
-    fn = lambda x: x * float(weight.fn(dist.cdf(x))) * dist.pdf(x)
+    fn = lambda x: x * float(weight.fn(dist.cdf(x))) * float(dist.pdf(x))
     mid = min(max(dist.mean, lo), hi)
-    return quad_segments(fn, sorted({lo, mid, hi}))
+    return quad_segments(pointwise(fn), sorted({lo, mid, hi}))
 
 
 def sigma_double_integral(weight: WeightFn, dist: BaseDist) -> float:
     """sigma^2 = 2 * iint_{s<t} J(F(s)) J(F(t)) F(s)(1 - F(t)) dt ds."""
-    from scipy import integrate
     lo, hi = dist.support
 
-    def inner(t, s):
-        return (float(weight.fn(dist.cdf(s))) * float(weight.fn(dist.cdf(t)))
-                * dist.cdf(s) * (1.0 - dist.cdf(t)))
+    def inner(ts, s):
+        fs = dist.cdf(s)
+        js = float(weight.fn(fs))
+        return np.array([js * float(weight.fn(dist.cdf(t))) * fs
+                         * (1.0 - dist.cdf(t)) for t in ts.tolist()])
 
-    val, err = integrate.dblquad(inner, lo, hi, lambda s: s, hi,
-                                 epsabs=1e-11, epsrel=1e-11)
-    if err > 1e-8:
-        raise NumericError(f"scale double integral error {err:.3e} too large")
-    return 2.0 * val
+    val, err = dblquad(inner, lo, hi, lambda s: s, lambda s: hi,
+                       epsabs=1e-11, epsrel=1e-11)
+    return 2.0 * check_error(val, err, "scale double integral", atol=1e-8,
+                             rtol=0.0)
 
 
 def lstat_projection_sigma(weight: WeightFn, dist: BaseDist):
@@ -151,7 +152,7 @@ def lstat_projection_sigma(weight: WeightFn, dist: BaseDist):
     s_sq = sigma_double_integral(weight, dist)
     lo, hi = dist.support
     e_g2 = quad_segments(
-        lambda x: float(infl(np.array([x]))[0]) ** 2 * dist.pdf(x),
+        lambda x: infl(x) ** 2 * dist.pdf(x),
         sorted({lo, min(max(dist.mean, lo), hi), hi}))
     if abs(s_sq - e_g2) > 1e-8 + 1e-8 * abs(s_sq):
         raise NumericError(
@@ -188,7 +189,7 @@ class LStatModel(StatisticModel):
         # marginal of -g_i = infl(X)/(sqrt(n) sigma); |g_i| oracles are
         # sign-invariant, which is all the bounds consume
         self.linear_part = LinearPart([(MonotoneMarginal(
-            lambda x: float(self._infl(np.array([x]))[0]) * self._scale,
+            lambda x: self._infl(x) * self._scale,
             lo, hi, self.dist.pdf, cdf=self.dist.cdf),
             self.n)])
         self.x2_moment = self.dist.var + self.dist.mean ** 2

@@ -24,6 +24,7 @@ from .base import (
     BaseDist,
     StatisticModel,
     check_capacity,
+    projection_sums,
     variant_modes,
 )
 from .kernels import KERNEL_CATALOG, PairKernel, kernel_abs_p
@@ -118,14 +119,16 @@ class UStatModel(StatisticModel):
 
     def sample_chunk(self, rng, count, mode=None):
         x = self.dist.sample(rng, (count, self.n))
-        g = np.asarray(self.kernel.g_raw(x, self.dist)) * self._g_scale
-        w = g.sum(axis=1)
+        # the projection and the squares are made a row tile at a time, so
+        # the chunk holds one data block
+        w, g_rep = projection_sums(x, lambda b: np.asarray(
+            self.kernel.g_raw(b, self.dist)) * self._g_scale)
         if self.delta_is_zero:
             t = w.copy()
             delta = np.zeros(count)
         else:
             s1 = x.sum(axis=1)
-            s2 = (x * x).sum(axis=1)
+            s2, _ = projection_sums(x, lambda b: b * b)
             t = self._t_from_power_sums(s1, s2)
             delta = t - w
         modes = variant_modes(mode)
@@ -143,11 +146,11 @@ class UStatModel(StatisticModel):
             s1n = s1 - x[:, 0] + v
             s2n = s2 - x[:, 0] ** 2 + v * v
             t_new = self._t_from_power_sums(s1n, s2n)
-            w_new = w - g[:, 0] + np.asarray(
+            w_new = w - g_rep + np.asarray(
                 self.kernel.g_raw(v, self.dist)) * self._g_scale
             dvar[m] = (t_new - w_new)[:, None]
         return {"t": t, "w": w, "delta": delta,
-                "g_rep": g[:, :1], "dvar_rep": dvar}
+                "g_rep": g_rep[:, None], "dvar_rep": dvar}
 
     def prob_abs_w_minus_g_above(self, group, t):
         n = self.n

@@ -293,6 +293,8 @@ class TestSinglePass:
            1, 400) for dist in ("uniform01", "std_normal", "exponential1")],
         *[({"family": "linear", "dist": dist, "n": 400}, 1, 400)
           for dist in ("uniform01", "rademacher")],
+        *[({"family": "ustat", "kernel": kernel, "dist": "std_normal",
+            "n": 400}, 1, 400) for kernel in ("sum", "variance")],
     ])
     def test_tiled_chunk_peak_in_data_blocks(self, desc, blocks, width):
         model = build_model(desc)

@@ -170,8 +170,8 @@ def test_import_skips_scipy_stats():
         "import sys, belab; print('scipy.stats' in sys.modules)") == "False"
 
 
-# runs each (command, config) through cli.main, then names the lazily
-# imported scipy modules that the runs loaded
+# runs each (command, config) through cli.main, then names the scipy
+# modules outside scipy.special that the runs loaded
 _QUADRATURE_PROBE = """
 import json, os, sys
 import belab
@@ -210,11 +210,39 @@ def test_runs_without_quadrature_skip_scipy_integrate(tmp_path):
     assert _quadrature_modules(tmp_path, runs) == ""
 
 
-def test_quadrature_loads_scipy_integrate(tmp_path):
-    # the variance kernel's moments are double integrals, so the probe
-    # above can see a module load
+def test_probe_sees_a_module_load(tmp_path):
+    # the probe names a module that was loaded before the runs, so an
+    # empty answer from it means no run loaded one
     runs = [("bound", {"model": {"family": "ustat", "kernel": "variance",
                                  "dist": "std_normal", "n": 20},
                        "bounds": ["eq3.1"],
                        "mc": {"master_seed": 3, "replicates": 1000}})]
-    assert "scipy.integrate" in _quadrature_modules(tmp_path, runs).split()
+    out = _run_fresh("import scipy.integrate\n" + _QUADRATURE_PROBE,
+                     str(tmp_path), json.dumps(runs))
+    assert "scipy.integrate" in out.split()
+
+
+def test_no_command_loads_scipy_integrate_or_optimize(tmp_path):
+    # every family, with the laws that reach each quadrature site and the
+    # root finder: marginal segments, kernel and scale double integrals,
+    # the counterexample's coupling integrals, and L-statistic preimages
+    mc = {"master_seed": 3, "replicates": 1000}
+    models = [
+        ({"family": "multisample", "kernel": "wilcoxon", "dist": "uniform01",
+          "n": "40;30"}, _GENERAL + ["eq3.7", "eq3.8"]),
+        ({"family": "linear", "dist": "exponential1", "n": 50}, _GENERAL),
+        ({"family": "ustat", "kernel": "variance", "dist": "exponential1",
+          "n": 20}, ["eq3.1", "eq3.2", "eq3.3", "eq3.4", "eq3.6"]),
+        ({"family": "lstat", "weight": "identity", "dist": "exponential1",
+          "n": 20}, ["eq2.3", "eq3.10", "eq3.11"]),
+        ({"family": "isqrt", "epsilon": 0.05, "n": 100},
+         ["eq1.3", "eq1.4", "eq2.3", "eq2.4", "eq2.5"]),
+    ]
+    runs = [(command, {"model": model, "bounds": tags, "z_grid": [0.0, 1.0],
+                       "mc": mc})
+            for model, tags in models for command in ("bound", "verify")]
+    runs.append(("sweep", {"model": models[3][0], "bounds": ["eq3.10"],
+                           "z_grid": [0.0], "mc": mc,
+                           "sweep": {"axis": "n", "grid": [20, 40]}}))
+    runs.append(("example41", {"epsilon_grid": [1e-2], "mc": mc}))
+    assert _quadrature_modules(tmp_path, runs) == ""
