@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erf, ndtr
 
 from .errors import DegenerateModelError, DomainError
 from .marginals import normal_abs_moment
 from .quadrature import check_error, pointwise, quad
+from .special import erf, ndtr
 from .models.isqrt import (
     ISQRT_MEAN,
     delta_abs_moment,

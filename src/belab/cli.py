@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import app_bounds, bound_core
 from .errors import (
@@ -53,6 +52,7 @@ from .models import (
     ustat_moments,
 )
 from .models.isqrt import ISQRT_MEAN, delta_abs_moment, w_delta_abs_moment
+from .special import ndtr
 from .types import MomentEstimate, NonUniformInputs
 
 RESULT_COLUMNS = ("equation_tag", "model", "n", "m", "z", "epsilon", "p",
@@ -665,7 +665,7 @@ def cmd_example41(cfg: ExperimentConfig):
                                        modes=("zero_out",),
                                        threads=cfg.threads)
             p_hat = float(np.count_nonzero(t <= eps * ISQRT_MEAN)) / t.size
-            mc_lhs = p_hat - float(ndtr(eps * ISQRT_MEAN))
+            mc_lhs = p_hat - ndtr(eps * ISQRT_MEAN)
             se = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / t.size)
             rows.append(ResultRow(
                 equation_tag="eq4.2", model=label, n=n, epsilon=eps,

@@ -19,9 +19,9 @@ import math
 from abc import ABC, abstractmethod
 
 import numpy as np
-from scipy.special import gammainc, gammaln, ndtr
 
 from .quadrature import brentq, check_error, quad
+from .special import gammainc, ndtr
 
 QUAD_EPSABS = 1e-12
 # quadrature windows, in standardized units; mass beyond is < 1e-30
@@ -104,7 +104,7 @@ class Marginal(ABC):
 
 def normal_abs_moment(p: float) -> float:
     """E|Z|^p for standard normal Z."""
-    return math.exp(p / 2 * math.log(2.0) + gammaln((p + 1) / 2)) / math.sqrt(math.pi)
+    return math.exp(p / 2 * math.log(2.0) + math.lgamma((p + 1) / 2)) / math.sqrt(math.pi)
 
 
 class NormalMarginal(Marginal):

@@ -36,9 +36,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ConfigError
+from .special import ndtr
 from .types import BoundComponents, BoundValue, KSResult, MomentEstimate
 
 CHUNK_SIZE = 4096
@@ -276,7 +276,7 @@ def pointwise_diff_vs_normal(t_values, z: float, alpha: float = DKW_ALPHA) -> KS
     """|F_T(z) - Phi(z)| from a sample of T."""
     t = np.asarray(t_values, dtype=float)
     emp = float(np.count_nonzero(t <= z)) / t.size
-    return KSResult(distance=abs(emp - float(ndtr(z))), replicates=t.size,
+    return KSResult(distance=abs(emp - ndtr(z)), replicates=t.size,
                     dkw_radius=dkw_radius(t.size, alpha))
 
 

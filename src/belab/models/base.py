@@ -24,10 +24,10 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from ..errors import CapacityError, UnsupportedModelError
 from ..marginals import LinearPart
+from ..special import ndtr
 
 ENUMERATION_CAP = 10 ** 6
 
@@ -109,7 +109,7 @@ class BaseDist:
 
     def cdf(self, x):
         if self.name == "std_normal":
-            return float(ndtr(x))
+            return ndtr(x)
         if self.name == "uniform01":
             return min(1.0, max(0.0, x))
         if self.name == "exponential1":

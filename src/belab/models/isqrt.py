@@ -19,11 +19,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr
 
 from ..errors import DomainError
 from ..marginals import NORMAL_CUT, LinearPart, NormalMarginal, quad_segments
 from ..mc_engine import SeedSpec, _map_chunks, _mean_se, _row_moments
+from ..special import ndtr
 from ..types import MomentEstimate
 from .base import DIST_CATALOG, StatisticModel, variant_modes
 
@@ -90,7 +90,7 @@ def ks_lower_bound(epsilon: float) -> float:
     """
     if not 0.0 < epsilon < ISQRT_MEAN ** -3:
         raise DomainError("the pinch point needs eps^(2/3) > eps * ISQRT_MEAN")
-    return float(ndtr(epsilon ** (2.0 / 3.0)) - ndtr(epsilon * ISQRT_MEAN))
+    return ndtr(epsilon ** (2.0 / 3.0)) - ndtr(epsilon * ISQRT_MEAN)
 
 
 class IsqrtModel(StatisticModel):

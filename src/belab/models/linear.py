@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, gammainc, gammaincc, ndtr
 
 from ..errors import UnsupportedModelError
 from ..marginals import (
@@ -20,6 +19,7 @@ from ..marginals import (
     NormalMarginal,
     UniformMarginal,
 )
+from ..special import gammainc, gammaincc, half_binom_cdf, ndtr
 from .base import DIST_CATALOG, StatisticModel, projection_sums, variant_modes
 
 
@@ -50,14 +50,6 @@ def _unit_marginal(dist_name: str):
     raise UnsupportedModelError(dist_name)
 
 
-def half_binom_cdf(k, m: int):
-    """P(Bin(m, 1/2) <= k) for integer k: 0 below the support, 1 above."""
-    k = np.asarray(k)
-    inside = np.clip(k, 0, m - 1)
-    return np.where(k < 0, 0.0, np.where(
-        k >= m, 1.0, betainc(m - inside, inside + 1, 0.5)))
-
-
 def rademacher_ks_exact(n: int) -> float:
     """Exact sup |P(W <= w) - Phi(w)| for W a standardized coin-flip sum.
 
@@ -79,7 +71,7 @@ def sum_leave_one_out_tail(dist_name: str, n: int, t: float):
         return 0.0 if t >= 0 else 1.0
     if dist_name == "std_normal":
         sd = math.sqrt((n - 1) / n)
-        return float(2.0 * ndtr(-t / sd))
+        return 2.0 * ndtr(-t / sd)
     if dist_name == "rademacher":
         # sum of n-1 signs, scaled by 1/sqrt(n)
         shift = t * math.sqrt(n)
@@ -90,8 +82,8 @@ def sum_leave_one_out_tail(dist_name: str, n: int, t: float):
                      + half_binom_cdf(math.ceil(lo) - 1, n - 1))
     if dist_name == "exponential1":
         shift = t * math.sqrt(n)
-        return float(gammaincc(n - 1, max(n - 1 + shift, 0.0))
-                     + gammainc(n - 1, max(n - 1 - shift, 0.0)))
+        return (gammaincc(n - 1, max(n - 1 + shift, 0.0))
+                + gammainc(n - 1, max(n - 1 - shift, 0.0)))
     return None
 
 

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr
 
 from ..errors import NumericError, UnsupportedModelError
 from ..marginals import LinearPart, MonotoneMarginal, quad_segments
 from ..quadrature import check_error, dblquad, pointwise
+from ..special import ndtr
 from .base import (
     DIST_CATALOG,
     BaseDist,

@@ -14,10 +14,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from ..errors import UnsupportedModelError
 from ..marginals import LinearPart, UniformMarginal
+from ..special import ndtr
 from .base import (
     DIST_CATALOG,
     StatisticModel,

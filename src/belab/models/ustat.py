@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import chdtr, chdtrc
 
 from ..bound_core import delta_from_truncation
 from ..errors import DegenerateModelError, UnsupportedModelError
 from ..marginals import LinearPart
+from ..special import gammainc, gammaincc
 from .base import (
     DIST_CATALOG,
     BaseDist,
@@ -158,8 +158,9 @@ class UStatModel(StatisticModel):
             # the sum kernel's W is the standardized sum of the observations
             return sum_leave_one_out_tail(self.spec.dist, n, t)
         if self.spec.kernel == "variance" and self.spec.dist == "std_normal":
-            # W - g_1 = (chisq_{n-1} - (n-1)) / sqrt(2 n)
+            # W - g_1 = (chisq_{n-1} - (n-1)) / sqrt(2 n), and a chi-square
+            # with k degrees of freedom is twice a gamma of shape k/2
             shift = t * math.sqrt(2.0 * n)
-            return float(chdtrc(n - 1, max(n - 1 + shift, 0.0))
-                         + chdtr(n - 1, max(n - 1 - shift, 0.0)))
+            return (gammaincc((n - 1) / 2, max(n - 1 + shift, 0.0) / 2)
+                    + gammainc((n - 1) / 2, max(n - 1 - shift, 0.0) / 2))
         return None

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -139,15 +140,18 @@ class TestLinearModel:
 
 
 class TestHalfBinomial:
-    def test_matches_binom_cdf_and_sf(self):
+    def test_upper_tail_matches_exact_sums(self):
+        # P(X > k) = P(X <= m - 1 - k) against the exact rational tail
+        tiny = Fraction(np.finfo(float).tiny)
         for m in (1, 2, 7, 100, 999):
+            counts = [math.comb(m, j) for j in range(m + 1)]
             k = np.arange(-3, m + 3)
-            np.testing.assert_allclose(half_binom_cdf(k, m),
-                                       binom.cdf(k, m, 0.5),
-                                       rtol=1e-13, atol=1e-15)
-            # the upper tail through symmetry is the same betainc call
-            np.testing.assert_array_equal(half_binom_cdf(m - 1 - k, m),
-                                          binom.sf(k, m, 0.5))
+            for kk, got in zip(k, half_binom_cdf(m - 1 - k, m)):
+                want = Fraction(sum(counts[max(kk + 1, 0):]), 2 ** m)
+                if want < tiny:
+                    assert got < 2 * np.finfo(float).tiny
+                else:
+                    assert abs(Fraction(float(got)) - want) <= want * 1e-13
 
     def test_support_edges_exact(self):
         assert half_binom_cdf(-1, 5) == 0.0
@@ -166,12 +170,14 @@ def _run_fresh(code, *args):
 
 
 def test_import_skips_scipy_stats():
+    # no scipy module at all, scipy.stats included
     assert _run_fresh(
-        "import sys, belab; print('scipy.stats' in sys.modules)") == "False"
+        "import sys, belab; "
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])") == "[]"
 
 
-# runs each (command, config) through cli.main, then names the scipy
-# modules outside scipy.special that the runs loaded
+# runs each (command, config) through cli.main, then names every scipy
+# module that is loaded
 _QUADRATURE_PROBE = """
 import json, os, sys
 import belab
@@ -183,8 +189,8 @@ for k, (command, doc) in enumerate(json.loads(sys.argv[2])):
         json.dump(doc, fh)
     assert main([command, "--config", path,
                  "--output", os.path.join(out_dir, f"rows{k}.csv")]) == 0
-print(" ".join(m for m in ("scipy.integrate", "scipy.optimize")
-               if m in sys.modules))
+print(" ".join(sorted(m for m, mod in sys.modules.items()
+                      if m.split(".")[0] == "scipy" and mod is not None)))
 """
 _GENERAL = ["eq1.3", "eq1.4", "eq2.3", "eq2.4", "eq2.5", "eq2.6", "eq2.9"]
 
@@ -222,27 +228,57 @@ def test_probe_sees_a_module_load(tmp_path):
     assert "scipy.integrate" in out.split()
 
 
-def test_no_command_loads_scipy_integrate_or_optimize(tmp_path):
-    # every family, with the laws that reach each quadrature site and the
-    # root finder: marginal segments, kernel and scale double integrals,
-    # the counterexample's coupling integrals, and L-statistic preimages
-    mc = {"master_seed": 3, "replicates": 1000}
-    models = [
-        ({"family": "multisample", "kernel": "wilcoxon", "dist": "uniform01",
-          "n": "40;30"}, _GENERAL + ["eq3.7", "eq3.8"]),
-        ({"family": "linear", "dist": "exponential1", "n": 50}, _GENERAL),
-        ({"family": "ustat", "kernel": "variance", "dist": "exponential1",
-          "n": 20}, ["eq3.1", "eq3.2", "eq3.3", "eq3.4", "eq3.6"]),
-        ({"family": "lstat", "weight": "identity", "dist": "exponential1",
-          "n": 20}, ["eq2.3", "eq3.10", "eq3.11"]),
-        ({"family": "isqrt", "epsilon": 0.05, "n": 100},
-         ["eq1.3", "eq1.4", "eq2.3", "eq2.4", "eq2.5"]),
-    ]
+# every family, with the laws that reach each quadrature site and the root
+# finder: marginal segments, kernel and scale double integrals, the
+# counterexample's coupling integrals, and L-statistic preimages; each with
+# two sizes for an n sweep
+_FAMILY_MODELS = [
+    ({"family": "multisample", "kernel": "wilcoxon", "dist": "uniform01",
+      "n": "40;30"}, _GENERAL + ["eq3.7", "eq3.8"], [20, 30]),
+    ({"family": "linear", "dist": "exponential1", "n": 50}, _GENERAL,
+     [30, 50]),
+    ({"family": "ustat", "kernel": "variance", "dist": "exponential1",
+      "n": 20}, ["eq3.1", "eq3.2", "eq3.3", "eq3.4", "eq3.6"], [20, 30]),
+    ({"family": "lstat", "weight": "identity", "dist": "exponential1",
+      "n": 20}, ["eq2.3", "eq3.10", "eq3.11"], [20, 40]),
+    ({"family": "isqrt", "epsilon": 0.05, "n": 100},
+     ["eq1.3", "eq1.4", "eq2.3", "eq2.4", "eq2.5"], [100, 200]),
+]
+_MC = {"master_seed": 3, "replicates": 1000}
+
+
+def _runs_over_every_family():
     runs = [(command, {"model": model, "bounds": tags, "z_grid": [0.0, 1.0],
-                       "mc": mc})
-            for model, tags in models for command in ("bound", "verify")]
-    runs.append(("sweep", {"model": models[3][0], "bounds": ["eq3.10"],
-                           "z_grid": [0.0], "mc": mc,
+                       "mc": _MC})
+            for model, tags, _grid in _FAMILY_MODELS
+            for command in ("bound", "verify")]
+    runs.append(("sweep", {"model": _FAMILY_MODELS[3][0],
+                           "bounds": ["eq3.10"], "z_grid": [0.0], "mc": _MC,
                            "sweep": {"axis": "n", "grid": [20, 40]}}))
-    runs.append(("example41", {"epsilon_grid": [1e-2], "mc": mc}))
-    assert _quadrature_modules(tmp_path, runs) == ""
+    runs.append(("example41", {"epsilon_grid": [1e-2], "mc": _MC}))
+    return runs
+
+
+def test_no_command_loads_scipy_integrate_or_optimize(tmp_path):
+    # nor any other scipy module
+    assert _quadrature_modules(tmp_path, _runs_over_every_family()) == ""
+
+
+def test_every_command_runs_with_scipy_blocked(tmp_path):
+    # with scipy unimportable, bound, verify, an n sweep and example41 over
+    # the five families, plus the closed-form tails of eq2.6 (normal,
+    # binomial, gamma and chi-square), all exit 0
+    tails = [({"family": "linear", "dist": dist, "n": 30}, ["eq2.6"])
+             for dist in ("std_normal", "rademacher", "exponential1")]
+    tails.append(({"family": "ustat", "kernel": "variance",
+                   "dist": "std_normal", "n": 20}, ["eq2.6"]))
+    runs = _runs_over_every_family()
+    runs += [(command, {"model": model, "bounds": tags, "z_grid": [0.0, 2.5],
+                        "mc": _MC})
+             for model, tags in tails for command in ("bound", "verify")]
+    runs += [("sweep", {"model": model, "bounds": tags, "z_grid": [0.0],
+                        "mc": _MC, "sweep": {"axis": "n", "grid": grid}})
+             for model, tags, grid in _FAMILY_MODELS]
+    out = _run_fresh('import sys\nsys.modules["scipy"] = None\n'
+                     + _QUADRATURE_PROBE, str(tmp_path), json.dumps(runs))
+    assert out == ""
