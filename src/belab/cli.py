@@ -409,15 +409,21 @@ class _Runner:
     def sampled(self):
         """The run's one sampling pass: (t, w, {mode: ComponentEstimates})
         with every variant mode the tags read, and with T and W only on a
-        verify run."""
+        verify run. T and W are sorted in place once: only the distance
+        kernels read them, none of them depends on the order, and each
+        reads an ascending input without sorting a copy."""
         wanted = {TAGS[tag].mode for tag in self.cfg.bounds}
         thresholds = tuple(sorted({(abs(z) + 1.0) / 3.0
                                    for z in self.cfg.z_grid}))
-        return sample_pass(
+        t, w, comps = sample_pass(
             self.model, self.cfg.replicates, self.seed,
             modes=tuple(m for m in VARIANT_MODES if m in wanted),
             threads=self.cfg.threads, delta_thresholds=thresholds,
             keep_tw=self.verify)
+        if self.verify:
+            t.sort()
+            w.sort()
+        return t, w, comps
 
     def distance(self, comparator: str, z=None):
         """Measured distance for a comparator, uniform (z None) or at z;

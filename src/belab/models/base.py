@@ -13,8 +13,10 @@ serves T, W and every variant mode, and its rows depend only on its stream
 and its size, never on which modes were asked for.
 
 Working set: a chunk holds its whole data block, but the transforms of it
-that no result needs whole (projections, comparison masks) are computed
-ROW_TILE rows at a time (`row_tiles`). Each tiled step is row by row or
+that no result needs whole (projections, comparison masks) are computed a
+row tile at a time (`row_tiles`). A tile has `tile_rows(width)` rows: as
+many as fit a float64 tile in TILE_BYTES, rounded down to a power of two,
+and never fewer than ROW_TILE. Each tiled step is row by row or
 elementwise, so its rows are bit-identical to the whole-block step.
 """
 from __future__ import annotations
@@ -38,12 +40,20 @@ def check_capacity(count: int, what: str):
             f"{count} {what} exceed the enumeration cap {ENUMERATION_CAP}")
 
 
-# rows per tile of a block-sized transform: a 1000-wide float64 tile is
-# about 1 MB, whatever the chunk size
+# bytes of one float64 row tile of a narrow block; a block wider than 256
+# values gets ROW_TILE rows, so a 1000-wide tile is about 1 MB
+TILE_BYTES = 2 ** 19
 ROW_TILE = 128
 
 
-def row_tiles(count: int, tile: int = ROW_TILE):
+def tile_rows(width: int) -> int:
+    """Rows per tile of a block `width` values wide: the largest power of
+    two whose float64 tile fits in TILE_BYTES, but at least ROW_TILE."""
+    rows = TILE_BYTES // (8 * width)
+    return 1 << (rows.bit_length() - 1) if rows >= ROW_TILE else ROW_TILE
+
+
+def row_tiles(count: int, tile: int):
     """Slices of at most `tile` consecutive rows that cover range(count)."""
     for start in range(0, count, tile):
         yield slice(start, min(start + tile, count))
@@ -54,7 +64,7 @@ def projection_sums(block, transform):
     `transform` must act on each row alone."""
     sums = np.empty(len(block))
     first = np.empty(len(block))
-    for rows in row_tiles(len(block)):
+    for rows in row_tiles(len(block), tile_rows(block.shape[1])):
         g = transform(block[rows])
         sums[rows] = g.sum(axis=1)
         first[rows] = g[:, 0]
@@ -66,7 +76,7 @@ def row_counts(compare, block, values):
     """Per-row count of the j with compare(block[r, j], values[r]), e.g.
     compare=np.less, computed tile by tile."""
     out = np.empty(len(block), dtype=np.intp)
-    for rows in row_tiles(len(block)):
+    for rows in row_tiles(len(block), tile_rows(block.shape[1])):
         out[rows] = compare(block[rows], values[rows, None]).sum(axis=1)
     return out
 
@@ -137,7 +147,8 @@ class BaseDist:
             # at a time, so no block-sized float temporary is made
             draws = rng.integers(0, 2, size)
             signs = draws.view(np.float64)
-            for rows in row_tiles(len(draws)):
+            for rows in row_tiles(len(draws),
+                                  tile_rows(math.prod(draws.shape[1:]))):
                 signs[rows] = draws[rows] * 2.0 - 1.0
             return signs
         raise UnsupportedModelError(f"no sampler for {self.name}")

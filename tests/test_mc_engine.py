@@ -5,10 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import ndtr
 
-from belab import cli
+from belab import cli, mc_engine
 from belab.errors import ConfigError
 from belab.mc_engine import (
     CHUNK_SIZE,
@@ -36,12 +38,16 @@ from belab.models import (
     UStatSpec,
     build_model,
 )
-from belab.models.base import ROW_TILE, projection_sums, row_counts
+from belab.models.base import ROW_TILE, projection_sums, row_counts, tile_rows
 from belab.types import BoundValue, KSResult
 
 MiB = 2 ** 20
 # chunk sizes on both sides of a row tile's edge
 TILE_COUNTS = [1, ROW_TILE - 1, ROW_TILE, ROW_TILE + 1, CHUNK_SIZE]
+# (width, count) with counts on both sides of that width's tile edge
+WIDTH_TILE_COUNTS = [(width, count) for width in (1, 50, 400, 1000)
+                     for count in sorted({1, tile_rows(width) - 1,
+                                          tile_rows(width) + 1, CHUNK_SIZE})]
 
 
 def traced_peak(fn):
@@ -250,6 +256,17 @@ class TestSinglePass:
                  else ("zero_out", "resample"))
         assert {m for _c, m in calls} == {modes}
 
+    def test_verify_run_sorts_t_and_w_once(self):
+        cfg = cli.parse_config(json.dumps({
+            "model": {"family": "ustat", "kernel": "variance",
+                      "dist": "std_normal", "n": 12},
+            "bounds": ["eq2.3"], "z_grid": [0.5],
+            "mc": {"master_seed": 5, "replicates": 9000}}))
+        t, w, _comps = cli._Runner(cfg, verify=True).sampled
+        want_t, want_w = collect_t_w(ustat_model(), 9000, SeedSpec(5))
+        np.testing.assert_array_equal(t, np.sort(want_t))
+        np.testing.assert_array_equal(w, np.sort(want_w))
+
     def test_fused_rank_chunk_peak(self):
         model = build_model({"family": "multisample", "dist": "uniform01",
                              "n": "1000;1000"})
@@ -295,6 +312,10 @@ class TestSinglePass:
           for dist in ("uniform01", "rademacher")],
         *[({"family": "ustat", "kernel": kernel, "dist": "std_normal",
             "n": 400}, 1, 400) for kernel in ("sum", "variance")],
+        # narrow blocks: 1024-row tiles
+        *[({"family": "ustat", "kernel": kernel, "dist": "std_normal",
+            "n": 50}, 1, 50) for kernel in ("sum", "variance")],
+        ({"family": "linear", "dist": "rademacher", "n": 50}, 1, 50),
     ])
     def test_tiled_chunk_peak_in_data_blocks(self, desc, blocks, width):
         model = build_model(desc)
@@ -306,6 +327,7 @@ class TestSinglePass:
 class TestRowTiles:
     """The tiled helpers equal their whole-block numpy forms exactly."""
 
+    @pytest.mark.usefixtures("fixed_row_tiles")
     @pytest.mark.parametrize("count", TILE_COUNTS)
     def test_projection_sums_equal_whole_block(self, count):
         block = np.random.default_rng(count).standard_normal((count, 37))
@@ -315,12 +337,40 @@ class TestRowTiles:
         np.testing.assert_array_equal(sums, whole.sum(axis=1))
         np.testing.assert_array_equal(first, whole[:, 0])
 
+    @pytest.mark.usefixtures("fixed_row_tiles")
     @pytest.mark.parametrize("count", TILE_COUNTS)
     @pytest.mark.parametrize("compare", [np.less, np.less_equal])
     def test_row_counts_equal_whole_block(self, count, compare):
         rng = np.random.default_rng(count)
         # integer-valued draws, so ties between block and values occur
         block = rng.integers(0, 9, (count, 23)).astype(float)
+        values = rng.integers(0, 9, count).astype(float)
+        got = row_counts(compare, block, values)
+        np.testing.assert_array_equal(
+            got, compare(block, values[:, None]).sum(axis=1))
+        assert got.dtype == np.intp
+
+    def test_tile_rows_by_width(self):
+        # a float64 tile of at most 512 KiB, a power of two rows high, and
+        # never fewer than ROW_TILE rows
+        assert {w: tile_rows(w) for w in (1, 50, 100, 400, 1000, 2000)} == {
+            1: 65536, 50: 1024, 100: 512, 400: 128, 1000: 128, 2000: 128}
+
+    @pytest.mark.parametrize("width,count", WIDTH_TILE_COUNTS)
+    def test_projection_sums_equal_whole_block_at_width(self, width, count):
+        block = np.random.default_rng(count).standard_normal((count, width))
+        transform = lambda b: np.expm1(b) * 0.3
+        sums, first = projection_sums(block, transform)
+        whole = transform(block)
+        np.testing.assert_array_equal(sums, whole.sum(axis=1))
+        np.testing.assert_array_equal(first, whole[:, 0])
+
+    @pytest.mark.parametrize("width,count", WIDTH_TILE_COUNTS)
+    @pytest.mark.parametrize("compare", [np.less, np.less_equal])
+    def test_row_counts_equal_whole_block_at_width(self, width, count,
+                                                   compare):
+        rng = np.random.default_rng(count)
+        block = rng.integers(0, 9, (count, width)).astype(float)
         values = rng.integers(0, 9, count).astype(float)
         got = row_counts(compare, block, values)
         np.testing.assert_array_equal(
@@ -442,6 +492,63 @@ def whole_array_ks_normal(t):
     return float(max((i / n - cdf).max(), (cdf - (i - 1) / n).max(), 0.0))
 
 
+# values with many ties, within one sample and across two: integers, signs,
+# rounded normals, and a mix of the three
+TIED_VALUES = [st.integers(-4, 4).map(float),
+               st.sampled_from([-1.0, 1.0]),
+               st.floats(-3.0, 3.0).map(lambda v: round(v, 1))]
+TIED_VALUES.append(st.one_of(TIED_VALUES))
+
+
+@st.composite
+def tied_samples(draw):
+    values = draw(st.sampled_from(TIED_VALUES))
+    return draw(st.lists(values, min_size=1, max_size=300))
+
+
+class TestTwoSampleKernel:
+    """The kernel that searches each sample only for the other's points
+    gives the pooled-grid distance, which searches both at every point,
+    exactly; it reads its inputs in any order and writes into none."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=tied_samples(), b=tied_samples(), block=st.integers(1, 63))
+    def test_equal_to_pooled_grid_on_ties(self, a, b, block):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mc_engine, "DISTANCE_BLOCK", block)
+            for x, y in ((a, b), (b, a), (a, a)):
+                assert (empirical_ks_two_sample(x, y).distance
+                        == pooled_grid_ks(x, y))
+
+    def test_input_order_does_not_matter(self):
+        rng = np.random.default_rng(43)
+        a = rng.integers(-5, 6, 3001).astype(float)
+        b = np.round(rng.standard_normal(2003) * 2.0)
+        orders = [lambda x: x, np.sort, lambda x: np.sort(x)[::-1]]
+        two = {empirical_ks_two_sample(fa(a), fb(b))
+               for fa in orders for fb in orders}
+        assert len(two) == 1
+        one = {empirical_ks_vs_normal(order(a)) for order in orders}
+        assert len(one) == 1
+        assert two.pop().distance == pooled_grid_ks(a, b)
+
+    @pytest.mark.parametrize("order", ["unsorted", "sorted"])
+    def test_kernels_write_into_no_input(self, order):
+        rng = np.random.default_rng(47)
+        a = rng.integers(-3, 4, 5000).astype(float)
+        b = rng.standard_normal(4000)
+        if order == "sorted":
+            a.sort()
+            b.sort()
+        # a write into a read-only array raises
+        for x in (a, b):
+            x.flags.writeable = False
+        empirical_ks_two_sample(a, b)
+        empirical_ks_vs_normal(a)
+        pointwise_diff_two_sample(a, b, 0.5)
+        pointwise_diff_vs_normal(b, 0.5)
+
+
 class TestStreamedDistances:
     """The blocked distance kernels return the whole-array distance, bit
     for bit, and hold no more than their sorted copies and a block."""
@@ -477,6 +584,13 @@ class TestStreamedDistances:
             a.nbytes + b.nbytes + 2 * MiB)
         assert traced_peak(lambda: empirical_ks_vs_normal(a)) <= (
             a.nbytes + 2 * MiB)
+
+    def test_sorted_inputs_read_in_place(self):
+        rng = np.random.default_rng(53)
+        a = np.sort(rng.standard_normal(500000))
+        b = np.sort(rng.standard_normal(500000))
+        assert traced_peak(lambda: empirical_ks_two_sample(a, b)) <= 2 * MiB
+        assert traced_peak(lambda: empirical_ks_vs_normal(a)) <= 2 * MiB
 
 
 class TestDistances:

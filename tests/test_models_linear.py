@@ -85,6 +85,7 @@ class TestLinearModel:
                                        (x[:, 0] - 1.0) / math.sqrt(20.0),
                                        rtol=1e-12)
 
+    @pytest.mark.usefixtures("fixed_row_tiles")
     @pytest.mark.parametrize("count", [1, ROW_TILE - 1, ROW_TILE,
                                        ROW_TILE + 1, CHUNK_SIZE])
     def test_rows_across_row_tiles(self, count):

@@ -282,6 +282,7 @@ class TestRowTiles:
     """Chunk sizes on both sides of a row tile's edge: the tiled influence
     transform and position counts give the oracles' rows in both modes."""
 
+    @pytest.mark.usefixtures("fixed_row_tiles")
     @pytest.mark.parametrize("weight", ["const1", "identity"])
     @pytest.mark.parametrize("count", [1, ROW_TILE - 1, ROW_TILE,
                                        ROW_TILE + 1, CHUNK_SIZE])

@@ -192,6 +192,7 @@ class TestRowTiles:
     """Chunk sizes on both sides of a row tile's edge: the tiled projections
     and pair counts give the oracles' rows in both modes."""
 
+    @pytest.mark.usefixtures("fixed_row_tiles")
     @pytest.mark.parametrize("count", [1, ROW_TILE - 1, ROW_TILE,
                                        ROW_TILE + 1, CHUNK_SIZE])
     def test_rows_match_oracles(self, count):
