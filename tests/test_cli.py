@@ -352,6 +352,100 @@ class TestCmdSweep:
         with pytest.raises(ConfigError):
             cmd_sweep(parse(doc))
 
+    def test_multisample_n_axis(self):
+        rank = {"family": "multisample", "dist": "uniform01", "n": "10;10"}
+        doc = make_doc(model=rank, bounds=["eq3.7"],
+                       sweep={"axis": "n", "grid": [5, 6]})
+        rows, _ = cmd_sweep(parse(doc))
+        assert [(r.n, r.m) for r in rows] == [("5;5", "1;1"), ("6;6", "1;1")]
+        doc["sweep"]["grid"] = [1, 3]
+        with pytest.raises(ConfigError) as info:
+            parse(doc)
+        assert info.value.violations == [
+            "sweep.grid[0]: model.n[0]: must be >= 2, got 1",
+            "sweep.grid[0]: model.n[1]: must be >= 2, got 1"]
+
+
+DISTS = "exponential1, rademacher, std_normal, uniform01"
+
+
+class TestModelMessages:
+    """The exact violation list of a bad model block, for every family and
+    every field: type, minimum, catalog and the spec's own domain."""
+
+    @pytest.mark.parametrize("model, want", [
+        ({"family": "sparse"},
+         ["model.family: unknown 'sparse'; "
+          "catalog: isqrt, linear, lstat, multisample, ustat"]),
+        ({"family": "linear", "dist": "cauchy", "n": 0},
+         [f"model.dist: unknown 'cauchy'; catalog: {DISTS}",
+          "model.n: must be >= 1, got 0"]),
+        ({"kind": "linear", "dist": 3, "n": "10"},
+         [f"model.dist: unknown 3; catalog: {DISTS}",
+          "model.n: expected a finite number, got '10'"]),
+        ({"family": "linear", "dist": "uniform01", "n": True},
+         ["model.n: expected a finite number, got True"]),
+        ({"family": "ustat", "kernel": "kendall", "dist": "std_normal",
+          "n": 2, "m": 1},
+         ["model.kernel: unknown 'kendall'; catalog: product, sum, variance",
+          "model.n: must be >= 3, got 2", "model.m: must be >= 2, got 1"]),
+        ({"family": "ustat", "kernel": "variance", "dist": None, "n": 2.0,
+          "m": 2.5},
+         [f"model.dist: unknown None; catalog: {DISTS}",
+          "model.n: must be >= 3, got 2",
+          "model.m: expected an integer, got 2.5"]),
+        ({"family": "ustat", "kernel": "variance", "dist": "std_normal",
+          "n": 20, "m": 3},
+         ["model: catalog kernels have degree 2"]),
+        ({"family": "ustat", "kernel": "product", "dist": "std_normal",
+          "n": 20},
+         ["model: product projection variance is zero under std_normal"]),
+        ({"family": "multisample", "kernel": "mann", "dist": "uniform01",
+          "n": "10;a", "m": [0, "x"]},
+         ["model.kernel: unknown 'mann'; catalog: wilcoxon",
+          "model.n[1]: expected a finite number, got 'a'",
+          "model.m[0]: must be >= 1, got 0",
+          "model.m[1]: expected a finite number, got 'x'"]),
+        ({"family": "multisample", "dist": "gamma", "n": [1, 2.5],
+          "m": [1, 1, 1]},
+         [f"model.dist: unknown 'gamma'; catalog: {DISTS}",
+          "model.n[0]: must be >= 2, got 1",
+          "model.n[1]: expected an integer, got 2.5",
+          "model.m: expected two kernel degrees, e.g. [1, 1]"]),
+        ({"family": "multisample", "dist": "uniform01", "n": "10;10;10",
+          "m": 1},
+         ['model.n: expected two sample sizes, e.g. "1000;1000"',
+          "model.m: expected two kernel degrees, e.g. [1, 1]"]),
+        ({"family": "multisample", "dist": "rademacher", "n": "10;10"},
+         ["model: rank kernels need a continuous observation distribution"]),
+        ({"family": "multisample", "dist": "uniform01", "n": [10, 10],
+          "m": [2, 1]},
+         ["model: the rank kernel has degrees (1, 1)"]),
+        ({"family": "lstat", "weight": "trimmed", "dist": "uniform01",
+          "n": 3},
+         ["model.weight: unknown 'trimmed'; catalog: const1, identity",
+          "model.n: must be >= 4, got 3"]),
+        ({"family": "lstat", "weight": "identity", "dist": "laplace",
+          "n": "x"},
+         [f"model.dist: unknown 'laplace'; catalog: {DISTS}",
+          "model.n: expected a finite number, got 'x'"]),
+        ({"family": "lstat", "weight": "identity", "dist": "rademacher",
+          "n": 10},
+         ["model: order-statistic weights need a continuous distribution"]),
+        ({"family": "isqrt", "epsilon": "small", "n": 1},
+         ["model.epsilon: expected a finite number, got 'small'",
+          "model.n: must be >= 2, got 1"]),
+        ({"family": "isqrt", "epsilon": 1.5},
+         ["model: epsilon must lie in (0, 1), got 1.5"]),
+        ({"family": "isqrt", "epsilon": float("nan"), "n": 2.5},
+         ["model.epsilon: expected a finite number, got nan",
+          "model.n: expected an integer, got 2.5"]),
+    ])
+    def test_violation_list(self, model, want):
+        with pytest.raises(ConfigError) as info:
+            parse({"model": model, "mc": {"master_seed": 1}})
+        assert info.value.violations == want
+
 
 class TestMainExitCodes:
     def test_missing_config_file(self, capsys):
