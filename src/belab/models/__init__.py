@@ -9,6 +9,7 @@ from .base import (
     BaseDist,
     StatisticModel,
 )
+from .fields import read_field, read_fields
 from .isqrt import Example41Spec, IsqrtModel, example41_alpha, example41_transform
 from .kernels import KERNEL_CATALOG, PairKernel
 from .linear import LinearModel, LinearSpec, rademacher_ks_exact
@@ -22,58 +23,59 @@ from .lstat import (
 from .multisample import MultiUStatSpec, WilcoxonModel, multisample_sigma, multisample_value
 from .ustat import UStatModel, UStatSpec, hajek_projection, ustat_moments, ustat_value
 
-FAMILIES = ("linear", "ustat", "multisample", "lstat", "isqrt")
+# each family's spec and model class
+FAMILY_CATALOG = {
+    "linear": (LinearSpec, LinearModel),
+    "ustat": (UStatSpec, UStatModel),
+    "multisample": (MultiUStatSpec, WilcoxonModel),
+    "lstat": (LStatSpec, LStatModel),
+    "isqrt": (Example41Spec, IsqrtModel),
+}
+FAMILIES = tuple(FAMILY_CATALOG)
+
+
+def read_spec(desc: dict, errs: list, path: str = "model"):
+    """The spec of a descriptor mapping, or None with every violation of its
+    family and fields appended to errs as '<path>.<field>: <text>'. The
+    spec's own checks across fields raise its error type."""
+    before = len(errs)
+    family = read_field(desc, "family", errs, f"{path}.family",
+                        catalog=FAMILIES)
+    if len(errs) > before:
+        return None
+    spec_type = FAMILY_CATALOG[family][0]
+    values = read_fields(spec_type, desc, errs, path)
+    return spec_type(**values) if len(errs) == before else None
 
 
 def build_spec(desc: dict):
-    """The family's spec dataclass for a plain descriptor mapping; the spec
-    checks the domain of its fields as it is built."""
+    """The family's spec dataclass for a plain descriptor mapping."""
     if not isinstance(desc, dict):
         raise InvalidModelError(f"model descriptor must be a mapping, got {type(desc).__name__}")
-    family = desc.get("family")
-    try:
-        if family == "linear":
-            return LinearSpec(dist=desc["dist"], n=int(desc["n"]))
-        if family == "ustat":
-            return UStatSpec(kernel=desc["kernel"], dist=desc["dist"],
-                             n=int(desc["n"]), m=int(desc.get("m", 2)))
-        if family == "multisample":
-            n = desc["n"]
-            if isinstance(n, str):
-                n = [int(part) for part in n.split(";")]
-            return MultiUStatSpec(
-                kernel=desc.get("kernel", "wilcoxon"), dist=desc["dist"],
-                n=tuple(int(v) for v in n),
-                m=tuple(int(v) for v in desc.get("m", (1, 1))))
-        if family == "lstat":
-            return LStatSpec(weight=desc["weight"], dist=desc["dist"],
-                             n=int(desc["n"]))
-        if family == "isqrt":
-            return Example41Spec(epsilon=float(desc["epsilon"]),
-                                 n=int(desc.get("n", 100)))
-    except KeyError as exc:
-        raise InvalidModelError(f"model descriptor missing field {exc}") from exc
-    raise InvalidModelError(
-        f"unknown model family {family!r}; expected one of {FAMILIES}")
+    errs = []
+    spec = read_spec(desc, errs)
+    if errs:
+        raise InvalidModelError("; ".join(errs))
+    return spec
 
 
-_MODEL_FOR_SPEC = {
-    LinearSpec: LinearModel,
-    UStatSpec: UStatModel,
-    MultiUStatSpec: WilcoxonModel,
-    LStatSpec: LStatModel,
-    Example41Spec: IsqrtModel,
-}
+def with_size(desc: dict, n: int) -> dict:
+    """The descriptor with its size set to n, in each sample where the
+    family's size is a pair."""
+    spec_type = FAMILY_CATALOG[desc["family"]][0]
+    pair = spec_type.__dataclass_fields__["n"].metadata["kind"].get("pair")
+    return {**desc, "n": f"{n};{n}" if pair else n}
 
 
 def build_model(desc: dict) -> StatisticModel:
     """Instantiate a catalog model from a plain descriptor mapping."""
     spec = build_spec(desc)
-    return _MODEL_FOR_SPEC[type(spec)](spec)
+    return FAMILY_CATALOG[desc["family"]][1](spec)
 
 
 __all__ = [
     "BaseDist", "DIST_CATALOG", "ENUMERATION_CAP", "Example41Spec", "FAMILIES",
+    "FAMILY_CATALOG",
     "IsqrtModel", "KERNEL_CATALOG", "LStatModel", "LStatSpec", "LinearModel",
     "LinearSpec", "MultiUStatSpec", "PairKernel", "StatisticModel",
     "UStatModel", "UStatSpec", "VARIANT_MODES", "WEIGHT_CATALOG",
@@ -81,5 +83,6 @@ __all__ = [
     "build_model", "build_spec", "example41_alpha", "example41_transform",
     "hajek_projection", "lstat_projection_sigma", "lstat_value",
     "multisample_sigma", "multisample_value", "rademacher_ks_exact",
+    "read_spec", "with_size",
     "ustat_moments", "ustat_value",
 ]

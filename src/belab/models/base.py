@@ -166,6 +166,7 @@ class StatisticModel(ABC):
     """Capability bundle for one statistic. Immutable after construction."""
 
     name: str
+    spec: object
     linear_part: LinearPart
     delta_is_zero: bool = False
     # False where Delta has no second moment: the L2 components are skipped
@@ -197,6 +198,16 @@ class StatisticModel(ABC):
         representative-index shortcuts evaluate the first index of each
         group and weight by the size."""
         return tuple(cnt for _marg, cnt in self.linear_part.groups)
+
+    def row_meta(self) -> dict:
+        """The model's columns of a result row: its name, and the n, m and
+        epsilon of its spec where it has them, a pair written "a;b"."""
+        meta = {"model": self.name}
+        for column in ("n", "m", "epsilon"):
+            value = getattr(self.spec, column, None)
+            meta[column] = (";".join(map(str, value))
+                            if isinstance(value, (tuple, list)) else value)
+        return meta
 
     # --- analytic hooks (override where the catalog knows the answer) -----
 

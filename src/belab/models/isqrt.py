@@ -26,6 +26,7 @@ from ..mc_engine import SeedSpec, _map_chunks, _mean_se, _row_moments
 from ..special import ndtr
 from ..types import MomentEstimate
 from .base import DIST_CATALOG, StatisticModel, variant_modes
+from .fields import Spec, spec_field
 
 # E|Z|^(-1/2) for standard normal Z
 ISQRT_MEAN = 2.0 ** (-0.25) * math.gamma(0.25) / math.sqrt(math.pi)
@@ -37,17 +38,17 @@ _PHI = DIST_CATALOG["std_normal"].pdf
 
 
 @dataclass(frozen=True)
-class Example41Spec:
+class Example41Spec(Spec):
     """Descriptor for the perturbed-normal counterexample family."""
 
-    epsilon: float
-    n: int = 100
+    error = DomainError
+    epsilon: float = spec_field()
+    n: int = spec_field(100, integer=True, minimum=2)
 
     def __post_init__(self):
+        super().__post_init__()
         if not 0.0 < self.epsilon < 1.0:
             raise DomainError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.n < 2:
-            raise DomainError("need n >= 2 to split off one summand")
 
 
 def example41_transform(w, epsilon: float):

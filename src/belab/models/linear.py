@@ -21,20 +21,15 @@ from ..marginals import (
 )
 from ..special import gammainc, gammaincc, half_binom_cdf, ndtr
 from .base import DIST_CATALOG, StatisticModel, projection_sums, variant_modes
+from .fields import Spec, spec_field
 
 
 @dataclass(frozen=True)
-class LinearSpec:
+class LinearSpec(Spec):
     """Descriptor for a standardized i.i.d. sum."""
 
-    dist: str
-    n: int
-
-    def __post_init__(self):
-        if self.dist not in DIST_CATALOG:
-            raise UnsupportedModelError(f"unknown distribution {self.dist!r}")
-        if self.n < 1:
-            raise UnsupportedModelError("need n >= 1")
+    dist: str = spec_field(catalog=DIST_CATALOG)
+    n: int = spec_field(integer=True, minimum=1)
 
 
 def _unit_marginal(dist_name: str):

@@ -31,6 +31,7 @@ from .base import (
     row_counts,
     variant_modes,
 )
+from .fields import Spec, spec_field
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -51,21 +52,18 @@ WEIGHT_CATALOG = {
 
 
 @dataclass(frozen=True)
-class LStatSpec:
+class LStatSpec(Spec):
     """Descriptor for a catalog L-statistic."""
 
-    weight: str
-    dist: str
-    n: int
+    weight: str = spec_field(catalog=WEIGHT_CATALOG)
+    dist: str = spec_field(catalog=DIST_CATALOG)
+    n: int = spec_field(integer=True, minimum=4)
 
     def __post_init__(self):
-        if self.weight not in WEIGHT_CATALOG:
-            raise UnsupportedModelError(f"unknown weight {self.weight!r}")
-        if self.dist not in DIST_CATALOG or not DIST_CATALOG[self.dist].continuous:
+        super().__post_init__()
+        if not DIST_CATALOG[self.dist].continuous:
             raise UnsupportedModelError(
                 "order-statistic weights need a continuous distribution")
-        if self.n < 4:
-            raise UnsupportedModelError("need n >= 4")
 
 
 def check_lipschitz(weight: WeightFn, gridsize: int = 2001):
@@ -232,3 +230,10 @@ class LStatModel(StatisticModel):
         """E|infl(X)|^p in raw influence units."""
         marg, _count = self.linear_part.groups[0]
         return marg.e_abs_p(p) * (math.sqrt(self.n) * self.sigma) ** p
+
+    def bound_inputs(self, p):
+        from ..app_bounds import LStatBoundInputs  # app_bounds imports models
+        return LStatBoundInputs(
+            c_lip=self.lipschitz_constant(), x_l2=math.sqrt(self.x2_moment),
+            x2_moment=self.x2_moment, sigma=self.sigma,
+            e_abs_g_p=self.influence_abs_moment(p), p=p, n=self.n)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,27 +27,29 @@ from .base import (
     row_tiles,
     variant_modes,
 )
+from .fields import Spec, spec_field
 
 
 @dataclass(frozen=True)
-class MultiUStatSpec:
+class MultiUStatSpec(Spec):
     """Descriptor for a catalog multisample U-statistic."""
 
-    kernel: str
-    dist: str
-    n: tuple
-    m: tuple = (1, 1)
+    # the constructor takes it first, so only a descriptor may leave it out
+    kernel: str = field(metadata={"kind": {"catalog": ("wilcoxon",)},
+                                  "default": "wilcoxon"})
+    dist: str = spec_field(catalog=DIST_CATALOG)
+    n: tuple = spec_field(pair='two sample sizes, e.g. "1000;1000"',
+                          integer=True, minimum=2)
+    m: tuple = spec_field((1, 1), pair="two kernel degrees, e.g. [1, 1]",
+                          integer=True, minimum=1)
 
     def __post_init__(self):
-        if self.kernel != "wilcoxon":
-            raise UnsupportedModelError(f"unknown multisample kernel {self.kernel!r}")
-        if self.dist not in DIST_CATALOG or not DIST_CATALOG[self.dist].continuous:
+        super().__post_init__()
+        if not DIST_CATALOG[self.dist].continuous:
             raise UnsupportedModelError(
                 "rank kernels need a continuous observation distribution")
         if tuple(self.m) != (1, 1):
             raise UnsupportedModelError("the rank kernel has degrees (1, 1)")
-        if len(self.n) != 2 or any(k < 2 for k in self.n):
-            raise UnsupportedModelError("need two samples of size >= 2")
 
 
 def multisample_value(kernel_fn, samples, degrees) -> float:
@@ -233,3 +235,10 @@ class WilcoxonModel(StatisticModel):
             "m": (1, 1),
             "n": (self.n1, self.n2),
         }
+
+    def bound_inputs(self, p):
+        from ..app_bounds import MultiBoundInputs  # app_bounds imports models
+        mom = self.moments(p)
+        return MultiBoundInputs(
+            sigma=mom["sigma"], sn=mom["sn"], m=mom["m"], n=mom["n"],
+            e_abs_h_p=mom["e_abs_h_p"], p=p)

@@ -27,28 +27,24 @@ from .base import (
     projection_sums,
     variant_modes,
 )
+from .fields import Spec, spec_field
 from .kernels import KERNEL_CATALOG, PairKernel, kernel_abs_p
 from .linear import sum_leave_one_out_tail
 
 
 @dataclass(frozen=True)
-class UStatSpec:
+class UStatSpec(Spec):
     """Descriptor for a catalog one-sample U-statistic."""
 
-    kernel: str
-    dist: str
-    n: int
-    m: int = 2
+    kernel: str = spec_field(catalog=KERNEL_CATALOG)
+    dist: str = spec_field(catalog=DIST_CATALOG)
+    n: int = spec_field(integer=True, minimum=3)
+    m: int = spec_field(2, integer=True, minimum=2)
 
     def __post_init__(self):
-        if self.kernel not in KERNEL_CATALOG:
-            raise UnsupportedModelError(f"unknown kernel {self.kernel!r}")
-        if self.dist not in DIST_CATALOG:
-            raise UnsupportedModelError(f"unknown distribution {self.dist!r}")
+        super().__post_init__()
         if self.m != 2:
             raise UnsupportedModelError("catalog kernels have degree 2")
-        if self.n < self.m + 1:
-            raise UnsupportedModelError("need n >= m + 1")
         if KERNEL_CATALOG[self.kernel].sigma1_sq(DIST_CATALOG[self.dist]) <= 0:
             raise DegenerateModelError(
                 f"{self.kernel} projection variance is zero under {self.dist}")
@@ -151,6 +147,11 @@ class UStatModel(StatisticModel):
             dvar[m] = (t_new - w_new)[:, None]
         return {"t": t, "w": w, "delta": delta,
                 "g_rep": g_rep[:, None], "dvar_rep": dvar}
+
+    def bound_inputs(self, p):
+        from ..app_bounds import UStatBoundInputs  # app_bounds imports models
+        return UStatBoundInputs(m=self.m, n=self.n, p=p,
+                                **ustat_moments(self.spec, p))
 
     def prob_abs_w_minus_g_above(self, group, t):
         n = self.n

@@ -21,8 +21,8 @@ from belab.cli import (
     parse_config,
     render_rows,
 )
-from belab.errors import ConfigError
-from belab.models import UStatModel
+from belab.errors import ConfigError, InvalidModelError
+from belab.models import UStatModel, build_spec
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_DIR = ROOT / "tests" / "golden"
@@ -134,6 +134,27 @@ class TestParseConfig:
         doc["model"]["n"] = [60]
         with pytest.raises(ConfigError):
             parse(doc)
+
+    def test_every_missing_field_reported(self):
+        doc = make_doc(model={"family": "ustat", "kernel": "variance"})
+        with pytest.raises(ConfigError) as info:
+            parse(doc)
+        assert info.value.violations == ["model.dist: required",
+                                         "model.n: required"]
+
+    def test_sweep_checks_join_the_violation_list(self):
+        doc = make_doc(p=1.0, sweep={"axis": "epsilon", "grid": [1e-3]})
+        with pytest.raises(ConfigError) as info:
+            parse(doc)
+        assert info.value.violations == [
+            "p: moment order must lie in (2, 3], got 1.0",
+            "sweep.axis: epsilon sweeps need an isqrt model"]
+        doc = make_doc(p=1.0, sweep={"axis": "n", "grid": []})
+        with pytest.raises(ConfigError) as info:
+            parse(doc)
+        assert info.value.violations == [
+            "p: moment order must lie in (2, 3], got 1.0",
+            "sweep.grid: required"]
 
     def test_isqrt_requires_epsilon(self):
         doc = make_doc(model={"family": "isqrt", "n": 100}, bounds=["eq1.4"])
@@ -445,6 +466,18 @@ class TestModelMessages:
         with pytest.raises(ConfigError) as info:
             parse({"model": model, "mc": {"master_seed": 1}})
         assert info.value.violations == want
+
+    def test_build_spec_lists_every_violation(self):
+        with pytest.raises(InvalidModelError,
+                           match="^model.dist: required; model.n: required$"):
+            build_spec({"family": "ustat", "kernel": "variance"})
+
+    def test_pair_forms(self):
+        # both pair fields read "a;b", [a, b] and numbers written as text
+        for n, m in (("7;5", "1;1"), ([7, 5], [1, 1]), (["7", 5], ["1", 1])):
+            spec = build_spec({"family": "multisample", "dist": "uniform01",
+                               "n": n, "m": m})
+            assert (spec.n, spec.m) == ((7, 5), (1, 1))
 
 
 class TestMainExitCodes:
