@@ -1,6 +1,8 @@
 """Model catalog and the descriptor-to-model builder."""
 from __future__ import annotations
 
+import dataclasses
+
 from ..errors import InvalidModelError
 from .base import (
     DIST_CATALOG,
@@ -9,7 +11,7 @@ from .base import (
     BaseDist,
     StatisticModel,
 )
-from .fields import read_field, read_fields
+from .fields import catalog_names, read_field, read_fields
 from .isqrt import Example41Spec, IsqrtModel, example41_alpha, example41_transform
 from .kernels import KERNEL_CATALOG, PairKernel
 from .linear import LinearModel, LinearSpec, rademacher_ks_exact
@@ -36,14 +38,20 @@ FAMILIES = tuple(FAMILY_CATALOG)
 
 def read_spec(desc: dict, errs: list, path: str = "model"):
     """The spec of a descriptor mapping, or None with every violation of its
-    family and fields appended to errs as '<path>.<field>: <text>'. The
-    spec's own checks across fields raise its error type."""
+    family and fields, a field the family does not take among them,
+    appended to errs as '<path>.<field>: <text>'. The spec's own checks
+    across fields raise its error type."""
     before = len(errs)
     family = read_field(desc, "family", errs, f"{path}.family",
                         catalog=FAMILIES)
     if len(errs) > before:
         return None
     spec_type = FAMILY_CATALOG[family][0]
+    known = ["family", *(f.name for f in dataclasses.fields(spec_type))]
+    for name in desc:
+        if name not in known:
+            errs.append(f"{path}.{name}: unknown field; {family} takes "
+                        f"{catalog_names(known)}")
     values = read_fields(spec_type, desc, errs, path)
     return spec_type(**values) if len(errs) == before else None
 

@@ -12,18 +12,28 @@ index, again replicate-major. zero_out draws nothing, so one chunk call
 serves T, W and every variant mode, and its rows depend only on its stream
 and its size, never on which modes were asked for.
 
-Working set: a chunk holds its whole data block, but the transforms of it
-that no result needs whole (projections, comparison masks) are computed a
-row tile at a time (`row_tiles`). A tile has `tile_rows(width)` rows: as
-many as fit a float64 tile in TILE_BYTES, rounded down to a power of two,
-and never fewer than ROW_TILE. Each tiled step is row by row or
-elementwise, so its rows are bit-identical to the whole-block step.
+Working set: a chunk is drawn and consumed a row tile at a time
+(`ChunkTiles`), so it holds one tile of each data block and count-length
+outputs. Every row of a chunk depends only on its own data row, so the
+tiles, drawn in stream order, hold exactly the values of one block draw.
+A draw that comes later in the stream but is needed inside the loop (a
+second block, or a fresh draw of resample) is read from a copy of the
+stream positioned ahead (`advanced_copy`); that is exact only for a law
+that takes one 64-bit output per value (uniform01). Under the other laws
+such a chunk draws its blocks whole, and the tiles are views of them.
+A tile has `tile_rows(width)` rows for the widest block: as many as fit a
+float64 tile in TILE_BYTES, rounded down to a power of two, and never
+fewer than ROW_TILE; a lone last row joins the tile before it, since
+numpy multiplies a one-row matrix by a vector through a different BLAS
+routine. Each tiled step is row by row or elementwise, so its rows are
+bit-identical to the whole-block step.
 """
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,13 +69,20 @@ def row_tiles(count: int, tile: int):
         yield slice(start, min(start + tile, count))
 
 
-def projection_sums(block, transform):
+def projection_sums(block, transform, out=None):
     """(row sums, first column) of transform(block), computed tile by tile;
-    `transform` must act on each row alone."""
+    `transform` must act on each row alone. Given `out`, a flat float64
+    buffer of at least block.size values, each tile's projection is made
+    by transform(tile, out=<view of out>), so no tile-sized array is
+    allocated where the transform can write there."""
     sums = np.empty(len(block))
     first = np.empty(len(block))
     for rows in row_tiles(len(block), tile_rows(block.shape[1])):
-        g = transform(block[rows])
+        tile = block[rows]
+        if out is None:
+            g = transform(tile)
+        else:
+            g = transform(tile, out=out[:tile.size].reshape(tile.shape))
         sums[rows] = g.sum(axis=1)
         first[rows] = g[:, 0]
         del g  # else it is held while the next tile is made
@@ -79,6 +96,110 @@ def row_counts(compare, block, values):
     for rows in row_tiles(len(block), tile_rows(block.shape[1])):
         out[rows] = compare(block[rows], values[rows, None]).sum(axis=1)
     return out
+
+
+def empty_block(size):
+    """np.empty(size); a block too large for numpy to index raises
+    MemoryError, like one too large to allocate."""
+    cells = math.prod(size) if isinstance(size, tuple) else int(size)
+    if cells * 8 > np.iinfo(np.intp).max:
+        # numpy would raise ValueError("array is too big") instead
+        raise MemoryError(f"a block of {cells} draws needs {cells * 8} "
+                          f"bytes, more than numpy can index")
+    return np.empty(size)
+
+
+def advanced_copy(rng: np.random.Generator, offset: int):
+    """A generator on a copy of rng's Philox stream whose next 64-bit
+    output is the one that rng gives after `offset` more; rng is not
+    changed."""
+    state = rng.bit_generator.state
+    bitgen = np.random.Philox(0)
+    bitgen.state = state
+    # one Philox counter step makes four outputs; buffer_pos of them are
+    # used already
+    steps, skip = divmod(state["buffer_pos"] + offset, 4)
+    if steps:
+        bitgen.advance(steps - 1)  # the next output starts a counter step
+    else:
+        skip = offset
+    if skip:
+        bitgen.random_raw(skip)
+    return np.random.Generator(bitgen)
+
+
+class ChunkTiles:
+    """A chunk's data blocks and fresh draws, a row tile at a time.
+
+    The chunk's stream holds, in order, one block of count x w draws of
+    `dist` for each w in `widths`, then `fresh` runs of count draws.
+    Iteration yields (rows, blocks, draws): the slice of chunk rows, the
+    tile of each block and the slice of each fresh run; a tile is valid
+    until the next one is yielded and may be changed in place. After the
+    loop rng stands where the whole draws would have left it.
+
+    With one block and no fresh run, the tiles are drawn from rng in turn,
+    under every law. Otherwise each block and run is read from its own
+    copy of the stream positioned at its start, where the law takes one
+    output per value and rng is a Philox generator; else everything is
+    drawn whole in stream order (`whole`) and the tiles are views of it.
+    """
+
+    def __init__(self, dist: BaseDist, rng, count: int, widths, fresh=0):
+        self.dist, self.rng, self.count = dist, rng, count
+        self.widths = tuple(widths)
+        self.fresh = fresh
+        self.tile = tile_rows(max(self.widths))
+        self.whole = None
+        if len(self.widths) + fresh > 1 and not (
+                dist.one_output_per_value
+                and isinstance(rng.bit_generator, np.random.Philox)):
+            self.whole = [dist.sample(rng, (count, w)) for w in self.widths]
+            self.whole += [dist.sample(rng, (count, 1))[:, 0]
+                           for _run in range(fresh)]
+
+    @cached_property
+    def scratch(self):
+        """A flat float64 buffer that holds one tile of the widest block."""
+        return empty_block(min(self.count, self.tile + 1) * max(self.widths))
+
+    def row_slices(self):
+        """row_tiles of the chunk, a lone last row joined to the tile
+        before it."""
+        tiles = list(row_tiles(self.count, self.tile))
+        if len(tiles) > 1 and tiles[-1].stop - tiles[-1].start == 1:
+            tiles[-2:] = [slice(tiles[-2].start, self.count)]
+        return tiles
+
+    def __iter__(self):
+        nblocks = len(self.widths)
+        if self.whole is not None:
+            for rows in self.row_slices():
+                tiles = [part[rows] for part in self.whole]
+                yield rows, tiles[:nblocks], tiles[nblocks:]
+            return
+        height = min(self.count, self.tile + 1)
+        buffers = [empty_block((height, w)) for w in self.widths]
+        buffers += [empty_block(height) for _run in range(self.fresh)]
+        # the stream offset of each block and run
+        sizes = [self.count * w for w in self.widths]
+        sizes += [self.count] * self.fresh
+        offsets = np.cumsum([0] + sizes[:-1]).tolist()
+        streams = [self.rng] + [advanced_copy(self.rng, off)
+                                for off in offsets[1:]]
+        for rows in self.row_slices():
+            tiles = [buf[:rows.stop - rows.start] for buf in buffers]
+            for stream, tile in zip(streams, tiles):
+                self.dist.fill(stream, tile)
+            yield rows, tiles[:nblocks], tiles[nblocks:]
+        if len(streams) > 1:
+            # the last run's copy ends where sequential draws end; a pending
+            # 32-bit half is untouched by 64-bit draws, so rng keeps its own
+            state = streams[-1].bit_generator.state
+            before = self.rng.bit_generator.state
+            state["has_uint32"] = before["has_uint32"]
+            state["uinteger"] = before["uinteger"]
+            self.rng.bit_generator.state = state
 
 
 VARIANT_MODES = ("zero_out", "resample")
@@ -105,6 +226,9 @@ class BaseDist:
     mu4: float  # central fourth moment
     support: tuple
     continuous: bool = True
+    # each value takes one 64-bit output of the bit generator, so a stream
+    # can be positioned at any value (`advanced_copy`)
+    one_output_per_value: bool = False
 
     def pdf(self, x):
         """Density at each x; the quadrature integrands call it on arrays."""
@@ -131,32 +255,30 @@ class BaseDist:
         raise UnsupportedModelError(f"no cdf for {self.name}")
 
     def sample(self, rng: np.random.Generator, size):
-        cells = math.prod(size) if isinstance(size, tuple) else int(size)
-        if cells * 8 > np.iinfo(np.intp).max:
-            # numpy would raise ValueError("array is too big") instead
-            raise MemoryError(f"a block of {cells} draws needs {cells * 8} "
-                              f"bytes, more than numpy can index")
+        out = empty_block(size)
+        self.fill(rng, out)
+        return out
+
+    def fill(self, rng: np.random.Generator, out):
+        """Draw out.size values into the C-contiguous float64 array out, as
+        one draw of its shape would."""
         if self.name == "std_normal":
-            return rng.standard_normal(size)
-        if self.name == "uniform01":
-            return rng.random(size)
-        if self.name == "exponential1":
-            return rng.standard_exponential(size)
-        if self.name == "rademacher":
-            # the int64 draws become +-1.0 in their own buffer, a row tile
-            # at a time, so no block-sized float temporary is made
-            draws = rng.integers(0, 2, size)
-            signs = draws.view(np.float64)
-            for rows in row_tiles(len(draws),
-                                  tile_rows(math.prod(draws.shape[1:]))):
-                signs[rows] = draws[rows] * 2.0 - 1.0
-            return signs
-        raise UnsupportedModelError(f"no sampler for {self.name}")
+            rng.standard_normal(out=out)
+        elif self.name == "uniform01":
+            rng.random(out=out)
+        elif self.name == "exponential1":
+            rng.standard_exponential(out=out)
+        elif self.name == "rademacher":
+            np.multiply(rng.integers(0, 2, out.shape), 2.0, out=out)
+            out -= 1.0
+        else:
+            raise UnsupportedModelError(f"no sampler for {self.name}")
 
 
 DIST_CATALOG = {
     "std_normal": BaseDist("std_normal", 0.0, 1.0, 3.0, (-12.0, 12.0)),
-    "uniform01": BaseDist("uniform01", 0.5, 1.0 / 12.0, 1.0 / 80.0, (0.0, 1.0)),
+    "uniform01": BaseDist("uniform01", 0.5, 1.0 / 12.0, 1.0 / 80.0, (0.0, 1.0),
+                           one_output_per_value=True),
     "rademacher": BaseDist("rademacher", 0.0, 1.0, 1.0, (-1.0, 1.0), continuous=False),
     "exponential1": BaseDist("exponential1", 1.0, 1.0, 9.0, (0.0, 60.0)),
 }

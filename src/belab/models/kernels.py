@@ -40,8 +40,8 @@ class PairKernel(ABC):
         """Kernel values, vectorized."""
 
     @abstractmethod
-    def g_raw(self, x, dist: BaseDist):
-        """Projection E[h(x, Y)], vectorized."""
+    def g_raw(self, x, dist: BaseDist, out=None):
+        """Projection E[h(x, Y)], vectorized; into `out` where given."""
 
     @abstractmethod
     def sigma1_sq(self, dist: BaseDist) -> float: ...
@@ -78,8 +78,11 @@ class VarianceKernel(PairKernel):
     def h(self, x, y, dist):
         return ((np.asarray(x) - np.asarray(y)) ** 2 - 2.0 * dist.var) / 2.0
 
-    def g_raw(self, x, dist):
-        return ((np.asarray(x) - dist.mean) ** 2 - dist.var) / 2.0
+    def g_raw(self, x, dist, out=None):
+        g = np.subtract(x, dist.mean, out=out)
+        g = np.square(g, out=out)
+        g = np.subtract(g, dist.var, out=out)
+        return np.divide(g, 2.0, out=out)
 
     def sigma1_sq(self, dist):
         return (dist.mu4 - dist.var ** 2) / 4.0
@@ -115,8 +118,8 @@ class SumKernel(PairKernel):
     def h(self, x, y, dist):
         return (np.asarray(x) - dist.mean) + (np.asarray(y) - dist.mean)
 
-    def g_raw(self, x, dist):
-        return np.asarray(x) - dist.mean
+    def g_raw(self, x, dist, out=None):
+        return np.subtract(x, dist.mean, out=out)
 
     def sigma1_sq(self, dist):
         return dist.var
@@ -154,8 +157,11 @@ class ProductKernel(PairKernel):
     def h(self, x, y, dist):
         return (np.asarray(x) - dist.mean) * (np.asarray(y) - dist.mean)
 
-    def g_raw(self, x, dist):
-        return np.zeros_like(np.asarray(x, dtype=np.float64))
+    def g_raw(self, x, dist, out=None):
+        if out is None:
+            return np.zeros_like(np.asarray(x, dtype=np.float64))
+        out.fill(0.0)
+        return out
 
     def sigma1_sq(self, dist):
         return 0.0

@@ -20,7 +20,13 @@ from ..marginals import (
     UniformMarginal,
 )
 from ..special import gammainc, gammaincc, half_binom_cdf, ndtr
-from .base import DIST_CATALOG, StatisticModel, projection_sums, variant_modes
+from .base import (
+    DIST_CATALOG,
+    ChunkTiles,
+    StatisticModel,
+    projection_sums,
+    variant_modes,
+)
 from .fields import Spec, spec_field
 
 
@@ -98,15 +104,22 @@ class LinearModel(StatisticModel):
             (_unit_marginal(spec.dist).scale_by(1.0 / math.sqrt(self.n)), self.n)])
 
     def sample_chunk(self, rng, count, mode=None):
-        x = self.dist.sample(rng, (count, self.n))
-        w, rep = projection_sums(
-            x, lambda b: (b - self.dist.mean) * self._scale)
+        w, rep = np.empty((2, count))
+        tiles = ChunkTiles(self.dist, rng, count, (self.n,))
+        for rows, (x,), _draws in tiles:
+            w[rows], rep[rows] = projection_sums(
+                x, self._g_rows, tiles.scratch)
         t = w.copy()
         modes = variant_modes(mode)
         if not modes:
             return {"t": t, "w": w}
         return {"t": t, "w": w, "delta": np.zeros(count), "g_rep": rep[:, None],
                 "dvar_rep": {m: np.zeros((count, 1)) for m in modes}}
+
+    def _g_rows(self, x, out=None):
+        """The linear terms (x - mu) / (sqrt(n) sd)."""
+        g = np.subtract(x, self.dist.mean, out=out)
+        return np.multiply(g, self._scale, out=out)
 
     def linear_ks_exact(self):
         if self.spec.dist == "std_normal":

@@ -26,6 +26,7 @@ from ..special import ndtr
 from .base import (
     DIST_CATALOG,
     BaseDist,
+    ChunkTiles,
     StatisticModel,
     projection_sums,
     row_counts,
@@ -86,21 +87,29 @@ def lstat_value(data, weight: WeightFn) -> float:
 
 
 def influence_closed(weight: WeightFn, dist: BaseDist):
-    """Vectorized influence function for catalog (weight, dist) pairs."""
+    """Vectorized influence function for catalog (weight, dist) pairs,
+    written into `out` where given."""
     if weight.name == "const1":
-        return lambda x: dist.mean - np.asarray(x, dtype=float)
+        return lambda x, out=None: np.subtract(dist.mean, x, out=out)
     if weight.name == "identity":
         if dist.name == "uniform01":
-            return lambda x: 1.0 / 6.0 - np.asarray(x, dtype=float) ** 2 / 2.0
+            def infl(x, out=None):
+                sq = np.square(x, out=out)
+                sq = np.divide(sq, 2.0, out=out)
+                return np.subtract(1.0 / 6.0, sq, out=out)
+            return infl
         if dist.name == "std_normal":
-            def infl(x):
+            def infl(x, out=None):
                 x = np.asarray(x, dtype=float)
+                g = np.subtract(1.0 / _SQRT_PI, x * ndtr(x))
                 phi = np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
-                return 1.0 / _SQRT_PI - x * ndtr(x) - phi
+                return np.subtract(g, phi, out=out)
             return infl
         if dist.name == "exponential1":
-            return lambda x: 1.5 - np.asarray(x, dtype=float) - np.exp(
-                -np.asarray(x, dtype=float))
+            def infl(x, out=None):
+                g = np.subtract(1.5, x, out=out)
+                return np.subtract(g, np.exp(np.negative(x)), out=out)
+            return infl
     raise UnsupportedModelError(
         f"no closed-form influence for {weight.name} under {dist.name}")
 
@@ -193,35 +202,50 @@ class LStatModel(StatisticModel):
         self.x2_moment = self.dist.var + self.dist.mean ** 2
 
     def sample_chunk(self, rng, count, mode=None):
-        x = self.dist.sample(rng, (count, self.n))
-        w, rep = projection_sums(x, lambda b: -self._infl(b) * self._scale)
-        g_rep = rep[:, None]
-        cur = x[:, 0].copy()
-        # T reads only the order statistics, so x is sorted in place
-        x.sort(axis=1)
-        t = (x @ self._jvec - self._center) * (math.sqrt(self.n) / self.sigma)
         modes = variant_modes(mode)
+        w, rep, t = np.empty((3, count))
+        t_var = {m: np.empty(count) for m in modes}
+        values = {"zero_out": np.broadcast_to(0.0, count),
+                  "resample": np.empty(count)}
+        tiles = ChunkTiles(self.dist, rng, count, (self.n,),
+                           fresh=1 if "resample" in modes else 0)
+        for rows, (x,), draws in tiles:
+            # a joined last row keeps its own projection tile, as
+            # projection_sums cuts a block into tile_rows(n) rows
+            w[rows], rep[rows] = projection_sums(x, self._g_rows,
+                                                 tiles.scratch)
+            cur = x[:, 0].copy()
+            # T reads only the order statistics, so x is sorted in place
+            x.sort(axis=1)
+            t[rows] = x @ self._jvec
+            if draws:
+                values["resample"][rows] = draws[0]
+            at = np.arange(len(x))
+            for m in modes:
+                v = values[m][rows]
+                # swap the representative's current value for v where it
+                # sits in the sorted row; a stable sort then moves the one
+                # element that is out of place
+                x[at, row_counts(np.less, x, cur)] = v
+                x.sort(axis=1, kind="stable")
+                cur = v
+                t_var[m][rows] = x @ self._jvec
+        x = tiles = None  # a whole block goes before the arithmetic below
+        scale = math.sqrt(self.n) / self.sigma
+        t = (t - self._center) * scale
         if not modes:
             return {"t": t, "w": w}
-        rows = np.arange(count)
         dvar = {}
         for m in modes:
-            if m == "zero_out":
-                v = np.zeros(count)
-            else:
-                v = self.dist.sample(rng, (count, 1))[:, 0]
-            # swap the representative's current value for v where it sits
-            # in the sorted row; a stable sort then moves the one element
-            # that is out of place
-            x[rows, row_counts(np.less, x, cur)] = v
-            x.sort(axis=1, kind="stable")
-            cur = v
-            tv = (x @ self._jvec - self._center) * (
-                math.sqrt(self.n) / self.sigma)
-            gv = -self._infl(v) * self._scale
-            dvar[m] = (tv - (w - g_rep[:, 0] + gv))[:, None]
+            gv = self._g_rows(values[m])
+            tv = (t_var[m] - self._center) * scale
+            dvar[m] = (tv - (w - rep + gv))[:, None]
         return {"t": t, "w": w, "delta": t - w,
-                "g_rep": g_rep, "dvar_rep": dvar}
+                "g_rep": rep[:, None], "dvar_rep": dvar}
+
+    def _g_rows(self, x, out=None):
+        """The linear terms g = -infl(x) / (sqrt(n) sigma)."""
+        return np.multiply(self._infl(x, out=out), -self._scale, out=out)
 
     def lipschitz_constant(self):
         return self.weight.c_lip

@@ -20,6 +20,7 @@ from ..marginals import LinearPart, UniformMarginal
 from ..special import ndtr
 from .base import (
     DIST_CATALOG,
+    ChunkTiles,
     StatisticModel,
     check_capacity,
     projection_sums,
@@ -83,7 +84,7 @@ def _pair_counts(xs, ys):
 PAIR_TILE = 32
 
 
-def _tagged_pair_counts(x, y):
+def _tagged_pair_counts(x, y, work=None):
     """Per-row count of the pairs (i, j) with x_i <= y_j of finite blocks x
     and y, from one sort of each pooled row; x and y are not changed.
 
@@ -97,13 +98,20 @@ def _tagged_pair_counts(x, y):
     order; each of them leaves two sorted neighbours that are equal as
     doubles or agree above the last bit, and such a row is recounted by
     `_pair_counts` on sorted copies of its x and y rows.
+
+    `work`, a flat float64 buffer of at least 2 min(PAIR_TILE, count)
+    (n1 + n2) values, holds the key block and its scratch where given.
     """
     count, n1 = x.shape
     n2 = y.shape[1]
     out = np.empty(count)
-    keys = np.empty((min(PAIR_TILE, count), n1 + n2))
+    shape = (min(PAIR_TILE, count), n1 + n2)
+    cells = shape[0] * shape[1]
+    if work is None:
+        work = np.empty(2 * cells)
+    keys = work[:cells].reshape(shape)
     bits = keys.view(np.int64)
-    scratch = np.empty_like(bits)
+    scratch = work[cells:2 * cells].view(np.int64).reshape(shape)
     positions = np.arange(n1 + n2, dtype=np.int64)
     for rows in row_tiles(count, PAIR_TILE):
         used = rows.stop - rows.start
@@ -162,63 +170,85 @@ class WilcoxonModel(StatisticModel):
         ])
 
     def sample_chunk(self, rng, count, mode=None):
-        x = self.dist.sample(rng, (count, self.n1))
-        y = self.dist.sample(rng, (count, self.n2))
         modes = variant_modes(mode)
-        sum1, rep1 = projection_sums(x, self._g1_rows)
-        sum2, rep2 = projection_sums(y, self._g2_rows)
+        tiles = ChunkTiles(self.dist, rng, count, (self.n1, self.n2),
+                           fresh=2 if "resample" in modes else 0)
+        if tiles.whole is not None:
+            # whole blocks keep their own row tiles: ndtr picks its method
+            # by array size, so its values depend on where tiles end
+            sum1, rep1 = projection_sums(tiles.whole[0], self._g1_rows)
+            sum2, rep2 = projection_sums(tiles.whole[1], self._g2_rows)
+        else:
+            sum1, rep1, sum2, rep2 = np.empty((4, count))
+        pair = np.empty(count)
+        pair_work = np.empty(2 * min(PAIR_TILE, count) * (self.n1 + self.n2))
+        # each group's replacement value per mode, and the pairs its
+        # representative takes part in before and after the swap
+        values = {"zero_out": np.broadcast_to(0.0, (2, count)),
+                  "resample": np.empty((2, count))}
+        before = np.empty((2, count), dtype=np.intp)
+        after = {m: np.empty((2, count), dtype=np.intp) for m in modes}
+        for rows, (x, y), draws in tiles:
+            if tiles.whole is None:
+                sum1[rows], rep1[rows] = projection_sums(x, self._g1_rows,
+                                                         tiles.scratch)
+                sum2[rows], rep2[rows] = projection_sums(y, self._g2_rows,
+                                                         tiles.scratch)
+            pair[rows] = _tagged_pair_counts(x, y, pair_work)
+            if not modes:
+                continue
+            before[0, rows] = row_counts(np.less, y, x[:, 0])
+            before[1, rows] = row_counts(np.less_equal, x, y[:, 0])
+            if draws:
+                values["resample"][:, rows] = draws
+            for m in modes:
+                v1, v2 = values[m][:, rows]
+                after[m][0, rows] = row_counts(np.less, y, v1)
+                after[m][1, rows] = row_counts(np.less_equal, x, v2)
+        x = y = tiles = None  # whole blocks go before the arithmetic below
         w = sum1 + sum2
-        g_rep = np.stack([rep1, rep2], axis=1)
-        if modes:
-            # the pairs each representative takes part in before its swap
-            above_x1 = row_counts(np.less, y, x[:, 0])
-            below_y1 = row_counts(np.less_equal, x, y[:, 0])
-        pair = _tagged_pair_counts(x, y)
         t = (pair / (self.n1 * self.n2) - 0.5) / self.sn
         if not modes:
             return {"t": t, "w": w}
+        g_rep = np.stack([rep1, rep2], axis=1)
         dvar = {}
         for m in modes:
-            if m == "zero_out":
-                v1 = np.zeros(count)
-                v2 = np.zeros(count)
-            else:
-                v1 = self.dist.sample(rng, (count, 1))[:, 0]
-                v2 = self.dist.sample(rng, (count, 1))[:, 0]
+            v1, v2 = values[m]
             # group 1 representative x_1 -> v1: its pairs are the y_j >= x_1
-            dc1 = above_x1 - row_counts(np.less, y, v1)
+            dc1 = before[0] - after[m][0]
             t1 = ((pair + dc1) / (self.n1 * self.n2) - 0.5) / self.sn
             w1 = w - g_rep[:, 0] + (0.5 - self._cdf_rows(v1)) / (self.n1 * self.sn)
             # group 2 representative y_1 -> v2: its pairs are the x_i <= y_1
-            dc2 = row_counts(np.less_equal, x, v2) - below_y1
+            dc2 = after[m][1] - before[1]
             t2 = ((pair + dc2) / (self.n1 * self.n2) - 0.5) / self.sn
             w2 = w - g_rep[:, 1] + (self._cdf_rows(v2) - 0.5) / (self.n2 * self.sn)
             dvar[m] = np.stack([t1 - w1, t2 - w2], axis=1)
         return {"t": t, "w": w, "delta": t - w, "g_rep": g_rep, "dvar_rep": dvar}
 
-    def _g1_rows(self, x):
-        """g_1 = (1/2 - F(x)) / (n1 sn), in one new array."""
-        g = self._cdf_rows(x)
+    def _g1_rows(self, x, out=None):
+        """g_1 = (1/2 - F(x)) / (n1 sn), into `out` or one new array."""
+        g = self._cdf_rows(x, out)
         np.subtract(0.5, g, out=g)
         g /= self.n1 * self.sn
         return g
 
-    def _g2_rows(self, y):
-        """g_2 = (F(y) - 1/2) / (n2 sn), in one new array."""
-        g = self._cdf_rows(y)
+    def _g2_rows(self, y, out=None):
+        """g_2 = (F(y) - 1/2) / (n2 sn), into `out` or one new array."""
+        g = self._cdf_rows(y, out)
         g -= 0.5
         g /= self.n2 * self.sn
         return g
 
-    def _cdf_rows(self, arr):
+    def _cdf_rows(self, arr, out=None):
+        """F(arr), into `out` or one new array (ndtr always makes its own)."""
         a = np.asarray(arr, dtype=float)
         if self.spec.dist == "uniform01":
-            return np.clip(a, 0.0, 1.0)
+            return np.clip(a, 0.0, 1.0, out=out)
         if self.spec.dist == "std_normal":
             return ndtr(a)
         if self.spec.dist == "exponential1":
-            # -expm1(-max(a, 0)), in one new array
-            out = np.maximum(a, 0.0)
+            # -expm1(-max(a, 0))
+            out = np.maximum(a, 0.0, out=out)
             np.negative(out, out=out)
             np.expm1(out, out=out)
             return np.negative(out, out=out)

@@ -22,6 +22,7 @@ from ..special import gammainc, gammaincc
 from .base import (
     DIST_CATALOG,
     BaseDist,
+    ChunkTiles,
     StatisticModel,
     check_capacity,
     projection_sums,
@@ -114,17 +115,19 @@ class UStatModel(StatisticModel):
             s1, s2, self.n, self.dist) * self._t_scale
 
     def sample_chunk(self, rng, count, mode=None):
-        x = self.dist.sample(rng, (count, self.n))
-        # the projection and the squares are made a row tile at a time, so
-        # the chunk holds one data block
-        w, g_rep = projection_sums(x, lambda b: np.asarray(
-            self.kernel.g_raw(b, self.dist)) * self._g_scale)
+        w, g_rep, s1, s2, x1 = np.empty((5, count))
+        tiles = ChunkTiles(self.dist, rng, count, (self.n,))
+        for rows, (x,), _draws in tiles:
+            w[rows], g_rep[rows] = projection_sums(
+                x, self._g_rows, tiles.scratch)
+            if not self.delta_is_zero:
+                s1[rows] = x.sum(axis=1)
+                s2[rows], _ = projection_sums(x, np.square, tiles.scratch)
+                x1[rows] = x[:, 0]
         if self.delta_is_zero:
             t = w.copy()
             delta = np.zeros(count)
         else:
-            s1 = x.sum(axis=1)
-            s2, _ = projection_sums(x, lambda b: b * b)
             t = self._t_from_power_sums(s1, s2)
             delta = t - w
         modes = variant_modes(mode)
@@ -135,18 +138,23 @@ class UStatModel(StatisticModel):
             if self.delta_is_zero:
                 dvar[m] = np.zeros((count, 1))
                 continue
+            # the fresh draws follow the data block in the stream
             if m == "zero_out":
                 v = np.zeros(count)
             else:
                 v = self.dist.sample(rng, (count, 1))[:, 0]
-            s1n = s1 - x[:, 0] + v
-            s2n = s2 - x[:, 0] ** 2 + v * v
+            s1n = s1 - x1 + v
+            s2n = s2 - x1 ** 2 + v * v
             t_new = self._t_from_power_sums(s1n, s2n)
-            w_new = w - g_rep + np.asarray(
-                self.kernel.g_raw(v, self.dist)) * self._g_scale
+            w_new = w - g_rep + self._g_rows(v)
             dvar[m] = (t_new - w_new)[:, None]
         return {"t": t, "w": w, "delta": delta,
                 "g_rep": g_rep[:, None], "dvar_rep": dvar}
+
+    def _g_rows(self, x, out=None):
+        """The linear terms g(x) / (sqrt(n) sigma_1)."""
+        g = self.kernel.g_raw(x, self.dist, out=out)
+        return np.multiply(g, self._g_scale, out=out)
 
     def bound_inputs(self, p):
         from ..app_bounds import UStatBoundInputs  # app_bounds imports models

@@ -461,6 +461,16 @@ class TestModelMessages:
         ({"family": "isqrt", "epsilon": float("nan"), "n": 2.5},
          ["model.epsilon: expected a finite number, got nan",
           "model.n: expected an integer, got 2.5"]),
+        # fields the family does not take, a misspelt one among them
+        ({"family": "multisample", "dist": "uniform01", "n": "5;5",
+          "kernal": "x", "M": 3},
+         ["model.kernal: unknown field; multisample takes dist, family, "
+          "kernel, m, n",
+          "model.M: unknown field; multisample takes dist, family, kernel, "
+          "m, n"]),
+        ({"family": "linear", "dist": "uniform01", "n": 0, "epsilon": 0.1},
+         ["model.epsilon: unknown field; linear takes dist, family, n",
+          "model.n: must be >= 1, got 0"]),
     ])
     def test_violation_list(self, model, want):
         with pytest.raises(ConfigError) as info:
@@ -577,8 +587,9 @@ class TestMainExitCodes:
         ("sweep", "sweep.grid[0]",
          make_doc(model=USTAT, bounds=["eq3.3"],
                   sweep={"axis": "z", "grid": [1e200]}), []),
-        # a non-isqrt model's unvalidated epsilon reached the report
-        ("example41", "epsilon_grid",
+        # a non-isqrt model's epsilon reached the report; the family does
+        # not take the field
+        ("example41", "model.epsilon",
          make_doc(model={"family": "linear", "dist": "uniform01", "n": 10,
                          "epsilon": "x"}), []),
         # replicate counts beyond MAX_REPLICATES failed in np.empty

@@ -38,7 +38,15 @@ from belab.models import (
     UStatSpec,
     build_model,
 )
-from belab.models.base import ROW_TILE, projection_sums, row_counts, tile_rows
+from belab.models.base import (
+    DIST_CATALOG,
+    ROW_TILE,
+    ChunkTiles,
+    advanced_copy,
+    projection_sums,
+    row_counts,
+    tile_rows,
+)
 from belab.types import BoundValue, KSResult
 
 MiB = 2 ** 20
@@ -303,7 +311,6 @@ class TestSinglePass:
         assert peak <= 3 * CHUNK_SIZE * width * 8 + 2 ** 20
 
     @pytest.mark.parametrize("desc,blocks,width", [
-        # x and y; projections and comparison masks are row tiles
         *[({"family": "multisample", "dist": dist, "n": "1000;1000"}, 2, 1000)
           for dist in ("uniform01", "exponential1")],
         *[({"family": "lstat", "weight": "identity", "dist": dist, "n": 400},
@@ -316,12 +323,87 @@ class TestSinglePass:
         *[({"family": "ustat", "kernel": kernel, "dist": "std_normal",
             "n": 50}, 1, 50) for kernel in ("sum", "variance")],
         ({"family": "linear", "dist": "rademacher", "n": 50}, 1, 50),
+        # the other laws of linear and ustat
+        *[({"family": "linear", "dist": dist, "n": 400}, 1, 400)
+          for dist in ("std_normal", "exponential1")],
+        *[({"family": "ustat", "kernel": "sum", "dist": dist, "n": 400},
+           1, 400) for dist in ("uniform01", "rademacher", "exponential1")],
+        *[({"family": "ustat", "kernel": "variance", "dist": dist, "n": 400},
+           1, 400) for dist in ("uniform01", "exponential1")],
     ])
     def test_tiled_chunk_peak_in_data_blocks(self, desc, blocks, width):
+        """A fused chunk holds at most its `blocks` data blocks, `width`
+        wide; a streamed one (linear and ustat under every law, rank and
+        lstat under uniform01) holds row tiles and count-length arrays:
+        8 MiB for rank at 1000;1000, 2 MiB for the others."""
         model = build_model(desc)
         peak = traced_peak(lambda: model.sample_chunk(
             self.SEED.substream(0), CHUNK_SIZE, mode=("zero_out", "resample")))
         assert peak <= blocks * CHUNK_SIZE * width * 8 + 2 * MiB
+        whole = (desc["family"] in ("multisample", "lstat")
+                 and not DIST_CATALOG[desc["dist"]].one_output_per_value)
+        if not whole:
+            limit = 8 if desc["family"] == "multisample" else 2
+            assert peak <= limit * MiB
+
+
+class TestChunkTiles:
+    """Tiles drawn a row tile at a time, and positioned stream copies, give
+    exactly the values and end state of sequential whole draws."""
+
+    @staticmethod
+    def fresh_rng(used=0):
+        rng = SeedSpec(41).substream(3)
+        rng.random(used)
+        return rng
+
+    @pytest.mark.parametrize("used", [0, 1, 3, 4, 6])
+    @pytest.mark.parametrize("offset", [*range(10), 4096 * 1000 + 1])
+    def test_advanced_copy_matches_sequential_draws(self, used, offset):
+        rng = self.fresh_rng(used)
+        if used == 3:
+            assert rng.bit_generator.state["buffer_pos"] < 4
+        state = rng.bit_generator.state
+        copy = advanced_copy(rng, offset)
+        assert str(rng.bit_generator.state) == str(state)  # rng untouched
+        rng.random(offset)
+        np.testing.assert_array_equal(copy.random(11), rng.random(11))
+
+    @pytest.mark.parametrize("dist", sorted(DIST_CATALOG))
+    @pytest.mark.parametrize("widths,fresh", [((400,), 0), ((1000, 1000), 2),
+                                              ((57, 13), 1), ((400,), 1)])
+    @pytest.mark.parametrize("count", [1, 2, 129, 1025, 4096])
+    def test_tiles_equal_whole_draws(self, dist, widths, fresh, count):
+        law = DIST_CATALOG[dist]
+        rng, ref = self.fresh_rng(1), self.fresh_rng(1)
+        tiles = ChunkTiles(law, rng, count, widths, fresh)
+        got = [[] for _ in range(len(widths) + fresh)]
+        for rows, blocks, draws in tiles:
+            for part, tile in zip(got, blocks + draws):
+                assert len(tile) == rows.stop - rows.start
+                part.append(tile.copy())
+        for part, width in zip(got, widths):
+            np.testing.assert_array_equal(np.concatenate(part),
+                                          law.sample(ref, (count, width)))
+        for part in got[len(widths):]:
+            np.testing.assert_array_equal(np.concatenate(part),
+                                          law.sample(ref, (count, 1))[:, 0])
+        assert rng.random() == ref.random()
+        streamed = len(widths) + fresh == 1 or law.one_output_per_value
+        assert (tiles.whole is None) == streamed
+
+    @pytest.mark.parametrize("count,last", [
+        (1, (0, 1)), (2, (0, 2)), (128, (0, 128)), (129, (0, 129)),
+        (130, (128, 130)), (257, (128, 257)), (4096, (3968, 4096))])
+    def test_row_slices_join_a_lone_last_row(self, count, last):
+        # 128-row tiles at width 400; numpy multiplies a one-row matrix by
+        # a vector through another BLAS routine, so no tile has one row
+        slices = ChunkTiles(DIST_CATALOG["uniform01"], self.fresh_rng(),
+                            count, (400,)).row_slices()
+        starts = [s.start for s in slices]
+        assert starts == list(range(0, last[0] + 1, 128))
+        assert [s.stop for s in slices] == starts[1:] + [count]
+        assert (slices[-1].start, slices[-1].stop) == last
 
 
 class TestRowTiles:
