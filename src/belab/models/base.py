@@ -91,11 +91,9 @@ def projection_sums(block, transform, out=None):
 
 def row_counts(compare, block, values):
     """Per-row count of the j with compare(block[r, j], values[r]), e.g.
-    compare=np.less, computed tile by tile."""
-    out = np.empty(len(block), dtype=np.intp)
-    for rows in row_tiles(len(block), tile_rows(block.shape[1])):
-        out[rows] = compare(block[rows], values[rows, None]).sum(axis=1)
-    return out
+    compare=np.less; a chunk passes one row tile at a time, so the mask is
+    tile-sized."""
+    return compare(block, values[:, None]).sum(axis=1)
 
 
 def empty_block(size):

@@ -142,18 +142,21 @@ def multisample_sigma(spec: MultiUStatSpec) -> float:
 class WilcoxonModel(StatisticModel):
     """Two-sample rank-score statistic under a continuous catalog law.
 
-    A chunk takes the row sums and representative columns of the
-    projections, and the representatives' own pair counts, a row tile at a
-    time. The pair count of each replicate row comes from one sort of its
-    pooled, sample-tagged keys, PAIR_TILE rows at a time
-    (`_tagged_pair_counts`); the rare row whose sorted keys tie or agree
-    above the last bit is recounted by `_pair_counts`. x and y themselves
-    are never sorted. Swapping one observation moves that count by a row-wise
-    comparison against the other sample, counted a tile at a time too, so
-    a chunk holds x, y and one projection or key tile besides count-length
-    arrays. Ties have probability zero. The projections
-    h_1 = 1/2 - F(x), h_2 = F(y) - 1/2 are Uniform(-1/2, 1/2) whatever the
-    continuous F, so every moment oracle here is distribution-free.
+    A chunk runs one loop over row tiles of x and y (`ChunkTiles`). Per
+    tile it takes the row sums and representative columns of the
+    projections, the representatives' own pair counts, and the pair count
+    of each replicate row from one sort of its pooled, sample-tagged keys,
+    PAIR_TILE rows at a time (`_tagged_pair_counts`); the rare row whose
+    sorted keys tie or agree above the last bit is recounted by
+    `_pair_counts`. x and y themselves are never sorted. Swapping one
+    observation moves that count by a row-wise comparison against the
+    other sample, counted in the same loop. Under uniform01 the chunk holds
+    one tile of x and of y, a projection tile and the key block besides
+    count-length arrays (about 5 MiB at 1000;1000); under the ziggurat laws
+    it draws x and y whole first. Ties have probability zero. The
+    projections h_1 = 1/2 - F(x), h_2 = F(y) - 1/2 are Uniform(-1/2, 1/2)
+    whatever the continuous F, so every moment oracle here is
+    distribution-free.
     """
 
     def __init__(self, spec: MultiUStatSpec):
