@@ -30,6 +30,7 @@ bit-identical to the whole-block step.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -182,7 +183,7 @@ class ChunkTiles:
         # the stream offset of each block and run
         sizes = [self.count * w for w in self.widths]
         sizes += [self.count] * self.fresh
-        offsets = np.cumsum([0] + sizes[:-1]).tolist()
+        offsets = list(itertools.accumulate(sizes[:-1], initial=0))
         streams = [self.rng] + [advanced_copy(self.rng, off)
                                 for off in offsets[1:]]
         for rows in self.row_slices():

@@ -210,8 +210,8 @@ class LStatModel(StatisticModel):
         tiles = ChunkTiles(self.dist, rng, count, (self.n,),
                            fresh=1 if "resample" in modes else 0)
         for rows, (x,), draws in tiles:
-            # a joined last row keeps its own projection tile, as
-            # projection_sums cuts a block into tile_rows(n) rows
+            # projection_sums cuts a joined last row back off into its own
+            # tile: ndtr's values depend on the size of the array
             w[rows], rep[rows] = projection_sums(x, self._g_rows,
                                                  tiles.scratch)
             cur = x[:, 0].copy()

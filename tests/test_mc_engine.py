@@ -376,6 +376,9 @@ class TestChunkTiles:
     def test_tiles_equal_whole_draws(self, dist, widths, fresh, count):
         law = DIST_CATALOG[dist]
         rng, ref = self.fresh_rng(1), self.fresh_rng(1)
+        for gen in (rng, ref):  # leaves half of a 64-bit output pending
+            gen.integers(2 ** 32, dtype=np.uint32)
+        assert rng.bit_generator.state["has_uint32"] == 1
         tiles = ChunkTiles(law, rng, count, widths, fresh)
         got = [[] for _ in range(len(widths) + fresh)]
         for rows, blocks, draws in tiles:
@@ -388,6 +391,8 @@ class TestChunkTiles:
         for part in got[len(widths):]:
             np.testing.assert_array_equal(np.concatenate(part),
                                           law.sample(ref, (count, 1))[:, 0])
+        assert (rng.integers(2 ** 32, dtype=np.uint32)
+                == ref.integers(2 ** 32, dtype=np.uint32))
         assert rng.random() == ref.random()
         streamed = len(widths) + fresh == 1 or law.one_output_per_value
         assert (tiles.whole is None) == streamed
