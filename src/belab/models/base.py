@@ -20,7 +20,9 @@ A draw that comes later in the stream but is needed inside the loop (a
 second block, or a fresh draw of resample) is read from a copy of the
 stream positioned ahead (`advanced_copy`); that is exact only for a law
 that takes one 64-bit output per value (uniform01). Under the other laws
-such a chunk draws its blocks whole, and the tiles are views of them.
+such a chunk draws its blocks whole, and the tiles are views of them; of
+the catalog models only an L-statistic chunk with resample does, since
+the rank family draws uniform01 values under every law.
 A tile has `tile_rows(width)` rows for the widest block: as many as fit a
 float64 tile in TILE_BYTES, rounded down to a power of two, and never
 fewer than ROW_TILE; a lone last row joins the tile before it, since
@@ -142,6 +144,9 @@ class ChunkTiles:
     copy of the stream positioned at its start, where the law takes one
     output per value and rng is a Philox generator; else everything is
     drawn whole in stream order (`whole`) and the tiles are views of it.
+    Of the catalog models, only an L-statistic chunk with resample under a
+    ziggurat law (std_normal, exponential1) takes that path on a Philox
+    stream.
     """
 
     def __init__(self, dist: BaseDist, rng, count: int, widths, fresh=0):

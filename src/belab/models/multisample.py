@@ -17,7 +17,6 @@ import numpy as np
 
 from ..errors import UnsupportedModelError
 from ..marginals import LinearPart, UniformMarginal
-from ..special import ndtr
 from .base import (
     DIST_CATALOG,
     ChunkTiles,
@@ -142,6 +141,17 @@ def multisample_sigma(spec: MultiUStatSpec) -> float:
 class WilcoxonModel(StatisticModel):
     """Two-sample rank-score statistic under a continuous catalog law.
 
+    The model samples on the probability scale: it draws x = F(X) and
+    y = F(Y) as uniform01 values, whatever `dist` names. That is exact for
+    a continuous, strictly increasing F: F(X) is uniform01, and F keeps the
+    order of every pair, so the pair counts and the projections
+    h_1 = 1/2 - F(x), h_2 = F(y) - 1/2 have the same joint law on either
+    scale; every moment oracle here is distribution-free for the same
+    reason. Only zero_out depends on the law: its replacement 0 on the
+    observation scale is F(0) on this one (0.5 under std_normal, 0 under
+    the others).
+    Ties have probability zero.
+
     A chunk runs one loop over row tiles of x and y (`ChunkTiles`). Per
     tile it takes the row sums and representative columns of the
     projections, the representatives' own pair counts, and the pair count
@@ -150,13 +160,9 @@ class WilcoxonModel(StatisticModel):
     sorted keys tie or agree above the last bit is recounted by
     `_pair_counts`. x and y themselves are never sorted. Swapping one
     observation moves that count by a row-wise comparison against the
-    other sample, counted in the same loop. Under uniform01 the chunk holds
-    one tile of x and of y, a projection tile and the key block besides
-    count-length arrays (about 5 MiB at 1000;1000); under the ziggurat laws
-    it draws x and y whole first. Ties have probability zero. The
-    projections h_1 = 1/2 - F(x), h_2 = F(y) - 1/2 are Uniform(-1/2, 1/2)
-    whatever the continuous F, so every moment oracle here is
-    distribution-free.
+    other sample, counted in the same loop. The chunk holds one tile of x
+    and of y, a projection tile and the key block besides count-length
+    arrays: about 5 MiB at 1000;1000.
     """
 
     def __init__(self, spec: MultiUStatSpec):
@@ -174,29 +180,22 @@ class WilcoxonModel(StatisticModel):
 
     def sample_chunk(self, rng, count, mode=None):
         modes = variant_modes(mode)
-        tiles = ChunkTiles(self.dist, rng, count, (self.n1, self.n2),
+        tiles = ChunkTiles(DIST_CATALOG["uniform01"], rng, count,
+                           (self.n1, self.n2),
                            fresh=2 if "resample" in modes else 0)
-        if tiles.whole is not None:
-            # whole blocks keep their own row tiles: ndtr picks its method
-            # by array size, so its values depend on where tiles end
-            sum1, rep1 = projection_sums(tiles.whole[0], self._g1_rows)
-            sum2, rep2 = projection_sums(tiles.whole[1], self._g2_rows)
-        else:
-            sum1, rep1, sum2, rep2 = np.empty((4, count))
-        pair = np.empty(count)
+        sum1, rep1, sum2, rep2, pair = np.empty((5, count))
         pair_work = np.empty(2 * min(PAIR_TILE, count) * (self.n1 + self.n2))
         # each group's replacement value per mode, and the pairs its
         # representative takes part in before and after the swap
-        values = {"zero_out": np.broadcast_to(0.0, (2, count)),
+        values = {"zero_out": np.broadcast_to(self.dist.cdf(0.0), (2, count)),
                   "resample": np.empty((2, count))}
         before = np.empty((2, count), dtype=np.intp)
         after = {m: np.empty((2, count), dtype=np.intp) for m in modes}
         for rows, (x, y), draws in tiles:
-            if tiles.whole is None:
-                sum1[rows], rep1[rows] = projection_sums(x, self._g1_rows,
-                                                         tiles.scratch)
-                sum2[rows], rep2[rows] = projection_sums(y, self._g2_rows,
-                                                         tiles.scratch)
+            sum1[rows], rep1[rows] = projection_sums(x, self._g1_rows,
+                                                     tiles.scratch)
+            sum2[rows], rep2[rows] = projection_sums(y, self._g2_rows,
+                                                     tiles.scratch)
             pair[rows] = _tagged_pair_counts(x, y, pair_work)
             if not modes:
                 continue
@@ -208,7 +207,7 @@ class WilcoxonModel(StatisticModel):
                 v1, v2 = values[m][:, rows]
                 after[m][0, rows] = row_counts(np.less, y, v1)
                 after[m][1, rows] = row_counts(np.less_equal, x, v2)
-        x = y = tiles = None  # whole blocks go before the arithmetic below
+        x = y = tiles = None  # the tile buffers go before the arithmetic below
         w = sum1 + sum2
         t = (pair / (self.n1 * self.n2) - 0.5) / self.sn
         if not modes:
@@ -220,42 +219,25 @@ class WilcoxonModel(StatisticModel):
             # group 1 representative x_1 -> v1: its pairs are the y_j >= x_1
             dc1 = before[0] - after[m][0]
             t1 = ((pair + dc1) / (self.n1 * self.n2) - 0.5) / self.sn
-            w1 = w - g_rep[:, 0] + (0.5 - self._cdf_rows(v1)) / (self.n1 * self.sn)
+            w1 = w - g_rep[:, 0] + (0.5 - v1) / (self.n1 * self.sn)
             # group 2 representative y_1 -> v2: its pairs are the x_i <= y_1
             dc2 = after[m][1] - before[1]
             t2 = ((pair + dc2) / (self.n1 * self.n2) - 0.5) / self.sn
-            w2 = w - g_rep[:, 1] + (self._cdf_rows(v2) - 0.5) / (self.n2 * self.sn)
+            w2 = w - g_rep[:, 1] + (v2 - 0.5) / (self.n2 * self.sn)
             dvar[m] = np.stack([t1 - w1, t2 - w2], axis=1)
         return {"t": t, "w": w, "delta": t - w, "g_rep": g_rep, "dvar_rep": dvar}
 
     def _g1_rows(self, x, out=None):
-        """g_1 = (1/2 - F(x)) / (n1 sn), into `out` or one new array."""
-        g = self._cdf_rows(x, out)
-        np.subtract(0.5, g, out=g)
+        """g_1 = (1/2 - x) / (n1 sn), into `out` or one new array."""
+        g = np.subtract(0.5, x, out=out)
         g /= self.n1 * self.sn
         return g
 
     def _g2_rows(self, y, out=None):
-        """g_2 = (F(y) - 1/2) / (n2 sn), into `out` or one new array."""
-        g = self._cdf_rows(y, out)
-        g -= 0.5
+        """g_2 = (y - 1/2) / (n2 sn), into `out` or one new array."""
+        g = np.subtract(y, 0.5, out=out)
         g /= self.n2 * self.sn
         return g
-
-    def _cdf_rows(self, arr, out=None):
-        """F(arr), into `out` or one new array (ndtr always makes its own)."""
-        a = np.asarray(arr, dtype=float)
-        if self.spec.dist == "uniform01":
-            return np.clip(a, 0.0, 1.0, out=out)
-        if self.spec.dist == "std_normal":
-            return ndtr(a)
-        if self.spec.dist == "exponential1":
-            # -expm1(-max(a, 0))
-            out = np.maximum(a, 0.0, out=out)
-            np.negative(out, out=out)
-            np.expm1(out, out=out)
-            return np.negative(out, out=out)
-        raise UnsupportedModelError(self.spec.dist)
 
     def moments(self, p: float = 3.0) -> dict:
         """Distribution-free rank-score moments for the multisample bounds."""

@@ -330,17 +330,19 @@ class TestSinglePass:
            1, 400) for dist in ("uniform01", "rademacher", "exponential1")],
         *[({"family": "ustat", "kernel": "variance", "dist": dist, "n": 400},
            1, 400) for dist in ("uniform01", "exponential1")],
+        ({"family": "multisample", "dist": "std_normal", "n": "1000;1000"},
+         2, 1000),
     ])
     def test_tiled_chunk_peak_in_data_blocks(self, desc, blocks, width):
         """A fused chunk holds at most its `blocks` data blocks, `width`
-        wide; a streamed one (linear and ustat under every law, rank and
-        lstat under uniform01) holds row tiles and count-length arrays:
-        8 MiB for rank at 1000;1000, 2 MiB for the others."""
+        wide; a streamed one (linear, ustat and rank under every law, lstat
+        under uniform01) holds row tiles and count-length arrays: 8 MiB for
+        rank at 1000;1000, 2 MiB for the others."""
         model = build_model(desc)
         peak = traced_peak(lambda: model.sample_chunk(
             self.SEED.substream(0), CHUNK_SIZE, mode=("zero_out", "resample")))
         assert peak <= blocks * CHUNK_SIZE * width * 8 + 2 * MiB
-        whole = (desc["family"] in ("multisample", "lstat")
+        whole = (desc["family"] == "lstat"
                  and not DIST_CATALOG[desc["dist"]].one_output_per_value)
         if not whole:
             limit = 8 if desc["family"] == "multisample" else 2

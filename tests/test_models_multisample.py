@@ -4,24 +4,25 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from belab.bound_core import check_normalization
 from belab.errors import CapacityError, UnsupportedModelError
 from belab.mc_engine import CHUNK_SIZE, SeedSpec
 from belab.models import (
+    DIST_CATALOG,
     MultiUStatSpec,
     WilcoxonModel,
     multisample_sigma,
     multisample_value,
 )
 from belab.models import multisample
-from belab.models.base import ROW_TILE
+from belab.models.base import ROW_TILE, row_counts
 from belab.models.multisample import (
     PAIR_TILE,
     _pair_counts,
     _tagged_pair_counts,
 )
+from belab.special import ndtr
 
 
 def rank_kernel(xt, yt):
@@ -33,22 +34,22 @@ def small_model(n1=5, n2=4, dist="uniform01"):
 
 
 MODES = ("zero_out", "resample")
-CDF = {"uniform01": stats.uniform.cdf, "std_normal": stats.norm.cdf,
-       "exponential1": stats.expon.cdf}
+UNIFORM = DIST_CATALOG["uniform01"]
 
 
 def chunk_and_draws(model, seed, count, mode):
-    """A chunk and what it consumed, redrawn from a second copy of the same
-    substream: both data blocks, then one replacement value per group (zeros
-    in zero_out mode). Both streams must end in the same state."""
+    """A chunk and what it consumed, redrawn on the probability scale from a
+    second copy of the same substream: both data blocks as uniform01 values
+    u = F(x) under every law, then one replacement value per group (F(0) of
+    the law in zero_out mode). Both streams must end in the same state."""
     rng_a, rng_b = SeedSpec(seed).substream(0), SeedSpec(seed).substream(0)
     chunk = model.sample_chunk(rng_a, count, mode=mode)
-    x = model.dist.sample(rng_b, (count, model.n1))
-    y = model.dist.sample(rng_b, (count, model.n2))
+    x = UNIFORM.sample(rng_b, (count, model.n1))
+    y = UNIFORM.sample(rng_b, (count, model.n2))
     if mode == "zero_out":
-        v = np.zeros((count, 2))
+        v = np.full((count, 2), model.dist.cdf(0.0))
     else:
-        v = np.stack([model.dist.sample(rng_b, (count, 1))[:, 0]
+        v = np.stack([UNIFORM.sample(rng_b, (count, 1))[:, 0]
                       for _group in range(2)], axis=1)
     assert rng_a.random() == rng_b.random()
     return chunk, x, y, v
@@ -60,11 +61,11 @@ def oracle_t(model, x, y):
 
 
 def oracle_w(model, x, y):
-    """W from the projections 1/2 - F(x) and F(y) - 1/2."""
+    """W from the projections 1/2 - F(x) and F(y) - 1/2, with F the
+    identity on the probability scale."""
     sn = multisample_sigma(model.spec)
-    cdf = CDF[model.spec.dist]
-    return (np.sum(0.5 - cdf(x), axis=-1) / (model.n1 * sn)
-            + np.sum(cdf(y) - 0.5, axis=-1) / (model.n2 * sn))
+    return (np.sum(0.5 - x, axis=-1) / (model.n1 * sn)
+            + np.sum(y - 0.5, axis=-1) / (model.n2 * sn))
 
 
 def oracle_dvar(model, x, y, v):
@@ -198,15 +199,14 @@ class TestRowTiles:
     def test_rows_match_oracles(self, count):
         model = small_model(5, 4, "exponential1")
         sn = multisample_sigma(model.spec)
-        cdf = CDF["exponential1"]
         for mode in MODES:
             chunk, x, y, v = chunk_and_draws(model, 77, count, mode)
             np.testing.assert_allclose(chunk["w"], oracle_w(model, x, y),
                                        rtol=1e-10, atol=1e-14)
             np.testing.assert_allclose(
                 chunk["g_rep"],
-                np.stack([(0.5 - cdf(x[:, 0])) / (5 * sn),
-                          (cdf(y[:, 0]) - 0.5) / (4 * sn)], axis=1),
+                np.stack([(0.5 - x[:, 0]) / (5 * sn),
+                          (y[:, 0] - 0.5) / (4 * sn)], axis=1),
                 rtol=1e-12, atol=1e-15)
             for r in tile_edge_rows(count):
                 np.testing.assert_allclose(
@@ -237,6 +237,116 @@ class TestDistributionalOracles:
                                        rtol=1e-10, atol=1e-14)
             se = chunk["w"].std(ddof=1) / math.sqrt(chunk["w"].size)
             np.testing.assert_allclose(chunk["w"].mean(), 0.0, atol=4 * se)
+
+
+def x_scale_cdf(dist, a):
+    """F(a) on the x scale, as the rank model computed it when it drew on
+    that scale."""
+    a = np.asarray(a, dtype=float)
+    if dist == "std_normal":
+        return ndtr(a)
+    if dist == "exponential1":
+        return -np.expm1(-np.maximum(a, 0.0))
+    raise ValueError(dist)
+
+
+def x_scale_chunk(model, x, y, v):
+    """The fused chunk of x-scale blocks x and y and resample values v
+    (count x 2), computed on the x scale: projections through
+    `x_scale_cdf`, zero_out putting 0.0, and pair counts from one
+    searchsorted per sorted row."""
+    n1, n2, sn = model.n1, model.n2, model.sn
+
+    def cdf(a):
+        return x_scale_cdf(model.spec.dist, a)
+
+    g1 = (0.5 - cdf(x)) / (n1 * sn)
+    g2 = (cdf(y) - 0.5) / (n2 * sn)
+    w = g1.sum(axis=1) + g2.sum(axis=1)
+    pair = _pair_counts(np.sort(x, axis=1), np.sort(y, axis=1))
+    t = (pair / (n1 * n2) - 0.5) / sn
+    g_rep = np.stack([g1[:, 0], g2[:, 0]], axis=1)
+    before1 = row_counts(np.less, y, x[:, 0])
+    before2 = row_counts(np.less_equal, x, y[:, 0])
+    dvar = {}
+    for m, (v1, v2) in (("zero_out", np.zeros((2, len(x)))),
+                        ("resample", (v[:, 0].copy(), v[:, 1].copy()))):
+        t1 = ((pair + before1 - row_counts(np.less, y, v1)) / (n1 * n2)
+              - 0.5) / sn
+        w1 = w - g_rep[:, 0] + (0.5 - cdf(v1)) / (n1 * sn)
+        t2 = ((pair + row_counts(np.less_equal, x, v2) - before2)
+              / (n1 * n2) - 0.5) / sn
+        w2 = w - g_rep[:, 1] + (cdf(v2) - 0.5) / (n2 * sn)
+        dvar[m] = np.stack([t1 - w1, t2 - w2], axis=1)
+    return {"t": t, "w": w, "delta": t - w, "g_rep": g_rep, "dvar_rep": dvar}
+
+
+class Replay:
+    """Stands in for a Generator that is not Philox, so a chunk draws its
+    blocks whole: each random(out=...) fills `out` with the next of the
+    given arrays."""
+
+    bit_generator = None
+
+    def __init__(self, *arrays):
+        self.arrays = list(arrays)
+
+    def random(self, out):
+        out[...] = np.reshape(self.arrays.pop(0), out.shape)
+        return out
+
+
+RANK_SIZES = [((1000, 1000), 2 * ROW_TILE + 1), ((57, 13), CHUNK_SIZE)]
+
+
+class TestProbabilityScale:
+    """A chunk draws u = F(x) as uniform01 values under every law."""
+
+    @pytest.mark.parametrize("n,count", RANK_SIZES)
+    @pytest.mark.parametrize("dist", ["std_normal", "exponential1"])
+    def test_same_draws_as_x_scale(self, dist, n, count):
+        """Fed x-scale draws mapped through F, a chunk gives the x-scale
+        rows bit for bit. t reads nothing but each row's pair count, and
+        dvar_rep adds the leave-one-out counts, so their equal bits mean
+        equal counts."""
+        model = small_model(*n, dist)
+        rng = np.random.default_rng(80)
+        x = model.dist.sample(rng, (count, model.n1))
+        y = model.dist.sample(rng, (count, model.n2))
+        v = model.dist.sample(rng, (count, 2))
+        fed = Replay(*(x_scale_cdf(dist, a)
+                       for a in (x, y, v[:, 0].copy(), v[:, 1].copy())))
+        got = model.sample_chunk(fed, count, mode=MODES)
+        ref = x_scale_chunk(model, x, y, v)
+        assert not fed.arrays
+        for key in ("t", "w", "delta", "g_rep"):
+            np.testing.assert_array_equal(got[key], ref[key])
+        for m in MODES:
+            np.testing.assert_array_equal(got["dvar_rep"][m],
+                                          ref["dvar_rep"][m])
+
+    @pytest.mark.parametrize("n,count", RANK_SIZES)
+    @pytest.mark.parametrize("dist", ["std_normal", "exponential1"])
+    def test_rows_equal_uniform01_rows(self, dist, n, count):
+        """t, w, delta, g_rep and the resample remainders equal those of
+        the uniform01 chunk of the same stream byte for byte, and so does
+        the end of the stream. The zero_out remainders do where F(0) = 0,
+        as under exponential1, but not under std_normal, whose replacement
+        is F(0) = 0.5."""
+        chunks, ends = [], []
+        for law in ("uniform01", dist):
+            rng = SeedSpec(81).substream(0)
+            chunks.append(small_model(*n, law).sample_chunk(rng, count,
+                                                            mode=MODES))
+            ends.append(rng.random())
+        ref, got = chunks
+        assert ends[0] == ends[1]
+        for key in ("t", "w", "delta", "g_rep"):
+            assert got[key].tobytes() == ref[key].tobytes()
+        dvar, dvar_ref = got["dvar_rep"], ref["dvar_rep"]
+        assert dvar["resample"].tobytes() == dvar_ref["resample"].tobytes()
+        assert ((dvar["zero_out"].tobytes() == dvar_ref["zero_out"].tobytes())
+                == (dist == "exponential1"))
 
 
 def assert_counts_exact(x, y):
