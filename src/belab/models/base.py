@@ -18,11 +18,13 @@ outputs. Every row of a chunk depends only on its own data row, so the
 tiles, drawn in stream order, hold exactly the values of one block draw.
 A draw that comes later in the stream but is needed inside the loop (a
 second block, or a fresh draw of resample) is read from a copy of the
-stream positioned ahead (`advanced_copy`); that is exact only for a law
-that takes one 64-bit output per value (uniform01). Under the other laws
-such a chunk draws its blocks whole, and the tiles are views of them; of
-the catalog models only an L-statistic chunk with resample does, since
-the rank family draws uniform01 values under every law.
+stream placed at its start. Where each value takes one 64-bit output
+(uniform01 on Philox) the copy is advanced there (`advanced_copy`);
+otherwise it is placed by replay: copied from the start of the part
+before it, which is then drawn once into its own tile buffer and thrown
+away. Of the catalog models only an L-statistic chunk with resample
+replays, since the rank family draws uniform01 values under every law;
+that costs one extra draw of its block.
 A tile has `tile_rows(width)` rows for the widest block: as many as fit a
 float64 tile in TILE_BYTES, rounded down to a power of two, and never
 fewer than ROW_TILE; a lone last row joins the tile before it, since
@@ -32,6 +34,7 @@ bit-identical to the whole-block step.
 """
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from abc import ABC, abstractmethod
@@ -139,14 +142,14 @@ class ChunkTiles:
     until the next one is yielded and may be changed in place. After the
     loop rng stands where the whole draws would have left it.
 
-    With one block and no fresh run, the tiles are drawn from rng in turn,
-    under every law. Otherwise each block and run is read from its own
-    copy of the stream positioned at its start, where the law takes one
-    output per value and rng is a Philox generator; else everything is
-    drawn whole in stream order (`whole`) and the tiles are views of it.
-    Of the catalog models, only an L-statistic chunk with resample under a
-    ziggurat law (std_normal, exponential1) takes that path on a Philox
-    stream.
+    The first block is drawn from rng itself; each later block and run is
+    read from its own copy of the stream placed at its start. Where the
+    law takes one output per value and rng is a Philox generator, the
+    copy is advanced there (`advanced_copy`). Under any other law or bit
+    generator it is placed by replay: the copy of the part before it
+    draws that part once, a tile at a time into the part's own buffer,
+    and drops the values. So the chunk holds one tile of each block and
+    run under every law, and rng is given the last copy's end state.
     """
 
     def __init__(self, dist: BaseDist, rng, count: int, widths, fresh=0):
@@ -154,13 +157,6 @@ class ChunkTiles:
         self.widths = tuple(widths)
         self.fresh = fresh
         self.tile = tile_rows(max(self.widths))
-        self.whole = None
-        if len(self.widths) + fresh > 1 and not (
-                dist.one_output_per_value
-                and isinstance(rng.bit_generator, np.random.Philox)):
-            self.whole = [dist.sample(rng, (count, w)) for w in self.widths]
-            self.whole += [dist.sample(rng, (count, 1))[:, 0]
-                           for _run in range(fresh)]
 
     @cached_property
     def scratch(self):
@@ -177,32 +173,36 @@ class ChunkTiles:
 
     def __iter__(self):
         nblocks = len(self.widths)
-        if self.whole is not None:
-            for rows in self.row_slices():
-                tiles = [part[rows] for part in self.whole]
-                yield rows, tiles[:nblocks], tiles[nblocks:]
-            return
         height = min(self.count, self.tile + 1)
-        buffers = [empty_block((height, w)) for w in self.widths]
-        buffers += [empty_block(height) for _run in range(self.fresh)]
-        # the stream offset of each block and run
-        sizes = [self.count * w for w in self.widths]
-        sizes += [self.count] * self.fresh
-        offsets = list(itertools.accumulate(sizes[:-1], initial=0))
-        streams = [self.rng] + [advanced_copy(self.rng, off)
-                                for off in offsets[1:]]
+        # a fresh run is drawn as a block one value wide
+        widths = self.widths + (1,) * self.fresh
+        buffers = [empty_block((height, w)) for w in widths]
+        advance = (self.dist.one_output_per_value
+                   and isinstance(self.rng.bit_generator, np.random.Philox))
+        streams = [self.rng]
+        if advance:
+            streams += [advanced_copy(self.rng, self.count * offset)
+                        for offset in itertools.accumulate(widths[:-1])]
+        else:
+            # replay: each copy starts where the part before it ends
+            for buf in buffers[:-1]:
+                streams.append(copy.deepcopy(streams[-1]))
+                for rows in self.row_slices():
+                    self.dist.fill(streams[-1], buf[:rows.stop - rows.start])
         for rows in self.row_slices():
             tiles = [buf[:rows.stop - rows.start] for buf in buffers]
             for stream, tile in zip(streams, tiles):
                 self.dist.fill(stream, tile)
-            yield rows, tiles[:nblocks], tiles[nblocks:]
+            yield rows, tiles[:nblocks], [run[:, 0] for run in tiles[nblocks:]]
         if len(streams) > 1:
-            # the last run's copy ends where sequential draws end; a pending
-            # 32-bit half is untouched by 64-bit draws, so rng keeps its own
+            # the last copy ends where sequential draws end; an advanced
+            # copy has no pending 32-bit half, but 64-bit draws leave rng's
+            # own untouched, so rng keeps it
             state = streams[-1].bit_generator.state
-            before = self.rng.bit_generator.state
-            state["has_uint32"] = before["has_uint32"]
-            state["uinteger"] = before["uinteger"]
+            if advance:
+                own = self.rng.bit_generator.state
+                state["has_uint32"] = own["has_uint32"]
+                state["uinteger"] = own["uinteger"]
             self.rng.bit_generator.state = state
 
 

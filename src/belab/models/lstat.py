@@ -230,7 +230,7 @@ class LStatModel(StatisticModel):
                 x.sort(axis=1, kind="stable")
                 cur = v
                 t_var[m][rows] = x @ self._jvec
-        x = tiles = None  # a whole block goes before the arithmetic below
+        x = tiles = None  # frees the last tile and the scratch buffer
         scale = math.sqrt(self.n) / self.sigma
         t = (t - self._center) * scale
         if not modes:

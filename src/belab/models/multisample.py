@@ -22,6 +22,7 @@ from .base import (
     ChunkTiles,
     StatisticModel,
     check_capacity,
+    empty_block,
     projection_sums,
     row_counts,
     row_tiles,
@@ -169,7 +170,6 @@ class WilcoxonModel(StatisticModel):
         self.spec = spec
         self.dist = DIST_CATALOG[spec.dist]
         self.n1, self.n2 = int(spec.n[0]), int(spec.n[1])
-        check_capacity(self.n1 * self.n2, "pairs")
         self.sn = multisample_sigma(spec)
         self.name = (f"multisample-{spec.kernel}-{spec.dist}"
                      f"-n{self.n1};{self.n2}-m1;1")
@@ -184,7 +184,8 @@ class WilcoxonModel(StatisticModel):
                            (self.n1, self.n2),
                            fresh=2 if "resample" in modes else 0)
         sum1, rep1, sum2, rep2, pair = np.empty((5, count))
-        pair_work = np.empty(2 * min(PAIR_TILE, count) * (self.n1 + self.n2))
+        pair_work = empty_block(
+            2 * min(PAIR_TILE, count) * (self.n1 + self.n2))
         # each group's replacement value per mode, and the pairs its
         # representative takes part in before and after the swap
         values = {"zero_out": np.broadcast_to(self.dist.cdf(0.0), (2, count)),

@@ -99,7 +99,6 @@ class UStatModel(StatisticModel):
         self.dist = DIST_CATALOG[spec.dist]
         self.n = spec.n
         self.m = spec.m
-        check_capacity(math.comb(self.n, self.m), "index subsets")
         self.sigma1 = math.sqrt(self.kernel.sigma1_sq(self.dist))
         self.delta_is_zero = getattr(self.kernel, "delta_is_zero", False)
         self.name = f"ustat-{spec.kernel}-{spec.dist}-n{spec.n}-m{spec.m}"

@@ -619,12 +619,36 @@ class TestMainExitCodes:
         assert cfg.replicates == MAX_REPLICATES
 
     def test_capacity_exit(self, tmp_path, capsys):
-        doc = make_doc(model={"family": "ustat", "kernel": "variance",
-                              "dist": "std_normal", "n": 2000},
-                       bounds=["eq3.1"])
+        # the enumeration cap binds the oracles only, so a rank model far
+        # past 10^6 pairs is built; its pair-count scratch is more than
+        # numpy can index, which exits 3 like any block
+        doc = make_doc(model={"family": "multisample", "kernel": "wilcoxon",
+                              "dist": "std_normal", "n": [10 ** 17] * 2},
+                       bounds=["eq3.7"],
+                       mc={"master_seed": 1, "replicates": 1000})
         path = write_config(tmp_path, doc)
-        assert main(["bound", "--config", path]) == 3
-        assert "error:" in capsys.readouterr().err
+        assert main(["verify", "--config", path]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: out of memory: "), err
+
+    @pytest.mark.parametrize("command,model,bounds", [
+        ("bound", {"family": "ustat", "kernel": "variance",
+                   "dist": "std_normal", "n": 2000}, ["eq3.1"]),
+        ("verify", {"family": "ustat", "kernel": "variance",
+                    "dist": "std_normal", "n": 1500}, ["eq3.1"]),
+        ("verify", {"family": "multisample", "kernel": "wilcoxon",
+                    "dist": "exponential1", "n": "1001;1001"}, ["eq3.7"]),
+    ])
+    def test_models_past_the_enumeration_cap_run(self, tmp_path, capsys,
+                                                 command, model, bounds):
+        # neither model enumerates, so neither is held to the cap
+        doc = make_doc(model=model, bounds=bounds,
+                       mc={"master_seed": 1, "replicates": 1000})
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "rows.csv"
+        assert main([command, "--config", path, "--output", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert out.read_text().count("\n") > 1
 
     # every size needs more bytes than any 64-bit address space holds, so
     # numpy refuses the allocation up front whatever the overcommit policy;
