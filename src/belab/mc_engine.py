@@ -24,11 +24,12 @@ a fixed (seed, replicates) pair however many worker threads run the chunks.
 The KS distance kernels walk their ascending inputs in blocks of
 DISTANCE_BLOCK values, keeping a running maximum. An input that is already
 ascending is read in place; any other is sorted into a copy first. Each
-block gives the same per-point terms as the whole array would, and a
-maximum does not depend on the order it is taken in, so the distance is
-bit-identical to the whole-array formula while the temporaries stay
-block-sized: at 5e5 replicates a two-sample distance on sorted inputs holds
-about 1 MB, and on unsorted ones two 4 MB sorted copies more.
+block gives the same per-point terms as the whole array would (`ndtr_array`
+ignores a block's size), and a maximum does not depend on the order it is
+taken in, so the distance is bit-identical to the whole-array formula while
+the temporaries stay block-sized: at 5e5 replicates a two-sample distance
+on sorted inputs holds about 1 MB, and on unsorted ones two 4 MB sorted
+copies more.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .special import ndtr
+from .special import ndtr, ndtr_array
 from .types import BoundComponents, BoundValue, KSResult, MomentEstimate
 
 CHUNK_SIZE = 4096
@@ -259,7 +260,7 @@ def empirical_ks_vs_normal(t_values, alpha: float = DKW_ALPHA) -> KSResult:
         raise ConfigError("need at least 1 value")
     d_plus = d_minus = -np.inf
     for start in range(0, n, DISTANCE_BLOCK):
-        cdf = ndtr(t[start:start + DISTANCE_BLOCK])
+        cdf = ndtr_array(t[start:start + DISTANCE_BLOCK])
         i = np.arange(start + 1, start + cdf.size + 1)
         d_plus = np.maximum(d_plus, (i / n - cdf).max())
         d_minus = np.maximum(d_minus, (cdf - (i - 1) / n).max())

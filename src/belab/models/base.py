@@ -29,7 +29,8 @@ A tile has `tile_rows(width)` rows for the widest block: as many as fit a
 float64 tile in TILE_BYTES, rounded down to a power of two, and never
 fewer than ROW_TILE; a lone last row joins the tile before it, since
 numpy multiplies a one-row matrix by a vector through a different BLAS
-routine. Each tiled step is row by row or elementwise, so its rows are
+routine. Each tiled step is row by row or elementwise (the samplers'
+normal cdf is `special.ndtr_array`, whatever the size), so its rows are
 bit-identical to the whole-block step.
 """
 from __future__ import annotations
@@ -75,24 +76,16 @@ def row_tiles(count: int, tile: int):
         yield slice(start, min(start + tile, count))
 
 
-def projection_sums(block, transform, out=None):
-    """(row sums, first column) of transform(block), computed tile by tile;
-    `transform` must act on each row alone. Given `out`, a flat float64
-    buffer of at least block.size values, each tile's projection is made
-    by transform(tile, out=<view of out>), so no tile-sized array is
-    allocated where the transform can write there."""
-    sums = np.empty(len(block))
-    first = np.empty(len(block))
-    for rows in row_tiles(len(block), tile_rows(block.shape[1])):
-        tile = block[rows]
-        if out is None:
-            g = transform(tile)
-        else:
-            g = transform(tile, out=out[:tile.size].reshape(tile.shape))
-        sums[rows] = g.sum(axis=1)
-        first[rows] = g[:, 0]
-        del g  # else it is held while the next tile is made
-    return sums, first
+def projection_sums(tile, transform, out=None):
+    """(row sums, first column) of transform(tile). Given `out`, a flat
+    float64 buffer of at least tile.size values, the projection is made by
+    transform(tile, out=<view of out>), so no tile-sized array is allocated
+    where the transform can write there."""
+    if out is None:
+        g = transform(tile)
+    else:
+        g = transform(tile, out=out[:tile.size].reshape(tile.shape))
+    return g.sum(axis=1), g[:, 0].copy()
 
 
 def row_counts(compare, block, values):

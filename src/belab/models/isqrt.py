@@ -87,11 +87,16 @@ def ks_lower_bound(epsilon: float) -> float:
     """Closed-form sup-distance lower bound between the laws of T and W.
 
     {T <= eps * ISQRT_MEAN} is exactly {W <= eps^(2/3)}, so the distance is
-    at least Phi(eps^(2/3)) - Phi(eps * ISQRT_MEAN).
+    at least Phi(eps^(2/3)) - Phi(eps * ISQRT_MEAN); below eps ~ 1e-24 that
+    rounds to 0, and DomainError is raised.
     """
     if not 0.0 < epsilon < ISQRT_MEAN ** -3:
         raise DomainError("the pinch point needs eps^(2/3) > eps * ISQRT_MEAN")
-    return ndtr(epsilon ** (2.0 / 3.0)) - ndtr(epsilon * ISQRT_MEAN)
+    gap = ndtr(epsilon ** (2.0 / 3.0)) - ndtr(epsilon * ISQRT_MEAN)
+    if gap > 0.0:
+        return gap
+    raise DomainError(f"Phi(eps^(2/3)) - Phi(eps * ISQRT_MEAN) rounds to "
+                      f"{gap!r} at epsilon {epsilon!r}")
 
 
 class IsqrtModel(StatisticModel):

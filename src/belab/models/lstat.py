@@ -22,7 +22,7 @@ import numpy as np
 from ..errors import NumericError, UnsupportedModelError
 from ..marginals import LinearPart, MonotoneMarginal, quad_segments
 from ..quadrature import check_error, dblquad, pointwise
-from ..special import ndtr
+from ..special import ndtr, ndtr_array
 from .base import (
     DIST_CATALOG,
     BaseDist,
@@ -86,9 +86,9 @@ def lstat_value(data, weight: WeightFn) -> float:
     return float(x @ jv) / n
 
 
-def influence_closed(weight: WeightFn, dist: BaseDist):
+def influence_closed(weight: WeightFn, dist: BaseDist, cdf=ndtr):
     """Vectorized influence function for catalog (weight, dist) pairs,
-    written into `out` where given."""
+    written into `out` where given; std_normal's takes Phi from `cdf`."""
     if weight.name == "const1":
         return lambda x, out=None: np.subtract(dist.mean, x, out=out)
     if weight.name == "identity":
@@ -101,7 +101,7 @@ def influence_closed(weight: WeightFn, dist: BaseDist):
         if dist.name == "std_normal":
             def infl(x, out=None):
                 x = np.asarray(x, dtype=float)
-                g = np.subtract(1.0 / _SQRT_PI, x * ndtr(x))
+                g = np.subtract(1.0 / _SQRT_PI, x * cdf(x))
                 phi = np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
                 return np.subtract(g, phi, out=out)
             return infl
@@ -189,6 +189,7 @@ class LStatModel(StatisticModel):
         self.name = f"lstat-{spec.weight}-{spec.dist}-n{spec.n}"
         self._infl, self.sigma, self._center = catalog_scale(spec.weight,
                                                              spec.dist)
+        self._sample_infl = influence_closed(self.weight, self.dist, cdf=ndtr_array)
         self._jvec = np.asarray(
             self.weight.fn(np.arange(1, self.n + 1) / self.n), dtype=float) / self.n
         self._scale = 1.0 / (math.sqrt(self.n) * self.sigma)
@@ -210,8 +211,6 @@ class LStatModel(StatisticModel):
         tiles = ChunkTiles(self.dist, rng, count, (self.n,),
                            fresh=1 if "resample" in modes else 0)
         for rows, (x,), draws in tiles:
-            # projection_sums cuts a joined last row back off into its own
-            # tile: ndtr's values depend on the size of the array
             w[rows], rep[rows] = projection_sums(x, self._g_rows,
                                                  tiles.scratch)
             cur = x[:, 0].copy()
@@ -244,8 +243,9 @@ class LStatModel(StatisticModel):
                 "g_rep": rep[:, None], "dvar_rep": dvar}
 
     def _g_rows(self, x, out=None):
-        """The linear terms g = -infl(x) / (sqrt(n) sigma)."""
-        return np.multiply(self._infl(x, out=out), -self._scale, out=out)
+        """The linear terms g = -infl(x) / (sqrt(n) sigma); the normal cdf
+        is ndtr_array's, so no value depends on the size of x."""
+        return np.multiply(self._sample_infl(x, out=out), -self._scale, out=out)
 
     def lipschitz_constant(self):
         return self.weight.c_lip

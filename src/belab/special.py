@@ -10,6 +10,8 @@ and the standard library alone.
   no exponential is taken and the port returns scipy's values bit for bit.
   Elsewhere ``np.exp`` and libm's ``exp`` differ by up to 1 ulp, which the
   product and quotient after it can stretch to 4 ulps of the result.
+- ``ndtr_array``: the port at every size, for the samplers and the KS
+  kernels: a sampled value's bits never depend on the size of its array.
 - ``gammainc`` / ``gammaincc``: the regularized incomplete gamma functions
   ``P(a, x)`` and ``Q(a, x)``, by a series or a continued fraction, and from
   shape 1e6 on by Temme's uniform expansion.
@@ -111,10 +113,10 @@ def _erfc_tail(x):
     return out
 
 
-def _ndtr_array(a):
-    """cephes' ndtr on an array, holding at most three temporaries the size
-    of a besides the result (the KS kernels and the samplers call it on
-    bounded blocks)."""
+def ndtr_array(a):
+    """cephes' ndtr on a float array of any size; a value's bits do not
+    depend on the array it comes in. Holds at most three temporaries the
+    size of a besides the result (the callers pass bounded blocks)."""
     shape = a.shape
     a = a.reshape(-1)
     x = a * _SQRT1_2
@@ -193,7 +195,7 @@ def ndtr(x):
     x = np.asarray(x, dtype=float)
     if x.size <= _ELEMENTWISE_MAX:
         return _each(_ndtr_float, x)
-    return _ndtr_array(x)
+    return ndtr_array(x)
 
 
 def erf(x):

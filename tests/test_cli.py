@@ -524,6 +524,23 @@ class TestMainExitCodes:
         assert main(["example41", "--config", path]) == 2
         assert "epsilon_grid" in capsys.readouterr().err
 
+    def test_cancelled_lower_bound_exits_2(self, tmp_path, capsys):
+        # Phi(eps^(2/3)) - Phi(eps * ISQRT_MEAN) rounds to 0 below eps ~
+        # 1e-24: the sweep emitted failing rows and exited 1, example41
+        # overflowed in eps ** -4 and exited 1 with a traceback
+        doc = make_doc(model={"family": "isqrt", "epsilon": 0.01}, bounds=[],
+                       sweep={"axis": "epsilon", "grid": [1e-24, 1e-30]})
+        assert main(["sweep", "--config", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[1] for line in err] == [" sweep.grid[0]",
+                                                        " sweep.grid[1]"], err
+        assert all("epsilon 1e-" in line for line in err), err
+        path = write_config(tmp_path, {"epsilon_grid": [1e-100],
+                                       "mc": {"master_seed": 1}})
+        assert main(["example41", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config: epsilon_grid: ") and "1e-100" in err
+
     @pytest.mark.parametrize("field, over", [
         ("model.n", {"model": {"family": "multisample", "kernel": "wilcoxon",
                                "dist": "uniform01", "n": "10;x"},

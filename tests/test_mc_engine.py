@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.special import ndtr
 
 from belab import cli, mc_engine
 from belab.errors import ConfigError
@@ -47,6 +46,7 @@ from belab.models.base import (
     row_counts,
     tile_rows,
 )
+from belab.special import ndtr, ndtr_array
 from belab.types import BoundValue, KSResult
 
 MiB = 2 ** 20
@@ -344,8 +344,9 @@ class TestSinglePass:
         assert peak <= blocks * CHUNK_SIZE * width * 8 + 2 * MiB
         limit = 8 if desc["family"] == "multisample" else 2
         if desc["family"] == "lstat" and desc["dist"] == "std_normal":
-            # the std_normal influence calls ndtr on a 128 x 400 tile, which
-            # holds three tile-sized temporaries besides its result
+            # the std_normal influence calls ndtr_array on a 128 x 400
+            # tile, which holds three tile-sized temporaries besides its
+            # result
             limit = 3
         assert peak <= limit * MiB
 
@@ -603,10 +604,10 @@ def pooled_grid_ks(a, b):
 
 def whole_array_ks_normal(t):
     """One-sample distance from whole-array gaps: the reference for the
-    blocked kernel."""
+    blocked kernel, with the cdf from the same port on the whole array."""
     t = np.sort(t)
     n = t.size
-    cdf = ndtr(t)
+    cdf = ndtr_array(t)
     i = np.arange(1, n + 1)
     return float(max((i / n - cdf).max(), (cdf - (i - 1) / n).max(), 0.0))
 
@@ -672,8 +673,10 @@ class TestStreamedDistances:
     """The blocked distance kernels return the whole-array distance, bit
     for bit, and hold no more than their sorted copies and a block."""
 
+    # a last block of 1 to 512 values took ndtr's value-by-value route
     SIZES = [DISTANCE_BLOCK - 1, DISTANCE_BLOCK, DISTANCE_BLOCK + 1,
-             2 * DISTANCE_BLOCK + 1]
+             DISTANCE_BLOCK + 129, DISTANCE_BLOCK + 512,
+             DISTANCE_BLOCK + 513, 2 * DISTANCE_BLOCK + 1]
 
     @pytest.mark.parametrize("size", SIZES)
     def test_equal_to_whole_array(self, size):
@@ -694,6 +697,23 @@ class TestStreamedDistances:
         assert empirical_ks_two_sample(a, b).distance == pooled_grid_ks(a, b)
         assert empirical_ks_two_sample(b, a).distance == pooled_grid_ks(b, a)
         assert empirical_ks_vs_normal(a).distance == whole_array_ks_normal(a)
+
+    @pytest.mark.parametrize("size", [s for s in SIZES if s > DISTANCE_BLOCK])
+    def test_one_sample_gap_in_last_block(self, size):
+        """Normal quantiles, with the values of the last block pressed
+        together just above the block before: the supremum gap is
+        1 - Phi(t_max) at the last point, and the top value is one at which
+        ndtr's value-by-value route and the port disagree."""
+        last = size % DISTANCE_BLOCK
+        t = stats.norm.ppf((np.arange(size) + 0.5) / size)
+        top = t[-last - 1] + 1e-6
+        while ndtr(np.array([top]))[0] == ndtr_array(np.array([top]))[0]:
+            top = np.nextafter(top, np.inf)
+        t[-last:] = np.linspace(t[-last - 1], top, last + 1)[1:]
+        got = empirical_ks_vs_normal(t).distance
+        assert got == whole_array_ks_normal(t)
+        assert got == 1.0 - ndtr_array(t[-1:])[0]
+        assert got > 1.0 / size  # the quantile gaps elsewhere are 0.5 / size
 
     def test_peak_in_sorted_copies(self):
         rng = np.random.default_rng(41)

@@ -113,6 +113,16 @@ class TestKSLowerBound:
         with pytest.raises(DomainError):
             ks_lower_bound(0.0)
 
+    @pytest.mark.parametrize("eps", [1e-30, 1e-100, 1e-300])
+    def test_cancelled_difference_raises(self, eps):
+        # both cdf values round to 1/2, so the bound would be 0
+        with pytest.raises(DomainError, match=f"epsilon {eps!r}"):
+            ks_lower_bound(eps)
+
+    def test_smallest_epsilons_stay_positive(self):
+        for eps in (1e-12, 1e-20, 1e-23):
+            assert ks_lower_bound(eps) > 0.0
+
     def test_pinch_set_identity_mc(self):
         # {T <= eps c0} = {W <= eps^(2/3)}
         rng = np.random.default_rng(94)

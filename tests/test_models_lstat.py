@@ -303,3 +303,18 @@ class TestRowTiles:
                 np.testing.assert_allclose(
                     chunk["dvar_rep"][mode][r, 0],
                     oracle_dvar(model, x[r], v[r]), rtol=1e-9, atol=1e-13)
+
+    @pytest.mark.parametrize("count", [1, ROW_TILE + 1, 2 * ROW_TILE + 1])
+    def test_rows_equal_first_rows_of_a_full_chunk(self, count):
+        """A lone row, and a tile with a joined last row, give the W rows of
+        a whole chunk on the same stream bit for bit: the std_normal
+        influence takes no value from the size of its tile. T is a
+        matrix-vector product, and a BLAS may sum the last rows of a tile
+        (under OpenBLAS, those past a multiple of four) in another order,
+        so it is compared to rounding."""
+        model = LStatModel(LStatSpec("identity", "std_normal", 400))
+        full = model.sample_chunk(SeedSpec(89).substream(0), CHUNK_SIZE)
+        chunk = model.sample_chunk(SeedSpec(89).substream(0), count)
+        np.testing.assert_array_equal(chunk["w"], full["w"][:count])
+        np.testing.assert_allclose(chunk["t"], full["t"][:count], rtol=0,
+                                   atol=1e-12)

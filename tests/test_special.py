@@ -21,17 +21,22 @@ def _ulps(got, want):
     return np.abs(got - want) / np.spacing(np.abs(want))
 
 
-def _dense_grid():
-    # a dense grid, every branch point with its two neighbours, both zeros,
-    # both infinities, NaN, and the tail where ndtr turns subnormal and then
-    # 0 (where x^2 / 2 passes log(2^1024), near -37.7)
+def _edge_values():
+    """Every branch point with its two neighbours, both zeros, both
+    infinities and NaN."""
     branch = [1.0, SQRT2, 8.0, 8.0 * SQRT2, 37.5, 37.7, 38.5]
     edges = [v * s for v in branch for s in (1.0, -1.0)]
     near = [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)]
+    return np.concatenate([edges, near, [0.0, -0.0, np.inf, -np.inf, np.nan]])
+
+
+def _dense_grid():
+    # a dense grid, the edge values, and the tail where ndtr turns
+    # subnormal and then 0 (where x^2 / 2 passes log(2^1024), near -37.7)
     return np.concatenate([
         np.linspace(-40.0, 40.0, 800001),
         np.linspace(-38.6, -37.0, 20001), np.linspace(37.0, 38.6, 2001),
-        edges, near, [0.0, -0.0, np.inf, -np.inf, np.nan]])
+        _edge_values()])
 
 
 class TestNdtrErfArray:
@@ -86,6 +91,30 @@ class TestNdtrErfArray:
         assert fn(np.array(1.5)).shape == ()
         assert fn(np.array([], dtype=float)).shape == (0,)
         np.testing.assert_array_equal(fn(np.array([1, 2])), fn([1.0, 2.0]))
+
+
+class TestNdtrArray:
+    """ndtr_array takes the port at every size, so a value's bits do not
+    depend on the array it comes in."""
+
+    EDGES = _edge_values()
+    POOL = np.concatenate([EDGES, np.linspace(-39.0, 39.0, 1001)])
+
+    @pytest.mark.parametrize("size", [1, 512, 513, 2 ** 15 + 1])
+    def test_each_value_as_alone(self, size):
+        x = np.random.default_rng(size).permutation(np.resize(self.POOL, size))
+        x[:min(size, self.EDGES.size)] = self.EDGES[:size]
+        got = special.ndtr_array(x)
+        keys, where = np.unique(x, return_inverse=True)
+        alone = np.array([special.ndtr_array(np.array([v]))[0] for v in keys])
+        np.testing.assert_array_equal(got, alone[where])
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(alone[where]))
+
+    def test_matches_ndtr_on_large_arrays(self):
+        # the port that ndtr takes above the value-by-value size
+        np.testing.assert_array_equal(special.ndtr_array(self.POOL),
+                                      special.ndtr(self.POOL))
+        assert special.ndtr_array(np.array(1.5)).shape == ()
 
 
 class TestNdtrErfScalar:
