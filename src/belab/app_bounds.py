@@ -1,10 +1,10 @@
 """Closed-form application bounds for the catalog statistic families, plus
 the comparison right-hand sides and the counterexample report.
 
-Everything here is a pure function of analytic moments; the only numerics
-are one-dimensional quadratures (`belab.quadrature`). Bounds whose constant
-is unspecified are returned with known = 0 and the constant-multiplier part
-in c_coeff; they are never pass/fail certified, only shape-checked.
+All but the report's Monte Carlo cross-check are pure functions of analytic
+moments; the only numerics are one-dimensional quadratures. Bounds whose
+constant is unspecified are returned with known = 0 and the
+constant-multiplier part in c_coeff; never pass/fail certified.
 """
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import DegenerateModelError, DomainError
 from .marginals import normal_abs_moment
+from .mc_engine import sample_pass
 from .quadrature import check_error, pointwise, quad
 from .special import erf, ndtr
 from .models.isqrt import (
@@ -24,7 +25,7 @@ from .models.isqrt import (
     ks_lower_bound,
     w_delta_abs_moment,
 )
-from .types import BoundValue
+from .types import BoundValue, MomentEstimate
 
 _ROOT2 = math.sqrt(2.0)
 _PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
@@ -348,10 +349,26 @@ def counterexample_report(epsilons) -> list:
     return rows
 
 
+def counterexample_check(model, replicates, seed, threads=1):
+    """Sampled (4.2) left side P(T <= eps mu) - Phi(eps mu) and (4.3)
+    E|W Delta| + E|Delta| (zero_out) of an IsqrtModel, as MomentEstimates
+    from `replicates` draws on the substreams of the SeedSpec `seed`."""
+    t, _w, comps = sample_pass(model, replicates, seed, modes=("zero_out",),
+                               threads=threads)
+    cut = model.epsilon * ISQRT_MEAN
+    p_hat = float(np.count_nonzero(t <= cut)) / t.size
+    lhs_se = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / t.size)
+    wd, d = comps["zero_out"].e_abs_w_delta, comps["zero_out"].delta_abs
+    return (MomentEstimate(p_hat - ndtr(cut), lhs_se, t.size),
+            MomentEstimate(wd.value + d.value, wd.std_error + d.std_error,
+                           t.size))
+
+
 __all__ = [
     "ALPHA_SERIES_A", "ALPHA_SERIES_B", "CounterexampleReport", "ISQRT_MEAN",
     "LStatBoundInputs", "MultiBoundInputs", "UStatBoundInputs",
-    "alpha_quadrature", "alpha_scale", "bg_bracket_47", "counterexample_report",
+    "alpha_quadrature", "alpha_scale", "bg_bracket_47",
+    "counterexample_check", "counterexample_report",
     "coupling_gini", "ks_lower_bound", "lstat_310", "lstat_311",
     "multisample_37", "multisample_38", "shorack_rhs_46", "ustat_nonuniform_33",
     "ustat_nonuniform_34", "ustat_nonuniform_36", "ustat_normal_32",

@@ -20,8 +20,6 @@ import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-import numpy as np
-
 from . import app_bounds, bound_core
 from .errors import BelabError, ConfigError, DomainError, UnsupportedModelError
 from .mc_engine import (
@@ -45,8 +43,7 @@ from .models import (
     with_size,
 )
 from .models.fields import catalog_names, is_number, read_field, read_value
-from .models.isqrt import ISQRT_MEAN, delta_abs_moment, w_delta_abs_moment
-from .special import ndtr
+from .models.isqrt import delta_abs_moment, w_delta_abs_moment
 from .types import MomentEstimate, NonUniformInputs
 
 RESULT_COLUMNS = ("equation_tag", "model", "n", "m", "z", "epsilon", "p",
@@ -534,27 +531,20 @@ def cmd_example41(cfg: ExperimentConfig):
             bound_known=7.0 * eps, empirical=quad43, se=0.0,
             pass_flag=bool(quad43 <= 7.0 * eps)))
         if eps >= 1e-2:
-            seed = SeedSpec(cfg.master_seed)
-            t, _w, comps = sample_pass(model, cfg.replicates, seed,
-                                       modes=("zero_out",),
-                                       threads=cfg.threads)
-            p_hat = float(np.count_nonzero(t <= eps * ISQRT_MEAN)) / t.size
-            mc_lhs = p_hat - ndtr(eps * ISQRT_MEAN)
-            se = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / t.size)
+            lhs, mc43 = app_bounds.counterexample_check(
+                model, cfg.replicates, SeedSpec(cfg.master_seed), cfg.threads)
             rows.append(ResultRow(
                 equation_tag="eq4.2", model=model.name, n=n, epsilon=eps,
-                bound_known=rep.lhs_exact, empirical=mc_lhs,
-                dkw_radius=dkw_radius(t.size), se=se,
-                pass_flag=bool(abs(mc_lhs - rep.lhs_exact) <= 4.0 * se)))
-            zero_out = comps["zero_out"]
-            mc43 = zero_out.e_abs_w_delta.value + zero_out.delta_abs.value
-            se43 = (zero_out.e_abs_w_delta.std_error
-                    + zero_out.delta_abs.std_error)
-            ok = mc43 <= 7.0 * eps and abs(mc43 - quad43) <= 4.0 * se43
+                bound_known=rep.lhs_exact, empirical=lhs.value,
+                dkw_radius=dkw_radius(lhs.replicates), se=lhs.std_error,
+                pass_flag=bool(abs(lhs.value - rep.lhs_exact)
+                               <= 4.0 * lhs.std_error)))
+            ok = (mc43.value <= 7.0 * eps
+                  and abs(mc43.value - quad43) <= 4.0 * mc43.std_error)
             rows.append(ResultRow(
                 equation_tag="eq4.3", model=model.name, n=n, epsilon=eps,
-                bound_known=7.0 * eps, empirical=mc43, se=se43,
-                pass_flag=bool(ok)))
+                bound_known=7.0 * eps, empirical=mc43.value,
+                se=mc43.std_error, pass_flag=bool(ok)))
         rows.append(ResultRow(
             equation_tag="eq4.6", model=model.name, n=n, epsilon=eps,
             bound_known=rep.shorack_rhs, empirical=rep.lhs_exact, se=0.0,

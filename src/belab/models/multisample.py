@@ -72,35 +72,31 @@ def multisample_value(kernel_fn, samples, degrees) -> float:
 
 def _pair_counts(xs, ys):
     """Per-row count of the pairs (i, j) with x_i <= y_j from row-sorted
-    blocks, one searchsorted per row; sorted needles keep each row's search
-    cache-local. `_tagged_pair_counts` falls back to it on the rows its
-    pooled sort cannot count, and the tests take it as the reference."""
+    blocks, one searchsorted per row. The tests take it as the reference
+    for `_tagged_pair_counts`, on any finite input."""
     return np.array([np.searchsorted(a, b, side="right").sum()
                      for a, b in zip(xs, ys)], dtype=float)
 
 
-# rows per tile of the pooled, sample-tagged sort: a 32 x 2000 float64 key
-# tile and its int64 scratch hold about 1 MB together
+# rows per tile of the pooled, sample-tagged sort: a 32 x 2000 key tile
+# and its float64 parity tile hold about 1 MB together
 PAIR_TILE = 32
 
 
 def _tagged_pair_counts(x, y, work=None):
-    """Per-row count of the pairs (i, j) with x_i <= y_j of finite blocks x
-    and y, from one sort of each pooled row; x and y are not changed.
+    """Per-row count of the pairs (i, j) with x_i <= y_j, from one sort of
+    each pooled row; x and y are not changed.
 
-    A tile of rows is copied side by side into one float64 key block, -0.0
-    mapped to +0.0, and the last mantissa bit of each key is overwritten
-    with its sample: 0 for x, 1 for y. That moves a double only within the
-    two bit patterns that agree above the last bit, so two keys from
-    different such pairs keep their order, and once a row is sorted the
-    count is the sum of the y positions minus n2 (n2 - 1) / 2. Ties,
-    adjacent doubles and a meeting of -0.0 and +0.0 can put keys out of
-    order; each of them leaves two sorted neighbours that are equal as
-    doubles or agree above the last bit, and such a row is recounted by
-    `_pair_counts` on sorted copies of its x and y rows.
-
-    `work`, a flat float64 buffer of at least 2 min(PAIR_TILE, count)
-    (n1 + n2) values, holds the key block and its scratch where given.
+    Every value must lie on the lattice of `Generator.random`: a multiple
+    of 2^-53 in [0, 1). A tile of rows becomes one block of exact int64
+    keys, 2^54 u + 2^52 for an x draw u and one more for a y draw, so a tie
+    x = y sorts x first and x <= y holds exactly by key parity; no row is
+    recounted. Keys in [2^52, 2^55) are the bit patterns of normal doubles
+    in the same order, so a row sorts faster through a float64 view, even
+    under flush-to-zero. The count is the dot product of the odd-key
+    indicator with the positions, minus n2 (n2 - 1) / 2: integers below
+    2^53 throughout. `work`, a flat float64 buffer of at least
+    2 min(PAIR_TILE, count) (n1 + n2) values, holds both blocks if given.
     """
     count, n1 = x.shape
     n2 = y.shape[1]
@@ -111,25 +107,18 @@ def _tagged_pair_counts(x, y, work=None):
         work = np.empty(2 * cells)
     keys = work[:cells].reshape(shape)
     bits = keys.view(np.int64)
-    scratch = work[cells:2 * cells].view(np.int64).reshape(shape)
-    positions = np.arange(n1 + n2, dtype=np.int64)
+    parity = work[cells:2 * cells].reshape(shape)
+    positions = np.arange(n1 + n2, dtype=float)
     for rows in row_tiles(count, PAIR_TILE):
         used = rows.stop - rows.start
-        key, key_bits, aux = keys[:used], bits[:used], scratch[:used]
-        np.add(x[rows], 0.0, out=key[:, :n1])
-        np.add(y[rows], 0.0, out=key[:, n1:])
-        key_bits[:, :n1] &= -2
-        key_bits[:, n1:] |= 1
+        key, key_bits, odd = keys[:used], bits[:used], parity[:used]
+        np.multiply(x[rows], 2.0 ** 54, out=key_bits[:, :n1], casting="unsafe")
+        np.multiply(y[rows], 2.0 ** 54, out=key_bits[:, n1:], casting="unsafe")
+        key_bits[:, :n1] += 2 ** 52
+        key_bits[:, n1:] += 2 ** 52 + 1
         key.sort(axis=1)
-        np.right_shift(key_bits, 1, out=aux)
-        recount = (aux[:, 1:] == aux[:, :-1]).any(axis=1)
-        recount |= (key[:, 1:] == key[:, :-1]).any(axis=1)
-        np.bitwise_and(key_bits, 1, out=aux)
-        out[rows] = aux @ positions - n2 * (n2 - 1) // 2
-        bad = np.flatnonzero(recount) + rows.start
-        if bad.size:
-            out[bad] = _pair_counts(np.sort(x[bad], axis=1),
-                                    np.sort(y[bad], axis=1))
+        np.bitwise_and(key_bits, 1, out=odd, casting="unsafe")
+        out[rows] = odd @ positions - n2 * (n2 - 1) // 2
     return out
 
 
@@ -157,13 +146,13 @@ class WilcoxonModel(StatisticModel):
     tile it takes the row sums and representative columns of the
     projections, the representatives' own pair counts, and the pair count
     of each replicate row from one sort of its pooled, sample-tagged keys,
-    PAIR_TILE rows at a time (`_tagged_pair_counts`); the rare row whose
-    sorted keys tie or agree above the last bit is recounted by
-    `_pair_counts`. x and y themselves are never sorted. Swapping one
-    observation moves that count by a row-wise comparison against the
-    other sample, counted in the same loop. The chunk holds one tile of x
-    and of y, a projection tile and the key block besides count-length
-    arrays: about 5 MiB at 1000;1000.
+    PAIR_TILE rows at a time (`_tagged_pair_counts`): the draws lie on the
+    2^-53 lattice of `Generator.random`, so the integer keys are exact and
+    ties count by key parity, with no recount. x and y are never sorted.
+    Swapping one observation moves that count by a row-wise comparison
+    against the other sample, counted in the same loop. The chunk holds
+    one tile of x and of y, a projection tile and the key block besides
+    count-length arrays: about 5 MiB at 1000;1000.
     """
 
     def __init__(self, spec: MultiUStatSpec):

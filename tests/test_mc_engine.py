@@ -470,6 +470,16 @@ class TestRowTiles:
             got, compare(block, values[:, None]).sum(axis=1))
         assert got.dtype == np.intp
 
+    @pytest.mark.parametrize("width", [2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1])
+    @pytest.mark.parametrize("all_true", [True, False])
+    def test_row_counts_exact_at_accumulator_switch(self, width, all_true):
+        # a block narrower than 2^16 sums its mask in uint16; every count,
+        # however wide the block, is exact and intp
+        got = row_counts(np.less, np.zeros((1, width)),
+                         np.array([1.0 if all_true else 0.0]))
+        assert got.tolist() == [width if all_true else 0]
+        assert got.dtype == np.intp
+
     def test_tile_rows_by_width(self):
         # a float64 tile of at most 512 KiB, a power of two rows high, and
         # never fewer than ROW_TILE rows

@@ -15,7 +15,6 @@ from belab.models import (
     multisample_sigma,
     multisample_value,
 )
-from belab.models import multisample
 from belab.models.base import ROW_TILE, row_counts
 from belab.models.multisample import (
     PAIR_TILE,
@@ -35,6 +34,8 @@ def small_model(n1=5, n2=4, dist="uniform01"):
 
 MODES = ("zero_out", "resample")
 UNIFORM = DIST_CATALOG["uniform01"]
+# every uniform01 draw is a multiple of 1 / LATTICE in [0, 1)
+LATTICE = 2.0 ** 53
 
 
 def chunk_and_draws(model, seed, count, mode):
@@ -237,13 +238,16 @@ class TestDistributionalOracles:
 
 def x_scale_cdf(dist, a):
     """F(a) on the x scale, as the rank model computed it when it drew on
-    that scale."""
+    that scale, rounded down to a multiple of 2^-53: the pair count takes
+    its draws on that lattice, as `Generator.random` gives them."""
     a = np.asarray(a, dtype=float)
     if dist == "std_normal":
-        return ndtr(a)
-    if dist == "exponential1":
-        return -np.expm1(-np.maximum(a, 0.0))
-    raise ValueError(dist)
+        u = ndtr(a)
+    elif dist == "exponential1":
+        u = -np.expm1(-np.maximum(a, 0.0))
+    else:
+        raise ValueError(dist)
+    return np.floor(u * LATTICE) / LATTICE
 
 
 def x_scale_chunk(model, x, y, v):
@@ -359,12 +363,13 @@ def assert_counts_exact(x, y):
 
 
 class TestTaggedPairCounts:
-    """The pooled, sample-tagged count equals `_pair_counts` with ==, on the
-    rows that can defeat the tag (signed zeros, subnormals, ties, doubles
-    one ulp apart) and on every tile edge."""
+    """The pooled, sample-tagged count equals `_pair_counts` with ==, on
+    lattice rows that tie across the samples (0.0 included), on lattice
+    neighbours and on every tile edge."""
 
-    EDGE_VALUES = (5e-324, -5e-324, 0.0, -0.0, 1e-320, -1e-320, 1.0, -1.0,
-                   np.nextafter(1.0, 2.0))
+    STEP = 1.0 / LATTICE
+    EDGE_VALUES = (0.0, STEP, 0.5 - STEP, 0.5, 0.5 + STEP, 1.0 - 2 * STEP,
+                   1.0 - STEP)
 
     @pytest.mark.parametrize("n1", [1, 2, 3])
     @pytest.mark.parametrize("n2", [1, 2])
@@ -376,19 +381,16 @@ class TestTaggedPairCounts:
         y = np.array([row for _ in xs for row in ys])
         assert_counts_exact(x, y)
 
-    def test_tied_integer_rows_with_negative_zero(self):
+    def test_tied_lattice_rows(self):
         rng = np.random.default_rng(78)
-        x = rng.integers(-2, 3, (500, 9)).astype(float)
-        y = rng.integers(-2, 3, (500, 6)).astype(float)
-        x[rng.random(x.shape) < 0.5] *= -1.0  # turns some 0.0 into -0.0
-        y[rng.random(y.shape) < 0.5] *= -1.0
-        assert np.signbit(x[x == 0]).any() and np.signbit(y[y == 0]).any()
+        x = rng.integers(0, 5, (500, 9)) / 8.0
+        y = rng.integers(0, 5, (500, 6)) / 8.0
+        assert (x == 0.0).any() and (y == 0.0).any()
         assert_counts_exact(x, y)
 
-    @pytest.mark.parametrize("base", [0.7, -0.7, 3.0, -3.0, 1e-310, -1e-310])
-    def test_adjacent_doubles(self, base):
-        near = np.array([np.nextafter(base, -np.inf), base,
-                         np.nextafter(base, np.inf)])
+    @pytest.mark.parametrize("base", [STEP, 0.5, 1.0 - 2 * STEP])
+    def test_adjacent_lattice_values(self, base):
+        near = base + np.array([-1.0, 0.0, 1.0]) * self.STEP
         rng = np.random.default_rng(79)
         x = rng.choice(near, (400, 7))
         y = rng.choice(near, (400, 5))
@@ -399,23 +401,35 @@ class TestTaggedPairCounts:
     @pytest.mark.parametrize("n1,n2", [(1000, 1000), (57, 13), (5, 4)])
     def test_tile_edges(self, count, n1, n2):
         rng = np.random.default_rng(count)
-        assert_counts_exact(rng.standard_normal((count, n1)),
-                            rng.standard_normal((count, n2)))
+        assert_counts_exact(rng.random((count, n1)), rng.random((count, n2)))
 
-    def test_fallback_recounts_signed_zero_row(self, monkeypatch):
-        # tagged, the middle row's keys are +0.0, -0.0 and 5e-324, so y
-        # sorts after both x keys, a count of 2; but 5e-324 <= 0.0 is
-        # false, so the true count is 1
-        recounted = []
 
-        def spy(xs, ys):
-            recounted.append((xs.copy(), ys.copy()))
-            return _pair_counts(xs, ys)
+class TestLatticePrecondition:
+    """`_tagged_pair_counts` counts exactly only on multiples of 2^-53 in
+    [0, 1). These tests fail if numpy's `Generator.random` stops giving
+    such values on any bit generator."""
 
-        monkeypatch.setattr(multisample, "_pair_counts", spy)
-        x = np.array([[1.0, 2.0], [5e-324, -5e-324], [3.0, -1.0]])
-        y = np.array([[1.5], [0.0], [0.5]])
-        np.testing.assert_array_equal(_tagged_pair_counts(x, y), [1, 1, 1])
-        assert len(recounted) == 1
-        np.testing.assert_array_equal(recounted[0][0], [[-5e-324, 5e-324]])
-        np.testing.assert_array_equal(recounted[0][1], [[0.0]])
+    @pytest.mark.parametrize("make", [
+        lambda: SeedSpec(83).substream(0),
+        lambda: np.random.Generator(np.random.PCG64(83)),
+        lambda: np.random.Generator(np.random.MT19937(83)),
+        lambda: np.random.Generator(np.random.SFC64(83)),
+    ], ids=["Philox", "PCG64", "MT19937", "SFC64"])
+    def test_uniform01_draws_lie_on_the_lattice(self, make):
+        v = UNIFORM.sample(make(), (257, 1000))
+        assert ((0.0 <= v) & (v < 1.0)).all(), "uniform01 left [0, 1)"
+        scaled = v * LATTICE
+        assert (scaled == np.floor(scaled)).all(), \
+            "uniform01 draws are no longer multiples of 2^-53"
+
+    @pytest.mark.parametrize("x,y", [(0.0, 1.0 - 1.0 / LATTICE),
+                                     (1.0 - 1.0 / LATTICE, 0.0)])
+    def test_extreme_keys_are_normal_doubles(self, x, y):
+        # the sorted key row is left in the first two values of `work`
+        work = np.empty(4)
+        _tagged_pair_counts(np.array([[x]]), np.array([[y]]), work)
+        keys = work[:2]
+        assert np.isfinite(keys).all()
+        assert (keys >= np.finfo(float).tiny).all()
+        assert sorted(keys.view(np.int64)) == sorted(
+            [int(x * 2 ** 54) + 2 ** 52, int(y * 2 ** 54) + 2 ** 52 + 1])
