@@ -15,7 +15,6 @@ import io
 import json
 import math
 import os
-import secrets
 import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -633,7 +632,7 @@ def emit_results(rows, fmt: str, path: str | None) -> str:
         if out_dir and not os.path.isabs(path):
             path = os.path.join(out_dir, path)
         head, tail = os.path.split(path)
-        tmp = os.path.join(head, f".{tail}.{secrets.token_hex(8)}.tmp")
+        tmp = os.path.join(head, f".{tail}.{os.urandom(8).hex()}.tmp")
         fh = open(tmp, "x", encoding="utf-8", newline="")
         try:
             with fh:

@@ -2,16 +2,17 @@
 and the standard library alone.
 
 - ``ndtr`` and ``erf``: the standard normal cdf and the error function. A
-  Python float, and each value of an array of at most 512, goes through
-  ``math.erfc`` / ``math.erf``. A larger array goes through a port of the
-  cephes rational approximations (Moshier, ``ndtr.c``) that
-  ``scipy.special`` evaluates: the same coefficient tables, branch points
-  and Horner order. Where ``|x| < 1`` (``|x| < sqrt 2`` for ``ndtr``)
-  no exponential is taken and the port returns scipy's values bit for bit.
-  Elsewhere ``np.exp`` and libm's ``exp`` differ by up to 1 ulp, which the
-  product and quotient after it can stretch to 4 ulps of the result.
-- ``ndtr_array``: the port at every size, for the samplers and the KS
-  kernels: a sampled value's bits never depend on the size of its array.
+  Python float, and each value of an array of any size and shape, goes
+  through ``math.erfc`` / ``math.erf``, so a value's bits depend on that
+  value alone.
+- ``ndtr_array``: the one vectorized normal cdf, for the samplers and the
+  one-sample KS kernel. It ports the cephes rational approximations
+  (Moshier, ``ndtr.c``) that ``scipy.special`` evaluates: the same
+  coefficient tables, branch points and Horner order, at every array size.
+  Where ``|x| < sqrt 2`` no exponential is taken and it returns scipy's
+  values bit for bit. Elsewhere ``np.exp`` and libm's ``exp`` differ by up
+  to 1 ulp, which the product and quotient after it can stretch to 4 ulps
+  of the result.
 - ``gammainc`` / ``gammaincc``: the regularized incomplete gamma functions
   ``P(a, x)`` and ``Q(a, x)``, by a series or a continued fraction, and from
   shape 1e6 on by Temme's uniform expansion.
@@ -81,15 +82,6 @@ def _p1evl(x, coef):
     return out
 
 
-def _erf_core(x):
-    """erf(x) for |x| <= 1."""
-    z = x * x
-    out = _polevl(z, _T)
-    out *= x
-    out /= _p1evl(z, _U)
-    return out
-
-
 def _erfc_tail(x):
     """erfc(x) for x >= 1 (NaN stays NaN), with one temporary the size of
     x besides the result."""
@@ -156,25 +148,6 @@ def ndtr_array(a):
     return y.reshape(shape)
 
 
-def _erf_array(x):
-    y = np.empty_like(x)
-    z = np.abs(x)
-    core = z <= 1.0
-    y[core] = _erf_core(x[core])
-    # |x| > 1: 1 - erfc(|x|), with the sign of x
-    out = ~core
-    part = 1.0 - _erfc_tail(z[out])
-    y[out] = np.copysign(part, x[out], out=part)
-    return y
-
-
-# Up to this many values, one math.erfc / math.erf call per value beats the
-# port, whose ~60 numpy calls cost ~60 us whatever the size (they break even
-# near 600 values); quadrature panels of 21 or 42 nodes stay below it, and
-# the KS kernels' 2^15-value blocks above
-_ELEMENTWISE_MAX = 512
-
-
 _SCALARS = (float, int, np.floating, np.integer)
 
 
@@ -183,7 +156,9 @@ def _ndtr_float(x: float) -> float:
 
 
 def _each(fn, x):
-    """fn of each value of the float array x, as an array of its shape."""
+    """fn of each value of x (any array-like) as a float array of its
+    shape."""
+    x = np.asarray(x, dtype=float)
     return np.array([fn(v) for v in x.ravel().tolist()],
                     dtype=float).reshape(x.shape)
 
@@ -192,20 +167,14 @@ def ndtr(x):
     """Standard normal cdf. A float gives a float, an array an array."""
     if isinstance(x, _SCALARS):
         return _ndtr_float(x)
-    x = np.asarray(x, dtype=float)
-    if x.size <= _ELEMENTWISE_MAX:
-        return _each(_ndtr_float, x)
-    return ndtr_array(x)
+    return _each(_ndtr_float, x)
 
 
 def erf(x):
     """Error function. A float gives a float, an array an array."""
     if isinstance(x, _SCALARS):
         return math.erf(x)
-    x = np.asarray(x, dtype=float)
-    if x.size <= _ELEMENTWISE_MAX:
-        return _each(math.erf, x)
-    return _erf_array(x)
+    return _each(math.erf, x)
 
 
 # stirlerr(n / 2) for n = 0, ..., 30: log Gamma(n/2 + 1) minus Stirling's

@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -19,6 +20,20 @@ from belab.mc_engine import CHUNK_SIZE, SeedSpec
 from belab.models import LinearModel, LinearSpec, rademacher_ks_exact
 from belab.models.base import ROW_TILE
 from belab.models.linear import half_binom_cdf
+
+
+def _coin_flip_ks_reference(n):
+    """sup |P(W <= w) - Phi(w)| over the atoms of a standardized sum of n
+    signs, from exact binomial sums and 30-digit mpmath."""
+    with mpmath.workdps(30):
+        root, total = mpmath.sqrt(n), mpmath.mpf(2) ** n
+        best, cum = mpmath.mpf(0), 0
+        for k in range(n + 1):
+            phi = mpmath.ncdf((2 * k - n) / root)
+            before = cum
+            cum += math.comb(n, k)
+            best = max(best, abs(cum / total - phi), abs(before / total - phi))
+        return float(best)
 
 
 class TestExactCoinFlipDistance:
@@ -34,6 +49,12 @@ class TestExactCoinFlipDistance:
     def test_frozen_n100(self):
         np.testing.assert_allclose(rademacher_ks_exact(100),
                                    0.03979461869358947, rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [511, 512, 4096])
+    def test_matches_exact_reference(self, n):
+        # the n + 1 atoms go to ndtr as one array, on both sides of the
+        # 512 values at which ndtr once changed route
+        assert abs(rademacher_ks_exact(n) - _coin_flip_ks_reference(n)) <= 1e-15
 
     def test_root_n_decay(self):
         # distance scales like 1/sqrt(n) for even n

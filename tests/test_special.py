@@ -1,6 +1,7 @@
 """belab.special against independent oracles: scipy.special for the cephes
-port, 30-digit mpmath for the incomplete gamma functions and exact rational
-sums of binomial coefficients for the binomial tail."""
+port ndtr_array, math.erfc / math.erf for ndtr and erf, 30-digit mpmath for
+the incomplete gamma functions and exact rational sums of binomial
+coefficients for the binomial tail."""
 import math
 import tracemalloc
 from fractions import Fraction
@@ -39,26 +40,36 @@ def _dense_grid():
         _edge_values()])
 
 
-class TestNdtrErfArray:
-    """The array port evaluates cephes' rational forms like scipy. Where no
+EDGES = _edge_values()
+POOL = np.concatenate([EDGES, np.linspace(-39.0, 39.0, 1001)])
+
+
+def _pool_sample(size):
+    """size values drawn from POOL, holding every edge value that fits."""
+    x = np.random.default_rng(size).permutation(np.resize(POOL, size))
+    x[:min(size, EDGES.size)] = EDGES[:size]
+    return x
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+class TestNdtrArray:
+    """ndtr_array evaluates cephes' rational forms like scipy at every size,
+    so a value's bits do not depend on the array it comes in. Where no
     exponential is taken it returns scipy's values bit for bit. Elsewhere
     numpy's exp and libm's differ by at most 1 ulp; the product and the
     quotient that follow can turn that into a few ulps of the result."""
 
     X = _dense_grid()
 
-    def test_ndtr_bit_identical_without_exp(self):
+    def test_bit_identical_without_exp(self):
         x = self.X[np.abs(self.X) < SQRT2]  # |x / sqrt 2| < 1
-        np.testing.assert_array_equal(special.ndtr(x), sc.ndtr(x))
+        np.testing.assert_array_equal(special.ndtr_array(x), sc.ndtr(x))
 
-    def test_erf_bit_identical_without_exp(self):
-        x = self.X[np.abs(self.X) <= 1.0]
-        got = special.erf(x)
-        np.testing.assert_array_equal(got, sc.erf(x))
-        np.testing.assert_array_equal(np.signbit(got), np.signbit(x))
-
-    def test_ndtr_within_4_ulps(self):
-        got, want = special.ndtr(self.X), sc.ndtr(self.X)
+    def test_within_4_ulps(self):
+        got, want = special.ndtr_array(self.X), sc.ndtr(self.X)
         np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
         ok = ~np.isnan(want)
         assert _ulps(got[ok], want[ok]).max() <= 4
@@ -66,11 +77,48 @@ class TestNdtrErfArray:
         up = ok & (self.X > 0)
         assert _ulps(got[up], want[up]).max() <= 1
 
-    def test_erf_within_1_ulp(self):
-        got, want = special.erf(self.X), sc.erf(self.X)
-        np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
-        ok = ~np.isnan(want)
-        assert _ulps(got[ok], want[ok]).max() <= 1
+    def test_special_values(self):
+        got = special.ndtr_array(np.array([-np.inf, np.inf, -0.0, 0.0, -40.0]))
+        np.testing.assert_array_equal(got, [0.0, 1.0, 0.5, 0.5, 0.0])
+        assert np.isnan(special.ndtr_array(np.array([np.nan]))[0])
+
+    def test_shapes(self):
+        # strided 2-d input, and a 0-d array
+        block = np.linspace(-9.0, 9.0, 1200).reshape(30, 40)
+        out = special.ndtr_array(block[:, ::2])
+        assert out.shape == (30, 20) and out.dtype == np.float64
+        np.testing.assert_array_equal(
+            out, special.ndtr_array(block[:, ::2].copy()))
+        assert special.ndtr_array(np.array(1.5)).shape == ()
+
+    @pytest.mark.parametrize("size", [1, 512, 513, 2 ** 15 + 1])
+    def test_each_value_as_alone(self, size):
+        x = _pool_sample(size)
+        got = special.ndtr_array(x)
+        keys, where = np.unique(x, return_inverse=True)
+        alone = np.array([special.ndtr_array(np.array([v]))[0] for v in keys])
+        np.testing.assert_array_equal(got, alone[where])
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(alone[where]))
+
+
+class TestNdtrErfScalar:
+    """A Python float, and each value of an array of any size, goes through
+    math.erfc / math.erf, not the port."""
+
+    def test_float_in_float_out(self):
+        for fn in (special.ndtr, special.erf):
+            for x in (0.3, 2, np.float64(-1.5), np.int64(1)):
+                assert type(fn(x)) is float
+
+    @pytest.mark.parametrize("size", [1, 512, 513, 2 ** 15 + 1])
+    def test_arrays_value_by_value(self, size):
+        # bit for bit, signs of zero and NaN included, at every size
+        x = _pool_sample(size)
+        values = x.tolist()
+        np.testing.assert_array_equal(
+            _bits(special.ndtr(x)), _bits([special.ndtr(v) for v in values]))
+        np.testing.assert_array_equal(
+            _bits(special.erf(x)), _bits([math.erf(v) for v in values]))
 
     def test_special_values(self):
         got = special.ndtr(np.array([-np.inf, np.inf, -0.0, 0.0, -40.0]))
@@ -82,7 +130,6 @@ class TestNdtrErfArray:
 
     @pytest.mark.parametrize("fn", [special.ndtr, special.erf])
     def test_shapes_and_types(self, fn):
-        # above the value-by-value size, so the port sees strided 2-d input
         block = np.linspace(-9.0, 9.0, 1200).reshape(30, 40)
         out = fn(block)
         assert out.shape == (30, 40) and out.dtype == np.float64
@@ -91,50 +138,6 @@ class TestNdtrErfArray:
         assert fn(np.array(1.5)).shape == ()
         assert fn(np.array([], dtype=float)).shape == (0,)
         np.testing.assert_array_equal(fn(np.array([1, 2])), fn([1.0, 2.0]))
-
-
-class TestNdtrArray:
-    """ndtr_array takes the port at every size, so a value's bits do not
-    depend on the array it comes in."""
-
-    EDGES = _edge_values()
-    POOL = np.concatenate([EDGES, np.linspace(-39.0, 39.0, 1001)])
-
-    @pytest.mark.parametrize("size", [1, 512, 513, 2 ** 15 + 1])
-    def test_each_value_as_alone(self, size):
-        x = np.random.default_rng(size).permutation(np.resize(self.POOL, size))
-        x[:min(size, self.EDGES.size)] = self.EDGES[:size]
-        got = special.ndtr_array(x)
-        keys, where = np.unique(x, return_inverse=True)
-        alone = np.array([special.ndtr_array(np.array([v]))[0] for v in keys])
-        np.testing.assert_array_equal(got, alone[where])
-        np.testing.assert_array_equal(np.signbit(got), np.signbit(alone[where]))
-
-    def test_matches_ndtr_on_large_arrays(self):
-        # the port that ndtr takes above the value-by-value size
-        np.testing.assert_array_equal(special.ndtr_array(self.POOL),
-                                      special.ndtr(self.POOL))
-        assert special.ndtr_array(np.array(1.5)).shape == ()
-
-
-class TestNdtrErfScalar:
-    """A Python float, and each value of a small array, goes through
-    math.erfc / math.erf, not the port."""
-
-    def test_float_in_float_out(self):
-        for fn in (special.ndtr, special.erf):
-            for x in (0.3, 2, np.float64(-1.5), np.int64(1)):
-                assert type(fn(x)) is float
-
-    @pytest.mark.parametrize("fn", [special.ndtr, special.erf])
-    def test_small_arrays_value_by_value(self, fn):
-        size = special._ELEMENTWISE_MAX
-        x = np.linspace(-9.0, 9.0, size)
-        np.testing.assert_array_equal(fn(x), [fn(float(v)) for v in x])
-        # one value more takes the port, which matches scipy bit for bit
-        # where no exponential is taken
-        x = np.linspace(-0.99, 0.99, size + 1)
-        np.testing.assert_array_equal(fn(x), getattr(sc, fn.__name__)(x))
 
     def test_ndtr_matches_mpmath(self):
         mpmath.mp.dps = 30
