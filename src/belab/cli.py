@@ -3,7 +3,7 @@ distances, reproduces the perturbed-normal counterexample, and sweeps
 parameters, emitting CSV or JSON result rows.
 
 Config is a single JSON document (schema in the README). Every run is fully
-determined by the config plus CLI overrides: sampling uses counter-based
+determined by the config plus CLI overrides: sampling uses per-chunk
 substreams of mc.master_seed and all reductions are order-fixed, so identical
 inputs produce byte-identical output files, whatever --threads is.
 """

@@ -1,9 +1,9 @@
 """Seeded Monte Carlo engine with reproducible chunked streams.
 
 Replicates are processed in fixed chunks of 4096. Chunk c of a run draws
-from its own counter-based stream, Philox keyed by (master_seed, c), so
-replicate i depends only on the master seed and i's chunk, never on thread
-count or scheduling.
+from its own PCG64DXSM stream, seeded by the SeedSequence child c of
+master_seed (spawn key (c,)), so replicate i depends only on the master
+seed and i's chunk, never on thread count or scheduling.
 
 A run samples in one pass (`sample_pass`): each chunk draws its data block
 once, and that one draw gives the chunk's slices of T and W and the
@@ -51,7 +51,7 @@ DISTANCE_BLOCK = 2 ** 15
 
 @dataclass(frozen=True)
 class SeedSpec:
-    """Master seed plus counter-based substream addressing."""
+    """Master seed plus substream addressing by chunk index."""
 
     master_seed: int
 
@@ -60,8 +60,8 @@ class SeedSpec:
             raise ConfigError("master_seed must fit in a nonnegative 63-bit int")
 
     def substream(self, index: int) -> np.random.Generator:
-        return np.random.Generator(
-            np.random.Philox(key=[int(self.master_seed), int(index)]))
+        return np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(
+            int(self.master_seed), spawn_key=(int(index),))))
 
 
 def chunk_layout(replicates: int):

@@ -19,12 +19,12 @@ tiles, drawn in stream order, hold exactly the values of one block draw.
 A draw that comes later in the stream but is needed inside the loop (a
 second block, or a fresh draw of resample) is read from a copy of the
 stream placed at its start. Where each value takes one 64-bit output
-(uniform01 on Philox) the copy is advanced there (`advanced_copy`);
-otherwise it is placed by replay: copied from the start of the part
-before it, which is then drawn once into its own tile buffer and thrown
-away. Of the catalog models only an L-statistic chunk with resample
-replays, since the rank family draws uniform01 values under every law;
-that costs one extra draw of its block.
+(uniform01 on PCG64DXSM, the engine's bit generator) the copy is advanced
+there (`advanced_copy`); otherwise it is placed by replay: copied from
+the start of the part before it, which is then drawn once into its own
+tile buffer and thrown away. Of the catalog models only an L-statistic
+chunk with resample replays, since the rank family draws uniform01 values
+under every law; that costs one extra draw of its block.
 A tile has `tile_rows(width)` rows for the widest block: as many as fit a
 float64 tile in TILE_BYTES, rounded down to a power of two, and never
 fewer than ROW_TILE; a lone last row joins the tile before it, since
@@ -109,21 +109,16 @@ def empty_block(size):
 
 
 def advanced_copy(rng: np.random.Generator, offset: int):
-    """A generator on a copy of rng's Philox stream whose next 64-bit
-    output is the one that rng gives after `offset` more; rng is not
-    changed."""
+    """A generator on a copy of rng's PCG64DXSM stream whose next 64-bit
+    output is the one that rng gives after `offset` more, and which keeps
+    rng's pending 32-bit half; rng is not changed."""
     state = rng.bit_generator.state
-    bitgen = np.random.Philox(0)
+    bitgen = np.random.PCG64DXSM()
     bitgen.state = state
-    # one Philox counter step makes four outputs; buffer_pos of them are
-    # used already
-    steps, skip = divmod(state["buffer_pos"] + offset, 4)
-    if steps:
-        bitgen.advance(steps - 1)  # the next output starts a counter step
-    else:
-        skip = offset
-    if skip:
-        bitgen.random_raw(skip)
+    # advance counts 64-bit outputs but drops a pending half, which 64-bit
+    # draws would leave alone
+    state["state"] = bitgen.advance(offset).state["state"]
+    bitgen.state = state
     return np.random.Generator(bitgen)
 
 
@@ -139,7 +134,7 @@ class ChunkTiles:
 
     The first block is drawn from rng itself; each later block and run is
     read from its own copy of the stream placed at its start. Where the
-    law takes one output per value and rng is a Philox generator, the
+    law takes one output per value and rng is a PCG64DXSM generator, the
     copy is advanced there (`advanced_copy`). Under any other law or bit
     generator it is placed by replay: the copy of the part before it
     draws that part once, a tile at a time into the part's own buffer,
@@ -173,7 +168,7 @@ class ChunkTiles:
         widths = self.widths + (1,) * self.fresh
         buffers = [empty_block((height, w)) for w in widths]
         advance = (self.dist.one_output_per_value
-                   and isinstance(self.rng.bit_generator, np.random.Philox))
+                   and isinstance(self.rng.bit_generator, np.random.PCG64DXSM))
         streams = [self.rng]
         if advance:
             streams += [advanced_copy(self.rng, self.count * offset)
@@ -190,15 +185,8 @@ class ChunkTiles:
                 self.dist.fill(stream, tile)
             yield rows, tiles[:nblocks], [run[:, 0] for run in tiles[nblocks:]]
         if len(streams) > 1:
-            # the last copy ends where sequential draws end; an advanced
-            # copy has no pending 32-bit half, but 64-bit draws leave rng's
-            # own untouched, so rng keeps it
-            state = streams[-1].bit_generator.state
-            if advance:
-                own = self.rng.bit_generator.state
-                state["has_uint32"] = own["has_uint32"]
-                state["uinteger"] = own["uinteger"]
-            self.rng.bit_generator.state = state
+            # the last copy ends where sequential draws end
+            self.rng.bit_generator.state = streams[-1].bit_generator.state
 
 
 VARIANT_MODES = ("zero_out", "resample")

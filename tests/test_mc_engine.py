@@ -91,6 +91,19 @@ class TestChunkLayout:
 
 
 class TestSeedSpec:
+    @pytest.mark.parametrize("master", [0, 42, 2 ** 63 - 1])
+    @pytest.mark.parametrize("index", [0, 1, 7, 300])
+    def test_substream_is_spawned_child(self, master, index):
+        """Substream c is PCG64DXSM on child c of SeedSequence(master)."""
+        child = np.random.SeedSequence(master).spawn(index + 1)[index]
+        want = np.random.PCG64DXSM(child).state
+        assert SeedSpec(master).substream(index).bit_generator.state == want
+
+    @pytest.mark.parametrize("master", [-1, 2 ** 63])
+    def test_master_seed_outside_63_bits_rejected(self, master):
+        with pytest.raises(ConfigError):
+            SeedSpec(master)
+
     def test_substream_reproducible(self):
         a = SeedSpec(42).substream(3).standard_normal(8)
         b = SeedSpec(42).substream(3).standard_normal(8)
@@ -375,17 +388,25 @@ class TestChunkTiles:
         rng.random(used)
         return rng
 
+    @pytest.mark.parametrize("pending", [False, True])
     @pytest.mark.parametrize("used", [0, 1, 3, 4, 6])
     @pytest.mark.parametrize("offset", [*range(10), 4096 * 1000 + 1])
-    def test_advanced_copy_matches_sequential_draws(self, used, offset):
+    def test_advanced_copy_matches_sequential_draws(self, used, pending,
+                                                    offset):
+        """The copy's next 64-bit outputs are those rng gives after
+        `offset` more, and it keeps rng's pending 32-bit half."""
         rng = self.fresh_rng(used)
-        if used == 3:
-            assert rng.bit_generator.state["buffer_pos"] < 4
+        if pending:
+            rng.integers(2 ** 32, dtype=np.uint32)
         state = rng.bit_generator.state
+        assert state["has_uint32"] == pending
         copy = advanced_copy(rng, offset)
         assert str(rng.bit_generator.state) == str(state)  # rng untouched
         rng.random(offset)
         np.testing.assert_array_equal(copy.random(11), rng.random(11))
+        np.testing.assert_array_equal(
+            copy.integers(2 ** 32, size=3, dtype=np.uint32),
+            rng.integers(2 ** 32, size=3, dtype=np.uint32))
 
     @staticmethod
     def assert_tiles_equal_whole_draws(rng, ref, law, widths, fresh, count):
@@ -412,18 +433,18 @@ class TestChunkTiles:
     @pytest.mark.parametrize("widths,fresh", WIDTHS_FRESH)
     @pytest.mark.parametrize("count", [1, 2, 129, 1025, 4096])
     def test_tiles_equal_whole_draws(self, dist, widths, fresh, count):
-        """On Philox: uniform01 parts are read from advanced copies, those
-        of the other laws from replayed ones."""
+        """On the engine's PCG64DXSM: uniform01 parts are read from
+        advanced copies, those of the other laws from replayed ones."""
         self.assert_tiles_equal_whole_draws(
             self.fresh_rng(1), self.fresh_rng(1), DIST_CATALOG[dist], widths,
             fresh, count)
 
-    @pytest.mark.parametrize("bitgen", ["PCG64", "MT19937"])
+    @pytest.mark.parametrize("bitgen", ["Philox", "PCG64", "MT19937"])
     @pytest.mark.parametrize("dist", sorted(DIST_CATALOG))
     @pytest.mark.parametrize("widths,fresh", WIDTHS_FRESH)
     @pytest.mark.parametrize("count", [1, 2, 129, 1025, 4096])
-    def test_tiles_equal_whole_draws_off_philox(self, bitgen, dist, widths,
-                                                fresh, count):
+    def test_tiles_equal_whole_draws_by_replay(self, bitgen, dist, widths,
+                                               fresh, count):
         """Any other bit generator replays under every law."""
         rng, ref = (np.random.Generator(getattr(np.random, bitgen)(41))
                     for _ in range(2))

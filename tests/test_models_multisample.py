@@ -282,10 +282,10 @@ def x_scale_chunk(model, x, y, v):
 
 
 class Replay:
-    """Stands in for a Generator that is not Philox, so a chunk places its
-    later parts by replay: one flat stream of the given arrays' values,
-    whose state is its position; each random(out=...) fills `out` with the
-    next out.size values, and a copy keeps its own place."""
+    """Stands in for a Generator that is not PCG64DXSM, so a chunk places
+    its later parts by replay: one flat stream of the given arrays'
+    values, whose state is its position; each random(out=...) fills `out`
+    with the next out.size values, and a copy keeps its own place."""
 
     def __init__(self, *arrays):
         self.values = np.concatenate([np.ravel(a) for a in arrays])
@@ -411,10 +411,11 @@ class TestLatticePrecondition:
 
     @pytest.mark.parametrize("make", [
         lambda: SeedSpec(83).substream(0),
+        lambda: np.random.Generator(np.random.Philox(83)),
         lambda: np.random.Generator(np.random.PCG64(83)),
         lambda: np.random.Generator(np.random.MT19937(83)),
         lambda: np.random.Generator(np.random.SFC64(83)),
-    ], ids=["Philox", "PCG64", "MT19937", "SFC64"])
+    ], ids=["substream", "Philox", "PCG64", "MT19937", "SFC64"])
     def test_uniform01_draws_lie_on_the_lattice(self, make):
         v = UNIFORM.sample(make(), (257, 1000))
         assert ((0.0 <= v) & (v < 1.0)).all(), "uniform01 left [0, 1)"
