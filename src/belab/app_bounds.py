@@ -331,8 +331,9 @@ def counterexample_report(epsilons) -> list:
     rows = []
     for eps in epsilons:
         eps = float(eps)
-        if not 0.0 < eps < 1.0 / 64.0:
-            raise DomainError(f"epsilon must lie in (0, 1/64), got {eps}")
+        if not 2.0 ** -256 < eps < 1.0 / 64.0:
+            # below 2^-256, n = eps^(-4) overflows a float
+            raise DomainError(f"epsilon must lie in (2^-256, 1/64), got {eps}")
         nu = eps * eps  # 1/sqrt(n) at n = eps^(-4)
         lhs = ks_lower_bound(eps)
         floor = eps ** (2.0 / 3.0) / 6.0

@@ -23,7 +23,6 @@ import numpy as np
 from ..errors import DomainError
 from ..marginals import NORMAL_CUT, LinearPart, NormalMarginal, quad_segments
 from ..mc_engine import SeedSpec, _map_chunks, _mean_se, _row_moments
-from ..special import ndtr
 from ..types import MomentEstimate
 from .base import DIST_CATALOG, StatisticModel, variant_modes
 from .fields import Spec, spec_field
@@ -35,6 +34,7 @@ ISQRT_MEAN = 2.0 ** (-0.25) * math.gamma(0.25) / math.sqrt(math.pi)
 _Z_KINK = ISQRT_MEAN ** -2
 
 _PHI = DIST_CATALOG["std_normal"].pdf
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -87,12 +87,15 @@ def ks_lower_bound(epsilon: float) -> float:
     """Closed-form sup-distance lower bound between the laws of T and W.
 
     {T <= eps * ISQRT_MEAN} is exactly {W <= eps^(2/3)}, so the distance is
-    at least Phi(eps^(2/3)) - Phi(eps * ISQRT_MEAN); below eps ~ 1e-24 that
-    rounds to 0, and DomainError is raised.
+    at least Phi(eps^(2/3)) - Phi(eps * ISQRT_MEAN). It is taken as
+    (erf(a / sqrt 2) - erf(b / sqrt 2)) / 2, which keeps its digits where
+    both cdf values lie near 1/2 (a difference of Phi values loses them all
+    below eps ~ 1e-24); DomainError is raised if it is not positive.
     """
     if not 0.0 < epsilon < ISQRT_MEAN ** -3:
         raise DomainError("the pinch point needs eps^(2/3) > eps * ISQRT_MEAN")
-    gap = ndtr(epsilon ** (2.0 / 3.0)) - ndtr(epsilon * ISQRT_MEAN)
+    gap = (math.erf(epsilon ** (2.0 / 3.0) / _SQRT2)
+           - math.erf(epsilon * ISQRT_MEAN / _SQRT2)) / 2.0
     if gap > 0.0:
         return gap
     raise DomainError(f"Phi(eps^(2/3)) - Phi(eps * ISQRT_MEAN) rounds to "

@@ -524,17 +524,21 @@ class TestMainExitCodes:
         assert main(["example41", "--config", path]) == 2
         assert "epsilon_grid" in capsys.readouterr().err
 
-    def test_cancelled_lower_bound_exits_2(self, tmp_path, capsys):
+    def test_tiny_epsilons_pass_or_exit_2(self, tmp_path, capsys):
         # Phi(eps^(2/3)) - Phi(eps * ISQRT_MEAN) rounds to 0 below eps ~
-        # 1e-24: the sweep emitted failing rows and exited 1, example41
-        # overflowed in eps ** -4 and exited 1 with a traceback
+        # 1e-24, where the sweep once emitted failing rows and exited 1; the
+        # erf form keeps its digits there. example41 pins n = eps^(-4),
+        # which overflows a float below 2^-256: it exited 1 with a
+        # traceback, and now exits 2
+        out = tmp_path / "sweep.csv"
         doc = make_doc(model={"family": "isqrt", "epsilon": 0.01}, bounds=[],
                        sweep={"axis": "epsilon", "grid": [1e-24, 1e-30]})
-        assert main(["sweep", "--config", write_config(tmp_path, doc)]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert [line.split(":")[1] for line in err] == [" sweep.grid[0]",
-                                                        " sweep.grid[1]"], err
-        assert all("epsilon 1e-" in line for line in err), err
+        assert main(["sweep", "--config", write_config(tmp_path, doc),
+                     "--output", str(out)]) == 0
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert [(r["epsilon"], r["pass"]) for r in rows] == [
+            ("9.9999999999999992e-25", "true"),
+            ("1.0000000000000001e-30", "true")], rows
         path = write_config(tmp_path, {"epsilon_grid": [1e-100],
                                        "mc": {"master_seed": 1}})
         assert main(["example41", "--config", path]) == 2

@@ -114,10 +114,13 @@ class TestKSLowerBound:
             ks_lower_bound(0.0)
 
     @pytest.mark.parametrize("eps", [1e-30, 1e-100, 1e-300])
-    def test_cancelled_difference_raises(self, eps):
-        # both cdf values round to 1/2, so the bound would be 0
-        with pytest.raises(DomainError, match=f"epsilon {eps!r}"):
-            ks_lower_bound(eps)
+    def test_tiny_epsilons_keep_the_leading_term(self, eps):
+        # both cdf values lie within 1e-20 of 1/2, where a difference of
+        # Phi values is 0; the erf form gives phi(0) (a - b) to rounding
+        a, b = eps ** (2.0 / 3.0), eps * ISQRT_MEAN
+        np.testing.assert_allclose(ks_lower_bound(eps),
+                                   (a - b) / math.sqrt(2.0 * math.pi),
+                                   rtol=1e-15)
 
     def test_smallest_epsilons_stay_positive(self):
         for eps in (1e-12, 1e-20, 1e-23):
