@@ -1,9 +1,10 @@
 """Seeded Monte Carlo engine with reproducible chunked streams.
 
 Replicates are processed in fixed chunks of 4096. Chunk c of a run draws
-from its own PCG64DXSM stream, seeded by the SeedSequence child c of
-master_seed (spawn key (c,)), so replicate i depends only on the master
-seed and i's chunk, never on thread count or scheduling.
+from its own SFC64 stream, seeded by the SeedSequence child c of
+master_seed (spawn key (c,)); a chunk's later parts extend that key by the
+part's index (`models.base.part_stream`). So replicate i depends only on
+the master seed and i's chunk, never on thread count or scheduling.
 
 A run samples in one pass (`sample_pass`): each chunk draws its data block
 once, and that one draw gives the chunk's slices of T and W and the
@@ -60,7 +61,7 @@ class SeedSpec:
             raise ConfigError("master_seed must fit in a nonnegative 63-bit int")
 
     def substream(self, index: int) -> np.random.Generator:
-        return np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(
+        return np.random.Generator(np.random.SFC64(np.random.SeedSequence(
             int(self.master_seed), spawn_key=(int(index),))))
 
 

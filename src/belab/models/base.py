@@ -5,26 +5,20 @@ W = sum_i g_i(X_i), E g_i = 0, sum_i E g_i^2 = 1. Each model has one
 sampling path, the vectorized `sample_chunk` that the Monte Carlo engine
 calls; tests check its rows against the enumeration oracles of each family.
 
-Stream consumption contract (determinism): within a chunk of replicates, a
-model first consumes its data block (replicate-major), then, where resample
-is among the requested variant modes, one fresh draw per representative
-index, again replicate-major. zero_out draws nothing, so one chunk call
-serves T, W and every variant mode, and its rows depend only on its stream
-and its size, never on which modes were asked for.
+Stream consumption contract (determinism): a chunk's draws come in parts.
+Part 0, the data block (the first block, where a model has two), is drawn
+replicate-major from the chunk's generator itself. Each later part (a
+second block, then, where resample is among the requested variant modes,
+one fresh draw per representative index) is drawn replicate-major from its
+own stream (`part_stream`). zero_out draws nothing, so one chunk call
+serves T, W and every variant mode, and its rows depend only on its
+streams and its size, never on which modes were asked for.
 
 Working set: a chunk is drawn and consumed a row tile at a time
-(`ChunkTiles`), so it holds one tile of each data block and count-length
+(`ChunkTiles`), so it holds one tile of each part and count-length
 outputs. Every row of a chunk depends only on its own data row, so the
-tiles, drawn in stream order, hold exactly the values of one block draw.
-A draw that comes later in the stream but is needed inside the loop (a
-second block, or a fresh draw of resample) is read from a copy of the
-stream placed at its start. Where each value takes one 64-bit output
-(uniform01 on PCG64DXSM, the engine's bit generator) the copy is advanced
-there (`advanced_copy`); otherwise it is placed by replay: copied from
-the start of the part before it, which is then drawn once into its own
-tile buffer and thrown away. Of the catalog models only an L-statistic
-chunk with resample replays, since the rank family draws uniform01 values
-under every law; that costs one extra draw of its block.
+tiles, drawn in stream order, hold exactly the values of one whole draw of
+each part.
 A tile has `tile_rows(width)` rows for the widest block: as many as fit a
 float64 tile in TILE_BYTES, rounded down to a power of two, and never
 fewer than ROW_TILE; a lone last row joins the tile before it, since
@@ -35,8 +29,6 @@ bit-identical to the whole-block step.
 """
 from __future__ import annotations
 
-import copy
-import itertools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -108,38 +100,26 @@ def empty_block(size):
     return np.empty(size)
 
 
-def advanced_copy(rng: np.random.Generator, offset: int):
-    """A generator on a copy of rng's PCG64DXSM stream whose next 64-bit
-    output is the one that rng gives after `offset` more, and which keeps
-    rng's pending 32-bit half; rng is not changed."""
-    state = rng.bit_generator.state
-    bitgen = np.random.PCG64DXSM()
-    bitgen.state = state
-    # advance counts 64-bit outputs but drops a pending half, which 64-bit
-    # draws would leave alone
-    state["state"] = bitgen.advance(offset).state["state"]
-    bitgen.state = state
-    return np.random.Generator(bitgen)
+def part_stream(rng: np.random.Generator, part: int) -> np.random.Generator:
+    """The generator of part `part` > 0 of a chunk drawn from rng: rng's
+    bit-generator type on the SeedSequence that extends rng's spawn key by
+    `part`, so each part depends only on rng's seed and its index."""
+    seq = rng.bit_generator.seed_seq
+    return np.random.Generator(type(rng.bit_generator)(np.random.SeedSequence(
+        seq.entropy, spawn_key=seq.spawn_key + (part,))))
 
 
 class ChunkTiles:
     """A chunk's data blocks and fresh draws, a row tile at a time.
 
-    The chunk's stream holds, in order, one block of count x w draws of
-    `dist` for each w in `widths`, then `fresh` runs of count draws.
+    The chunk's parts are, in order, one block of count x w draws of `dist`
+    for each w in `widths`, then `fresh` runs of count draws. Part 0 is
+    drawn from rng itself and part b > 0 from `part_stream(rng, b)`.
     Iteration yields (rows, blocks, draws): the slice of chunk rows, the
     tile of each block and the slice of each fresh run; a tile is valid
-    until the next one is yielded and may be changed in place. After the
-    loop rng stands where the whole draws would have left it.
-
-    The first block is drawn from rng itself; each later block and run is
-    read from its own copy of the stream placed at its start. Where the
-    law takes one output per value and rng is a PCG64DXSM generator, the
-    copy is advanced there (`advanced_copy`). Under any other law or bit
-    generator it is placed by replay: the copy of the part before it
-    draws that part once, a tile at a time into the part's own buffer,
-    and drops the values. So the chunk holds one tile of each block and
-    run under every law, and rng is given the last copy's end state.
+    until the next one is yielded and may be changed in place. Each part's
+    tiles hold the values of one whole draw from its stream, and after the
+    loop rng stands where a whole draw of part 0 would have left it.
     """
 
     def __init__(self, dist: BaseDist, rng, count: int, widths, fresh=0):
@@ -167,26 +147,13 @@ class ChunkTiles:
         # a fresh run is drawn as a block one value wide
         widths = self.widths + (1,) * self.fresh
         buffers = [empty_block((height, w)) for w in widths]
-        advance = (self.dist.one_output_per_value
-                   and isinstance(self.rng.bit_generator, np.random.PCG64DXSM))
-        streams = [self.rng]
-        if advance:
-            streams += [advanced_copy(self.rng, self.count * offset)
-                        for offset in itertools.accumulate(widths[:-1])]
-        else:
-            # replay: each copy starts where the part before it ends
-            for buf in buffers[:-1]:
-                streams.append(copy.deepcopy(streams[-1]))
-                for rows in self.row_slices():
-                    self.dist.fill(streams[-1], buf[:rows.stop - rows.start])
+        streams = [self.rng] + [part_stream(self.rng, b)
+                                for b in range(1, len(widths))]
         for rows in self.row_slices():
             tiles = [buf[:rows.stop - rows.start] for buf in buffers]
             for stream, tile in zip(streams, tiles):
                 self.dist.fill(stream, tile)
             yield rows, tiles[:nblocks], [run[:, 0] for run in tiles[nblocks:]]
-        if len(streams) > 1:
-            # the last copy ends where sequential draws end
-            self.rng.bit_generator.state = streams[-1].bit_generator.state
 
 
 VARIANT_MODES = ("zero_out", "resample")
@@ -213,9 +180,6 @@ class BaseDist:
     mu4: float  # central fourth moment
     support: tuple
     continuous: bool = True
-    # each value takes one 64-bit output of the bit generator, so a stream
-    # can be positioned at any value (`advanced_copy`)
-    one_output_per_value: bool = False
 
     def pdf(self, x):
         """Density at each x; the quadrature integrands call it on arrays."""
@@ -264,8 +228,7 @@ class BaseDist:
 
 DIST_CATALOG = {
     "std_normal": BaseDist("std_normal", 0.0, 1.0, 3.0, (-12.0, 12.0)),
-    "uniform01": BaseDist("uniform01", 0.5, 1.0 / 12.0, 1.0 / 80.0, (0.0, 1.0),
-                           one_output_per_value=True),
+    "uniform01": BaseDist("uniform01", 0.5, 1.0 / 12.0, 1.0 / 80.0, (0.0, 1.0)),
     "rademacher": BaseDist("rademacher", 0.0, 1.0, 1.0, (-1.0, 1.0), continuous=False),
     "exponential1": BaseDist("exponential1", 1.0, 1.0, 9.0, (0.0, 60.0)),
 }

@@ -2,9 +2,10 @@
 
 Each kernel knows its first-order projection, the analytic variances
 sigma^2 = Var h and sigma_1^2 = Var g, a Marginal for the standardized
-projection g/sigma_1, and closed-form pairwise sums in terms of the power
-sums S1 = sum x_i, S2 = sum x_i^2 (which makes single-entry replacement an
-O(1) update).
+projection g/sigma_1, and closed-form sums of the projections and of the
+pairs in terms of the centred power sums C1 = sum (x_i - mu) and
+C2 = sum (x_i - mu)^2 (which makes single-entry replacement an O(1)
+update).
 """
 from __future__ import annotations
 
@@ -50,8 +51,12 @@ class PairKernel(ABC):
     def sigma_sq(self, dist: BaseDist) -> float: ...
 
     @abstractmethod
-    def pair_sum_from_power_sums(self, s1, s2, n: int, dist: BaseDist):
-        """sum_{i<j} h(x_i, x_j) from S1, S2 (scalar or vectorized)."""
+    def pair_sum_from_power_sums(self, c1, c2, n: int, dist: BaseDist):
+        """sum_{i<j} h(x_i, x_j) from C1, C2 (scalar or vectorized)."""
+
+    @abstractmethod
+    def linear_sum_from_power_sums(self, c1, c2, n: int, dist: BaseDist):
+        """sum_i g_raw(x_i) from C1, C2 (scalar or vectorized)."""
 
     @abstractmethod
     def g_std_marginal(self, dist: BaseDist):
@@ -90,8 +95,11 @@ class VarianceKernel(PairKernel):
     def sigma_sq(self, dist):
         return (dist.mu4 + dist.var ** 2) / 2.0
 
-    def pair_sum_from_power_sums(self, s1, s2, n, dist):
-        return (n * s2 - s1 ** 2) / 2.0 - (n * (n - 1) / 2.0) * dist.var
+    def pair_sum_from_power_sums(self, c1, c2, n, dist):
+        return (n * c2 - c1 ** 2) / 2.0 - (n * (n - 1) / 2.0) * dist.var
+
+    def linear_sum_from_power_sums(self, c1, c2, n, dist):
+        return (c2 - n * dist.var) / 2.0
 
     def g_std_marginal(self, dist):
         s1 = math.sqrt(self.sigma1_sq(dist))
@@ -127,8 +135,11 @@ class SumKernel(PairKernel):
     def sigma_sq(self, dist):
         return 2.0 * dist.var
 
-    def pair_sum_from_power_sums(self, s1, s2, n, dist):
-        return (n - 1) * (s1 - n * dist.mean)
+    def pair_sum_from_power_sums(self, c1, c2, n, dist):
+        return (n - 1) * c1
+
+    def linear_sum_from_power_sums(self, c1, c2, n, dist):
+        return c1
 
     def g_std_marginal(self, dist):
         scale = 1.0 / math.sqrt(dist.var)
@@ -169,10 +180,11 @@ class ProductKernel(PairKernel):
     def sigma_sq(self, dist):
         return dist.var ** 2
 
-    def pair_sum_from_power_sums(self, s1, s2, n, dist):
-        c1 = s1 - n * dist.mean
-        c2 = s2 - 2.0 * dist.mean * s1 + n * dist.mean ** 2
+    def pair_sum_from_power_sums(self, c1, c2, n, dist):
         return (c1 ** 2 - c2) / 2.0
+
+    def linear_sum_from_power_sums(self, c1, c2, n, dist):
+        return 0.0 * c1
 
     def g_std_marginal(self, dist):
         raise UnsupportedModelError(

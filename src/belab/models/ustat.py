@@ -25,7 +25,6 @@ from .base import (
     ChunkTiles,
     StatisticModel,
     check_capacity,
-    projection_sums,
     variant_modes,
 )
 from .fields import Spec, spec_field
@@ -109,45 +108,47 @@ class UStatModel(StatisticModel):
             self.m * self.sigma1 * math.comb(self.n, self.m))
         self._g_scale = 1.0 / (math.sqrt(self.n) * self.sigma1)
 
-    def _t_from_power_sums(self, s1, s2):
-        return self.kernel.pair_sum_from_power_sums(
-            s1, s2, self.n, self.dist) * self._t_scale
+    def _t_w_from_power_sums(self, c1, c2):
+        """(T, W) rows from the centred power sums of the data rows."""
+        return (self.kernel.pair_sum_from_power_sums(
+                    c1, c2, self.n, self.dist) * self._t_scale,
+                self.kernel.linear_sum_from_power_sums(
+                    c1, c2, self.n, self.dist) * self._g_scale)
 
     def sample_chunk(self, rng, count, mode=None):
-        w, g_rep, s1, s2, x1 = np.empty((5, count))
-        tiles = ChunkTiles(self.dist, rng, count, (self.n,))
-        for rows, (x,), _draws in tiles:
-            w[rows], g_rep[rows] = projection_sums(
-                x, self._g_rows, tiles.scratch)
-            if not self.delta_is_zero:
-                s1[rows] = x.sum(axis=1)
-                s2[rows], _ = projection_sums(x, np.square, tiles.scratch)
-                x1[rows] = x[:, 0]
+        modes = variant_modes(mode)
+        resample = "resample" in modes and not self.delta_is_zero
+        c1, c2, x1 = np.empty((3, count))
+        values = {"zero_out": np.zeros(count), "resample": np.empty(count)}
+        tiles = ChunkTiles(self.dist, rng, count, (self.n,),
+                           fresh=1 if resample else 0)
+        for rows, (x,), draws in tiles:
+            x1[rows] = x[:, 0]
+            x -= self.dist.mean
+            c1[rows] = x.sum(axis=1)
+            np.square(x, out=x)
+            c2[rows] = x.sum(axis=1)
+            if draws:
+                values["resample"][rows] = draws[0]
+        x = tiles = None  # frees the last tile
+        t, w = self._t_w_from_power_sums(c1, c2)
         if self.delta_is_zero:
             t = w.copy()
-            delta = np.zeros(count)
-        else:
-            t = self._t_from_power_sums(s1, s2)
-            delta = t - w
-        modes = variant_modes(mode)
         if not modes:
             return {"t": t, "w": w}
+        g_rep = self._g_rows(x1)
         dvar = {}
         for m in modes:
             if self.delta_is_zero:
                 dvar[m] = np.zeros((count, 1))
                 continue
-            # the fresh draws follow the data block in the stream
-            if m == "zero_out":
-                v = np.zeros(count)
-            else:
-                v = self.dist.sample(rng, (count, 1))[:, 0]
-            s1n = s1 - x1 + v
-            s2n = s2 - x1 ** 2 + v * v
-            t_new = self._t_from_power_sums(s1n, s2n)
-            w_new = w - g_rep + self._g_rows(v)
+            # swap the representative x_1 for v in the centred sums
+            d1 = x1 - self.dist.mean
+            dv = values[m] - self.dist.mean
+            t_new, w_new = self._t_w_from_power_sums(
+                c1 - d1 + dv, c2 - d1 * d1 + dv * dv)
             dvar[m] = (t_new - w_new)[:, None]
-        return {"t": t, "w": w, "delta": delta,
+        return {"t": t, "w": w, "delta": t - w,
                 "g_rep": g_rep[:, None], "dvar_rep": dvar}
 
     def _g_rows(self, x, out=None):

@@ -41,7 +41,7 @@ from belab.models.base import (
     DIST_CATALOG,
     ROW_TILE,
     ChunkTiles,
-    advanced_copy,
+    part_stream,
     projection_sums,
     row_counts,
     tile_rows,
@@ -94,10 +94,11 @@ class TestSeedSpec:
     @pytest.mark.parametrize("master", [0, 42, 2 ** 63 - 1])
     @pytest.mark.parametrize("index", [0, 1, 7, 300])
     def test_substream_is_spawned_child(self, master, index):
-        """Substream c is PCG64DXSM on child c of SeedSequence(master)."""
+        """Substream c is SFC64 on child c of SeedSequence(master)."""
         child = np.random.SeedSequence(master).spawn(index + 1)[index]
-        want = np.random.PCG64DXSM(child).state
-        assert SeedSpec(master).substream(index).bit_generator.state == want
+        want = np.random.SFC64(child).state
+        np.testing.assert_equal(
+            SeedSpec(master).substream(index).bit_generator.state, want)
 
     @pytest.mark.parametrize("master", [-1, 2 ** 63])
     def test_master_seed_outside_63_bits_rejected(self, master):
@@ -363,10 +364,10 @@ class TestSinglePass:
             limit = 3
         assert peak <= limit * MiB
 
-    def test_replayed_lstat_chunk_peak_at_n2000(self):
-        """A std_normal L-statistic chunk with resample reads its fresh run
-        from a replayed copy of the stream, so it holds a few 128 x 2000
-        tiles, not its 62.5 MiB data block."""
+    def test_lstat_resample_chunk_peak_at_n2000(self):
+        """A std_normal L-statistic chunk with resample draws its fresh run
+        from its own part stream beside the data block, so it holds a few
+        128 x 2000 tiles, not its 62.5 MiB data block."""
         model = build_model({"family": "lstat", "weight": "identity",
                              "dist": "std_normal", "n": 2000})
         peak = traced_peak(lambda: model.sample_chunk(
@@ -375,12 +376,20 @@ class TestSinglePass:
 
 
 class TestChunkTiles:
-    """Tiles drawn a row tile at a time, and positioned stream copies, give
-    exactly the values and end state of sequential whole draws."""
+    """Tiles drawn a row tile at a time give exactly the values of one
+    whole draw of each part from its own stream, and leave rng where a
+    whole draw of part 0 leaves it."""
 
     # (widths, fresh runs): one block alone, and blocks with runs after them
     WIDTHS_FRESH = [((400,), 0), ((1000, 1000), 2), ((57, 13), 1),
                     ((400,), 1)]
+    # the engine's substream, and every other numpy bit generator
+    BITGENS = {
+        "substream": lambda: SeedSpec(41).substream(3),
+        **{name: (lambda name=name: np.random.Generator(
+            getattr(np.random, name)(41)))
+           for name in ("PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64")},
+    }
 
     @staticmethod
     def fresh_rng(used=0):
@@ -388,68 +397,53 @@ class TestChunkTiles:
         rng.random(used)
         return rng
 
-    @pytest.mark.parametrize("pending", [False, True])
-    @pytest.mark.parametrize("used", [0, 1, 3, 4, 6])
-    @pytest.mark.parametrize("offset", [*range(10), 4096 * 1000 + 1])
-    def test_advanced_copy_matches_sequential_draws(self, used, pending,
-                                                    offset):
-        """The copy's next 64-bit outputs are those rng gives after
-        `offset` more, and it keeps rng's pending 32-bit half."""
-        rng = self.fresh_rng(used)
-        if pending:
-            rng.integers(2 ** 32, dtype=np.uint32)
-        state = rng.bit_generator.state
-        assert state["has_uint32"] == pending
-        copy = advanced_copy(rng, offset)
-        assert str(rng.bit_generator.state) == str(state)  # rng untouched
-        rng.random(offset)
-        np.testing.assert_array_equal(copy.random(11), rng.random(11))
-        np.testing.assert_array_equal(
-            copy.integers(2 ** 32, size=3, dtype=np.uint32),
-            rng.integers(2 ** 32, size=3, dtype=np.uint32))
-
     @staticmethod
-    def assert_tiles_equal_whole_draws(rng, ref, law, widths, fresh, count):
+    def spawned_part(make, part):
+        """Part `part` of a chunk drawn from make(): the same bit
+        generator on the SeedSequence child `part` of make()'s."""
+        rng = make()
+        child = rng.bit_generator.seed_seq.spawn(part + 1)[part]
+        return np.random.Generator(type(rng.bit_generator)(child))
+
+    @pytest.mark.parametrize("index", [0, 5])
+    @pytest.mark.parametrize("part", [1, 2, 3])
+    def test_part_stream_is_spawned_grandchild(self, index, part):
+        """Part b of chunk c is SFC64 on child b of child c of
+        SeedSequence(master); building it leaves rng alone."""
+        rng = SeedSpec(42).substream(index)
+        rng.random(3)
+        before = rng.bit_generator.state
+        child = np.random.SeedSequence(42).spawn(index + 1)[index]
+        want = np.random.SFC64(child.spawn(part + 1)[part]).state
+        np.testing.assert_equal(part_stream(rng, part).bit_generator.state,
+                                want)
+        np.testing.assert_equal(rng.bit_generator.state, before)
+        assert rng.bit_generator.seed_seq.n_children_spawned == 0
+
+    @pytest.mark.parametrize("bitgen", sorted(BITGENS))
+    @pytest.mark.parametrize("dist", sorted(DIST_CATALOG))
+    @pytest.mark.parametrize("widths,fresh", WIDTHS_FRESH)
+    @pytest.mark.parametrize("count", [1, 2, 129, 1025, 4096])
+    def test_tiles_equal_whole_draws(self, bitgen, dist, widths, fresh,
+                                     count):
+        law, make = DIST_CATALOG[dist], self.BITGENS[bitgen]
+        rng, ref = make(), make()
         for gen in (rng, ref):  # leaves half of a 64-bit output pending
             gen.integers(2 ** 32, dtype=np.uint32)
-        # MT19937 makes 32-bit outputs, so it has no pending half
-        assert rng.bit_generator.state.get("has_uint32", 1) == 1
         got = [[] for _ in range(len(widths) + fresh)]
         for rows, blocks, draws in ChunkTiles(law, rng, count, widths, fresh):
             for part, tile in zip(got, blocks + draws):
                 assert len(tile) == rows.stop - rows.start
                 part.append(tile.copy())
-        for part, width in zip(got, widths):
-            np.testing.assert_array_equal(np.concatenate(part),
-                                          law.sample(ref, (count, width)))
-        for part in got[len(widths):]:
-            np.testing.assert_array_equal(np.concatenate(part),
-                                          law.sample(ref, (count, 1))[:, 0])
+        shapes = [(count, w) for w in widths] + [(count, 1)] * fresh
+        for b, (part, shape) in enumerate(zip(got, shapes)):
+            stream = ref if b == 0 else self.spawned_part(make, b)
+            np.testing.assert_array_equal(
+                np.concatenate(part).reshape(shape), law.sample(stream, shape))
+        # rng stands at the end of part 0, its pending half kept
         assert (rng.integers(2 ** 32, dtype=np.uint32)
                 == ref.integers(2 ** 32, dtype=np.uint32))
         assert rng.random() == ref.random()
-
-    @pytest.mark.parametrize("dist", sorted(DIST_CATALOG))
-    @pytest.mark.parametrize("widths,fresh", WIDTHS_FRESH)
-    @pytest.mark.parametrize("count", [1, 2, 129, 1025, 4096])
-    def test_tiles_equal_whole_draws(self, dist, widths, fresh, count):
-        """On the engine's PCG64DXSM: uniform01 parts are read from
-        advanced copies, those of the other laws from replayed ones."""
-        self.assert_tiles_equal_whole_draws(
-            self.fresh_rng(1), self.fresh_rng(1), DIST_CATALOG[dist], widths,
-            fresh, count)
-
-    @pytest.mark.parametrize("bitgen", ["Philox", "PCG64", "MT19937"])
-    @pytest.mark.parametrize("dist", sorted(DIST_CATALOG))
-    @pytest.mark.parametrize("widths,fresh", WIDTHS_FRESH)
-    @pytest.mark.parametrize("count", [1, 2, 129, 1025, 4096])
-    def test_tiles_equal_whole_draws_by_replay(self, bitgen, dist, widths,
-                                               fresh, count):
-        """Any other bit generator replays under every law."""
-        rng, ref = (np.random.Generator(getattr(np.random, bitgen)(41))
-                    for _ in range(2))
-        self.assert_tiles_equal_whole_draws(rng, ref, DIST_CATALOG[dist],
-                                            widths, fresh, count)
 
     @pytest.mark.parametrize("count,last", [
         (1, (0, 1)), (2, (0, 2)), (128, (0, 128)), (129, (0, 129)),

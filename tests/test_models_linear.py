@@ -76,8 +76,9 @@ MODES = ("zero_out", "resample")
 
 
 def chunk_and_draws(model, seed, count, mode):
-    """A chunk and the data block it consumed, redrawn from a second copy of
-    the same substream; both streams must end in the same state."""
+    """A chunk and the data block it consumed, its only part, redrawn from
+    a second copy of the same substream; both streams must end in the same
+    state."""
     rng_a, rng_b = SeedSpec(seed).substream(0), SeedSpec(seed).substream(0)
     chunk = model.sample_chunk(rng_a, count, mode=mode)
     x = model.dist.sample(rng_b, (count, model.n))

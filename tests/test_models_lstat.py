@@ -8,7 +8,7 @@ from belab.bound_core import check_normalization
 from belab.errors import UnsupportedModelError
 from belab.mc_engine import CHUNK_SIZE, SeedSpec
 from belab.models import LStatModel, LStatSpec, lstat_projection_sigma, lstat_value
-from belab.models.base import DIST_CATALOG, ROW_TILE
+from belab.models.base import DIST_CATALOG, ROW_TILE, part_stream
 from belab.models import lstat as lstat_module
 from belab.models.lstat import (
     WEIGHT_CATALOG,
@@ -26,14 +26,16 @@ MODES = ("zero_out", "resample")
 
 
 def chunk_and_draws(model, seed, count, mode):
-    """A chunk and what it consumed, redrawn from a second copy of the same
-    substream: the data block, then the replacement values (zeros in
-    zero_out mode). Both streams must end in the same state."""
+    """A chunk and what it consumed, each part redrawn from its own stream:
+    the data block from a second copy of the substream, then the
+    replacement values from part 1's stream (zeros in zero_out mode). The
+    chunk must leave its substream where the data block alone leaves the
+    copy."""
     rng_a, rng_b = SeedSpec(seed).substream(0), SeedSpec(seed).substream(0)
     chunk = model.sample_chunk(rng_a, count, mode=mode)
     x = model.dist.sample(rng_b, (count, model.n))
     v = (np.zeros(count) if mode == "zero_out"
-         else model.dist.sample(rng_b, (count, 1))[:, 0])
+         else model.dist.sample(part_stream(rng_b, 1), (count, 1))[:, 0])
     assert rng_a.random() == rng_b.random()
     return chunk, x, v
 

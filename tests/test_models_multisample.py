@@ -15,7 +15,8 @@ from belab.models import (
     multisample_sigma,
     multisample_value,
 )
-from belab.models.base import ROW_TILE, row_counts
+from belab.models import base
+from belab.models.base import ROW_TILE, part_stream, row_counts
 from belab.models.multisample import (
     PAIR_TILE,
     _pair_counts,
@@ -39,19 +40,21 @@ LATTICE = 2.0 ** 53
 
 
 def chunk_and_draws(model, seed, count, mode):
-    """A chunk and what it consumed, redrawn on the probability scale from a
-    second copy of the same substream: both data blocks as uniform01 values
-    u = F(x) under every law, then one replacement value per group (F(0) of
-    the law in zero_out mode). Both streams must end in the same state."""
+    """A chunk and what it consumed, each part redrawn on the probability
+    scale from its own stream: the x block from a second copy of the
+    substream and the y block from part 1's stream, both as uniform01
+    values u = F(x) under every law, then one replacement value per group
+    from parts 2 and 3 (F(0) of the law in zero_out mode). The chunk must
+    leave its substream where the x block alone leaves the copy."""
     rng_a, rng_b = SeedSpec(seed).substream(0), SeedSpec(seed).substream(0)
     chunk = model.sample_chunk(rng_a, count, mode=mode)
     x = UNIFORM.sample(rng_b, (count, model.n1))
-    y = UNIFORM.sample(rng_b, (count, model.n2))
+    y = UNIFORM.sample(part_stream(rng_b, 1), (count, model.n2))
     if mode == "zero_out":
         v = np.full((count, 2), model.dist.cdf(0.0))
     else:
-        v = np.stack([UNIFORM.sample(rng_b, (count, 1))[:, 0]
-                      for _group in range(2)], axis=1)
+        v = np.stack([UNIFORM.sample(part_stream(rng_b, part), (count, 1))[:, 0]
+                      for part in (2, 3)], axis=1)
     assert rng_a.random() == rng_b.random()
     return chunk, x, y, v
 
@@ -281,15 +284,13 @@ def x_scale_chunk(model, x, y, v):
     return {"t": t, "w": w, "delta": t - w, "g_rep": g_rep, "dvar_rep": dvar}
 
 
-class Replay:
-    """Stands in for a Generator that is not PCG64DXSM, so a chunk places
-    its later parts by replay: one flat stream of the given arrays'
-    values, whose state is its position; each random(out=...) fills `out`
-    with the next out.size values, and a copy keeps its own place."""
+class Fed:
+    """Stands in for the Generator of one chunk part: a flat stream of the
+    given array's values, whose state is its position; each
+    random(out=...) fills `out` with the next out.size values."""
 
-    def __init__(self, *arrays):
-        self.values = np.concatenate([np.ravel(a) for a in arrays])
-        self.bit_generator = self
+    def __init__(self, array):
+        self.values = np.ravel(array)
         self.state = 0
 
     def random(self, out):
@@ -307,21 +308,21 @@ class TestProbabilityScale:
 
     @pytest.mark.parametrize("n,count", RANK_SIZES)
     @pytest.mark.parametrize("dist", ["std_normal", "exponential1"])
-    def test_same_draws_as_x_scale(self, dist, n, count):
-        """Fed x-scale draws mapped through F, a chunk gives the x-scale
-        rows bit for bit. t reads nothing but each row's pair count, and
-        dvar_rep adds the leave-one-out counts, so their equal bits mean
-        equal counts."""
+    def test_same_draws_as_x_scale(self, dist, n, count, monkeypatch):
+        """Fed x-scale draws mapped through F, one array per part, a chunk
+        gives the x-scale rows bit for bit. t reads nothing but each row's
+        pair count, and dvar_rep adds the leave-one-out counts, so their
+        equal bits mean equal counts."""
         model = small_model(*n, dist)
         rng = np.random.default_rng(80)
         x = model.dist.sample(rng, (count, model.n1))
         y = model.dist.sample(rng, (count, model.n2))
         v = model.dist.sample(rng, (count, 2))
-        fed = Replay(*(x_scale_cdf(dist, a)
-                       for a in (x, y, v[:, 0].copy(), v[:, 1].copy())))
-        got = model.sample_chunk(fed, count, mode=MODES)
+        fed = [Fed(x_scale_cdf(dist, a)) for a in (x, y, v[:, 0], v[:, 1])]
+        monkeypatch.setattr(base, "part_stream", lambda _rng, part: fed[part])
+        got = model.sample_chunk(fed[0], count, mode=MODES)
         ref = x_scale_chunk(model, x, y, v)
-        assert fed.state == fed.values.size
+        assert all(part.state == part.values.size for part in fed)
         for key in ("t", "w", "delta", "g_rep"):
             np.testing.assert_array_equal(got[key], ref[key])
         for m in MODES:
@@ -411,11 +412,14 @@ class TestLatticePrecondition:
 
     @pytest.mark.parametrize("make", [
         lambda: SeedSpec(83).substream(0),
+        lambda: part_stream(SeedSpec(83).substream(0), 1),
         lambda: np.random.Generator(np.random.Philox(83)),
         lambda: np.random.Generator(np.random.PCG64(83)),
+        lambda: np.random.Generator(np.random.PCG64DXSM(83)),
         lambda: np.random.Generator(np.random.MT19937(83)),
         lambda: np.random.Generator(np.random.SFC64(83)),
-    ], ids=["substream", "Philox", "PCG64", "MT19937", "SFC64"])
+    ], ids=["substream", "part-stream", "Philox", "PCG64", "PCG64DXSM",
+            "MT19937", "SFC64"])
     def test_uniform01_draws_lie_on_the_lattice(self, make):
         v = UNIFORM.sample(make(), (257, 1000))
         assert ((0.0 <= v) & (v < 1.0)).all(), "uniform01 left [0, 1)"

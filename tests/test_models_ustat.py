@@ -19,6 +19,7 @@ from belab.models import (
     ustat_value,
 )
 from belab.models import ustat as ustat_module
+from belab.models.base import part_stream
 from belab.models.kernels import kernel_abs_p
 
 E_ABS_CHI_CENTERED_3 = 8.691562902725508  # E|Z^2 - 1|^3
@@ -26,14 +27,15 @@ MODES = ("zero_out", "resample")
 
 
 def chunk_and_draws(model, seed, count, mode):
-    """A chunk and what it consumed, redrawn from a second copy of the same
-    substream: the data block, then the replacement values (zeros in
-    zero_out mode, and for a structurally zero remainder, which draws none).
-    Both streams must end in the same state."""
+    """A chunk and what it consumed, each part redrawn from its own stream:
+    the data block from a second copy of the substream, then the
+    replacement values from part 1's stream (zeros in zero_out mode, and
+    for a structurally zero remainder, which draws none). The chunk must
+    leave its substream where the data block alone leaves the copy."""
     rng_a, rng_b = SeedSpec(seed).substream(0), SeedSpec(seed).substream(0)
     chunk = model.sample_chunk(rng_a, count, mode=mode)
     x = model.dist.sample(rng_b, (count, model.n))
-    v = (model.dist.sample(rng_b, (count, 1))[:, 0]
+    v = (model.dist.sample(part_stream(rng_b, 1), (count, 1))[:, 0]
          if mode == "resample" and not model.delta_is_zero
          else np.zeros(count))
     assert rng_a.random() == rng_b.random()
@@ -158,10 +160,15 @@ class TestValueOracles:
                 brute = math.fsum(
                     float(k.h(x[i], x[j], d))
                     for i, j in itertools.combinations(range(11), 2))
-                fast = k.pair_sum_from_power_sums(x.sum(), (x * x).sum(),
-                                                  11, d)
+                c = x - d.mean
+                c1, c2 = c.sum(), (c * c).sum()
+                fast = k.pair_sum_from_power_sums(c1, c2, 11, d)
                 np.testing.assert_allclose(fast, brute, rtol=1e-9,
                                            atol=1e-12)
+                linear = math.fsum(map(float, k.g_raw(x, d)))
+                np.testing.assert_allclose(
+                    k.linear_sum_from_power_sums(c1, c2, 11, d), linear,
+                    rtol=1e-9, atol=1e-12)
 
     def test_statistic_matches_enumerated_u(self):
         for kname, dname in [("variance", "std_normal"),
@@ -245,6 +252,38 @@ class TestLeaveOneOut:
             chunk = model.sample_chunk(SeedSpec(47).substream(0), 5, mode=mode)
             assert np.all(chunk["delta"] == 0.0)
             assert np.all(chunk["dvar_rep"][mode] == 0.0)
+
+
+class TestPowerSums:
+    """A chunk takes W and T from the centred power sums of its rows."""
+
+    @pytest.mark.parametrize("dist", ["uniform01", "exponential1"])
+    @pytest.mark.parametrize("kernel", ["variance", "sum"])
+    def test_w_matches_fsum_of_projections(self, kernel, dist):
+        # nonzero means, so the centring is exercised; 600 rows make five
+        # 128-row tiles at n = 5000
+        model = UStatModel(UStatSpec(kernel, dist, 5000))
+        chunk, x, _v = chunk_and_draws(model, 48, 600, "zero_out")
+        scale = 1.0 / (math.sqrt(model.n) * model.sigma1)
+        g = model.kernel.g_raw(x, model.dist)
+        want = np.array([math.fsum(row) for row in g.tolist()]) * scale
+        assert np.abs(chunk["w"] - want).max() <= 1e-12
+        if model.delta_is_zero:
+            assert chunk["t"].tobytes() == chunk["w"].tobytes()
+            assert not chunk["delta"].any()
+
+    @pytest.mark.parametrize("dist", ["std_normal", "uniform01",
+                                      "exponential1"])
+    @pytest.mark.parametrize("kernel", ["variance", "sum"])
+    def test_rows_without_modes_equal_fused_rows(self, kernel, dist):
+        """The data block is part 0 whatever the modes, so t and w of a
+        call with no mode are those of a fused call, bit for bit."""
+        model = UStatModel(UStatSpec(kernel, dist, 50))
+        plain = model.sample_chunk(SeedSpec(49).substream(2), 1500)
+        fused = model.sample_chunk(SeedSpec(49).substream(2), 1500,
+                                   mode=MODES)
+        for key in ("t", "w"):
+            assert plain[key].tobytes() == fused[key].tobytes()
 
 
 class TestMomentsBundle:
