@@ -12,7 +12,9 @@ second block, then, where resample is among the requested variant modes,
 one fresh draw per representative index) is drawn replicate-major from its
 own stream (`part_stream`). zero_out draws nothing, so one chunk call
 serves T, W and every variant mode, and its rows depend only on its
-streams and its size, never on which modes were asked for.
+streams and its size, never on which modes were asked for. (The isqrt
+model, which draws count-length columns and no block, takes them from the
+chunk's generator in turn; see its docstring.)
 
 Working set: a chunk is drawn and consumed a row tile at a time
 (`ChunkTiles`), so it holds one tile of each part and count-length

@@ -41,8 +41,8 @@ class PairKernel(ABC):
         """Kernel values, vectorized."""
 
     @abstractmethod
-    def g_raw(self, x, dist: BaseDist, out=None):
-        """Projection E[h(x, Y)], vectorized; into `out` where given."""
+    def g_raw(self, x, dist: BaseDist):
+        """Projection E[h(x, Y)], vectorized."""
 
     @abstractmethod
     def sigma1_sq(self, dist: BaseDist) -> float: ...
@@ -83,11 +83,8 @@ class VarianceKernel(PairKernel):
     def h(self, x, y, dist):
         return ((np.asarray(x) - np.asarray(y)) ** 2 - 2.0 * dist.var) / 2.0
 
-    def g_raw(self, x, dist, out=None):
-        g = np.subtract(x, dist.mean, out=out)
-        g = np.square(g, out=out)
-        g = np.subtract(g, dist.var, out=out)
-        return np.divide(g, 2.0, out=out)
+    def g_raw(self, x, dist):
+        return (np.square(np.subtract(x, dist.mean)) - dist.var) / 2.0
 
     def sigma1_sq(self, dist):
         return (dist.mu4 - dist.var ** 2) / 4.0
@@ -126,8 +123,8 @@ class SumKernel(PairKernel):
     def h(self, x, y, dist):
         return (np.asarray(x) - dist.mean) + (np.asarray(y) - dist.mean)
 
-    def g_raw(self, x, dist, out=None):
-        return np.subtract(x, dist.mean, out=out)
+    def g_raw(self, x, dist):
+        return np.subtract(x, dist.mean)
 
     def sigma1_sq(self, dist):
         return dist.var
@@ -168,11 +165,8 @@ class ProductKernel(PairKernel):
     def h(self, x, y, dist):
         return (np.asarray(x) - dist.mean) * (np.asarray(y) - dist.mean)
 
-    def g_raw(self, x, dist, out=None):
-        if out is None:
-            return np.zeros_like(np.asarray(x, dtype=np.float64))
-        out.fill(0.0)
-        return out
+    def g_raw(self, x, dist):
+        return np.zeros_like(np.asarray(x, dtype=np.float64))
 
     def sigma1_sq(self, dist):
         return 0.0

@@ -2,7 +2,8 @@
 
 The normalized statistic is T = sqrt(n) U_n / (m sigma_1), whose linear part
 is W = sum_i g(X_i) / (sqrt(n) sigma_1) with g the first-order projection of
-the kernel. Pairwise sums go through power-sum identities, so evaluation is
+the kernel. A chunk reduces each data row to its centred power sums, from
+which the kernel gives the pair sum and W in closed form, so evaluation is
 O(n) per replicate and single-entry replacement is O(1); plain enumeration
 over index subsets stays available as the oracle path.
 """
@@ -130,31 +131,26 @@ class UStatModel(StatisticModel):
             c2[rows] = x.sum(axis=1)
             if draws:
                 values["resample"][rows] = draws[0]
-        x = tiles = None  # frees the last tile
+        x = None  # frees the last tile
         t, w = self._t_w_from_power_sums(c1, c2)
         if self.delta_is_zero:
             t = w.copy()
         if not modes:
             return {"t": t, "w": w}
-        g_rep = self._g_rows(x1)
+        g_rep = self.kernel.g_raw(x1, self.dist) * self._g_scale
+        d1 = x1 - self.dist.mean
         dvar = {}
         for m in modes:
             if self.delta_is_zero:
                 dvar[m] = np.zeros((count, 1))
                 continue
             # swap the representative x_1 for v in the centred sums
-            d1 = x1 - self.dist.mean
             dv = values[m] - self.dist.mean
             t_new, w_new = self._t_w_from_power_sums(
                 c1 - d1 + dv, c2 - d1 * d1 + dv * dv)
             dvar[m] = (t_new - w_new)[:, None]
         return {"t": t, "w": w, "delta": t - w,
                 "g_rep": g_rep[:, None], "dvar_rep": dvar}
-
-    def _g_rows(self, x, out=None):
-        """The linear terms g(x) / (sqrt(n) sigma_1)."""
-        g = self.kernel.g_raw(x, self.dist, out=out)
-        return np.multiply(g, self._g_scale, out=out)
 
     def bound_inputs(self, p):
         from ..app_bounds import UStatBoundInputs  # app_bounds imports models
