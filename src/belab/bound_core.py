@@ -1,7 +1,8 @@
 """General-theorem quantities: beta, the delta solvers, and the uniform and
 non-uniform bound formulas with their explicit constants.
 
-All functions are pure. Standard errors propagate first-order (linear sums of
+All functions are pure. Each bound is one sum of MomentEstimates, whose `+`
+and scalar `*` propagate standard errors first-order (linear sums of
 component SEs); quadratic cross-terms are ignored, which is conservative for
 the nonnegative combinations used here.
 """
@@ -105,11 +106,10 @@ def delta_from_truncation(g_dist: LinearPart, tolerance: float = 1e-9) -> float:
 
 def uniform_bound_thm21(c: BoundComponents) -> BoundValue:
     """4 delta + E|W Delta| + sum_i E|g_i (Delta - Delta_i)|, vs the law of W."""
-    if math.isnan(c.delta):
+    if c.delta is None:
         raise DomainError("components carry no delta")
-    known = 4.0 * c.delta + c.e_abs_w_delta + c.sum_g_delta_diff
-    se = 4.0 * c.delta_se + c.e_abs_w_delta_se + c.sum_g_delta_diff_se
-    return BoundValue(known, 0.0, "eq2.3", se)
+    b = 4.0 * c.delta + c.e_abs_w_delta + c.sum_g_delta_diff
+    return BoundValue(b.value, 0.0, "eq2.3", b.std_error)
 
 
 def uniform_bound_beta(c: BoundComponents) -> BoundValue:
@@ -117,27 +117,25 @@ def uniform_bound_beta(c: BoundComponents) -> BoundValue:
 
     Returned even when beta > 1/2; the .trivial property flags known >= 1.
     """
-    if math.isnan(c.beta):
+    if c.beta is None:
         raise DomainError("components carry no beta")
-    known = 2.0 * c.beta + c.e_abs_w_delta + c.sum_g_delta_diff
-    se = 2.0 * c.beta_se + c.e_abs_w_delta_se + c.sum_g_delta_diff_se
-    return BoundValue(known, 0.0, "eq2.4", se)
+    b = 2.0 * c.beta + c.e_abs_w_delta + c.sum_g_delta_diff
+    return BoundValue(b.value, 0.0, "eq2.4", b.std_error)
 
 
 def uniform_bound_normal(c: BoundComponents) -> BoundValue:
     """6.1 beta + E|W Delta| + sum_i E|g_i (Delta - Delta_i)|, vs the standard
     normal. Exceeds uniform_bound_beta by exactly 4.1 beta."""
-    if math.isnan(c.beta):
+    if c.beta is None:
         raise DomainError("components carry no beta")
-    known = 6.1 * c.beta + c.e_abs_w_delta + c.sum_g_delta_diff
-    se = 6.1 * c.beta_se + c.e_abs_w_delta_se + c.sum_g_delta_diff_se
-    return BoundValue(known, 0.0, "eq2.5", se)
+    b = 6.1 * c.beta + c.e_abs_w_delta + c.sum_g_delta_diff
+    return BoundValue(b.value, 0.0, "eq2.5", b.std_error)
 
 
 def linear_baseline(g_dist: LinearPart) -> BoundValue:
     """4.1 beta: the linear-statistic normal-approximation bound for W alone."""
-    beta = compute_beta(g_dist)
-    return BoundValue(4.1 * beta.value, 0.0, "eq1.4", 4.1 * beta.std_error)
+    b = 4.1 * compute_beta(g_dist)
+    return BoundValue(b.value, 0.0, "eq1.4", b.std_error)
 
 
 def chebyshev_baseline(linear_ks: float, delta_p_moment: float, p: float) -> BoundValue:
@@ -153,19 +151,17 @@ def chebyshev_baseline(linear_ks: float, delta_p_moment: float, p: float) -> Bou
 
 def nonuniform_gamma(inp: NonUniformInputs) -> MomentEstimate:
     """gamma_z: the three tail terms at threshold levels tied to |z|."""
-    val = inp.p_delta_tail + inp.sum_p_g_tail + inp.sum_p_w_minus_g_tail
-    reps = 0 if inp.p_delta_tail_se == 0.0 else 1
-    return MomentEstimate(val, inp.p_delta_tail_se, replicates=reps)
+    return inp.p_delta_tail + inp.sum_p_g_tail + inp.sum_p_w_minus_g_tail
 
 
 def nonuniform_tau(c: BoundComponents) -> MomentEstimate:
     """tau = 22 delta + 8.5 ||Delta||_2 + 3.6 sum_i ||g_i||_2 ||Delta - Delta_i||_2."""
-    if math.isnan(c.delta):
+    if c.delta is None:
         raise DomainError("components carry no delta")
-    val = 22.0 * c.delta + 8.5 * c.delta_l2 + 3.6 * c.sum_g_l2_delta_l2
-    se = 22.0 * c.delta_se + 8.5 * c.delta_l2_se + 3.6 * c.sum_g_l2_delta_l2_se
-    reps = 0 if se == 0.0 else 1
-    return MomentEstimate(val, se, replicates=reps)
+    if c.delta_l2 is None:
+        raise DomainError("components carry no ||Delta||_2: the remainder "
+                          "has no second moment")
+    return 22.0 * c.delta + 8.5 * c.delta_l2 + 3.6 * c.sum_g_l2_delta_l2
 
 
 def nonuniform_bound_thm22(gamma: MomentEstimate, tau: MomentEstimate,
@@ -176,10 +172,8 @@ def nonuniform_bound_thm22(gamma: MomentEstimate, tau: MomentEstimate,
     stronger independence (X_i independent of (Delta_i, all other X_j)),
     which the resample variant provides.
     """
-    w = math.exp(-abs(z) / 3.0)
-    known = gamma.value + w * tau.value
-    se = gamma.std_error + w * tau.std_error
-    return BoundValue(known, 0.0, "eq2.6", se)
+    b = gamma + math.exp(-abs(z) / 3.0) * tau
+    return BoundValue(b.value, 0.0, "eq2.6", b.std_error)
 
 
 def nonuniform_moment_bound(p: float, z: float, delta_tail: float,

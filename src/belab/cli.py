@@ -309,7 +309,7 @@ class _Runner:
 
     @cached_property
     def sampled(self):
-        """The run's one sampling pass: (t, w, {mode: ComponentEstimates})
+        """The run's one sampling pass: (t, w, {mode: BoundComponents})
         with every variant mode the tags read, and with T and W only on a
         verify run. T and W are sorted in place once: only the distance
         kernels read them, none of them depends on the order, and each
@@ -406,9 +406,8 @@ class TagSpec:
 
 def _nonuniform_22(r: _Runner, comps, z):
     thr = (abs(z) + 1.0) / 3.0
-    tail = comps.delta_tails[thr]
     gamma = bound_core.nonuniform_gamma(NonUniformInputs(
-        z=z, p_delta_tail=tail.value, p_delta_tail_se=tail.std_error,
+        z=z, p_delta_tail=comps.delta_tails[thr],
         sum_p_g_tail=r.linear.sum_prob_above(thr),
         sum_p_w_minus_g_tail=r.third_terms[z]))
     tau = bound_core.nonuniform_tau(

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,34 +89,6 @@ def _map_chunks(fn, replicates: int, threads: int) -> list:
     return [fn(args) for args in layout]
 
 
-@dataclass
-class ComponentEstimates:
-    """Plug-in moment estimates for the remainder-coupling quantities."""
-
-    e_abs_w_delta: MomentEstimate
-    sum_g_delta_diff: MomentEstimate
-    delta_abs: MomentEstimate
-    delta_l2: MomentEstimate | None
-    sum_g_l2_delta_l2: MomentEstimate | None
-    delta_tails: dict = field(default_factory=dict)
-
-    def as_bound_components(self, beta: MomentEstimate,
-                            delta: float) -> BoundComponents:
-        kw = dict(
-            beta=beta.value, beta_se=beta.std_error, delta=delta,
-            e_abs_w_delta=self.e_abs_w_delta.value,
-            e_abs_w_delta_se=self.e_abs_w_delta.std_error,
-            sum_g_delta_diff=self.sum_g_delta_diff.value,
-            sum_g_delta_diff_se=self.sum_g_delta_diff.std_error,
-        )
-        if self.delta_l2 is not None:
-            kw.update(delta_l2=self.delta_l2.value,
-                      delta_l2_se=self.delta_l2.std_error,
-                      sum_g_l2_delta_l2=self.sum_g_l2_delta_l2.value,
-                      sum_g_l2_delta_l2_se=self.sum_g_l2_delta_l2.std_error)
-        return BoundComponents(**kw)
-
-
 def _row_moments(rows):
     """Count, per-row sums and per-row M2 (sum of squared deviations from
     the row mean) of one block of stacked rows."""
@@ -151,19 +123,18 @@ def _mean_se(blocks, replicates: int):
 
 
 def _estimates(model, stats, replicates, weights, n_l2, delta_thresholds):
-    """ComponentEstimates from the (mean, se) of each stacked row."""
+    """BoundComponents from the (mean, se) of each stacked row."""
     est = [MomentEstimate(m, se, replicates) for m, se in stats]
     delta_l2 = sum_gl2 = None
     if n_l2:
-        roots = [(math.sqrt(m), se / (2.0 * math.sqrt(m)) if m > 0 else 0.0)
+        roots = [MomentEstimate(math.sqrt(m), se / (2.0 * math.sqrt(m))
+                                if m > 0 else 0.0, replicates)
                  for m, se in stats[3:3 + n_l2]]
-        delta_l2 = MomentEstimate(*roots[0], replicates)
-        total = total_se = 0.0
-        for wt, gl2, (r, r_se) in zip(weights, model.group_g_l2(), roots[1:]):
-            total += wt * gl2 * r
-            total_se += wt * gl2 * r_se
-        sum_gl2 = MomentEstimate(total, total_se, replicates)
-    return ComponentEstimates(
+        delta_l2 = roots[0]
+        sum_gl2 = sum((wt * gl2 * r for wt, gl2, r
+                       in zip(weights, model.group_g_l2(), roots[1:])),
+                      MomentEstimate(0.0))
+    return BoundComponents(
         e_abs_w_delta=est[0], sum_g_delta_diff=est[1], delta_abs=est[2],
         delta_l2=delta_l2, sum_g_l2_delta_l2=sum_gl2,
         delta_tails=dict(zip(delta_thresholds, est[3 + n_l2:])))
@@ -171,7 +142,8 @@ def _estimates(model, stats, replicates, weights, n_l2, delta_thresholds):
 
 def sample_pass(model, replicates: int, seed: SeedSpec, modes=(),
                 threads: int = 1, delta_thresholds=(), keep_tw: bool = True):
-    """One sampling pass: (t, w, {mode: ComponentEstimates}).
+    """One sampling pass: (t, w, {mode: BoundComponents}), beta and delta
+    left unset.
 
     Each chunk calls sample_chunk once with all the variant modes, so one
     draw of its data block gives its T and W slices (written into
@@ -213,7 +185,7 @@ def sample_pass(model, replicates: int, seed: SeedSpec, modes=(),
               if keep_tw or sampled else [])
     if model.delta_is_zero:
         zero = MomentEstimate(0.0)
-        return t, w, {mode: ComponentEstimates(
+        return t, w, {mode: BoundComponents(
             zero, zero, zero, zero, zero,
             {thr: zero for thr in delta_thresholds}) for mode in modes}
     return t, w, {mode: _estimates(
@@ -222,7 +194,7 @@ def sample_pass(model, replicates: int, seed: SeedSpec, modes=(),
 
 
 def components_via_engine(model, replicates: int, seed: SeedSpec, mode="zero_out",
-                          threads: int = 1, delta_thresholds=()) -> ComponentEstimates:
+                          threads: int = 1, delta_thresholds=()) -> BoundComponents:
     """Coupling-moment estimates in one variant mode (see sample_pass)."""
     return sample_pass(model, replicates, seed, (mode,), threads,
                        delta_thresholds, keep_tw=False)[2][mode]

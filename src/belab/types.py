@@ -5,8 +5,7 @@ threads; all computation happens in the modules that produce them.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 
 @dataclass(frozen=True)
@@ -31,36 +30,54 @@ class MomentEstimate:
     def analytic(self) -> bool:
         return self.replicates == 0
 
+    def __add__(self, other):
+        """The sum, with the errors added (first order) and the larger
+        replicate count; a plain number adds as an analytic value."""
+        if not isinstance(other, MomentEstimate):
+            other = MomentEstimate(other)
+        return MomentEstimate(self.value + other.value,
+                              self.std_error + other.std_error,
+                              max(self.replicates, other.replicates))
+
+    def __rmul__(self, c: float):
+        """c times the estimate, with error |c| times its error."""
+        return MomentEstimate(c * self.value, abs(c) * self.std_error,
+                              self.replicates)
+
 
 @dataclass(frozen=True)
 class BoundComponents:
-    """Scalar ingredients of the general uniform and non-uniform bounds.
+    """Ingredients of the general uniform and non-uniform bounds, each a
+    MomentEstimate: sampled (the engine's `sample_pass` returns one record
+    per variant mode) or analytic.
 
-    Every value is paired with a standard error (0 for analytic values).
-    delta may be NaN when no delta construction was requested.
+    delta_l2 and sum_g_l2_delta_l2 are None where Delta has no second
+    moment; delta_tails maps a threshold thr to P(|Delta| > thr). beta and
+    delta are None until supplied (as_bound_components).
     """
 
-    beta: float = math.nan
-    beta_se: float = 0.0
-    delta: float = math.nan
-    delta_se: float = 0.0
-    e_abs_w_delta: float = 0.0
-    e_abs_w_delta_se: float = 0.0
-    sum_g_delta_diff: float = 0.0
-    sum_g_delta_diff_se: float = 0.0
-    delta_l2: float = 0.0
-    delta_l2_se: float = 0.0
-    sum_g_l2_delta_l2: float = 0.0
-    sum_g_l2_delta_l2_se: float = 0.0
+    e_abs_w_delta: MomentEstimate
+    sum_g_delta_diff: MomentEstimate
+    delta_abs: MomentEstimate
+    delta_l2: MomentEstimate | None = None
+    sum_g_l2_delta_l2: MomentEstimate | None = None
+    delta_tails: dict = field(default_factory=dict)
+    beta: MomentEstimate | None = None
+    delta: MomentEstimate | None = None
 
     def __post_init__(self):
-        for name in ("beta", "e_abs_w_delta", "sum_g_delta_diff", "delta_l2",
-                     "sum_g_l2_delta_l2"):
-            v = getattr(self, name)
-            if not math.isnan(v) and v < 0:
-                raise ValueError(f"{name} must be >= 0, got {v}")
-        if not math.isnan(self.delta) and self.delta <= 0:
-            raise ValueError(f"delta must be > 0, got {self.delta}")
+        for name in ("beta", "e_abs_w_delta", "sum_g_delta_diff", "delta_abs",
+                     "delta_l2", "sum_g_l2_delta_l2"):
+            est = getattr(self, name)
+            if est is not None and est.value < 0:
+                raise ValueError(f"{name} must be >= 0, got {est.value}")
+        if self.delta is not None and self.delta.value <= 0:
+            raise ValueError(f"delta must be > 0, got {self.delta.value}")
+
+    def as_bound_components(self, beta: MomentEstimate,
+                            delta: float) -> BoundComponents:
+        """This record with beta and the analytic delta supplied."""
+        return replace(self, beta=beta, delta=MomentEstimate(delta))
 
 
 @dataclass(frozen=True)
@@ -68,13 +85,12 @@ class NonUniformInputs:
     """Tail probabilities entering the non-uniform bound at a point z."""
 
     z: float
-    p_delta_tail: float
-    p_delta_tail_se: float = 0.0
+    p_delta_tail: MomentEstimate
     sum_p_g_tail: float = 0.0
     sum_p_w_minus_g_tail: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.p_delta_tail <= 1.0:
+        if not 0.0 <= self.p_delta_tail.value <= 1.0:
             raise ValueError("p_delta_tail must be a probability")
         if self.sum_p_g_tail < 0 or self.sum_p_w_minus_g_tail < 0:
             raise ValueError("tail sums must be >= 0")

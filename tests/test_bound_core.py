@@ -184,11 +184,15 @@ class TestCappedMomentInequality:
             assert 0.0 < c_p < 1.0
 
 
+ZERO = MomentEstimate(0.0)
+
+
 class TestUniformAssembly:
-    COMPS = BoundComponents(beta=0.12, beta_se=0.001, delta=0.05,
-                            delta_se=0.0005, e_abs_w_delta=0.3,
-                            e_abs_w_delta_se=0.002, sum_g_delta_diff=0.2,
-                            sum_g_delta_diff_se=0.003)
+    COMPS = BoundComponents(
+        e_abs_w_delta=MomentEstimate(0.3, 0.002, 1000),
+        sum_g_delta_diff=MomentEstimate(0.2, 0.003, 1000), delta_abs=ZERO,
+        beta=MomentEstimate(0.12, 0.001, 1000),
+        delta=MomentEstimate(0.05, 0.0005, 1000))
 
     def test_thm21_arithmetic(self):
         b = uniform_bound_thm21(self.COMPS)
@@ -213,15 +217,17 @@ class TestUniformAssembly:
 
     def test_missing_pieces_raise(self):
         with pytest.raises(DomainError):
-            uniform_bound_thm21(BoundComponents(beta=0.1))
+            uniform_bound_thm21(BoundComponents(
+                ZERO, ZERO, ZERO, beta=MomentEstimate(0.1)))
         with pytest.raises(DomainError):
-            uniform_bound_normal(BoundComponents(delta=0.1))
+            uniform_bound_normal(BoundComponents(
+                ZERO, ZERO, ZERO, delta=MomentEstimate(0.1)))
 
     def test_trivial_flag(self):
-        big = BoundComponents(beta=0.6)
+        big = BoundComponents(ZERO, ZERO, ZERO, beta=MomentEstimate(0.6))
         assert uniform_bound_normal(big).trivial
-        assert not uniform_bound_beta(
-            BoundComponents(beta=0.1)).trivial
+        assert not uniform_bound_beta(BoundComponents(
+            ZERO, ZERO, ZERO, beta=MomentEstimate(0.1))).trivial
 
 
 class TestBaselines:
@@ -244,19 +250,24 @@ class TestBaselines:
 
 class TestNonUniformAssembly:
     def test_gamma_sums_tails(self):
-        inp = NonUniformInputs(z=2.0, p_delta_tail=0.01, p_delta_tail_se=1e-4,
+        inp = NonUniformInputs(z=2.0,
+                               p_delta_tail=MomentEstimate(0.01, 1e-4, 3000),
                                sum_p_g_tail=0.002, sum_p_w_minus_g_tail=0.003)
         g = nonuniform_gamma(inp)
         np.testing.assert_allclose(g.value, 0.015, rtol=1e-14)
         assert g.std_error == 1e-4
+        assert g.replicates == 3000
 
     def test_tau_arithmetic(self):
-        c = BoundComponents(delta=0.05, delta_l2=0.02, delta_l2_se=1e-3,
-                            sum_g_l2_delta_l2=0.04)
+        c = BoundComponents(ZERO, ZERO, ZERO,
+                            delta_l2=MomentEstimate(0.02, 1e-3, 500),
+                            sum_g_l2_delta_l2=MomentEstimate(0.04),
+                            delta=MomentEstimate(0.05))
         t = nonuniform_tau(c)
         np.testing.assert_allclose(
             t.value, 22 * 0.05 + 8.5 * 0.02 + 3.6 * 0.04, rtol=1e-14)
         np.testing.assert_allclose(t.std_error, 8.5e-3, rtol=1e-14)
+        assert t.replicates == 500
 
     def test_thm22_combines_with_exp_weight(self):
         gamma = MomentEstimate(0.01, 0.0, 0)

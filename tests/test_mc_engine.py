@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from belab import cli, mc_engine
-from belab.errors import ConfigError
+from belab.bound_core import (
+    compute_beta,
+    nonuniform_gamma,
+    nonuniform_tau,
+    solve_delta_minimal,
+)
+from belab.errors import ConfigError, DomainError
 from belab.mc_engine import (
     CHUNK_SIZE,
     DISTANCE_BLOCK,
@@ -47,7 +53,13 @@ from belab.models.base import (
     tile_rows,
 )
 from belab.special import ndtr, ndtr_array
-from belab.types import BoundValue, KSResult
+from belab.types import (
+    BoundComponents,
+    BoundValue,
+    KSResult,
+    MomentEstimate,
+    NonUniformInputs,
+)
 
 MiB = 2 ** 20
 # chunk sizes on both sides of a row tile's edge
@@ -162,6 +174,15 @@ class TestPathEquivalence:
                                     mode="resample")
         assert est.delta_l2 is None
         assert est.sum_g_l2_delta_l2 is None
+
+    def test_tau_needs_the_l2_moments(self):
+        # Delta of the isqrt model has no second moment: no tau, rather
+        # than a tau with ||Delta||_2 taken as 0
+        model = IsqrtModel(Example41Spec(0.05, 100))
+        est = components_via_engine(model, 2000, SeedSpec(19),
+                                    mode="resample")
+        with pytest.raises(DomainError, match="second moment"):
+            nonuniform_tau(est.as_bound_components(MomentEstimate(0.1), 0.05))
 
 
 CHUNK_MODELS = {
@@ -586,6 +607,45 @@ class TestAggregationConventions:
             np.testing.assert_allclose(est.delta_tails[thr].value,
                                        float(np.mean(dabs > thr)),
                                        rtol=1e-12)
+
+    def test_engine_record_equals_hand_built(self):
+        """The engine's record is the one built from the same per-chunk
+        row moments by hand, field by field and bit for bit."""
+        model = ustat_model()
+        (size,), (g_l2,) = model.group_sizes, model.group_g_l2()
+        thresholds = (0.05, 0.2)
+        blocks = []
+        for c, _start, count in chunk_layout(self.REPLICATES):
+            ch = model.sample_chunk(self.SEED.substream(c), count,
+                                    mode="zero_out")
+            d = ch["delta"]
+            diff = d - ch["dvar_rep"]["zero_out"][:, 0]
+            blocks.append(_row_moments(np.stack([
+                np.abs(ch["w"] * d), np.abs(ch["g_rep"][:, 0] * diff) * size,
+                np.abs(d), d * d, diff * diff,
+                *(np.abs(d) > thr for thr in thresholds)])))
+        est = [MomentEstimate(m, se, self.REPLICATES)
+               for m, se in _mean_se(blocks, self.REPLICATES)]
+        roots = [MomentEstimate(math.sqrt(e.value),
+                                e.std_error / (2.0 * math.sqrt(e.value)),
+                                self.REPLICATES) for e in est[3:5]]
+        want = BoundComponents(
+            est[0], est[1], est[2], delta_l2=roots[0],
+            sum_g_l2_delta_l2=float(size) * g_l2 * roots[1],
+            delta_tails=dict(zip(thresholds, est[5:])))
+        assert self._estimate(model, thresholds) == want
+
+    def test_gamma_and_tau_carry_the_replicates(self):
+        model = ustat_model()
+        est = components_via_engine(
+            model, self.REPLICATES, self.SEED, mode="resample",
+            delta_thresholds=(1.0,)).as_bound_components(
+                compute_beta(model.linear_part),
+                solve_delta_minimal(model.linear_part))
+        gamma = nonuniform_gamma(NonUniformInputs(
+            z=2.0, p_delta_tail=est.delta_tails[1.0]))
+        assert nonuniform_tau(est).replicates == self.REPLICATES
+        assert gamma.replicates == self.REPLICATES
 
     def test_structural_zero_remainder(self):
         model = LinearModel(LinearSpec("uniform01", 15))
