@@ -112,23 +112,30 @@ def part_stream(rng: np.random.Generator, part: int) -> np.random.Generator:
 
 
 class ChunkTiles:
-    """A chunk's data blocks and fresh draws, a row tile at a time.
+    """A chunk's data blocks and replacement values, a row tile at a time.
 
     The chunk's parts are, in order, one block of count x w draws of `dist`
-    for each w in `widths`, then `fresh` runs of count draws. Part 0 is
-    drawn from rng itself and part b > 0 from `part_stream(rng, b)`.
-    Iteration yields (rows, blocks, draws): the slice of chunk rows, the
-    tile of each block and the slice of each fresh run; a tile is valid
-    until the next one is yielded and may be changed in place. Each part's
+    for each w in `widths`, then, where `modes` holds resample, one fresh
+    run of count draws for each block. Part 0 is drawn from rng itself and
+    part b > 0 from `part_stream(rng, b)`. `values[mode]` is, for each of
+    `modes`, a (len(widths), count) array: the value that replaces each
+    block's representative in each row, `zero` for zero_out and the block's
+    fresh run for resample.
+    Iteration yields (rows, blocks): the slice of chunk rows and the tile of
+    each block, valid until the next one is yielded and open to change in
+    place; the fresh runs are drawn for those rows by then. Each part's
     tiles hold the values of one whole draw from its stream, and after the
     loop rng stands where a whole draw of part 0 would have left it.
     """
 
-    def __init__(self, dist: BaseDist, rng, count: int, widths, fresh=0):
+    def __init__(self, dist: BaseDist, rng, count: int, widths, modes=(),
+                 zero=0.0):
         self.dist, self.rng, self.count = dist, rng, count
         self.widths = tuple(widths)
-        self.fresh = fresh
         self.tile = tile_rows(max(self.widths))
+        shape = (len(self.widths), count)
+        self.values = {m: np.broadcast_to(zero, shape) if m == "zero_out"
+                       else empty_block(shape) for m in modes}
 
     @cached_property
     def scratch(self):
@@ -144,18 +151,16 @@ class ChunkTiles:
         return tiles
 
     def __iter__(self):
-        nblocks = len(self.widths)
         height = min(self.count, self.tile + 1)
-        # a fresh run is drawn as a block one value wide
-        widths = self.widths + (1,) * self.fresh
-        buffers = [empty_block((height, w)) for w in widths]
-        streams = [self.rng] + [part_stream(self.rng, b)
-                                for b in range(1, len(widths))]
+        buffers = [empty_block((height, w)) for w in self.widths]
+        runs = self.values.get("resample", ())
+        streams = [self.rng] + [part_stream(self.rng, b) for b in
+                                range(1, len(buffers) + len(runs))]
         for rows in self.row_slices():
             tiles = [buf[:rows.stop - rows.start] for buf in buffers]
-            for stream, tile in zip(streams, tiles):
-                self.dist.fill(stream, tile)
-            yield rows, tiles[:nblocks], [run[:, 0] for run in tiles[nblocks:]]
+            for stream, part in zip(streams, tiles + [r[rows] for r in runs]):
+                self.dist.fill(stream, part)
+            yield rows, tiles
 
 
 VARIANT_MODES = ("zero_out", "resample")

@@ -106,7 +106,7 @@ class LinearModel(StatisticModel):
     def sample_chunk(self, rng, count, mode=None):
         w, rep = np.empty((2, count))
         tiles = ChunkTiles(self.dist, rng, count, (self.n,))
-        for rows, (x,), _draws in tiles:
+        for rows, (x,) in tiles:
             w[rows], rep[rows] = projection_sums(
                 x, self._g_rows, tiles.scratch)
         t = w.copy()

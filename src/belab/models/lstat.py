@@ -206,22 +206,17 @@ class LStatModel(StatisticModel):
         modes = variant_modes(mode)
         w, rep, t = np.empty((3, count))
         t_var = {m: np.empty(count) for m in modes}
-        values = {"zero_out": np.broadcast_to(0.0, count),
-                  "resample": np.empty(count)}
-        tiles = ChunkTiles(self.dist, rng, count, (self.n,),
-                           fresh=1 if "resample" in modes else 0)
-        for rows, (x,), draws in tiles:
+        tiles = ChunkTiles(self.dist, rng, count, (self.n,), modes)
+        for rows, (x,) in tiles:
             w[rows], rep[rows] = projection_sums(x, self._g_rows,
                                                  tiles.scratch)
             cur = x[:, 0].copy()
             # T reads only the order statistics, so x is sorted in place
             x.sort(axis=1)
             t[rows] = x @ self._jvec
-            if draws:
-                values["resample"][rows] = draws[0]
             at = np.arange(len(x))
             for m in modes:
-                v = values[m][rows]
+                v = tiles.values[m][0, rows]
                 # swap the representative's current value for v where it
                 # sits in the sorted row; a stable sort then moves the one
                 # element that is out of place
@@ -229,6 +224,7 @@ class LStatModel(StatisticModel):
                 x.sort(axis=1, kind="stable")
                 cur = v
                 t_var[m][rows] = x @ self._jvec
+        values = tiles.values
         x = tiles = None  # frees the last tile and the scratch buffer
         scale = math.sqrt(self.n) / self.sigma
         t = (t - self._center) * scale
@@ -236,7 +232,7 @@ class LStatModel(StatisticModel):
             return {"t": t, "w": w}
         dvar = {}
         for m in modes:
-            gv = self._g_rows(values[m])
+            gv = self._g_rows(values[m][0])
             tv = (t_var[m] - self._center) * scale
             dvar[m] = (tv - (w - rep + gv))[:, None]
         return {"t": t, "w": w, "delta": t - w,

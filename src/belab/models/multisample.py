@@ -170,18 +170,15 @@ class WilcoxonModel(StatisticModel):
     def sample_chunk(self, rng, count, mode=None):
         modes = variant_modes(mode)
         tiles = ChunkTiles(DIST_CATALOG["uniform01"], rng, count,
-                           (self.n1, self.n2),
-                           fresh=2 if "resample" in modes else 0)
+                           (self.n1, self.n2), modes, zero=self.dist.cdf(0.0))
         sum1, rep1, sum2, rep2, pair = np.empty((5, count))
         pair_work = empty_block(
             2 * min(PAIR_TILE, count) * (self.n1 + self.n2))
-        # each group's replacement value per mode, and the pairs its
-        # representative takes part in before and after the swap
-        values = {"zero_out": np.broadcast_to(self.dist.cdf(0.0), (2, count)),
-                  "resample": np.empty((2, count))}
+        # the pairs each group's representative takes part in before and
+        # after the swap for its replacement value
         before = np.empty((2, count), dtype=np.intp)
         after = {m: np.empty((2, count), dtype=np.intp) for m in modes}
-        for rows, (x, y), draws in tiles:
+        for rows, (x, y) in tiles:
             sum1[rows], rep1[rows] = projection_sums(x, self._g1_rows,
                                                      tiles.scratch)
             sum2[rows], rep2[rows] = projection_sums(y, self._g2_rows,
@@ -191,12 +188,11 @@ class WilcoxonModel(StatisticModel):
                 continue
             before[0, rows] = row_counts(np.less, y, x[:, 0])
             before[1, rows] = row_counts(np.less_equal, x, y[:, 0])
-            if draws:
-                values["resample"][:, rows] = draws
             for m in modes:
-                v1, v2 = values[m][:, rows]
+                v1, v2 = tiles.values[m][:, rows]
                 after[m][0, rows] = row_counts(np.less, y, v1)
                 after[m][1, rows] = row_counts(np.less_equal, x, v2)
+        values = tiles.values
         x = y = tiles = None  # the tile buffers go before the arithmetic below
         w = sum1 + sum2
         t = (pair / (self.n1 * self.n2) - 0.5) / self.sn

@@ -118,19 +118,15 @@ class UStatModel(StatisticModel):
 
     def sample_chunk(self, rng, count, mode=None):
         modes = variant_modes(mode)
-        resample = "resample" in modes and not self.delta_is_zero
         c1, c2, x1 = np.empty((3, count))
-        values = {"zero_out": np.zeros(count), "resample": np.empty(count)}
         tiles = ChunkTiles(self.dist, rng, count, (self.n,),
-                           fresh=1 if resample else 0)
-        for rows, (x,), draws in tiles:
+                           () if self.delta_is_zero else modes)
+        for rows, (x,) in tiles:
             x1[rows] = x[:, 0]
             x -= self.dist.mean
             c1[rows] = x.sum(axis=1)
             np.square(x, out=x)
             c2[rows] = x.sum(axis=1)
-            if draws:
-                values["resample"][rows] = draws[0]
         x = None  # frees the last tile
         t, w = self._t_w_from_power_sums(c1, c2)
         if self.delta_is_zero:
@@ -145,7 +141,7 @@ class UStatModel(StatisticModel):
                 dvar[m] = np.zeros((count, 1))
                 continue
             # swap the representative x_1 for v in the centred sums
-            dv = values[m] - self.dist.mean
+            dv = tiles.values[m][0] - self.dist.mean
             t_new, w_new = self._t_w_from_power_sums(
                 c1 - d1 + dv, c2 - d1 * d1 + dv * dv)
             dvar[m] = (t_new - w_new)[:, None]

@@ -46,6 +46,7 @@ from belab.models import (
 from belab.models.base import (
     DIST_CATALOG,
     ROW_TILE,
+    VARIANT_MODES,
     ChunkTiles,
     part_stream,
     projection_sums,
@@ -401,8 +402,9 @@ class TestChunkTiles:
     whole draw of each part from its own stream, and leave rng where a
     whole draw of part 0 leaves it."""
 
-    # (widths, fresh runs): one block alone, and blocks with runs after them
-    WIDTHS_FRESH = [((400,), 0), ((1000, 1000), 2), ((57, 13), 1),
+    # (widths, k): one block alone, and blocks with the replacement values
+    # of the last k variant modes
+    WIDTHS_MODES = [((400,), 0), ((1000, 1000), 2), ((57, 13), 1),
                     ((400,), 1)]
     # the engine's substream, and every other numpy bit generator
     BITGENS = {
@@ -443,24 +445,37 @@ class TestChunkTiles:
 
     @pytest.mark.parametrize("bitgen", sorted(BITGENS))
     @pytest.mark.parametrize("dist", sorted(DIST_CATALOG))
-    @pytest.mark.parametrize("widths,fresh", WIDTHS_FRESH)
+    @pytest.mark.parametrize("widths,k", WIDTHS_MODES)
     @pytest.mark.parametrize("count", [1, 2, 129, 1025, 4096])
-    def test_tiles_equal_whole_draws(self, bitgen, dist, widths, fresh,
-                                     count):
+    def test_tiles_equal_whole_draws(self, bitgen, dist, widths, k, count):
+        """Each block's tiles, and each block's fresh run as far as it is
+        drawn when a tile is yielded, equal one whole draw of its part."""
         law, make = DIST_CATALOG[dist], self.BITGENS[bitgen]
         rng, ref = make(), make()
         for gen in (rng, ref):  # leaves half of a 64-bit output pending
             gen.integers(2 ** 32, dtype=np.uint32)
-        got = [[] for _ in range(len(widths) + fresh)]
-        for rows, blocks, draws in ChunkTiles(law, rng, count, widths, fresh):
-            for part, tile in zip(got, blocks + draws):
+        modes = VARIANT_MODES[len(VARIANT_MODES) - k:]
+        tiles = ChunkTiles(law, rng, count, widths, modes, zero=0.25)
+        assert sorted(tiles.values) == sorted(modes)
+        got = [[] for _ in widths]
+        fresh = []
+        for rows, blocks in tiles:
+            for part, tile in zip(got, blocks):
                 assert len(tile) == rows.stop - rows.start
                 part.append(tile.copy())
-        shapes = [(count, w) for w in widths] + [(count, 1)] * fresh
-        for b, (part, shape) in enumerate(zip(got, shapes)):
+            if "resample" in modes:
+                fresh.append(tiles.values["resample"][:, rows].copy())
+        for b, (part, width) in enumerate(zip(got, widths)):
             stream = ref if b == 0 else self.spawned_part(make, b)
-            np.testing.assert_array_equal(
-                np.concatenate(part).reshape(shape), law.sample(stream, shape))
+            np.testing.assert_array_equal(np.concatenate(part),
+                                          law.sample(stream, (count, width)))
+        if "resample" in modes:
+            runs = [law.sample(self.spawned_part(make, len(widths) + g), count)
+                    for g in range(len(widths))]
+            np.testing.assert_array_equal(np.concatenate(fresh, axis=1), runs)
+        if "zero_out" in modes:
+            np.testing.assert_array_equal(tiles.values["zero_out"],
+                                          np.full((len(widths), count), 0.25))
         # rng stands at the end of part 0, its pending half kept
         assert (rng.integers(2 ** 32, dtype=np.uint32)
                 == ref.integers(2 ** 32, dtype=np.uint32))
