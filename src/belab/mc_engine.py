@@ -206,13 +206,11 @@ def collect_t_w(model, replicates: int, seed: SeedSpec, threads: int = 1):
     return t, w
 
 
-def dkw_radius(replicates: int, alpha: float = DKW_ALPHA) -> float:
-    """Two-sided DKW band half-width at confidence 1 - alpha."""
+def dkw_radius(replicates: int) -> float:
+    """Two-sided DKW band half-width at confidence 1 - DKW_ALPHA."""
     if replicates < 1:
         raise ConfigError("need at least 1 replicate")
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError("alpha must lie in (0, 1)")
-    return math.sqrt(math.log(2.0 / alpha) / (2.0 * replicates))
+    return math.sqrt(math.log(2.0 / DKW_ALPHA) / (2.0 * replicates))
 
 
 def _ascending(values):
@@ -225,7 +223,7 @@ def _ascending(values):
     return values
 
 
-def empirical_ks_vs_normal(t_values, alpha: float = DKW_ALPHA) -> KSResult:
+def empirical_ks_vs_normal(t_values) -> KSResult:
     """Exact one-sample sup-distance to the standard normal cdf."""
     t = _ascending(t_values)
     n = t.size
@@ -238,10 +236,10 @@ def empirical_ks_vs_normal(t_values, alpha: float = DKW_ALPHA) -> KSResult:
         d_plus = np.maximum(d_plus, (i / n - cdf).max())
         d_minus = np.maximum(d_minus, (cdf - (i - 1) / n).max())
     return KSResult(distance=float(max(d_plus, d_minus, 0.0)), replicates=n,
-                    dkw_radius=dkw_radius(n, alpha))
+                    dkw_radius=dkw_radius(n))
 
 
-def empirical_ks_two_sample(a_values, b_values, alpha: float = DKW_ALPHA) -> KSResult:
+def empirical_ks_two_sample(a_values, b_values) -> KSResult:
     """Sup-distance between two empirical cdfs, exact over the pooled
     points: max |F_a - F_b| is the larger of max(F_a - F_b) over the points
     of a and max(F_b - F_a) over the points of b, since F_a - F_b rises only
@@ -261,26 +259,25 @@ def empirical_ks_two_sample(a_values, b_values, alpha: float = DKW_ALPHA) -> KSR
             gap -= np.searchsorted(other, block, side="right") / other.size
             dist = np.maximum(dist, gap.max())
     return KSResult(distance=float(dist), replicates=min(a.size, b.size),
-                    dkw_radius=dkw_radius(a.size, alpha) + dkw_radius(b.size, alpha))
+                    dkw_radius=dkw_radius(a.size) + dkw_radius(b.size))
 
 
-def pointwise_diff_vs_normal(t_values, z: float, alpha: float = DKW_ALPHA) -> KSResult:
+def pointwise_diff_vs_normal(t_values, z: float) -> KSResult:
     """|F_T(z) - Phi(z)| from a sample of T."""
     t = np.asarray(t_values, dtype=float)
     emp = float(np.count_nonzero(t <= z)) / t.size
     return KSResult(distance=abs(emp - ndtr(z)), replicates=t.size,
-                    dkw_radius=dkw_radius(t.size, alpha))
+                    dkw_radius=dkw_radius(t.size))
 
 
-def pointwise_diff_two_sample(a_values, b_values, z: float,
-                              alpha: float = DKW_ALPHA) -> KSResult:
+def pointwise_diff_two_sample(a_values, b_values, z: float) -> KSResult:
     """|F_a(z) - F_b(z)| from samples of both laws."""
     a = np.asarray(a_values, dtype=float)
     b = np.asarray(b_values, dtype=float)
     fa = float(np.count_nonzero(a <= z)) / a.size
     fb = float(np.count_nonzero(b <= z)) / b.size
     return KSResult(distance=abs(fa - fb), replicates=min(a.size, b.size),
-                    dkw_radius=dkw_radius(a.size, alpha) + dkw_radius(b.size, alpha))
+                    dkw_radius=dkw_radius(a.size) + dkw_radius(b.size))
 
 
 def certify(ks: KSResult, bound: BoundValue):

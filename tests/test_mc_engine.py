@@ -839,8 +839,6 @@ class TestDistances:
             rtol=1e-14)
         with pytest.raises(ConfigError):
             dkw_radius(0)
-        with pytest.raises(ConfigError):
-            dkw_radius(100, alpha=1.5)
 
     def test_one_sample_ks_matches_scipy(self):
         rng = np.random.default_rng(31)
