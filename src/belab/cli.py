@@ -129,11 +129,17 @@ def _check_model(desc: dict, errs: list, path: str = "model"):
         return None
 
 
+def _check_verify_replicates(replicates, errs, path):
+    if replicates < MIN_VERIFY_REPLICATES:
+        errs.append(f"{path}: verification needs >= {MIN_VERIFY_REPLICATES}, "
+                    f"got {replicates}")
+
+
 def _check_sweep_grid(axis, grid, desc, errs):
-    """Check each grid value against the axis it sets: integer sizes and
-    replicate counts, a buildable model at each n, and epsilons inside the
-    domain of the closed-form lower bound. An empty desc skips the model
-    check."""
+    """Check each grid value against the axis it sets: integer sizes, a
+    buildable model at each n, replicate counts that a verify run takes,
+    and epsilons inside the domain of the closed-form lower bound. An
+    empty desc skips the model check."""
     for k, value in enumerate(grid):
         path = f"sweep.grid[{k}]"
         if axis == "n":
@@ -145,6 +151,8 @@ def _check_sweep_grid(axis, grid, desc, errs):
             continue
         if axis == "z":
             _check_z(value, errs, path)
+        elif axis == "replicates":
+            _check_verify_replicates(value, errs, path)
         elif axis == "n" and desc:
             _check_model(with_size(desc, value), errs, f"{path}: model")
         elif axis == "epsilon":
@@ -271,8 +279,6 @@ class _Runner:
     measure distances, so their sampling pass keeps T and W."""
 
     def __init__(self, cfg: ExperimentConfig, verify: bool):
-        if not cfg.model_desc:
-            raise ConfigError(["model: required object"])
         self.cfg = cfg
         self.verify = verify
         self.model = build_model(cfg.model_desc)
@@ -358,8 +364,6 @@ class _Runner:
 
     def run(self):
         """One row per tag, or per tag and z for the point bounds."""
-        if not self.cfg.bounds:
-            raise ConfigError(["bounds: at least one equation tag is required"])
         meta = self.model.row_meta()
         rows = []
         for tag in self.cfg.bounds:
@@ -488,15 +492,28 @@ TAGS = {
 # raised while the model is built.
 
 
+def _check_command(cfg: ExperimentConfig, verify: bool):
+    """Raise a ConfigError that lists each requirement of a bound or verify
+    run that cfg misses: a model block, a bound tag and, to verify, the
+    replicate floor."""
+    errs = []
+    if not cfg.model_desc:
+        errs.append("model: required object")
+    if not cfg.bounds:
+        errs.append("bounds: at least one equation tag is required")
+    if verify:
+        _check_verify_replicates(cfg.replicates, errs, "mc.replicates")
+    if errs:
+        raise ConfigError(errs)
+
+
 def cmd_bound(cfg: ExperimentConfig):
+    _check_command(cfg, verify=False)
     return _Runner(cfg, verify=False).run(), []
 
 
 def cmd_verify(cfg: ExperimentConfig):
-    if cfg.replicates < MIN_VERIFY_REPLICATES:
-        raise ConfigError([
-            f"mc.replicates: verification needs >= {MIN_VERIFY_REPLICATES}, "
-            f"got {cfg.replicates}"])
+    _check_command(cfg, verify=True)
     return _Runner(cfg, verify=True).run(), []
 
 
@@ -569,8 +586,7 @@ def cmd_sweep(cfg: ExperimentConfig):
             raise ConfigError([v.replace("z_grid[", "sweep.grid[", 1)
                                for v in exc.violations]) from exc
     if axis == "n":
-        if not cfg.model_desc:
-            raise ConfigError(["model: required object"])
+        _check_command(cfg, verify=False)
         for nval in cfg.sweep_grid:
             desc = with_size(cfg.model_desc, int(nval))
             rows.extend(cmd_bound(replace(cfg, model_desc=desc))[0])

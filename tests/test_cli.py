@@ -634,6 +634,36 @@ class TestMainExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert any(line.startswith(f"config: {field}") for line in err), err
 
+    @pytest.mark.parametrize("command,want", [
+        ("bound", ["model: required object",
+                   "bounds: at least one equation tag is required"]),
+        ("verify", ["model: required object",
+                    "bounds: at least one equation tag is required",
+                    "mc.replicates: verification needs >= 1000, got 10"]),
+        ("sweep", ["model: required object",
+                   "bounds: at least one equation tag is required"]),
+    ])
+    def test_command_requirements_listed_together(self, tmp_path, capsys,
+                                                  command, want):
+        path = write_config(tmp_path, {
+            "mc": {"master_seed": 1, "replicates": 10},
+            "sweep": {"axis": "n", "grid": [10]}})
+        assert main([command, "--config", path]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config: {line}" for line in want]
+
+    def test_replicates_sweep_checked_before_any_run(self, tmp_path, capsys,
+                                                     monkeypatch):
+        runs = []
+        monkeypatch.setattr(cli, "cmd_verify",
+                            lambda cfg: runs.append(cfg.replicates) or ([], []))
+        doc = make_doc(sweep={"axis": "replicates", "grid": [2000, 10, 20]})
+        assert main(["sweep", "--config", write_config(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config: sweep.grid[1]: verification needs >= 1000, got 10",
+            "config: sweep.grid[2]: verification needs >= 1000, got 20"]
+        assert runs == []
+
     def test_replicate_limit_is_inclusive(self):
         cfg = parse(make_doc(mc={"master_seed": 1,
                                  "replicates": MAX_REPLICATES}))
