@@ -176,17 +176,18 @@ def nonuniform_bound_thm22(gamma: MomentEstimate, tau: MomentEstimate,
     return BoundValue(b.value, 0.0, "eq2.6", b.std_error)
 
 
-def nonuniform_moment_bound(p: float, z: float, delta_tail: float,
+def nonuniform_moment_bound(p: float, z: float, delta_tail: MomentEstimate,
                             delta_l2: float, sum_gl2_dl2: float,
                             sum_p_moment: float) -> BoundValue:
     """Moment form of the non-uniform bound: the Delta tail enters with an
-    explicit constant, everything else multiplies the unspecified C.
+    explicit constant, and its standard error with it; everything else
+    multiplies the unspecified C.
 
     Never pass/fail-verifiable (c_coeff > 0 whenever the model is nontrivial).
     """
     if not 2.0 < p <= 3.0:
         raise DomainError(f"p must lie in (2, 3], got {p}")
-    if not 0.0 <= delta_tail <= 1.0:
+    if not 0.0 <= delta_tail.value <= 1.0:
         raise DomainError("delta_tail must be a probability")
     c_coeff = (1.0 + abs(z)) ** (-p) * (delta_l2 + sum_gl2_dl2 + sum_p_moment)
-    return BoundValue(delta_tail, c_coeff, "eq2.9")
+    return BoundValue(delta_tail.value, c_coeff, "eq2.9", delta_tail.std_error)

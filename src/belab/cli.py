@@ -421,10 +421,9 @@ def _nonuniform_22(r: _Runner, comps, z):
 
 def _nonuniform_29(r: _Runner, comps, z):
     sum_p, _sum_p_se = r.linear.sum_abs_p(r.cfg.p)
-    tail = comps.delta_tails[(abs(z) + 1.0) / 3.0]
     return bound_core.nonuniform_moment_bound(
-        r.cfg.p, z, tail.value, comps.delta_l2.value,
-        comps.sum_g_l2_delta_l2.value, sum_p)
+        r.cfg.p, z, comps.delta_tails[(abs(z) + 1.0) / 3.0],
+        comps.delta_l2.value, comps.sum_g_l2_delta_l2.value, sum_p)
 
 
 def _ustat_36(r: _Runner, comps, z):

@@ -282,18 +282,21 @@ class TestNonUniformAssembly:
         assert sym_pos == sym_neg
 
     def test_moment_bound_split_and_decay(self):
-        b = nonuniform_moment_bound(3.0, 2.0, 0.01, 0.1, 0.2, 0.3)
+        tail = MomentEstimate(0.01, 1e-3, 3000)
+        b = nonuniform_moment_bound(3.0, 2.0, tail, 0.1, 0.2, 0.3)
         np.testing.assert_allclose(b.known, 0.01, rtol=1e-14)
+        assert b.known_se == 1e-3
         np.testing.assert_allclose(b.c_coeff, 3.0 ** -3 * 0.6, rtol=1e-14)
         assert not b.verifiable
         # exact (1+|z|)^(-p) scaling of the C-multiplied part
-        b1 = nonuniform_moment_bound(2.5, 1.0, 0.0, 0.1, 0.2, 0.3)
-        b2 = nonuniform_moment_bound(2.5, 4.0, 0.0, 0.1, 0.2, 0.3)
+        b1 = nonuniform_moment_bound(2.5, 1.0, ZERO, 0.1, 0.2, 0.3)
+        b2 = nonuniform_moment_bound(2.5, 4.0, ZERO, 0.1, 0.2, 0.3)
         np.testing.assert_allclose(b1.c_coeff / b2.c_coeff,
                                    (5.0 / 2.0) ** 2.5, rtol=1e-12)
 
     def test_moment_bound_domain(self):
         with pytest.raises(DomainError):
-            nonuniform_moment_bound(3.5, 1.0, 0.0, 0.1, 0.1, 0.1)
+            nonuniform_moment_bound(3.5, 1.0, ZERO, 0.1, 0.1, 0.1)
         with pytest.raises(DomainError):
-            nonuniform_moment_bound(3.0, 1.0, 1.5, 0.1, 0.1, 0.1)
+            nonuniform_moment_bound(3.0, 1.0, MomentEstimate(1.5), 0.1, 0.1,
+                                    0.1)
