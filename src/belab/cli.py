@@ -2,10 +2,10 @@
 distances, reproduces the perturbed-normal counterexample, and sweeps
 parameters, emitting CSV or JSON result rows.
 
-Config is a single JSON document (schema in the README). Every run is fully
-determined by the config plus CLI overrides: sampling uses per-chunk
-substreams of mc.master_seed and all reductions are order-fixed, so identical
-inputs produce byte-identical output files, whatever --threads is.
+Config is a single JSON document (schema in the README); each CLI flag sets
+one of its fields. Every run is fully determined by the config: sampling uses
+per-chunk substreams of mc.master_seed and all reductions are order-fixed, so
+identical inputs produce byte-identical output files, whatever --threads is.
 """
 from __future__ import annotations
 
@@ -37,7 +37,6 @@ from .models import (
     Example41Spec,
     IsqrtModel,
     build_model,
-    build_spec,
     read_spec,
     with_size,
 )
@@ -53,6 +52,18 @@ SWEEP_AXES = ("n", "z", "epsilon", "replicates")
 MIN_VERIFY_REPLICATES = 1000
 # t and w of 1e8 replicates take 1.6 GB
 MAX_REPLICATES = 10 ** 8
+# a run starts up to one thread per chunk, each holding its chunk's buffers;
+# 256 exceeds the cores of common hosts, past which threads only add buffers
+MAX_THREADS = 256
+# example41 samples its cross-check rows at every epsilon from here up
+EXAMPLE41_SAMPLED_EPSILON = 1e-2
+# each flag sets one config field, (block, field), and takes its type;
+# the field's rule checks the flag's value and names it after the flag
+FLAGS = {"--seed": ("mc", "master_seed", int),
+         "--replicates": ("mc", "replicates", int),
+         "--threads": ("mc", "threads", int),
+         "--output": ("output", "path", str),
+         "--format": ("output", "format", str)}
 
 
 @dataclass(frozen=True)
@@ -162,8 +173,24 @@ def _check_sweep_grid(axis, grid, desc, errs):
                 errs.append(f"{path}: {exc}")
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Validate the JSON config, collecting every violation before failing."""
+def _block(doc, key, errs, flags):
+    """doc[key] as an object, with each given flag's value in the field it
+    sets, and the path that names a field's violations: its flag, if any."""
+    block = doc.get(key, {})
+    if not isinstance(block, dict):
+        errs.append(f"{key}: expected an object")
+        block = {}
+    names = {FLAGS[f][1]: f for f, value in (flags or {}).items()
+             if value is not None and FLAGS[f][0] == key}
+    block = {**block, **{field: flags[f] for field, f in names.items()}}
+    return block, lambda field: names.get(field, f"{key}.{field}")
+
+
+def parse_config(text: str, flags=None, command=None) -> ExperimentConfig:
+    """Validate the JSON config, with each flag in `flags` (FLAGS name to
+    value, None where absent) set in its field, collecting every violation
+    before failing. Given a command, each requirement it has of a field
+    without a violation of its own joins the list."""
     errs = []
     try:
         doc = json.loads(text)
@@ -208,45 +235,34 @@ def parse_config(text: str) -> ExperimentConfig:
                     + catalog_names(point_tags))
 
     eps_grid = _number_list(doc, "epsilon_grid", errs, "epsilon_grid")
+    if not eps_grid and hasattr(model_spec, "epsilon"):
+        eps_grid = [model_spec.epsilon]  # example41's default
 
     p = read_field(doc, "p", errs, "p", default=3.0)
     if p is not None and not 2.0 < p <= 3.0:
         errs.append(f"p: moment order must lie in (2, 3], got {p!r}")
-        p = 3.0
 
-    mc = doc.get("mc")
-    if not isinstance(mc, dict):
+    mc, mc_name = _block(doc, "mc", errs, flags)
+    if "master_seed" not in mc:
         errs.append("mc.master_seed: required (determinism contract; "
                     "no wall-clock default)")
-        mc = {}
-    replicates = read_field(mc, "replicates", errs, "mc.replicates",
+    seed = read_field(mc, "master_seed", errs, mc_name("master_seed"),
+                      default=None, integer=True, minimum=0)
+    if seed is not None and seed >= 2 ** 63:
+        errs.append(f"{mc_name('master_seed')}: must be below 2^63")
+    replicates = read_field(mc, "replicates", errs, mc_name("replicates"),
                             default=10000, integer=True, minimum=1,
                             maximum=MAX_REPLICATES)
-    threads = read_field(mc, "threads", errs, "mc.threads", default=1,
-                         integer=True, minimum=1)
-    if "master_seed" not in mc:
-        if mc:
-            errs.append("mc.master_seed: required (determinism contract; "
-                        "no wall-clock default)")
-        seed = 0
-    else:
-        seed = read_field(mc, "master_seed", errs, "mc.master_seed",
-                          default=0, integer=True, minimum=0)
-        if seed is not None and seed >= 2 ** 63:
-            errs.append("mc.master_seed: must be below 2^63")
+    threads = read_field(mc, "threads", errs, mc_name("threads"), default=1,
+                         integer=True, minimum=1, maximum=MAX_THREADS)
 
-    out = doc.get("output", {})
-    if not isinstance(out, dict):
-        errs.append("output: expected an object")
-        out = {}
+    out, name = _block(doc, "output", errs, flags)
     path = out.get("path")
     if path is not None and not isinstance(path, str):
-        errs.append("output.path: expected a string")
-        path = None
+        errs.append(f"{name('path')}: expected a string")
     fmt = out.get("format", "csv")
     if fmt not in ("csv", "json"):
-        errs.append(f"output.format: expected csv or json, got {fmt!r}")
-        fmt = "csv"
+        errs.append(f"{name('format')}: expected csv or json, got {fmt!r}")
 
     sweep = doc.get("sweep", {})
     if not isinstance(sweep, dict):
@@ -265,13 +281,20 @@ def parse_config(text: str) -> ExperimentConfig:
         errs.append("sweep.grid: required")
     _check_sweep_grid(axis, grid, desc if model_ok else {}, errs)
 
+    cfg = ExperimentConfig(
+        model_desc=desc, bounds=tuple(bounds), z_grid=tuple(z_grid),
+        epsilon_grid=tuple(eps_grid), p=p if p is None else float(p),
+        replicates=replicates, master_seed=seed, threads=threads,
+        output_path=path, output_format=fmt, sweep_axis=axis,
+        sweep_grid=tuple(grid))
+    try:  # a command of None has no requirements
+        _check_command(cfg, command, mc_name("replicates"))
+    except ConfigError as exc:
+        named = {v.split(": ", 1)[0] for v in errs}
+        errs += [v for v in exc.violations if v.split(": ", 1)[0] not in named]
     if errs:
         raise ConfigError(errs)
-    return ExperimentConfig(
-        model_desc=desc, bounds=tuple(bounds), z_grid=tuple(z_grid),
-        epsilon_grid=tuple(eps_grid), p=float(p), replicates=replicates,
-        master_seed=int(seed), threads=threads, output_path=path,
-        output_format=fmt, sweep_axis=axis, sweep_grid=tuple(grid))
+    return cfg
 
 
 class _Runner:
@@ -491,41 +514,52 @@ TAGS = {
 # raised while the model is built.
 
 
-def _check_command(cfg: ExperimentConfig, verify: bool):
-    """Raise a ConfigError that lists each requirement of a bound or verify
-    run that cfg misses: a model block, a bound tag and, to verify, the
-    replicate floor."""
+def _check_command(cfg, command, replicates_path="mc.replicates"):
+    """Raise a ConfigError that lists each requirement of `command` that
+    cfg misses: a model block and a bound tag for bound, verify and each
+    sweep that runs them, an axis for a sweep, an epsilon grid for
+    example41, and the replicate floor for verify and for example41's
+    sampled rows."""
     errs = []
-    if not cfg.model_desc:
-        errs.append("model: required object")
-    if not cfg.bounds:
-        errs.append("bounds: at least one equation tag is required")
-    if verify:
-        _check_verify_replicates(cfg.replicates, errs, "mc.replicates")
+    if command == "sweep":
+        if cfg.sweep_axis not in SWEEP_AXES:
+            errs.append(f"sweep.axis: expected one of "
+                        f"{catalog_names(SWEEP_AXES)}, got {cfg.sweep_axis!r}")
+        elif cfg.sweep_axis != "epsilon":
+            # parse_config holds each value of a replicates sweep to the floor
+            command = "bound"
+    if command in ("bound", "verify"):
+        if not cfg.model_desc:
+            errs.append("model: required object")
+        if not cfg.bounds:
+            errs.append("bounds: at least one equation tag is required")
+    floor = command == "verify"
+    if command == "example41":
+        if not cfg.epsilon_grid:
+            errs.append("epsilon_grid: required for example41")
+        floor = any(eps >= EXAMPLE41_SAMPLED_EPSILON
+                    for eps in cfg.epsilon_grid)
+    if floor and cfg.replicates is not None:
+        _check_verify_replicates(cfg.replicates, errs, replicates_path)
     if errs:
         raise ConfigError(errs)
 
 
 def cmd_bound(cfg: ExperimentConfig):
-    _check_command(cfg, verify=False)
+    _check_command(cfg, "bound")
     return _Runner(cfg, verify=False).run(), []
 
 
 def cmd_verify(cfg: ExperimentConfig):
-    _check_command(cfg, verify=True)
+    _check_command(cfg, "verify")
     return _Runner(cfg, verify=True).run(), []
 
 
 def cmd_example41(cfg: ExperimentConfig):
     """Counterexample table plus MC cross-checks at the coarse epsilons."""
-    eps_grid = cfg.epsilon_grid
-    if not eps_grid and cfg.model_desc:
-        spec = build_spec(cfg.model_desc)
-        eps_grid = (spec.epsilon,) if hasattr(spec, "epsilon") else ()
-    if not eps_grid:
-        raise ConfigError(["epsilon_grid: required for example41"])
+    _check_command(cfg, "example41")
     try:
-        reports = app_bounds.counterexample_report(eps_grid)
+        reports = app_bounds.counterexample_report(cfg.epsilon_grid)
     except DomainError as exc:
         raise ConfigError([f"epsilon_grid: {exc}"]) from exc
 
@@ -544,7 +578,7 @@ def cmd_example41(cfg: ExperimentConfig):
             equation_tag="eq4.3", model=model.name, n=n, epsilon=eps,
             bound_known=7.0 * eps, empirical=quad43, se=0.0,
             pass_flag=bool(quad43 <= 7.0 * eps)))
-        if eps >= 1e-2:
+        if eps >= EXAMPLE41_SAMPLED_EPSILON:
             lhs, mc43 = app_bounds.counterexample_check(
                 model, cfg.replicates, SeedSpec(cfg.master_seed), cfg.threads)
             rows.append(ResultRow(
@@ -571,10 +605,8 @@ def cmd_example41(cfg: ExperimentConfig):
 
 
 def cmd_sweep(cfg: ExperimentConfig):
+    _check_command(cfg, "sweep")
     axis = cfg.sweep_axis
-    if axis not in SWEEP_AXES:
-        raise ConfigError([f"sweep.axis: expected one of "
-                           f"{catalog_names(SWEEP_AXES)}, got {axis!r}"])
     rows = []
     if axis == "z":
         sub = replace(cfg, z_grid=tuple(float(v) for v in cfg.sweep_grid))
@@ -585,7 +617,6 @@ def cmd_sweep(cfg: ExperimentConfig):
             raise ConfigError([v.replace("z_grid[", "sweep.grid[", 1)
                                for v in exc.violations]) from exc
     if axis == "n":
-        _check_command(cfg, verify=False)
         for nval in cfg.sweep_grid:
             desc = with_size(cfg.model_desc, int(nval))
             rows.extend(cmd_bound(replace(cfg, model_desc=desc))[0])
@@ -672,38 +703,9 @@ def _build_parser() -> argparse.ArgumentParser:
             ("sweep", "evaluate bounds over a parameter grid")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to JSON config")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override mc.master_seed")
-        p.add_argument("--replicates", type=int, default=None,
-                       help="override mc.replicates")
-        p.add_argument("--threads", type=int, default=None,
-                       help="override mc.threads")
-        p.add_argument("--output", default=None, help="override output.path")
-        p.add_argument("--format", choices=("csv", "json"), default=None,
-                       help="override output.format")
+        for flag, (block, field, kind) in FLAGS.items():
+            p.add_argument(flag, type=kind, help=f"set {block}.{field}")
     return parser
-
-
-def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    kw = {}
-    if args.seed is not None:
-        if not 0 <= args.seed < 2 ** 63:
-            raise ConfigError(["--seed: must lie in [0, 2^63)"])
-        kw["master_seed"] = args.seed
-    if args.replicates is not None:
-        if not 1 <= args.replicates <= MAX_REPLICATES:
-            raise ConfigError([
-                f"--replicates: must lie in [1, {MAX_REPLICATES}]"])
-        kw["replicates"] = args.replicates
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ConfigError(["--threads: must be >= 1"])
-        kw["threads"] = args.threads
-    if args.output is not None:
-        kw["output_path"] = args.output
-    if args.format is not None:
-        kw["output_format"] = args.format
-    return replace(cfg, **kw) if kw else cfg
 
 
 def main(argv=None) -> int:
@@ -715,15 +717,10 @@ def main(argv=None) -> int:
         print(f"config: {exc}", file=sys.stderr)
         return 2
     try:
-        cfg = _apply_overrides(parse_config(text), args)
-        if args.command == "bound":
-            rows, _notes = cmd_bound(cfg)
-        elif args.command == "verify":
-            rows, _notes = cmd_verify(cfg)
-        elif args.command == "example41":
-            rows, _notes = cmd_example41(cfg)
-        else:
-            rows, _notes = cmd_sweep(cfg)
+        cfg = parse_config(text, {f: getattr(args, f[2:]) for f in FLAGS},
+                           args.command)
+        # looked up when called, so a command patched on the module runs
+        rows, _notes = globals()[f"cmd_{args.command}"](cfg)
         emit_results(rows, cfg.output_format, cfg.output_path)
     except ConfigError as exc:
         for line in exc.violations:

@@ -11,6 +11,7 @@ import pytest
 from belab import cli
 from belab.cli import (
     MAX_REPLICATES,
+    MAX_THREADS,
     RESULT_COLUMNS,
     ResultRow,
     cmd_bound,
@@ -740,6 +741,8 @@ class TestMainExitCodes:
     def test_bad_seed_override(self, tmp_path, capsys):
         path = write_config(tmp_path, make_doc())
         assert main(["bound", "--config", path, "--seed", "-3"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config: --seed: must be >= 0, got -3"]
 
     def test_format_override_json(self, tmp_path, capsys):
         out = tmp_path / "rows.json"
@@ -828,6 +831,144 @@ class TestMainExitCodes:
         assert sum(r["equation_tag"] == "eq4.6" for r in recs) == 2
         assert all(r["pass"] == "" for r in recs
                    if r["equation_tag"] in ("eq4.6", "eq4.7"))
+
+
+class TestFlagsAreFields:
+    """Each flag sets one config field and is checked by that field's
+    rule; its violations carry the flag's name and join the config's."""
+
+    def _main(self, tmp_path, capsys, doc, argv):
+        path = write_config(tmp_path, doc)
+        rc = main([argv[0], "--config", path] + argv[1:])
+        return rc, capsys.readouterr()
+
+    def test_seed_sets_a_missing_master_seed(self, tmp_path, capsys):
+        doc = make_doc(mc={"replicates": 2000})
+        out = tmp_path / "flag.csv"
+        assert self._main(tmp_path, capsys, doc, [
+            "verify", "--seed", "11", "--output", str(out)])[0] == 0
+        ref = tmp_path / "field.csv"
+        assert self._main(tmp_path, capsys, make_doc(), [
+            "verify", "--output", str(ref)])[0] == 0
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_format_sets_a_bad_output_format(self, tmp_path, capsys):
+        doc = make_doc(output={"format": "xml"})
+        rc, cap = self._main(tmp_path, capsys, doc,
+                             ["bound", "--format", "json"])
+        assert rc == 0 and cap.err == ""
+        assert json.loads(cap.out)[0]["equation_tag"] == "eq2.5"
+
+    def test_format_checked_by_the_field_rule(self, tmp_path, capsys):
+        rc, cap = self._main(tmp_path, capsys, make_doc(),
+                             ["bound", "--format", "xml"])
+        assert rc == 2
+        assert cap.err.splitlines() == [
+            "config: --format: expected csv or json, got 'xml'"]
+
+    @pytest.mark.parametrize("doc, argv, want", [
+        (make_doc(p=1.0), ["--seed", "-3", "--threads", "0"],
+         ["p: moment order must lie in (2, 3], got 1.0",
+          "--seed: must be >= 0, got -3",
+          "--threads: must be >= 1, got 0"]),
+        (make_doc(), ["--seed", "-3", "--threads", "0"],
+         ["--seed: must be >= 0, got -3", "--threads: must be >= 1, got 0"]),
+        (make_doc(mc={"master_seed": 1, "threads": 0}),
+         ["--seed", str(2 ** 63), "--replicates", "0"],
+         ["--seed: must be below 2^63", "--replicates: must be >= 1, got 0",
+          "mc.threads: must be >= 1, got 0"]),
+        (make_doc(output={"format": "xml", "path": 5}),
+         ["--replicates", str(MAX_REPLICATES + 1), "--output", "rows.csv"],
+         [f"--replicates: must be <= {MAX_REPLICATES}, "
+          f"got {MAX_REPLICATES + 1}",
+          "output.format: expected csv or json, got 'xml'"]),
+        (make_doc(mc={}), [],
+         ["mc.master_seed: required (determinism contract; "
+          "no wall-clock default)"]),
+        (make_doc(mc=5), [],
+         ["mc: expected an object",
+          "mc.master_seed: required (determinism contract; "
+          "no wall-clock default)"]),
+        (make_doc(mc=5), ["--seed", "1"], ["mc: expected an object"]),
+        (make_doc(), ["--threads", str(MAX_THREADS + 1)],
+         [f"--threads: must be <= {MAX_THREADS}, got {MAX_THREADS + 1}"]),
+        (make_doc(mc={"master_seed": 1, "threads": MAX_THREADS + 1}), [],
+         [f"mc.threads: must be <= {MAX_THREADS}, got {MAX_THREADS + 1}"]),
+    ])
+    def test_one_ordered_list(self, tmp_path, capsys, monkeypatch, doc, argv,
+                              want):
+        # nothing runs: every case fails while its config is read
+        monkeypatch.setattr(cli, "cmd_bound", None)
+        rc, cap = self._main(tmp_path, capsys, doc, ["bound"] + argv)
+        assert rc == 2
+        assert cap.err.splitlines() == [f"config: {line}" for line in want]
+
+    def test_thread_limit_is_inclusive(self):
+        cfg = parse(make_doc(mc={"master_seed": 1, "threads": MAX_THREADS}))
+        assert cfg.threads == MAX_THREADS
+
+    def test_one_argument_parse_is_unchanged(self):
+        cfg = parse(make_doc())
+        assert cfg == parse_config(json.dumps(make_doc()), {
+            "--seed": None, "--format": None}, "bound")
+        assert (cfg.master_seed, cfg.output_format) == (11, "csv")
+
+    @pytest.mark.parametrize("command, doc, argv, want", [
+        ("verify", {"p": 1.0, "mc": {"master_seed": 1, "replicates": 10}}, [],
+         ["p: moment order must lie in (2, 3], got 1.0",
+          "model: required object",
+          "bounds: at least one equation tag is required",
+          "mc.replicates: verification needs >= 1000, got 10"]),
+        ("verify", make_doc(), ["--replicates", "10"],
+         ["--replicates: verification needs >= 1000, got 10"]),
+        # a field's own violation stands for its requirement
+        ("verify", make_doc(model=5, bounds="eq2.5"), [],
+         ["model: expected an object",
+          "bounds: expected a list of equation tags"]),
+        ("sweep", make_doc(sweep={"axis": "w", "grid": [1]}), [],
+         ["sweep.axis: expected one of epsilon, n, replicates, z, got 'w'"]),
+        ("sweep", make_doc(p=1.0), [],
+         ["p: moment order must lie in (2, 3], got 1.0",
+          "sweep.axis: expected one of epsilon, n, replicates, z, got None"]),
+        ("example41", {"epsilon_grid": [1e-2, 1e-3],
+                       "mc": {"master_seed": 1}}, ["--replicates", "1"],
+         ["--replicates: verification needs >= 1000, got 1"]),
+        ("example41", {"p": 1.0, "epsilon_grid": [1e-3, 1e-2],
+                       "mc": {"master_seed": 1, "replicates": 999}}, [],
+         ["p: moment order must lie in (2, 3], got 1.0",
+          "mc.replicates: verification needs >= 1000, got 999"]),
+        ("example41", {"mc": {"master_seed": 1}}, [],
+         ["epsilon_grid: required for example41"]),
+        ("example41", make_doc(model={"family": "isqrt", "epsilon": 0.012}),
+         ["--replicates", "10"],
+         ["--replicates: verification needs >= 1000, got 10"]),
+    ])
+    def test_command_requirements_join_the_list(self, tmp_path, capsys,
+                                                command, doc, argv, want):
+        rc, cap = self._main(tmp_path, capsys, doc, [command] + argv)
+        assert rc == 2
+        assert cap.err.splitlines() == [f"config: {line}" for line in want]
+
+    def test_example41_without_sampled_rows_takes_no_floor(self, tmp_path,
+                                                          capsys):
+        doc = {"epsilon_grid": [1e-3], "mc": {"master_seed": 1}}
+        rc, cap = self._main(tmp_path, capsys, doc,
+                             ["example41", "--replicates", "1"])
+        assert rc == 0 and cap.err == ""
+
+    def test_library_commands_still_raise(self):
+        cfg = parse({"epsilon_grid": [1e-2],
+                     "mc": {"master_seed": 1, "replicates": 10}})
+        with pytest.raises(ConfigError) as info:
+            cmd_example41(cfg)
+        assert info.value.violations == [
+            "mc.replicates: verification needs >= 1000, got 10"]
+        with pytest.raises(ConfigError) as info:
+            cmd_verify(cfg)
+        assert info.value.violations == [
+            "model: required object",
+            "bounds: at least one equation tag is required",
+            "mc.replicates: verification needs >= 1000, got 10"]
 
 
 class TestDeterminism:

@@ -6,14 +6,17 @@ answer, and exit 1 only ever means that some emitted row has pass=false.
 
 Replicate counts, thread counts and model sizes are drawn either small and
 inside their domain or outside it, so an example stays fast and never asks
-for many threads or a model too large to sample.
+for many threads or a model too large to sample. The flags --seed,
+--replicates and --threads are drawn the same way, absent, inside or
+outside the domain of the field each sets; one outside it must fail with a
+violation named after the flag.
 """
 import json
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from belab.cli import MAX_REPLICATES, SWEEP_AXES, TAGS, main
+from belab.cli import MAX_REPLICATES, MAX_THREADS, SWEEP_AXES, TAGS, main
 from belab.models import DIST_CATALOG, FAMILIES, KERNEL_CATALOG, WEIGHT_CATALOG
 
 COMMANDS = ("bound", "verify", "sweep", "example41")
@@ -79,7 +82,8 @@ top_fields = {
     "p": st.floats(2.0, 3.0) | json_values,
     "mc": json_values.filter(lambda v: not isinstance(v, dict)),
     "mc.replicates": count(1, 1500),
-    "mc.threads": count(1, 2, st.integers(max_value=0) | not_a_count),
+    "mc.threads": count(1, 2, st.integers(max_value=0) | not_a_count
+                        | st.integers(MAX_THREADS + 1, 10 ** 6)),
     "mc.master_seed": st.integers(-5, 2 ** 64) | json_values,
     "sweep": json_values.filter(lambda v: not isinstance(v, dict)),
     "sweep.axis": st.sampled_from(SWEEP_AXES) | json_values,
@@ -89,6 +93,20 @@ top_fields = {
     "output.path": json_values,
 }
 fields = {**top_fields, **{f"model.{k}": v for k, v in model_fields.items()}}
+
+# each flag's domain; an in-domain replicate count is at most 1500, one
+# chunk, so no example starts more than one worker whatever --threads says
+FLAG_DOMAINS = {"--seed": range(2 ** 63),
+                "--replicates": range(1, MAX_REPLICATES + 1),
+                "--threads": range(1, MAX_THREADS + 1)}
+flag_values = {
+    "--seed": st.integers(0, 2 ** 63 - 1) | st.integers(max_value=-1)
+    | st.integers(2 ** 63, 2 ** 70),
+    "--replicates": st.integers(1, 1500) | st.integers(max_value=0)
+    | st.integers(MAX_REPLICATES + 1, 10 ** 12),
+    "--threads": st.integers(1, MAX_THREADS) | st.integers(max_value=0)
+    | st.integers(MAX_THREADS + 1, 10 ** 6),
+}
 
 
 @st.composite
@@ -116,18 +134,25 @@ def configs(draw):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.function_scoped_fixture])
-@given(command=st.sampled_from(COMMANDS), doc=configs())
+@given(command=st.sampled_from(COMMANDS), doc=configs(),
+       flags=st.fixed_dictionaries({}, optional=flag_values))
 def test_every_config_exits_with_a_documented_code(tmp_path, capsys,
-                                                    command, doc):
+                                                    command, doc, flags):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc), encoding="utf-8")
     out = tmp_path / "rows.json"
     out.unlink(missing_ok=True)
-    rc = main([command, "--config", str(cfg), "--output", str(out),
-               "--format", "json"])
+    argv = [command, "--config", str(cfg), "--output", str(out),
+            "--format", "json"]
+    for flag, value in flags.items():
+        argv += [flag, str(value)]
+    rc = main(argv)
     err = capsys.readouterr().err
     assert rc in (0, 1, 2, 3), (rc, err)
     assert "Traceback" not in err
+    for flag, value in flags.items():
+        if value not in FLAG_DOMAINS[flag]:
+            assert rc == 2 and f"config: {flag}: " in err, (flag, value, err)
     if rc == 1:
         rows = json.loads(out.read_text(encoding="utf-8"))
         assert any(row["pass"] is False for row in rows), rows
