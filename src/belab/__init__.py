@@ -8,7 +8,6 @@ distances against them under seeded Monte Carlo.
 from . import app_bounds, bound_core, cli, marginals, mc_engine, models
 from .errors import (
     BelabError,
-    CapacityError,
     ConfigError,
     DegenerateModelError,
     DomainError,
@@ -27,7 +26,7 @@ from .types import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BelabError", "BoundComponents", "BoundValue", "CapacityError",
+    "BelabError", "BoundComponents", "BoundValue",
     "ConfigError", "DegenerateModelError",
     "DomainError", "InvalidModelError", "KSResult", "MomentEstimate",
     "NonUniformInputs", "NumericError", "UnsupportedModelError",

@@ -290,18 +290,6 @@ def alpha_scale(nu: float) -> float:
     return 2.0 * check_error(total + v, err + dv, "alpha_scale quadrature")
 
 
-def alpha_quadrature(epsilon: float, n: float) -> float:
-    """Quadrature value of the resample coupling alpha at (epsilon, n)."""
-    if epsilon < 0:
-        raise DomainError("epsilon must be nonnegative")
-    if n < 2:
-        raise DomainError("need n >= 2")
-    if epsilon == 0.0:
-        return 0.0
-    nu = 1.0 / math.sqrt(n)
-    return epsilon * math.sqrt(nu) * alpha_scale(nu)
-
-
 @dataclass(frozen=True)
 class CounterexampleReport:
     """One row of the contradiction table."""
@@ -321,6 +309,13 @@ class CounterexampleReport:
             raise DomainError("exact lower bound must be positive in range")
 
 
+def check_counterexample_epsilon(eps: float):
+    """Raise DomainError unless eps lies in (2^-256, 1/64), the report's
+    domain: below 2^-256, its n = eps^(-4) overflows a float."""
+    if not 2.0 ** -256 < eps < 1.0 / 64.0:
+        raise DomainError(f"epsilon must lie in (2^-256, 1/64), got {eps}")
+
+
 def counterexample_report(epsilons) -> list:
     """Contradiction table rows, quadrature/closed-form only.
 
@@ -331,9 +326,7 @@ def counterexample_report(epsilons) -> list:
     rows = []
     for eps in epsilons:
         eps = float(eps)
-        if not 2.0 ** -256 < eps < 1.0 / 64.0:
-            # below 2^-256, n = eps^(-4) overflows a float
-            raise DomainError(f"epsilon must lie in (2^-256, 1/64), got {eps}")
+        check_counterexample_epsilon(eps)
         nu = eps * eps  # 1/sqrt(n) at n = eps^(-4)
         lhs = ks_lower_bound(eps)
         floor = eps ** (2.0 / 3.0) / 6.0
@@ -368,7 +361,7 @@ def counterexample_check(model, replicates, seed, threads=1):
 __all__ = [
     "ALPHA_SERIES_A", "ALPHA_SERIES_B", "CounterexampleReport", "ISQRT_MEAN",
     "LStatBoundInputs", "MultiBoundInputs", "UStatBoundInputs",
-    "alpha_quadrature", "alpha_scale", "bg_bracket_47",
+    "alpha_scale", "bg_bracket_47", "check_counterexample_epsilon",
     "counterexample_check", "counterexample_report",
     "coupling_gini", "ks_lower_bound", "lstat_310", "lstat_311",
     "multisample_37", "multisample_38", "shorack_rhs_46", "ustat_nonuniform_33",

@@ -73,13 +73,6 @@ def delta_from_p_moment(p: float, sum_p_moment: float) -> float:
     return (factor * sum_p_moment) ** (1.0 / (p - 2.0))
 
 
-def delta_from_beta(beta: float) -> float:
-    """delta = beta/2 satisfies the capped-moment condition when beta <= 1/2."""
-    if not 0 < beta <= 0.5:
-        raise DomainError(f"beta/2 construction needs 0 < beta <= 1/2, got {beta}")
-    return beta / 2.0
-
-
 def delta_from_truncation(g_dist: LinearPart, tolerance: float = 1e-9) -> float:
     """Smallest delta with sum_i E g_i^2 I(|g_i| > delta) <= 1/2.
 
@@ -115,7 +108,7 @@ def uniform_bound_thm21(c: BoundComponents) -> BoundValue:
 def uniform_bound_beta(c: BoundComponents) -> BoundValue:
     """2 beta + E|W Delta| + sum_i E|g_i (Delta - Delta_i)|, vs the law of W.
 
-    Returned even when beta > 1/2; the .trivial property flags known >= 1.
+    Returned even when beta > 1/2, where known > 1 says nothing.
     """
     if c.beta is None:
         raise DomainError("components carry no beta")

@@ -40,7 +40,13 @@ from .models import (
     read_spec,
     with_size,
 )
-from .models.fields import catalog_names, is_number, read_field, read_value
+from .models.fields import (
+    catalog_names,
+    is_number,
+    parsed_int,
+    read_field,
+    read_value,
+)
 from .models.isqrt import delta_abs_moment, w_delta_abs_moment
 from .types import MomentEstimate, NonUniformInputs
 
@@ -57,13 +63,13 @@ MAX_REPLICATES = 10 ** 8
 MAX_THREADS = 256
 # example41 samples its cross-check rows at every epsilon from here up
 EXAMPLE41_SAMPLED_EPSILON = 1e-2
-# each flag sets one config field, (block, field), and takes its type;
-# the field's rule checks the flag's value and names it after the flag
-FLAGS = {"--seed": ("mc", "master_seed", int),
-         "--replicates": ("mc", "replicates", int),
-         "--threads": ("mc", "threads", int),
-         "--output": ("output", "path", str),
-         "--format": ("output", "format", str)}
+# each flag sets one config field, (block, field); the field's rule checks
+# the flag's text and names a violation after the flag
+FLAGS = {"--seed": ("mc", "master_seed"),
+         "--replicates": ("mc", "replicates"),
+         "--threads": ("mc", "threads"),
+         "--output": ("output", "path"),
+         "--format": ("output", "format")}
 
 
 @dataclass(frozen=True)
@@ -173,16 +179,17 @@ def _check_sweep_grid(axis, grid, desc, errs):
                 errs.append(f"{path}: {exc}")
 
 
-def _block(doc, key, errs, flags):
-    """doc[key] as an object, with each given flag's value in the field it
-    sets, and the path that names a field's violations: its flag, if any."""
+def _block(doc, key, errs, flags, parse=str):
+    """doc[key] as an object, with each given flag's text, read by `parse`,
+    in the field it sets, and the path that names a field's violations:
+    its flag, if any."""
     block = doc.get(key, {})
     if not isinstance(block, dict):
         errs.append(f"{key}: expected an object")
         block = {}
     names = {FLAGS[f][1]: f for f, value in (flags or {}).items()
              if value is not None and FLAGS[f][0] == key}
-    block = {**block, **{field: flags[f] for field, f in names.items()}}
+    block = {**block, **{field: parse(flags[f]) for field, f in names.items()}}
     return block, lambda field: names.get(field, f"{key}.{field}")
 
 
@@ -242,7 +249,9 @@ def parse_config(text: str, flags=None, command=None) -> ExperimentConfig:
     if p is not None and not 2.0 < p <= 3.0:
         errs.append(f"p: moment order must lie in (2, 3], got {p!r}")
 
-    mc, mc_name = _block(doc, "mc", errs, flags)
+    # the mc fields are integers; a flag's text that is none stays text,
+    # for the field's rule to name
+    mc, mc_name = _block(doc, "mc", errs, flags, parse=parsed_int)
     if "master_seed" not in mc:
         errs.append("mc.master_seed: required (determinism contract; "
                     "no wall-clock default)")
@@ -510,16 +519,15 @@ TAGS = {
 
 
 # --- commands ----------------------------------------------------------------
-# Each returns (rows, notes); notes stay empty, since a capacity limit is
-# raised while the model is built.
+# Each returns (rows, notes); notes are always empty.
 
 
 def _check_command(cfg, command, replicates_path="mc.replicates"):
     """Raise a ConfigError that lists each requirement of `command` that
     cfg misses: a model block and a bound tag for bound, verify and each
-    sweep that runs them, an axis for a sweep, an epsilon grid for
-    example41, and the replicate floor for verify and for example41's
-    sampled rows."""
+    sweep that runs them, an axis for a sweep, an epsilon grid inside the
+    report's domain for example41, and the replicate floor for verify and
+    for example41's sampled rows."""
     errs = []
     if command == "sweep":
         if cfg.sweep_axis not in SWEEP_AXES:
@@ -537,6 +545,11 @@ def _check_command(cfg, command, replicates_path="mc.replicates"):
     if command == "example41":
         if not cfg.epsilon_grid:
             errs.append("epsilon_grid: required for example41")
+        for eps in cfg.epsilon_grid:
+            try:
+                app_bounds.check_counterexample_epsilon(float(eps))
+            except DomainError as exc:
+                errs.append(f"epsilon_grid: {exc}")
         floor = any(eps >= EXAMPLE41_SAMPLED_EPSILON
                     for eps in cfg.epsilon_grid)
     if floor and cfg.replicates is not None:
@@ -558,14 +571,9 @@ def cmd_verify(cfg: ExperimentConfig):
 def cmd_example41(cfg: ExperimentConfig):
     """Counterexample table plus MC cross-checks at the coarse epsilons."""
     _check_command(cfg, "example41")
-    try:
-        reports = app_bounds.counterexample_report(cfg.epsilon_grid)
-    except DomainError as exc:
-        raise ConfigError([f"epsilon_grid: {exc}"]) from exc
-
     rows = []
     quad_ratio = w_delta_abs_moment() + delta_abs_moment(1.0)
-    for rep in reports:
+    for rep in app_bounds.counterexample_report(cfg.epsilon_grid):
         eps = rep.epsilon
         n = int(round(eps ** -4.0))
         model = IsqrtModel(Example41Spec(eps, n))
@@ -703,8 +711,8 @@ def _build_parser() -> argparse.ArgumentParser:
             ("sweep", "evaluate bounds over a parameter grid")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to JSON config")
-        for flag, (block, field, kind) in FLAGS.items():
-            p.add_argument(flag, type=kind, help=f"set {block}.{field}")
+        for flag, (block, field) in FLAGS.items():
+            p.add_argument(flag, help=f"set {block}.{field}")
     return parser
 
 

@@ -27,10 +27,6 @@ class DegenerateModelError(BelabError):
     """Projection variance is zero (or indistinguishable from zero)."""
 
 
-class CapacityError(BelabError):
-    """Exact enumeration would exceed the configured cap; we never subsample."""
-
-
 class NumericError(BelabError):
     """Quadrature failed to converge or a cross-check identity was violated."""
 

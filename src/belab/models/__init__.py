@@ -6,13 +6,12 @@ import dataclasses
 from ..errors import InvalidModelError
 from .base import (
     DIST_CATALOG,
-    ENUMERATION_CAP,
     VARIANT_MODES,
     BaseDist,
     StatisticModel,
 )
 from .fields import catalog_names, read_field, read_fields
-from .isqrt import Example41Spec, IsqrtModel, example41_alpha, example41_transform
+from .isqrt import Example41Spec, IsqrtModel, example41_transform
 from .kernels import KERNEL_CATALOG, PairKernel
 from .linear import LinearModel, LinearSpec, rademacher_ks_exact
 from .lstat import (
@@ -20,10 +19,9 @@ from .lstat import (
     LStatModel,
     LStatSpec,
     lstat_projection_sigma,
-    lstat_value,
 )
-from .multisample import MultiUStatSpec, WilcoxonModel, multisample_sigma, multisample_value
-from .ustat import UStatModel, UStatSpec, hajek_projection, ustat_moments, ustat_value
+from .multisample import MultiUStatSpec, WilcoxonModel, multisample_sigma
+from .ustat import UStatModel, UStatSpec, ustat_moments
 
 # each family's spec and model class
 FAMILY_CATALOG = {
@@ -82,15 +80,12 @@ def build_model(desc: dict) -> StatisticModel:
 
 
 __all__ = [
-    "BaseDist", "DIST_CATALOG", "ENUMERATION_CAP", "Example41Spec", "FAMILIES",
-    "FAMILY_CATALOG",
+    "BaseDist", "DIST_CATALOG", "Example41Spec", "FAMILIES", "FAMILY_CATALOG",
     "IsqrtModel", "KERNEL_CATALOG", "LStatModel", "LStatSpec", "LinearModel",
     "LinearSpec", "MultiUStatSpec", "PairKernel", "StatisticModel",
     "UStatModel", "UStatSpec", "VARIANT_MODES", "WEIGHT_CATALOG",
     "WilcoxonModel",
-    "build_model", "build_spec", "example41_alpha", "example41_transform",
-    "hajek_projection", "lstat_projection_sigma", "lstat_value",
-    "multisample_sigma", "multisample_value", "rademacher_ks_exact",
-    "read_spec", "with_size",
-    "ustat_moments", "ustat_value",
+    "build_model", "build_spec", "example41_transform",
+    "lstat_projection_sigma", "multisample_sigma", "rademacher_ks_exact",
+    "read_spec", "with_size", "ustat_moments",
 ]

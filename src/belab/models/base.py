@@ -3,7 +3,7 @@
 A StatisticModel realizes one normalized statistic T = W + Delta with
 W = sum_i g_i(X_i), E g_i = 0, sum_i E g_i^2 = 1. Each model has one
 sampling path, the vectorized `sample_chunk` that the Monte Carlo engine
-calls; tests check its rows against the enumeration oracles of each family.
+calls; tests check its rows against exact enumeration for each family.
 
 Stream consumption contract (determinism): a chunk's draws come in parts.
 Part 0, the data block (the first block, where a model has two), is drawn
@@ -38,18 +38,9 @@ from functools import cached_property
 
 import numpy as np
 
-from ..errors import CapacityError, UnsupportedModelError
+from ..errors import UnsupportedModelError
 from ..marginals import LinearPart
 from ..special import ndtr
-
-ENUMERATION_CAP = 10 ** 6
-
-
-def check_capacity(count: int, what: str):
-    if count > ENUMERATION_CAP:
-        raise CapacityError(
-            f"{count} {what} exceed the enumeration cap {ENUMERATION_CAP}")
-
 
 # bytes of one float64 row tile of a narrow block; a block wider than 256
 # values gets ROW_TILE rows, so a 1000-wide tile is about 1 MB

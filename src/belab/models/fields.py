@@ -34,8 +34,9 @@ def catalog_names(names) -> str:
     return ", ".join(sorted(names))
 
 
-def _parsed_int(v):
-    """A pair element given as text, as an int where it parses as one."""
+def parsed_int(v):
+    """Text, a pair element or a flag's value, as an int where it parses
+    as one; anything else unchanged."""
     if isinstance(v, str):
         try:
             return int(v)
@@ -61,7 +62,7 @@ def read_value(value, path, errs, catalog=None, pair=None, integer=False,
         if not isinstance(parts, (list, tuple)) or len(parts) != 2:
             errs.append(f"{path}: expected {pair}")
             return None
-        got = tuple(read_value(_parsed_int(v), f"{path}[{k}]", errs,
+        got = tuple(read_value(parsed_int(v), f"{path}[{k}]", errs,
                                integer=integer, minimum=minimum)
                     for k, v in enumerate(parts))
         return None if None in got else got

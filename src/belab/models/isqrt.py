@@ -22,8 +22,6 @@ import numpy as np
 
 from ..errors import DomainError
 from ..marginals import NORMAL_CUT, LinearPart, NormalMarginal, quad_segments
-from ..mc_engine import SeedSpec, _map_chunks, _mean_se, _row_moments
-from ..types import MomentEstimate
 from .base import DIST_CATALOG, StatisticModel, variant_modes
 from .fields import Spec, spec_field
 
@@ -136,26 +134,3 @@ class IsqrtModel(StatisticModel):
 
     def linear_ks_exact(self):
         return 0.0  # W is exactly standard normal
-
-
-def example41_alpha(spec: Example41Spec, replicates: int, seed):
-    """Monte Carlo estimate of the averaged resample-coupling moment
-    (1/n) sum_i E|Delta(W) - Delta(W with X_i redrawn)|.
-
-    The summands are exchangeable, so the average equals the i = 1 term and
-    one replicate costs three draws (rest-of-sum R, X_1, fresh copy of X_1)
-    whatever n is. Chunking and stream keying follow the engine conventions,
-    so results are reproducible from (spec, replicates, master seed) alone.
-    """
-    if not isinstance(seed, SeedSpec):
-        seed = SeedSpec(int(seed))
-    model = IsqrtModel(spec)
-
-    def one_chunk(args):
-        c, _start, count = args
-        chunk = model.sample_chunk(seed.substream(c), count, mode="resample")
-        return _row_moments(
-            np.abs(chunk["delta"] - chunk["dvar_rep"]["resample"].T))
-
-    [(mean, se)] = _mean_se(_map_chunks(one_chunk, replicates, 1), replicates)
-    return MomentEstimate(mean, se, replicates)

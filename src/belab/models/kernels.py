@@ -157,38 +157,9 @@ class SumKernel(PairKernel):
         return super().h_abs_p(dist, p)
 
 
-class ProductKernel(PairKernel):
-    """h(x, y) = (x - mu)(y - mu); completely degenerate projection."""
-
-    name = "product"
-
-    def h(self, x, y, dist):
-        return (np.asarray(x) - dist.mean) * (np.asarray(y) - dist.mean)
-
-    def g_raw(self, x, dist):
-        return np.zeros_like(np.asarray(x, dtype=np.float64))
-
-    def sigma1_sq(self, dist):
-        return 0.0
-
-    def sigma_sq(self, dist):
-        return dist.var ** 2
-
-    def pair_sum_from_power_sums(self, c1, c2, n, dist):
-        return (c1 ** 2 - c2) / 2.0
-
-    def linear_sum_from_power_sums(self, c1, c2, n, dist):
-        return 0.0 * c1
-
-    def g_std_marginal(self, dist):
-        raise UnsupportedModelError(
-            f"{self.name}: projection is degenerate for {dist.name}")
-
-
 KERNEL_CATALOG = {
     "variance": VarianceKernel(),
     "sum": SumKernel(),
-    "product": ProductKernel(),
 }
 
 

@@ -78,14 +78,6 @@ def check_lipschitz(weight: WeightFn, gridsize: int = 2001):
             f"weight {weight.name!r} violates its Lipschitz constant {weight.c_lip}")
 
 
-def lstat_value(data, weight: WeightFn) -> float:
-    """Raw T(F_n) = (1/n) sum X_(i) J(i/n)."""
-    x = np.sort(np.asarray(data, dtype=float))
-    n = x.size
-    jv = np.asarray(weight.fn(np.arange(1, n + 1) / n), dtype=float)
-    return float(x @ jv) / n
-
-
 def influence_closed(weight: WeightFn, dist: BaseDist, cdf=ndtr):
     """Vectorized influence function for catalog (weight, dist) pairs,
     written into `out` where given; std_normal's takes Phi from `cdf`."""
@@ -112,21 +104,6 @@ def influence_closed(weight: WeightFn, dist: BaseDist, cdf=ndtr):
             return infl
     raise UnsupportedModelError(
         f"no closed-form influence for {weight.name} under {dist.name}")
-
-
-def influence_quadrature(weight: WeightFn, dist: BaseDist):
-    """Influence function by quadrature; the slow reference for the closed
-    forms."""
-    lo, hi = dist.support
-
-    def infl(x):
-        def integrand(s):
-            fs = dist.cdf(s)
-            return ((1.0 if x <= s else 0.0) - fs) * float(weight.fn(fs))
-        edges = sorted({lo, hi, min(max(x, lo), hi)})
-        return quad_segments(pointwise(integrand), edges)
-
-    return infl
 
 
 def t_center(weight: WeightFn, dist: BaseDist) -> float:

@@ -9,7 +9,6 @@ makes sum E g^2 = 1 exactly.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -21,7 +20,6 @@ from .base import (
     DIST_CATALOG,
     ChunkTiles,
     StatisticModel,
-    check_capacity,
     empty_block,
     projection_sums,
     row_counts,
@@ -51,31 +49,6 @@ class MultiUStatSpec(Spec):
                 "rank kernels need a continuous observation distribution")
         if tuple(self.m) != (1, 1):
             raise UnsupportedModelError("the rank kernel has degrees (1, 1)")
-
-
-def multisample_value(kernel_fn, samples, degrees) -> float:
-    """Exact enumeration of a centered multisample U-statistic.
-
-    kernel_fn takes one tuple of observations per sample (each of length
-    m_j). Errors past the subset cap rather than subsampling.
-    """
-    sizes = [len(s) for s in samples]
-    count = 1
-    for n_j, m_j in zip(sizes, degrees):
-        count *= math.comb(n_j, m_j)
-    check_capacity(count, "index choices")
-    pools = [list(itertools.combinations(np.asarray(s, dtype=float), m_j))
-             for s, m_j in zip(samples, degrees)]
-    total = math.fsum(kernel_fn(*choice) for choice in itertools.product(*pools))
-    return total / count
-
-
-def _pair_counts(xs, ys):
-    """Per-row count of the pairs (i, j) with x_i <= y_j from row-sorted
-    blocks, one searchsorted per row. The tests take it as the reference
-    for `_tagged_pair_counts`, on any finite input."""
-    return np.array([np.searchsorted(a, b, side="right").sum()
-                     for a, b in zip(xs, ys)], dtype=float)
 
 
 # rows per tile of the pooled, sample-tagged sort: a 32 x 2000 key tile

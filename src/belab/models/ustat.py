@@ -4,12 +4,10 @@ The normalized statistic is T = sqrt(n) U_n / (m sigma_1), whose linear part
 is W = sum_i g(X_i) / (sqrt(n) sigma_1) with g the first-order projection of
 the kernel. A chunk reduces each data row to its centred power sums, from
 which the kernel gives the pair sum and W in closed form, so evaluation is
-O(n) per replicate and single-entry replacement is O(1); plain enumeration
-over index subsets stays available as the oracle path.
+O(n) per replicate and single-entry replacement is O(1).
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -22,14 +20,12 @@ from ..marginals import LinearPart
 from ..special import gammainc, gammaincc
 from .base import (
     DIST_CATALOG,
-    BaseDist,
     ChunkTiles,
     StatisticModel,
-    check_capacity,
     variant_modes,
 )
 from .fields import Spec, spec_field
-from .kernels import KERNEL_CATALOG, PairKernel, kernel_abs_p
+from .kernels import KERNEL_CATALOG, kernel_abs_p
 from .linear import sum_leave_one_out_tail
 
 
@@ -49,23 +45,6 @@ class UStatSpec(Spec):
         if KERNEL_CATALOG[self.kernel].sigma1_sq(DIST_CATALOG[self.dist]) <= 0:
             raise DegenerateModelError(
                 f"{self.kernel} projection variance is zero under {self.dist}")
-
-
-def ustat_value(kernel: PairKernel, data, dist: BaseDist) -> float:
-    """U_n by exact enumeration over pairs. Oracle path; errors past the cap
-    rather than subsampling."""
-    x = np.asarray(data, dtype=float)
-    n = x.size
-    check_capacity(math.comb(n, 2), "index subsets")
-    total = math.fsum(
-        float(kernel.h(x[i], x[j], dist)) for i, j in itertools.combinations(range(n), 2))
-    return total / math.comb(n, 2)
-
-
-def hajek_projection(kernel: PairKernel, dist: BaseDist):
-    """(g, sigma_1) with g the centered projection E[h(x, Y)]."""
-    s1 = math.sqrt(kernel.sigma1_sq(dist))
-    return (lambda x: kernel.g_raw(x, dist)), s1
 
 
 def ustat_moments(spec: UStatSpec, p: float = 3.0) -> dict:

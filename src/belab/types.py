@@ -113,11 +113,6 @@ class BoundValue:
             raise ValueError("bound parts must be >= 0")
 
     @property
-    def trivial(self) -> bool:
-        """True when the explicit part already exceeds 1 (bound says nothing)."""
-        return self.known >= 1.0
-
-    @property
     def verifiable(self) -> bool:
         return self.c_coeff == 0.0
 

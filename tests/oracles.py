@@ -1,0 +1,128 @@
+"""Reference oracles the tests compare the library against.
+
+Exact enumeration of the U-statistics, the raw L-statistic, the influence
+function by quadrature, the per-row pair count, and the resample coupling
+alpha of the perturbed-normal model, by Monte Carlo and by quadrature. No
+command reaches any of them. Enumeration errors past ENUMERATION_CAP index
+choices rather than subsampling.
+"""
+from __future__ import annotations
+
+import itertools
+import math
+
+import numpy as np
+
+from belab.app_bounds import alpha_scale
+from belab.errors import DomainError
+from belab.marginals import quad_segments
+from belab.mc_engine import SeedSpec, _map_chunks, _mean_se, _row_moments
+from belab.models import IsqrtModel
+from belab.quadrature import pointwise
+from belab.types import MomentEstimate
+
+ENUMERATION_CAP = 10 ** 6
+
+
+class CapacityError(Exception):
+    """Exact enumeration would exceed ENUMERATION_CAP; never subsampled."""
+
+
+def check_capacity(count: int, what: str):
+    if count > ENUMERATION_CAP:
+        raise CapacityError(
+            f"{count} {what} exceed the enumeration cap {ENUMERATION_CAP}")
+
+
+def ustat_value(kernel, data, dist) -> float:
+    """U_n by exact enumeration over pairs."""
+    x = np.asarray(data, dtype=float)
+    n = x.size
+    check_capacity(math.comb(n, 2), "index subsets")
+    total = math.fsum(float(kernel.h(x[i], x[j], dist))
+                      for i, j in itertools.combinations(range(n), 2))
+    return total / math.comb(n, 2)
+
+
+def multisample_value(kernel_fn, samples, degrees) -> float:
+    """Exact enumeration of a centered multisample U-statistic.
+
+    kernel_fn takes one tuple of observations per sample (each of length
+    m_j).
+    """
+    sizes = [len(s) for s in samples]
+    count = 1
+    for n_j, m_j in zip(sizes, degrees):
+        count *= math.comb(n_j, m_j)
+    check_capacity(count, "index choices")
+    pools = [list(itertools.combinations(np.asarray(s, dtype=float), m_j))
+             for s, m_j in zip(samples, degrees)]
+    total = math.fsum(kernel_fn(*choice)
+                      for choice in itertools.product(*pools))
+    return total / count
+
+
+def pair_counts(xs, ys):
+    """Per-row count of the pairs (i, j) with x_i <= y_j from row-sorted
+    blocks, one searchsorted per row; the reference for
+    `_tagged_pair_counts`, on any finite input."""
+    return np.array([np.searchsorted(a, b, side="right").sum()
+                     for a, b in zip(xs, ys)], dtype=float)
+
+
+def lstat_value(data, weight) -> float:
+    """Raw T(F_n) = (1/n) sum X_(i) J(i/n)."""
+    x = np.sort(np.asarray(data, dtype=float))
+    n = x.size
+    jv = np.asarray(weight.fn(np.arange(1, n + 1) / n), dtype=float)
+    return float(x @ jv) / n
+
+
+def influence_quadrature(weight, dist):
+    """Influence function by quadrature; the slow reference for the closed
+    forms."""
+    lo, hi = dist.support
+
+    def infl(x):
+        def integrand(s):
+            fs = dist.cdf(s)
+            return ((1.0 if x <= s else 0.0) - fs) * float(weight.fn(fs))
+        edges = sorted({lo, hi, min(max(x, lo), hi)})
+        return quad_segments(pointwise(integrand), edges)
+
+    return infl
+
+
+def example41_alpha(spec, replicates: int, seed):
+    """Monte Carlo estimate of the averaged resample-coupling moment
+    (1/n) sum_i E|Delta(W) - Delta(W with X_i redrawn)|.
+
+    The summands are exchangeable, so the average equals the i = 1 term and
+    one replicate costs three draws (rest-of-sum R, X_1, fresh copy of X_1)
+    whatever n is. Chunking and stream keying follow the engine conventions,
+    so results are reproducible from (spec, replicates, master seed) alone.
+    """
+    if not isinstance(seed, SeedSpec):
+        seed = SeedSpec(int(seed))
+    model = IsqrtModel(spec)
+
+    def one_chunk(args):
+        c, _start, count = args
+        chunk = model.sample_chunk(seed.substream(c), count, mode="resample")
+        return _row_moments(
+            np.abs(chunk["delta"] - chunk["dvar_rep"]["resample"].T))
+
+    [(mean, se)] = _mean_se(_map_chunks(one_chunk, replicates, 1), replicates)
+    return MomentEstimate(mean, se, replicates)
+
+
+def alpha_quadrature(epsilon: float, n: float) -> float:
+    """Quadrature value of the resample coupling alpha at (epsilon, n)."""
+    if epsilon < 0:
+        raise DomainError("epsilon must be nonnegative")
+    if n < 2:
+        raise DomainError("need n >= 2")
+    if epsilon == 0.0:
+        return 0.0
+    nu = 1.0 / math.sqrt(n)
+    return epsilon * math.sqrt(nu) * alpha_scale(nu)

@@ -14,7 +14,6 @@ from belab.app_bounds import (
     LStatBoundInputs,
     MultiBoundInputs,
     UStatBoundInputs,
-    alpha_quadrature,
     alpha_scale,
     bg_bracket_47,
     counterexample_report,
@@ -34,6 +33,7 @@ from belab.app_bounds import (
 from belab.errors import DegenerateModelError, DomainError
 from belab.marginals import normal_abs_moment
 from belab.models import UStatSpec, build_model, ustat_moments
+from oracles import alpha_quadrature
 
 
 def variance_inputs(n=50, p=3.0, scale=1.0):

@@ -10,7 +10,6 @@ from belab.bound_core import (
     chebyshev_baseline,
     check_normalization,
     compute_beta,
-    delta_from_beta,
     delta_from_p_moment,
     delta_from_truncation,
     linear_baseline,
@@ -128,22 +127,6 @@ class TestDeltaFromPMoment:
             delta_from_p_moment(3.0, 0.0)
 
 
-class TestDeltaFromBeta:
-    def test_half_beta(self):
-        assert delta_from_beta(0.3) == 0.15
-
-    def test_satisfies_capped_condition(self):
-        lp = LinearPart([(NormalMarginal(0.1), 100)])
-        beta = compute_beta(lp).value
-        assert beta <= 0.5
-        assert lp.l_of(delta_from_beta(beta)) >= 0.5
-
-    def test_domain(self):
-        for bad in (0.0, 0.50001, -1.0):
-            with pytest.raises(DomainError):
-                delta_from_beta(bad)
-
-
 class TestDeltaFromTruncation:
     def test_single_normal_frozen(self):
         lp = LinearPart([(NormalMarginal(1.0), 1)])
@@ -222,12 +205,6 @@ class TestUniformAssembly:
         with pytest.raises(DomainError):
             uniform_bound_normal(BoundComponents(
                 ZERO, ZERO, ZERO, delta=MomentEstimate(0.1)))
-
-    def test_trivial_flag(self):
-        big = BoundComponents(ZERO, ZERO, ZERO, beta=MomentEstimate(0.6))
-        assert uniform_bound_normal(big).trivial
-        assert not uniform_bound_beta(BoundComponents(
-            ZERO, ZERO, ZERO, beta=MomentEstimate(0.1))).trivial
 
 
 class TestBaselines:

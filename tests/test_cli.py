@@ -409,7 +409,7 @@ class TestModelMessages:
          ["model.n: expected a finite number, got True"]),
         ({"family": "ustat", "kernel": "kendall", "dist": "std_normal",
           "n": 2, "m": 1},
-         ["model.kernel: unknown 'kendall'; catalog: product, sum, variance",
+         ["model.kernel: unknown 'kendall'; catalog: sum, variance",
           "model.n: must be >= 3, got 2", "model.m: must be >= 2, got 1"]),
         ({"family": "ustat", "kernel": "variance", "dist": None, "n": 2.0,
           "m": 2.5},
@@ -421,7 +421,7 @@ class TestModelMessages:
          ["model: catalog kernels have degree 2"]),
         ({"family": "ustat", "kernel": "product", "dist": "std_normal",
           "n": 20},
-         ["model: product projection variance is zero under std_normal"]),
+         ["model.kernel: unknown 'product'; catalog: sum, variance"]),
         ({"family": "multisample", "kernel": "mann", "dist": "uniform01",
           "n": "10;a", "m": [0, "x"]},
          ["model.kernel: unknown 'mann'; catalog: wilcoxon",
@@ -562,8 +562,8 @@ class TestMainExitCodes:
                      "bounds": ["eq3.7"]}),
         # spec-level domain errors
         ("model", {"model": {"family": "isqrt", "epsilon": 1.5}}),
-        ("model", {"model": {"family": "ustat", "kernel": "product",
-                             "dist": "std_normal", "n": 20}}),
+        ("model", {"model": {"family": "ustat", "kernel": "variance",
+                             "dist": "std_normal", "n": 20, "m": 3}}),
         ("model", {"model": {"family": "ustat", "kernel": "variance",
                              "dist": "rademacher", "n": 20}}),
         ("model", {"model": {"family": "multisample", "kernel": "wilcoxon",
@@ -671,8 +671,8 @@ class TestMainExitCodes:
         assert cfg.replicates == MAX_REPLICATES
 
     def test_capacity_exit(self, tmp_path, capsys):
-        # the enumeration cap binds the oracles only, so a rank model far
-        # past 10^6 pairs is built; its pair-count scratch is more than
+        # the enumeration cap binds the test oracles only, so a rank model
+        # far past 10^6 pairs is built; its pair-count scratch is more than
         # numpy can index, which exits 3 like any block
         doc = make_doc(model={"family": "multisample", "kernel": "wilcoxon",
                               "dist": "std_normal", "n": [10 ** 17] * 2},
@@ -894,6 +894,17 @@ class TestFlagsAreFields:
          [f"--threads: must be <= {MAX_THREADS}, got {MAX_THREADS + 1}"]),
         (make_doc(mc={"master_seed": 1, "threads": MAX_THREADS + 1}), [],
          [f"mc.threads: must be <= {MAX_THREADS}, got {MAX_THREADS + 1}"]),
+        # a flag's text that is no integer reaches its field's rule
+        (make_doc(p=1.0), ["--seed", "x"],
+         ["p: moment order must lie in (2, 3], got 1.0",
+          "--seed: expected a finite number, got 'x'"]),
+        (make_doc(), ["--threads", "1.5"],
+         ["--threads: expected a finite number, got '1.5'"]),
+        (make_doc(mc={"master_seed": 1, "threads": 0}),
+         ["--seed", "", "--replicates", "1e3"],
+         ["--seed: expected a finite number, got ''",
+          "--replicates: expected a finite number, got '1e3'",
+          "mc.threads: must be >= 1, got 0"]),
     ])
     def test_one_ordered_list(self, tmp_path, capsys, monkeypatch, doc, argv,
                               want):
@@ -942,6 +953,16 @@ class TestFlagsAreFields:
         ("example41", make_doc(model={"family": "isqrt", "epsilon": 0.012}),
          ["--replicates", "10"],
          ["--replicates: verification needs >= 1000, got 10"]),
+        # the report's epsilon domain joins the list
+        ("example41", {"epsilon_grid": [0.5], "mc": {"master_seed": 1}},
+         ["--replicates", "10"],
+         ["epsilon_grid: epsilon must lie in (2^-256, 1/64), got 0.5",
+          "--replicates: verification needs >= 1000, got 10"]),
+        ("example41", {"epsilon_grid": [1e-3, 0, 2.0 ** -300],
+                       "mc": {"master_seed": 1}}, [],
+         ["epsilon_grid: epsilon must lie in (2^-256, 1/64), got 0.0",
+          "epsilon_grid: epsilon must lie in (2^-256, 1/64), "
+          f"got {2.0 ** -300}"]),
     ])
     def test_command_requirements_join_the_list(self, tmp_path, capsys,
                                                 command, doc, argv, want):

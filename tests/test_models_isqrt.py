@@ -6,10 +6,9 @@ import pytest
 from scipy import integrate
 from scipy.special import ndtr
 
-from belab.app_bounds import alpha_quadrature
 from belab.errors import DomainError
 from belab.mc_engine import SeedSpec
-from belab.models import Example41Spec, IsqrtModel, example41_alpha, example41_transform
+from belab.models import Example41Spec, IsqrtModel, example41_transform
 from belab.models.isqrt import (
     ISQRT_MEAN,
     delta_abs_moment,
@@ -17,6 +16,7 @@ from belab.models.isqrt import (
     ks_lower_bound,
     w_delta_abs_moment,
 )
+from oracles import alpha_quadrature, example41_alpha
 
 
 MODES = ("zero_out", "resample")

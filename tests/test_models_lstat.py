@@ -7,7 +7,7 @@ import pytest
 from belab.bound_core import check_normalization
 from belab.errors import UnsupportedModelError
 from belab.mc_engine import CHUNK_SIZE, SeedSpec
-from belab.models import LStatModel, LStatSpec, lstat_projection_sigma, lstat_value
+from belab.models import LStatModel, LStatSpec, lstat_projection_sigma
 from belab.models.base import DIST_CATALOG, ROW_TILE, part_stream
 from belab.models import lstat as lstat_module
 from belab.models.lstat import (
@@ -16,10 +16,10 @@ from belab.models.lstat import (
     catalog_scale,
     check_lipschitz,
     influence_closed,
-    influence_quadrature,
     sigma_double_integral,
     t_center,
 )
+from oracles import influence_quadrature, lstat_value
 
 
 MODES = ("zero_out", "resample")

@@ -6,23 +6,19 @@ import numpy as np
 import pytest
 
 from belab.bound_core import check_normalization
-from belab.errors import CapacityError, UnsupportedModelError
+from belab.errors import UnsupportedModelError
 from belab.mc_engine import CHUNK_SIZE, SeedSpec
 from belab.models import (
     DIST_CATALOG,
     MultiUStatSpec,
     WilcoxonModel,
     multisample_sigma,
-    multisample_value,
 )
 from belab.models import base
 from belab.models.base import ROW_TILE, part_stream, row_counts
-from belab.models.multisample import (
-    PAIR_TILE,
-    _pair_counts,
-    _tagged_pair_counts,
-)
+from belab.models.multisample import PAIR_TILE, _tagged_pair_counts
 from belab.special import ndtr
+from oracles import CapacityError, multisample_value, pair_counts
 
 
 def rank_kernel(xt, yt):
@@ -266,7 +262,7 @@ def x_scale_chunk(model, x, y, v):
     g1 = (0.5 - cdf(x)) / (n1 * sn)
     g2 = (cdf(y) - 0.5) / (n2 * sn)
     w = g1.sum(axis=1) + g2.sum(axis=1)
-    pair = _pair_counts(np.sort(x, axis=1), np.sort(y, axis=1))
+    pair = pair_counts(np.sort(x, axis=1), np.sort(y, axis=1))
     t = (pair / (n1 * n2) - 0.5) / sn
     g_rep = np.stack([g1[:, 0], g2[:, 0]], axis=1)
     before1 = row_counts(np.less, y, x[:, 0])
@@ -354,17 +350,17 @@ class TestProbabilityScale:
 
 
 def assert_counts_exact(x, y):
-    """The tagged count equals `_pair_counts` of row-sorted copies."""
+    """The tagged count equals `pair_counts` of row-sorted copies."""
     x_before, y_before = x.copy(), y.copy()
     got = _tagged_pair_counts(x, y)
-    assert (got == _pair_counts(np.sort(x, axis=1), np.sort(y, axis=1))).all()
+    assert (got == pair_counts(np.sort(x, axis=1), np.sort(y, axis=1))).all()
     # the blocks are read, never sorted or tagged in place
     assert (x.view(np.int64) == x_before.view(np.int64)).all()
     assert (y.view(np.int64) == y_before.view(np.int64)).all()
 
 
 class TestTaggedPairCounts:
-    """The pooled, sample-tagged count equals `_pair_counts` with ==, on
+    """The pooled, sample-tagged count equals `pair_counts` with ==, on
     lattice rows that tie across the samples (0.0 included), on lattice
     neighbours and on every tile edge."""
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from belab.bound_core import check_normalization
-from belab.errors import CapacityError, DegenerateModelError, UnsupportedModelError
+from belab.errors import DegenerateModelError, UnsupportedModelError
 from belab.mc_engine import SeedSpec
 from belab.models import (
     DIST_CATALOG,
@@ -14,13 +14,12 @@ from belab.models import (
     UStatModel,
     UStatSpec,
     build_model,
-    hajek_projection,
     ustat_moments,
-    ustat_value,
 )
 from belab.models import ustat as ustat_module
 from belab.models.base import part_stream
 from belab.models.kernels import kernel_abs_p
+from oracles import CapacityError, ustat_value
 
 E_ABS_CHI_CENTERED_3 = 8.691562902725508  # E|Z^2 - 1|^3
 MODES = ("zero_out", "resample")
@@ -45,9 +44,10 @@ def chunk_and_draws(model, seed, count, mode):
 def oracle_t_w(model, x):
     """(T, W) of one replicate by pair enumeration and the Hajek projection."""
     n = x.size
-    g, s1 = hajek_projection(model.kernel, model.dist)
-    t = math.sqrt(n) * ustat_value(model.kernel, x, model.dist) / (2 * s1)
-    return t, float(np.sum(g(x))) / (math.sqrt(n) * s1)
+    kernel, dist = model.kernel, model.dist
+    s1 = math.sqrt(kernel.sigma1_sq(dist))
+    t = math.sqrt(n) * ustat_value(kernel, x, dist) / (2 * s1)
+    return t, float(np.sum(kernel.g_raw(x, dist))) / (math.sqrt(n) * s1)
 
 
 def oracle_dvar(model, x, v):
@@ -82,8 +82,6 @@ class TestKernelSecondMoments:
     def test_degenerate_projections_rejected(self):
         with pytest.raises(DegenerateModelError):
             UStatModel(UStatSpec("variance", "rademacher", 30))
-        with pytest.raises(DegenerateModelError):
-            ustat_moments(UStatSpec("product", "std_normal", 30))
 
     def test_mc_projection_variance(self):
         # sigma1^2 = Var(E[h(X, Y) | X]) by simulation
@@ -126,23 +124,19 @@ class TestHajekProjection:
         for kname in ("variance", "sum"):
             k = KERNEL_CATALOG[kname]
             d = DIST_CATALOG["exponential1"]
-            g, s1 = hajek_projection(k, d)
-            np.testing.assert_allclose(s1, math.sqrt(k.sigma1_sq(d)),
-                                       rtol=1e-12)
             y = d.sample(rng, 300000)
             for x0 in (0.2, 1.0, 3.5):
                 vals = k.h(x0, y, d)
                 se = vals.std(ddof=1) / math.sqrt(y.size)
-                np.testing.assert_allclose(float(g(x0)), vals.mean(),
+                np.testing.assert_allclose(float(k.g_raw(x0, d)), vals.mean(),
                                            atol=4 * se)
 
     def test_projection_is_centered(self):
         rng = np.random.default_rng(6)
         k = KERNEL_CATALOG["variance"]
         d = DIST_CATALOG["uniform01"]
-        g, _ = hajek_projection(k, d)
         x = d.sample(rng, 400000)
-        vals = np.asarray(g(x))
+        vals = np.asarray(k.g_raw(x, d))
         se = vals.std(ddof=1) / math.sqrt(x.size)
         np.testing.assert_allclose(vals.mean(), 0.0, atol=4 * se)
 
@@ -152,7 +146,7 @@ class TestValueOracles:
 
     def test_power_sum_shortcut_matches_enumeration(self):
         rng = np.random.default_rng(41)
-        for kname in ("variance", "sum", "product"):
+        for kname in ("variance", "sum"):
             k = KERNEL_CATALOG[kname]
             for dname in self.DISTS:
                 d = DIST_CATALOG[dname]
@@ -235,11 +229,12 @@ class TestLeaveOneOut:
     def test_chunk_representative_index(self):
         # the leave-one-out columns are taken at index 0
         model = UStatModel(UStatSpec("variance", "std_normal", 10))
-        g, s1 = hajek_projection(model.kernel, model.dist)
+        s1 = math.sqrt(model.kernel.sigma1_sq(model.dist))
         for mode in MODES:
             chunk, x, _v = chunk_and_draws(model, 46, 3, mode)
+            g = model.kernel.g_raw(x[:, 0], model.dist)
             np.testing.assert_allclose(
-                chunk["g_rep"][:, 0], g(x[:, 0]) / (math.sqrt(10) * s1),
+                chunk["g_rep"][:, 0], g / (math.sqrt(10) * s1),
                 rtol=1e-12)
             np.testing.assert_allclose(
                 chunk["t"] - chunk["w"], chunk["delta"],
