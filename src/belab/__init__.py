@@ -15,13 +15,7 @@ from .errors import (
     NumericError,
     UnsupportedModelError,
 )
-from .types import (
-    BoundComponents,
-    BoundValue,
-    KSResult,
-    MomentEstimate,
-    NonUniformInputs,
-)
+from .types import BoundComponents, BoundValue, KSResult, MomentEstimate
 
 __version__ = "0.1.0"
 
@@ -29,7 +23,7 @@ __all__ = [
     "BelabError", "BoundComponents", "BoundValue",
     "ConfigError", "DegenerateModelError",
     "DomainError", "InvalidModelError", "KSResult", "MomentEstimate",
-    "NonUniformInputs", "NumericError", "UnsupportedModelError",
+    "NumericError", "UnsupportedModelError",
     "__version__", "app_bounds", "bound_core", "cli", "marginals",
     "mc_engine", "models",
 ]

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateModelError, DomainError
+from .errors import DomainError
 from .marginals import normal_abs_moment
 from .mc_engine import sample_pass
 from .quadrature import check_error, pointwise, quad
@@ -25,40 +25,16 @@ from .models.isqrt import (
     ks_lower_bound,
     w_delta_abs_moment,
 )
-from .types import BoundValue, MomentEstimate
+from .types import (
+    BoundValue,
+    LStatBoundInputs,
+    MomentEstimate,
+    MultiBoundInputs,
+    UStatBoundInputs,
+)
 
 _ROOT2 = math.sqrt(2.0)
 _PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-def _check_p(p: float):
-    if not 2.0 < p <= 3.0:
-        raise DomainError(f"p must lie in (2, 3], got {p}")
-
-
-@dataclass(frozen=True)
-class UStatBoundInputs:
-    """Analytic ingredients of the degree-m one-sample bounds.
-
-    Moments are in raw kernel units; every bound below consumes only
-    scale-free ratios, so rescaling h by c > 0 leaves all values unchanged.
-    """
-
-    m: int
-    n: int
-    sigma: float
-    sigma1: float
-    e_abs_g_p: float
-    p: float
-    c0_trunc: float
-    e_abs_h_p: float | None = None
-
-    def __post_init__(self):
-        if not 2 <= self.m < self.n:
-            raise DomainError("need 2 <= m < n")
-        if self.sigma1 <= 0:
-            raise DegenerateModelError("projection scale must be positive")
-        _check_p(self.p)
 
 
 def _ustat_first_term(inp: UStatBoundInputs) -> float:
@@ -74,13 +50,13 @@ def _ustat_g_term(inp: UStatBoundInputs) -> float:
 def ustat_uniform_31(inp: UStatBoundInputs) -> BoundValue:
     """Distance between the scaled statistic and its linear part."""
     known = _ustat_first_term(inp) + inp.c0_trunc / math.sqrt(inp.n)
-    return BoundValue(known=known, c_coeff=0.0, equation_tag="eq3.1")
+    return BoundValue(known=known, c_coeff=0.0)
 
 
 def ustat_normal_32(inp: UStatBoundInputs) -> BoundValue:
     """Distance between the scaled statistic and the standard normal."""
     known = _ustat_first_term(inp) + 6.1 * _ustat_g_term(inp)
-    return BoundValue(known=known, c_coeff=0.0, equation_tag="eq3.2")
+    return BoundValue(known=known, c_coeff=0.0)
 
 
 def ustat_nonuniform_33(inp: UStatBoundInputs, z: float) -> BoundValue:
@@ -90,19 +66,17 @@ def ustat_nonuniform_33(inp: UStatBoundInputs, z: float) -> BoundValue:
              + 13.5 * math.exp(-az / 3.0) * math.sqrt(inp.m) * inp.sigma
              / (math.sqrt(inp.n - inp.m + 1) * inp.sigma1))
     c_coeff = _ustat_g_term(inp) / (1.0 + az) ** inp.p
-    return BoundValue(known=known, c_coeff=c_coeff, equation_tag="eq3.3")
+    return BoundValue(known=known, c_coeff=c_coeff)
 
 
 def ustat_nonuniform_34(inp: UStatBoundInputs, z: float) -> BoundValue:
-    """Pure constant-multiplier form; needs the full kernel moment."""
-    if inp.e_abs_h_p is None:
-        raise DomainError("needs E|h|^p to form this bound")
+    """Pure constant-multiplier form in the full kernel moment."""
     az = abs(z)
     c_coeff = (math.sqrt(inp.m) * inp.e_abs_h_p
                / ((1.0 + az) ** inp.p * math.sqrt(inp.n - inp.m + 1)
                   * inp.sigma1 ** inp.p)
                + _ustat_g_term(inp) / (1.0 + az) ** inp.p)
-    return BoundValue(known=0.0, c_coeff=c_coeff, equation_tag="eq3.4")
+    return BoundValue(known=0.0, c_coeff=c_coeff)
 
 
 def ustat_nonuniform_36(inp: UStatBoundInputs, z: float) -> BoundValue:
@@ -115,26 +89,7 @@ def ustat_nonuniform_36(inp: UStatBoundInputs, z: float) -> BoundValue:
     c_coeff = (math.sqrt(inp.m) * inp.sigma ** 2
                / ((1.0 + az) ** 3 * math.sqrt(inp.n - inp.m + 1) * inp.sigma1 ** 2)
                + _ustat_g_term(inp) / (1.0 + az) ** inp.p)
-    return BoundValue(known=0.0, c_coeff=c_coeff, equation_tag="eq3.6")
-
-
-@dataclass(frozen=True)
-class MultiBoundInputs:
-    """Analytic ingredients of the multisample bounds."""
-
-    sigma: float
-    sn: float
-    m: tuple
-    n: tuple
-    e_abs_h_p: tuple
-    p: float
-
-    def __post_init__(self):
-        if self.sn <= 0:
-            raise DegenerateModelError("combined scale must be positive")
-        _check_p(self.p)
-        if not len(self.m) == len(self.n) == len(self.e_abs_h_p):
-            raise DomainError("group fields must have equal lengths")
+    return BoundValue(known=0.0, c_coeff=c_coeff)
 
 
 def _multi_ratio_sum(inp: MultiBoundInputs) -> float:
@@ -149,7 +104,7 @@ def _multi_h_term(inp: MultiBoundInputs) -> float:
 def multisample_37(inp: MultiBoundInputs) -> BoundValue:
     known = ((1.0 + _ROOT2) * (inp.sigma / inp.sn) * _multi_ratio_sum(inp)
              + 6.6 / inp.sn ** inp.p * _multi_h_term(inp))
-    return BoundValue(known=known, c_coeff=0.0, equation_tag="eq3.7")
+    return BoundValue(known=known, c_coeff=0.0)
 
 
 def multisample_38(inp: MultiBoundInputs, z: float) -> BoundValue:
@@ -158,27 +113,7 @@ def multisample_38(inp: MultiBoundInputs, z: float) -> BoundValue:
     known = (9.0 * inp.sigma ** 2 * rsum ** 2 / ((1.0 + az) ** 2 * inp.sn ** 2)
              + 13.5 * math.exp(-az / 3.0) * (inp.sigma / inp.sn) * rsum)
     c_coeff = _multi_h_term(inp) / ((1.0 + az) ** inp.p * inp.sn ** inp.p)
-    return BoundValue(known=known, c_coeff=c_coeff, equation_tag="eq3.8")
-
-
-@dataclass(frozen=True)
-class LStatBoundInputs:
-    """Analytic ingredients of the order-statistic bounds."""
-
-    c_lip: float
-    x_l2: float  # ||X_1||_2 = sqrt(E X^2), raw observation units
-    x2_moment: float  # E X^2
-    sigma: float
-    e_abs_g_p: float  # E|infl(X)|^p, raw influence units
-    p: float
-    n: int
-
-    def __post_init__(self):
-        if self.sigma <= 0:
-            raise DegenerateModelError("projection scale must be positive")
-        if self.n < 4:
-            raise DomainError("need n >= 4")
-        _check_p(self.p)
+    return BoundValue(known=known, c_coeff=c_coeff)
 
 
 def _lstat_g_term(inp: LStatBoundInputs) -> float:
@@ -189,7 +124,7 @@ def lstat_310(inp: LStatBoundInputs) -> BoundValue:
     known = ((1.0 + _ROOT2) * inp.c_lip * inp.x_l2
              / (math.sqrt(inp.n) * inp.sigma)
              + 6.1 * _lstat_g_term(inp))
-    return BoundValue(known=known, c_coeff=0.0, equation_tag="eq3.10")
+    return BoundValue(known=known, c_coeff=0.0)
 
 
 def lstat_311(inp: LStatBoundInputs, z: float) -> BoundValue:
@@ -198,7 +133,7 @@ def lstat_311(inp: LStatBoundInputs, z: float) -> BoundValue:
              / ((1.0 + az) ** 2 * inp.n * inp.sigma ** 2))
     c_coeff = (inp.c_lip * inp.x_l2 / (math.sqrt(inp.n) * inp.sigma)
                + _lstat_g_term(inp)) / (1.0 + az) ** inp.p
-    return BoundValue(known=known, c_coeff=c_coeff, equation_tag="eq3.11")
+    return BoundValue(known=known, c_coeff=c_coeff)
 
 
 # --- comparison right-hand sides and the counterexample report -------------
@@ -352,15 +287,13 @@ def counterexample_check(model, replicates, seed, threads=1):
     cut = model.epsilon * ISQRT_MEAN
     p_hat = float(np.count_nonzero(t <= cut)) / t.size
     lhs_se = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / t.size)
-    wd, d = comps["zero_out"].e_abs_w_delta, comps["zero_out"].delta_abs
+    zero_out = comps["zero_out"]
     return (MomentEstimate(p_hat - ndtr(cut), lhs_se, t.size),
-            MomentEstimate(wd.value + d.value, wd.std_error + d.std_error,
-                           t.size))
+            zero_out.e_abs_w_delta + zero_out.delta_abs)
 
 
 __all__ = [
     "ALPHA_SERIES_A", "ALPHA_SERIES_B", "CounterexampleReport", "ISQRT_MEAN",
-    "LStatBoundInputs", "MultiBoundInputs", "UStatBoundInputs",
     "alpha_scale", "bg_bracket_47", "check_counterexample_epsilon",
     "counterexample_check", "counterexample_report",
     "coupling_gini", "ks_lower_bound", "lstat_310", "lstat_311",

@@ -12,7 +12,7 @@ import math
 
 from .errors import DomainError, InvalidModelError
 from .marginals import LinearPart
-from .types import BoundComponents, BoundValue, MomentEstimate, NonUniformInputs
+from .types import BoundComponents, BoundValue, MomentEstimate
 
 NORMALIZATION_RTOL = 1e-6
 
@@ -102,7 +102,7 @@ def uniform_bound_thm21(c: BoundComponents) -> BoundValue:
     if c.delta is None:
         raise DomainError("components carry no delta")
     b = 4.0 * c.delta + c.e_abs_w_delta + c.sum_g_delta_diff
-    return BoundValue(b.value, 0.0, "eq2.3", b.std_error)
+    return BoundValue(b.value, 0.0, b.std_error)
 
 
 def uniform_bound_beta(c: BoundComponents) -> BoundValue:
@@ -113,7 +113,7 @@ def uniform_bound_beta(c: BoundComponents) -> BoundValue:
     if c.beta is None:
         raise DomainError("components carry no beta")
     b = 2.0 * c.beta + c.e_abs_w_delta + c.sum_g_delta_diff
-    return BoundValue(b.value, 0.0, "eq2.4", b.std_error)
+    return BoundValue(b.value, 0.0, b.std_error)
 
 
 def uniform_bound_normal(c: BoundComponents) -> BoundValue:
@@ -122,13 +122,13 @@ def uniform_bound_normal(c: BoundComponents) -> BoundValue:
     if c.beta is None:
         raise DomainError("components carry no beta")
     b = 6.1 * c.beta + c.e_abs_w_delta + c.sum_g_delta_diff
-    return BoundValue(b.value, 0.0, "eq2.5", b.std_error)
+    return BoundValue(b.value, 0.0, b.std_error)
 
 
 def linear_baseline(g_dist: LinearPart) -> BoundValue:
     """4.1 beta: the linear-statistic normal-approximation bound for W alone."""
     b = 4.1 * compute_beta(g_dist)
-    return BoundValue(b.value, 0.0, "eq1.4", b.std_error)
+    return BoundValue(b.value, 0.0, b.std_error)
 
 
 def chebyshev_baseline(linear_ks: float, delta_p_moment: float, p: float) -> BoundValue:
@@ -139,12 +139,7 @@ def chebyshev_baseline(linear_ks: float, delta_p_moment: float, p: float) -> Bou
     if linear_ks < 0 or delta_p_moment < 0:
         raise DomainError("inputs must be >= 0")
     known = linear_ks + 2.0 * delta_p_moment ** (1.0 / (1.0 + p))
-    return BoundValue(known, 0.0, "eq1.3")
-
-
-def nonuniform_gamma(inp: NonUniformInputs) -> MomentEstimate:
-    """gamma_z: the three tail terms at threshold levels tied to |z|."""
-    return inp.p_delta_tail + inp.sum_p_g_tail + inp.sum_p_w_minus_g_tail
+    return BoundValue(known, 0.0)
 
 
 def nonuniform_tau(c: BoundComponents) -> MomentEstimate:
@@ -159,14 +154,15 @@ def nonuniform_tau(c: BoundComponents) -> MomentEstimate:
 
 def nonuniform_bound_thm22(gamma: MomentEstimate, tau: MomentEstimate,
                            z: float) -> BoundValue:
-    """gamma_z + e^{-|z|/3} tau, bounding |P(T<=z) - P(W<=z)| at the point z.
+    """gamma_z + e^{-|z|/3} tau, bounding |P(T<=z) - P(W<=z)| at the point z;
+    gamma_z sums the Delta, g_i and W - g_i tails at levels tied to |z|.
 
     Requires the leave-one-out variants behind gamma/tau to satisfy the
     stronger independence (X_i independent of (Delta_i, all other X_j)),
     which the resample variant provides.
     """
     b = gamma + math.exp(-abs(z) / 3.0) * tau
-    return BoundValue(b.value, 0.0, "eq2.6", b.std_error)
+    return BoundValue(b.value, 0.0, b.std_error)
 
 
 def nonuniform_moment_bound(p: float, z: float, delta_tail: MomentEstimate,
@@ -183,4 +179,4 @@ def nonuniform_moment_bound(p: float, z: float, delta_tail: MomentEstimate,
     if not 0.0 <= delta_tail.value <= 1.0:
         raise DomainError("delta_tail must be a probability")
     c_coeff = (1.0 + abs(z)) ** (-p) * (delta_l2 + sum_gl2_dl2 + sum_p_moment)
-    return BoundValue(delta_tail.value, c_coeff, "eq2.9", delta_tail.std_error)
+    return BoundValue(delta_tail.value, c_coeff, delta_tail.std_error)

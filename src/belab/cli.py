@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -33,6 +32,7 @@ from .mc_engine import (
 )
 from .models import (
     FAMILIES,
+    FAMILY_CATALOG,
     VARIANT_MODES,
     Example41Spec,
     IsqrtModel,
@@ -48,7 +48,7 @@ from .models.fields import (
     read_value,
 )
 from .models.isqrt import delta_abs_moment, w_delta_abs_moment
-from .types import MomentEstimate, NonUniformInputs
+from .types import MomentEstimate
 
 RESULT_COLUMNS = ("equation_tag", "model", "n", "m", "z", "epsilon", "p",
                   "bound_known", "bound_c_coeff", "empirical", "dkw_radius",
@@ -242,8 +242,6 @@ def parse_config(text: str, flags=None, command=None) -> ExperimentConfig:
                     + catalog_names(point_tags))
 
     eps_grid = _number_list(doc, "epsilon_grid", errs, "epsilon_grid")
-    if not eps_grid and hasattr(model_spec, "epsilon"):
-        eps_grid = [model_spec.epsilon]  # example41's default
 
     p = read_field(doc, "p", errs, "p", default=3.0)
     if p is not None and not 2.0 < p <= 3.0:
@@ -353,8 +351,7 @@ class _Runner:
         kernels read them, none of them depends on the order, and each
         reads an ascending input without sorting a copy."""
         wanted = {TAGS[tag].mode for tag in self.cfg.bounds}
-        thresholds = tuple(sorted({(abs(z) + 1.0) / 3.0
-                                   for z in self.cfg.z_grid}))
+        thresholds = tuple(sorted({_tail_level(z) for z in self.cfg.z_grid}))
         t, w, comps = sample_pass(
             self.model, self.cfg.replicates, self.seed,
             modes=tuple(m for m in VARIANT_MODES if m in wanted),
@@ -440,12 +437,15 @@ class TagSpec:
     build: object
 
 
+def _tail_level(z):
+    """(|z| + 1)/3, the level of the Delta and g_i tails at the point z."""
+    return (abs(z) + 1.0) / 3.0
+
+
 def _nonuniform_22(r: _Runner, comps, z):
-    thr = (abs(z) + 1.0) / 3.0
-    gamma = bound_core.nonuniform_gamma(NonUniformInputs(
-        z=z, p_delta_tail=comps.delta_tails[thr],
-        sum_p_g_tail=r.linear.sum_prob_above(thr),
-        sum_p_w_minus_g_tail=r.third_terms[z]))
+    thr = _tail_level(z)
+    gamma = (comps.delta_tails[thr] + r.linear.sum_prob_above(thr)
+             + r.third_terms[z])
     tau = bound_core.nonuniform_tau(
         comps.as_bound_components(r.beta, r.delta_min))
     return bound_core.nonuniform_bound_thm22(gamma, tau, z)
@@ -454,20 +454,22 @@ def _nonuniform_22(r: _Runner, comps, z):
 def _nonuniform_29(r: _Runner, comps, z):
     sum_p, _sum_p_se = r.linear.sum_abs_p(r.cfg.p)
     return bound_core.nonuniform_moment_bound(
-        r.cfg.p, z, comps.delta_tails[(abs(z) + 1.0) / 3.0],
+        r.cfg.p, z, comps.delta_tails[_tail_level(z)],
         comps.delta_l2.value, comps.sum_g_l2_delta_l2.value, sum_p)
 
 
 def _ustat_36(r: _Runner, comps, z):
     inp = r.bound_inputs
-    if abs(z) > math.sqrt((inp.n - inp.m + 1) / inp.m):
+    try:
+        return app_bounds.ustat_nonuniform_36(inp, z)
+    except DomainError:
         return None  # only stated inside the moderate-z range
-    return app_bounds.ustat_nonuniform_36(inp, z)
 
 
 _ALL = frozenset(FAMILIES)
-# no second moment of the remainder: the tau/L2 forms are unavailable
-_WITH_L2 = _ALL - {"isqrt"}
+# the tau/L2 forms need a second moment of the remainder
+_WITH_L2 = frozenset(f for f, (_spec, model) in FAMILY_CATALOG.items()
+                     if model.supports_delta_l2)
 _USTAT = frozenset({"ustat"})
 _MULTI = frozenset({"multisample"})
 _LSTAT = frozenset({"lstat"})
@@ -522,6 +524,15 @@ TAGS = {
 # Each returns (rows, notes); notes are always empty.
 
 
+def _example41_epsilons(cfg):
+    """example41's epsilon grid and the field it comes from: epsilon_grid,
+    or else the epsilon of an isqrt model block."""
+    eps = cfg.model_desc.get("epsilon")
+    if cfg.epsilon_grid or not is_number(eps):
+        return cfg.epsilon_grid, "epsilon_grid"
+    return (eps,), "model.epsilon"
+
+
 def _check_command(cfg, command, replicates_path="mc.replicates"):
     """Raise a ConfigError that lists each requirement of `command` that
     cfg misses: a model block and a bound tag for bound, verify and each
@@ -543,15 +554,15 @@ def _check_command(cfg, command, replicates_path="mc.replicates"):
             errs.append("bounds: at least one equation tag is required")
     floor = command == "verify"
     if command == "example41":
-        if not cfg.epsilon_grid:
+        grid, path = _example41_epsilons(cfg)
+        if not grid:
             errs.append("epsilon_grid: required for example41")
-        for eps in cfg.epsilon_grid:
+        for eps in grid:
             try:
                 app_bounds.check_counterexample_epsilon(float(eps))
             except DomainError as exc:
-                errs.append(f"epsilon_grid: {exc}")
-        floor = any(eps >= EXAMPLE41_SAMPLED_EPSILON
-                    for eps in cfg.epsilon_grid)
+                errs.append(f"{path}: {exc}")
+        floor = any(eps >= EXAMPLE41_SAMPLED_EPSILON for eps in grid)
     if floor and cfg.replicates is not None:
         _check_verify_replicates(cfg.replicates, errs, replicates_path)
     if errs:
@@ -573,7 +584,7 @@ def cmd_example41(cfg: ExperimentConfig):
     _check_command(cfg, "example41")
     rows = []
     quad_ratio = w_delta_abs_moment() + delta_abs_moment(1.0)
-    for rep in app_bounds.counterexample_report(cfg.epsilon_grid):
+    for rep in app_bounds.counterexample_report(_example41_epsilons(cfg)[0]):
         eps = rep.epsilon
         n = int(round(eps ** -4.0))
         model = IsqrtModel(Example41Spec(eps, n))

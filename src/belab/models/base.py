@@ -233,7 +233,9 @@ DIST_CATALOG = {
 
 
 class StatisticModel(ABC):
-    """Capability bundle for one statistic. Immutable after construction."""
+    """Capability bundle for one statistic. Immutable after construction.
+    A model of an application family also has `bound_inputs(p)`: its bounds'
+    inputs at moment order p, as the family's record from `belab.types`."""
 
     name: str
     spec: object

@@ -154,6 +154,9 @@ class SumKernel(PairKernel):
     def h_abs_p(self, dist, p):
         if dist.name == "std_normal":
             return normal_abs_moment(p) * 2.0 ** (p / 2.0)
+        if dist.name == "rademacher":
+            # h is +-2 with probability 1/4 each and 0 with probability 1/2
+            return 2.0 ** (p - 1.0)
         return super().h_abs_p(dist, p)
 
 

@@ -23,6 +23,7 @@ from ..errors import NumericError, UnsupportedModelError
 from ..marginals import LinearPart, MonotoneMarginal, quad_segments
 from ..quadrature import check_error, dblquad, pointwise
 from ..special import ndtr, ndtr_array
+from ..types import LStatBoundInputs
 from .base import (
     DIST_CATALOG,
     BaseDist,
@@ -220,17 +221,13 @@ class LStatModel(StatisticModel):
         is ndtr_array's, so no value depends on the size of x."""
         return np.multiply(self._sample_infl(x, out=out), -self._scale, out=out)
 
-    def lipschitz_constant(self):
-        return self.weight.c_lip
-
     def influence_abs_moment(self, p: float) -> float:
         """E|infl(X)|^p in raw influence units."""
         marg, _count = self.linear_part.groups[0]
         return marg.e_abs_p(p) * (math.sqrt(self.n) * self.sigma) ** p
 
     def bound_inputs(self, p):
-        from ..app_bounds import LStatBoundInputs  # app_bounds imports models
         return LStatBoundInputs(
-            c_lip=self.lipschitz_constant(), x_l2=math.sqrt(self.x2_moment),
+            c_lip=self.weight.c_lip, x_l2=math.sqrt(self.x2_moment),
             x2_moment=self.x2_moment, sigma=self.sigma,
             e_abs_g_p=self.influence_abs_moment(p), p=p, n=self.n)

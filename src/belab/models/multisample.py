@@ -16,6 +16,7 @@ import numpy as np
 
 from ..errors import UnsupportedModelError
 from ..marginals import LinearPart, UniformMarginal
+from ..types import MultiBoundInputs
 from .base import (
     DIST_CATALOG,
     ChunkTiles,
@@ -198,21 +199,9 @@ class WilcoxonModel(StatisticModel):
         g /= self.n2 * self.sn
         return g
 
-    def moments(self, p: float = 3.0) -> dict:
-        """Distribution-free rank-score moments for the multisample bounds."""
-        h_marg = UniformMarginal(0.5)
-        return {
-            "sigma": 0.5,
-            "sigma_j": (math.sqrt(1.0 / 12.0),) * 2,
-            "e_abs_h_p": (h_marg.e_abs_p(p),) * 2,
-            "sn": self.sn,
-            "m": (1, 1),
-            "n": (self.n1, self.n2),
-        }
-
     def bound_inputs(self, p):
-        from ..app_bounds import MultiBoundInputs  # app_bounds imports models
-        mom = self.moments(p)
-        return MultiBoundInputs(
-            sigma=mom["sigma"], sn=mom["sn"], m=mom["m"], n=mom["n"],
-            e_abs_h_p=mom["e_abs_h_p"], p=p)
+        """Distribution-free: the kernel has sigma = 1/2, and each sample's
+        projection is Uniform(-1/2, 1/2)."""
+        h_p = (UniformMarginal(0.5).e_abs_p(p),) * 2
+        return MultiBoundInputs(sigma=0.5, sn=self.sn, m=(1, 1),
+                                n=(self.n1, self.n2), e_abs_h_p=h_p, p=p)

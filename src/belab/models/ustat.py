@@ -18,6 +18,7 @@ from ..bound_core import delta_from_truncation
 from ..errors import DegenerateModelError, UnsupportedModelError
 from ..marginals import LinearPart
 from ..special import gammainc, gammaincc
+from ..types import UStatBoundInputs
 from .base import (
     DIST_CATALOG,
     ChunkTiles,
@@ -128,7 +129,6 @@ class UStatModel(StatisticModel):
                 "g_rep": g_rep[:, None], "dvar_rep": dvar}
 
     def bound_inputs(self, p):
-        from ..app_bounds import UStatBoundInputs  # app_bounds imports models
         return UStatBoundInputs(m=self.m, n=self.n, p=p,
                                 **ustat_moments(self.spec, p))
 

@@ -1,4 +1,5 @@
-"""Shared value types.
+"""Shared value types: moment estimates, bound components and values, and
+the analytic inputs of each application family's bounds.
 
 Everything here is an immutable record. Instances are safe to share across
 threads; all computation happens in the modules that produce them.
@@ -6,6 +7,8 @@ threads; all computation happens in the modules that produce them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+
+from .errors import DegenerateModelError, DomainError
 
 
 @dataclass(frozen=True)
@@ -81,22 +84,6 @@ class BoundComponents:
 
 
 @dataclass(frozen=True)
-class NonUniformInputs:
-    """Tail probabilities entering the non-uniform bound at a point z."""
-
-    z: float
-    p_delta_tail: MomentEstimate
-    sum_p_g_tail: float = 0.0
-    sum_p_w_minus_g_tail: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.p_delta_tail.value <= 1.0:
-            raise ValueError("p_delta_tail must be a probability")
-        if self.sum_p_g_tail < 0 or self.sum_p_w_minus_g_tail < 0:
-            raise ValueError("tail sums must be >= 0")
-
-
-@dataclass(frozen=True)
 class BoundValue:
     """A bound split into an explicit part and a part carrying the unspecified
     absolute constant. Pass/fail verification may only consume bounds with
@@ -105,7 +92,6 @@ class BoundValue:
 
     known: float
     c_coeff: float
-    equation_tag: str
     known_se: float = 0.0
 
     def __post_init__(self):
@@ -130,3 +116,72 @@ class KSResult:
             raise ValueError("distance must lie in [0, 1]")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+
+
+def _check_p(p: float):
+    if not 2.0 < p <= 3.0:
+        raise DomainError(f"p must lie in (2, 3], got {p}")
+
+
+@dataclass(frozen=True)
+class UStatBoundInputs:
+    """Analytic ingredients of the degree-m one-sample bounds.
+
+    Moments are in raw kernel units; every bound consumes only scale-free
+    ratios, so rescaling h by c > 0 leaves all values unchanged.
+    """
+
+    m: int
+    n: int
+    sigma: float
+    sigma1: float
+    e_abs_g_p: float
+    p: float
+    c0_trunc: float
+    e_abs_h_p: float
+
+    def __post_init__(self):
+        if not 2 <= self.m < self.n:
+            raise DomainError("need 2 <= m < n")
+        if self.sigma1 <= 0:
+            raise DegenerateModelError("projection scale must be positive")
+        _check_p(self.p)
+
+
+@dataclass(frozen=True)
+class MultiBoundInputs:
+    """Analytic ingredients of the multisample bounds."""
+
+    sigma: float
+    sn: float
+    m: tuple
+    n: tuple
+    e_abs_h_p: tuple
+    p: float
+
+    def __post_init__(self):
+        if self.sn <= 0:
+            raise DegenerateModelError("combined scale must be positive")
+        _check_p(self.p)
+        if not len(self.m) == len(self.n) == len(self.e_abs_h_p):
+            raise DomainError("group fields must have equal lengths")
+
+
+@dataclass(frozen=True)
+class LStatBoundInputs:
+    """Analytic ingredients of the order-statistic bounds."""
+
+    c_lip: float
+    x_l2: float  # ||X_1||_2 = sqrt(E X^2), raw observation units
+    x2_moment: float  # E X^2
+    sigma: float
+    e_abs_g_p: float  # E|infl(X)|^p, raw influence units
+    p: float
+    n: int
+
+    def __post_init__(self):
+        if self.sigma <= 0:
+            raise DegenerateModelError("projection scale must be positive")
+        if self.n < 4:
+            raise DomainError("need n >= 4")
+        _check_p(self.p)

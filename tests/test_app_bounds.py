@@ -47,11 +47,8 @@ def variance_inputs(n=50, p=3.0, scale=1.0):
 
 
 def wilcoxon_inputs(n1=1000, n2=1000, p=3.0):
-    moments = build_model({"family": "multisample", "kernel": "wilcoxon",
-                           "dist": "uniform01", "n": [n1, n2]}).moments(p)
-    return MultiBoundInputs(sigma=moments["sigma"], sn=moments["sn"],
-                            m=moments["m"], n=moments["n"],
-                            e_abs_h_p=moments["e_abs_h_p"], p=p)
+    return build_model({"family": "multisample", "kernel": "wilcoxon",
+                        "dist": "uniform01", "n": [n1, n2]}).bound_inputs(p)
 
 
 def lstat_inputs(n=400, p=3.0):
@@ -67,14 +64,15 @@ class TestInputValidation:
         mom = ustat_moments(UStatSpec("variance", "std_normal", 50))
         base = dict(sigma=mom["sigma"], sigma1=mom["sigma1"],
                     e_abs_g_p=mom["e_abs_g_p"], p=3.0,
-                    c0_trunc=mom["c0_trunc"])
+                    c0_trunc=mom["c0_trunc"], e_abs_h_p=mom["e_abs_h_p"])
         with pytest.raises(DomainError):
             UStatBoundInputs(m=1, n=50, **base)
         with pytest.raises(DomainError):
             UStatBoundInputs(m=50, n=50, **base)
         with pytest.raises(DegenerateModelError):
             UStatBoundInputs(m=2, n=50, sigma=1.0, sigma1=0.0,
-                             e_abs_g_p=1.0, p=3.0, c0_trunc=1.0)
+                             e_abs_g_p=1.0, p=3.0, c0_trunc=1.0,
+                             e_abs_h_p=1.0)
 
     def test_p_window(self):
         for bad in (2.0, 3.5, 1.0):
@@ -104,7 +102,7 @@ class TestUStatBounds:
     def test_eq31_frozen(self):
         b = ustat_uniform_31(variance_inputs())
         np.testing.assert_allclose(b.known, 0.858009901926774, rtol=1e-6)
-        assert b.equation_tag == "eq3.1" and b.c_coeff == 0.0
+        assert b.c_coeff == 0.0
 
     def test_eq31_first_term_formula(self):
         inp = variance_inputs()
@@ -118,7 +116,6 @@ class TestUStatBounds:
     def test_eq32_frozen(self):
         b = ustat_normal_32(variance_inputs())
         np.testing.assert_allclose(b.known, 3.138671479956007, rtol=1e-9)
-        assert b.equation_tag == "eq3.2"
 
     def test_eq33_formula(self):
         inp = variance_inputs()
@@ -139,11 +136,6 @@ class TestUStatBounds:
         assert b.known == 0.0
         np.testing.assert_allclose(b.c_coeff, 0.20004390807860295, rtol=1e-12)
         assert not b.verifiable
-        no_h = UStatBoundInputs(m=2, n=50, sigma=math.sqrt(2),
-                                sigma1=math.sqrt(0.5), e_abs_g_p=1.0, p=3.0,
-                                c0_trunc=2.6, e_abs_h_p=None)
-        with pytest.raises(DomainError):
-            ustat_nonuniform_34(no_h, 2.0)
 
     def test_eq36_window(self):
         inp = variance_inputs()
@@ -205,7 +197,7 @@ class TestMultisampleBounds:
     def test_eq37_frozen(self):
         b = multisample_37(wilcoxon_inputs())
         np.testing.assert_allclose(b.known, 0.3787168540624487, rtol=1e-12)
-        assert b.equation_tag == "eq3.7" and b.verifiable
+        assert b.verifiable
 
     def test_eq37_formula(self):
         inp = wilcoxon_inputs(200, 300)

@@ -1,4 +1,5 @@
 """Delta constructions, beta, and the uniform/non-uniform bound assembly."""
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from belab import cli
 from belab.bound_core import (
     chebyshev_baseline,
     check_normalization,
@@ -14,7 +16,6 @@ from belab.bound_core import (
     delta_from_truncation,
     linear_baseline,
     nonuniform_bound_thm22,
-    nonuniform_gamma,
     nonuniform_moment_bound,
     nonuniform_tau,
     solve_delta_minimal,
@@ -30,7 +31,7 @@ from belab.marginals import (
     NormalMarginal,
     UniformMarginal,
 )
-from belab.types import BoundComponents, MomentEstimate, NonUniformInputs
+from belab.types import BoundComponents, MomentEstimate
 
 
 def catalog_parts():
@@ -182,13 +183,12 @@ class TestUniformAssembly:
         np.testing.assert_allclose(b.known, 4 * 0.05 + 0.3 + 0.2, rtol=1e-14)
         np.testing.assert_allclose(b.known_se, 4 * 0.0005 + 0.002 + 0.003,
                                    rtol=1e-14)
-        assert b.c_coeff == 0.0 and b.equation_tag == "eq2.3"
+        assert b.c_coeff == 0.0
         assert b.verifiable
 
     def test_beta_arithmetic(self):
         b = uniform_bound_beta(self.COMPS)
         np.testing.assert_allclose(b.known, 2 * 0.12 + 0.3 + 0.2, rtol=1e-14)
-        assert b.equation_tag == "eq2.4"
 
     def test_normal_exceeds_beta_by_exactly_41_beta(self):
         lo = uniform_bound_beta(self.COMPS)
@@ -213,12 +213,10 @@ class TestBaselines:
         b = linear_baseline(lp)
         np.testing.assert_allclose(b.known, 4.1 * compute_beta(lp).value,
                                    rtol=1e-12)
-        assert b.equation_tag == "eq1.4"
 
     def test_chebyshev_arithmetic(self):
         b = chebyshev_baseline(0.02, 0.0001, 1.0)
         np.testing.assert_allclose(b.known, 0.02 + 2 * 0.01, rtol=1e-14)
-        assert b.equation_tag == "eq1.3"
         with pytest.raises(DomainError):
             chebyshev_baseline(0.02, 0.0001, 0.0)
         with pytest.raises(DomainError):
@@ -227,13 +225,26 @@ class TestBaselines:
 
 class TestNonUniformAssembly:
     def test_gamma_sums_tails(self):
-        inp = NonUniformInputs(z=2.0,
-                               p_delta_tail=MomentEstimate(0.01, 1e-4, 3000),
-                               sum_p_g_tail=0.002, sum_p_w_minus_g_tail=0.003)
-        g = nonuniform_gamma(inp)
-        np.testing.assert_allclose(g.value, 0.015, rtol=1e-14)
-        assert g.std_error == 1e-4
-        assert g.replicates == 3000
+        # the runner's eq2.6 row: gamma_z is the sampled Delta tail plus the
+        # analytic g_i and W - g_i tails, and only the first carries an error
+        z = 2.0
+        cfg = cli.parse_config(json.dumps({
+            "model": {"family": "ustat", "kernel": "variance",
+                      "dist": "std_normal", "n": 20},
+            "bounds": ["eq2.6"], "z_grid": [z],
+            "mc": {"master_seed": 3, "replicates": 3000}}))
+        r = cli._Runner(cfg, verify=False)
+        comps = r.sampled[2]["resample"]
+        tail = comps.delta_tails[1.0]
+        g_tail = r.linear.sum_prob_above(1.0)
+        assert g_tail > 0.0 and r.third_terms[z] > 0.0
+        tau = nonuniform_tau(comps.as_bound_components(r.beta, r.delta_min))
+        b = cli.TAGS["eq2.6"].build(r, comps, z)
+        weight = math.exp(-z / 3.0)
+        np.testing.assert_allclose(
+            b.known - weight * tau.value,
+            tail.value + g_tail + r.third_terms[z], rtol=1e-12)
+        assert b.known_se == tail.std_error + weight * tau.std_error
 
     def test_tau_arithmetic(self):
         c = BoundComponents(ZERO, ZERO, ZERO,

@@ -232,6 +232,23 @@ class TestCmdBound:
 
 
 class TestCmdVerify:
+    def test_every_ustat_tag_runs_on_sum_rademacher(self, tmp_path, capsys):
+        # the sum kernel's E|h|^p under rademacher is exact, so every
+        # eq3.x tag has its inputs
+        tags = ["eq3.1", "eq3.2", "eq3.3", "eq3.4", "eq3.6"]
+        path = write_config(tmp_path, make_doc(
+            model={"family": "ustat", "kernel": "sum", "dist": "rademacher",
+                   "n": 30},
+            bounds=tags, z_grid=[0.0, 1.0]))
+        for command in ("bound", "verify"):
+            out = tmp_path / f"{command}.csv"
+            assert main([command, "--config", path, "--output",
+                         str(out)]) == 0
+            rows = list(csv.DictReader(io.StringIO(out.read_text())))
+            assert [r["equation_tag"] for r in rows] == [
+                "eq3.1", "eq3.2"] + [t for t in tags[2:] for _z in (0, 1)]
+        assert capsys.readouterr().err == ""
+
     def test_replicate_floor(self):
         doc = make_doc(mc={"master_seed": 1, "replicates": 500})
         with pytest.raises(ConfigError) as info:
@@ -963,6 +980,11 @@ class TestFlagsAreFields:
          ["epsilon_grid: epsilon must lie in (2^-256, 1/64), got 0.0",
           "epsilon_grid: epsilon must lie in (2^-256, 1/64), "
           f"got {2.0 ** -300}"]),
+        # without an epsilon_grid the model block's epsilon is the grid,
+        # and a violation is named after it
+        ("example41", {"model": {"family": "isqrt", "epsilon": 0.5},
+                       "mc": {"master_seed": 1}}, [],
+         ["model.epsilon: epsilon must lie in (2^-256, 1/64), got 0.5"]),
     ])
     def test_command_requirements_join_the_list(self, tmp_path, capsys,
                                                 command, doc, argv, want):

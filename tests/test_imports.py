@@ -1,6 +1,6 @@
 """Layering of the library's imports, read from the source without running
-it: the models use only the engine's public names, and nothing under src/
-reaches into the tests."""
+it: the models use only the engine's public names and never the
+application bounds, and nothing under src/ reaches into the tests."""
 import ast
 from pathlib import Path
 
@@ -41,6 +41,19 @@ def test_models_import_no_private_engine_name(path):
                if module == "belab.mc_engine"
                for name in names if name.startswith("_")]
     assert private == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES
+                                  if p.parent.name == "models"],
+                         ids=lambda p: p.name)
+def test_models_import_no_application_bounds(path):
+    # app_bounds imports the models; the walk reaches imports inside
+    # function bodies too
+    found = [f"{path.name}:{line}: {module}"
+             for line, module, names in imports(path)
+             if module.split(".")[:2] == ["belab", "app_bounds"]
+             or module == "belab" and "app_bounds" in names]
+    assert found == []
 
 
 def test_library_imports_nothing_from_tests():

@@ -12,7 +12,6 @@ from scipy import stats
 from belab import cli, mc_engine
 from belab.bound_core import (
     compute_beta,
-    nonuniform_gamma,
     nonuniform_tau,
     solve_delta_minimal,
 )
@@ -59,7 +58,6 @@ from belab.types import (
     BoundValue,
     KSResult,
     MomentEstimate,
-    NonUniformInputs,
 )
 
 MiB = 2 ** 20
@@ -657,8 +655,10 @@ class TestAggregationConventions:
             delta_thresholds=(1.0,)).as_bound_components(
                 compute_beta(model.linear_part),
                 solve_delta_minimal(model.linear_part))
-        gamma = nonuniform_gamma(NonUniformInputs(
-            z=2.0, p_delta_tail=est.delta_tails[1.0]))
+        # gamma_z at z = 2 as the runner adds it up: the sampled Delta tail
+        # plus the two analytic tails
+        gamma = (est.delta_tails[1.0] + model.linear_part.sum_prob_above(1.0)
+                 + model.nonuniform_third_term(2.0))
         assert nonuniform_tau(est).replicates == self.REPLICATES
         assert gamma.replicates == self.REPLICATES
 
@@ -887,20 +887,20 @@ class TestCertify:
                   dkw_radius=0.02)
 
     def test_pass_within_bound(self):
-        assert certify(self.KS, BoundValue(0.06, 0.0, "eq2.5")) is True
+        assert certify(self.KS, BoundValue(0.06, 0.0)) is True
 
     def test_pass_on_slack(self):
         # 0.05 <= 0.04 + 0.02 only through the DKW slack
-        assert certify(self.KS, BoundValue(0.04, 0.0, "eq2.5")) is True
+        assert certify(self.KS, BoundValue(0.04, 0.0)) is True
 
     def test_fail_beyond_slack(self):
-        assert certify(self.KS, BoundValue(0.02, 0.0, "eq2.5")) is False
+        assert certify(self.KS, BoundValue(0.02, 0.0)) is False
 
     def test_se_widens_slack(self):
-        tight = BoundValue(0.025, 0.0, "eq2.5", known_se=0.0)
-        wide = BoundValue(0.025, 0.0, "eq2.5", known_se=0.002)
+        tight = BoundValue(0.025, 0.0, known_se=0.0)
+        wide = BoundValue(0.025, 0.0, known_se=0.002)
         assert certify(self.KS, tight) is False
         assert certify(self.KS, wide) is True
 
     def test_unknown_constant_yields_none(self):
-        assert certify(self.KS, BoundValue(0.01, 0.5, "eq2.9")) is None
+        assert certify(self.KS, BoundValue(0.01, 0.5)) is None

@@ -181,9 +181,9 @@ class TestLipschitz:
 
     def test_model_exposes_constant(self):
         assert LStatModel(LStatSpec("const1", "uniform01", 8)
-                          ).lipschitz_constant() == 0.0
+                          ).bound_inputs(3.0).c_lip == 0.0
         assert LStatModel(LStatSpec("identity", "uniform01", 8)
-                          ).lipschitz_constant() == 1.0
+                          ).bound_inputs(3.0).c_lip == 1.0
 
 
 class TestModel:

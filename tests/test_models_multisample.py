@@ -96,13 +96,14 @@ class TestScale:
         check_normalization(small_model(40, 60).linear_part)
 
     def test_moments_distribution_free(self):
-        a = small_model(30, 50, "uniform01").moments(3.0)
-        b = small_model(30, 50, "std_normal").moments(3.0)
+        a = small_model(30, 50, "uniform01").bound_inputs(3.0)
+        b = small_model(30, 50, "std_normal").bound_inputs(3.0)
         assert a == b
-        np.testing.assert_allclose(a["sigma"], 0.5, rtol=1e-14)
-        np.testing.assert_allclose(a["sigma_j"][0], math.sqrt(1 / 12.0),
+        np.testing.assert_allclose(a.sigma, 0.5, rtol=1e-14)
+        assert a.m == (1, 1) and a.n == (30, 50)
+        np.testing.assert_allclose(a.sn, math.sqrt(1 / 360.0 + 1 / 600.0),
                                    rtol=1e-14)
-        np.testing.assert_allclose(a["e_abs_h_p"][1], 1.0 / 32.0, rtol=1e-14)
+        np.testing.assert_allclose(a.e_abs_h_p[1], 1.0 / 32.0, rtol=1e-14)
 
 
 class TestEnumerationOracles:

@@ -106,6 +106,14 @@ class TestKernelAbsMoments:
         want = 2.0 ** 1.25 * math.gamma(1.75) * 2.0 ** 1.25 / math.sqrt(math.pi)
         np.testing.assert_allclose(got, want, rtol=1e-9)
 
+    def test_sum_rademacher_exact(self):
+        # h = a + b over the four equally likely sign pairs (a, b)
+        for p in (2.5, 3.0):
+            want = np.mean([abs(a + b) ** p for a in (-1.0, 1.0)
+                            for b in (-1.0, 1.0)])
+            np.testing.assert_allclose(kernel_abs_p("sum", "rademacher", p),
+                                       want, rtol=1e-15)
+
     def test_mc_cross_check(self):
         rng = np.random.default_rng(23)
         k = KERNEL_CATALOG["variance"]
