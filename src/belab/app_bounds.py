@@ -121,7 +121,7 @@ def _lstat_g_term(inp: LStatBoundInputs) -> float:
 
 
 def lstat_310(inp: LStatBoundInputs) -> BoundValue:
-    known = ((1.0 + _ROOT2) * inp.c_lip * inp.x_l2
+    known = ((1.0 + _ROOT2) * inp.c_lip * math.sqrt(inp.x2_moment)
              / (math.sqrt(inp.n) * inp.sigma)
              + 6.1 * _lstat_g_term(inp))
     return BoundValue(known=known, c_coeff=0.0)
@@ -131,7 +131,8 @@ def lstat_311(inp: LStatBoundInputs, z: float) -> BoundValue:
     az = abs(z)
     known = (9.0 * inp.c_lip ** 2 * inp.x2_moment
              / ((1.0 + az) ** 2 * inp.n * inp.sigma ** 2))
-    c_coeff = (inp.c_lip * inp.x_l2 / (math.sqrt(inp.n) * inp.sigma)
+    c_coeff = (inp.c_lip * math.sqrt(inp.x2_moment)
+               / (math.sqrt(inp.n) * inp.sigma)
                + _lstat_g_term(inp)) / (1.0 + az) ** inp.p
     return BoundValue(known=known, c_coeff=c_coeff)
 

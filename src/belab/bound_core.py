@@ -12,7 +12,7 @@ import math
 
 from .errors import DomainError, InvalidModelError
 from .marginals import LinearPart
-from .types import BoundComponents, BoundValue, MomentEstimate
+from .types import BoundComponents, BoundValue, MomentEstimate, check_p
 
 NORMALIZATION_RTOL = 1e-6
 
@@ -174,8 +174,7 @@ def nonuniform_moment_bound(p: float, z: float, delta_tail: MomentEstimate,
 
     Never pass/fail-verifiable (c_coeff > 0 whenever the model is nontrivial).
     """
-    if not 2.0 < p <= 3.0:
-        raise DomainError(f"p must lie in (2, 3], got {p}")
+    check_p(p)
     if not 0.0 <= delta_tail.value <= 1.0:
         raise DomainError("delta_tail must be a probability")
     c_coeff = (1.0 + abs(z)) ** (-p) * (delta_l2 + sum_gl2_dl2 + sum_p_moment)

@@ -48,7 +48,7 @@ from .models.fields import (
     read_value,
 )
 from .models.isqrt import delta_abs_moment, w_delta_abs_moment
-from .types import MomentEstimate
+from .types import MomentEstimate, p_in_range
 
 RESULT_COLUMNS = ("equation_tag", "model", "n", "m", "z", "epsilon", "p",
                   "bound_known", "bound_c_coeff", "empirical", "dkw_radius",
@@ -244,7 +244,7 @@ def parse_config(text: str, flags=None, command=None) -> ExperimentConfig:
     eps_grid = _number_list(doc, "epsilon_grid", errs, "epsilon_grid")
 
     p = read_field(doc, "p", errs, "p", default=3.0)
-    if p is not None and not 2.0 < p <= 3.0:
+    if p is not None and not p_in_range(p):
         errs.append(f"p: moment order must lie in (2, 3], got {p!r}")
 
     # the mc fields are integers; a flag's text that is none stays text,

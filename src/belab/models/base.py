@@ -23,11 +23,9 @@ tiles, drawn in stream order, hold exactly the values of one whole draw of
 each part.
 A tile has `tile_rows(width)` rows for the widest block: as many as fit a
 float64 tile in TILE_BYTES, rounded down to a power of two, and never
-fewer than ROW_TILE; a lone last row joins the tile before it, since
-numpy multiplies a one-row matrix by a vector through a different BLAS
-routine. Each tiled step is row by row or elementwise (the samplers'
-normal cdf is `special.ndtr_array`, whatever the size), so its rows are
-bit-identical to the whole-block step.
+fewer than ROW_TILE. Each tiled step is row by row or elementwise (the
+samplers' normal cdf is `special.ndtr_array`, whatever the size), so its
+rows are bit-identical to the whole-block step.
 """
 from __future__ import annotations
 
@@ -131,23 +129,15 @@ class ChunkTiles:
     @cached_property
     def scratch(self):
         """A flat float64 buffer that holds one tile of the widest block."""
-        return empty_block(min(self.count, self.tile + 1) * max(self.widths))
-
-    def row_slices(self):
-        """row_tiles of the chunk, a lone last row joined to the tile
-        before it."""
-        tiles = list(row_tiles(self.count, self.tile))
-        if len(tiles) > 1 and tiles[-1].stop - tiles[-1].start == 1:
-            tiles[-2:] = [slice(tiles[-2].start, self.count)]
-        return tiles
+        return empty_block(min(self.count, self.tile) * max(self.widths))
 
     def __iter__(self):
-        height = min(self.count, self.tile + 1)
+        height = min(self.count, self.tile)
         buffers = [empty_block((height, w)) for w in self.widths]
         runs = self.values.get("resample", ())
         streams = [self.rng] + [part_stream(self.rng, b) for b in
                                 range(1, len(buffers) + len(runs))]
-        for rows in self.row_slices():
+        for rows in row_tiles(self.count, self.tile):
             tiles = [buf[:rows.stop - rows.start] for buf in buffers]
             for stream, part in zip(streams, tiles + [r[rows] for r in runs]):
                 self.dist.fill(stream, part)

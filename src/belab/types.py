@@ -118,8 +118,13 @@ class KSResult:
             raise ValueError("replicates must be >= 1")
 
 
-def _check_p(p: float):
-    if not 2.0 < p <= 3.0:
+def p_in_range(p: float) -> bool:
+    """Whether p is a moment order the bounds take, 2 < p <= 3."""
+    return 2.0 < p <= 3.0
+
+
+def check_p(p: float):
+    if not p_in_range(p):
         raise DomainError(f"p must lie in (2, 3], got {p}")
 
 
@@ -145,7 +150,7 @@ class UStatBoundInputs:
             raise DomainError("need 2 <= m < n")
         if self.sigma1 <= 0:
             raise DegenerateModelError("projection scale must be positive")
-        _check_p(self.p)
+        check_p(self.p)
 
 
 @dataclass(frozen=True)
@@ -162,7 +167,7 @@ class MultiBoundInputs:
     def __post_init__(self):
         if self.sn <= 0:
             raise DegenerateModelError("combined scale must be positive")
-        _check_p(self.p)
+        check_p(self.p)
         if not len(self.m) == len(self.n) == len(self.e_abs_h_p):
             raise DomainError("group fields must have equal lengths")
 
@@ -172,7 +177,6 @@ class LStatBoundInputs:
     """Analytic ingredients of the order-statistic bounds."""
 
     c_lip: float
-    x_l2: float  # ||X_1||_2 = sqrt(E X^2), raw observation units
     x2_moment: float  # E X^2
     sigma: float
     e_abs_g_p: float  # E|infl(X)|^p, raw influence units
@@ -184,4 +188,4 @@ class LStatBoundInputs:
             raise DegenerateModelError("projection scale must be positive")
         if self.n < 4:
             raise DomainError("need n >= 4")
-        _check_p(self.p)
+        check_p(self.p)

@@ -54,8 +54,8 @@ def wilcoxon_inputs(n1=1000, n2=1000, p=3.0):
 def lstat_inputs(n=400, p=3.0):
     model = build_model({"family": "lstat", "weight": "identity",
                          "dist": "uniform01", "n": n})
-    return LStatBoundInputs(c_lip=1.0, x_l2=math.sqrt(model.x2_moment),
-                            x2_moment=model.x2_moment, sigma=model.sigma,
+    return LStatBoundInputs(c_lip=1.0, x2_moment=model.x2_moment,
+                            sigma=model.sigma,
                             e_abs_g_p=model.influence_abs_moment(p), p=p, n=n)
 
 
@@ -91,10 +91,10 @@ class TestInputValidation:
 
     def test_lstat_validation(self):
         with pytest.raises(DomainError):
-            LStatBoundInputs(c_lip=1.0, x_l2=0.5, x2_moment=0.25, sigma=0.1,
+            LStatBoundInputs(c_lip=1.0, x2_moment=0.25, sigma=0.1,
                              e_abs_g_p=0.01, p=3.0, n=3)
         with pytest.raises(DegenerateModelError):
-            LStatBoundInputs(c_lip=1.0, x_l2=0.5, x2_moment=0.25, sigma=0.0,
+            LStatBoundInputs(c_lip=1.0, x2_moment=0.25, sigma=0.0,
                              e_abs_g_p=0.01, p=3.0, n=10)
 
 
@@ -228,7 +228,7 @@ class TestLStatBounds:
         b = lstat_310(lstat_inputs())
         np.testing.assert_allclose(b.known, 0.8873696880247477, rtol=1e-9)
         inp = lstat_inputs()
-        first = ((1 + math.sqrt(2)) * inp.c_lip * inp.x_l2
+        first = ((1 + math.sqrt(2)) * inp.c_lip * math.sqrt(inp.x2_moment)
                  / (math.sqrt(inp.n) * inp.sigma))
         np.testing.assert_allclose(first, 0.4675104460629539, rtol=1e-9)
         np.testing.assert_allclose(b.known - first, 0.4198592419617938,

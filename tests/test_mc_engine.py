@@ -413,12 +413,6 @@ class TestChunkTiles:
     }
 
     @staticmethod
-    def fresh_rng(used=0):
-        rng = SeedSpec(41).substream(3)
-        rng.random(used)
-        return rng
-
-    @staticmethod
     def spawned_part(make, part):
         """Part `part` of a chunk drawn from make(): the same bit
         generator on the SeedSequence child `part` of make()'s."""
@@ -478,19 +472,6 @@ class TestChunkTiles:
         assert (rng.integers(2 ** 32, dtype=np.uint32)
                 == ref.integers(2 ** 32, dtype=np.uint32))
         assert rng.random() == ref.random()
-
-    @pytest.mark.parametrize("count,last", [
-        (1, (0, 1)), (2, (0, 2)), (128, (0, 128)), (129, (0, 129)),
-        (130, (128, 130)), (257, (128, 257)), (4096, (3968, 4096))])
-    def test_row_slices_join_a_lone_last_row(self, count, last):
-        # 128-row tiles at width 400; numpy multiplies a one-row matrix by
-        # a vector through another BLAS routine, so no tile has one row
-        slices = ChunkTiles(DIST_CATALOG["uniform01"], self.fresh_rng(),
-                            count, (400,)).row_slices()
-        starts = [s.start for s in slices]
-        assert starts == list(range(0, last[0] + 1, 128))
-        assert [s.stop for s in slices] == starts[1:] + [count]
-        assert (slices[-1].start, slices[-1].stop) == last
 
 
 class TestRowTiles:

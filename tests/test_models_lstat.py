@@ -8,13 +8,12 @@ from belab.bound_core import check_normalization
 from belab.errors import UnsupportedModelError
 from belab.mc_engine import CHUNK_SIZE, SeedSpec
 from belab.models import LStatModel, LStatSpec, lstat_projection_sigma
+from belab.models import base
 from belab.models.base import DIST_CATALOG, ROW_TILE, part_stream
 from belab.models import lstat as lstat_module
 from belab.models.lstat import (
     WEIGHT_CATALOG,
-    WeightFn,
     catalog_scale,
-    check_lipschitz,
     influence_closed,
     sigma_double_integral,
     t_center,
@@ -23,6 +22,7 @@ from oracles import influence_quadrature, lstat_value
 
 
 MODES = ("zero_out", "resample")
+CONTINUOUS = ("exponential1", "std_normal", "uniform01")
 
 
 def chunk_and_draws(model, seed, count, mode):
@@ -171,13 +171,14 @@ class TestInfluence:
 
 class TestLipschitz:
     def test_catalog_weights_pass(self):
-        for w in WEIGHT_CATALOG.values():
-            check_lipschitz(w)
-
-    def test_understated_constant_raises(self):
-        bad = WeightFn("bad", 0.5, lambda t: np.asarray(t, dtype=float))
-        with pytest.raises(UnsupportedModelError):
-            check_lipschitz(bad)
+        """Each catalog J moves by at most its c_lip times the step of a
+        uniform grid."""
+        t = np.linspace(0.0, 1.0, 2001)
+        for name, w in WEIGHT_CATALOG.items():
+            c_lip = LStatModel(LStatSpec(name, "uniform01", 8)
+                               ).bound_inputs(3.0).c_lip
+            steps = np.abs(np.diff(w.fn(t)))
+            assert (steps <= c_lip * np.diff(t) + 1e-12).all()
 
     def test_model_exposes_constant(self):
         assert LStatModel(LStatSpec("const1", "uniform01", 8)
@@ -308,15 +309,93 @@ class TestRowTiles:
 
     @pytest.mark.parametrize("count", [1, ROW_TILE + 1, 2 * ROW_TILE + 1])
     def test_rows_equal_first_rows_of_a_full_chunk(self, count):
-        """A lone row, and a tile with a joined last row, give the W rows of
-        a whole chunk on the same stream bit for bit: the std_normal
-        influence takes no value from the size of its tile. T is a
-        matrix-vector product, and a BLAS may sum the last rows of a tile
-        (under OpenBLAS, those past a multiple of four) in another order,
-        so it is compared to rounding."""
+        """A lone row, and a last tile of one row, give the rows of a whole
+        chunk on the same stream bit for bit: T is a fixed-order row
+        reduction, and the std_normal influence takes no value from the
+        size of its tile."""
         model = LStatModel(LStatSpec("identity", "std_normal", 400))
-        full = model.sample_chunk(SeedSpec(89).substream(0), CHUNK_SIZE)
-        chunk = model.sample_chunk(SeedSpec(89).substream(0), count)
-        np.testing.assert_array_equal(chunk["w"], full["w"][:count])
-        np.testing.assert_allclose(chunk["t"], full["t"][:count], rtol=0,
-                                   atol=1e-12)
+        full = model.sample_chunk(SeedSpec(89).substream(0), CHUNK_SIZE,
+                                  mode=MODES)
+        chunk = model.sample_chunk(SeedSpec(89).substream(0), count,
+                                   mode=MODES)
+        for key in ("t", "w", "delta", "g_rep"):
+            np.testing.assert_array_equal(chunk[key], full[key][:count])
+        for mode in MODES:
+            np.testing.assert_array_equal(chunk["dvar_rep"][mode],
+                                          full["dvar_rep"][mode][:count])
+
+    @pytest.mark.parametrize("dist", CONTINUOUS)
+    @pytest.mark.parametrize("height", [1, 5, ROW_TILE])
+    def test_rows_do_not_depend_on_the_tile_height(self, monkeypatch, height,
+                                                   dist):
+        """Tiles of any height give the rows of the default tiling (one
+        4096-row tile at n = 9) bit for bit."""
+        model = LStatModel(LStatSpec("identity", dist, 9))
+        whole = model.sample_chunk(SeedSpec(90).substream(0), 300, mode=MODES)
+        monkeypatch.setattr(base, "TILE_BYTES", 0)
+        monkeypatch.setattr(base, "ROW_TILE", height)
+        tiled = model.sample_chunk(SeedSpec(90).substream(0), 300, mode=MODES)
+        for key in ("t", "w", "delta", "g_rep"):
+            np.testing.assert_array_equal(tiled[key], whole[key])
+        for mode in MODES:
+            np.testing.assert_array_equal(tiled["dvar_rep"][mode],
+                                          whole["dvar_rep"][mode])
+
+    @pytest.mark.parametrize("n", [4, 9])
+    @pytest.mark.parametrize("dist", CONTINUOUS)
+    @pytest.mark.parametrize("weight", sorted(WEIGHT_CATALOG))
+    def test_variant_edge_rows_match_oracle(self, weight, dist, n):
+        """The variant update at the edges of its shifted run gives the
+        oracle's Delta: see edge_rows."""
+        model = LStatModel(LStatSpec(weight, dist, n))
+        x, v = edge_rows(model.dist, n)
+        replayed = LStatModel(LStatSpec(weight, dist, n))
+        replayed.dist = Replay(x, v)
+        chunk = replayed.sample_chunk(np.random.default_rng(91), len(x),
+                                      mode=MODES)
+        for r in range(len(x)):
+            t, _w = oracle_t_w(model, x[r])
+            np.testing.assert_allclose(chunk["t"][r], t, rtol=1e-12,
+                                       atol=1e-13)
+            for mode, value in zip(MODES, (0.0, v[r])):
+                np.testing.assert_allclose(
+                    chunk["dvar_rep"][mode][r, 0],
+                    oracle_dvar(model, x[r], value), rtol=1e-9, atol=1e-13)
+
+
+class Replay:
+    """A law whose draws are given: each data tile takes the next rows of x
+    and each fresh run the next values of v."""
+
+    def __init__(self, x, v):
+        self.rows, self.fresh = iter(x), iter(v)
+
+    def fill(self, _rng, out):
+        source = self.rows if out.ndim == 2 else self.fresh
+        for k in range(len(out)):
+            out[k] = next(source)
+
+
+def edge_rows(dist, n):
+    """Rows x and resample values v at the edges of the variant update: v
+    below the row minimum, v equal to the largest and to the smallest of
+    the row's other values, a representative tied with another value
+    (alone, and with v equal to both), a representative at the last rank
+    (with a drawn v, and with v above the row maximum), and, in the last
+    row of the tile, a representative at the first rank with v above the
+    row maximum, so that its shifted run ends at the tile's last value."""
+    x = dist.sample(np.random.default_rng(n), (8, n))
+    v = dist.sample(np.random.default_rng(n + 1), 8)
+    lo, hi = dist.support
+    below = lambda row: (lo + row.min()) / 2
+    above = lambda row: (row.max() + hi) / 2
+    v[0] = below(x[0])
+    v[1], v[2] = x[1, 1:].max(), x[2, 1:].min()
+    x[3, 0] = x[3, 2]
+    x[4, 0] = v[4] = x[4, 1]
+    for r in (5, 6):
+        x[r, [0, x[r].argmax()]] = x[r, [x[r].argmax(), 0]]
+    v[6] = above(x[6])
+    x[7, [0, x[7].argmin()]] = x[7, [x[7].argmin(), 0]]
+    v[7] = above(x[7])
+    return x, v
