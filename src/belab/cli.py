@@ -425,7 +425,7 @@ class TagSpec:
     stated at z; comps are the coupling-moment estimates in `mode` (None: the
     bound reads no sampled components). comparator names the measured
     distance: T or W against the normal, or T against W, uniformly or at each
-    z for point bounds. with_p rows carry p; judged rows carry a pass flag.
+    z for point bounds. with_p rows carry p.
     """
 
     families: frozenset
@@ -433,7 +433,6 @@ class TagSpec:
     mode: str | None
     comparator: str
     with_p: bool
-    judged: bool
     build: object
 
 
@@ -475,46 +474,46 @@ _MULTI = frozenset({"multisample"})
 _LSTAT = frozenset({"lstat"})
 
 TAGS = {
-    "eq1.3": TagSpec(_ALL, False, "zero_out", "T~N", False, True,
+    "eq1.3": TagSpec(_ALL, False, "zero_out", "T~N", False,
                      lambda r, c, z: bound_core.chebyshev_baseline(
                          r.linear_ks(), c.delta_abs.value, 1.0)),
-    "eq1.4": TagSpec(_ALL, False, None, "W~N", False, True,
+    "eq1.4": TagSpec(_ALL, False, None, "W~N", False,
                      lambda r, c, z: bound_core.linear_baseline(r.linear)),
-    "eq2.3": TagSpec(_ALL, False, "zero_out", "T~W", False, True,
+    "eq2.3": TagSpec(_ALL, False, "zero_out", "T~W", False,
                      lambda r, c, z: bound_core.uniform_bound_thm21(
                          c.as_bound_components(r.beta, r.delta_min))),
-    "eq2.4": TagSpec(_ALL, False, "zero_out", "T~W", False, True,
+    "eq2.4": TagSpec(_ALL, False, "zero_out", "T~W", False,
                      lambda r, c, z: bound_core.uniform_bound_beta(
                          c.as_bound_components(r.beta, r.delta_min))),
-    "eq2.5": TagSpec(_ALL, False, "zero_out", "T~N", False, True,
+    "eq2.5": TagSpec(_ALL, False, "zero_out", "T~N", False,
                      lambda r, c, z: bound_core.uniform_bound_normal(
                          c.as_bound_components(r.beta, r.delta_min))),
-    "eq2.6": TagSpec(_WITH_L2, True, "resample", "T~W", False, True,
+    "eq2.6": TagSpec(_WITH_L2, True, "resample", "T~W", False,
                      _nonuniform_22),
-    "eq2.9": TagSpec(_WITH_L2, True, "resample", "T~N", True, False,
+    "eq2.9": TagSpec(_WITH_L2, True, "resample", "T~N", True,
                      _nonuniform_29),
-    "eq3.1": TagSpec(_USTAT, False, None, "T~W", False, True,
+    "eq3.1": TagSpec(_USTAT, False, None, "T~W", False,
                      lambda r, c, z: app_bounds.ustat_uniform_31(
                          r.bound_inputs)),
-    "eq3.2": TagSpec(_USTAT, False, None, "T~N", False, True,
+    "eq3.2": TagSpec(_USTAT, False, None, "T~N", True,
                      lambda r, c, z: app_bounds.ustat_normal_32(
                          r.bound_inputs)),
-    "eq3.3": TagSpec(_USTAT, True, None, "T~N", True, False,
+    "eq3.3": TagSpec(_USTAT, True, None, "T~N", True,
                      lambda r, c, z: app_bounds.ustat_nonuniform_33(
                          r.bound_inputs, z)),
-    "eq3.4": TagSpec(_USTAT, True, None, "T~N", True, False,
+    "eq3.4": TagSpec(_USTAT, True, None, "T~N", True,
                      lambda r, c, z: app_bounds.ustat_nonuniform_34(
                          r.bound_inputs, z)),
-    "eq3.6": TagSpec(_USTAT, True, None, "T~N", True, False, _ustat_36),
-    "eq3.7": TagSpec(_MULTI, False, None, "T~N", True, True,
+    "eq3.6": TagSpec(_USTAT, True, None, "T~N", True, _ustat_36),
+    "eq3.7": TagSpec(_MULTI, False, None, "T~N", True,
                      lambda r, c, z: app_bounds.multisample_37(
                          r.bound_inputs)),
-    "eq3.8": TagSpec(_MULTI, True, None, "T~N", True, False,
+    "eq3.8": TagSpec(_MULTI, True, None, "T~N", True,
                      lambda r, c, z: app_bounds.multisample_38(
                          r.bound_inputs, z)),
-    "eq3.10": TagSpec(_LSTAT, False, None, "T~N", True, True,
+    "eq3.10": TagSpec(_LSTAT, False, None, "T~N", True,
                       lambda r, c, z: app_bounds.lstat_310(r.bound_inputs)),
-    "eq3.11": TagSpec(_LSTAT, True, None, "T~N", True, False,
+    "eq3.11": TagSpec(_LSTAT, True, None, "T~N", True,
                       lambda r, c, z: app_bounds.lstat_311(
                           r.bound_inputs, z)),
 }
@@ -755,6 +754,3 @@ def main(argv=None) -> int:
         return 1
     return 0
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -16,7 +16,8 @@ class ConfigError(BelabError):
 
 
 class InvalidModelError(BelabError):
-    """Model breaks a structural requirement (normalization, Lipschitz grid, ...)."""
+    """Model breaks a structural requirement: a malformed descriptor, or a
+    linear part that is not normalized."""
 
 
 class UnsupportedModelError(BelabError):

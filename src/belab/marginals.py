@@ -360,12 +360,6 @@ class MonotoneMarginal(Marginal):
         inside = max(0.0, self.cdf(b) - self.cdf(a))
         return max(0.0, 1.0 - inside)
 
-    def scale_by(self, factor):
-        if factor <= 0:
-            raise ValueError("factor must be > 0")
-        return MonotoneMarginal(lambda x: factor * self.fn(x), self.x_lo,
-                                self.x_hi, self.density, self.cdf)
-
 
 class LinearPart:
     """The linear half of the decomposition: marginals of g_i with counts.

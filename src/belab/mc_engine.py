@@ -41,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .models.base import VARIANT_MODES
 from .special import ndtr, ndtr_array
 from .types import BoundComponents, BoundValue, KSResult, MomentEstimate
 
@@ -131,8 +132,8 @@ def _estimates(model, stats, replicates, weights, n_l2, delta_thresholds):
                                 if m > 0 else 0.0, replicates)
                  for m, se in stats[3:3 + n_l2]]
         delta_l2 = roots[0]
-        sum_gl2 = sum((wt * gl2 * r for wt, gl2, r
-                       in zip(weights, model.group_g_l2(), roots[1:])),
+        sum_gl2 = sum((wt * marg.l2() * r for wt, (marg, _cnt), r
+                       in zip(weights, model.linear_part.groups, roots[1:])),
                       MomentEstimate(0.0))
     return BoundComponents(
         e_abs_w_delta=est[0], sum_g_delta_diff=est[1], delta_abs=est[2],
@@ -152,7 +153,11 @@ def sample_pass(model, replicates: int, seed: SeedSpec, modes=(),
     |D|, then, where the model has an L2 remainder, D^2 and (D - D_j)^2 for
     each group, then 1{|D| > thr} for each threshold. A structurally zero
     remainder gives exact zero components without sampling its modes; with
-    nothing to sample, nothing is drawn."""
+    nothing to sample, nothing is drawn. `modes` holds distinct names from
+    VARIANT_MODES; any other name raises ValueError before a draw."""
+    for m in modes:
+        if m not in VARIANT_MODES:
+            raise ValueError(f"unknown variant mode {m!r}")
     t = np.empty(replicates) if keep_tw else None
     w = np.empty(replicates) if keep_tw else None
     sampled = () if model.delta_is_zero else tuple(modes)

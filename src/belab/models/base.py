@@ -59,15 +59,12 @@ def row_tiles(count: int, tile: int):
         yield slice(start, min(start + tile, count))
 
 
-def projection_sums(tile, transform, out=None):
-    """(row sums, first column) of transform(tile). Given `out`, a flat
-    float64 buffer of at least tile.size values, the projection is made by
+def projection_sums(tile, transform, out):
+    """(row sums, first column) of transform(tile). `out`, a flat float64
+    buffer of at least tile.size values, holds the projection: it is made by
     transform(tile, out=<view of out>), so no tile-sized array is allocated
     where the transform can write there."""
-    if out is None:
-        g = transform(tile)
-    else:
-        g = transform(tile, out=out[:tile.size].reshape(tile.shape))
+    g = transform(tile, out=out[:tile.size].reshape(tile.shape))
     return g.sum(axis=1), g[:, 0].copy()
 
 
@@ -147,17 +144,6 @@ class ChunkTiles:
 VARIANT_MODES = ("zero_out", "resample")
 
 
-def variant_modes(mode) -> tuple:
-    """The `mode` argument of sample_chunk as a tuple of distinct variant
-    modes in the order given."""
-    modes = () if mode is None else (mode,) if isinstance(mode, str) else mode
-    modes = tuple(dict.fromkeys(modes))
-    for m in modes:
-        if m not in VARIANT_MODES:
-            raise ValueError(f"unknown variant mode {m!r}")
-    return modes
-
-
 @dataclass(frozen=True)
 class BaseDist:
     """Catalog entry for an observation distribution."""
@@ -187,16 +173,7 @@ class BaseDist:
             return min(1.0, max(0.0, x))
         if self.name == "exponential1":
             return 1.0 - math.exp(-x) if x >= 0 else 0.0
-        if self.name == "rademacher":
-            if x < -1:
-                return 0.0
-            return 0.5 if x < 1 else 1.0
         raise UnsupportedModelError(f"no cdf for {self.name}")
-
-    def sample(self, rng: np.random.Generator, size):
-        out = empty_block(size)
-        self.fill(rng, out)
-        return out
 
     def fill(self, rng: np.random.Generator, out):
         """Draw out.size values into the C-contiguous float64 array out, as
@@ -235,11 +212,11 @@ class StatisticModel(ABC):
     supports_delta_l2: bool = True
 
     @abstractmethod
-    def sample_chunk(self, rng: np.random.Generator, count: int, mode=None):
+    def sample_chunk(self, rng: np.random.Generator, count: int, mode=()):
         """Vectorized evaluation of `count` replicates.
 
-        `mode` is a tuple of variant modes ('zero_out', 'resample'); a bare
-        mode name is the one-element tuple and None the empty one.
+        `mode` is a tuple of distinct names from VARIANT_MODES; the engine's
+        `sample_pass` checks them before it draws.
         No modes -> {'t': array, 'w': array}
         Some modes -> also 'delta', 'g_rep' and 'dvar_rep', where 'g_rep'
         is a count x n_groups array (one column per exchangeable group,
@@ -281,10 +258,6 @@ class StatisticModel(ABC):
     def prob_abs_w_minus_g_above(self, group: int, t: float):
         """P(|W - g_i| > t) for an index in the given group, when analytic."""
         return None
-
-    def group_g_l2(self):
-        """Per-group ||g_i||_2, analytic from the linear part."""
-        return tuple(marg.l2() for marg, _cnt in self.linear_part.groups)
 
     def nonuniform_third_term(self, z: float) -> float:
         """sum_i P(|W - g_i| > (|z|-2)/3) P(|g_i| > 1).

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..errors import DomainError
 from ..marginals import NORMAL_CUT, LinearPart, NormalMarginal, quad_segments
-from .base import DIST_CATALOG, StatisticModel, variant_modes
+from .base import DIST_CATALOG, StatisticModel
 from .fields import Spec, spec_field
 
 # E|Z|^(-1/2) for standard normal Z
@@ -114,16 +114,15 @@ class IsqrtModel(StatisticModel):
         self._r_sd = math.sqrt((self.n - 1) / self.n)
         self.linear_part = LinearPart([(NormalMarginal(self._x_sd), self.n)])
 
-    def sample_chunk(self, rng, count, mode=None):
+    def sample_chunk(self, rng, count, mode=()):
         r = rng.standard_normal(count) * self._r_sd
         x1 = rng.standard_normal(count) * self._x_sd
         w = r + x1
         t = example41_transform(w, self.epsilon)
-        modes = variant_modes(mode)
-        if not modes:
+        if not mode:
             return {"t": t, "w": w}
         dvar = {}
-        for m in modes:
+        for m in mode:
             if m == "zero_out":
                 v = np.zeros(count)
             else:

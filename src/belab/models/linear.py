@@ -25,7 +25,6 @@ from .base import (
     ChunkTiles,
     StatisticModel,
     projection_sums,
-    variant_modes,
 )
 from .fields import Spec, spec_field
 
@@ -73,14 +72,6 @@ def sum_leave_one_out_tail(dist_name: str, n: int, t: float):
     if dist_name == "std_normal":
         sd = math.sqrt((n - 1) / n)
         return 2.0 * ndtr(-t / sd)
-    if dist_name == "rademacher":
-        # sum of n-1 signs, scaled by 1/sqrt(n)
-        shift = t * math.sqrt(n)
-        hi = (n - 1 + shift) / 2.0
-        lo = (n - 1 - shift) / 2.0
-        # P(S > hi) = P(S <= n - 2 - floor(hi)) by symmetry
-        return float(half_binom_cdf(n - 2 - math.floor(hi), n - 1)
-                     + half_binom_cdf(math.ceil(lo) - 1, n - 1))
     if dist_name == "exponential1":
         shift = t * math.sqrt(n)
         return (gammaincc(n - 1, max(n - 1 + shift, 0.0))
@@ -103,18 +94,17 @@ class LinearModel(StatisticModel):
         self.linear_part = LinearPart([
             (_unit_marginal(spec.dist).scale_by(1.0 / math.sqrt(self.n)), self.n)])
 
-    def sample_chunk(self, rng, count, mode=None):
+    def sample_chunk(self, rng, count, mode=()):
         w, rep = np.empty((2, count))
         tiles = ChunkTiles(self.dist, rng, count, (self.n,))
         for rows, (x,) in tiles:
             w[rows], rep[rows] = projection_sums(
                 x, self._g_rows, tiles.scratch)
         t = w.copy()
-        modes = variant_modes(mode)
-        if not modes:
+        if not mode:
             return {"t": t, "w": w}
         return {"t": t, "w": w, "delta": np.zeros(count), "g_rep": rep[:, None],
-                "dvar_rep": {m: np.zeros((count, 1)) for m in modes}}
+                "dvar_rep": {m: np.zeros((count, 1)) for m in mode}}
 
     def _g_rows(self, x, out=None):
         """The linear terms (x - mu) / (sqrt(n) sd)."""

@@ -38,7 +38,6 @@ from .base import (
     StatisticModel,
     projection_sums,
     row_counts,
-    variant_modes,
 )
 from .fields import Spec, spec_field
 
@@ -179,11 +178,10 @@ class LStatModel(StatisticModel):
             self.n)])
         self.x2_moment = self.dist.var + self.dist.mean ** 2
 
-    def sample_chunk(self, rng, count, mode=None):
-        modes = variant_modes(mode)
+    def sample_chunk(self, rng, count, mode=()):
         w, rep, t = np.empty((3, count))
-        t_var = {m: np.empty(count) for m in modes}
-        tiles = ChunkTiles(self.dist, rng, count, (self.n,), modes)
+        t_var = {m: np.empty(count) for m in mode}
+        tiles = ChunkTiles(self.dist, rng, count, (self.n,), mode)
         for rows, (x,) in tiles:
             w[rows], rep[rows] = projection_sums(x, self._g_rows,
                                                  tiles.scratch)
@@ -191,18 +189,18 @@ class LStatModel(StatisticModel):
             # T reads only the order statistics, so x is sorted in place
             x.sort(axis=1)
             t[rows] = np.einsum("ij,j->i", x, self._jvec)
-            rank = row_counts(np.less, x, cur) if modes else None
-            for m in modes:
+            rank = row_counts(np.less, x, cur) if mode else None
+            for m in mode:
                 t_var[m][rows] = self._replaced(x, t[rows], rank, cur,
                                                 tiles.values[m][0, rows])
         values = tiles.values
         x = tiles = None  # frees the last tile and the scratch buffer
         scale = math.sqrt(self.n) / self.sigma
         t = (t - self._center) * scale
-        if not modes:
+        if not mode:
             return {"t": t, "w": w}
         dvar = {}
-        for m in modes:
+        for m in mode:
             gv = self._g_rows(values[m][0])
             tv = (t_var[m] - self._center) * scale
             dvar[m] = (tv - (w - rep + gv))[:, None]

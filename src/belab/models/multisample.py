@@ -25,7 +25,6 @@ from .base import (
     projection_sums,
     row_counts,
     row_tiles,
-    variant_modes,
 )
 from .fields import Spec, spec_field
 
@@ -57,7 +56,7 @@ class MultiUStatSpec(Spec):
 PAIR_TILE = 32
 
 
-def _tagged_pair_counts(x, y, work=None):
+def _tagged_pair_counts(x, y, work):
     """Per-row count of the pairs (i, j) with x_i <= y_j, from one sort of
     each pooled row; x and y are not changed.
 
@@ -70,15 +69,13 @@ def _tagged_pair_counts(x, y, work=None):
     under flush-to-zero. The count is the dot product of the odd-key
     indicator with the positions, minus n2 (n2 - 1) / 2: integers below
     2^53 throughout. `work`, a flat float64 buffer of at least
-    2 min(PAIR_TILE, count) (n1 + n2) values, holds both blocks if given.
+    2 min(PAIR_TILE, count) (n1 + n2) values, holds both blocks.
     """
     count, n1 = x.shape
     n2 = y.shape[1]
     out = np.empty(count)
     shape = (min(PAIR_TILE, count), n1 + n2)
     cells = shape[0] * shape[1]
-    if work is None:
-        work = np.empty(2 * cells)
     keys = work[:cells].reshape(shape)
     bits = keys.view(np.int64)
     parity = work[cells:2 * cells].reshape(shape)
@@ -141,28 +138,27 @@ class WilcoxonModel(StatisticModel):
             (UniformMarginal(0.5 / (self.n2 * self.sn)), self.n2),
         ])
 
-    def sample_chunk(self, rng, count, mode=None):
-        modes = variant_modes(mode)
+    def sample_chunk(self, rng, count, mode=()):
         tiles = ChunkTiles(DIST_CATALOG["uniform01"], rng, count,
-                           (self.n1, self.n2), modes, zero=self.dist.cdf(0.0))
+                           (self.n1, self.n2), mode, zero=self.dist.cdf(0.0))
         sum1, rep1, sum2, rep2, pair = np.empty((5, count))
         pair_work = empty_block(
             2 * min(PAIR_TILE, count) * (self.n1 + self.n2))
         # the pairs each group's representative takes part in before and
         # after the swap for its replacement value
         before = np.empty((2, count), dtype=np.intp)
-        after = {m: np.empty((2, count), dtype=np.intp) for m in modes}
+        after = {m: np.empty((2, count), dtype=np.intp) for m in mode}
         for rows, (x, y) in tiles:
             sum1[rows], rep1[rows] = projection_sums(x, self._g1_rows,
                                                      tiles.scratch)
             sum2[rows], rep2[rows] = projection_sums(y, self._g2_rows,
                                                      tiles.scratch)
             pair[rows] = _tagged_pair_counts(x, y, pair_work)
-            if not modes:
+            if not mode:
                 continue
             before[0, rows] = row_counts(np.less, y, x[:, 0])
             before[1, rows] = row_counts(np.less_equal, x, y[:, 0])
-            for m in modes:
+            for m in mode:
                 v1, v2 = tiles.values[m][:, rows]
                 after[m][0, rows] = row_counts(np.less, y, v1)
                 after[m][1, rows] = row_counts(np.less_equal, x, v2)
@@ -170,11 +166,11 @@ class WilcoxonModel(StatisticModel):
         x = y = tiles = None  # the tile buffers go before the arithmetic below
         w = sum1 + sum2
         t = (pair / (self.n1 * self.n2) - 0.5) / self.sn
-        if not modes:
+        if not mode:
             return {"t": t, "w": w}
         g_rep = np.stack([rep1, rep2], axis=1)
         dvar = {}
-        for m in modes:
+        for m in mode:
             v1, v2 = values[m]
             # group 1 representative x_1 -> v1: its pairs are the y_j >= x_1
             dc1 = before[0] - after[m][0]

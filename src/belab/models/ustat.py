@@ -23,7 +23,6 @@ from .base import (
     DIST_CATALOG,
     ChunkTiles,
     StatisticModel,
-    variant_modes,
 )
 from .fields import Spec, spec_field
 from .kernels import KERNEL_CATALOG, kernel_abs_p
@@ -96,11 +95,10 @@ class UStatModel(StatisticModel):
                 self.kernel.linear_sum_from_power_sums(
                     c1, c2, self.n, self.dist) * self._g_scale)
 
-    def sample_chunk(self, rng, count, mode=None):
-        modes = variant_modes(mode)
+    def sample_chunk(self, rng, count, mode=()):
         c1, c2, x1 = np.empty((3, count))
         tiles = ChunkTiles(self.dist, rng, count, (self.n,),
-                           () if self.delta_is_zero else modes)
+                           () if self.delta_is_zero else mode)
         for rows, (x,) in tiles:
             x1[rows] = x[:, 0]
             x -= self.dist.mean
@@ -111,12 +109,12 @@ class UStatModel(StatisticModel):
         t, w = self._t_w_from_power_sums(c1, c2)
         if self.delta_is_zero:
             t = w.copy()
-        if not modes:
+        if not mode:
             return {"t": t, "w": w}
         g_rep = self.kernel.g_raw(x1, self.dist) * self._g_scale
         d1 = x1 - self.dist.mean
         dvar = {}
-        for m in modes:
+        for m in mode:
             if self.delta_is_zero:
                 dvar[m] = np.zeros((count, 1))
                 continue

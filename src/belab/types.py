@@ -29,10 +29,6 @@ class MomentEstimate:
         if self.replicates == 0 and self.std_error != 0.0:
             raise ValueError("analytic/quadrature estimates carry std_error 0")
 
-    @property
-    def analytic(self) -> bool:
-        return self.replicates == 0
-
     def __add__(self, other):
         """The sum, with the errors added (first order) and the larger
         replicate count; a plain number adds as an analytic value."""

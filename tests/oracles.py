@@ -1,9 +1,10 @@
 """Reference oracles the tests compare the library against.
 
 Exact enumeration of the U-statistics, the raw L-statistic, the influence
-function by quadrature, the per-row pair count, and the resample coupling
-alpha of the perturbed-normal model, by Monte Carlo and by quadrature. No
-command reaches any of them. Enumeration errors past ENUMERATION_CAP index
+function by quadrature, the per-row pair count, the resample coupling
+alpha of the perturbed-normal model, by Monte Carlo and by quadrature, and
+the whole-block draw that a chunk's row tiles must reproduce. No command
+reaches any of them. Enumeration errors past ENUMERATION_CAP index
 choices rather than subsampling.
 """
 from __future__ import annotations
@@ -32,6 +33,14 @@ def check_capacity(count: int, what: str):
     if count > ENUMERATION_CAP:
         raise CapacityError(
             f"{count} {what} exceed the enumeration cap {ENUMERATION_CAP}")
+
+
+def whole_draw(dist, rng, size):
+    """`size` values of the catalog law `dist`, drawn from rng in one call:
+    the values that a chunk's row tiles of the same stream must hold."""
+    out = np.empty(size)
+    dist.fill(rng, out)
+    return out
 
 
 def ustat_value(kernel, data, dist) -> float:
@@ -108,7 +117,8 @@ def example41_alpha(spec, replicates: int, seed):
 
     def one_chunk(args):
         c, _start, count = args
-        chunk = model.sample_chunk(seed.substream(c), count, mode="resample")
+        chunk = model.sample_chunk(seed.substream(c), count,
+                                   mode=("resample",))
         return _row_moments(
             np.abs(chunk["delta"] - chunk["dvar_rep"]["resample"].T))
 

@@ -64,7 +64,7 @@ class TestBeta:
         np.testing.assert_allclose(beta.value, 0.15957691216057304,
                                    rtol=1e-10)
         assert beta.std_error == 0.0
-        assert beta.analytic
+        assert beta.replicates == 0
 
     def test_bounded_terms_reduce_to_third_moments(self):
         # every |g_i| = 0.1 <= 1, so the truncated-square piece vanishes

@@ -2,7 +2,10 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -535,6 +538,19 @@ class TestMainExitCodes:
         rec = next(csv.DictReader(io.StringIO(text)))
         assert rec["pass"] == "true"
 
+    def test_module_run_writes_the_same_bytes(self, tmp_path, capsys):
+        """`python -W error -m belab` is the same command line as main."""
+        path = write_config(tmp_path, make_doc())
+        want, got = tmp_path / "main.csv", tmp_path / "module.csv"
+        assert main(["verify", "--config", path, "--output", str(want)]) == 0
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        subprocess.run([sys.executable, "-W", "error", "-m", "belab",
+                        "verify", "--config", path, "--output", str(got)],
+                       env=env, check=True)
+        assert got.read_bytes() == want.read_bytes()
+
     def test_counterexample_domain_maps_to_config_error(self, tmp_path,
                                                         capsys):
         path = write_config(tmp_path, {"epsilon_grid": [1.0 / 32.0],
@@ -1059,10 +1075,37 @@ def golden_records(pattern):
         yield from csv.DictReader(io.StringIO(path.read_text()))
 
 
+# one small model of each family
+FAMILY_MODELS = {
+    "linear": {"family": "linear", "dist": "uniform01", "n": 30},
+    "ustat": USTAT,
+    "multisample": {"family": "multisample", "dist": "uniform01",
+                    "n": "40;30"},
+    "lstat": {"family": "lstat", "weight": "identity", "dist": "uniform01",
+              "n": 40},
+    "isqrt": {"family": "isqrt", "epsilon": 0.05, "n": 100},
+}
+
+
 class TestTagRegistry:
+    def test_judged_matches_verify_rows(self):
+        """A verify row carries a pass cell exactly when its bound has no
+        unknown-constant part, every row of a tag agrees on it, and the
+        verify goldens hold every registry tag."""
+        judged = {}
+        for rec in golden_records("verify-*.csv"):
+            has_pass = rec["pass"] != ""
+            assert has_pass == (float(rec["bound_c_coeff"]) == 0.0), rec
+            tag = rec["equation_tag"]
+            assert judged.setdefault(tag, has_pass) == has_pass, rec
+        assert set(judged) == set(cli.TAGS)
+
     def test_readme_table_matches_registry(self):
-        want = {tag: "yes" if spec.judged else "no"
-                for tag, spec in cli.TAGS.items()}
+        """The README's judged column is what the goldens show: a tag is
+        judged when its verify rows carry a pass cell."""
+        want = {}
+        for rec in golden_records("verify-*.csv"):
+            want[rec["equation_tag"]] = "yes" if rec["pass"] else "no"
         # the counterexample rows come from example41, not the registry
         for rec in golden_records("example41.csv"):
             tag = rec["equation_tag"]
@@ -1070,13 +1113,22 @@ class TestTagRegistry:
                 want[tag] = "yes" if rec["pass"] else "report-only"
         assert readme_tag_table() == want
 
-    def test_judged_matches_verify_rows(self):
-        seen = set()
-        for rec in golden_records("verify-*.csv"):
-            seen.add(rec["equation_tag"])
-            judged = cli.TAGS[rec["equation_tag"]].judged
-            assert (rec["pass"] != "") == judged, rec
-        assert seen == set(cli.TAGS)
+    @pytest.mark.parametrize("family", sorted(FAMILY_MODELS))
+    def test_rows_move_with_p_exactly_when_they_carry_it(self, family):
+        """Each tag's rows at p = 2.5 and at p = 3 differ exactly when the
+        tag writes p, so a bound that reads p shows it."""
+        assert set(FAMILY_MODELS) == set(cli.FAMILIES)
+        tags = [t for t, spec in cli.TAGS.items() if family in spec.families]
+        rows = {}
+        for p in (2.5, 3.0):
+            doc = make_doc(model=FAMILY_MODELS[family], bounds=tags, p=p,
+                           z_grid=[0.0, 1.0])
+            for row in cmd_bound(parse(doc))[0]:
+                rows.setdefault(row.equation_tag, {}).setdefault(
+                    p, []).append(row)
+        assert set(rows) == set(tags)
+        for tag, by_p in rows.items():
+            assert (by_p[2.5] != by_p[3.0]) == cli.TAGS[tag].with_p, tag
 
     def test_family_and_point_checks_follow_registry(self):
         for tag, spec in cli.TAGS.items():
@@ -1101,7 +1153,7 @@ class TestTagRegistry:
         calls = []
         orig = UStatModel.sample_chunk
 
-        def counting(self, rng, count, mode=None):
+        def counting(self, rng, count, mode=()):
             calls.append(mode)
             return orig(self, rng, count, mode=mode)
 

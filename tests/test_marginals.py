@@ -138,7 +138,9 @@ class TestMonotoneMarginal:
                              "dist": "uniform01", "n": 45})
         marg, count = model.linear_part.groups[0]
         assert count == 45
-        return marg.scale_by(math.sqrt(45.0) * model.sigma)  # raw units
+        factor = math.sqrt(45.0) * model.sigma  # to raw units
+        return MonotoneMarginal(lambda x: factor * marg.fn(x), marg.x_lo,
+                                marg.x_hi, marg.density, marg.cdf)
 
     def test_raw_moments(self):
         m = self._marg()

@@ -32,6 +32,7 @@ from belab.mc_engine import (
     empirical_ks_vs_normal,
     pointwise_diff_two_sample,
     pointwise_diff_vs_normal,
+    sample_pass,
 )
 from belab.models import (
     Example41Spec,
@@ -59,6 +60,7 @@ from belab.types import (
     KSResult,
     MomentEstimate,
 )
+from oracles import whole_draw
 
 MiB = 2 ** 20
 # chunk sizes on both sides of a row tile's edge
@@ -216,7 +218,7 @@ class TestChunkBoundaries:
         sizes = np.array(model.group_sizes, dtype=float)
         for mode in ("zero_out", "resample"):
             chunks = [model.sample_chunk(self.SEED.substream(c), count,
-                                         mode=mode)
+                                         mode=(mode,))
                       for c, _start, count in layout]
             rows = {key: np.concatenate([ch[key] for ch in chunks])
                     for key in ("t", "w", "delta", "g_rep")}
@@ -241,6 +243,30 @@ class TestChunkBoundaries:
                                        gdd.mean(), rtol=1e-12)
 
 
+class TestModeNames:
+    """The engine checks the variant mode names before it draws."""
+
+    @pytest.mark.parametrize("family", sorted(CHUNK_MODELS))
+    def test_unknown_mode_raises_before_a_draw(self, monkeypatch, family):
+        model = build_model(CHUNK_MODELS[family])
+        cls = type(model)
+        orig = cls.sample_chunk
+        calls = []
+
+        def counting(model, rng, count, mode=()):
+            calls.append(mode)
+            return orig(model, rng, count, mode=mode)
+
+        monkeypatch.setattr(cls, "sample_chunk", counting)
+        with pytest.raises(ValueError,
+                           match="unknown variant mode 'zero-out'"):
+            sample_pass(model, 5000, SeedSpec(3),
+                        modes=("resample", "zero-out"), threads=2)
+        with pytest.raises(ValueError, match="unknown variant mode 'both'"):
+            components_via_engine(model, 5000, SeedSpec(3), mode="both")
+        assert calls == []
+
+
 class TestSinglePass:
     """One sample_chunk call per chunk serves T, W and every variant mode."""
 
@@ -258,7 +284,7 @@ class TestSinglePass:
         assert set(fused["dvar_rep"]) == set(both)
         for mode in both:
             single_rng = self.SEED.substream(3)
-            single = model.sample_chunk(single_rng, 777, mode=mode)
+            single = model.sample_chunk(single_rng, 777, mode=(mode,))
             for key in ("t", "w", "delta", "g_rep"):
                 np.testing.assert_array_equal(fused[key], single[key])
             np.testing.assert_array_equal(fused["dvar_rep"][mode],
@@ -283,7 +309,7 @@ class TestSinglePass:
         orig = cls.sample_chunk
         calls = []
 
-        def counting(model, rng, count, mode=None):
+        def counting(model, rng, count, mode=()):
             calls.append((count, mode))
             return orig(model, rng, count, mode=mode)
 
@@ -322,7 +348,7 @@ class TestSinglePass:
             finally:
                 tracemalloc.stop()
 
-        single = peak("resample")
+        single = peak(("resample",))
         assert peak(("zero_out", "resample")) <= single + 2 ** 20
 
     @pytest.mark.parametrize("desc,width", [
@@ -460,9 +486,11 @@ class TestChunkTiles:
         for b, (part, width) in enumerate(zip(got, widths)):
             stream = ref if b == 0 else self.spawned_part(make, b)
             np.testing.assert_array_equal(np.concatenate(part),
-                                          law.sample(stream, (count, width)))
+                                          whole_draw(law, stream,
+                                                     (count, width)))
         if "resample" in modes:
-            runs = [law.sample(self.spawned_part(make, len(widths) + g), count)
+            runs = [whole_draw(law, self.spawned_part(make, len(widths) + g),
+                               count)
                     for g in range(len(widths))]
             np.testing.assert_array_equal(np.concatenate(fresh, axis=1), runs)
         if "zero_out" in modes:
@@ -474,6 +502,11 @@ class TestChunkTiles:
         assert rng.random() == ref.random()
 
 
+def scaled_expm1(block, out=None):
+    """A projection transform that writes into `out` where given."""
+    return np.multiply(np.expm1(block, out=out), 0.3, out=out)
+
+
 class TestRowTiles:
     """The tiled helpers equal their whole-block numpy forms exactly."""
 
@@ -481,9 +514,9 @@ class TestRowTiles:
     @pytest.mark.parametrize("count", TILE_COUNTS)
     def test_projection_sums_equal_whole_block(self, count):
         block = np.random.default_rng(count).standard_normal((count, 37))
-        transform = lambda b: np.expm1(b) * 0.3
-        sums, first = projection_sums(block, transform)
-        whole = transform(block)
+        sums, first = projection_sums(block, scaled_expm1,
+                                      np.empty(block.size))
+        whole = scaled_expm1(block)
         np.testing.assert_array_equal(sums, whole.sum(axis=1))
         np.testing.assert_array_equal(first, whole[:, 0])
 
@@ -519,9 +552,9 @@ class TestRowTiles:
     @pytest.mark.parametrize("width,count", WIDTH_TILE_COUNTS)
     def test_projection_sums_equal_whole_block_at_width(self, width, count):
         block = np.random.default_rng(count).standard_normal((count, width))
-        transform = lambda b: np.expm1(b) * 0.3
-        sums, first = projection_sums(block, transform)
-        whole = transform(block)
+        sums, first = projection_sums(block, scaled_expm1,
+                                      np.empty(block.size))
+        whole = scaled_expm1(block)
         np.testing.assert_array_equal(sums, whole.sum(axis=1))
         np.testing.assert_array_equal(first, whole[:, 0])
 
@@ -547,7 +580,7 @@ class TestAggregationConventions:
         substreams as numpy reference arrays."""
         model = ustat_model()
         chunks = [model.sample_chunk(self.SEED.substream(c), count,
-                                     mode="zero_out")
+                                     mode=("zero_out",))
                   for c, _start, count in chunk_layout(self.REPLICATES)]
         samples = {key: np.concatenate([ch[key] for ch in chunks])
                    for key in ("w", "delta", "g_rep")}
@@ -606,12 +639,13 @@ class TestAggregationConventions:
         """The engine's record is the one built from the same per-chunk
         row moments by hand, field by field and bit for bit."""
         model = ustat_model()
-        (size,), (g_l2,) = model.group_sizes, model.group_g_l2()
+        [(marg, size)] = model.linear_part.groups
+        g_l2 = marg.l2()
         thresholds = (0.05, 0.2)
         blocks = []
         for c, _start, count in chunk_layout(self.REPLICATES):
             ch = model.sample_chunk(self.SEED.substream(c), count,
-                                    mode="zero_out")
+                                    mode=("zero_out",))
             d = ch["delta"]
             diff = d - ch["dvar_rep"]["zero_out"][:, 0]
             blocks.append(_row_moments(np.stack([

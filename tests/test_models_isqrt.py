@@ -27,7 +27,7 @@ def chunk_and_draws(model, seed, count, mode):
     substream: the rest-of-sum block r, the X_1 block, then the replacement
     X_1 (zeros in zero_out mode). Both streams must end in the same state."""
     rng_a, rng_b = SeedSpec(seed).substream(0), SeedSpec(seed).substream(0)
-    chunk = model.sample_chunk(rng_a, count, mode=mode)
+    chunk = model.sample_chunk(rng_a, count, mode=(mode,))
     n = model.n
     r = rng_b.standard_normal(count) * math.sqrt((n - 1) / n)
     x1 = rng_b.standard_normal(count) / math.sqrt(n)
@@ -209,7 +209,7 @@ class TestModel:
         rng_a = np.random.default_rng(97)
         rng_b = np.random.default_rng(97)
         model = IsqrtModel(Example41Spec(0.05, 25))
-        chunk = model.sample_chunk(rng_a, 6, mode="resample")
+        chunk = model.sample_chunk(rng_a, 6, mode=("resample",))
         r = rng_b.standard_normal(6) * math.sqrt(24.0 / 25.0)
         x1 = rng_b.standard_normal(6) / 5.0
         v = rng_b.standard_normal(6) / 5.0
@@ -233,7 +233,7 @@ class TestResampleCouplingAlpha:
         spec = Example41Spec(0.05, 100)
         model = IsqrtModel(spec)
         rng = np.random.default_rng(98)
-        chunk = model.sample_chunk(rng, 4, mode="zero_out")
+        chunk = model.sample_chunk(rng, 4, mode=("zero_out",))
         r = chunk["w"] - chunk["g_rep"][:, 0]
         np.testing.assert_allclose(chunk["dvar_rep"]["zero_out"][:, 0],
                                    isqrt_delta(r, 0.05), rtol=1e-12)

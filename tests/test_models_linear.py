@@ -11,7 +11,6 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.special import ndtr
-from scipy.stats import binom
 
 import belab
 from belab.bound_core import check_normalization
@@ -20,6 +19,7 @@ from belab.mc_engine import CHUNK_SIZE, SeedSpec
 from belab.models import LinearModel, LinearSpec, rademacher_ks_exact
 from belab.models.base import ROW_TILE
 from belab.models.linear import half_binom_cdf
+from oracles import whole_draw
 
 
 def _coin_flip_ks_reference(n):
@@ -80,8 +80,8 @@ def chunk_and_draws(model, seed, count, mode):
     a second copy of the same substream; both streams must end in the same
     state."""
     rng_a, rng_b = SeedSpec(seed).substream(0), SeedSpec(seed).substream(0)
-    chunk = model.sample_chunk(rng_a, count, mode=mode)
-    x = model.dist.sample(rng_b, (count, model.n))
+    chunk = model.sample_chunk(rng_a, count, mode=(mode,))
+    x = whole_draw(model.dist, rng_b, (count, model.n))
     assert rng_a.random() == rng_b.random()
     return chunk, x
 
@@ -137,19 +137,6 @@ class TestLinearModel:
         np.testing.assert_allclose(got, rademacher_ks_exact(36), rtol=1e-14)
         assert LinearModel(LinearSpec("uniform01", 10)
                            ).linear_ks_exact() is None
-
-    def test_leave_one_sum_tail_rademacher(self):
-        # brute binomial enumeration of P(|W - g_1| > t)
-        model = LinearModel(LinearSpec("rademacher", 13))
-        n = 13
-        for t in (0.2, 0.9, 1.7):
-            k = np.arange(n)  # heads among the other n-1 flips
-            s = (2.0 * k - (n - 1)) / math.sqrt(n)
-            mass = binom.pmf(k, n - 1, 0.5)
-            want = float(mass[np.abs(s) > t].sum())
-            np.testing.assert_allclose(
-                model.prob_abs_w_minus_g_above(0, t), want,
-                rtol=1e-10, atol=1e-12)
 
     def test_leave_one_sum_tail_single_term(self):
         model = LinearModel(LinearSpec("std_normal", 1))

@@ -18,7 +18,7 @@ from belab.models.lstat import (
     sigma_double_integral,
     t_center,
 )
-from oracles import influence_quadrature, lstat_value
+from oracles import influence_quadrature, lstat_value, whole_draw
 
 
 MODES = ("zero_out", "resample")
@@ -32,10 +32,10 @@ def chunk_and_draws(model, seed, count, mode):
     chunk must leave its substream where the data block alone leaves the
     copy."""
     rng_a, rng_b = SeedSpec(seed).substream(0), SeedSpec(seed).substream(0)
-    chunk = model.sample_chunk(rng_a, count, mode=mode)
-    x = model.dist.sample(rng_b, (count, model.n))
+    chunk = model.sample_chunk(rng_a, count, mode=(mode,))
+    x = whole_draw(model.dist, rng_b, (count, model.n))
     v = (np.zeros(count) if mode == "zero_out"
-         else model.dist.sample(part_stream(rng_b, 1), (count, 1))[:, 0])
+         else whole_draw(model.dist, part_stream(rng_b, 1), (count, 1))[:, 0])
     assert rng_a.random() == rng_b.random()
     return chunk, x, v
 
@@ -230,7 +230,7 @@ class TestModel:
     def test_const1_delta_vanishes(self):
         rng = np.random.default_rng(84)
         model = LStatModel(LStatSpec("const1", "exponential1", 10))
-        chunk = model.sample_chunk(rng, 8, mode="zero_out")
+        chunk = model.sample_chunk(rng, 8, mode=("zero_out",))
         np.testing.assert_allclose(chunk["delta"], 0.0, atol=1e-12)
         np.testing.assert_allclose(chunk["dvar_rep"]["zero_out"], 0.0,
                                    atol=1e-12)
@@ -384,8 +384,8 @@ def edge_rows(dist, n):
     (with a drawn v, and with v above the row maximum), and, in the last
     row of the tile, a representative at the first rank with v above the
     row maximum, so that its shifted run ends at the tile's last value."""
-    x = dist.sample(np.random.default_rng(n), (8, n))
-    v = dist.sample(np.random.default_rng(n + 1), 8)
+    x = whole_draw(dist, np.random.default_rng(n), (8, n))
+    v = whole_draw(dist, np.random.default_rng(n + 1), 8)
     lo, hi = dist.support
     below = lambda row: (lo + row.min()) / 2
     above = lambda row: (row.max() + hi) / 2

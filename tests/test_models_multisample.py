@@ -18,7 +18,12 @@ from belab.models import base
 from belab.models.base import ROW_TILE, part_stream, row_counts
 from belab.models.multisample import PAIR_TILE, _tagged_pair_counts
 from belab.special import ndtr
-from oracles import CapacityError, multisample_value, pair_counts
+from oracles import (
+    CapacityError,
+    multisample_value,
+    pair_counts,
+    whole_draw,
+)
 
 
 def rank_kernel(xt, yt):
@@ -43,13 +48,14 @@ def chunk_and_draws(model, seed, count, mode):
     from parts 2 and 3 (F(0) of the law in zero_out mode). The chunk must
     leave its substream where the x block alone leaves the copy."""
     rng_a, rng_b = SeedSpec(seed).substream(0), SeedSpec(seed).substream(0)
-    chunk = model.sample_chunk(rng_a, count, mode=mode)
-    x = UNIFORM.sample(rng_b, (count, model.n1))
-    y = UNIFORM.sample(part_stream(rng_b, 1), (count, model.n2))
+    chunk = model.sample_chunk(rng_a, count, mode=(mode,))
+    x = whole_draw(UNIFORM, rng_b, (count, model.n1))
+    y = whole_draw(UNIFORM, part_stream(rng_b, 1), (count, model.n2))
     if mode == "zero_out":
         v = np.full((count, 2), model.dist.cdf(0.0))
     else:
-        v = np.stack([UNIFORM.sample(part_stream(rng_b, part), (count, 1))[:, 0]
+        v = np.stack([whole_draw(UNIFORM, part_stream(rng_b, part),
+                                 (count, 1))[:, 0]
                       for part in (2, 3)], axis=1)
     assert rng_a.random() == rng_b.random()
     return chunk, x, y, v
@@ -312,9 +318,9 @@ class TestProbabilityScale:
         equal bits mean equal counts."""
         model = small_model(*n, dist)
         rng = np.random.default_rng(80)
-        x = model.dist.sample(rng, (count, model.n1))
-        y = model.dist.sample(rng, (count, model.n2))
-        v = model.dist.sample(rng, (count, 2))
+        x = whole_draw(model.dist, rng, (count, model.n1))
+        y = whole_draw(model.dist, rng, (count, model.n2))
+        v = whole_draw(model.dist, rng, (count, 2))
         fed = [Fed(x_scale_cdf(dist, a)) for a in (x, y, v[:, 0], v[:, 1])]
         monkeypatch.setattr(base, "part_stream", lambda _rng, part: fed[part])
         got = model.sample_chunk(fed[0], count, mode=MODES)
@@ -353,7 +359,8 @@ class TestProbabilityScale:
 def assert_counts_exact(x, y):
     """The tagged count equals `pair_counts` of row-sorted copies."""
     x_before, y_before = x.copy(), y.copy()
-    got = _tagged_pair_counts(x, y)
+    work = np.empty(2 * min(PAIR_TILE, len(x)) * (x.shape[1] + y.shape[1]))
+    got = _tagged_pair_counts(x, y, work)
     assert (got == pair_counts(np.sort(x, axis=1), np.sort(y, axis=1))).all()
     # the blocks are read, never sorted or tagged in place
     assert (x.view(np.int64) == x_before.view(np.int64)).all()
@@ -418,7 +425,7 @@ class TestLatticePrecondition:
     ], ids=["substream", "part-stream", "Philox", "PCG64", "PCG64DXSM",
             "MT19937", "SFC64"])
     def test_uniform01_draws_lie_on_the_lattice(self, make):
-        v = UNIFORM.sample(make(), (257, 1000))
+        v = whole_draw(UNIFORM, make(), (257, 1000))
         assert ((0.0 <= v) & (v < 1.0)).all(), "uniform01 left [0, 1)"
         scaled = v * LATTICE
         assert (scaled == np.floor(scaled)).all(), \

@@ -19,7 +19,7 @@ from belab.models import (
 from belab.models import ustat as ustat_module
 from belab.models.base import part_stream
 from belab.models.kernels import kernel_abs_p
-from oracles import CapacityError, ustat_value
+from oracles import CapacityError, ustat_value, whole_draw
 
 E_ABS_CHI_CENTERED_3 = 8.691562902725508  # E|Z^2 - 1|^3
 MODES = ("zero_out", "resample")
@@ -32,9 +32,9 @@ def chunk_and_draws(model, seed, count, mode):
     for a structurally zero remainder, which draws none). The chunk must
     leave its substream where the data block alone leaves the copy."""
     rng_a, rng_b = SeedSpec(seed).substream(0), SeedSpec(seed).substream(0)
-    chunk = model.sample_chunk(rng_a, count, mode=mode)
-    x = model.dist.sample(rng_b, (count, model.n))
-    v = (model.dist.sample(part_stream(rng_b, 1), (count, 1))[:, 0]
+    chunk = model.sample_chunk(rng_a, count, mode=(mode,))
+    x = whole_draw(model.dist, rng_b, (count, model.n))
+    v = (whole_draw(model.dist, part_stream(rng_b, 1), (count, 1))[:, 0]
          if mode == "resample" and not model.delta_is_zero
          else np.zeros(count))
     assert rng_a.random() == rng_b.random()
@@ -88,7 +88,7 @@ class TestKernelSecondMoments:
         rng = np.random.default_rng(11)
         k = KERNEL_CATALOG["variance"]
         d = DIST_CATALOG["exponential1"]
-        x = d.sample(rng, 200000)
+        x = whole_draw(d, rng, 200000)
         g = k.g_raw(x, d)
         est = g.var(ddof=1)
         se = np.std((g - g.mean()) ** 2, ddof=1) / math.sqrt(x.size)
@@ -118,8 +118,8 @@ class TestKernelAbsMoments:
         rng = np.random.default_rng(23)
         k = KERNEL_CATALOG["variance"]
         d = DIST_CATALOG["uniform01"]
-        x = d.sample(rng, 400000)
-        y = d.sample(rng, 400000)
+        x = whole_draw(d, rng, 400000)
+        y = whole_draw(d, rng, 400000)
         h = np.abs(k.h(x, y, d)) ** 3
         se = h.std(ddof=1) / math.sqrt(h.size)
         np.testing.assert_allclose(kernel_abs_p("variance", "uniform01", 3.0),
@@ -132,7 +132,7 @@ class TestHajekProjection:
         for kname in ("variance", "sum"):
             k = KERNEL_CATALOG[kname]
             d = DIST_CATALOG["exponential1"]
-            y = d.sample(rng, 300000)
+            y = whole_draw(d, rng, 300000)
             for x0 in (0.2, 1.0, 3.5):
                 vals = k.h(x0, y, d)
                 se = vals.std(ddof=1) / math.sqrt(y.size)
@@ -143,7 +143,7 @@ class TestHajekProjection:
         rng = np.random.default_rng(6)
         k = KERNEL_CATALOG["variance"]
         d = DIST_CATALOG["uniform01"]
-        x = d.sample(rng, 400000)
+        x = whole_draw(d, rng, 400000)
         vals = np.asarray(k.g_raw(x, d))
         se = vals.std(ddof=1) / math.sqrt(x.size)
         np.testing.assert_allclose(vals.mean(), 0.0, atol=4 * se)
@@ -158,7 +158,7 @@ class TestValueOracles:
             k = KERNEL_CATALOG[kname]
             for dname in self.DISTS:
                 d = DIST_CATALOG[dname]
-                x = d.sample(rng, 11)
+                x = whole_draw(d, rng, 11)
                 brute = math.fsum(
                     float(k.h(x[i], x[j], d))
                     for i, j in itertools.combinations(range(11), 2))
@@ -252,7 +252,8 @@ class TestLeaveOneOut:
         model = UStatModel(UStatSpec("sum", "rademacher", 20))
         assert model.delta_is_zero
         for mode in MODES:
-            chunk = model.sample_chunk(SeedSpec(47).substream(0), 5, mode=mode)
+            chunk = model.sample_chunk(SeedSpec(47).substream(0), 5,
+                                       mode=(mode,))
             assert np.all(chunk["delta"] == 0.0)
             assert np.all(chunk["dvar_rep"][mode] == 0.0)
 

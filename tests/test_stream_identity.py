@@ -26,7 +26,7 @@ DIGESTS = Path(__file__).resolve().parent / "stream_identity.json"
 SEED = 15
 # both sides of the 128-row and 1024-row tile edges, and a full chunk
 COUNTS = (1, 2, 127, 128, 129, 257, 4095, 4096)
-MODES = (None, "zero_out", "resample", ("zero_out", "resample"),
+MODES = ((), ("zero_out",), ("resample",), ("zero_out", "resample"),
          ("resample", "zero_out"))
 CONTINUOUS = tuple(d for d in DIST_CATALOG if DIST_CATALOG[d].continuous)
 
@@ -66,9 +66,7 @@ DESCRIPTORS = _descriptors()
 
 
 def mode_label(mode) -> str:
-    if mode is None:
-        return "none"
-    return mode if isinstance(mode, str) else "+".join(mode)
+    return "+".join(mode) or "none"
 
 
 def chunk_digest(model, count, mode) -> str:
