@@ -5,7 +5,9 @@ estimate or evaluate the coupling moments the bounds consume, form the
 bounds with their explicit constants, and certify measured Kolmogorov
 distances against them under seeded Monte Carlo.
 """
-from . import app_bounds, bound_core, cli, marginals, mc_engine, models
+import importlib
+
+from . import app_bounds, bound_core, marginals, mc_engine, models
 from .errors import (
     BelabError,
     ConfigError,
@@ -27,3 +29,11 @@ __all__ = [
     "__version__", "app_bounds", "bound_core", "cli", "marginals",
     "mc_engine", "models",
 ]
+
+
+def __getattr__(name):
+    # belab.cli loads on first use, so `python -m belab.cli` runs it as
+    # __main__ without finding it imported already
+    if name == "cli":
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -33,6 +33,24 @@ def check_normalization(g_dist: LinearPart, rtol=NORMALIZATION_RTOL):
             f"linear part not normalized: sum E g_i^2 = {total!r}, expected 1")
 
 
+def _bisect(satisfied, hi: float, tolerance: float, never: str) -> float:
+    """High end of the bisection bracket for a rule that holds on a ray:
+    hi doubles until it holds (past 2^60 `never` is raised), then [0, hi]
+    halves to relative width `tolerance`."""
+    lo = 0.0
+    while not satisfied(hi):
+        hi *= 2.0
+        if hi > 2.0 ** 60:
+            raise InvalidModelError(never)
+    while hi - lo > tolerance * max(hi, 1e-300):
+        mid = 0.5 * (lo + hi)
+        if satisfied(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def solve_delta_minimal(g_dist: LinearPart, tolerance: float = 1e-6) -> float:
     """Smallest delta with L(delta) = sum_i E|g_i| min(delta, |g_i|) >= 1/2.
 
@@ -44,18 +62,8 @@ def solve_delta_minimal(g_dist: LinearPart, tolerance: float = 1e-6) -> float:
     if tolerance <= 0:
         raise DomainError("tolerance must be > 0")
     check_normalization(g_dist, rtol=max(NORMALIZATION_RTOL, tolerance))
-    lo, hi = 0.0, 2.0
-    while g_dist.l_of(hi) < 0.5:
-        hi *= 2.0
-        if hi > 2.0 ** 60:
-            raise InvalidModelError("L(delta) never reaches 1/2; normalization broken")
-    while hi - lo > tolerance * hi:
-        mid = 0.5 * (lo + hi)
-        if g_dist.l_of(mid) >= 0.5:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _bisect(lambda d: g_dist.l_of(d) >= 0.5, 2.0, tolerance,
+                   "L(delta) never reaches 1/2; normalization broken")
 
 
 def delta_from_p_moment(p: float, sum_p_moment: float) -> float:
@@ -83,18 +91,8 @@ def delta_from_truncation(g_dist: LinearPart, tolerance: float = 1e-9) -> float:
     marginals the strict inequality in I(|g| > delta) makes the jump points
     themselves satisfying, e.g. scaled coin flips at +-1/10 give exactly 0.1.
     """
-    lo, hi = 0.0, 1.0
-    while g_dist.trunc_sum(hi) > 0.5:
-        hi *= 2.0
-        if hi > 2.0 ** 60:
-            raise InvalidModelError("truncated sum never falls to 1/2")
-    while hi - lo > tolerance * max(hi, 1e-300):
-        mid = 0.5 * (lo + hi)
-        if g_dist.trunc_sum(mid) <= 0.5:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _bisect(lambda d: g_dist.trunc_sum(d) <= 0.5, 1.0, tolerance,
+                   "truncated sum never falls to 1/2")
 
 
 def uniform_bound_thm21(c: BoundComponents) -> BoundValue:

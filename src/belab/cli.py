@@ -754,3 +754,6 @@ def main(argv=None) -> int:
         return 1
     return 0
 
+
+if __name__ == "__main__":
+    sys.exit(main())

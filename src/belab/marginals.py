@@ -97,10 +97,6 @@ class Marginal(ABC):
     def l2(self) -> float:
         return math.sqrt(self.e2())
 
-    def scale_by(self, factor: float) -> "Marginal":
-        """Marginal of factor * g, factor > 0."""
-        raise NotImplementedError(type(self).__name__)
-
 
 def normal_abs_moment(p: float) -> float:
     """E|Z|^p for standard normal Z."""
@@ -135,9 +131,6 @@ class NormalMarginal(Marginal):
     def e2(self):
         return self.scale ** 2
 
-    def scale_by(self, factor):
-        return NormalMarginal(self.scale * factor)
-
 
 class UniformMarginal(Marginal):
     """g uniform on [-halfwidth, halfwidth]."""
@@ -164,9 +157,6 @@ class UniformMarginal(Marginal):
     def e2(self):
         return self.halfwidth ** 2 / 3.0
 
-    def scale_by(self, factor):
-        return UniformMarginal(self.halfwidth * factor)
-
 
 class AtomMarginal(Marginal):
     """Finite support; exact sums with strict inequalities at atoms."""
@@ -192,9 +182,6 @@ class AtomMarginal(Marginal):
 
     def prob_abs_above(self, t):
         return float(self.probs[np.abs(self.values) > t].sum())
-
-    def scale_by(self, factor):
-        return AtomMarginal(self.values * factor, self.probs)
 
 
 class ExpCenteredMarginal(Marginal):
@@ -234,9 +221,6 @@ class ExpCenteredMarginal(Marginal):
 
     def e2(self):
         return self.scale ** 2  # Var(Exp(1)) = 1
-
-    def scale_by(self, factor):
-        return ExpCenteredMarginal(self.scale * factor)
 
 
 class QuadraticMarginal(Marginal):
@@ -302,10 +286,6 @@ class QuadraticMarginal(Marginal):
         outside_hi = 1.0 - self.cdf(self._clip(self.b + hi)) if self.b + hi < self.x_hi else 0.0
         outside_lo = self.cdf(self._clip(self.b - hi)) if self.b - hi > self.x_lo else 0.0
         return max(0.0, outside_hi + outside_lo + inside)
-
-    def scale_by(self, factor):
-        return QuadraticMarginal(self.a * factor, self.b, self.c, self.density,
-                                 (self.x_lo, self.x_hi), self.cdf)
 
 
 class MonotoneMarginal(Marginal):

@@ -59,8 +59,8 @@ class PairKernel(ABC):
         """sum_i g_raw(x_i) from C1, C2 (scalar or vectorized)."""
 
     @abstractmethod
-    def g_std_marginal(self, dist: BaseDist):
-        """Marginal of g_raw(X)/sigma_1 (unit variance)."""
+    def g_std_marginal(self, dist: BaseDist, scale: float):
+        """Marginal of scale g_raw(X)/sigma_1 (variance scale^2)."""
 
     def h_abs_p(self, dist: BaseDist, p: float) -> float:
         """E|h(X, Y)|^p by double quadrature over the base density."""
@@ -98,12 +98,12 @@ class VarianceKernel(PairKernel):
     def linear_sum_from_power_sums(self, c1, c2, n, dist):
         return (c2 - n * dist.var) / 2.0
 
-    def g_std_marginal(self, dist):
+    def g_std_marginal(self, dist, scale):
         s1 = math.sqrt(self.sigma1_sq(dist))
         if s1 == 0.0:
             raise UnsupportedModelError(
                 f"{self.name}: projection is degenerate for {dist.name}")
-        return QuadraticMarginal(1.0 / (2.0 * s1), dist.mean, dist.var,
+        return QuadraticMarginal(1.0 / (2.0 * s1) * scale, dist.mean, dist.var,
                                  dist.pdf, dist.support, cdf=dist.cdf)
 
     def h_abs_p(self, dist, p):
@@ -138,16 +138,16 @@ class SumKernel(PairKernel):
     def linear_sum_from_power_sums(self, c1, c2, n, dist):
         return c1
 
-    def g_std_marginal(self, dist):
-        scale = 1.0 / math.sqrt(dist.var)
+    def g_std_marginal(self, dist, scale):
+        sd_scale = 1.0 / math.sqrt(dist.var)
         if dist.name == "std_normal":
-            return NormalMarginal(1.0)
+            return NormalMarginal(scale)
         if dist.name == "uniform01":
-            return UniformMarginal(0.5 * scale)
+            return UniformMarginal(0.5 * sd_scale * scale)
         if dist.name == "rademacher":
-            return AtomMarginal.rademacher(1.0)
+            return AtomMarginal.rademacher(scale)
         if dist.name == "exponential1":
-            return ExpCenteredMarginal(1.0)
+            return ExpCenteredMarginal(scale)
         raise UnsupportedModelError(
             f"{self.name}: no projection marginal for {dist.name}")
 

@@ -37,16 +37,16 @@ class LinearSpec(Spec):
     n: int = spec_field(integer=True, minimum=1)
 
 
-def _unit_marginal(dist_name: str):
-    """Marginal of (X - mu)/sd for one catalog observation."""
+def _unit_marginal(dist_name: str, scale: float):
+    """Marginal of scale (X - mu)/sd for one catalog observation."""
     if dist_name == "std_normal":
-        return NormalMarginal(1.0)
+        return NormalMarginal(scale)
     if dist_name == "uniform01":
-        return UniformMarginal(math.sqrt(3.0))
+        return UniformMarginal(math.sqrt(3.0) * scale)
     if dist_name == "rademacher":
-        return AtomMarginal.rademacher(1.0)
+        return AtomMarginal.rademacher(scale)
     if dist_name == "exponential1":
-        return ExpCenteredMarginal(1.0)
+        return ExpCenteredMarginal(scale)
     raise UnsupportedModelError(dist_name)
 
 
@@ -92,7 +92,7 @@ class LinearModel(StatisticModel):
         self._sd = math.sqrt(self.dist.var)
         self._scale = 1.0 / (math.sqrt(self.n) * self._sd)
         self.linear_part = LinearPart([
-            (_unit_marginal(spec.dist).scale_by(1.0 / math.sqrt(self.n)), self.n)])
+            (_unit_marginal(spec.dist, 1.0 / math.sqrt(self.n)), self.n)])
 
     def sample_chunk(self, rng, count, mode=()):
         w, rep = np.empty((2, count))

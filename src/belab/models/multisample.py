@@ -165,7 +165,7 @@ class WilcoxonModel(StatisticModel):
         values = tiles.values
         x = y = tiles = None  # the tile buffers go before the arithmetic below
         w = sum1 + sum2
-        t = (pair / (self.n1 * self.n2) - 0.5) / self.sn
+        t = self._t_of_pairs(pair)
         if not mode:
             return {"t": t, "w": w}
         g_rep = np.stack([rep1, rep2], axis=1)
@@ -173,15 +173,17 @@ class WilcoxonModel(StatisticModel):
         for m in mode:
             v1, v2 = values[m]
             # group 1 representative x_1 -> v1: its pairs are the y_j >= x_1
-            dc1 = before[0] - after[m][0]
-            t1 = ((pair + dc1) / (self.n1 * self.n2) - 0.5) / self.sn
-            w1 = w - g_rep[:, 0] + (0.5 - v1) / (self.n1 * self.sn)
+            t1 = self._t_of_pairs(pair + (before[0] - after[m][0]))
+            w1 = w - g_rep[:, 0] + self._g1_rows(v1)
             # group 2 representative y_1 -> v2: its pairs are the x_i <= y_1
-            dc2 = after[m][1] - before[1]
-            t2 = ((pair + dc2) / (self.n1 * self.n2) - 0.5) / self.sn
-            w2 = w - g_rep[:, 1] + (v2 - 0.5) / (self.n2 * self.sn)
+            t2 = self._t_of_pairs(pair + (after[m][1] - before[1]))
+            w2 = w - g_rep[:, 1] + self._g2_rows(v2)
             dvar[m] = np.stack([t1 - w1, t2 - w2], axis=1)
         return {"t": t, "w": w, "delta": t - w, "g_rep": g_rep, "dvar_rep": dvar}
+
+    def _t_of_pairs(self, pair):
+        """T = (pair / (n1 n2) - 1/2) / sn of a pair count C = #{x_i <= y_j}."""
+        return (pair / (self.n1 * self.n2) - 0.5) / self.sn
 
     def _g1_rows(self, x, out=None):
         """g_1 = (1/2 - x) / (n1 sn), into `out` or one new array."""

@@ -59,7 +59,7 @@ def _catalog_moments(kernel_name: str, dist_name: str, p: float) -> dict:
     kernel = KERNEL_CATALOG[kernel_name]
     dist = DIST_CATALOG[dist_name]
     s1 = math.sqrt(kernel.sigma1_sq(dist))
-    marg = kernel.g_std_marginal(dist)
+    marg = kernel.g_std_marginal(dist, 1.0)
     return {
         "sigma": math.sqrt(kernel.sigma_sq(dist)),
         "sigma1": s1,
@@ -81,8 +81,8 @@ class UStatModel(StatisticModel):
         self.sigma1 = math.sqrt(self.kernel.sigma1_sq(self.dist))
         self.delta_is_zero = getattr(self.kernel, "delta_is_zero", False)
         self.name = f"ustat-{spec.kernel}-{spec.dist}-n{spec.n}-m{spec.m}"
-        g_std = self.kernel.g_std_marginal(self.dist)
-        self.linear_part = LinearPart([(g_std.scale_by(1.0 / math.sqrt(self.n)), self.n)])
+        self.linear_part = LinearPart([(self.kernel.g_std_marginal(
+            self.dist, 1.0 / math.sqrt(self.n)), self.n)])
         # T = sqrt(n) U / (m sigma_1) = pair_sum * _t_scale
         self._t_scale = math.sqrt(self.n) / (
             self.m * self.sigma1 * math.comb(self.n, self.m))

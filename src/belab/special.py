@@ -82,25 +82,19 @@ def _p1evl(x, coef):
     return out
 
 
-def _erfc_tail(x):
-    """erfc(x) for x >= 1 (NaN stays NaN), with one temporary the size of
-    x besides the result."""
-    out = x * x
-    under = out > _MAXLOG
-    np.negative(out, out=out)
-    np.exp(out, out=out)
-    near = x < 8.0
-    with np.errstate(invalid="ignore"):  # inf * 0 where x = inf
-        if near.all():
-            out *= _polevl(x, _P)
-            out /= _p1evl(x, _Q)
-        else:
-            for part, num, den in ((near, _P, _Q), (~near, _R, _S)):
-                xs = x[part]
-                ys = out[part]
-                ys *= _polevl(xs, num)
-                ys /= _p1evl(xs, den)
-                out[part] = ys
+def _erfc_tail(x, num, den):
+    """erfc(x) = exp(-x^2) num(x) / den(x) for x >= 1, with one temporary
+    the size of x besides the result; (num, den) is (_P, _Q) below 8 and
+    (_R, _S) from 8 on."""
+    # x * x and the far polynomials overflow far out, and inf * 0 is NaN;
+    # every such value is past _MAXLOG, where the result is set to 0
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = x * x
+        under = out > _MAXLOG
+        np.negative(out, out=out)
+        np.exp(out, out=out)
+        out *= _polevl(x, num)
+        out /= _p1evl(x, den)
     out[under] = 0.0
     return out
 
@@ -115,6 +109,7 @@ def ndtr_array(a):
     y = np.abs(x)
     inner = y < _SQRT1_2
     tail = y >= 1.0  # erfc's exponential branches; NaN stays in neither
+    far = y >= 8.0
     above = x > 0.0
     # erf(x) = x T(x^2) / U(x^2) everywhere, in cephes' order of operations
     # (tail entries are overwritten below)
@@ -138,13 +133,14 @@ def ndtr_array(a):
     np.subtract(1.0, part, out=part, where=above[mid])
     y[mid] = part
     # |x| >= 1: 0.5 erfc(|x|) by the exponential forms, reflected for x > 0
-    part = a[tail]
-    np.multiply(part, _SQRT1_2, out=part)
-    np.abs(part, out=part)
-    part = _erfc_tail(part)
-    part *= 0.5
-    np.subtract(1.0, part, out=part, where=above[tail])
-    y[tail] = part
+    for form, num, den in ((tail & ~far, _P, _Q), (far, _R, _S)):
+        part = a[form]
+        np.multiply(part, _SQRT1_2, out=part)
+        np.abs(part, out=part)
+        part = _erfc_tail(part, num, den)
+        part *= 0.5
+        np.subtract(1.0, part, out=part, where=above[form])
+        y[form] = part
     return y.reshape(shape)
 
 

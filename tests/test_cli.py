@@ -58,6 +58,13 @@ def parse(doc):
     return parse_config(json.dumps(doc))
 
 
+def _src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 class TestParseConfig:
     def test_minimal_defaults(self):
         cfg = parse(make_doc())
@@ -543,13 +550,26 @@ class TestMainExitCodes:
         path = write_config(tmp_path, make_doc())
         want, got = tmp_path / "main.csv", tmp_path / "module.csv"
         assert main(["verify", "--config", path, "--output", str(want)]) == 0
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         subprocess.run([sys.executable, "-W", "error", "-m", "belab",
                         "verify", "--config", path, "--output", str(got)],
-                       env=env, check=True)
+                       env=_src_env(), check=True)
         assert got.read_bytes() == want.read_bytes()
+
+    def test_cli_module_runs_its_command(self, tmp_path):
+        """`python -m belab.cli` runs the command, with no runpy warning
+        about a module imported before it ran, and prints what
+        `python -m belab` prints."""
+        path = write_config(tmp_path, make_doc(bounds=["eq1.3", "eq1.4"]))
+        out = {}
+        for module in ("belab", "belab.cli"):
+            run = subprocess.run(
+                [sys.executable, "-W", "error::RuntimeWarning", "-m", module,
+                 "bound", "--config", path],
+                env=_src_env(), capture_output=True, check=True)
+            assert run.stderr == b""
+            out[module] = run.stdout
+        assert out["belab"].startswith(b"equation_tag,model,")
+        assert out["belab.cli"] == out["belab"]
 
     def test_counterexample_domain_maps_to_config_error(self, tmp_path,
                                                         capsys):

@@ -1,12 +1,13 @@
 """Moment oracles for the per-index marginals and their aggregation."""
+import functools
 import math
 
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import ndtr
 
 from belab.marginals import (
+    QUAD_EPSABS,
     AtomMarginal,
     ExpCenteredMarginal,
     LinearPart,
@@ -16,6 +17,9 @@ from belab.marginals import (
     UniformMarginal,
     normal_abs_moment,
 )
+from belab.models.base import DIST_CATALOG
+from belab.models.kernels import KERNEL_CATALOG
+from belab.models.linear import _unit_marginal
 
 E_ABS_Z3 = 1.5957691216057308  # 2 sqrt(2/pi)
 
@@ -50,12 +54,6 @@ class TestNormalMarginal:
                 lambda x: x * d * _phi(x / 0.3) / 0.3, d, 12 * 0.3)
             np.testing.assert_allclose(m.e_abs_min(d), 2 * (lo + hi),
                                        rtol=1e-9)
-
-    def test_scale_by(self):
-        m = NormalMarginal(1.0).scale_by(0.5)
-        np.testing.assert_allclose(m.e2(), 0.25, rtol=1e-12)
-        np.testing.assert_allclose(m.prob_abs_above(1.0),
-                                   2 * ndtr(-2.0), rtol=1e-12)
 
 
 class TestUniformMarginal:
@@ -107,9 +105,8 @@ class TestQuadraticVarianceProjection:
     SIGMA1 = math.sqrt(0.5)
 
     def _marg(self):
-        from belab.models.kernels import KERNEL_CATALOG
-        from belab.models.base import DIST_CATALOG
-        return KERNEL_CATALOG["variance"].g_std_marginal(DIST_CATALOG["std_normal"])
+        return KERNEL_CATALOG["variance"].g_std_marginal(
+            DIST_CATALOG["std_normal"], 1.0)
 
     def test_unit_variance(self):
         np.testing.assert_allclose(self._marg().e2(), 1.0, rtol=1e-9)
@@ -154,6 +151,46 @@ class TestMonotoneMarginal:
             grid = np.linspace(0.0, 1.0, 200001)
             want = np.mean(np.abs(1.0 / 6.0 - grid * grid / 2.0) > t)
             np.testing.assert_allclose(m.prob_abs_above(t), want, atol=2e-5)
+
+
+# (id, build) for each marginal the catalog builds at a scale: build(s) is
+# the marginal of s g, with g of unit variance
+SCALED_BUILDERS = (
+    [(f"linear-{name}", functools.partial(_unit_marginal, name))
+     for name in DIST_CATALOG]
+    + [(f"{kernel}-{name}", functools.partial(
+        KERNEL_CATALOG[kernel].g_std_marginal, DIST_CATALOG[name]))
+       for kernel, name in (("sum", "uniform01"), ("variance", "std_normal"),
+                            ("variance", "uniform01"),
+                            ("variance", "exponential1"))])
+
+
+class TestScaleEquivariance:
+    """A marginal built at scale s is the law of s g: its moments scale by
+    s^p and its tail at s t is the unit tail at t. A quadrature-tier moment
+    is exact to QUAD_EPSABS absolute, which at small s is more than 1e-12
+    of it (the variance kernel's E|g|^3 I(|g| <= 0.05 t) is off by 1e-14
+    in 3.5e-6)."""
+
+    @pytest.mark.parametrize("build", [b for _, b in SCALED_BUILDERS],
+                             ids=[name for name, _ in SCALED_BUILDERS])
+    @pytest.mark.parametrize("s", [0.05, 0.5, 3.0])
+    def test_built_at_scale(self, build, s):
+        unit, scaled = build(1.0), build(s)
+        assert type(scaled) is type(unit)
+        atol = (QUAD_EPSABS if isinstance(unit, (ExpCenteredMarginal,
+                                                 QuadraticMarginal)) else 0.0)
+        for p in (1.0, 2.0, 3.0):
+            np.testing.assert_allclose(scaled.e_abs_p(p),
+                                       s ** p * unit.e_abs_p(p),
+                                       rtol=1e-12, atol=atol)
+            for t in (0.3, 1.0, 2.5):
+                np.testing.assert_allclose(
+                    scaled.e_abs_p_below(p, s * t),
+                    s ** p * unit.e_abs_p_below(p, t), rtol=1e-12, atol=atol)
+        for t in (0.3, 1.0, 2.5):
+            np.testing.assert_allclose(scaled.prob_abs_above(s * t),
+                                       unit.prob_abs_above(t), rtol=1e-12)
 
 
 class TestLinearPart:

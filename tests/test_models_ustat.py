@@ -328,7 +328,7 @@ class TestMomentsBundle:
                              ("variance", "uniform01"),
                              ("sum", "exponential1")]:
             k = KERNEL_CATALOG[kname]
-            marg = k.g_std_marginal(DIST_CATALOG[dname])
+            marg = k.g_std_marginal(DIST_CATALOG[dname], 1.0)
             mom = ustat_moments(UStatSpec(kname, dname, 50))
             lp = LinearPart([(marg, 1)])
             assert lp.trunc_sum(mom["c0_trunc"]) <= 0.5

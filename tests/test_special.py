@@ -4,6 +4,7 @@ the incomplete gamma functions and exact rational sums of binomial
 coefficients for the binomial tail."""
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -81,6 +82,15 @@ class TestNdtrArray:
         got = special.ndtr_array(np.array([-np.inf, np.inf, -0.0, 0.0, -40.0]))
         np.testing.assert_array_equal(got, [0.0, 1.0, 0.5, 0.5, 0.0])
         assert np.isnan(special.ndtr_array(np.array([np.nan]))[0])
+
+    def test_far_tails_warn_nothing(self):
+        # x * x overflows past 1.3e154 and the far-tail polynomials past
+        # about 3e51; no warning may leave the call, and each value is exact
+        big = np.array([1e52, 1e154, 1e200, 1.7e308, np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = special.ndtr_array(np.concatenate([big, -big, [np.nan]]))
+        np.testing.assert_array_equal(got, [1.0] * 5 + [0.0] * 5 + [np.nan])
 
     def test_shapes(self):
         # strided 2-d input, and a 0-d array
