@@ -14,12 +14,7 @@ from .fields import catalog_names, read_field, read_fields
 from .isqrt import Example41Spec, IsqrtModel, example41_transform
 from .kernels import KERNEL_CATALOG, PairKernel
 from .linear import LinearModel, LinearSpec, rademacher_ks_exact
-from .lstat import (
-    WEIGHT_CATALOG,
-    LStatModel,
-    LStatSpec,
-    lstat_projection_sigma,
-)
+from .lstat import WEIGHT_CATALOG, LStatModel, LStatSpec
 from .multisample import MultiUStatSpec, WilcoxonModel, multisample_sigma
 from .ustat import UStatModel, UStatSpec, ustat_moments
 
@@ -86,6 +81,6 @@ __all__ = [
     "UStatModel", "UStatSpec", "VARIANT_MODES", "WEIGHT_CATALOG",
     "WilcoxonModel",
     "build_model", "build_spec", "example41_transform",
-    "lstat_projection_sigma", "multisample_sigma", "rademacher_ks_exact",
+    "multisample_sigma", "rademacher_ks_exact",
     "read_spec", "with_size", "ustat_moments",
 ]

@@ -7,9 +7,11 @@ influence function infl(x) = integral (I(x <= s) - F(s)) J(F(s)) ds via
 g_i = -infl(X_i) / (sqrt(n) sigma); infl is nonincreasing for J >= 0, so the
 per-index marginal is a monotone transform of X.
 
-sigma from the double integral is cross-checked against E g^2 from the
-influence function to 1e-8; disagreement raises NumericError instead of
-silently certifying with an inconsistent scale.
+Every catalog weight is affine, so each catalog pair has sigma^2 =
+Var infl(X) and T(F) in closed form (catalog_scale), with its float
+operations written out: no value depends on a quadrature's summation order.
+tests/oracles.py keeps the double integral and E infl(X)^2 as their
+cross-check.
 
 Every score function is affine, J(t) = a + b t, so the weight j_k = J(k/n)/n
 of rank k steps by b/n^2 from rank to rank. A chunk sorts each row once and
@@ -22,13 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from ..errors import NumericError, UnsupportedModelError
-from ..marginals import LinearPart, MonotoneMarginal, quad_segments
-from ..quadrature import check_error, dblquad, pointwise
+from ..errors import UnsupportedModelError
+from ..marginals import LinearPart, MonotoneMarginal
 from ..special import ndtr, ndtr_array
 from ..types import LStatBoundInputs
 from .base import (
@@ -40,6 +40,7 @@ from .base import (
     row_counts,
 )
 from .fields import Spec, spec_field
+from .linear import sum_leave_one_out_tail
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -107,52 +108,26 @@ def influence_closed(weight: WeightFn, dist: BaseDist, cdf=ndtr):
         f"no closed-form influence for {weight.name} under {dist.name}")
 
 
-def t_center(weight: WeightFn, dist: BaseDist) -> float:
-    """T(F) = E[X J(F(X))]."""
-    lo, hi = dist.support
-    fn = lambda x: x * float(weight.fn(dist.cdf(x))) * float(dist.pdf(x))
-    mid = min(max(dist.mean, lo), hi)
-    return quad_segments(pointwise(fn), sorted({lo, mid, hi}))
+# (sigma^2, T(F)) of each catalog pair
+_SCALES = {
+    ("const1", "uniform01"): (1.0 / 12.0, 0.5),
+    ("const1", "std_normal"): (1.0, 0.0),
+    ("const1", "exponential1"): (1.0, 1.0),
+    ("identity", "uniform01"): (1.0 / 45.0, 1.0 / 3.0),
+    ("identity", "std_normal"): (
+        1.0 / 3.0 + (math.sqrt(3.0) - 2.0) / (2.0 * math.pi),
+        1.0 / (2.0 * _SQRT_PI)),
+    ("identity", "exponential1"): (7.0 / 12.0, 0.75),
+}
 
 
-def sigma_double_integral(weight: WeightFn, dist: BaseDist) -> float:
-    """sigma^2 = 2 * iint_{s<t} J(F(s)) J(F(t)) F(s)(1 - F(t)) dt ds."""
-    lo, hi = dist.support
-
-    def inner(ts, s):
-        fs = dist.cdf(s)
-        js = float(weight.fn(fs))
-        return np.array([js * float(weight.fn(dist.cdf(t))) * fs
-                         * (1.0 - dist.cdf(t)) for t in ts.tolist()])
-
-    val, err = dblquad(inner, lo, hi, lambda s: s, lambda s: hi,
-                       epsabs=1e-11, epsrel=1e-11)
-    return 2.0 * check_error(val, err, "scale double integral", atol=1e-8,
-                             rtol=0.0)
-
-
-def lstat_projection_sigma(weight: WeightFn, dist: BaseDist):
-    """(influence, sigma) with the two scale computations reconciled."""
-    infl = influence_closed(weight, dist)
-    s_sq = sigma_double_integral(weight, dist)
-    lo, hi = dist.support
-    e_g2 = quad_segments(
-        lambda x: infl(x) ** 2 * dist.pdf(x),
-        sorted({lo, min(max(dist.mean, lo), hi), hi}))
-    if abs(s_sq - e_g2) > 1e-8 + 1e-8 * abs(s_sq):
-        raise NumericError(
-            f"scale mismatch: double integral {s_sq!r} vs E g^2 {e_g2!r}")
-    return infl, math.sqrt(s_sq)
-
-
-@lru_cache(maxsize=16)
 def catalog_scale(weight_name: str, dist_name: str):
-    """(influence, sigma, T(F)) of a catalog pair; none of them depends on n,
-    so an n-sweep computes the double integral once."""
-    weight = WEIGHT_CATALOG[weight_name]
-    dist = DIST_CATALOG[dist_name]
-    infl, sigma = lstat_projection_sigma(weight, dist)
-    return infl, sigma, t_center(weight, dist)
+    """(influence, sigma, T(F)) of a catalog pair; none of them depends on
+    n."""
+    s_sq, center = _SCALES[weight_name, dist_name]
+    infl = influence_closed(WEIGHT_CATALOG[weight_name],
+                            DIST_CATALOG[dist_name])
+    return infl, math.sqrt(s_sq), center
 
 
 class LStatModel(StatisticModel):
@@ -225,6 +200,13 @@ class LStatModel(StatisticModel):
         """The linear terms g = -infl(x) / (sqrt(n) sigma); the normal cdf
         is ndtr_array's, so no value depends on the size of x."""
         return np.multiply(self._sample_infl(x, out=out), -self._scale, out=out)
+
+    def prob_abs_w_minus_g_above(self, group, t):
+        # const1 is the standardized sample mean, so W - g_i is the
+        # standardized sum of the other n - 1 draws
+        if self.weight.name == "const1":
+            return sum_leave_one_out_tail(self.spec.dist, self.n, t)
+        return None
 
     def influence_abs_moment(self, p: float) -> float:
         """E|infl(X)|^p in raw influence units."""

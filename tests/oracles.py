@@ -1,11 +1,11 @@
 """Reference oracles the tests compare the library against.
 
-Exact enumeration of the U-statistics, the raw L-statistic, the influence
-function by quadrature, the per-row pair count, the resample coupling
-alpha of the perturbed-normal model, by Monte Carlo and by quadrature, and
-the whole-block draw that a chunk's row tiles must reproduce. No command
-reaches any of them. Enumeration errors past ENUMERATION_CAP index
-choices rather than subsampling.
+Exact enumeration of the U-statistics, the raw L-statistic, its influence
+function and its scales sigma and T(F) by quadrature, the per-row pair
+count, the resample coupling alpha of the perturbed-normal model, by Monte
+Carlo and by quadrature, and the whole-block draw that a chunk's row tiles
+must reproduce. No command reaches any of them. Enumeration errors past
+ENUMERATION_CAP index choices rather than subsampling.
 """
 from __future__ import annotations
 
@@ -15,11 +15,12 @@ import math
 import numpy as np
 
 from belab.app_bounds import alpha_scale
-from belab.errors import DomainError
+from belab.errors import DomainError, NumericError
 from belab.marginals import quad_segments
 from belab.mc_engine import SeedSpec, _map_chunks, _mean_se, _row_moments
 from belab.models import IsqrtModel
-from belab.quadrature import pointwise
+from belab.models.lstat import influence_closed
+from belab.quadrature import check_error, dblquad, pointwise
 from belab.types import MomentEstimate
 
 ENUMERATION_CAP = 10 ** 6
@@ -100,6 +101,45 @@ def influence_quadrature(weight, dist):
         return quad_segments(pointwise(integrand), edges)
 
     return infl
+
+
+def t_center(weight, dist) -> float:
+    """T(F) = E[X J(F(X))] by quadrature."""
+    lo, hi = dist.support
+    fn = lambda x: x * float(weight.fn(dist.cdf(x))) * float(dist.pdf(x))
+    mid = min(max(dist.mean, lo), hi)
+    return quad_segments(pointwise(fn), sorted({lo, mid, hi}))
+
+
+def sigma_double_integral(weight, dist) -> float:
+    """sigma^2 = 2 * iint_{s<t} J(F(s)) J(F(t)) F(s)(1 - F(t)) dt ds."""
+    lo, hi = dist.support
+
+    def inner(ts, s):
+        fs = dist.cdf(s)
+        js = float(weight.fn(fs))
+        return np.array([js * float(weight.fn(dist.cdf(t))) * fs
+                         * (1.0 - dist.cdf(t)) for t in ts.tolist()])
+
+    val, err = dblquad(inner, lo, hi, lambda s: s, lambda s: hi,
+                       epsabs=1e-11, epsrel=1e-11)
+    return 2.0 * check_error(val, err, "scale double integral", atol=1e-8,
+                             rtol=0.0)
+
+
+def lstat_projection_sigma(weight, dist):
+    """(influence, sigma) from the double integral, reconciled with
+    E infl(X)^2 to 1e-8; NumericError where the two disagree."""
+    infl = influence_closed(weight, dist)
+    s_sq = sigma_double_integral(weight, dist)
+    lo, hi = dist.support
+    e_g2 = quad_segments(
+        lambda x: infl(x) ** 2 * dist.pdf(x),
+        sorted({lo, min(max(dist.mean, lo), hi), hi}))
+    if abs(s_sq - e_g2) > 1e-8 + 1e-8 * abs(s_sq):
+        raise NumericError(
+            f"scale mismatch: double integral {s_sq!r} vs E g^2 {e_g2!r}")
+    return infl, math.sqrt(s_sq)
 
 
 def example41_alpha(spec, replicates: int, seed):

@@ -840,6 +840,21 @@ class TestMainExitCodes:
                                                z_grid=[0.0]))
         assert main(["bound", "--config", path]) == 0
 
+    @pytest.mark.parametrize("model", [
+        {"family": "lstat", "weight": "const1", "dist": "exponential1",
+         "n": 400},
+        {"family": "lstat", "weight": "const1", "dist": "std_normal", "n": 8},
+    ])
+    def test_eq26_const1_lstat_takes_the_sum_tail(self, tmp_path, capsys,
+                                                  model):
+        # a const1 L-statistic is the standardized sample mean: its W - g_i
+        # tail is the leave-one-out tail of the linear sum
+        path = write_config(tmp_path, make_doc(model=model, bounds=["eq2.6"],
+                                               z_grid=[0.0, 2.5, 4.0]))
+        assert main(["bound", "--config", path]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 3 and all(r.startswith("eq2.6,") for r in rows)
+
     def test_output_replaces_previous_file(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"
         out.write_text("previous")

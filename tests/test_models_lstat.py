@@ -1,28 +1,59 @@
 """Order-statistic models: influence functions, scale, and value oracles."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from belab.bound_core import check_normalization
 from belab.errors import UnsupportedModelError
 from belab.mc_engine import CHUNK_SIZE, SeedSpec
-from belab.models import LStatModel, LStatSpec, lstat_projection_sigma
+from belab.models import LinearModel, LinearSpec, LStatModel, LStatSpec
 from belab.models import base
 from belab.models.base import DIST_CATALOG, ROW_TILE, part_stream
-from belab.models import lstat as lstat_module
-from belab.models.lstat import (
-    WEIGHT_CATALOG,
-    catalog_scale,
-    influence_closed,
+from belab.models.lstat import WEIGHT_CATALOG, catalog_scale, influence_closed
+from oracles import (
+    influence_quadrature,
+    lstat_projection_sigma,
+    lstat_value,
     sigma_double_integral,
     t_center,
+    whole_draw,
 )
-from oracles import influence_quadrature, lstat_value, whole_draw
 
 
 MODES = ("zero_out", "resample")
 CONTINUOUS = ("exponential1", "std_normal", "uniform01")
+PAIRS = [(w, d) for w in sorted(WEIGHT_CATALOG) for d in CONTINUOUS]
+
+
+def mp_scale(weight, dist):
+    """(sigma^2, T(F)) at 40 digits: Var infl(X) from each pair's influence
+    function and E[X J(F(X))], as mpmath integrals."""
+    with mpmath.workdps(40):
+        if dist == "uniform01":
+            cdf, pdf, lo, hi, mean = (lambda x: x), (lambda x: 1), 0, 1, 0.5
+        elif dist == "std_normal":
+            cdf, pdf, lo, hi, mean = (mpmath.ncdf, mpmath.npdf, -mpmath.inf,
+                                      mpmath.inf, 0)
+        else:
+            cdf, pdf = (lambda x: 1 - mpmath.exp(-x)), (lambda x: mpmath.exp(-x))
+            lo, hi, mean = 0, mpmath.inf, 1
+        if weight == "const1":
+            jf, infl = (lambda u: 1), (lambda x: mean - x)
+        else:
+            jf = lambda u: u
+            infl = {"uniform01": lambda x: mpmath.mpf(1) / 6 - x * x / 2,
+                    "std_normal": lambda x: (1 / mpmath.sqrt(mpmath.pi)
+                                             - x * mpmath.ncdf(x)
+                                             - mpmath.npdf(x)),
+                    "exponential1": lambda x: (mpmath.mpf(3) / 2 - x
+                                               - mpmath.exp(-x))}[dist]
+        points = [lo, 0, hi] if lo < 0 else [lo, 1, hi]
+        e1 = mpmath.quad(lambda x: infl(x) * pdf(x), points)
+        e2 = mpmath.quad(lambda x: infl(x) ** 2 * pdf(x), points)
+        center = mpmath.quad(lambda x: x * jf(cdf(x)) * pdf(x), points)
+        return e2 - e1 * e1, center
 
 
 def chunk_and_draws(model, seed, count, mode):
@@ -99,6 +130,24 @@ class TestCenters:
 
 
 class TestScale:
+    @pytest.mark.parametrize("weight,dist", PAIRS)
+    def test_closed_form_matches_mpmath(self, weight, dist):
+        _infl, sigma, center = catalog_scale(weight, dist)
+        s_sq, want = mp_scale(weight, dist)
+        assert abs(sigma - mpmath.sqrt(s_sq)) <= 1e-14 * mpmath.sqrt(s_sq)
+        assert abs(center - want) <= 1e-14 * abs(want) + 1e-30
+
+    @pytest.mark.parametrize("weight,dist", PAIRS)
+    def test_closed_form_matches_double_integral(self, weight, dist):
+        _infl, sigma, center = catalog_scale(weight, dist)
+        w, d = WEIGHT_CATALOG[weight], DIST_CATALOG[dist]
+        np.testing.assert_allclose(sigma ** 2, sigma_double_integral(w, d),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(sigma, lstat_projection_sigma(w, d)[1],
+                                   rtol=1e-12)
+        np.testing.assert_allclose(center, t_center(w, d), rtol=1e-12,
+                                   atol=1e-15)
+
     def test_identity_uniform_is_one_over_45(self):
         s_sq = sigma_double_integral(WEIGHT_CATALOG["identity"],
                                      DIST_CATALOG["uniform01"])
@@ -188,20 +237,24 @@ class TestLipschitz:
 
 
 class TestModel:
-    def test_scale_shared_across_n(self, monkeypatch):
-        calls = []
-        orig = lstat_module.sigma_double_integral
-
-        def counting(weight, dist):
-            calls.append((weight.name, dist.name))
-            return orig(weight, dist)
-
-        monkeypatch.setattr(lstat_module, "sigma_double_integral", counting)
-        catalog_scale.cache_clear()
+    def test_scale_shared_across_n(self):
         small = LStatModel(LStatSpec("identity", "exponential1", 20))
         large = LStatModel(LStatSpec("identity", "exponential1", 200))
-        assert calls == [("identity", "exponential1")]
-        assert small.sigma == large.sigma
+        assert small.sigma == large.sigma == math.sqrt(7.0 / 12.0)
+        assert small._center == large._center == 0.75
+
+    @pytest.mark.parametrize("dist", ["std_normal", "exponential1"])
+    def test_const1_tail_is_the_linear_sum_tail(self, dist):
+        """const1's linear terms are the linear sum's, so W - g_i has its
+        tail; identity has no tail oracle."""
+        const1 = LStatModel(LStatSpec("const1", dist, 8))
+        linear = LinearModel(LinearSpec(dist, 8))
+        for t in (0.0, 1.0 / 6.0, 2.0 / 3.0):
+            assert (const1.prob_abs_w_minus_g_above(0, t)
+                    == linear.prob_abs_w_minus_g_above(0, t))
+        assert const1.nonuniform_third_term(4.0) > 0.0
+        identity = LStatModel(LStatSpec("identity", dist, 8))
+        assert identity.prob_abs_w_minus_g_above(0, 2.0 / 3.0) is None
 
     def test_spec_validation(self):
         with pytest.raises(UnsupportedModelError):

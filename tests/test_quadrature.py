@@ -11,7 +11,7 @@ from scipy.special import ndtr
 from belab import app_bounds, marginals
 from belab.cli import main
 from belab.errors import NumericError
-from belab.models import kernels, lstat, ustat
+from belab.models import kernels, ustat
 from belab.models.base import DIST_CATALOG
 from belab.quadrature import (
     GAUSS_WEIGHTS,
@@ -146,7 +146,6 @@ def clear_caches():
         app_bounds.alpha_scale.cache_clear()
         kernels.kernel_abs_p.cache_clear()
         ustat._catalog_moments.cache_clear()
-        lstat.catalog_scale.cache_clear()
     clear()
     yield
     clear()
@@ -160,8 +159,6 @@ class TestSiteErrorChecks:
          lambda: marginals.ExpCenteredMarginal(1.0).e_abs_p(3.0)),
         (app_bounds, "quad", lambda: app_bounds.coupling_gini(1.0)),
         (app_bounds, "quad", lambda: app_bounds.alpha_scale(0.01)),
-        (lstat, "dblquad", lambda: lstat.sigma_double_integral(
-            lstat.WEIGHT_CATALOG["identity"], DIST_CATALOG["uniform01"])),
         (kernels, "dblquad", lambda: kernels.kernel_abs_p(
             "variance", "uniform01", 3.0)),
     ])
