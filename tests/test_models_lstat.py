@@ -32,13 +32,13 @@ def mp_scale(weight, dist):
     function and E[X J(F(X))], as mpmath integrals."""
     with mpmath.workdps(40):
         if dist == "uniform01":
-            cdf, pdf, lo, hi, mean = (lambda x: x), (lambda x: 1), 0, 1, 0.5
+            cdf, pdf, points, mean = (lambda x: x), (lambda x: 1), [0, 1], 0.5
         elif dist == "std_normal":
-            cdf, pdf, lo, hi, mean = (mpmath.ncdf, mpmath.npdf, -mpmath.inf,
-                                      mpmath.inf, 0)
+            cdf, pdf, mean = mpmath.ncdf, mpmath.npdf, 0
+            points = [-mpmath.inf, 0, mpmath.inf]
         else:
             cdf, pdf = (lambda x: 1 - mpmath.exp(-x)), (lambda x: mpmath.exp(-x))
-            lo, hi, mean = 0, mpmath.inf, 1
+            points, mean = [0, 1, mpmath.inf], 1
         if weight == "const1":
             jf, infl = (lambda u: 1), (lambda x: mean - x)
         else:
@@ -49,7 +49,6 @@ def mp_scale(weight, dist):
                                              - mpmath.npdf(x)),
                     "exponential1": lambda x: (mpmath.mpf(3) / 2 - x
                                                - mpmath.exp(-x))}[dist]
-        points = [lo, 0, hi] if lo < 0 else [lo, 1, hi]
         e1 = mpmath.quad(lambda x: infl(x) * pdf(x), points)
         e2 = mpmath.quad(lambda x: infl(x) ** 2 * pdf(x), points)
         center = mpmath.quad(lambda x: x * jf(cdf(x)) * pdf(x), points)
