@@ -12,9 +12,12 @@ second block, then, where resample is among the requested variant modes,
 one fresh draw per representative index) is drawn replicate-major from its
 own stream (`part_stream`). zero_out draws nothing, so one chunk call
 serves T, W and every variant mode, and its rows depend only on its
-streams and its size, never on which modes were asked for. (The isqrt
-model, which draws count-length columns and no block, takes them from the
-chunk's generator in turn; see its docstring.)
+streams and its size, never on which modes were asked for. Two models draw
+count-length columns and no block: the isqrt model and the U-statistic
+under std_normal, which draws x_1 and the sufficient statistics of the
+other n - 1 values. Each takes its columns from the chunk's generator one
+after another (see their docstrings); the U-statistic's resample values
+still come from part 1's stream.
 
 Working set: a chunk is drawn and consumed a row tile at a time
 (`ChunkTiles`), so it holds one tile of each part and count-length

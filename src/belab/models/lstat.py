@@ -19,6 +19,8 @@ takes T = sum_k x_(k) j_k by a fixed-order row reduction. Replacing cur, of
 rank p, by v, of rank q among the other values, moves the values of ranks
 [q, p) up one rank or those of (p, q] down one, so, with no second sort,
 T_var = T - cur j_p + v j_q + sign(p - q) (b/n^2) (sum of the moved values).
+The const1 weight makes T the standardized sample mean, which is W itself,
+so its chunk sorts no row and its remainder is exactly zero.
 """
 from __future__ import annotations
 
@@ -139,6 +141,7 @@ class LStatModel(StatisticModel):
         self.dist = DIST_CATALOG[spec.dist]
         self.n = spec.n
         self.name = f"lstat-{spec.weight}-{spec.dist}-n{spec.n}"
+        self.delta_is_zero = spec.weight == "const1"
         self._infl, self.sigma, self._center = catalog_scale(spec.weight,
                                                              spec.dist)
         self._sample_infl = influence_closed(self.weight, self.dist, cdf=ndtr_array)
@@ -155,27 +158,36 @@ class LStatModel(StatisticModel):
 
     def sample_chunk(self, rng, count, mode=()):
         w, rep, t = np.empty((3, count))
-        t_var = {m: np.empty(count) for m in mode}
-        tiles = ChunkTiles(self.dist, rng, count, (self.n,), mode)
+        sampled = () if self.delta_is_zero else mode
+        t_var = {m: np.empty(count) for m in sampled}
+        tiles = ChunkTiles(self.dist, rng, count, (self.n,), sampled)
         for rows, (x,) in tiles:
             w[rows], rep[rows] = projection_sums(x, self._g_rows,
                                                  tiles.scratch)
+            if self.delta_is_zero:
+                continue  # T is W, so no row is sorted
             cur = x[:, 0].copy()
             # T reads only the order statistics, so x is sorted in place
             x.sort(axis=1)
             t[rows] = np.einsum("ij,j->i", x, self._jvec)
-            rank = row_counts(np.less, x, cur) if mode else None
-            for m in mode:
+            rank = row_counts(np.less, x, cur) if sampled else None
+            for m in sampled:
                 t_var[m][rows] = self._replaced(x, t[rows], rank, cur,
                                                 tiles.values[m][0, rows])
         values = tiles.values
         x = tiles = None  # frees the last tile and the scratch buffer
-        scale = math.sqrt(self.n) / self.sigma
-        t = (t - self._center) * scale
+        if self.delta_is_zero:
+            t = w.copy()
+        else:
+            scale = math.sqrt(self.n) / self.sigma
+            t = (t - self._center) * scale
         if not mode:
             return {"t": t, "w": w}
         dvar = {}
         for m in mode:
+            if self.delta_is_zero:
+                dvar[m] = np.zeros((count, 1))
+                continue
             gv = self._g_rows(values[m][0])
             tv = (t_var[m] - self._center) * scale
             dvar[m] = (tv - (w - rep + gv))[:, None]

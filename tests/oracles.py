@@ -3,9 +3,11 @@
 Exact enumeration of the U-statistics, the raw L-statistic, its influence
 function and its scales sigma and T(F) by quadrature, the per-row pair
 count, the resample coupling alpha of the perturbed-normal model, by Monte
-Carlo and by quadrature, and the whole-block draw that a chunk's row tiles
-must reproduce. No command reaches any of them. Enumeration errors past
-ENUMERATION_CAP index choices rather than subsampling.
+Carlo and by quadrature, the whole-block draw that a chunk's row tiles
+must reproduce, the data rows that a std_normal U-statistic chunk's three
+draws stand for, and the exact chi-square laws of that chunk's T and W
+under the variance kernel. No command reaches any of them. Enumeration
+errors past ENUMERATION_CAP index choices rather than subsampling.
 """
 from __future__ import annotations
 
@@ -13,6 +15,8 @@ import itertools
 import math
 
 import numpy as np
+from scipy.optimize import minimize_scalar
+from scipy.stats import chi2
 
 from belab.app_bounds import alpha_scale
 from belab.errors import DomainError, NumericError
@@ -42,6 +46,62 @@ def whole_draw(dist, rng, size):
     out = np.empty(size)
     dist.fill(rng, out)
     return out
+
+
+def helmert_unit(m: int):
+    """The last row of the Helmert matrix of order m >= 2: a unit vector of
+    length m orthogonal to the ones vector."""
+    u = np.ones(m)
+    u[-1] = 1.0 - m
+    return u / math.sqrt(m * (m - 1.0))
+
+
+def normal_rows(x1, z, q, n: int):
+    """Data rows of width n for the draws (x_1, z, q) of a std_normal
+    U-statistic chunk: x_1, then n - 1 values with sum sqrt(n - 1) z and
+    sum of squares about their mean q, namely z / sqrt(n - 1) plus sqrt(q)
+    times helmert_unit(n - 1)."""
+    rest = (z[:, None] / math.sqrt(n - 1)
+            + np.sqrt(q)[:, None] * helmert_unit(n - 1))
+    return np.column_stack((x1, rest))
+
+
+def variance_normal_cdfs(n: int):
+    """Exact cdfs of T and W of the variance-kernel U-statistic under
+    std_normal. U_n = S^2 - 1 and (n - 1) S^2 ~ chi2_{n-1}, so
+    T = sqrt(n/2) (S^2 - 1); sum X_i^2 ~ chi2_n, so
+    W = (sum X_i^2 - n) / sqrt(2n)."""
+
+    def cdf_t(x):
+        return chi2.cdf((n - 1) * (1.0 + np.asarray(x) * math.sqrt(2.0 / n)),
+                        n - 1)
+
+    def cdf_w(x):
+        return chi2.cdf(n + np.asarray(x) * math.sqrt(2.0 * n), n)
+
+    return cdf_t, cdf_w
+
+
+def ks_vs_cdf(values, cdf) -> float:
+    """sup |F_sample - cdf| of a sample against a continuous cdf."""
+    x = np.sort(np.asarray(values, dtype=float))
+    f = cdf(x)
+    i = np.arange(1, x.size + 1)
+    return float(max((i / x.size - f).max(), (f - (i - 1) / x.size).max()))
+
+
+def sup_cdf_gap(cdf_a, cdf_b, lo=-20.0, hi=20.0) -> float:
+    """sup_x |cdf_a(x) - cdf_b(x)| of two continuous cdfs: the largest gap
+    on a grid of step 1e-4, refined by a bounded search between the grid
+    points next to it."""
+    x = np.linspace(lo, hi, int(round((hi - lo) * 1e4)) + 1)
+    gap = np.abs(cdf_a(x) - cdf_b(x))
+    k = int(gap.argmax())
+    found = minimize_scalar(
+        lambda u: -abs(float(cdf_a(u)) - float(cdf_b(u))),
+        bounds=(x[max(k - 1, 0)], x[min(k + 1, x.size - 1)]),
+        method="bounded", options={"xatol": 1e-12})
+    return max(float(gap[k]), -float(found.fun))
 
 
 def ustat_value(kernel, data, dist) -> float:

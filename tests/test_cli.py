@@ -26,7 +26,7 @@ from belab.cli import (
     render_rows,
 )
 from belab.errors import ConfigError, InvalidModelError
-from belab.models import UStatModel, build_spec
+from belab.models import LStatModel, UStatModel, build_spec
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_DIR = ROOT / "tests" / "golden"
@@ -854,6 +854,22 @@ class TestMainExitCodes:
         assert main(["bound", "--config", path]) == 0
         rows = capsys.readouterr().out.splitlines()[1:]
         assert len(rows) == 3 and all(r.startswith("eq2.6,") for r in rows)
+
+    def test_const1_lstat_bound_samples_nothing(self, tmp_path, capsys,
+                                                monkeypatch):
+        # const1's remainder is zero, so eq2.6 takes exact zero components
+        # and no chunk is drawn
+        def no_draw(*_args, **_kwargs):
+            raise AssertionError("a chunk was drawn")
+
+        monkeypatch.setattr(LStatModel, "sample_chunk", no_draw)
+        model = {"family": "lstat", "weight": "const1", "dist": "std_normal",
+                 "n": 8}
+        path = write_config(tmp_path, make_doc(model=model, bounds=["eq2.6"],
+                                               z_grid=[0.0, 2.5]))
+        assert main(["bound", "--config", path]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [r["se"] for r in rows] == ["0", "0"]
 
     def test_output_replaces_previous_file(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"

@@ -287,6 +287,25 @@ class TestModel:
         np.testing.assert_allclose(chunk["dvar_rep"]["zero_out"], 0.0,
                                    atol=1e-12)
 
+    @pytest.mark.parametrize("dist", CONTINUOUS)
+    def test_const1_t_is_w(self, dist):
+        """const1's T is the standardized mean, W itself: a chunk returns
+        W's bits as T and exact zero remainders in every mode, and its W
+        and g_rep are the oracle's rows."""
+        model = LStatModel(LStatSpec("const1", dist, 10))
+        assert model.delta_is_zero
+        infl = influence_closed(model.weight, model.dist)
+        scale = 1.0 / (math.sqrt(10) * model.sigma)
+        for mode in MODES:
+            chunk, x, _v = chunk_and_draws(model, 84, 300, mode)
+            assert chunk["t"].tobytes() == chunk["w"].tobytes()
+            assert not chunk["delta"].any()
+            assert not chunk["dvar_rep"][mode].any()
+            np.testing.assert_allclose(chunk["w"], -infl(x).sum(axis=1) * scale,
+                                       rtol=1e-10, atol=1e-14)
+            np.testing.assert_allclose(chunk["g_rep"][:, 0],
+                                       -infl(x[:, 0]) * scale, rtol=1e-12)
+
     def test_delta_variant_brute(self):
         model = LStatModel(LStatSpec("identity", "uniform01", 6))
         for mode in MODES:

@@ -1,13 +1,17 @@
-"""Degree-2 U-statistic models: kernel moments, oracles, leave-one-out."""
+"""Degree-2 U-statistic models: kernel moments, oracles, leave-one-out,
+and the exact laws of the variance kernel under std_normal."""
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from belab.bound_core import check_normalization
+from belab.cli import TAGS, cmd_verify, parse_config
 from belab.errors import DegenerateModelError, UnsupportedModelError
-from belab.mc_engine import SeedSpec
+from belab.mc_engine import CHUNK_SIZE, SeedSpec, collect_t_w, dkw_radius
 from belab.models import (
     DIST_CATALOG,
     KERNEL_CATALOG,
@@ -19,21 +23,41 @@ from belab.models import (
 from belab.models import ustat as ustat_module
 from belab.models.base import part_stream
 from belab.models.kernels import kernel_abs_p
-from oracles import CapacityError, ustat_value, whole_draw
+from oracles import (
+    CapacityError,
+    ks_vs_cdf,
+    normal_rows,
+    sup_cdf_gap,
+    ustat_value,
+    variance_normal_cdfs,
+    whole_draw,
+)
+from test_golden import CASES
 
 E_ABS_CHI_CENTERED_3 = 8.691562902725508  # E|Z^2 - 1|^3
 MODES = ("zero_out", "resample")
 
 
+def redraw_rows(model, rng, count):
+    """The data rows of a chunk of `count` rows, redrawn from rng: under
+    std_normal, the rows (normal_rows) that its three count-length draws
+    x_1, z and q stand for; under any other law, the whole data block."""
+    if model.dist.name == "std_normal":
+        x1 = rng.standard_normal(count)
+        z = rng.standard_normal(count)
+        return normal_rows(x1, z, rng.chisquare(model.n - 2, count), model.n)
+    return whole_draw(model.dist, rng, (count, model.n))
+
+
 def chunk_and_draws(model, seed, count, mode):
     """A chunk and what it consumed, each part redrawn from its own stream:
-    the data block from a second copy of the substream, then the
-    replacement values from part 1's stream (zeros in zero_out mode, and
-    for a structurally zero remainder, which draws none). The chunk must
-    leave its substream where the data block alone leaves the copy."""
+    the data rows from a second copy of the substream (redraw_rows), then
+    the replacement values from part 1's stream (zeros in zero_out mode,
+    and for a structurally zero remainder, which draws none). The chunk
+    must leave its substream where the data draws alone leave the copy."""
     rng_a, rng_b = SeedSpec(seed).substream(0), SeedSpec(seed).substream(0)
     chunk = model.sample_chunk(rng_a, count, mode=(mode,))
-    x = whole_draw(model.dist, rng_b, (count, model.n))
+    x = redraw_rows(model, rng_b, count)
     v = (whole_draw(model.dist, part_stream(rng_b, 1), (count, 1))[:, 0]
          if mode == "resample" and not model.delta_is_zero
          else np.zeros(count))
@@ -349,3 +373,114 @@ class TestNormalizationAndW:
         chunk = model.sample_chunk(rng, 60000)
         v = chunk["w"].var(ddof=1)
         np.testing.assert_allclose(v, 1.0, atol=0.03)
+
+
+def coupling_rows(w, delta, g1, d1, n):
+    """The first-moment and L2 coupling rows of one variant mode, as the
+    engine's sample_pass stacks them for a one-group model: |W D|,
+    n |g_1 (D - D_1)|, |D|, D^2 and (D - D_1)^2."""
+    diff = delta - d1
+    return np.stack([np.abs(w * delta), n * np.abs(g1 * diff), np.abs(delta),
+                     delta * delta, diff * diff])
+
+
+def whole_row_coupling_rows(n, mode, rng, count):
+    """coupling_rows of `count` whole rows of n std_normal draws from rng,
+    with T, W and the remainder D_1 of the row whose x_1 is replaced in
+    closed form: T = sqrt(n/2) (S^2 - 1), W = (sum x^2 - n) / sqrt(2n)."""
+    x = rng.standard_normal((count, n))
+    v = np.zeros(count) if mode == "zero_out" else rng.standard_normal(count)
+
+    def t_w(rows):
+        return (math.sqrt(n / 2.0) * (rows.var(axis=1, ddof=1) - 1.0),
+                ((rows * rows).sum(axis=1) - n) / math.sqrt(2.0 * n))
+
+    t, w = t_w(x)
+    x1 = x[:, 0].copy()
+    x[:, 0] = v
+    t1, w1 = t_w(x)
+    return coupling_rows(w, t - w, (x1 * x1 - 1.0) / math.sqrt(2.0 * n),
+                         t1 - w1, n)
+
+
+def mean_se(rows):
+    """Per-row mean and standard error of stacked per-replicate rows."""
+    return rows.mean(axis=1), rows.std(axis=1, ddof=1) / math.sqrt(
+        rows.shape[1])
+
+
+class TestNormalSums:
+    """Under std_normal a chunk draws x_1, z and q, not its data rows, and
+    the rows keep their law: the exact chi-square laws of T and W, and the
+    coupling moments of whole rows."""
+
+    @pytest.mark.parametrize("kernel", ["variance", "sum"])
+    def test_three_columns_then_the_resample_part(self, kernel):
+        """The chunk leaves its generator where three count-length draws
+        leave a copy; x_1 is the first of them, and the resample values are
+        part 1's standard normal run."""
+        n, count = 50, 600
+        model = UStatModel(UStatSpec(kernel, "std_normal", n))
+        rng_a, rng_b = SeedSpec(50).substream(3), SeedSpec(50).substream(3)
+        chunk = model.sample_chunk(rng_a, count, mode=MODES)
+        x = redraw_rows(model, rng_b, count)
+        assert rng_a.random() == rng_b.random()
+        np.testing.assert_array_equal(
+            chunk["g_rep"][:, 0], model.kernel.g_raw(x[:, 0], model.dist)
+            * (1.0 / (math.sqrt(n) * model.sigma1)))
+        if model.delta_is_zero:
+            return
+        v = part_stream(rng_b, 1).standard_normal(count)
+        for r in range(0, count, 60):
+            np.testing.assert_allclose(
+                chunk["dvar_rep"]["resample"][r, 0],
+                oracle_dvar(model, x[r], v[r]), rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 30, 400])
+    def test_t_and_w_follow_their_chi_square_laws(self, n):
+        model = UStatModel(UStatSpec("variance", "std_normal", n))
+        t, w = collect_t_w(model, 200000, SeedSpec(61))
+        cdf_t, cdf_w = variance_normal_cdfs(n)
+        assert ks_vs_cdf(t, cdf_t) <= dkw_radius(t.size)
+        assert ks_vs_cdf(w, cdf_w) <= dkw_radius(w.size)
+
+    def test_verify_golden_rows_against_the_exact_laws(self):
+        """On the verify-ustat golden config, every judged T~N, W~N and
+        T~W row has its exact distance within its bound, and its sampled
+        distance within the DKW radius of the exact one."""
+        _command, doc = CASES["verify-ustat"]
+        rows, _notes = cmd_verify(parse_config(json.dumps(doc)))
+        cdf_t, cdf_w = variance_normal_cdfs(doc["model"]["n"])
+        cdfs = {"T": cdf_t, "W": cdf_w, "N": norm.cdf}
+        judged = 0
+        for row in rows:
+            if row.pass_flag is None:
+                continue
+            a, b = (cdfs[side] for side in
+                    TAGS[row.equation_tag].comparator.split("~"))
+            exact = (sup_cdf_gap(a, b) if row.z is None
+                     else abs(float(a(row.z)) - float(b(row.z))))
+            assert exact <= row.bound_known, row
+            assert abs(row.empirical - exact) <= row.dkw_radius, row
+            judged += 1
+        assert judged == 11
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n", [8, 50])
+    def test_coupling_moments_match_whole_rows(self, n, mode):
+        chunks = 8
+        model = UStatModel(UStatSpec("variance", "std_normal", n))
+        got = []
+        for c in range(chunks):
+            chunk = model.sample_chunk(SeedSpec(62).substream(c), CHUNK_SIZE,
+                                       mode=(mode,))
+            got.append(coupling_rows(chunk["w"], chunk["delta"],
+                                     chunk["g_rep"][:, 0],
+                                     chunk["dvar_rep"][mode][:, 0], n))
+        rng = np.random.default_rng(63)
+        want = [whole_row_coupling_rows(n, mode, rng, CHUNK_SIZE)
+                for _ in range(chunks)]
+        (m_got, se_got), (m_want, se_want) = (
+            mean_se(np.hstack(got)), mean_se(np.hstack(want)))
+        assert np.all(np.abs(m_got - m_want)
+                      <= 4.0 * np.hypot(se_got, se_want))
