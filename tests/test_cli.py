@@ -718,6 +718,24 @@ class TestMainExitCodes:
             "config: sweep.grid[2]: verification needs >= 1000, got 20"]
         assert runs == []
 
+    @pytest.mark.parametrize("tag", ["eq1.4", "eq2.3"])
+    def test_nan_sample_exits_3(self, tmp_path, capsys, monkeypatch, tag):
+        """A NaN in a sample reaches each distance kernel (W~N, T~W) as a
+        NumericError: exit 3 with one line of stderr, never the exit 1 of
+        a failed row."""
+        real = cli.sample_pass
+
+        def with_nan(*args, **kwargs):
+            t, w, comps = real(*args, **kwargs)
+            t[5] = w[7] = np.nan
+            return t, w, comps
+
+        monkeypatch.setattr(cli, "sample_pass", with_nan)
+        path = write_config(tmp_path, make_doc(model=USTAT, bounds=[tag]))
+        assert main(["verify", "--config", path]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "NaN" in err[0]
+
     def test_replicate_limit_is_inclusive(self):
         cfg = parse(make_doc(mc={"master_seed": 1,
                                  "replicates": MAX_REPLICATES}))

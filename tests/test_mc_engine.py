@@ -15,7 +15,7 @@ from belab.bound_core import (
     nonuniform_tau,
     solve_delta_minimal,
 )
-from belab.errors import ConfigError, DomainError
+from belab.errors import ConfigError, DomainError, NumericError
 from belab.mc_engine import (
     CHUNK_SIZE,
     DISTANCE_BLOCK,
@@ -845,6 +845,161 @@ class TestStreamedDistances:
         b = np.sort(rng.standard_normal(500000))
         assert traced_peak(lambda: empirical_ks_two_sample(a, b)) <= 2 * MiB
         assert traced_peak(lambda: empirical_ks_vs_normal(a)) <= 2 * MiB
+
+
+# values with ties, both infinities and values far out in the normal tails
+EDGE_VALUES = st.one_of(st.sampled_from([-np.inf, np.inf, -1.0, 0.0, 1.0]),
+                        st.floats(-40.0, 40.0))
+
+
+@st.composite
+def edge_samples(draw):
+    values = draw(st.sampled_from(TIED_VALUES + [EDGE_VALUES]))
+    x = np.array(draw(st.lists(values, min_size=1, max_size=200)))
+    x.flags.writeable = False
+    return x
+
+
+def spiked_pair(n, j, s):
+    """(a, b) of n values each whose distance (s + 1)/n is taken at a's
+    point j, the last of s + 1 ties at indices j - s to j: a holds
+    0, ..., n - 1 and b the midpoints k + 1/2, with the s midpoints below j
+    moved up onto j + 1/2; every other term is 0 or 1/n."""
+    a = np.arange(n, dtype=float)
+    a[j - s:j + 1] = j
+    b = np.arange(n) + 0.5
+    b[j - s:j] = j + 0.5
+    return a, b
+
+
+def spiked_quantiles(n, j, s):
+    """Normal quantiles at (i + 1/2)/n whose one-sample distance, about
+    (s + 1/2)/n, is taken at point j, the last of s + 1 ties at indices
+    j - s to j; every other term is about 1/(2n) or less."""
+    t = stats.norm.ppf((np.arange(n) + 0.5) / n)
+    t[j - s:j + 1] = t[j - s]
+    return t
+
+
+class TestPrunedDistances:
+    """The kernels evaluate the terms of a group only when its bound from
+    the group's two ends exceeds the largest end term, and return the
+    whole-array distance bit for bit wherever the supremum lies."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(a=edge_samples(), b=edge_samples(), group=st.integers(1, 7),
+           block=st.integers(1, 20))
+    def test_equal_to_whole_array(self, a, b, group, block):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mc_engine, "DISTANCE_GROUP", group)
+            mp.setattr(mc_engine, "DISTANCE_BLOCK", block)
+            for x, y in ((a, b), (b, a), (a, a), (a, a.copy())):
+                assert (empirical_ks_two_sample(x, y).distance
+                        == pooled_grid_ks(x, y))
+            for x in (a, b):
+                assert (empirical_ks_vs_normal(x).distance
+                        == whole_array_ks_normal(x))
+
+    # n = 5 G + r puts a ragged group of r values last; j runs from the
+    # first point across a group edge to the last group and the last point
+    @pytest.mark.parametrize("group", [7, mc_engine.DISTANCE_GROUP])
+    @pytest.mark.parametrize("r", [0, 1, 5])
+    @pytest.mark.parametrize("where", ["first", "edge", "after_edge",
+                                       "last_group", "last"])
+    def test_supremum_anywhere(self, group, r, where):
+        n = 5 * group + r
+        j = {"first": 0, "edge": group - 1, "after_edge": group + 2,
+             "last_group": n - 2, "last": n - 1}[where]
+        # s ties end at j, so for j past the edge they straddle it
+        s = min(j, 4)
+        a, b = spiked_pair(n, j, s)
+        t = spiked_quantiles(n, j, s)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mc_engine, "DISTANCE_GROUP", group)
+            mp.setattr(mc_engine, "DISTANCE_BLOCK", 2 * group)
+            for x, y in ((a, b), (b, a)):
+                got = empirical_ks_two_sample(x, y).distance
+                assert got == pooled_grid_ks(x, y)
+                assert got == pytest.approx((s + 1) / n, rel=1e-12)
+            got = empirical_ks_vs_normal(t).distance
+            assert got == whole_array_ks_normal(t)
+            if s:
+                assert got == pytest.approx((s + 0.5) / n, rel=1e-9)
+
+    def test_supremum_at_the_ends(self):
+        # one sample: Phi(t_1) - 0 at the first point of values far right,
+        # 1 - Phi(t_n) at the last point of values far left
+        right = 5.0 + np.linspace(0.0, 1.0, 1001)
+        got = empirical_ks_vs_normal(right).distance
+        assert got == whole_array_ks_normal(right) == ndtr_array(right[:1])[0]
+        left = -right[::-1]
+        got = empirical_ks_vs_normal(left).distance
+        assert got == whole_array_ks_normal(left)
+        assert got == 1.0 - ndtr_array(left[-1:])[0]
+        # two samples: F_a - F_b = 1/2 at a's first point, and less at every
+        # other point of a and of b
+        a = np.array([0.0, 100.0])
+        b = np.concatenate([np.linspace(1.0, 2.0, 90), np.full(10, 200.0)])
+        assert empirical_ks_two_sample(a, b).distance == 0.5
+        assert empirical_ks_two_sample(b, a).distance == 0.5
+
+    @pytest.mark.parametrize("n", [DISTANCE_BLOCK + 1, 500000])
+    def test_identical_samples(self, n):
+        """T = W: every group bound is above the floor 0, so every group is
+        evaluated, in contiguous slices."""
+        t = np.sort(np.random.default_rng(n).standard_normal(n))
+        for other in (t, t.copy()):
+            assert empirical_ks_two_sample(t, other).distance == 0.0
+
+    def test_few_points_evaluated(self, monkeypatch):
+        """At 5e5 normal values against a shifted sample, fewer than 5 % of
+        the points reach searchsorted or ndtr_array, group ends included."""
+        rng = np.random.default_rng(59)
+        a = np.sort(rng.standard_normal(500000))
+        b = np.sort(rng.standard_normal(500000) + 0.01)
+        want_two = pooled_grid_ks(a, b)
+        want_one = [whole_array_ks_normal(x) for x in (a, b)]
+        searched, evaluated = [], []
+        search, cdf = np.searchsorted, mc_engine.ndtr_array
+
+        def counted_search(other, values, side):
+            searched.append(values.size)
+            return search(other, values, side=side)
+
+        def counted_cdf(values):
+            evaluated.append(values.size)
+            return cdf(values)
+
+        monkeypatch.setattr(np, "searchsorted", counted_search)
+        monkeypatch.setattr(mc_engine, "ndtr_array", counted_cdf)
+        assert empirical_ks_two_sample(a, b).distance == want_two
+        assert sum(searched) < 0.05 * (a.size + b.size)
+        for x, want in zip((a, b), want_one):
+            evaluated.clear()
+            assert empirical_ks_vs_normal(x).distance == want
+            assert sum(evaluated) < 0.05 * x.size
+
+    @pytest.mark.parametrize("order", ["unsorted", "sorted"])
+    def test_nan_raises_numeric_error(self, order):
+        rng = np.random.default_rng(61)
+        a = rng.standard_normal(1000)
+        a[17] = np.nan
+        if order == "sorted":
+            a.sort()
+        b = rng.standard_normal(1000)
+        for call in (lambda: empirical_ks_vs_normal(a),
+                     lambda: empirical_ks_vs_normal([np.nan]),
+                     lambda: empirical_ks_two_sample(a, b),
+                     lambda: empirical_ks_two_sample(b, a)):
+            with pytest.raises(NumericError, match="NaN"):
+                call()
+
+    def test_empty_sample_rejected(self):
+        for call in (lambda: empirical_ks_vs_normal([]),
+                     lambda: empirical_ks_two_sample([], [1.0]),
+                     lambda: empirical_ks_two_sample([1.0], [])):
+            with pytest.raises(ConfigError):
+                call()
 
 
 class TestDistances:

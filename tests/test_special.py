@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import special as sc
 
-from belab import special
+from belab import mc_engine, special
 
 SQRT2 = math.sqrt(2.0)
 TINY = np.finfo(float).tiny  # smallest normal double
@@ -109,6 +109,25 @@ class TestNdtrArray:
         alone = np.array([special.ndtr_array(np.array([v]))[0] for v in keys])
         np.testing.assert_array_equal(got, alone[where])
         np.testing.assert_array_equal(np.signbit(got), np.signbit(alone[where]))
+
+    def test_backward_steps_stay_below_the_ks_margin(self):
+        """Along ascending values ndtr_array falls below an earlier value
+        by an ulp or two at most (2.2e-16 by the |x| = sqrt 2 edge): never
+        more than 2^-50, far below the CDF_MARGIN by which the one-sample
+        KS kernel widens its group bounds. Sorted ulp walks across each
+        branch edge, and sorted normal draws at scales 1 to 40."""
+        centres = [v * s for v in (SQRT2 / 2, 1.0, SQRT2, 8.0, 8.0 * SQRT2,
+                                   37.5, 37.7, 38.5) for s in (1.0, -1.0)]
+        walks = [(np.array([c]).view(np.int64) + np.arange(-4096, 4097))
+                 .view(float) for c in centres]
+        rng = np.random.default_rng(67)
+        walks += [rng.standard_normal(400000) * scale
+                  for scale in (1, 1.5, 2, 3, 5, 8, 13, 20, 30, 40)]
+        worst = 0.0
+        for x in walks:
+            cdf = special.ndtr_array(np.sort(x))
+            worst = max(worst, (np.maximum.accumulate(cdf) - cdf).max())
+        assert 0.0 < worst <= 2.0 ** -50 < mc_engine.CDF_MARGIN
 
 
 class TestNdtrErfScalar:
