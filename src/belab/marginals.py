@@ -2,12 +2,21 @@
 
 A Marginal answers moment queries about one g_i(X_i): full and truncated
 absolute moments, tail probabilities, and the capped first moment
-E|g| min(d, |g|). Answers come from two tiers: closed forms where the
-catalog has them, and otherwise adaptive quadrature (`belab.quadrature`)
-over segments split at the kinks of |g|^p, each result checked against its
-error estimate. Both tiers are exact up to the quadrature tolerance; the
-sampled ingredients of a bound (the coupling moments of the remainder)
-come from mc_engine, not from here.
+E|g| min(d, |g|). Answers come from two tiers:
+
+- closed forms: NormalMarginal, UniformMarginal and AtomMarginal at every
+  p, and QuadraticMarginal (the variance kernel's projection) at p in
+  CLOSED_P, built from the truncated power moments of its centred base
+  variable (`normal_power_moments`, `uniform_power_moments`,
+  `exponential_power_moments`), in Python floats alone;
+- adaptive quadrature (`belab.quadrature`) over segments split at the
+  kinks of |g|^p, each result checked against its error estimate:
+  ExpCenteredMarginal, MonotoneMarginal, and QuadraticMarginal at any
+  other p.
+
+Both tiers are exact up to the quadrature tolerance; the sampled
+ingredients of a bound (the coupling moments of the remainder) come from
+mc_engine, not from here.
 
 A LinearPart groups identical marginals with counts and exposes the sums
 that the bound formulas need.
@@ -15,18 +24,26 @@ that the bound formulas need.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from abc import ABC, abstractmethod
 
 import numpy as np
 
 from .quadrature import brentq, check_error, quad
-from .special import gammainc, ndtr
+from .special import gammainc, ndtr, two_prod
 
 QUAD_EPSABS = 1e-12
 # quadrature windows, in standardized units; mass beyond is < 1e-30
 NORMAL_CUT = 12.0
 EXP_CUT = 60.0
+# the moment orders at which QuadraticMarginal is closed form, and the
+# highest power moment of its base variable that they read (|g|^3 is a
+# polynomial of degree 6 on each segment)
+CLOSED_P = (1.0, 2.0, 3.0)
+POWER_MOMENTS = 6
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_FACTORIALS = [math.factorial(k) for k in range(POWER_MOMENTS + 1)]
 
 
 def quad_segments(fn, edges, epsabs=QUAD_EPSABS, singular=()):
@@ -223,69 +240,176 @@ class ExpCenteredMarginal(Marginal):
         return self.scale ** 2  # Var(Exp(1)) = 1
 
 
-class QuadraticMarginal(Marginal):
-    """g = a * ((X - b)^2 - c) for a base X with known density; a, c > 0.
+def normal_power_moments(lo: float, hi: float) -> tuple:
+    """(M_0, ..., M_6), M_k = E Z^k 1{lo <= Z <= hi} for Z standard normal
+    and finite lo <= hi.
 
-    Covers centered-square projections. Region algebra: |g| <= t is
-    |X - b| in [sqrt(max(0, c - t/a)), sqrt(c + t/a)].
+    M_0 is a difference of normal cdfs, taken on the side of 0 where both
+    are tails, M_1 = phi(lo) - phi(hi), and integration by parts gives
+    M_k = (k - 1) M_{k-2} + lo^(k-1) phi(lo) - hi^(k-1) phi(hi)."""
+    m0 = ndtr(-lo) - ndtr(-hi) if lo > 0.0 else ndtr(hi) - ndtr(lo)
+    f_lo = math.exp(-0.5 * lo * lo) * _INV_SQRT_2PI
+    f_hi = math.exp(-0.5 * hi * hi) * _INV_SQRT_2PI
+    out = [m0, f_lo - f_hi]
+    for k in range(2, POWER_MOMENTS + 1):
+        out.append((k - 1) * out[k - 2] + lo ** (k - 1) * f_lo
+                   - hi ** (k - 1) * f_hi)
+    return tuple(out)
+
+
+def uniform_power_moments(lo: float, hi: float) -> tuple:
+    """(M_0, ..., M_6), M_k = E Y^k 1{lo <= Y <= hi} for Y uniform on
+    [-1/2, 1/2] and lo <= hi inside it: (hi^(k+1) - lo^(k+1)) / (k + 1)."""
+    return tuple((hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
+                 for k in range(POWER_MOMENTS + 1))
+
+
+def _poisson_sums(x: float):
+    """([P(N <= k)], [P(N > k)]) for k = 0, ..., 6 and N ~ Poisson(x),
+    x >= 0, each a sum of positive terms: the tail past 6 is a series
+    below the mean 7 and 1 - P(N <= 6) from there."""
+    pmf = [math.exp(-x)]
+    for j in range(1, POWER_MOMENTS + 2):
+        pmf.append(pmf[-1] * x / j)
+    below = list(itertools.accumulate(pmf[:-1]))
+    if x < POWER_MOMENTS + 1:
+        tail, term, j = 0.0, pmf[-1], POWER_MOMENTS + 1
+        while term > 1e-17 * tail:
+            tail += term
+            j += 1
+            term *= x / j
+    else:
+        tail = 1.0 - below[-1]
+    above = list(itertools.accumulate(reversed(pmf[1:-1]), initial=tail))
+    return below, above[::-1]
+
+
+def _exp_growth(x: float) -> list:
+    """[int_0^x s^k e^s ds for k = 0, ..., 6], 0 <= x <= 1, each by its
+    series sum_m x^(k+m+1) / (m! (k + m + 1)) of positive terms."""
+    out = []
+    for k in range(POWER_MOMENTS + 1):
+        term, total, m = x ** (k + 1), 0.0, 0
+        while term > 1e-17 * total:
+            total += term / (k + m + 1)
+            m += 1
+            term *= x / m
+        out.append(total)
+    return out
+
+
+def exponential_power_moments(lo: float, hi: float) -> tuple:
+    """(M_0, ..., M_6), M_k = E Y^k 1{lo <= Y <= hi} for Y = X - 1, X
+    standard exponential, and -1 <= lo <= hi finite.
+
+    The density is e^(-1) e^(-y). Above 0, int_u^v y^k e^-y dy is k! times
+    a difference of Poisson sums at u and v (P(N <= k), or P(N > k) where
+    that is the smaller); below 0 it is (-1)^k times a difference of the
+    series of int_0^s s^k e^s ds. Either way the operands are sums of
+    positive terms no larger than the integral from 0 or to infinity,
+    where the recursion M_k = k M_{k-1} + lo^k e^-(lo+1) - hi^k e^-(hi+1)
+    would multiply the rounding of its boundary terms by up to 6!."""
+    out = [0.0] * (POWER_MOMENTS + 1)
+    if lo < 0.0:
+        near, far = _exp_growth(-min(hi, 0.0)), _exp_growth(-lo)
+        for k in range(POWER_MOMENTS + 1):
+            out[k] = (-1) ** k * (far[k] - near[k])
+    if hi > 0.0:
+        below_u, above_u = _poisson_sums(max(lo, 0.0))
+        below_v, above_v = _poisson_sums(hi)
+        for k in range(POWER_MOMENTS + 1):
+            if below_u[k] < above_v[k]:
+                out[k] += _FACTORIALS[k] * (below_u[k] - below_v[k])
+            else:
+                out[k] += _FACTORIALS[k] * (above_v[k] - above_u[k])
+    return tuple(v * math.exp(-1.0) for v in out)
+
+
+class QuadraticMarginal(Marginal):
+    """g = a ((X - m)^2 - v) for a continuous base law with mean m and
+    variance v > 0, a > 0: the variance kernel's projection.
+
+    `base` gives the law: pdf, cdf, sf, support, mean, var and
+    centred_moments(lo, hi), the closed-form (M_0, ..., M_6) of
+    Y = X - m over [lo, hi]. With r = sqrt(v), the support cut at
+    Y = -r, 0, r (`_segments`) leaves pieces on which |g|^p is
+    a^p |Y^2 - v|^p with one sign inside, a polynomial of degree 2p in Y at
+    integer p; so at p in CLOSED_P every moment is a sum of power moments,
+    and any other p takes the quadrature tier over the same pieces.
+    Region algebra: |g| <= t is |Y| in [sqrt(max(0, v - t/a)),
+    sqrt(v + t/a)].
     """
 
-    def __init__(self, a, b, c, density, support, cdf):
-        if a <= 0 or c <= 0:
-            raise ValueError("a and c must be > 0")
-        self.a, self.b, self.c = float(a), float(b), float(c)
-        self.density = density
-        self.x_lo, self.x_hi = support
-        self.cdf = cdf
+    def __init__(self, a, base):
+        if a <= 0 or base.var <= 0:
+            raise ValueError("a and the base variance must be > 0")
+        self.a = float(a)
+        self.base = base
+        self.b, self.c = float(base.mean), float(base.var)
+        self.x_lo, self.x_hi = base.support
 
-    def _clip(self, x):
-        return min(max(x, self.x_lo), self.x_hi)
+    def _segments(self, lo, hi):
+        """(y0, y1, inner) for each piece of lo <= |Y| <= hi inside the
+        support between the cuts -r, 0 and r; inner is |Y| < r, where
+        Y^2 - v < 0."""
+        r = math.sqrt(self.c)
+        y_lo, y_hi = self.x_lo - self.b, self.x_hi - self.b
+        for y0, y1, inner in ((-hi, -r, False), (-r, -lo, True),
+                              (lo, r, True), (r, hi, False)):
+            y0, y1 = max(y0, y_lo), min(y1, y_hi)
+            if y1 > y0:
+                yield y0, y1, inner
 
-    def _g(self, x):
-        return self.a * ((x - self.b) ** 2 - self.c)
+    def _closed_abs_p(self, k, lo, hi):
+        """E|g|^k 1{lo <= |Y| <= hi} for integer k in 1..3: on each piece,
+        sum_j C(k, j) (-v)^(k-j) M_2j, negated inside at odd k."""
+        coef = [math.comb(k, j) * (-self.c) ** (k - j) for j in range(k + 1)]
+        total = 0.0
+        for y0, y1, inner in self._segments(lo, hi):
+            m = self.base.centred_moments(y0, y1)
+            piece = math.fsum(cj * m[2 * j] for j, cj in enumerate(coef))
+            total += max(0.0, -piece if inner and k % 2 else piece)
+        return self.a ** k * total
 
-    def _quad_abs_p(self, p, edges):
-        fn = lambda x: np.abs(self._g(x)) ** p * self.density(x)
-        return quad_segments(fn, edges)
+    def _quad_abs_p(self, p, lo, hi):
+        """E|g|^p 1{lo <= |Y| <= hi} by quadrature over the pieces."""
+        fn = lambda x: (np.abs(self.a * ((x - self.b) ** 2 - self.c)) ** p
+                        * self.base.pdf(x))
+        return sum(quad_segments(fn, [self.b + y0, self.b + y1])
+                   for y0, y1, _inner in self._segments(lo, hi))
+
+    def _abs_p(self, p, lo, hi):
+        if p in CLOSED_P:
+            return self._closed_abs_p(int(p), lo, hi)
+        return self._quad_abs_p(p, lo, hi)
 
     @_memoized
     def e_abs_p(self, p):
-        root = math.sqrt(self.c)
-        edges = {self.x_lo, self.x_hi, self._clip(self.b - root),
-                 self._clip(self.b + root), self._clip(self.b)}
-        return self._quad_abs_p(p, sorted(edges))
+        return self._abs_p(p, 0.0, math.inf)
 
     def _region_points(self, t):
-        lo = math.sqrt(max(0.0, self.c - t / self.a))
+        """(lo, hi) of |Y| where |g| <= t; v - t/a is taken as
+        (a v - t) / a with a v exact (two_prod), so lo keeps its digits
+        as t nears a v, where |g| peaks inside."""
+        av, av_err = two_prod(self.a, self.c)
+        lo = math.sqrt(max(0.0, ((av - t) + av_err) / self.a))
         hi = math.sqrt(self.c + t / self.a)
         return lo, hi
 
     def e_abs_p_below(self, p, t):
         if t <= 0:
             return 0.0
-        lo, hi = self._region_points(t)
-        segs = []
-        left = (self._clip(self.b - hi), self._clip(self.b - lo))
-        right = (self._clip(self.b + lo), self._clip(self.b + hi))
-        for a, b in (left, right):
-            if b > a:
-                segs.append((a, b))
-        total = 0.0
-        for a, b in segs:
-            mid = self._clip(self.b) if a < self.b < b else None
-            edges = [a, b] if mid is None else [a, mid, b]
-            total += self._quad_abs_p(p, edges)
-        return total
+        return self._abs_p(p, *self._region_points(t))
 
     def prob_abs_above(self, t):
         if t < 0:
             return 1.0
         lo, hi = self._region_points(t)
-        inside = (self.cdf(self._clip(self.b + lo)) - self.cdf(self._clip(self.b - lo))
-                  if lo > 0 else 0.0)
-        outside_hi = 1.0 - self.cdf(self._clip(self.b + hi)) if self.b + hi < self.x_hi else 0.0
-        outside_lo = self.cdf(self._clip(self.b - hi)) if self.b - hi > self.x_lo else 0.0
-        return max(0.0, outside_hi + outside_lo + inside)
+        base, b = self.base, self.b
+        inside = base.cdf(b + lo) - base.cdf(b - lo) if lo > 0 else 0.0
+        # the upper tail from the survival function: 1 - cdf loses its
+        # digits as the tail falls toward 1e-16
+        return max(0.0, base.sf(b + hi) + base.cdf(b - hi) + inside)
 
 
 class MonotoneMarginal(Marginal):

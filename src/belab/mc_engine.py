@@ -12,10 +12,10 @@ leave-one-out rows of every requested variant mode. `collect_t_w` and
 `components_via_engine` are that pass with T and W only, or with one mode.
 
 A sampled moment is the mean of one row of per-replicate values. Each chunk
-stacks its rows for each mode in one C-contiguous (K, count) float64 array
-in a fixed order (see sample_pass) and reduces them along the contiguous
-axis: numpy's pairwise sum, and the sum of squared deviations from the
-chunk's row mean (M2). `_mean_se`, the one place that turns blocks into a
+stacks its rows in one C-contiguous (K, count) float64 array in a fixed
+order (see sample_pass), the rows that no variant mode changes once, and
+reduces them along the contiguous axis: numpy's pairwise sum, and the sum
+of squared deviations from the chunk's row mean (M2). `_mean_se`, the one place that turns blocks into a
 mean and a standard error, combines the per-row sums with math.fsum and
 merges the M2 values pairwise (Chan, Golub & LeVeque), both in chunk order.
 So a mean never depends on the variance arithmetic, the variance does not
@@ -106,11 +106,14 @@ def _map_chunks(fn, replicates: int, threads: int) -> list:
 
 def _row_moments(rows):
     """Count, per-row sums and per-row M2 (sum of squared deviations from
-    the row mean) of one block of stacked rows."""
+    the row mean) of one block of stacked rows. The deviations are squared
+    in place: one block-sized temporary instead of two, which spares the
+    page faults of a second fresh buffer per chunk."""
     count = rows.shape[1]
     sums = rows.sum(axis=1)
     dev = rows - (sums / count)[:, None]
-    return count, sums, (dev * dev).sum(axis=1)
+    np.multiply(dev, dev, out=dev)
+    return count, sums, dev.sum(axis=1)
 
 
 def _mean_se(blocks, replicates: int):
@@ -162,10 +165,16 @@ def sample_pass(model, replicates: int, seed: SeedSpec, modes=(),
 
     Each chunk calls sample_chunk once with all the variant modes, so one
     draw of its data block gives its T and W slices (written into
-    preallocated arrays when keep_tw is set; None otherwise) and, for each
-    mode, the rows of one (K, count) array: |W D|, sum_j n_j |g_j (D - D_j)|,
-    |D|, then, where the model has an L2 remainder, D^2 and (D - D_j)^2 for
-    each group, then 1{|D| > thr} for each threshold. A structurally zero
+    preallocated arrays when keep_tw is set; None otherwise) and one
+    (K, count) array of rows for all the modes: first those that no mode
+    changes, |W D|, |D|, D^2 where the model has an L2 remainder, and
+    1{|D| > thr} for each threshold; then each mode's own,
+    sum_j n_j |g_j (D - D_j)| and, with an L2 remainder, (D - D_j)^2 for
+    each group. One _row_moments call reduces the block and one _mean_se
+    call its blocks; a row is reduced alone, so each mode's estimates are
+    bit for bit those of a block of its own rows, which it reads in the
+    order |W D|, sum_j n_j |g_j (D - D_j)|, |D|, D^2, (D - D_j)^2,
+    1{|D| > thr}. A structurally zero
     remainder gives exact zero components without sampling its modes; with
     nothing to sample, nothing is drawn. `modes` holds distinct names from
     VARIANT_MODES; any other name raises ValueError before a draw."""
@@ -179,17 +188,30 @@ def sample_pass(model, replicates: int, seed: SeedSpec, modes=(),
     n_l2 = 1 + weights.size if model.supports_delta_l2 else 0
     thresholds = np.array(delta_thresholds, dtype=float)[:, None]
 
-    def mode_rows(chunk, mode):
+    n_thr = len(delta_thresholds)
+    n_shared = 2 + bool(n_l2) + n_thr
+    n_own = max(n_l2, 1)
+
+    def mode_order(k):
+        """Indexes of mode k's rows in the order of _estimates."""
+        own = n_shared + k * n_own
+        l2 = [2, *range(own + 1, own + n_own)] if n_l2 else []
+        return [0, own, 1, *l2, *range(n_shared - n_thr, n_shared)]
+
+    def chunk_rows(chunk):
         delta = chunk["delta"]
-        diff = delta[:, None] - chunk["dvar_rep"][mode]
-        rows = np.empty((3 + n_l2 + len(thresholds), delta.size))
+        rows = np.empty((n_shared + len(sampled) * n_own, delta.size))
         np.abs(chunk["w"] * delta, out=rows[0])
-        rows[1] = (np.abs(chunk["g_rep"] * diff) * weights).sum(axis=1)
-        np.abs(delta, out=rows[2])
+        np.abs(delta, out=rows[1])
         if n_l2:
-            np.multiply(delta, delta, out=rows[3])
-            rows[4:3 + n_l2] = (diff * diff).T
-        rows[3 + n_l2:] = rows[2] > thresholds
+            np.multiply(delta, delta, out=rows[2])
+        rows[n_shared - n_thr:n_shared] = rows[1] > thresholds
+        for k, mode in enumerate(sampled):
+            own = rows[n_shared + k * n_own:n_shared + (k + 1) * n_own]
+            diff = delta[:, None] - chunk["dvar_rep"][mode]
+            own[0] = (np.abs(chunk["g_rep"] * diff) * weights).sum(axis=1)
+            if n_l2:
+                own[1:] = (diff * diff).T
         return rows
 
     def one_chunk(args):
@@ -198,7 +220,7 @@ def sample_pass(model, replicates: int, seed: SeedSpec, modes=(),
         if keep_tw:
             t[start:start + count] = chunk["t"]
             w[start:start + count] = chunk["w"]
-        return [_row_moments(mode_rows(chunk, m)) for m in sampled]
+        return _row_moments(chunk_rows(chunk)) if sampled else None
 
     blocks = (_map_chunks(one_chunk, replicates, threads)
               if keep_tw or sampled else [])
@@ -207,9 +229,10 @@ def sample_pass(model, replicates: int, seed: SeedSpec, modes=(),
         return t, w, {mode: BoundComponents(
             zero, zero, zero, zero, zero,
             {thr: zero for thr in delta_thresholds}) for mode in modes}
+    stats = _mean_se(blocks, replicates) if sampled else []
     return t, w, {mode: _estimates(
-        model, _mean_se([b[k] for b in blocks], replicates), replicates,
-        weights, n_l2, delta_thresholds) for k, mode in enumerate(sampled)}
+        model, [stats[j] for j in mode_order(k)], replicates, weights, n_l2,
+        delta_thresholds) for k, mode in enumerate(sampled)}
 
 
 def components_via_engine(model, replicates: int, seed: SeedSpec, mode="zero_out",

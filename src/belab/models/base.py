@@ -40,7 +40,12 @@ from functools import cached_property
 import numpy as np
 
 from ..errors import UnsupportedModelError
-from ..marginals import LinearPart
+from ..marginals import (
+    LinearPart,
+    exponential_power_moments,
+    normal_power_moments,
+    uniform_power_moments,
+)
 from ..special import ndtr
 
 # bytes of one float64 row tile of a narrow block; a block wider than 256
@@ -177,6 +182,28 @@ class BaseDist:
         if self.name == "exponential1":
             return 1.0 - math.exp(-x) if x >= 0 else 0.0
         raise UnsupportedModelError(f"no cdf for {self.name}")
+
+    def sf(self, x):
+        """P(X > x), taken directly rather than as 1 - cdf, which loses the
+        digits of a small tail."""
+        if self.name == "std_normal":
+            return ndtr(-x)
+        if self.name == "uniform01":
+            return min(1.0, max(0.0, 1.0 - x))
+        if self.name == "exponential1":
+            return math.exp(-x) if x >= 0 else 1.0
+        raise UnsupportedModelError(f"no survival function for {self.name}")
+
+    def centred_moments(self, lo: float, hi: float) -> tuple:
+        """(M_0, ..., M_6), M_k = E Y^k 1{lo <= Y <= hi} of Y = X - mean,
+        in closed form, for lo <= hi inside the centred support."""
+        if self.name == "std_normal":
+            return normal_power_moments(lo, hi)
+        if self.name == "uniform01":
+            return uniform_power_moments(lo, hi)
+        if self.name == "exponential1":
+            return exponential_power_moments(lo, hi)
+        raise UnsupportedModelError(f"no power moments for {self.name}")
 
     def fill(self, rng: np.random.Generator, out):
         """Draw out.size values into the C-contiguous float64 array out, as

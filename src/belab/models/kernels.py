@@ -103,14 +103,12 @@ class VarianceKernel(PairKernel):
         if s1 == 0.0:
             raise UnsupportedModelError(
                 f"{self.name}: projection is degenerate for {dist.name}")
-        return QuadraticMarginal(1.0 / (2.0 * s1) * scale, dist.mean, dist.var,
-                                 dist.pdf, dist.support, cdf=dist.cdf)
+        return QuadraticMarginal(1.0 / (2.0 * s1) * scale, dist)
 
     def h_abs_p(self, dist, p):
         if dist.name == "std_normal":
             # (X - Y)/sqrt(2) is standard normal, so h = Z^2 - 1
-            return QuadraticMarginal(1.0, dist.mean, dist.var, dist.pdf,
-                                     dist.support, cdf=dist.cdf).e_abs_p(p)
+            return QuadraticMarginal(1.0, dist).e_abs_p(p)
         return super().h_abs_p(dist, p)
 
 

@@ -207,7 +207,7 @@ def stirlerr(n: float) -> float:
     return (_S0 - (_S1 - (_S2 - (_S3 - _S4 * nn) * nn) * nn) * nn) / n
 
 
-def _two_prod(a: float, b: float):
+def two_prod(a: float, b: float):
     """a * b as an unevaluated sum hi + lo (Dekker 1971)."""
     p = a * b
     c = 134217729.0 * a
@@ -240,7 +240,7 @@ def bd0(x: float, m: float):
     """
     d = x - m  # exact below, where m/2 <= x <= 2m (Sterbenz)
     sh, sl = _two_sum(x, m)
-    # (Dekker's splitting in _two_prod overflows past ~1e300)
+    # (Dekker's splitting in two_prod overflows past ~1e300)
     if abs(d) >= 0.1 * sh or sh > 1e300:
         from decimal import Context, Decimal
         # 40 digits past the units place, so x and m round off below 1e-40
@@ -251,9 +251,9 @@ def bd0(x: float, m: float):
         hi = float(dev)
         return hi, float(ctx.subtract(dev, Decimal(hi)))
     # d^2 / (sh + sl) to double-double
-    nh, nl = _two_prod(d, d)
+    nh, nl = two_prod(d, d)
     q = nh / sh
-    ph, pl = _two_prod(q, sh)
+    ph, pl = two_prod(q, sh)
     lead, lead_lo = _two_sum(q, ((nh - ph) - pl + nl - q * sl) / sh)
     v = d / sh
     term = 2.0 * x * v
@@ -359,7 +359,7 @@ def _gamma_temme(a: float, x: float):
     y = math.sqrt(dev)
     half = 0.5 * math.erfc(y)
     if y > 0.0:
-        sq, sq_lo = _two_prod(y, y)
+        sq, sq_lo = two_prod(y, y)
         dy = ((hi - sq) - sq_lo + lo) / (2.0 * y)
         half -= dy * math.exp(-y * y) / math.sqrt(math.pi)
     if x >= a:

@@ -5,15 +5,18 @@ function and its scales sigma and T(F) by quadrature, the per-row pair
 count, the resample coupling alpha of the perturbed-normal model, by Monte
 Carlo and by quadrature, the whole-block draw that a chunk's row tiles
 must reproduce, the data rows that a std_normal U-statistic chunk's three
-draws stand for, and the exact chi-square laws of that chunk's T and W
-under the variance kernel. No command reaches any of them. Enumeration
-errors past ENUMERATION_CAP index choices rather than subsampling.
+draws stand for, the exact chi-square laws of that chunk's T and W
+under the variance kernel, and 40-digit mpmath integrals of the moments
+and tails of that kernel's projection. No command reaches any of them.
+Enumeration errors past ENUMERATION_CAP index choices rather than
+subsampling.
 """
 from __future__ import annotations
 
 import itertools
 import math
 
+import mpmath
 import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.stats import chi2
@@ -102,6 +105,68 @@ def sup_cdf_gap(cdf_a, cdf_b, lo=-20.0, hi=20.0) -> float:
         bounds=(x[max(k - 1, 0)], x[min(k + 1, x.size - 1)]),
         method="bounded", options={"xatol": 1e-12})
     return max(float(gap[k]), -float(found.fun))
+
+
+# the centred base variable Y = X - mean of each continuous catalog law:
+# its density and its whole support, which the marginals' quadrature
+# windows cut to |Y| <= 12 (std_normal) and Y <= 59 (exponential1)
+_CENTRED_LAWS = {
+    "std_normal": (mpmath.npdf, -mpmath.inf, mpmath.inf),
+    "uniform01": (lambda y: mpmath.mpf(1), mpmath.mpf(-0.5), mpmath.mpf(0.5)),
+    "exponential1": (lambda y: mpmath.exp(-(y + 1)), mpmath.mpf(-1),
+                     mpmath.inf),
+}
+
+
+def _quadratic_mp(marg, integrand, keep, t):
+    """40-digit integral of integrand(|g(y)|) times the density of Y over
+    the pieces of Y's whole support where keep(|g|, t) holds, for the
+    QuadraticMarginal g = a (Y^2 - v); the pieces are cut at -r, 0, r and
+    wherever |g| = t, so |g| - t keeps one sign on each."""
+    with mpmath.workdps(40):
+        density, y_lo, y_hi = _CENTRED_LAWS[marg.base.name]
+        a, v = mpmath.mpf(marg.a), mpmath.mpf(marg.c)
+        g = lambda y: abs(a * (y * y - v))
+        cuts = {mpmath.mpf(0), mpmath.sqrt(v), -mpmath.sqrt(v)}
+        if t is not None:
+            u = mpmath.mpf(t) / a
+            cuts |= {mpmath.sqrt(v + u), -mpmath.sqrt(v + u)}
+            if u < v:
+                cuts |= {mpmath.sqrt(v - u), -mpmath.sqrt(v - u)}
+        cuts = [y_lo] + sorted(c for c in cuts if y_lo < c < y_hi) + [y_hi]
+        total = mpmath.mpf(0)
+        for y0, y1 in zip(cuts, cuts[1:]):
+            mid = (y1 - 1 if y0 == -mpmath.inf else
+                   y0 + 1 if y1 == mpmath.inf else (y0 + y1) / 2)
+            if not keep(g(mid), t):
+                continue
+            # an infinite piece is cut at steps that grow from the scale
+            # 1 / |y| over which a normal tail falls by a factor e
+            end = y0 if y1 == mpmath.inf else y1 if y0 == -mpmath.inf else None
+            if end is not None:
+                steps = [end + math.copysign(2 ** k, end) / max(1, abs(end))
+                         for k in range(-3, 8)]
+                points = sorted([y0, y1] + steps)
+            else:
+                points = [y0, y1]
+            total += mpmath.quad(lambda y: integrand(g(y)) * density(y),
+                                 points)
+        return total
+
+
+def quadratic_moment_mp(marg, p, t=None):
+    """E|g|^p 1{|g| <= t} (every |g| when t is None) of a QuadraticMarginal,
+    over its base law's whole support (the window the marginal integrates
+    over cuts off less than 1e-25 of it)."""
+    return _quadratic_mp(marg, lambda abs_g: abs_g ** p,
+                         lambda abs_g, t: t is None or abs_g <= t, t)
+
+
+def quadratic_tail_mp(marg, t):
+    """P(|g| > t) of a QuadraticMarginal, over its base law's whole
+    support."""
+    return _quadratic_mp(marg, lambda abs_g: 1,
+                         lambda abs_g, t: abs_g > t, t)
 
 
 def ustat_value(kernel, data, dist) -> float:

@@ -292,6 +292,22 @@ class TestSinglePass:
         # the fused call consumed exactly what the resample call did
         assert rng.random() == single_rng.random()
 
+    @pytest.mark.parametrize("replicates", [1, 4097])
+    @pytest.mark.parametrize("family", sorted(CHUNK_MODELS))
+    def test_two_modes_equal_one_mode_passes(self, family, replicates):
+        """The rows that no mode changes are stacked once beside each
+        mode's own; every mode still gets the record of a pass with it
+        alone, bit for bit."""
+        model = build_model(CHUNK_MODELS[family])
+        both = ("zero_out", "resample")
+        thresholds = (0.05, 0.4, 1.0)
+        _t, _w, fused = sample_pass(model, replicates, self.SEED, both,
+                                    delta_thresholds=thresholds)
+        for mode in both:
+            _t, _w, single = sample_pass(model, replicates, self.SEED,
+                                         (mode,), delta_thresholds=thresholds)
+            assert fused[mode] == single[mode]
+
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("replicates", [1, 4097, 9000])
     @pytest.mark.parametrize("family", sorted(CHUNK_MODELS))

@@ -484,3 +484,48 @@ class TestNormalSums:
             mean_se(np.hstack(got)), mean_se(np.hstack(want)))
         assert np.all(np.abs(m_got - m_want)
                       <= 4.0 * np.hypot(se_got, se_want))
+
+
+class QuadratureReached(Exception):
+    pass
+
+
+class TestClosedFormRun:
+    """verify on the variance kernel under std_normal (the benchmark's
+    catalog workload at fewer replicates) reads every analytic input from
+    a closed form at p = 3 and integrates nothing; at p = 2.5, E|g|^p and
+    E|h|^p still come from quadrature."""
+
+    DOC = {"model": {"family": "ustat", "kernel": "variance",
+                     "dist": "std_normal", "n": 50},
+           "bounds": ["eq1.3", "eq1.4", "eq2.3", "eq2.4", "eq2.5", "eq2.6",
+                      "eq2.9", "eq3.1", "eq3.2", "eq3.3", "eq3.4", "eq3.6"],
+           "z_grid": [-2.0, -1.0, 0.0, 1.0, 2.0],
+           "mc": {"master_seed": 3, "replicates": 4096}}
+
+    @pytest.fixture
+    def no_quadrature(self, monkeypatch):
+        from belab import marginals, quadrature
+        from belab.models import kernels
+
+        def refuse(*args, **kwargs):
+            raise QuadratureReached
+
+        # marginals and kernels hold their own names for quad and dblquad
+        monkeypatch.setattr(quadrature, "quad", refuse)
+        monkeypatch.setattr(marginals, "quad", refuse)
+        monkeypatch.setattr(kernels, "dblquad", refuse)
+        ustat_module._catalog_moments.cache_clear()
+        kernel_abs_p.cache_clear()
+        yield
+        ustat_module._catalog_moments.cache_clear()
+        kernel_abs_p.cache_clear()
+
+    def test_closed_orders_integrate_nothing(self, no_quadrature):
+        rows, _notes = cmd_verify(parse_config(json.dumps(
+            dict(self.DOC, p=3.0))))
+        assert {r.equation_tag for r in rows} == set(self.DOC["bounds"])
+
+    def test_other_orders_reach_quadrature(self, no_quadrature):
+        with pytest.raises(QuadratureReached):
+            cmd_verify(parse_config(json.dumps(dict(self.DOC, p=2.5))))
