@@ -67,15 +67,19 @@ def quad_segments(fn, edges, epsabs=QUAD_EPSABS, singular=()):
     return check_error(total, err, "quadrature")
 
 
-def _memoized(e_abs_p):
-    """Per-instance cache of a quadrature-backed full moment E|g|^p, which
-    the capped and tail moments re-read at every threshold a solver tries."""
-    @functools.wraps(e_abs_p)
-    def cached(self, p):
-        cache = self.__dict__.setdefault("_e_abs_p", {})
-        if p not in cache:
-            cache[p] = e_abs_p(self, p)
-        return cache[p]
+def _memoized(method):
+    """Per-instance cache of a method's value at each tuple of arguments:
+    a full moment E|g|^p, a preimage or a piece's power moments, which the
+    delta solvers and the beta terms ask for again at each threshold they
+    try (e_abs_min alone cuts the same pieces for p = 2 and p = 1)."""
+    key = "_memo_" + method.__name__.lstrip("_")
+
+    @functools.wraps(method)
+    def cached(self, *args):
+        cache = self.__dict__.setdefault(key, {})
+        if args not in cache:
+            cache[args] = method(self, *args)
+        return cache[args]
     return cached
 
 
@@ -360,13 +364,18 @@ class QuadraticMarginal(Marginal):
             if y1 > y0:
                 yield y0, y1, inner
 
+    @_memoized
+    def _moments(self, y0, y1):
+        """The base law's centred power moments over the piece [y0, y1]."""
+        return self.base.centred_moments(y0, y1)
+
     def _closed_abs_p(self, k, lo, hi):
         """E|g|^k 1{lo <= |Y| <= hi} for integer k in 1..3: on each piece,
         sum_j C(k, j) (-v)^(k-j) M_2j, negated inside at odd k."""
         coef = [math.comb(k, j) * (-self.c) ** (k - j) for j in range(k + 1)]
         total = 0.0
         for y0, y1, inner in self._segments(lo, hi):
-            m = self.base.centred_moments(y0, y1)
+            m = self._moments(y0, y1)
             piece = math.fsum(cj * m[2 * j] for j, cj in enumerate(coef))
             total += max(0.0, -piece if inner and k % 2 else piece)
         return self.a ** k * total
@@ -429,8 +438,10 @@ class MonotoneMarginal(Marginal):
         if self._f_lo < self._f_hi:
             raise ValueError("fn is not decreasing on the support")
 
+    @_memoized
     def _preimage(self, y):
-        """x with fn(x) = y, clipped to the support."""
+        """x with fn(x) = y, clipped to the support; y and -y come back at
+        every threshold that the solvers and the tail terms read."""
         if y >= self._f_lo:
             return self.x_lo
         if y <= self._f_hi:

@@ -85,6 +85,27 @@ def row_counts(compare, block, values):
         axis=1, dtype=np.uint16 if narrow else np.intp).astype(np.intp)
 
 
+def sorted_counts(block, needles):
+    """row_counts(np.less, block, v) for each row v of `needles`, a
+    (k, rows) array, as a (k, rows) intp array, on a block whose rows
+    ascend. One branchless binary search runs all k x rows needles in
+    lockstep: a bracket of `span` values starting at `pos` halves each
+    step, and the count is its start plus whether the last value left in
+    it is below the needle."""
+    rows, width = block.shape
+    flat = block.reshape(-1)
+    start = np.arange(0, rows * width, width)
+    pos = np.repeat(start[None, :], len(needles), axis=0)
+    span = width
+    while span > 1:
+        half = span // 2
+        probe = pos + half
+        np.copyto(pos, probe, where=flat[probe] < needles)
+        span -= half
+    pos += flat[pos] < needles
+    return pos - start
+
+
 def empty_block(size):
     """np.empty(size); a block too large for numpy to index raises
     MemoryError, like one too large to allocate."""

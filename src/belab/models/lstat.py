@@ -19,6 +19,15 @@ takes T = sum_k x_(k) j_k by a fixed-order row reduction. Replacing cur, of
 rank p, by v, of rank q among the other values, moves the values of ranks
 [q, p) up one rank or those of (p, q] down one, so, with no second sort,
 T_var = T - cur j_p + v j_q + sign(p - q) (b/n^2) (sum of the moved values).
+The ranks p and q come from the sorted tile by one lockstep binary search
+over cur and every replacement at once (`base.sorted_counts`).
+
+The linear terms take the scale -1/(sqrt(n) sigma) as the last product of
+the influence's ufunc chain (`influence_closed(..., factor)`). uniform01's
+influence 1/6 - x^2/2 is (1/3 - x^2)/2 exactly, and halving commutes with
+rounding, so the halving moves into that product: the projection is x^2,
+1/3 - x^2 and one multiply, with the bits of the four-step form.
+
 The const1 weight makes T the standardized sample mean, which is W itself,
 so its chunk sorts no row and its remainder is exactly zero.
 """
@@ -39,7 +48,7 @@ from .base import (
     ChunkTiles,
     StatisticModel,
     projection_sums,
-    row_counts,
+    sorted_counts,
 )
 from .fields import Spec, spec_field
 from .linear import sum_leave_one_out_tail
@@ -82,29 +91,37 @@ class LStatSpec(Spec):
                 "order-statistic weights need a continuous distribution")
 
 
-def influence_closed(weight: WeightFn, dist: BaseDist, cdf=ndtr):
+def influence_closed(weight: WeightFn, dist: BaseDist, cdf=ndtr, factor=1.0):
     """Vectorized influence function for catalog (weight, dist) pairs,
-    written into `out` where given; std_normal's takes Phi from `cdf`."""
+    times `factor`, written into `out` where given; std_normal's takes Phi
+    from `cdf`. The product is that of the influence with factor, bit for
+    bit: uniform01's 1/6 - x^2/2 is taken as (1/3 - x^2) (factor / 2),
+    whose halving is exact either side of the rounding."""
     if weight.name == "const1":
-        return lambda x, out=None: np.subtract(dist.mean, x, out=out)
+        def infl(x, out=None):
+            g = np.subtract(dist.mean, x, out=out)
+            return np.multiply(g, factor, out=out)
+        return infl
     if weight.name == "identity":
         if dist.name == "uniform01":
             def infl(x, out=None):
                 sq = np.square(x, out=out)
-                sq = np.divide(sq, 2.0, out=out)
-                return np.subtract(1.0 / 6.0, sq, out=out)
+                sq = np.subtract(1.0 / 3.0, sq, out=out)
+                return np.multiply(sq, factor / 2.0, out=out)
             return infl
         if dist.name == "std_normal":
             def infl(x, out=None):
                 x = np.asarray(x, dtype=float)
                 g = np.subtract(1.0 / _SQRT_PI, x * cdf(x))
                 phi = np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
-                return np.subtract(g, phi, out=out)
+                g = np.subtract(g, phi, out=out)
+                return np.multiply(g, factor, out=out)
             return infl
         if dist.name == "exponential1":
             def infl(x, out=None):
                 g = np.subtract(1.5, x, out=out)
-                return np.subtract(g, np.exp(np.negative(x)), out=out)
+                g = np.subtract(g, np.exp(np.negative(x)), out=out)
+                return np.multiply(g, factor, out=out)
             return infl
     raise UnsupportedModelError(
         f"no closed-form influence for {weight.name} under {dist.name}")
@@ -144,9 +161,12 @@ class LStatModel(StatisticModel):
         self.delta_is_zero = spec.weight == "const1"
         self._infl, self.sigma, self._center = catalog_scale(spec.weight,
                                                              spec.dist)
-        self._sample_infl = influence_closed(self.weight, self.dist, cdf=ndtr_array)
         self._jvec = self.weight.fn(np.arange(1, self.n + 1) / self.n) / self.n
         self._scale = 1.0 / (math.sqrt(self.n) * self.sigma)
+        # the linear terms g = -infl(x) / (sqrt(n) sigma); the normal cdf
+        # is ndtr_array's, so no value depends on the size of x
+        self._g_rows = influence_closed(self.weight, self.dist,
+                                        cdf=ndtr_array, factor=-self._scale)
         lo, hi = self.dist.support
         # marginal of -g_i = infl(X)/(sqrt(n) sigma); |g_i| oracles are
         # sign-invariant, which is all the bounds consume
@@ -170,10 +190,12 @@ class LStatModel(StatisticModel):
             # T reads only the order statistics, so x is sorted in place
             x.sort(axis=1)
             t[rows] = np.einsum("ij,j->i", x, self._jvec)
-            rank = row_counts(np.less, x, cur) if sampled else None
-            for m in sampled:
-                t_var[m][rows] = self._replaced(x, t[rows], rank, cur,
-                                                tiles.values[m][0, rows])
+            if not sampled:
+                continue
+            fresh = [tiles.values[m][0, rows] for m in sampled]
+            rank, *below = sorted_counts(x, np.array([cur, *fresh]))
+            for m, v, b in zip(sampled, fresh, below):
+                t_var[m][rows] = self._replaced(x, t[rows], rank, cur, v, b)
         values = tiles.values
         x = tiles = None  # frees the last tile and the scratch buffer
         if self.delta_is_zero:
@@ -194,11 +216,12 @@ class LStatModel(StatisticModel):
         return {"t": t, "w": w, "delta": t - w,
                 "g_rep": rep[:, None], "dvar_rep": dvar}
 
-    def _replaced(self, x, t, p, cur, v):
+    def _replaced(self, x, t, p, cur, v, below):
         """T of each sorted row of x, whose T is t, with its value cur at
-        rank p replaced by v, by the module docstring's update; where
-        q == p the run [lo, hi) is x_(p) alone, and sign(p - q) zeroes it."""
-        q = row_counts(np.less, x, v) - (cur < v)
+        rank p replaced by v, of which `below` values of the row are
+        smaller, by the module docstring's update; where q == p the run
+        [lo, hi) is x_(p) alone, and sign(p - q) zeroes it."""
+        q = below - (cur < v)
         lo, hi = np.minimum(q, p + 1), np.maximum(p, q + 1)
         starts = np.arange(0, x.size, self.n)
         bounds = np.column_stack((starts + lo, starts + hi)).ravel()
@@ -207,11 +230,6 @@ class LStatModel(StatisticModel):
                               else bounds)[::2]
         step = self.weight.b / self.n ** 2 * np.sign(p - q)
         return t - cur * self._jvec[p] + v * self._jvec[q] + step * run
-
-    def _g_rows(self, x, out=None):
-        """The linear terms g = -infl(x) / (sqrt(n) sigma); the normal cdf
-        is ndtr_array's, so no value depends on the size of x."""
-        return np.multiply(self._sample_infl(x, out=out), -self._scale, out=out)
 
     def prob_abs_w_minus_g_above(self, group, t):
         # const1 is the standardized sample mean, so W - g_i is the

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from belab import marginals
+from belab.bound_core import compute_beta, solve_delta_minimal
 from belab.marginals import (
     CLOSED_P,
     QUAD_EPSABS,
@@ -18,7 +20,8 @@ from belab.marginals import (
     UniformMarginal,
     normal_abs_moment,
 )
-from belab.models.base import DIST_CATALOG
+from belab.models import build_model
+from belab.models.base import DIST_CATALOG, BaseDist
 from belab.models.kernels import KERNEL_CATALOG
 from belab.models.linear import _unit_marginal
 from oracles import quadratic_moment_mp, quadratic_tail_mp
@@ -221,6 +224,64 @@ class TestMonotoneMarginal:
             grid = np.linspace(0.0, 1.0, 200001)
             want = np.mean(np.abs(1.0 / 6.0 - grid * grid / 2.0) > t)
             np.testing.assert_allclose(m.prob_abs_above(t), want, atol=2e-5)
+
+
+class TestMemoizedSolves:
+    """The delta solver and the beta terms ask a marginal for the same
+    pieces and preimages at many thresholds; each is worked out once per
+    marginal, and the answers keep their bits."""
+
+    @staticmethod
+    def _solve(model):
+        part = model.linear_part
+        return solve_delta_minimal(part).hex(), compute_beta(part).value.hex()
+
+    def test_each_piece_cut_once(self, monkeypatch):
+        # ustat-catalog's model: e_abs_min reads the pieces of p = 2 and of
+        # p = 1 at each bisection step, which cut the same [y0, y1]
+        spec = {"family": "ustat", "kernel": "variance",
+                "dist": "std_normal", "n": 50}
+        cut = []
+        moments = BaseDist.centred_moments
+
+        def counting(self, lo, hi):
+            cut.append((lo, hi))
+            return moments(self, lo, hi)
+
+        monkeypatch.setattr(BaseDist, "centred_moments", counting)
+        memo = self._solve(build_model(spec))
+        assert len(cut) == len(set(cut)) == 54
+        monkeypatch.setattr(QuadraticMarginal, "_moments",
+                            QuadraticMarginal._moments.__wrapped__)
+        assert self._solve(build_model(spec)) == memo
+        assert len(cut) > 4 * 54
+
+    def test_each_preimage_solved_once(self, monkeypatch):
+        model = build_model({"family": "lstat", "weight": "identity",
+                             "dist": "uniform01", "n": 400})
+        marg = model.linear_part.groups[0][0]
+        asked, roots = set(), []
+        preimage, brentq = MonotoneMarginal._preimage, marginals.brentq
+
+        def spy(self, y):
+            if self._f_hi < y < self._f_lo:
+                asked.add(y)
+            return preimage(self, y)
+
+        def counting(f, a, b, **kw):
+            roots.append(brentq(f, a, b, **kw))
+            return roots[-1]
+
+        monkeypatch.setattr(MonotoneMarginal, "_preimage", spy)
+        monkeypatch.setattr(marginals, "brentq", counting)
+        memo = self._solve(model)
+        assert len(roots) == len(asked)
+        assert roots.count(marg._zero()) == 1
+        monkeypatch.setattr(MonotoneMarginal, "_preimage",
+                            preimage.__wrapped__)
+        fresh = build_model({"family": "lstat", "weight": "identity",
+                             "dist": "uniform01", "n": 400})
+        assert self._solve(fresh) == memo
 
 
 # (id, build) for each marginal the catalog builds at a scale: build(s) is

@@ -51,6 +51,7 @@ from belab.models.base import (
     part_stream,
     projection_sums,
     row_counts,
+    sorted_counts,
     tile_rows,
 )
 from belab.special import ndtr, ndtr_array
@@ -585,6 +586,61 @@ class TestRowTiles:
         np.testing.assert_array_equal(
             got, compare(block, values[:, None]).sum(axis=1))
         assert got.dtype == np.intp
+
+
+# below, at and above the L-statistic's n = 400, a power of two, and the
+# smallest widths, where the search takes zero to two halvings
+SORTED_WIDTHS = (1, 2, 3, 4, 399, 400, 401, 1024)
+
+
+@st.composite
+def sorted_blocks(draw):
+    """(block, needles): ascending rows of one of SORTED_WIDTHS on the 2^-53
+    lattice of Generator.random, shifted so that 0.0 may fall below, among
+    or above a row's values, with few distinct values where `levels` is
+    small, so rows hold ties; and needle rows that hold the row's own
+    values, values below its minimum and above its maximum, fresh lattice
+    values, and the broadcast zero of zero_out."""
+    width = draw(st.sampled_from(SORTED_WIDTHS))
+    rows = draw(st.integers(1, 5))
+    levels = draw(st.integers(1, 2 * width))
+    shift = draw(st.integers(-1, levels + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    block = np.sort(rng.integers(0, levels, (rows, width)) - shift,
+                    axis=1) * 2.0 ** -53
+    needles = []
+    for kind in draw(st.lists(st.sampled_from(
+            ("own", "below", "above", "lattice", "zero")),
+            min_size=1, max_size=4)):
+        if kind == "own":
+            needles.append(block[np.arange(rows),
+                                 rng.integers(0, width, rows)])
+        elif kind == "below":
+            needles.append(block[:, 0] - 2.0 ** -53 * rng.integers(1, 3, rows))
+        elif kind == "above":
+            needles.append(block[:, -1] + 2.0 ** -53 * rng.integers(1, 3, rows))
+        elif kind == "lattice":
+            needles.append((rng.integers(0, levels + 1, rows) - shift)
+                           * 2.0 ** -53)
+        else:
+            needles.append(np.broadcast_to(0.0, (1, rows))[0])
+    return block, needles
+
+
+class TestSortedCounts:
+    """On ascending rows the lockstep binary search counts exactly what the
+    row_counts mask sum counts, needle by needle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=sorted_blocks())
+    def test_equals_row_counts(self, case):
+        block, needles = case
+        got = sorted_counts(block, np.array(needles))
+        assert got.dtype == np.intp
+        assert got.shape == (len(needles), block.shape[0])
+        for counts, needle in zip(got, needles):
+            np.testing.assert_array_equal(
+                counts, row_counts(np.less, block, needle))
 
 
 class TestAggregationConventions:

@@ -12,6 +12,7 @@ from belab.models import LinearModel, LinearSpec, LStatModel, LStatSpec
 from belab.models import base
 from belab.models.base import DIST_CATALOG, ROW_TILE, part_stream
 from belab.models.lstat import WEIGHT_CATALOG, catalog_scale, influence_closed
+from belab.special import ndtr_array
 from oracles import (
     influence_quadrature,
     lstat_projection_sigma,
@@ -215,6 +216,57 @@ class TestInfluence:
         b = LStatModel(LStatSpec("identity", "uniform01", 400))
         np.testing.assert_allclose(a.influence_abs_moment(3.0),
                                    b.influence_abs_moment(3.0), rtol=1e-9)
+
+
+def fold_edges():
+    """0, the lattice's least step 2^-53, values next to 1 and the values
+    within three ulps of sqrt(1/3), where 1/3 - x^2 cancels."""
+    root = math.sqrt(1.0 / 3.0)
+    near_root = [root]
+    for _ in range(3):
+        near_root = ([np.nextafter(near_root[0], 0.0)] + near_root
+                     + [np.nextafter(near_root[-1], 1.0)])
+    return np.array([0.0, 2.0 ** -53, 2.0 ** -52, 0.5, 1.0 - 2.0 ** -52,
+                     1.0 - 2.0 ** -53, 1.0, *near_root])
+
+
+class TestInfluenceFold:
+    """influence_closed(w, d, factor=s) is influence_closed(w, d) times s
+    bit for bit, written into `out` or into a new array, so the sampler's
+    linear terms g = -infl(x) / (sqrt(n) sigma) keep their bits when the
+    scale joins the influence's ufunc chain."""
+
+    FACTORS = [-1.0 / (math.sqrt(n) * math.sqrt(s_sq)) for n in (4, 50, 400)
+               for s_sq in (1.0 / 45.0, 7.0 / 12.0)] + [0.3, -1.7]
+
+    @pytest.mark.parametrize("weight, dist", PAIRS)
+    def test_fold_equals_product(self, weight, dist):
+        w, d = WEIGHT_CATALOG[weight], DIST_CATALOG[dist]
+        plain = influence_closed(w, d, cdf=ndtr_array)
+        tile = np.empty((ROW_TILE, 400))
+        d.fill(np.random.default_rng(92), tile)
+        for x in (fold_edges(), tile):
+            want_unit = plain(x)
+            for s in self.FACTORS:
+                folded = influence_closed(w, d, cdf=ndtr_array, factor=s)
+                want = want_unit * s
+                buf = np.empty_like(x)
+                got = folded(x, out=buf)
+                assert got is buf
+                np.testing.assert_array_equal(got.view(np.int64),
+                                              want.view(np.int64))
+                np.testing.assert_array_equal(folded(x).view(np.int64),
+                                              want.view(np.int64))
+
+    def test_uniform_halving_is_exact(self):
+        # 1/6 - x^2/2 = (1/3 - x^2)/2 exactly, and halving commutes with
+        # rounding: the unit influence keeps the bits of the first form
+        x = np.concatenate([fold_edges(), np.random.default_rng(93).random(4096)])
+        infl = influence_closed(WEIGHT_CATALOG["identity"],
+                                DIST_CATALOG["uniform01"])
+        np.testing.assert_array_equal(
+            infl(x).view(np.int64),
+            np.subtract(1.0 / 6.0, np.square(x) / 2.0).view(np.int64))
 
 
 class TestLipschitz:
