@@ -19,7 +19,9 @@ ingredients of a bound (the coupling moments of the remainder) come from
 mc_engine, not from here.
 
 A LinearPart groups identical marginals with counts and exposes the sums
-that the bound formulas need.
+that the bound formulas need. Where the law of W is known as a whole, a
+subclass (`models.linear.StandardizedSum`) also answers the exact KS
+distance of W and the tail of W - g_i, which the base class leaves None.
 """
 from __future__ import annotations
 
@@ -509,3 +511,11 @@ class LinearPart:
 
     def sum_prob_above(self, t):
         return sum(k * m.prob_abs_above(t) for m, k in self.groups)
+
+    def ks_exact(self):
+        """sup |P(W <= w) - Phi(w)| where the law of W is known."""
+        return None
+
+    def prob_abs_w_minus_g_above(self, group: int, t: float):
+        """P(|W - g_i| > t), i in `group`, where the law of W is known."""
+        return None

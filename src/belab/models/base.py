@@ -299,16 +299,17 @@ class StatisticModel(ABC):
                             if isinstance(value, (tuple, list)) else value)
         return meta
 
-    # --- analytic hooks (override where the catalog knows the answer) -----
+    # --- analytic hooks: the linear part answers where it knows the law of
+    # W (a standardized sum); a model overrides only for a W of its own ---
 
     def linear_ks_exact(self):
         """Exact sup-distance between the law of W and the standard normal,
         when known in closed form (0.0 for an exactly normal W)."""
-        return None
+        return self.linear_part.ks_exact()
 
     def prob_abs_w_minus_g_above(self, group: int, t: float):
         """P(|W - g_i| > t) for an index in the given group, when analytic."""
-        return None
+        return self.linear_part.prob_abs_w_minus_g_above(group, t)
 
     def nonuniform_third_term(self, z: float) -> float:
         """sum_i P(|W - g_i| > (|z|-2)/3) P(|g_i| > 1).

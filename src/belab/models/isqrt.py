@@ -21,9 +21,10 @@ from functools import lru_cache
 import numpy as np
 
 from ..errors import DomainError
-from ..marginals import NORMAL_CUT, LinearPart, NormalMarginal, quad_segments
+from ..marginals import NORMAL_CUT, quad_segments
 from .base import DIST_CATALOG, StatisticModel
 from .fields import Spec, spec_field
+from .linear import StandardizedSum
 
 # E|Z|^(-1/2) for standard normal Z
 ISQRT_MEAN = 2.0 ** (-0.25) * math.gamma(0.25) / math.sqrt(math.pi)
@@ -112,7 +113,8 @@ class IsqrtModel(StatisticModel):
         self.name = f"isqrt-eps{self.epsilon:g}-n{self.n}"
         self._x_sd = 1.0 / math.sqrt(self.n)
         self._r_sd = math.sqrt((self.n - 1) / self.n)
-        self.linear_part = LinearPart([(NormalMarginal(self._x_sd), self.n)])
+        # W is exactly standard normal: the standardized sum of n normals
+        self.linear_part = StandardizedSum("std_normal", self.n)
 
     def sample_chunk(self, rng, count, mode=()):
         r = rng.standard_normal(count) * self._r_sd
@@ -130,6 +132,3 @@ class IsqrtModel(StatisticModel):
             dvar[m] = isqrt_delta(r + v, self.epsilon)[:, None]
         return {"t": t, "w": w, "delta": isqrt_delta(w, self.epsilon),
                 "g_rep": x1[:, None], "dvar_rep": dvar}
-
-    def linear_ks_exact(self):
-        return 0.0  # W is exactly standard normal

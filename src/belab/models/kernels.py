@@ -16,16 +16,10 @@ from functools import lru_cache
 import numpy as np
 
 from ..errors import UnsupportedModelError
-from ..marginals import (
-    AtomMarginal,
-    ExpCenteredMarginal,
-    NormalMarginal,
-    QuadraticMarginal,
-    UniformMarginal,
-    normal_abs_moment,
-)
+from ..marginals import QuadraticMarginal, normal_abs_moment
 from ..quadrature import check_error, dblquad
 from .base import DIST_CATALOG, BaseDist
+from .linear import _unit_marginal
 
 _DBLQUAD_EPS = 1e-10
 
@@ -35,6 +29,8 @@ class PairKernel(ABC):
 
     name: str
     m = 2
+    # True where T is exactly its linear part, the standardized sum
+    delta_is_zero = False
 
     @abstractmethod
     def h(self, x, y, dist: BaseDist):
@@ -137,17 +133,7 @@ class SumKernel(PairKernel):
         return c1
 
     def g_std_marginal(self, dist, scale):
-        sd_scale = 1.0 / math.sqrt(dist.var)
-        if dist.name == "std_normal":
-            return NormalMarginal(scale)
-        if dist.name == "uniform01":
-            return UniformMarginal(0.5 * sd_scale * scale)
-        if dist.name == "rademacher":
-            return AtomMarginal.rademacher(scale)
-        if dist.name == "exponential1":
-            return ExpCenteredMarginal(scale)
-        raise UnsupportedModelError(
-            f"{self.name}: no projection marginal for {dist.name}")
+        return _unit_marginal(dist.name, scale)
 
     def h_abs_p(self, dist, p):
         if dist.name == "std_normal":

@@ -1,8 +1,10 @@
-"""Purely linear statistics: T = W = sum (X_i - mu) / (sqrt(n) sd).
+"""Standardized i.i.d. sums: W = sum (X_i - mu) / (sqrt(n) sd).
 
-These have Delta identically zero and serve two roles: baselines whose only
-error term is the linear one, and an exactly enumerable case (coin flips)
-where the sup-distance to the standard normal is computable in closed form.
+`StandardizedSum` owns the analytic side of such a W: each term's marginal,
+the exact sup-distance of W to the normal (0 for std_normal, the coin-flip
+closed form for rademacher) and the tail of W - g_i. `LinearModel` (T = W),
+the sum-kernel U-statistic, the const1 L-statistic and the perturbed-normal
+model all build it, so one W gets the same bound bits in every family.
 """
 from __future__ import annotations
 
@@ -64,19 +66,34 @@ def rademacher_ks_exact(n: int) -> float:
     return float(np.maximum(np.abs(cdf_at - phi), np.abs(cdf_before - phi)).max())
 
 
-def sum_leave_one_out_tail(dist_name: str, n: int, t: float):
-    """P(|W - g_1| > t) for W the standardized sum of n draws of a catalog
-    law; None where no closed form is known."""
-    if n == 1:
-        return 0.0 if t >= 0 else 1.0
-    if dist_name == "std_normal":
-        sd = math.sqrt((n - 1) / n)
-        return 2.0 * ndtr(-t / sd)
-    if dist_name == "exponential1":
-        shift = t * math.sqrt(n)
-        return (gammaincc(n - 1, max(n - 1 + shift, 0.0))
-                + gammainc(n - 1, max(n - 1 - shift, 0.0)))
-    return None
+class StandardizedSum(LinearPart):
+    """The linear part of a standardized sum of n draws of a catalog law:
+    n terms, each with the marginal of (X - mu) / (sqrt(n) sd)."""
+
+    def __init__(self, dist_name: str, n: int):
+        super().__init__([(_unit_marginal(dist_name, 1.0 / math.sqrt(n)), n)])
+        self.dist_name, self.n = dist_name, n
+
+    def ks_exact(self):
+        if self.dist_name == "std_normal":
+            return 0.0
+        if self.dist_name == "rademacher":
+            return rademacher_ks_exact(self.n)
+        return None
+
+    def prob_abs_w_minus_g_above(self, group, t):
+        """W - g_1 is the standardized sum's other n - 1 terms: normal under
+        std_normal, a shifted gamma under exponential1."""
+        n = self.n
+        if n == 1:
+            return 0.0 if t >= 0 else 1.0
+        if self.dist_name == "std_normal":
+            return 2.0 * ndtr(-t / math.sqrt((n - 1) / n))
+        if self.dist_name == "exponential1":
+            shift = t * math.sqrt(n)
+            return (gammaincc(n - 1, max(n - 1 + shift, 0.0))
+                    + gammainc(n - 1, max(n - 1 - shift, 0.0)))
+        return None
 
 
 class LinearModel(StatisticModel):
@@ -89,10 +106,8 @@ class LinearModel(StatisticModel):
         self.dist = DIST_CATALOG[spec.dist]
         self.n = spec.n
         self.name = f"linear-{spec.dist}-n{spec.n}"
-        self._sd = math.sqrt(self.dist.var)
-        self._scale = 1.0 / (math.sqrt(self.n) * self._sd)
-        self.linear_part = LinearPart([
-            (_unit_marginal(spec.dist, 1.0 / math.sqrt(self.n)), self.n)])
+        self._scale = 1.0 / (math.sqrt(self.n) * math.sqrt(self.dist.var))
+        self.linear_part = StandardizedSum(spec.dist, self.n)
 
     def sample_chunk(self, rng, count, mode=()):
         w, rep = np.empty((2, count))
@@ -110,13 +125,3 @@ class LinearModel(StatisticModel):
         """The linear terms (x - mu) / (sqrt(n) sd)."""
         g = np.subtract(x, self.dist.mean, out=out)
         return np.multiply(g, self._scale, out=out)
-
-    def linear_ks_exact(self):
-        if self.spec.dist == "std_normal":
-            return 0.0
-        if self.spec.dist == "rademacher":
-            return rademacher_ks_exact(self.n)
-        return None
-
-    def prob_abs_w_minus_g_above(self, group, t):
-        return sum_leave_one_out_tail(self.spec.dist, self.n, t)

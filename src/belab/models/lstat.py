@@ -29,7 +29,8 @@ rounding, so the halving moves into that product: the projection is x^2,
 1/3 - x^2 and one multiply, with the bits of the four-step form.
 
 The const1 weight makes T the standardized sample mean, which is W itself,
-so its chunk sorts no row and its remainder is exactly zero.
+so its chunk sorts no row, its remainder is exactly zero and its linear
+part is `linear.StandardizedSum`, the linear model's closed forms.
 """
 from __future__ import annotations
 
@@ -51,7 +52,7 @@ from .base import (
     sorted_counts,
 )
 from .fields import Spec, spec_field
-from .linear import sum_leave_one_out_tail
+from .linear import StandardizedSum
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -167,13 +168,14 @@ class LStatModel(StatisticModel):
         # is ndtr_array's, so no value depends on the size of x
         self._g_rows = influence_closed(self.weight, self.dist,
                                         cdf=ndtr_array, factor=-self._scale)
-        lo, hi = self.dist.support
-        # marginal of -g_i = infl(X)/(sqrt(n) sigma); |g_i| oracles are
-        # sign-invariant, which is all the bounds consume
-        self.linear_part = LinearPart([(MonotoneMarginal(
-            lambda x: self._infl(x) * self._scale,
-            lo, hi, self.dist.pdf, cdf=self.dist.cdf),
-            self.n)])
+        # const1's W is the standardized sum; otherwise the marginal of -g_i
+        # = infl(X)/(sqrt(n) sigma), whose |g_i| oracles are sign-invariant,
+        # which is all the bounds consume
+        self.linear_part = (
+            StandardizedSum(spec.dist, self.n) if self.delta_is_zero
+            else LinearPart([(MonotoneMarginal(
+                lambda x: self._infl(x) * self._scale, *self.dist.support,
+                self.dist.pdf, cdf=self.dist.cdf), self.n)]))
         self.x2_moment = self.dist.var + self.dist.mean ** 2
 
     def sample_chunk(self, rng, count, mode=()):
@@ -230,13 +232,6 @@ class LStatModel(StatisticModel):
                               else bounds)[::2]
         step = self.weight.b / self.n ** 2 * np.sign(p - q)
         return t - cur * self._jvec[p] + v * self._jvec[q] + step * run
-
-    def prob_abs_w_minus_g_above(self, group, t):
-        # const1 is the standardized sample mean, so W - g_i is the
-        # standardized sum of the other n - 1 draws
-        if self.weight.name == "const1":
-            return sum_leave_one_out_tail(self.spec.dist, self.n, t)
-        return None
 
     def influence_abs_moment(self, p: float) -> float:
         """E|infl(X)|^p in raw influence units."""

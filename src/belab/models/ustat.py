@@ -32,7 +32,7 @@ from ..types import UStatBoundInputs
 from .base import DIST_CATALOG, ChunkTiles, StatisticModel, part_stream
 from .fields import Spec, spec_field
 from .kernels import KERNEL_CATALOG, kernel_abs_p
-from .linear import sum_leave_one_out_tail
+from .linear import StandardizedSum
 
 
 @dataclass(frozen=True)
@@ -85,10 +85,13 @@ class UStatModel(StatisticModel):
         self.n = spec.n
         self.m = spec.m
         self.sigma1 = math.sqrt(self.kernel.sigma1_sq(self.dist))
-        self.delta_is_zero = getattr(self.kernel, "delta_is_zero", False)
+        self.delta_is_zero = self.kernel.delta_is_zero
         self.name = f"ustat-{spec.kernel}-{spec.dist}-n{spec.n}-m{spec.m}"
-        self.linear_part = LinearPart([(self.kernel.g_std_marginal(
-            self.dist, 1.0 / math.sqrt(self.n)), self.n)])
+        # the sum kernel's W is the standardized sum of the observations
+        self.linear_part = (
+            StandardizedSum(spec.dist, self.n) if self.delta_is_zero
+            else LinearPart([(self.kernel.g_std_marginal(
+                self.dist, 1.0 / math.sqrt(self.n)), self.n)]))
         # T = sqrt(n) U / (m sigma_1) = pair_sum * _t_scale
         self._t_scale = math.sqrt(self.n) / (
             self.m * self.sigma1 * math.comb(self.n, self.m))
@@ -152,13 +155,10 @@ class UStatModel(StatisticModel):
 
     def prob_abs_w_minus_g_above(self, group, t):
         n = self.n
-        if self.spec.kernel == "sum":
-            # the sum kernel's W is the standardized sum of the observations
-            return sum_leave_one_out_tail(self.spec.dist, n, t)
         if self.spec.kernel == "variance" and self.spec.dist == "std_normal":
             # W - g_1 = (chisq_{n-1} - (n-1)) / sqrt(2 n), and a chi-square
             # with k degrees of freedom is twice a gamma of shape k/2
             shift = t * math.sqrt(2.0 * n)
             return (gammaincc((n - 1) / 2, max(n - 1 + shift, 0.0) / 2)
                     + gammainc((n - 1) / 2, max(n - 1 - shift, 0.0) / 2))
-        return None
+        return super().prob_abs_w_minus_g_above(group, t)

@@ -14,9 +14,18 @@ from scipy.special import ndtr
 
 import belab
 from belab.bound_core import check_normalization
+from belab.cli import cmd_bound, parse_config
 from belab.errors import UnsupportedModelError
 from belab.mc_engine import CHUNK_SIZE, SeedSpec
-from belab.models import LinearModel, LinearSpec, rademacher_ks_exact
+from belab.models import (
+    DIST_CATALOG,
+    LinearModel,
+    LinearSpec,
+    LStatModel,
+    LStatSpec,
+    build_model,
+    rademacher_ks_exact,
+)
 from belab.models.base import ROW_TILE
 from belab.models.linear import half_binom_cdf
 from oracles import whole_draw
@@ -147,6 +156,70 @@ class TestLinearModel:
             LinearSpec("cauchy", 10)
         with pytest.raises(UnsupportedModelError):
             LinearSpec("std_normal", 0)
+
+
+# the tags every family of a standardized sum answers; the W - g_i tail is
+# read at 0 and at the eq2.6 levels (|z| - 2)/3 of z = 2.5 and z = 4
+_SHARED_TAGS = ["eq1.3", "eq1.4", "eq2.3", "eq2.4", "eq2.5", "eq2.6", "eq2.9"]
+_TAIL_T = (0.0, 1.0 / 6.0, 2.0 / 3.0)
+
+
+def _sum_models(dist, n):
+    """Descriptors of the standardized sum of n draws of `dist`, one for
+    each family that accepts the law, the linear model first."""
+    descs = [{"family": "linear", "dist": dist, "n": n},
+             {"family": "ustat", "kernel": "sum", "dist": dist, "n": n}]
+    if DIST_CATALOG[dist].continuous:
+        descs.append({"family": "lstat", "weight": "const1", "dist": dist,
+                      "n": n})
+    return descs
+
+
+class TestOneStandardizedSum:
+    """The linear model, the sum-kernel U-statistic and the const1
+    L-statistic are the same statistic, W itself; the perturbed-normal
+    model's W is the normal sum. All of them read one linear part."""
+
+    @pytest.mark.parametrize("n", [8, 400])
+    @pytest.mark.parametrize("dist", sorted(DIST_CATALOG))
+    def test_families_agree_bit_for_bit(self, dist, n):
+        def bound_rows(desc):
+            doc = {"model": desc, "bounds": _SHARED_TAGS,
+                   "z_grid": [0.0, 2.5],
+                   "mc": {"master_seed": 5, "replicates": 1000}}
+            rows, _notes = cmd_bound(parse_config(json.dumps(doc)))
+            return [(r.equation_tag, r.z, repr(r.bound_known),
+                     repr(r.bound_c_coeff), repr(r.se)) for r in rows]
+
+        descs = _sum_models(dist, n)
+        want = bound_rows(descs[0])
+        assert len(want) == 9  # five uniform rows, eq2.6 and eq2.9 at two z
+        linear = build_model(descs[0])
+        for desc in descs[1:]:
+            assert bound_rows(desc) == want, desc["family"]
+            model = build_model(desc)
+            assert model.linear_ks_exact() == linear.linear_ks_exact()
+            for t in _TAIL_T:
+                assert (model.prob_abs_w_minus_g_above(0, t)
+                        == linear.prob_abs_w_minus_g_above(0, t))
+            assert (model.nonuniform_third_term(4.0)
+                    == linear.nonuniform_third_term(4.0))
+        # only an unbounded g_i can exceed 1
+        assert (linear.nonuniform_third_term(4.0) > 0.0) == (
+            dist in ("std_normal", "exponential1"))
+        if DIST_CATALOG[dist].continuous:
+            # the identity weight's W is no standardized sum
+            identity = LStatModel(LStatSpec("identity", dist, n))
+            assert identity.prob_abs_w_minus_g_above(0, 2.0 / 3.0) is None
+
+    @pytest.mark.parametrize("n", [8, 400])
+    def test_isqrt_reads_the_normal_sum(self, n):
+        isqrt = build_model({"family": "isqrt", "epsilon": 0.01, "n": n})
+        linear = LinearModel(LinearSpec("std_normal", n))
+        assert isqrt.linear_ks_exact() == linear.linear_ks_exact() == 0.0
+        for t in _TAIL_T:
+            assert (isqrt.prob_abs_w_minus_g_above(0, t)
+                    == linear.prob_abs_w_minus_g_above(0, t))
 
 
 class TestHalfBinomial:

@@ -8,7 +8,7 @@ import pytest
 from belab.bound_core import check_normalization
 from belab.errors import UnsupportedModelError
 from belab.mc_engine import CHUNK_SIZE, SeedSpec
-from belab.models import LinearModel, LinearSpec, LStatModel, LStatSpec
+from belab.models import LStatModel, LStatSpec
 from belab.models import base
 from belab.models.base import DIST_CATALOG, ROW_TILE, part_stream
 from belab.models.lstat import WEIGHT_CATALOG, catalog_scale, influence_closed
@@ -293,19 +293,6 @@ class TestModel:
         large = LStatModel(LStatSpec("identity", "exponential1", 200))
         assert small.sigma == large.sigma == math.sqrt(7.0 / 12.0)
         assert small._center == large._center == 0.75
-
-    @pytest.mark.parametrize("dist", ["std_normal", "exponential1"])
-    def test_const1_tail_is_the_linear_sum_tail(self, dist):
-        """const1's linear terms are the linear sum's, so W - g_i has its
-        tail; identity has no tail oracle."""
-        const1 = LStatModel(LStatSpec("const1", dist, 8))
-        linear = LinearModel(LinearSpec(dist, 8))
-        for t in (0.0, 1.0 / 6.0, 2.0 / 3.0):
-            assert (const1.prob_abs_w_minus_g_above(0, t)
-                    == linear.prob_abs_w_minus_g_above(0, t))
-        assert const1.nonuniform_third_term(4.0) > 0.0
-        identity = LStatModel(LStatSpec("identity", dist, 8))
-        assert identity.prob_abs_w_minus_g_above(0, 2.0 / 3.0) is None
 
     def test_spec_validation(self):
         with pytest.raises(UnsupportedModelError):
