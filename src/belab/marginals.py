@@ -5,10 +5,10 @@ absolute moments, tail probabilities, and the capped first moment
 E|g| min(d, |g|). Answers come from two tiers:
 
 - closed forms: NormalMarginal, UniformMarginal and AtomMarginal at every
-  p, and QuadraticMarginal (the variance kernel's projection) at p in
-  CLOSED_P, built from the truncated power moments of its centred base
-  variable (`normal_power_moments`, `uniform_power_moments`,
-  `exponential_power_moments`), in Python floats alone;
+  p, and QuadraticMarginal (the variance kernel's projection, and its
+  kernel as a function of X - Y) at p in CLOSED_P, built from the
+  truncated power moments of its centred base variable (`*_power_moments`),
+  in Python floats alone;
 - adaptive quadrature (`belab.quadrature`) over segments split at the
   kinks of |g|^p, each result checked against its error estimate:
   ExpCenteredMarginal, MonotoneMarginal, and QuadraticMarginal at any
@@ -304,6 +304,15 @@ def _exp_growth(x: float) -> list:
     return out
 
 
+def _gamma_pieces(u: float, v: float) -> list:
+    """[int_u^v y^k e^-y dy for k = 0, ..., 6], 0 <= u <= v finite, from
+    the Poisson sums as `exponential_power_moments` describes."""
+    below_u, above_u = _poisson_sums(u)
+    below_v, above_v = _poisson_sums(v)
+    return [f * (bu - bv) if bu < av else f * (av - au) for f, bu, au, bv, av
+            in zip(_FACTORIALS, below_u, above_u, below_v, above_v)]
+
+
 def exponential_power_moments(lo: float, hi: float) -> tuple:
     """(M_0, ..., M_6), M_k = E Y^k 1{lo <= Y <= hi} for Y = X - 1, X
     standard exponential, and -1 <= lo <= hi finite.
@@ -321,14 +330,27 @@ def exponential_power_moments(lo: float, hi: float) -> tuple:
         for k in range(POWER_MOMENTS + 1):
             out[k] = (-1) ** k * (far[k] - near[k])
     if hi > 0.0:
-        below_u, above_u = _poisson_sums(max(lo, 0.0))
-        below_v, above_v = _poisson_sums(hi)
-        for k in range(POWER_MOMENTS + 1):
-            if below_u[k] < above_v[k]:
-                out[k] += _FACTORIALS[k] * (below_u[k] - below_v[k])
-            else:
-                out[k] += _FACTORIALS[k] * (above_v[k] - above_u[k])
+        for k, piece in enumerate(_gamma_pieces(max(lo, 0.0), hi)):
+            out[k] += piece
     return tuple(v * math.exp(-1.0) for v in out)
+
+
+def laplace_power_moments(lo: float, hi: float) -> tuple:
+    """(M_0, ..., M_6), M_k = E Y^k 1{lo <= Y <= hi} for Y with density
+    e^(-|y|) / 2 (X - X' for X, X' standard exponential) and lo <= hi
+    finite: half the `_gamma_pieces` above 0 and, mirrored, below it."""
+    left = _gamma_pieces(max(-hi, 0.0), max(-lo, 0.0))
+    right = _gamma_pieces(max(lo, 0.0), max(hi, 0.0))
+    return tuple(0.5 * ((-1) ** k * neg + pos)
+                 for k, (neg, pos) in enumerate(zip(left, right)))
+
+
+def triangle_power_moments(lo: float, hi: float) -> tuple:
+    """(M_0, ..., M_6), M_k = E Y^k 1{lo <= Y <= hi} for Y with density
+    1 - |y| on [-1, 1] (X - X' for X, X' uniform on [0, 1]) and lo <= hi
+    inside it, from the antiderivative y^(k+1) (1/(k+1) - |y|/(k+2))."""
+    prim = lambda y, k: y ** (k + 1) * (1.0 / (k + 1) - abs(y) / (k + 2))
+    return tuple(prim(hi, k) - prim(lo, k) for k in range(POWER_MOMENTS + 1))
 
 
 class QuadraticMarginal(Marginal):

@@ -43,7 +43,9 @@ from ..errors import UnsupportedModelError
 from ..marginals import (
     LinearPart,
     exponential_power_moments,
+    laplace_power_moments,
     normal_power_moments,
+    triangle_power_moments,
     uniform_power_moments,
 )
 from ..special import ndtr
@@ -193,6 +195,10 @@ class BaseDist:
             return ((0.0 <= x) & (x <= 1.0)).astype(float)
         if self.name == "exponential1":
             return np.where(x >= 0.0, np.exp(-np.abs(x)), 0.0)
+        if self.name == "triangle":
+            return np.maximum(0.0, 1.0 - np.abs(x))
+        if self.name == "laplace":
+            return 0.5 * np.exp(-np.abs(x))
         raise UnsupportedModelError(f"no density for {self.name}")
 
     def cdf(self, x):
@@ -202,6 +208,9 @@ class BaseDist:
             return min(1.0, max(0.0, x))
         if self.name == "exponential1":
             return 1.0 - math.exp(-x) if x >= 0 else 0.0
+        if self.name in ("triangle", "laplace"):
+            # symmetric about 0
+            return self.sf(-x)
         raise UnsupportedModelError(f"no cdf for {self.name}")
 
     def sf(self, x):
@@ -213,18 +222,18 @@ class BaseDist:
             return min(1.0, max(0.0, 1.0 - x))
         if self.name == "exponential1":
             return math.exp(-x) if x >= 0 else 1.0
+        if self.name in ("triangle", "laplace"):
+            tail = (0.5 * max(0.0, 1.0 - abs(x)) ** 2 if self.name == "triangle"
+                    else 0.5 * math.exp(-abs(x)))
+            return tail if x >= 0 else 1.0 - tail
         raise UnsupportedModelError(f"no survival function for {self.name}")
 
     def centred_moments(self, lo: float, hi: float) -> tuple:
         """(M_0, ..., M_6), M_k = E Y^k 1{lo <= Y <= hi} of Y = X - mean,
         in closed form, for lo <= hi inside the centred support."""
-        if self.name == "std_normal":
-            return normal_power_moments(lo, hi)
-        if self.name == "uniform01":
-            return uniform_power_moments(lo, hi)
-        if self.name == "exponential1":
-            return exponential_power_moments(lo, hi)
-        raise UnsupportedModelError(f"no power moments for {self.name}")
+        if self.name not in _CENTRED_MOMENTS:
+            raise UnsupportedModelError(f"no power moments for {self.name}")
+        return _CENTRED_MOMENTS[self.name](lo, hi)
 
     def fill(self, rng: np.random.Generator, out):
         """Draw out.size values into the C-contiguous float64 array out, as
@@ -242,12 +251,24 @@ class BaseDist:
             raise UnsupportedModelError(f"no sampler for {self.name}")
 
 
+_CENTRED_MOMENTS = {
+    "std_normal": normal_power_moments,
+    "uniform01": uniform_power_moments,
+    "exponential1": exponential_power_moments,
+    "triangle": triangle_power_moments,
+    "laplace": laplace_power_moments,
+}
+
 DIST_CATALOG = {
     "std_normal": BaseDist("std_normal", 0.0, 1.0, 3.0, (-12.0, 12.0)),
     "uniform01": BaseDist("uniform01", 0.5, 1.0 / 12.0, 1.0 / 80.0, (0.0, 1.0)),
     "rademacher": BaseDist("rademacher", 0.0, 1.0, 1.0, (-1.0, 1.0), continuous=False),
     "exponential1": BaseDist("exponential1", 1.0, 1.0, 9.0, (0.0, 60.0)),
 }
+# X - X' for X, X' independent under uniform01 and under exponential1,
+# the variables of the variance kernel's E|h|^p; no config can name them
+TRIANGLE = BaseDist("triangle", 0.0, 1.0 / 6.0, 1.0 / 15.0, (-1.0, 1.0))
+LAPLACE = BaseDist("laplace", 0.0, 2.0, 24.0, (-60.0, 60.0))
 
 
 class StatisticModel(ABC):

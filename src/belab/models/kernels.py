@@ -5,7 +5,10 @@ sigma^2 = Var h and sigma_1^2 = Var g, a Marginal for the standardized
 projection g/sigma_1, and closed-form sums of the projections and of the
 pairs in terms of the centred power sums C1 = sum (x_i - mu) and
 C2 = sum (x_i - mu)^2 (which makes single-entry replacement an O(1)
-update).
+update). E|h|^p is one integral against the law of the one variable that h
+reads: E|g|^p of the QuadraticMarginal of D = X - Y for the variance
+kernel, and E|S|^p of S = X + Y - 2 mu for the sum kernel, closed form but
+under exponential1 at p != 3.
 """
 from __future__ import annotations
 
@@ -16,12 +19,22 @@ from functools import lru_cache
 import numpy as np
 
 from ..errors import UnsupportedModelError
-from ..marginals import QuadraticMarginal, normal_abs_moment
-from ..quadrature import check_error, dblquad
-from .base import DIST_CATALOG, BaseDist
+from ..marginals import (
+    EXP_CUT,
+    QuadraticMarginal,
+    normal_abs_moment,
+    quad_segments,
+)
+from .base import DIST_CATALOG, LAPLACE, TRIANGLE, BaseDist
 from .linear import _unit_marginal
 
-_DBLQUAD_EPS = 1e-10
+# (a, law of D) with h = a (D^2 - var D) for the variance kernel: D = X - Y
+# and a = 1/2, but under std_normal D = (X - Y)/sqrt(2) and a = 1
+_DIFFERENCE_LAWS = {
+    "std_normal": (1.0, DIST_CATALOG["std_normal"]),
+    "uniform01": (0.5, TRIANGLE),
+    "exponential1": (0.5, LAPLACE),
+}
 
 
 class PairKernel(ABC):
@@ -58,17 +71,9 @@ class PairKernel(ABC):
     def g_std_marginal(self, dist: BaseDist, scale: float):
         """Marginal of scale g_raw(X)/sigma_1 (variance scale^2)."""
 
+    @abstractmethod
     def h_abs_p(self, dist: BaseDist, p: float) -> float:
-        """E|h(X, Y)|^p by double quadrature over the base density."""
-        if not dist.continuous:
-            raise UnsupportedModelError(
-                f"{self.name}: no kernel moment oracle for {dist.name}")
-        lo, hi = dist.support
-        fn = lambda y, x: (np.abs(self.h(x, y, dist)) ** p * dist.pdf(x)
-                           * dist.pdf(y))
-        val, err = dblquad(fn, lo, hi, lambda x: lo, lambda x: hi,
-                           epsabs=_DBLQUAD_EPS, epsrel=1e-10)
-        return check_error(val, err, f"{self.name} kernel moment quadrature")
+        """E|h(X, Y)|^p for X, Y independent draws of dist."""
 
 
 class VarianceKernel(PairKernel):
@@ -102,10 +107,10 @@ class VarianceKernel(PairKernel):
         return QuadraticMarginal(1.0 / (2.0 * s1) * scale, dist)
 
     def h_abs_p(self, dist, p):
-        if dist.name == "std_normal":
-            # (X - Y)/sqrt(2) is standard normal, so h = Z^2 - 1
-            return QuadraticMarginal(1.0, dist).e_abs_p(p)
-        return super().h_abs_p(dist, p)
+        if dist.name not in _DIFFERENCE_LAWS:
+            raise UnsupportedModelError(
+                f"{self.name}: no kernel moment oracle for {dist.name}")
+        return QuadraticMarginal(*_DIFFERENCE_LAWS[dist.name]).e_abs_p(p)
 
 
 class SumKernel(PairKernel):
@@ -141,7 +146,14 @@ class SumKernel(PairKernel):
         if dist.name == "rademacher":
             # h is +-2 with probability 1/4 each and 0 with probability 1/2
             return 2.0 ** (p - 1.0)
-        return super().h_abs_p(dist, p)
+        if dist.name == "uniform01":
+            # h has density 1 - |s| on [-1, 1]
+            return 2.0 / ((p + 1.0) * (p + 2.0))
+        # exponential1: h + 2 is Gamma(2), density (s + 2) e^-(s + 2) at h = s
+        if p == 3.0:
+            return 72.0 * math.exp(-2.0) - 4.0
+        fn = lambda s: np.abs(s) ** p * (s + 2.0) * np.exp(-(s + 2.0))
+        return quad_segments(fn, [-2.0, 0.0, EXP_CUT])
 
 
 KERNEL_CATALOG = {

@@ -1,9 +1,9 @@
 """Adaptive quadrature and a bracketing root finder, on numpy alone.
 
-belab's analytic oracles are one- and two-dimensional integrals of smooth
-or piecewise smooth functions: truncated and capped moments of the
-marginals, the coupling integrals of the perturbed-normal counterexample,
-the L-statistic scale and the U-statistic kernel moments.
+belab's analytic oracles are integrals of smooth or piecewise smooth
+functions of one variable: truncated and capped moments of the marginals
+and of the U-statistic kernels, and the coupling integrals of the
+perturbed-normal counterexample (`alpha_scale` integrates one of them).
 
 - `quad`: globally adaptive Gauss-Kronrod G10-K21 with QUADPACK's error
   estimate. Each step bisects the panel with the largest error (the QAG
@@ -11,7 +11,6 @@ the L-statistic scale and the U-statistic kernel moments.
   - A semi-infinite range [a, inf) maps onto (0, 1] by x = a + (1 - t)/t.
   - An endpoint where the integrand grows like |x - end|^(-1/2) is made
     smooth by x = end +- u^2.
-- `dblquad`: `quad` nested in `quad`.
 - `brentq`: Brent's (1973) bracketing root finder.
 
 Every integral returns (value, error estimate); `check_error` turns an
@@ -154,28 +153,6 @@ def quad(f, a, b, *, epsabs=EPSABS, epsrel=EPSREL, limit=LIMIT,
     else:
         raise ValueError(f"singular_at={singular_at!r} is not an endpoint")
     return _adapt(g, 0.0, math.sqrt(b - a), epsabs, epsrel, limit)
-
-
-def dblquad(f, a, b, lo, hi, *, epsabs=EPSABS, epsrel=EPSREL, limit=LIMIT):
-    """(value, error estimate) of int_a^b int_lo(x)^hi(x) f(y, x) dy dx.
-
-    f takes an array of y and one float x. The error adds to the outer
-    estimate the largest inner estimate times b - a, a bound on how far the
-    inner errors can move the outer sum (the Kronrod weights are positive).
-    """
-    worst_inner = 0.0
-
-    def outer(xs):
-        nonlocal worst_inner
-        out = np.empty(len(xs))
-        for k, x in enumerate(xs.tolist()):
-            out[k], e = _adapt(lambda y: f(y, x), float(lo(x)), float(hi(x)),
-                               epsabs, epsrel, limit)
-            worst_inner = max(worst_inner, e)
-        return out
-
-    value, error = _adapt(outer, float(a), float(b), epsabs, epsrel, limit)
-    return value, error + abs(b - a) * worst_inner
 
 
 def check_error(value, error, what, atol=1e-9, rtol=1e-6):

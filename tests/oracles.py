@@ -6,8 +6,9 @@ count, the resample coupling alpha of the perturbed-normal model, by Monte
 Carlo and by quadrature, the whole-block draw that a chunk's row tiles
 must reproduce, the data rows that a std_normal U-statistic chunk's three
 draws stand for, the exact chi-square laws of that chunk's T and W
-under the variance kernel, and 40-digit mpmath integrals of the moments
-and tails of that kernel's projection. No command reaches any of them.
+under the variance kernel, 40-digit mpmath integrals of the moments
+and tails of that kernel's projection and of the kernel moments E|h|^p,
+and the nested quadrature `dblquad`. No command reaches any of them.
 Enumeration errors past ENUMERATION_CAP index choices rather than
 subsampling.
 """
@@ -27,10 +28,33 @@ from belab.marginals import quad_segments
 from belab.mc_engine import SeedSpec, _map_chunks, _mean_se, _row_moments
 from belab.models import IsqrtModel
 from belab.models.lstat import influence_closed
-from belab.quadrature import check_error, dblquad, pointwise
+from belab.quadrature import check_error, pointwise, quad
 from belab.types import MomentEstimate
 
 ENUMERATION_CAP = 10 ** 6
+
+
+def dblquad(f, a, b, lo, hi, *, epsabs=1.49e-8, epsrel=1.49e-8):
+    """(value, error estimate) of int_a^b int_lo(x)^hi(x) f(y, x) dy dx by
+    belab's `quad` nested in itself.
+
+    f takes an array of y and one float x. The error adds to the outer
+    estimate the largest inner estimate times b - a, a bound on how far the
+    inner errors can move the outer sum (the Kronrod weights are positive).
+    """
+    worst_inner = 0.0
+
+    def outer(xs):
+        nonlocal worst_inner
+        out = np.empty(len(xs))
+        for k, x in enumerate(xs.tolist()):
+            out[k], e = quad(lambda y: f(y, x), lo(x), hi(x),
+                             epsabs=epsabs, epsrel=epsrel)
+            worst_inner = max(worst_inner, e)
+        return out
+
+    value, error = quad(outer, a, b, epsabs=epsabs, epsrel=epsrel)
+    return value, error + abs(b - a) * worst_inner
 
 
 class CapacityError(Exception):
@@ -107,14 +131,18 @@ def sup_cdf_gap(cdf_a, cdf_b, lo=-20.0, hi=20.0) -> float:
     return max(float(gap[k]), -float(found.fun))
 
 
-# the centred base variable Y = X - mean of each continuous catalog law:
-# its density and its whole support, which the marginals' quadrature
-# windows cut to |Y| <= 12 (std_normal) and Y <= 59 (exponential1)
+# the centred base variable Y = X - mean of each continuous catalog law,
+# and of X - X' for X, X' independent under uniform01 (triangle) and under
+# exponential1 (laplace): its density and its whole support, which the
+# marginals' quadrature windows cut to |Y| <= 12 (std_normal), Y <= 59
+# (exponential1) and |Y| <= 60 (laplace)
 _CENTRED_LAWS = {
     "std_normal": (mpmath.npdf, -mpmath.inf, mpmath.inf),
     "uniform01": (lambda y: mpmath.mpf(1), mpmath.mpf(-0.5), mpmath.mpf(0.5)),
     "exponential1": (lambda y: mpmath.exp(-(y + 1)), mpmath.mpf(-1),
                      mpmath.inf),
+    "triangle": (lambda y: 1 - abs(y), mpmath.mpf(-1), mpmath.mpf(1)),
+    "laplace": (lambda y: mpmath.exp(-abs(y)) / 2, -mpmath.inf, mpmath.inf),
 }
 
 
@@ -167,6 +195,34 @@ def quadratic_tail_mp(marg, t):
     support."""
     return _quadratic_mp(marg, lambda abs_g: 1,
                          lambda abs_g, t: abs_g > t, t)
+
+
+def kernel_moment_mp(kernel: str, dist: str, p) -> mpmath.mpf:
+    """40-digit E|h(X, Y)|^p of a catalog kernel under uniform01 or
+    exponential1, as one integral against the density of the variable that
+    h reads: D = X - Y, h = (D^2 - 2 V)/2, for the variance kernel, and
+    S = X + Y - 2 mu, h = S, for the sum kernel. D and S are triangular on
+    [-1, 1] under uniform01; under exponential1 D has density e^(-|d|)/2
+    and S + 2 is Gamma(2). Cut where h or the density has a kink."""
+    with mpmath.workdps(40):
+        inf = mpmath.inf
+        if dist == "uniform01":
+            var = mpmath.mpf(1) / 12
+            density, lo, hi = lambda u: 1 - abs(u), -1, 1
+        elif kernel == "variance":
+            var = mpmath.mpf(1)
+            density, lo, hi = lambda u: mpmath.exp(-abs(u)) / 2, -inf, inf
+        else:
+            var = mpmath.mpf(1)
+            density, lo, hi = lambda u: (u + 2) * mpmath.exp(-(u + 2)), -2, inf
+        if kernel == "variance":
+            h = lambda u: (u * u - 2 * var) / 2
+        else:
+            h = lambda u: u
+        r = mpmath.sqrt(2 * var)
+        cuts = [lo] + [c for c in (-r, 0, r) if lo < c < hi] + [hi]
+        return mpmath.quad(lambda u: abs(h(u)) ** mpmath.mpf(p) * density(u),
+                           cuts)
 
 
 def ustat_value(kernel, data, dist) -> float:

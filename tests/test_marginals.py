@@ -21,7 +21,7 @@ from belab.marginals import (
     normal_abs_moment,
 )
 from belab.models import build_model
-from belab.models.base import DIST_CATALOG, BaseDist
+from belab.models.base import DIST_CATALOG, LAPLACE, TRIANGLE, BaseDist
 from belab.models.kernels import KERNEL_CATALOG
 from belab.models.linear import _unit_marginal
 from oracles import quadratic_moment_mp, quadratic_tail_mp
@@ -134,19 +134,27 @@ class TestQuadraticVarianceProjection:
 # the continuous catalog laws, under each of which the variance kernel's
 # projection is a QuadraticMarginal
 QUADRATIC_LAWS = ("std_normal", "uniform01", "exponential1")
+# the laws of X - X' under uniform01 and exponential1, on which the
+# variance kernel h is the QuadraticMarginal (D^2 - var D) / 2
+DIFFERENCE_LAWS = {"triangle": TRIANGLE, "laplace": LAPLACE}
 # from 1e-6 to past every support window
 ORACLE_T = (1e-6, 1e-4, 1e-2, 0.05, 0.2, 0.5, 1.0, 2.0, 10.0, 1e4)
 
 
 def _variance_projection(dist, n):
-    """The marginal of one summand g(X_i) / (sqrt(n) sigma_1) of W."""
+    """The marginal of one summand g(X_i) / (sqrt(n) sigma_1) of W; under
+    a law of X - X', that of h / sqrt(n)."""
+    if dist in DIFFERENCE_LAWS:
+        return QuadraticMarginal(0.5 / math.sqrt(n), DIFFERENCE_LAWS[dist])
     return KERNEL_CATALOG["variance"].g_std_marginal(DIST_CATALOG[dist],
                                                      1.0 / math.sqrt(n))
 
 
 class TestQuadraticClosedForms:
-    """QuadraticMarginal's closed forms at p in CLOSED_P, within
-    max(1e-13 |ref|, 1e-16) of 40-digit mpmath integrals. Beside the grid,
+    """QuadraticMarginal's closed forms at p in CLOSED_P, and its tails,
+    within max(1e-13 |ref|, 1e-16) of 40-digit mpmath integrals, for the
+    variance kernel's projection and, on the laws of X - X', the kernel
+    itself. Beside the grid,
     t sits 1e-9 to either side of a v, the peak of |g| at X = mean, where
     the region edge sqrt(v - t/a) is a difference of nearly equal numbers.
     The closed forms use Python floats alone (math.erfc, math.exp), so
@@ -158,7 +166,7 @@ class TestQuadraticClosedForms:
             got, float(ref))
 
     @pytest.mark.parametrize("n", (4, 50, 400))
-    @pytest.mark.parametrize("dist", QUADRATIC_LAWS)
+    @pytest.mark.parametrize("dist", QUADRATIC_LAWS + tuple(DIFFERENCE_LAWS))
     def test_against_mpmath(self, dist, n):
         marg = _variance_projection(dist, n)
         peak = marg.a * marg.c
@@ -168,7 +176,7 @@ class TestQuadraticClosedForms:
                 self._close(marg.e_abs_p_below(p, t),
                             quadratic_moment_mp(marg, p, t))
 
-    @pytest.mark.parametrize("dist", QUADRATIC_LAWS)
+    @pytest.mark.parametrize("dist", QUADRATIC_LAWS + tuple(DIFFERENCE_LAWS))
     def test_quadrature_tier_agrees(self, dist):
         # the quadrature tier, kept for every other p, over the same pieces
         marg = _variance_projection(dist, 50)
@@ -178,6 +186,14 @@ class TestQuadraticClosedForms:
             for lo, hi in regions:
                 assert abs(marg._closed_abs_p(int(p), lo, hi)
                            - marg._quad_abs_p(p, lo, hi)) <= QUAD_EPSABS
+
+    @pytest.mark.parametrize("dist", QUADRATIC_LAWS + tuple(DIFFERENCE_LAWS))
+    def test_tails_against_mpmath(self, dist):
+        # n = 1: under a law of X - X', the marginal of h itself
+        marg = _variance_projection(dist, 1)
+        peak = marg.a * marg.c
+        for t in ORACLE_T + (peak * (1 - 1e-9), peak * (1 + 1e-9)):
+            self._close(marg.prob_abs_above(t), quadratic_tail_mp(marg, t))
 
     def test_other_orders_take_quadrature(self, monkeypatch):
         marg = _variance_projection("std_normal", 50)

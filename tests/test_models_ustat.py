@@ -25,6 +25,8 @@ from belab.models.base import part_stream
 from belab.models.kernels import kernel_abs_p
 from oracles import (
     CapacityError,
+    dblquad,
+    kernel_moment_mp,
     ks_vs_cdf,
     normal_rows,
     sup_cdf_gap,
@@ -148,6 +150,29 @@ class TestKernelAbsMoments:
         se = h.std(ddof=1) / math.sqrt(h.size)
         np.testing.assert_allclose(kernel_abs_p("variance", "uniform01", 3.0),
                                    h.mean(), atol=4 * se)
+
+    @pytest.mark.parametrize("p", (2.5, 3.0))
+    @pytest.mark.parametrize("dist", ("uniform01", "exponential1"))
+    @pytest.mark.parametrize("kernel", ("variance", "sum"))
+    def test_against_mpmath(self, kernel, dist, p):
+        # closed form at p = 3; at p = 2.5 one quadrature, but for the sum
+        # kernel under uniform01
+        ref = kernel_moment_mp(kernel, dist, p)
+        rtol = 1e-14 if p == 3.0 else 1e-10
+        assert abs(kernel_abs_p(kernel, dist, p) - ref) <= rtol * abs(ref)
+
+    @pytest.mark.parametrize("dist", ("uniform01", "exponential1"))
+    @pytest.mark.parametrize("kernel", ("variance", "sum"))
+    def test_one_variable_matches_double_integral(self, kernel, dist):
+        # the nested quadrature over (X, Y) that the law of the one variable
+        # h reads replaces; it reads up to 2.8e-10 off at p = 3
+        k, d = KERNEL_CATALOG[kernel], DIST_CATALOG[dist]
+        lo, hi = d.support
+        fn = lambda y, x: np.abs(k.h(x, y, d)) ** 3 * d.pdf(x) * d.pdf(y)
+        want, _err = dblquad(fn, lo, hi, lambda x: lo, lambda x: hi,
+                             epsabs=1e-10, epsrel=1e-10)
+        np.testing.assert_allclose(kernel_abs_p(kernel, dist, 3.0), want,
+                                   rtol=1e-8)
 
 
 class TestHajekProjection:
@@ -492,9 +517,9 @@ class QuadratureReached(Exception):
 
 class TestClosedFormRun:
     """verify on the variance kernel under std_normal (the benchmark's
-    catalog workload at fewer replicates) reads every analytic input from
-    a closed form at p = 3 and integrates nothing; at p = 2.5, E|g|^p and
-    E|h|^p still come from quadrature."""
+    catalog workload at fewer replicates), uniform01 and exponential1 reads
+    every analytic input from a closed form at p = 3 and integrates
+    nothing; at p = 2.5, E|g|^p and E|h|^p still come from quadrature."""
 
     DOC = {"model": {"family": "ustat", "kernel": "variance",
                      "dist": "std_normal", "n": 50},
@@ -506,15 +531,13 @@ class TestClosedFormRun:
     @pytest.fixture
     def no_quadrature(self, monkeypatch):
         from belab import marginals, quadrature
-        from belab.models import kernels
 
         def refuse(*args, **kwargs):
             raise QuadratureReached
 
-        # marginals and kernels hold their own names for quad and dblquad
+        # marginals holds its own name for quad
         monkeypatch.setattr(quadrature, "quad", refuse)
         monkeypatch.setattr(marginals, "quad", refuse)
-        monkeypatch.setattr(kernels, "dblquad", refuse)
         ustat_module._catalog_moments.cache_clear()
         kernel_abs_p.cache_clear()
         yield
@@ -522,9 +545,15 @@ class TestClosedFormRun:
         kernel_abs_p.cache_clear()
 
     def test_closed_orders_integrate_nothing(self, no_quadrature):
-        rows, _notes = cmd_verify(parse_config(json.dumps(
-            dict(self.DOC, p=3.0))))
-        assert {r.equation_tag for r in rows} == set(self.DOC["bounds"])
+        # under exponential1, g_i exceeds 1 and eq2.6 has no W - g_i tail
+        # oracle at |z| >= 2 (test_cli pins that exit), so z stays inside
+        for dist, z_grid in (("std_normal", self.DOC["z_grid"]),
+                             ("uniform01", self.DOC["z_grid"]),
+                             ("exponential1", [-1.0, 0.0, 1.0])):
+            doc = dict(self.DOC, p=3.0, z_grid=z_grid,
+                       model=dict(self.DOC["model"], dist=dist))
+            rows, _notes = cmd_verify(parse_config(json.dumps(doc)))
+            assert {r.equation_tag for r in rows} == set(self.DOC["bounds"])
 
     def test_other_orders_reach_quadrature(self, no_quadrature):
         with pytest.raises(QuadratureReached):

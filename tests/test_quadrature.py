@@ -1,5 +1,6 @@
-"""belab.quadrature against scipy as an independent reference, and the
-error checks of the sites that integrate with it."""
+"""belab.quadrature against scipy as an independent reference (the test
+oracles' nested `dblquad` too), and the error checks of the sites that
+integrate with it."""
 import json
 import math
 
@@ -19,9 +20,9 @@ from belab.quadrature import (
     NODES,
     brentq,
     check_error,
-    dblquad,
     quad,
 )
+from oracles import dblquad
 
 
 class TestRule:
@@ -159,8 +160,14 @@ class TestSiteErrorChecks:
          lambda: marginals.ExpCenteredMarginal(1.0).e_abs_p(3.0)),
         (app_bounds, "quad", lambda: app_bounds.coupling_gini(1.0)),
         (app_bounds, "quad", lambda: app_bounds.alpha_scale(0.01)),
-        (kernels, "dblquad", lambda: kernels.kernel_abs_p(
-            "variance", "uniform01", 3.0)),
+        pytest.param(
+            marginals, "quad",
+            lambda: kernels.kernel_abs_p("variance", "uniform01", 2.5),
+            id="belab.marginals-quad-variance-kernel"),
+        pytest.param(
+            marginals, "quad",
+            lambda: kernels.kernel_abs_p("sum", "exponential1", 2.5),
+            id="belab.marginals-quad-sum-kernel"),
     ])
     def test_oversized_error_raises(self, monkeypatch, clear_caches, module,
                                     name, call):
@@ -170,13 +177,15 @@ class TestSiteErrorChecks:
 
     def test_bound_exits_3_with_one_error_line(self, monkeypatch, tmp_path,
                                                capsys, clear_caches):
-        monkeypatch.setattr(kernels, "dblquad", _oversized)
+        # at p = 2.5 the projection and kernel moments take quadrature
+        monkeypatch.setattr(marginals, "quad", _oversized)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
             "model": {"family": "ustat", "kernel": "variance",
                       "dist": "uniform01", "n": 20},
-            "bounds": ["eq3.4"], "z_grid": [1.0], "mc": {"master_seed": 1}}))
+            "bounds": ["eq3.4"], "z_grid": [1.0], "p": 2.5,
+            "mc": {"master_seed": 1}}))
         assert main(["bound", "--config", str(path)]) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
-        assert "kernel moment" in err[0]
+        assert "quadrature error estimate" in err[0]
