@@ -24,7 +24,9 @@ a fixed (seed, replicates) pair however many worker threads run the chunks.
 
 A KS distance is the largest of one term per point of an ascending
 input. An input that is already ascending is read in place, any other is
-sorted into a copy first, and one that holds a NaN raises NumericError. The
+sorted into a copy first, an empty one raises ConfigError and one that
+holds a NaN NumericError; the pointwise distances read their samples the
+same way and count the values at or below z by one `searchsorted`. The KS
 kernels split the input into groups of DISTANCE_GROUP consecutive values
 and look first at the group ends alone: n / DISTANCE_GROUP points, one
 `searchsorted` or `ndtr_array` call each. These give each group its two end
@@ -353,19 +355,20 @@ def empirical_ks_two_sample(a_values, b_values) -> KSResult:
 
 
 def pointwise_diff_vs_normal(t_values, z: float) -> KSResult:
-    """|F_T(z) - Phi(z)| from a sample of T."""
-    t = np.asarray(t_values, dtype=float)
-    emp = float(np.count_nonzero(t <= z)) / t.size
+    """|F_T(z) - Phi(z)| from a sample of T, read like a KS kernel's."""
+    t = _ascending(t_values)
+    emp = float(np.searchsorted(t, z, side="right")) / t.size
     return KSResult(distance=abs(emp - ndtr(z)), replicates=t.size,
                     dkw_radius=dkw_radius(t.size))
 
 
 def pointwise_diff_two_sample(a_values, b_values, z: float) -> KSResult:
-    """|F_a(z) - F_b(z)| from samples of both laws."""
-    a = np.asarray(a_values, dtype=float)
-    b = np.asarray(b_values, dtype=float)
-    fa = float(np.count_nonzero(a <= z)) / a.size
-    fb = float(np.count_nonzero(b <= z)) / b.size
+    """|F_a(z) - F_b(z)| from samples of both laws, read like a KS
+    kernel's."""
+    a = _ascending(a_values)
+    b = _ascending(b_values)
+    fa = float(np.searchsorted(a, z, side="right")) / a.size
+    fb = float(np.searchsorted(b, z, side="right")) / b.size
     return KSResult(distance=abs(fa - fb), replicates=min(a.size, b.size),
                     dkw_radius=dkw_radius(a.size) + dkw_radius(b.size))
 

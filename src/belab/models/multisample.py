@@ -6,6 +6,14 @@ m_j, the combined scale is sn2 = sum_j m_j^2 sigma_j^2 / n_j (sigma_j the
 per-sample projection variance), the statistic is T = U / sn with sn =
 sqrt(sn2), and the linear terms are g_jl = (m_j/n_j) h_j(X_jl) / sn, which
 makes sum E g^2 = 1 exactly.
+
+The rank statistic's pair count #{x_i <= y_j} of each replicate row is an
+exact integer taken from one sort of the row's pooled keys, each a 31-bit
+prefix of the value and a sample tag, as uint32: half the bytes of the
+exact 64-bit lattice keys, and a faster sort. Only an x and a y that share
+a prefix can be miscounted, and the sorted keys show it, so exactly those
+rows, about one in 2000 at 1000;1000, are counted again on the lattice
+keys, as is every row of a block past PREFIX_PAIRS pairs.
 """
 from __future__ import annotations
 
@@ -51,25 +59,82 @@ class MultiUStatSpec(Spec):
             raise UnsupportedModelError("the rank kernel has degrees (1, 1)")
 
 
-# rows per tile of the pooled, sample-tagged sort: a 32 x 2000 key tile
-# and its float64 parity tile hold about 1 MB together
+# rows per tile of the pooled, sample-tagged sort: a 32 x 2000 tile of
+# keys, neighbour XORs and float64 parities holds about 1 MB
 PAIR_TILE = 32
+# a row holds an x and a y with one 31-bit prefix with probability about
+# 1 - exp(-n1 n2 / 2^31); the 32-bit count costs about 0.8 of the exact
+# one, so it pays while that probability stays well below 0.2: up to
+# n1 n2 = 2^28 (a probability of 0.12), past which a block goes straight
+# to the exact count
+PREFIX_PAIRS = 2 ** 28
 
 
 def _tagged_pair_counts(x, y, work):
     """Per-row count of the pairs (i, j) with x_i <= y_j, from one sort of
-    each pooled row; x and y are not changed.
+    each pooled row of 32-bit keys; x and y are not changed.
+
+    The key of a value u in [0, 1) is 2 floor(u 2^31) + tag, with tag 0
+    for an x draw and 1 for a y draw: u 2^31 is exact, and the cast floors
+    it. Where two prefixes differ the values differ the same way, so the
+    sorted keys order every pair but an x and a y that share a prefix,
+    which the tag sorts as x <= y. The count is the dot product of the
+    odd-key indicator with the positions, minus n2 (n2 - 1) / 2: integers
+    below 2^53 throughout. A shared prefix leaves two neighbouring sorted
+    keys 2p and 2p + 1, whose XOR is 1 (and only such keys have that XOR),
+    so exactly the rows that hold one are recounted by
+    `_lattice_pair_counts`, in the same `work`. Past PREFIX_PAIRS the whole
+    block goes there. `work`, a flat float64 buffer of at least
+    2 min(PAIR_TILE, count) (n1 + n2) values, holds the parity block, the
+    keys and the neighbour XORs.
+    """
+    count, n1 = x.shape
+    n2 = y.shape[1]
+    if n1 * n2 > PREFIX_PAIRS:
+        return _lattice_pair_counts(x, y, work)
+    out = np.empty(count)
+    shared = np.empty(count, dtype=bool)
+    height, width = min(PAIR_TILE, count), n1 + n2
+    cells = height * width
+    parity = work[:cells].reshape(height, width)
+    narrow = work[cells:2 * cells].view(np.uint32)
+    keys = narrow[:cells].reshape(height, width)
+    xors = narrow[cells:cells + height * (width - 1)].reshape(height,
+                                                              width - 1)
+    positions = np.arange(width, dtype=float)
+    for rows in row_tiles(count, PAIR_TILE):
+        used = rows.stop - rows.start
+        key, odd, xor = keys[:used], parity[:used], xors[:used]
+        # floor(u 2^31) < 2^31 fits an int32, whose cast is the faster one
+        prefix = key.view(np.int32)
+        np.multiply(x[rows], 2.0 ** 31, out=prefix[:, :n1], casting="unsafe")
+        np.multiply(y[rows], 2.0 ** 31, out=prefix[:, n1:], casting="unsafe")
+        key <<= 1
+        key[:, n1:] |= 1
+        key.sort(axis=1)
+        np.bitwise_and(key, 1, out=odd, casting="unsafe")
+        out[rows] = odd @ positions - n2 * (n2 - 1) // 2
+        np.bitwise_xor(key[:, 1:], key[:, :-1], out=xor)
+        shared[rows] = (xor == 1).any(axis=1)
+    if shared.any():
+        out[shared] = _lattice_pair_counts(x[shared], y[shared], work)
+    return out
+
+
+def _lattice_pair_counts(x, y, work):
+    """The exact count of `_tagged_pair_counts`, which recounts with it the
+    rows where an x and a y share a 31-bit prefix, and every row past
+    PREFIX_PAIRS; x and y are not changed.
 
     Every value must lie on the lattice of `Generator.random`: a multiple
     of 2^-53 in [0, 1). A tile of rows becomes one block of exact int64
     keys, 2^54 u + 2^52 for an x draw u and one more for a y draw, so a tie
-    x = y sorts x first and x <= y holds exactly by key parity; no row is
-    recounted. Keys in [2^52, 2^55) are the bit patterns of normal doubles
-    in the same order, so a row sorts faster through a float64 view, even
-    under flush-to-zero. The count is the dot product of the odd-key
-    indicator with the positions, minus n2 (n2 - 1) / 2: integers below
-    2^53 throughout. `work`, a flat float64 buffer of at least
-    2 min(PAIR_TILE, count) (n1 + n2) values, holds both blocks.
+    x = y sorts x first and x <= y holds exactly by key parity. Keys in
+    [2^52, 2^55) are the bit patterns of normal doubles in the same order,
+    so a row sorts faster through a float64 view, even under flush-to-zero.
+    The count is taken as in `_tagged_pair_counts`. `work`, a flat float64
+    buffer of at least 2 min(PAIR_TILE, count) (n1 + n2) values, holds both
+    blocks.
     """
     count, n1 = x.shape
     n2 = y.shape[1]
@@ -116,14 +181,15 @@ class WilcoxonModel(StatisticModel):
     A chunk runs one loop over row tiles of x and y (`ChunkTiles`). Per
     tile it takes the row sums and representative columns of the
     projections, the representatives' own pair counts, and the pair count
-    of each replicate row from one sort of its pooled, sample-tagged keys,
-    PAIR_TILE rows at a time (`_tagged_pair_counts`): the draws lie on the
-    2^-53 lattice of `Generator.random`, so the integer keys are exact and
-    ties count by key parity, with no recount. x and y are never sorted.
-    Swapping one observation moves that count by a row-wise comparison
-    against the other sample, counted in the same loop. The chunk holds
-    one tile of x and of y, a projection tile and the key block besides
-    count-length arrays: about 5 MiB at 1000;1000.
+    of each replicate row from one sort of its pooled, sample-tagged
+    32-bit prefix keys, PAIR_TILE rows at a time (`_tagged_pair_counts`);
+    the rows where an x and a y share a prefix are recounted on exact
+    64-bit keys, which the 2^-53 lattice of `Generator.random` makes
+    exact, ties included (`_lattice_pair_counts`). x and y are never
+    sorted. Swapping one observation moves that count by a row-wise
+    comparison against the other sample, counted in the same loop. The
+    chunk holds one tile of x and of y, a projection tile and the key
+    block besides count-length arrays: about 4.5 MiB at 1000;1000.
     """
 
     def __init__(self, spec: MultiUStatSpec):

@@ -718,11 +718,11 @@ class TestMainExitCodes:
             "config: sweep.grid[2]: verification needs >= 1000, got 20"]
         assert runs == []
 
-    @pytest.mark.parametrize("tag", ["eq1.4", "eq2.3"])
+    @pytest.mark.parametrize("tag", ["eq1.4", "eq2.3", "eq2.6", "eq3.3"])
     def test_nan_sample_exits_3(self, tmp_path, capsys, monkeypatch, tag):
-        """A NaN in a sample reaches each distance kernel (W~N, T~W) as a
-        NumericError: exit 3 with one line of stderr, never the exit 1 of
-        a failed row."""
+        """A NaN in a sample reaches each distance kernel (W~N and T~W
+        uniform, T~W and T~N at z) as a NumericError: exit 3 with one line
+        of stderr, never the exit 1 of a failed row."""
         real = cli.sample_pass
 
         def with_nan(*args, **kwargs):
@@ -731,7 +731,8 @@ class TestMainExitCodes:
             return t, w, comps
 
         monkeypatch.setattr(cli, "sample_pass", with_nan)
-        path = write_config(tmp_path, make_doc(model=USTAT, bounds=[tag]))
+        path = write_config(tmp_path, make_doc(model=USTAT, bounds=[tag],
+                                               z_grid=[0.5]))
         assert main(["verify", "--config", path]) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "NaN" in err[0]

@@ -1062,14 +1062,21 @@ class TestPrunedDistances:
         for call in (lambda: empirical_ks_vs_normal(a),
                      lambda: empirical_ks_vs_normal([np.nan]),
                      lambda: empirical_ks_two_sample(a, b),
-                     lambda: empirical_ks_two_sample(b, a)):
+                     lambda: empirical_ks_two_sample(b, a),
+                     lambda: pointwise_diff_vs_normal(a, 0.5),
+                     lambda: pointwise_diff_vs_normal([np.nan], 0.5),
+                     lambda: pointwise_diff_two_sample(a, b, 0.5),
+                     lambda: pointwise_diff_two_sample(b, a, 0.5)):
             with pytest.raises(NumericError, match="NaN"):
                 call()
 
     def test_empty_sample_rejected(self):
         for call in (lambda: empirical_ks_vs_normal([]),
                      lambda: empirical_ks_two_sample([], [1.0]),
-                     lambda: empirical_ks_two_sample([1.0], [])):
+                     lambda: empirical_ks_two_sample([1.0], []),
+                     lambda: pointwise_diff_vs_normal([], 0.5),
+                     lambda: pointwise_diff_two_sample([], [1.0], 0.5),
+                     lambda: pointwise_diff_two_sample([1.0], [], 0.5)):
             with pytest.raises(ConfigError):
                 call()
 

@@ -16,7 +16,13 @@ from belab.models import (
 )
 from belab.models import base
 from belab.models.base import ROW_TILE, part_stream, row_counts
-from belab.models.multisample import PAIR_TILE, _tagged_pair_counts
+from belab.models import multisample
+from belab.models.multisample import (
+    PAIR_TILE,
+    PREFIX_PAIRS,
+    _lattice_pair_counts,
+    _tagged_pair_counts,
+)
 from belab.special import ndtr
 from oracles import (
     CapacityError,
@@ -38,6 +44,8 @@ MODES = ("zero_out", "resample")
 UNIFORM = DIST_CATALOG["uniform01"]
 # every uniform01 draw is a multiple of 1 / LATTICE in [0, 1)
 LATTICE = 2.0 ** 53
+# the tagged pair count sorts floor(u PREFIXES), a 31-bit prefix of u
+PREFIXES = 2.0 ** 31
 
 
 def chunk_and_draws(model, seed, count, mode):
@@ -357,20 +365,57 @@ class TestProbabilityScale:
 
 
 def assert_counts_exact(x, y):
-    """The tagged count equals `pair_counts` of row-sorted copies."""
+    """The tagged count and its exact recount each equal `pair_counts` of
+    row-sorted copies."""
     x_before, y_before = x.copy(), y.copy()
+    want = pair_counts(np.sort(x, axis=1), np.sort(y, axis=1))
     work = np.empty(2 * min(PAIR_TILE, len(x)) * (x.shape[1] + y.shape[1]))
-    got = _tagged_pair_counts(x, y, work)
-    assert (got == pair_counts(np.sort(x, axis=1), np.sort(y, axis=1))).all()
-    # the blocks are read, never sorted or tagged in place
-    assert (x.view(np.int64) == x_before.view(np.int64)).all()
-    assert (y.view(np.int64) == y_before.view(np.int64)).all()
+    for count in (_tagged_pair_counts, _lattice_pair_counts):
+        assert (count(x, y, work) == want).all(), count.__name__
+        # the blocks are read, never sorted or tagged in place
+        assert (x.view(np.int64) == x_before.view(np.int64)).all()
+        assert (y.view(np.int64) == y_before.view(np.int64)).all()
+
+
+def shared_prefix_rows(x, y):
+    """Indices of the rows where some x and some y have one floor(u 2^31),
+    from one set intersection of (row, prefix) keys."""
+    def keyed(block):
+        rows = np.arange(len(block))[:, None]
+        return (rows * PREFIXES + np.floor(block * PREFIXES)).ravel()
+    return np.unique(np.intersect1d(keyed(x), keyed(y)) // PREFIXES
+                     ).astype(np.intp)
+
+
+@pytest.fixture
+def recounts(monkeypatch):
+    """The (x, y) blocks that `_tagged_pair_counts` hands to its exact
+    recount, one entry per call."""
+    calls = []
+
+    def spy(x, y, work):
+        calls.append((x.copy(), y.copy()))
+        return _lattice_pair_counts(x, y, work)
+
+    monkeypatch.setattr(multisample, "_lattice_pair_counts", spy)
+    return calls
+
+
+def assert_recounted(calls, x, y, rows):
+    """`calls` holds one recount of exactly `rows` of x and y, or none
+    when `rows` is empty."""
+    assert len(calls) == (1 if len(rows) else 0)
+    for got_x, got_y in calls:
+        assert (got_x.view(np.int64) == x[rows].view(np.int64)).all()
+        assert (got_y.view(np.int64) == y[rows].view(np.int64)).all()
 
 
 class TestTaggedPairCounts:
     """The pooled, sample-tagged count equals `pair_counts` with ==, on
     lattice rows that tie across the samples (0.0 included), on lattice
-    neighbours and on every tile edge."""
+    neighbours, on x and y inside one 31-bit prefix and across its edges,
+    and on every tile edge; exactly the rows where an x and a y share a
+    prefix are recounted, and past PREFIX_PAIRS the whole block."""
 
     STEP = 1.0 / LATTICE
     EDGE_VALUES = (0.0, STEP, 0.5 - STEP, 0.5, 0.5 + STEP, 1.0 - 2 * STEP,
@@ -401,6 +446,68 @@ class TestTaggedPairCounts:
         y = rng.choice(near, (400, 5))
         assert_counts_exact(x, y)
 
+    @pytest.mark.parametrize("m", [0, 1, 2 ** 30 + 3, 2 ** 31 - 1])
+    def test_shared_prefix_pairs(self, m, recounts):
+        """The prefix m 2^-31 holds m 2^-31 + k 2^-53 for k in [0, 2^22);
+        its first, second and last values pair as x < y, x == y and x > y
+        in every order, beside the last value of the prefix below and the
+        first of the one above."""
+        start = m / PREFIXES
+        values = [start + k * self.STEP for k in (0, 1, 2 ** 22 - 1)]
+        values += [v for v in (start - self.STEP, start + 1.0 / PREFIXES)
+                   if 0.0 <= v < 1.0]
+        pairs = list(itertools.product(values, repeat=2))
+        x = np.array([row for row in pairs for _ in pairs])
+        y = np.array([row for _ in pairs for row in pairs])
+        assert_counts_exact(x, y)
+        rows = shared_prefix_rows(x, y)
+        assert 0 < len(rows) < len(x)
+        assert_recounted(recounts, x, y, rows)
+
+    def test_rows_in_one_prefix(self, recounts):
+        rng = np.random.default_rng(85)
+        start = rng.integers(0, 2 ** 31, (300, 1)) / PREFIXES
+        x = start + rng.integers(0, 2 ** 22, (300, 40)) * self.STEP
+        y = start + rng.integers(0, 2 ** 22, (300, 30)) * self.STEP
+        assert_counts_exact(x, y)
+        assert_recounted(recounts, x, y, np.arange(300))
+
+    @pytest.mark.parametrize("whole", [False, True])
+    def test_size_rule(self, whole, recounts):
+        """At PREFIX_PAIRS pairs only the rows with a shared prefix are
+        recounted; past it the whole block is."""
+        n2 = 2 ** 15
+        n1 = PREFIX_PAIRS // n2 + whole
+        assert (n1 * n2 > PREFIX_PAIRS) == whole
+        rng = np.random.default_rng(86)
+        x, y = rng.random((3, n1)), rng.random((3, n2))
+        y[0, 5] = x[0, 7]
+        assert_counts_exact(x, y)
+        rows = np.arange(3) if whole else shared_prefix_rows(x, y)
+        assert 0 in rows
+        assert_recounted(recounts, x, y, rows)
+
+    def test_recounts_seeded_rows(self, recounts):
+        """On draws at 1000;1000, exactly the rows that an independent set
+        intersection finds a shared prefix in reach the exact routine."""
+        rng = SeedSpec(84).substream(0)
+        found = 0
+        for _ in range(4):
+            x = whole_draw(UNIFORM, rng, (CHUNK_SIZE // 2, 1000))
+            y = whole_draw(UNIFORM, rng, (CHUNK_SIZE // 2, 1000))
+            x_before, y_before = x.copy(), y.copy()
+            work = np.empty(2 * PAIR_TILE * 2000)
+            got = _tagged_pair_counts(x, y, work)
+            assert (got == pair_counts(np.sort(x, axis=1),
+                                       np.sort(y, axis=1))).all()
+            assert (x.view(np.int64) == x_before.view(np.int64)).all()
+            assert (y.view(np.int64) == y_before.view(np.int64)).all()
+            rows = shared_prefix_rows(x, y)
+            assert_recounted(recounts, x, y, rows)
+            found += len(rows)
+            recounts.clear()
+        assert found >= 2
+
     @pytest.mark.parametrize("count", [1, PAIR_TILE - 1, PAIR_TILE,
                                        PAIR_TILE + 1, CHUNK_SIZE])
     @pytest.mark.parametrize("n1,n2", [(1000, 1000), (57, 13), (5, 4)])
@@ -410,9 +517,10 @@ class TestTaggedPairCounts:
 
 
 class TestLatticePrecondition:
-    """`_tagged_pair_counts` counts exactly only on multiples of 2^-53 in
-    [0, 1). These tests fail if numpy's `Generator.random` stops giving
-    such values on any bit generator."""
+    """`_lattice_pair_counts`, the exact recount of `_tagged_pair_counts`,
+    counts exactly only on multiples of 2^-53 in [0, 1); the 32-bit prefix
+    keys need values in [0, 1) alone. These tests fail if numpy's
+    `Generator.random` stops giving such values on any bit generator."""
 
     @pytest.mark.parametrize("make", [
         lambda: SeedSpec(83).substream(0),
@@ -436,7 +544,7 @@ class TestLatticePrecondition:
     def test_extreme_keys_are_normal_doubles(self, x, y):
         # the sorted key row is left in the first two values of `work`
         work = np.empty(4)
-        _tagged_pair_counts(np.array([[x]]), np.array([[y]]), work)
+        _lattice_pair_counts(np.array([[x]]), np.array([[y]]), work)
         keys = work[:2]
         assert np.isfinite(keys).all()
         assert (keys >= np.finfo(float).tiny).all()
