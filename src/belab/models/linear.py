@@ -2,9 +2,21 @@
 
 `StandardizedSum` owns the analytic side of such a W: each term's marginal,
 the exact sup-distance of W to the normal (0 for std_normal, the coin-flip
-closed form for rademacher) and the tail of W - g_i. `LinearModel` (T = W),
-the sum-kernel U-statistic, the const1 L-statistic and the perturbed-normal
-model all build it, so one W gets the same bound bits in every family.
+closed form for rademacher) and the tail of W - g_i. `sum_chunk` owns its
+sampling. `LinearModel` (T = W), the sum-kernel U-statistic and the const1
+L-statistic sample by it, and they and the perturbed-normal model build
+StandardizedSum, so one W gets the same T, W and bound bits in every family.
+
+`power_sums` reads a data row only through x_1 and its centred power sums
+C1 = sum (x_i - mu) and C2 = sum (x_i - mu)^2. Under std_normal it draws
+those sums, not the rows: the other n - 1 values enter only through their
+sum S ~ N(0, n - 1) and their sum of squares about their own mean
+Q ~ chi2_{n-2}, which are independent (Cochran 1934). So a replicate is
+three count-length columns x_1, z and q, drawn from the chunk's generator
+one after another, and C1 = x_1 + sqrt(n - 1) z, C2 = x_1^2 + (z^2 + q)
+have exactly the joint law of the row's sums; no q is drawn at n = 2, where
+Q = 0, nor z at n = 1. The other laws draw the rows a tile at a time
+(ChunkTiles) and sum them.
 """
 from __future__ import annotations
 
@@ -24,9 +36,10 @@ from ..marginals import (
 from ..special import gammainc, gammaincc, half_binom_cdf, ndtr
 from .base import (
     DIST_CATALOG,
+    BaseDist,
     ChunkTiles,
     StatisticModel,
-    projection_sums,
+    part_stream,
 )
 from .fields import Spec, spec_field
 
@@ -96,6 +109,44 @@ class StandardizedSum(LinearPart):
         return None
 
 
+def power_sums(dist: BaseDist, n: int, rng, count: int, mode=()):
+    """(x_1, C1, C2, {mode: replacement of x_1}) of `count` rows of n draws
+    of dist, by the module docstring's path for the law."""
+    if dist.name == "std_normal":
+        x1 = rng.standard_normal(count)
+        z = rng.standard_normal(count) if n > 1 else 0.0
+        q = rng.chisquare(n - 2, count) if n > 2 else 0.0
+        c1, c2 = x1 + math.sqrt(n - 1) * z, x1 * x1 + (z * z + q)
+        values = {m: 0.0 if m == "zero_out"
+                  else part_stream(rng, 1).standard_normal(count)
+                  for m in mode}
+        return x1, c1, c2, values
+    c1, c2, x1 = np.empty((3, count))
+    tiles = ChunkTiles(dist, rng, count, (n,), mode)
+    for rows, (x,) in tiles:
+        x1[rows] = x[:, 0]
+        x -= dist.mean
+        c1[rows] = x.sum(axis=1)
+        np.square(x, out=x)
+        c2[rows] = x.sum(axis=1)
+    return x1, c1, c2, {m: v[0] for m, v in tiles.values.items()}
+
+
+def sum_chunk(dist: BaseDist, n: int, rng, count: int, mode=()):
+    """`StatisticModel.sample_chunk` of T = W, the standardized sum of n
+    draws of dist: W = C1 / (sqrt(n) sd), a zero remainder in every mode,
+    and no replacement value drawn."""
+    x1, c1, _c2, _values = power_sums(dist, n, rng, count)
+    scale = 1.0 / (math.sqrt(n) * math.sqrt(dist.var))
+    w = c1 * scale
+    t = w.copy()
+    if not mode:
+        return {"t": t, "w": w}
+    g_rep = np.subtract(x1, dist.mean) * scale
+    return {"t": t, "w": w, "delta": t - w, "g_rep": g_rep[:, None],
+            "dvar_rep": {m: np.zeros((count, 1)) for m in mode}}
+
+
 class LinearModel(StatisticModel):
     """Standardized i.i.d. sum; the remainder is structurally zero."""
 
@@ -106,22 +157,7 @@ class LinearModel(StatisticModel):
         self.dist = DIST_CATALOG[spec.dist]
         self.n = spec.n
         self.name = f"linear-{spec.dist}-n{spec.n}"
-        self._scale = 1.0 / (math.sqrt(self.n) * math.sqrt(self.dist.var))
         self.linear_part = StandardizedSum(spec.dist, self.n)
 
     def sample_chunk(self, rng, count, mode=()):
-        w, rep = np.empty((2, count))
-        tiles = ChunkTiles(self.dist, rng, count, (self.n,))
-        for rows, (x,) in tiles:
-            w[rows], rep[rows] = projection_sums(
-                x, self._g_rows, tiles.scratch)
-        t = w.copy()
-        if not mode:
-            return {"t": t, "w": w}
-        return {"t": t, "w": w, "delta": np.zeros(count), "g_rep": rep[:, None],
-                "dvar_rep": {m: np.zeros((count, 1)) for m in mode}}
-
-    def _g_rows(self, x, out=None):
-        """The linear terms (x - mu) / (sqrt(n) sd)."""
-        g = np.subtract(x, self.dist.mean, out=out)
-        return np.multiply(g, self._scale, out=out)
+        return sum_chunk(self.dist, self.n, rng, count, mode)

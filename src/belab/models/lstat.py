@@ -29,8 +29,8 @@ rounding, so the halving moves into that product: the projection is x^2,
 1/3 - x^2 and one multiply, with the bits of the four-step form.
 
 The const1 weight makes T the standardized sample mean, which is W itself,
-so its chunk sorts no row, its remainder is exactly zero and its linear
-part is `linear.StandardizedSum`, the linear model's closed forms.
+so its chunk and linear part are the linear model's (`linear.sum_chunk`,
+`linear.StandardizedSum`): it sorts no row, and its remainder is zero.
 """
 from __future__ import annotations
 
@@ -52,7 +52,7 @@ from .base import (
     sorted_counts,
 )
 from .fields import Spec, spec_field
-from .linear import StandardizedSum
+from .linear import StandardizedSum, sum_chunk
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -179,39 +179,32 @@ class LStatModel(StatisticModel):
         self.x2_moment = self.dist.var + self.dist.mean ** 2
 
     def sample_chunk(self, rng, count, mode=()):
+        if self.delta_is_zero:
+            return sum_chunk(self.dist, self.n, rng, count, mode)
         w, rep, t = np.empty((3, count))
-        sampled = () if self.delta_is_zero else mode
-        t_var = {m: np.empty(count) for m in sampled}
-        tiles = ChunkTiles(self.dist, rng, count, (self.n,), sampled)
+        t_var = {m: np.empty(count) for m in mode}
+        tiles = ChunkTiles(self.dist, rng, count, (self.n,), mode)
         for rows, (x,) in tiles:
             w[rows], rep[rows] = projection_sums(x, self._g_rows,
                                                  tiles.scratch)
-            if self.delta_is_zero:
-                continue  # T is W, so no row is sorted
             cur = x[:, 0].copy()
             # T reads only the order statistics, so x is sorted in place
             x.sort(axis=1)
             t[rows] = np.einsum("ij,j->i", x, self._jvec)
-            if not sampled:
+            if not mode:
                 continue
-            fresh = [tiles.values[m][0, rows] for m in sampled]
+            fresh = [tiles.values[m][0, rows] for m in mode]
             rank, *below = sorted_counts(x, np.array([cur, *fresh]))
-            for m, v, b in zip(sampled, fresh, below):
+            for m, v, b in zip(mode, fresh, below):
                 t_var[m][rows] = self._replaced(x, t[rows], rank, cur, v, b)
         values = tiles.values
         x = tiles = None  # frees the last tile and the scratch buffer
-        if self.delta_is_zero:
-            t = w.copy()
-        else:
-            scale = math.sqrt(self.n) / self.sigma
-            t = (t - self._center) * scale
+        scale = math.sqrt(self.n) / self.sigma
+        t = (t - self._center) * scale
         if not mode:
             return {"t": t, "w": w}
         dvar = {}
         for m in mode:
-            if self.delta_is_zero:
-                dvar[m] = np.zeros((count, 1))
-                continue
             gv = self._g_rows(values[m][0])
             tv = (t_var[m] - self._center) * scale
             dvar[m] = (tv - (w - rep + gv))[:, None]

@@ -3,18 +3,11 @@
 The normalized statistic is T = sqrt(n) U_n / (m sigma_1), whose linear part
 is W = sum_i g(X_i) / (sqrt(n) sigma_1) with g the first-order projection of
 the kernel. A chunk reads each data row only through x_1 and its centred
-power sums C1 = sum (x_i - mu) and C2 = sum (x_i - mu)^2, from which the
-kernel gives the pair sum and W in closed form, so single-entry replacement
-is O(1).
-
-Under std_normal a chunk draws those sums, not the rows. The other n - 1
-values enter only through their sum S and their sum of squares about their
-own mean Q, which are independent with S ~ N(0, n - 1) and Q ~ chi2_{n-2}
-(Cochran 1934). So a replicate is three draws, x_1, z and q, taken as
-count-length columns from the chunk's generator one after another, and
-C1 = x_1 + sqrt(n - 1) z, C2 = x_1^2 + (z^2 + q) have exactly the joint law
-of the whole row's sums. The other laws have no such decomposition; their
-chunks draw the rows a tile at a time (ChunkTiles) and sum them.
+power sums C1 = sum (x_i - mu) and C2 = sum (x_i - mu)^2
+(`linear.power_sums`, three draws per replicate under std_normal), from
+which the kernel gives the pair sum and W in closed form, so single-entry
+replacement is O(1). The sum kernel's T is W, the standardized sum, so its
+chunk is `linear.sum_chunk`.
 """
 from __future__ import annotations
 
@@ -22,17 +15,15 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from ..bound_core import delta_from_truncation
 from ..errors import DegenerateModelError, UnsupportedModelError
 from ..marginals import LinearPart
 from ..special import gammainc, gammaincc
 from ..types import UStatBoundInputs
-from .base import DIST_CATALOG, ChunkTiles, StatisticModel, part_stream
+from .base import DIST_CATALOG, StatisticModel
 from .fields import Spec, spec_field
 from .kernels import KERNEL_CATALOG, kernel_abs_p
-from .linear import StandardizedSum
+from .linear import StandardizedSum, power_sums, sum_chunk
 
 
 @dataclass(frozen=True)
@@ -104,43 +95,17 @@ class UStatModel(StatisticModel):
                 self.kernel.linear_sum_from_power_sums(
                     c1, c2, self.n, self.dist) * self._g_scale)
 
-    def _power_sums(self, rng, count, mode):
-        """(x_1, C1, C2, {mode: replacement of x_1}) of `count` data rows,
-        by the module docstring's path for the law."""
-        if self.dist.name == "std_normal":
-            x1 = rng.standard_normal(count)
-            z = rng.standard_normal(count)
-            q = rng.chisquare(self.n - 2, count)
-            values = {m: 0.0 if m == "zero_out"
-                      else part_stream(rng, 1).standard_normal(count)
-                      for m in mode}
-            return (x1, x1 + math.sqrt(self.n - 1) * z, x1 * x1 + (z * z + q),
-                    values)
-        c1, c2, x1 = np.empty((3, count))
-        tiles = ChunkTiles(self.dist, rng, count, (self.n,), mode)
-        for rows, (x,) in tiles:
-            x1[rows] = x[:, 0]
-            x -= self.dist.mean
-            c1[rows] = x.sum(axis=1)
-            np.square(x, out=x)
-            c2[rows] = x.sum(axis=1)
-        return x1, c1, c2, {m: v[0] for m, v in tiles.values.items()}
-
     def sample_chunk(self, rng, count, mode=()):
-        x1, c1, c2, values = self._power_sums(
-            rng, count, () if self.delta_is_zero else mode)
-        t, w = self._t_w_from_power_sums(c1, c2)
         if self.delta_is_zero:
-            t = w.copy()
+            return sum_chunk(self.dist, self.n, rng, count, mode)
+        x1, c1, c2, values = power_sums(self.dist, self.n, rng, count, mode)
+        t, w = self._t_w_from_power_sums(c1, c2)
         if not mode:
             return {"t": t, "w": w}
         g_rep = self.kernel.g_raw(x1, self.dist) * self._g_scale
         d1 = x1 - self.dist.mean
         dvar = {}
         for m in mode:
-            if self.delta_is_zero:
-                dvar[m] = np.zeros((count, 1))
-                continue
             # swap the representative x_1 for v in the centred sums
             dv = values[m] - self.dist.mean
             t_new, w_new = self._t_w_from_power_sums(

@@ -4,7 +4,7 @@ Exact enumeration of the U-statistics, the raw L-statistic, its influence
 function and its scales sigma and T(F) by quadrature, the per-row pair
 count, the resample coupling alpha of the perturbed-normal model, by Monte
 Carlo and by quadrature, the whole-block draw that a chunk's row tiles
-must reproduce, the data rows that a std_normal U-statistic chunk's three
+must reproduce, the data rows that a power-sum chunk's three std_normal
 draws stand for, the exact chi-square laws of that chunk's T and W
 under the variance kernel, 40-digit mpmath integrals of the moments
 and tails of that kernel's projection and of the kernel moments E|h|^p,
@@ -91,6 +91,18 @@ def normal_rows(x1, z, q, n: int):
     rest = (z[:, None] / math.sqrt(n - 1)
             + np.sqrt(q)[:, None] * helmert_unit(n - 1))
     return np.column_stack((x1, rest))
+
+
+def redraw_rows(model, rng, count):
+    """The data rows of a chunk of `count` rows of a model that reads them
+    through `linear.power_sums`, at n >= 3, redrawn from rng: under
+    std_normal, the rows (normal_rows) that its three count-length draws
+    x_1, z and q stand for; under any other law, the whole data block."""
+    if model.dist.name == "std_normal":
+        x1 = rng.standard_normal(count)
+        z = rng.standard_normal(count)
+        return normal_rows(x1, z, rng.chisquare(model.n - 2, count), model.n)
+    return whole_draw(model.dist, rng, (count, model.n))
 
 
 def variance_normal_cdfs(n: int):

@@ -14,7 +14,7 @@ from scipy.special import ndtr
 
 import belab
 from belab.bound_core import check_normalization
-from belab.cli import cmd_bound, parse_config
+from belab.cli import cmd_bound, cmd_verify, main, parse_config
 from belab.errors import UnsupportedModelError
 from belab.mc_engine import CHUNK_SIZE, SeedSpec
 from belab.models import (
@@ -134,6 +134,46 @@ class TestLinearModel:
             assert chunk["g_rep"].shape == (count, 1)
             assert np.all(chunk["dvar_rep"][mode] == 0.0)
 
+    def test_equal_draw_sums_give_equal_w(self):
+        """W is the exact draw sum C1 times one scale, so a coin-flip chunk
+        gives every row whose draws sum to 0 the atom W = 0.0, and W takes
+        at most n + 1 values."""
+        model = LinearModel(LinearSpec("rademacher", 100))
+        chunk, x = chunk_and_draws(model, 7, CHUNK_SIZE, "zero_out")
+        zero = x.sum(axis=1) == 0.0
+        assert zero.sum() > 100  # about 8 % of the rows
+        assert np.all(chunk["w"][zero] == 0.0)
+        assert np.unique(chunk["w"]).size <= 101
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_normal_sum_of_few_terms(self, n, tmp_path):
+        """Below n = 3 the normal sum has no chi2_{n-2} part (n = 2) or no
+        other terms at all (n = 1, where W is x_1); verify runs at each
+        size."""
+        model = LinearModel(LinearSpec("std_normal", n))
+        rng_a, rng_b = SeedSpec(105).substream(0), SeedSpec(105).substream(0)
+        chunk = model.sample_chunk(rng_a, 64, mode=MODES)
+        x1 = rng_b.standard_normal(64)
+        scale = 1.0 / math.sqrt(n)
+        if n == 1:
+            assert np.all(chunk["w"] == x1)
+        else:
+            # x_1 and the other terms' sum z sqrt(n - 1); a q only past n = 2
+            z = rng_b.standard_normal(64)
+            np.testing.assert_array_equal(
+                chunk["w"], (x1 + math.sqrt(n - 1) * z) * scale)
+            if n > 2:
+                rng_b.chisquare(n - 2, 64)
+        assert rng_a.random() == rng_b.random()
+        np.testing.assert_array_equal(chunk["g_rep"][:, 0], x1 * scale)
+        config = tmp_path / "linear.json"
+        config.write_text(json.dumps({
+            "model": {"family": "linear", "dist": "std_normal", "n": n},
+            "bounds": _SHARED_TAGS, "z_grid": [0.0, 2.5],
+            "mc": {"master_seed": 7, "replicates": 1000}}))
+        assert main(["verify", "--config", str(config), "--output",
+                     str(tmp_path / "rows.csv")]) == 0
+
     def test_normalization_all_dists(self):
         for dist in ("std_normal", "uniform01", "rademacher",
                      "exponential1"):
@@ -211,6 +251,26 @@ class TestOneStandardizedSum:
             # the identity weight's W is no standardized sum
             identity = LStatModel(LStatSpec("identity", dist, n))
             assert identity.prob_abs_w_minus_g_above(0, 2.0 / 3.0) is None
+
+    @pytest.mark.parametrize("n", [8, 400])
+    @pytest.mark.parametrize("dist", sorted(DIST_CATALOG))
+    def test_families_verify_the_same_rows(self, dist, n):
+        """All three sample by one chunk, so their verify rows agree in
+        every column, empirical, se and pass among them, but the model's
+        name and the U-statistic's degree m."""
+        def verify_rows(desc):
+            doc = {"model": desc, "bounds": _SHARED_TAGS,
+                   "z_grid": [0.0, 2.5],
+                   "mc": {"master_seed": 5, "replicates": 1000}}
+            rows, _notes = cmd_verify(parse_config(json.dumps(doc)))
+            return [repr({k: v for k, v in r.as_mapping().items()
+                          if k not in ("model", "m")}) for r in rows]
+
+        descs = _sum_models(dist, n)
+        want = verify_rows(descs[0])
+        assert len(want) == 9
+        for desc in descs[1:]:
+            assert verify_rows(desc) == want, desc["family"]
 
     @pytest.mark.parametrize("n", [8, 400])
     def test_isqrt_reads_the_normal_sum(self, n):

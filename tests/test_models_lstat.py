@@ -8,7 +8,7 @@ import pytest
 from belab.bound_core import check_normalization
 from belab.errors import UnsupportedModelError
 from belab.mc_engine import CHUNK_SIZE, SeedSpec
-from belab.models import LStatModel, LStatSpec
+from belab.models import LStatModel, LStatSpec, UStatModel, UStatSpec
 from belab.models import base
 from belab.models.base import DIST_CATALOG, ROW_TILE, part_stream
 from belab.models.lstat import WEIGHT_CATALOG, catalog_scale, influence_closed
@@ -17,6 +17,7 @@ from oracles import (
     influence_quadrature,
     lstat_projection_sigma,
     lstat_value,
+    redraw_rows,
     sigma_double_integral,
     t_center,
     whole_draw,
@@ -58,13 +59,15 @@ def mp_scale(weight, dist):
 
 def chunk_and_draws(model, seed, count, mode):
     """A chunk and what it consumed, each part redrawn from its own stream:
-    the data block from a second copy of the substream, then the
+    the data rows from a second copy of the substream (the whole block, or
+    for const1, whose T is the standardized sum, `redraw_rows`), then the
     replacement values from part 1's stream (zeros in zero_out mode). The
-    chunk must leave its substream where the data block alone leaves the
+    chunk must leave its substream where the data draws alone leave the
     copy."""
     rng_a, rng_b = SeedSpec(seed).substream(0), SeedSpec(seed).substream(0)
     chunk = model.sample_chunk(rng_a, count, mode=(mode,))
-    x = whole_draw(model.dist, rng_b, (count, model.n))
+    x = (redraw_rows(model, rng_b, count) if model.delta_is_zero
+         else whole_draw(model.dist, rng_b, (count, model.n)))
     v = (np.zeros(count) if mode == "zero_out"
          else whole_draw(model.dist, part_stream(rng_b, 1), (count, 1))[:, 0])
     assert rng_a.random() == rng_b.random()
@@ -456,8 +459,12 @@ class TestRowTiles:
     @pytest.mark.parametrize("weight", sorted(WEIGHT_CATALOG))
     def test_variant_edge_rows_match_oracle(self, weight, dist, n):
         """The variant update at the edges of its shifted run gives the
-        oracle's Delta: see edge_rows."""
+        oracle's Delta: see edge_rows. const1 has no variant update; its
+        chunk of as many rows is the sum kernel's."""
         model = LStatModel(LStatSpec(weight, dist, n))
+        if model.delta_is_zero:
+            assert_sum_kernel_chunk(model, 8)
+            return
         x, v = edge_rows(model.dist, n)
         replayed = LStatModel(LStatSpec(weight, dist, n))
         replayed.dist = Replay(x, v)
@@ -471,6 +478,25 @@ class TestRowTiles:
                 np.testing.assert_allclose(
                     chunk["dvar_rep"][mode][r, 0],
                     oracle_dvar(model, x[r], value), rtol=1e-9, atol=1e-13)
+
+
+def assert_sum_kernel_chunk(model, count):
+    """The chunk of a const1 model is the sum-kernel U-statistic's on the
+    same substream, byte for byte in every output and in where it leaves
+    the stream, at `count` rows and in every mode."""
+    ustat = UStatModel(UStatSpec("sum", model.spec.dist, model.n))
+    for mode in ((), *((m,) for m in MODES), MODES):
+        rng_a, rng_b = SeedSpec(91).substream(0), SeedSpec(91).substream(0)
+        got = model.sample_chunk(rng_a, count, mode=mode)
+        want = ustat.sample_chunk(rng_b, count, mode=mode)
+        assert list(got) == list(want)
+        for key in ("t", "w", "delta", "g_rep"):
+            if key in want:
+                assert got[key].tobytes() == want[key].tobytes()
+        for m in mode:
+            assert (got["dvar_rep"][m].tobytes()
+                    == want["dvar_rep"][m].tobytes())
+        assert rng_a.random() == rng_b.random()
 
 
 class Replay:

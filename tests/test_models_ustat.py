@@ -28,7 +28,7 @@ from oracles import (
     dblquad,
     kernel_moment_mp,
     ks_vs_cdf,
-    normal_rows,
+    redraw_rows,
     sup_cdf_gap,
     ustat_value,
     variance_normal_cdfs,
@@ -38,17 +38,6 @@ from test_golden import CASES
 
 E_ABS_CHI_CENTERED_3 = 8.691562902725508  # E|Z^2 - 1|^3
 MODES = ("zero_out", "resample")
-
-
-def redraw_rows(model, rng, count):
-    """The data rows of a chunk of `count` rows, redrawn from rng: under
-    std_normal, the rows (normal_rows) that its three count-length draws
-    x_1, z and q stand for; under any other law, the whole data block."""
-    if model.dist.name == "std_normal":
-        x1 = rng.standard_normal(count)
-        z = rng.standard_normal(count)
-        return normal_rows(x1, z, rng.chisquare(model.n - 2, count), model.n)
-    return whole_draw(model.dist, rng, (count, model.n))
 
 
 def chunk_and_draws(model, seed, count, mode):

@@ -107,6 +107,24 @@ def test_cases_cover_every_family(frozen):
     assert len(frozen) == len(DESCRIPTORS) * len(COUNTS) * len(MODES)
 
 
+@pytest.mark.parametrize("case, twin", [
+    ("linear-{}-n50", "ustat-sum-{}-n50"),
+    ("lstat-const1-{}-n400", "ustat-sum-{}-n400")])
+def test_standardized_sums_share_digests(frozen, case, twin):
+    """The linear model, the sum-kernel U-statistic and the const1
+    L-statistic sample T = W by one chunk: equal digests for each law,
+    count and mode."""
+    keys = [key for key in frozen
+            if any(key.startswith(case.format(d) + "/")
+                   for d in DIST_CATALOG)]
+    cases = sum(case.format(d) in DESCRIPTORS for d in DIST_CATALOG)
+    assert cases and len(keys) == cases * len(COUNTS) * len(MODES)
+    for key in keys:
+        name, rest = key.split("/", 1)
+        dist = name.split("-")[-2]
+        assert frozen[key] == frozen[f"{twin.format(dist)}/{rest}"], key
+
+
 @pytest.mark.parametrize("count", COUNTS)
 @pytest.mark.parametrize("name", sorted(DESCRIPTORS))
 def test_chunk_digests_frozen(frozen, name, count):
